@@ -25,7 +25,7 @@ interpreter (:func:`repro.runtime.execute_program_reference`):
   hybrid pipeline (schedule build + TP sharding + program compilation
   + ``with_tp_sync`` + reference core).  Lanes are parity-probed
   against scalar ``measure_hybrid_throughput`` first.
-* ``contention_batched`` — ``contention=True`` lean lanes through the
+* ``contention_batched`` — ``contention=True`` lanes through the
   vectorized lockstep stepper vs a scalar ``execute_plan`` loop over
   the same plans.  The grid is restricted to shapes the stepper keeps
   in lockstep (wire grant order = structural order); the probe asserts
@@ -160,8 +160,7 @@ def _run_fig09_reference_pass(model, cells) -> None:
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
     from repro.runtime import ConcreteCosts, execute_program_reference
-    from repro.runtime.memory import MemoryStats
-    from repro.runtime.simulator import SimResult
+    from repro.runtime.metrics import fold_events
     from repro.schedules import build_schedule
 
     run = RunConfig()
@@ -175,17 +174,9 @@ def _run_fig09_reference_pass(model, cells) -> None:
                                           run=run)
         oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, p))
         ev = execute_program_reference(program, oracle, run)
-        result = SimResult(
-            schedule=schedule, timeline=ev.timeline,
-            recv_busy=ev.recv_wait, program=program, comm=ev.comm,
-            action_order=ev.order,
-            memory=MemoryStats(static_bytes=dict(program.static_bytes),
-                               peak_bytes=ev.mem_peak),
-            mem_events=ev.mem_events, collectives=ev.collectives,
-            device_end=ev.device_end,
-        )
-        throughput_from_simulation(cfg, cluster, model, schedule, costs,
-                                   result, ring_p=p, overlap="simulated")
+        throughput_from_simulation(
+            cfg, schedule, [(cluster, model, costs, "simulated")],
+            fold_events(ev), [0], ring_p=p)
 
 
 def bench_fig09() -> dict:
@@ -303,8 +294,7 @@ def _run_fig11_reference_pass(model, cells) -> None:
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
     from repro.runtime import execute_program_reference
-    from repro.runtime.memory import MemoryStats
-    from repro.runtime.simulator import SimResult
+    from repro.runtime.metrics import fold_events
     from repro.schedules import build_schedule
 
     run = RunConfig()
@@ -326,18 +316,9 @@ def _run_fig11_reference_pass(model, cells) -> None:
                                count_per_pass=2.0 * layers_per_stage)
         oracle = _SpacedCosts(costs, cluster, tp)
         ev = execute_program_reference(program, oracle, run)
-        result = SimResult(
-            schedule=schedule, timeline=ev.timeline,
-            recv_busy=ev.recv_wait, program=program, comm=ev.comm,
-            action_order=ev.order,
-            memory=MemoryStats(static_bytes=dict(program.static_bytes),
-                               peak_bytes=ev.mem_peak),
-            mem_events=ev.mem_events, collectives=ev.collectives,
-            device_end=ev.device_end,
-        )
-        throughput_from_simulation(cfg, cluster, model, schedule, costs,
-                                   result, ring_p=p * tp,
-                                   overlap="simulated")
+        throughput_from_simulation(
+            cfg, schedule, [(cluster, model, costs, "simulated")],
+            fold_events(ev), [0], ring_p=p * tp)
 
 
 def bench_fig11_hybrid_batched() -> dict:
@@ -440,13 +421,14 @@ def bench_contention_batched() -> dict:
     from repro.config import RunConfig
     from repro.runtime import execute_plan
     from repro.runtime.batched import execute_many
+    from repro.runtime.metrics import fold_events
 
     plans = _contention_plans()
     run = RunConfig(contention=True)
     items = [(plan, None) for plan in plans]
     stats = profiling.batching_stats()
     batches, scalar_cells = stats.batches, stats.scalar_cells
-    batch = execute_many(items, run, detail="lean")  # warm + probe
+    batch = execute_many(items, run)  # warm + probe
     # the grid must stay fully vectorized: a lane silently de-batching
     # (wire-order divergence, congruence regression) re-runs the scalar
     # core and would turn this into a benchmark of the wrong code
@@ -454,14 +436,11 @@ def bench_contention_batched() -> dict:
         raise AssertionError(
             f"contention lanes fell back to scalar: "
             f"{stats.fallback_reasons}")
-    for plan, got, err in zip(plans, batch.results, batch.errors):
+    for k, (plan, err) in enumerate(zip(plans, batch.errors)):
         if err is not None:
             raise AssertionError(f"unexpected OOM in {plan.name}")
-        want = execute_plan(plan, run, detail="lean")
-        if (got.timeline.spans != want.timeline.spans
-                or got.device_end != want.device_end
-                or got.recv_wait != want.recv_wait
-                or got.collectives != want.collectives):
+        if batch.fold.row(k) != fold_events(
+                execute_plan(plan, run, detail="lean")).row(0):
             raise AssertionError(f"batched != scalar for {plan.name}")
     actions = sum(plan.n_actions for plan in plans)
 
@@ -469,7 +448,7 @@ def bench_contention_batched() -> dict:
         for plan in plans:
             execute_plan(plan, run, detail="lean")
 
-    wall = _best_of(lambda: execute_many(items, run, detail="lean"),
+    wall = _best_of(lambda: execute_many(items, run),
                     repeats=3 * REPEATS)
     ref_wall = _best_of(scalar_pass)
     return {
@@ -536,6 +515,7 @@ def bench_contention_divergent() -> dict:
     from repro.config import RunConfig
     from repro.runtime import execute_plan
     from repro.runtime.batched import execute_many
+    from repro.runtime.metrics import fold_events
 
     plans = _divergent_plans()
     run = RunConfig(contention=True)
@@ -543,7 +523,7 @@ def bench_contention_divergent() -> dict:
     stats = profiling.batching_stats()
     scalar_cells = stats.scalar_cells
     recovered = stats.recovered_lanes
-    batch = execute_many(items, run, detail="lean")  # warm + probe
+    batch = execute_many(items, run)  # warm + probe
     # every lane must ride the time-ordered replay: zero scalar
     # fallbacks, and the recovered-lane counter must account for the
     # whole grid — a regression that quietly de-batches divergent
@@ -557,14 +537,11 @@ def bench_contention_divergent() -> dict:
             f"only {stats.recovered_lanes - recovered} of {len(plans)} "
             f"lanes took the time-ordered replay")
     orders = set()
-    for plan, got, err in zip(plans, batch.results, batch.errors):
+    for k, (plan, err) in enumerate(zip(plans, batch.errors)):
         if err is not None:
             raise AssertionError(f"unexpected OOM in {plan.name}")
         want = execute_plan(plan, run, detail="lean")
-        if (got.timeline.spans != want.timeline.spans
-                or got.device_end != want.device_end
-                or got.recv_wait != want.recv_wait
-                or got.collectives != want.collectives):
+        if batch.fold.row(k) != fold_events(want).row(0):
             raise AssertionError(f"batched != scalar for {plan.name}")
         orders.add(_span_order(want))
     # the grid must actually diverge — identical grant orders would make
@@ -578,7 +555,7 @@ def bench_contention_divergent() -> dict:
         for plan in plans:
             execute_plan(plan, run, detail="lean")
 
-    wall = _best_of(lambda: execute_many(items, run, detail="lean"),
+    wall = _best_of(lambda: execute_many(items, run),
                     repeats=3 * REPEATS)
     ref_wall = _best_of(scalar_pass)
     return {

@@ -22,7 +22,7 @@ and the ``overlap="model"`` fallback.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..actions.collectives import with_tp_sync
 from ..actions.lowering import ExecutablePlan
@@ -35,9 +35,9 @@ from ..config import PipelineConfig, RunConfig
 from ..errors import ConfigError, OutOfMemoryError
 from ..models.costs import StageCosts, stage_costs
 from ..models.spec import ModelSpec
-from ..runtime.batched import execute_many
 from ..runtime.costs import ConcreteCosts
-from ..runtime.simulator import sim_result_from_events, simulate_program
+from ..runtime.events import execute_plan
+from ..runtime.metrics import fold_events
 from ..schedules.base import Schedule
 from ..schedules.factory import build_schedule
 from .plans import PlanEntry, plan_cache
@@ -45,6 +45,10 @@ from .throughput import (
     OVERLAP_MODES,
     ThroughputResult,
     compile_cluster_program,
+    enforced_capacity,
+    request_capacity,
+    runtime_oom_result,
+    simulate_groups,
     static_oom_result,
     throughput_from_simulation,
 )
@@ -302,41 +306,30 @@ def measure_hybrid_throughput(
         simulated=simulated,
     )
 
-    capacity = (cluster.device.memory_bytes if capacity_bytes is None
-                else capacity_bytes)
-    if enforce_memory:
-        # Static pre-check: a TP-sharded stage set whose weights alone
-        # bust the budget never enters the event loop.
-        pruned = static_oom_result(cell.cfg, cluster, model,
-                                   cell.schedule, cell.costs, capacity)
-        if pruned is not None:
-            return pruned
+    capacity = enforced_capacity(cluster, capacity_bytes, enforce_memory)
+    # Static pre-check: a TP-sharded stage set whose weights alone bust
+    # the budget never enters the event loop.
+    pruned = static_oom_result(cell.cfg, cluster, model, cell.schedule,
+                               cell.costs, capacity)
+    if pruned is not None:
+        return pruned
 
     t0 = time.perf_counter()
     try:
-        result = simulate_program(
-            cell.program, cell.oracle, run, schedule=cell.schedule,
-            plan=cell.plan,
-            capacity_bytes=capacity if enforce_memory else None,
-        )
+        with profiling.phase("simulate"):
+            result = execute_plan(cell.plan, run, capacity_bytes=capacity,
+                                  detail="lean")
     except OutOfMemoryError as exc:
+        return runtime_oom_result(cell.cfg, cluster, model, exc)
+    finally:
         if layout.tp > 1:
+            # the remaining scalar TP>1 frontier (single-cell calls;
+            # the sweep engine routes multi-lane units through
+            # measure_hybrid_throughput_batch)
             profiling.record_scalar(1, time.perf_counter() - t0, "tp>1")
-        return ThroughputResult(
-            config=cell.cfg, cluster_name=cluster.name,
-            model_name=model.name, seq_per_s=None, bubble_ratio=None,
-            peak_mem_bytes=float(exc.peak_bytes), iteration_s=None,
-            oom_device=exc.device,
-        )
-    if layout.tp > 1:
-        # the remaining scalar TP>1 frontier (single-cell calls; the
-        # sweep engine routes multi-lane units through
-        # measure_hybrid_throughput_batch)
-        profiling.record_scalar(1, time.perf_counter() - t0, "tp>1")
     return throughput_from_simulation(
-        cell.cfg, cluster, model, cell.schedule, cell.costs, result,
-        ring_p=layout.p * layout.tp, overlap=overlap,
-    )
+        cell.cfg, cell.schedule, [(cluster, model, cell.costs, overlap)],
+        fold_events(result), [0], ring_p=layout.p * layout.tp)[0]
 
 
 @dataclass(frozen=True)
@@ -387,6 +380,7 @@ def measure_hybrid_throughput_batch(
     run = run or RunConfig()
     outcomes: list[ThroughputResult | ConfigError | None] = \
         [None] * len(requests)
+    #: plan key x effective contention mode, as measure_throughput_batch
     groups: dict[tuple, list[int]] = {}
     for i, req in enumerate(requests):
         if req.overlap not in OVERLAP_MODES:
@@ -406,15 +400,13 @@ def measure_hybrid_throughput_batch(
                req.layout.d, req.num_microbatches, req.microbatch_size,
                req.w, simulated, run.prefetch, run.batch_cross_comm,
                req.model)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((key, run.contention or req.contention),
+                          []).append(i)
 
     plans = plan_cache()
-    #: items partitioned by each lane's effective contention mode,
-    #: mirroring measure_throughput_batch
     items_by: dict[bool, list[tuple]] = {False: [], True: []}
-    #: per-group fold context mirroring measure_throughput_batch
     pending: list[tuple] = []
-    for key, lane_ids in groups.items():
+    for (key, mode), lane_ids in groups.items():
         head = requests[lane_ids[0]]
         layout = head.layout
         simulated = head.overlap == "simulated"
@@ -463,18 +455,10 @@ def measure_hybrid_throughput_batch(
                 if isinstance(costs, ConfigError):
                     outcomes[i] = costs
                     continue
-                if not req.enforce_memory:
-                    live.append(pos)
-                    continue
-                capacity = (req.cluster.device.memory_bytes
-                            if req.capacity_bytes is None
-                            else req.capacity_bytes)
-                pruned = static_oom_result(group_cfg, req.cluster,
-                                           req.model, schedule, costs,
-                                           capacity)
-                if pruned is not None:
-                    outcomes[i] = pruned
-                else:
+                outcomes[i] = static_oom_result(
+                    group_cfg, req.cluster, req.model, schedule, costs,
+                    request_capacity(req))
+                if outcomes[i] is None:
                     live.append(pos)
             if not live:
                 continue
@@ -496,7 +480,7 @@ def measure_hybrid_throughput_batch(
                         )
                     entry = plans.put(key, PlanEntry(
                         schedule, program, ExecutablePlan.lower(program)))
-                slots: list[tuple[bool, int]] = []
+                start = len(items_by[mode])
                 for pos in live:
                     req = requests[lane_ids[pos]]
                     costs = lane_costs[pos]
@@ -504,54 +488,12 @@ def measure_hybrid_throughput_batch(
                         (req.cluster, costs, layout.p, layout.tp),
                         lambda req=req, costs=costs: _SpacedCosts(
                             costs, req.cluster, layout.tp))
-                    capacity = None
-                    if req.enforce_memory:
-                        capacity = (req.cluster.device.memory_bytes
-                                    if req.capacity_bytes is None
-                                    else req.capacity_bytes)
-                    mode = run.contention or req.contention
-                    slots.append((mode, len(items_by[mode])))
-                    items_by[mode].append((plan, capacity))
-            pending.append((entry, schedule, group_cfg, lane_ids, live,
-                            lane_costs, slots))
-
-    batches: dict[bool, object] = {}
-    n_lanes = len(items_by[False]) + len(items_by[True])
-    if n_lanes:
-        with profiling.cell(f"simulate [{n_lanes} lanes]"):
-            with profiling.phase("simulate"):
-                for mode, items in items_by.items():
-                    if items:
-                        mode_run = run if mode == run.contention else \
-                            replace(run, contention=mode)
-                        batches[mode] = execute_many(items, mode_run,
-                                                     detail="lean")
-    for entry, schedule, group_cfg, lane_ids, live, lane_costs, slots \
-            in pending:
-        head = requests[lane_ids[0]]
-        for out_pos, pos in enumerate(live):
-            i = lane_ids[pos]
-            req = requests[i]
-            mode, idx = slots[out_pos]
-            batch = batches[mode]
-            err = batch.errors[idx]
-            if err is not None:
-                outcomes[i] = ThroughputResult(
-                    config=group_cfg, cluster_name=req.cluster.name,
-                    model_name=req.model.name, seq_per_s=None,
-                    bubble_ratio=None,
-                    peak_mem_bytes=float(err.peak_bytes),
-                    iteration_s=None, oom_device=err.device,
-                )
-                continue
-            sim = sim_result_from_events(entry.program,
-                                         batch.results[idx],
-                                         schedule=schedule)
-            outcomes[i] = throughput_from_simulation(
-                group_cfg, req.cluster, req.model, schedule,
-                lane_costs[pos], sim,
-                ring_p=req.layout.p * req.layout.tp,
-                overlap=req.overlap)
+                    items_by[mode].append((plan, request_capacity(req)))
+            pending.append((mode, start, schedule, group_cfg,
+                            layout.p * layout.tp,
+                            [lane_ids[pos] for pos in live],
+                            [lane_costs[pos] for pos in live]))
+    simulate_groups(requests, outcomes, items_by, pending, run)
     return outcomes
 
 

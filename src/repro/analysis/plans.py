@@ -48,6 +48,10 @@ from ..schedules.base import Schedule
 #: default bound on retained plans (a full fig09-style grid is ~50)
 MAX_PLANS = 256
 
+#: bound on the cost bindings one plan entry retains (a binding per
+#: cluster the structure has met; the Fig. 11 grid keeps 16 live)
+MAX_BINDINGS = 64
+
 
 @dataclass
 class PlanEntry:
@@ -60,7 +64,8 @@ class PlanEntry:
     #: inputs (cluster, stage costs, ring width); a repeated-pass sweep
     #: re-times each (structure, cluster) pair once and thereafter
     #: reuses the bound plan — including its lazily filled duration
-    #: column.  Evicted with the entry.
+    #: column.  Bounded LRU like :class:`PlanCache` (insertion order is
+    #: recency order); evicted with the entry.
     bindings: dict = field(default_factory=dict)
     #: serializes binding fills so concurrent readers of one entry (the
     #: serving layer's worker threads) agree on a single bound plan per
@@ -79,10 +84,12 @@ class PlanEntry:
         structure under an equal oracle yields identical columns.
         """
         with self._lock:
-            plan = self.bindings.get(key)
+            plan = self.bindings.pop(key, None)
             if plan is None:
                 plan = self.plan.retime(oracle_factory())
-                self.bindings[key] = plan
+                if len(self.bindings) >= MAX_BINDINGS:
+                    self.bindings.pop(next(iter(self.bindings)))
+            self.bindings[key] = plan  # (re-)insert: most recently used
             return plan
 
 

@@ -20,10 +20,10 @@ fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..actions.collectives import with_gradient_sync
 from ..actions.lowering import ExecutablePlan
-from ..actions.ops import CollectiveKind
 from ..actions.program import Program, compile_program
 from ..actions.resources import StageResources
 from .. import profiling
@@ -36,15 +36,12 @@ from ..models.costs import StageCosts, stage_costs
 from ..models.spec import ModelSpec
 from ..runtime.batched import execute_many
 from ..runtime.costs import ConcreteCosts
+from ..runtime.events import execute_plan
 from ..runtime.memory import static_memory
-from ..runtime.metrics import bubble_stats
-from ..runtime.simulator import (
-    SimResult,
-    sim_result_from_events,
-    simulate_program,
-)
+from ..runtime.metrics import LaneFold, fold_events
 from ..schedules.base import Schedule
 from ..schedules.factory import build_schedule
+from ..types import seq_sum
 from .plans import PlanEntry, plan_cache
 
 #: gradient-sync fraction the *analytic* fallback assumes is hidden
@@ -131,15 +128,18 @@ class ThroughputResult:
 
 def static_oom_result(cfg: PipelineConfig, cluster: Cluster,
                       model: ModelSpec, schedule, costs,
-                      capacity: int) -> ThroughputResult | None:
+                      capacity: int | None) -> ThroughputResult | None:
     """The O(P) static-memory pre-check, as a pruned result.
 
     Returns a ``statically_pruned`` OOM :class:`ThroughputResult` for
     the lowest device whose resident weights alone exceed ``capacity``,
     or ``None`` when every device's static footprint fits (the cell
-    must then be simulated to get a verdict).  Shared by the throughput
-    and hybrid harnesses so the pruned-result shape cannot drift.
+    must then be simulated to get a verdict) or ``capacity`` is ``None``
+    (enforcement off).  Shared by the throughput and hybrid harnesses
+    so the pruned-result shape cannot drift.
     """
+    if capacity is None:
+        return None
     static = static_memory(schedule, costs)
     for device in sorted(static):
         if static[device] > capacity:
@@ -150,6 +150,18 @@ def static_oom_result(cfg: PipelineConfig, cluster: Cluster,
                 oom_device=device, statically_pruned=True,
             )
     return None
+
+
+def runtime_oom_result(cfg: PipelineConfig, cluster: Cluster,
+                       model: ModelSpec,
+                       exc: OutOfMemoryError) -> ThroughputResult:
+    """The result of a cell whose simulation aborted at capacity."""
+    return ThroughputResult(
+        config=cfg, cluster_name=cluster.name, model_name=model.name,
+        seq_per_s=None, bubble_ratio=None,
+        peak_mem_bytes=float(exc.peak_bytes),
+        iteration_s=None, oom_device=exc.device,
+    )
 
 
 def dp_rank_groups(cluster: Cluster, p: int, d: int,
@@ -247,80 +259,60 @@ def compile_cluster_program(
     return program
 
 
-def sync_accounting(result: SimResult) -> tuple[float, float, float | None]:
-    """``(sync_s, exposed_s, overlap)`` measured from simulator events.
-
-    ``sync_s`` is the busiest device's total gradient-ring seconds,
-    ``exposed_s`` the iteration extension past ``result.busy_end`` (the
-    end of compute plus blocking communication — trailing TP
-    all-reduces are *busy* time, not sync exposure), and ``overlap``
-    the hidden fraction ``1 - exposed / sync`` — the number the paper's
-    Sec. 3.2 claim is about.
-    """
-    per_device: dict[int, float] = {}
-    for c in result.collectives:
-        if c.op.kind is CollectiveKind.GRAD_SYNC:
-            per_device[c.device] = per_device.get(c.device, 0.0) + c.duration
-    if not per_device:
-        return 0.0, 0.0, None
-    sync_s = max(per_device.values())
-    exposed = max(0.0, result.sync_done() - result.busy_end)
-    overlap = 1.0 - exposed / sync_s if sync_s > 0 else None
-    return sync_s, exposed, overlap
-
-
 def throughput_from_simulation(
     cfg: PipelineConfig,
-    cluster: Cluster,
-    model: ModelSpec,
     schedule: Schedule,
-    costs: StageCosts,
-    result: SimResult,
+    lanes: Sequence[tuple[Cluster, ModelSpec, StageCosts, str]],
+    fold: LaneFold,
+    rows: Sequence[int],
     *,
     ring_p: int,
-    overlap: str,
-) -> ThroughputResult:
-    """Fold one simulated iteration into a :class:`ThroughputResult`.
+) -> list[ThroughputResult]:
+    """Fold simulated lanes of one plan group into results.
 
-    The single accounting tail the flat and hybrid harnesses share —
-    bubble stats, the closed-form ring cross-check over ``ring_p``
-    in-ring devices (``P`` flat, ``P * TP`` hybrid), the
-    simulated-vs-analytic overlap branch, and the iteration =
-    ``busy_end + exposed sync`` conversion — so the two paths cannot
-    drift apart.
+    ``lanes[j]`` — ``(cluster, model, stage costs, overlap mode)`` —
+    was simulated as row ``rows[j]`` of ``fold``.  The single
+    accounting tail of the flat and hybrid harnesses, batched (once per
+    plan group) and scalar (N = 1) alike, so the paths cannot drift
+    apart: the closed-form ring cross-check over ``ring_p`` in-ring
+    devices (``P`` flat, ``P * TP`` hybrid), the simulated-vs-analytic
+    overlap branch, and iteration = ``busy_end + exposed sync``.
+    Simulated overlap reads the fold: ``sync_s`` is the busiest
+    device's gradient-ring seconds, the exposure the iteration's
+    extension past ``busy_end`` (trailing TP all-reduces are *busy*
+    time, not sync exposure), the overlap the hidden fraction ``1 -
+    exposed / sync`` — the number the paper's Sec. 3.2 claim is about.
     """
     d = cfg.data_parallel
-    stats = bubble_stats(result.timeline)
-    mem = result.memory
-    per_stage = stage_grad_bytes(costs)
-    grad_bytes = max(
-        sum(per_stage[stage]
-            for stage, _r in schedule.placement.stages_on(dev))
-        for dev in range(schedule.num_devices)
-    )
-    sync_model = dp_allreduce_seconds(cluster, ring_p, d, grad_bytes)
-    if overlap == "simulated":
-        sync_s, exposed, frac = sync_accounting(result)
-    else:
-        sync_s = sync_model
-        exposed = sync_model * (1.0 - ANALYTIC_DP_OVERLAP)
-        frac = ANALYTIC_DP_OVERLAP if d > 1 else None
-    iteration = result.busy_end + exposed
     seqs = cfg.num_microbatches * cfg.microbatch_size * d
-    return ThroughputResult(
-        config=cfg,
-        cluster_name=cluster.name,
-        model_name=model.name,
-        seq_per_s=seqs / iteration,
-        bubble_ratio=stats.bubble_ratio,
-        peak_mem_bytes=mem.highest_peak,
-        iteration_s=iteration,
-        sync_s=sync_s,
-        sync_exposed_s=exposed,
-        sync_overlap=frac,
-        sync_model_s=sync_model,
-        overlap_mode=overlap,
-    )
+    stages_on = [schedule.placement.stages_on(dev)
+                 for dev in range(schedule.num_devices)]
+    rows = list(rows)
+    columns = zip(*(column[rows].tolist() for column in fold))
+    results = []
+    for (cluster, model, costs, overlap), \
+            (_makespan, bubble, busy_end, sync_s, sync_done, peak) \
+            in zip(lanes, columns):
+        per_stage = stage_grad_bytes(costs)
+        grad_bytes = max(seq_sum(per_stage[stage] for stage, _r in stages)
+                         for stages in stages_on)
+        sync_model = dp_allreduce_seconds(cluster, ring_p, d, grad_bytes)
+        if overlap == "simulated":
+            exposed = max(0.0, sync_done - busy_end)
+            frac = 1.0 - exposed / sync_s if sync_s > 0 else None
+        else:
+            sync_s = sync_model
+            exposed = sync_model * (1.0 - ANALYTIC_DP_OVERLAP)
+            frac = ANALYTIC_DP_OVERLAP if d > 1 else None
+        iteration = busy_end + exposed
+        results.append(ThroughputResult(
+            config=cfg, cluster_name=cluster.name, model_name=model.name,
+            seq_per_s=seqs / iteration, bubble_ratio=bubble,
+            peak_mem_bytes=peak, iteration_s=iteration,
+            sync_s=sync_s, sync_exposed_s=exposed, sync_overlap=frac,
+            sync_model_s=sync_model, overlap_mode=overlap,
+        ))
+    return results
 
 
 def flat_plan_key(scheme: str, p: int, num_microbatches: int,
@@ -379,8 +371,7 @@ def measure_throughput(
             f"layout P={p} x D={d} exceeds cluster of {cluster.num_devices}"
         )
     run = run or RunConfig()
-    capacity = (cluster.device.memory_bytes if capacity_bytes is None
-                else capacity_bytes)
+    capacity = enforced_capacity(cluster, capacity_bytes, enforce_memory)
     cfg = PipelineConfig(
         scheme=scheme,
         num_devices=p,
@@ -399,11 +390,10 @@ def measure_throughput(
             build_schedule(cfg)
         costs = stage_costs(model, schedule.num_stages, cluster.device,
                             microbatch_size)
-    if enforce_memory:
-        pruned = static_oom_result(cfg, cluster, model, schedule, costs,
-                                   capacity)
-        if pruned is not None:
-            return pruned
+    pruned = static_oom_result(cfg, cluster, model, schedule, costs,
+                               capacity)
+    if pruned is not None:
+        return pruned
     with profiling.phase("lower"):
         if entry is None:
             program = compile_cluster_program(schedule, cluster, costs,
@@ -414,20 +404,14 @@ def measure_throughput(
             (cluster, costs, p),
             lambda: ConcreteCosts(costs, _pipeline_comm(cluster, 0, p)))
     try:
-        result = simulate_program(
-            entry.program, plan.costs, run, schedule=schedule, plan=plan,
-            capacity_bytes=capacity if enforce_memory else None,
-        )
+        with profiling.phase("simulate"):
+            result = execute_plan(plan, run, capacity_bytes=capacity,
+                                  detail="lean")
     except OutOfMemoryError as exc:
-        return ThroughputResult(
-            config=cfg, cluster_name=cluster.name, model_name=model.name,
-            seq_per_s=None, bubble_ratio=None,
-            peak_mem_bytes=float(exc.peak_bytes),
-            iteration_s=None, oom_device=exc.device,
-        )
-    return throughput_from_simulation(cfg, cluster, model, schedule,
-                                      costs, result, ring_p=p,
-                                      overlap=overlap)
+        return runtime_oom_result(cfg, cluster, model, exc)
+    return throughput_from_simulation(
+        cfg, schedule, [(cluster, model, costs, overlap)],
+        fold_events(result), [0], ring_p=p)[0]
 
 
 @dataclass(frozen=True)
@@ -483,8 +467,9 @@ def measure_throughput_batch(
     call, which re-groups them by control-flow congruence — so cells of
     *different* plan keys whose structures agree (e.g. two models on
     one layout) still stack into one lockstep batch.  Per lane the only
-    remaining work is the cost re-time, the lazy duration fill and the
-    lean result fold.  Every produced :class:`ThroughputResult` is
+    remaining work is the cost re-time and the lazy duration fill; the
+    accounting runs on the batch's lane-axis fold columns
+    (:func:`simulate_groups`).  Every produced :class:`ThroughputResult` is
     exactly what a scalar :func:`measure_throughput` of that cell
     returns — pinned by the sweep parity tests and the
     ``fig09_batched`` benchmark's cross-check.
@@ -492,6 +477,8 @@ def measure_throughput_batch(
     run = run or RunConfig()
     outcomes: list[ThroughputResult | ConfigError | None] = \
         [None] * len(requests)
+    #: lanes grouped by plan key and effective contention mode (plan
+    #: structure is shared across modes, the event core is not)
     groups: dict[tuple, list[int]] = {}
     for i, req in enumerate(requests):
         if req.overlap not in OVERLAP_MODES:
@@ -510,17 +497,13 @@ def measure_throughput_batch(
         key = flat_plan_key(req.scheme, req.p, req.num_microbatches,
                             req.microbatch_size, req.d, sync_d, req.w,
                             run, req.model)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((key, run.contention or req.contention),
+                          []).append(i)
 
     plans = plan_cache()
-    #: items for the global execute_many calls, partitioned by the
-    #: lane's effective contention mode (plan structure is shared, the
-    #: event core is not)
     items_by: dict[bool, list[tuple]] = {False: [], True: []}
-    #: per-group fold context: (entry, schedule, group_cfg, lane_ids,
-    #: live positions, lane_costs, per-lane (contention, index) slots)
     pending: list[tuple] = []
-    for key, lane_ids in groups.items():
+    for (key, mode), lane_ids in groups.items():
         head = requests[lane_ids[0]]
         sync_d = head.d if head.overlap == "simulated" else 1
         label = (f"{head.scheme}/{head.model.name} P{head.p} D{head.d} "
@@ -549,18 +532,10 @@ def measure_throughput_batch(
             live: list[int] = []     # positions into lane_ids
             for pos, i in enumerate(lane_ids):
                 req = requests[i]
-                if not req.enforce_memory:
-                    live.append(pos)
-                    continue
-                capacity = (req.cluster.device.memory_bytes
-                            if req.capacity_bytes is None
-                            else req.capacity_bytes)
-                pruned = static_oom_result(group_cfg, req.cluster,
-                                           req.model, schedule,
-                                           lane_costs[pos], capacity)
-                if pruned is not None:
-                    outcomes[i] = pruned
-                else:
+                outcomes[i] = static_oom_result(
+                    group_cfg, req.cluster, req.model, schedule,
+                    lane_costs[pos], request_capacity(req))
+                if outcomes[i] is None:
                     live.append(pos)
             if not live:
                 continue
@@ -572,7 +547,7 @@ def measure_throughput_batch(
                         lane_costs[pos], d=sync_d, run=run)
                     entry = plans.put(key, PlanEntry(
                         schedule, program, ExecutablePlan.lower(program)))
-                slots: list[tuple[bool, int]] = []
+                start = len(items_by[mode])
                 for pos in live:
                     req = requests[lane_ids[pos]]
                     costs = lane_costs[pos]
@@ -580,18 +555,40 @@ def measure_throughput_batch(
                         (req.cluster, costs, req.p),
                         lambda req=req, costs=costs: ConcreteCosts(
                             costs, _pipeline_comm(req.cluster, 0, req.p)))
-                    capacity = None
-                    if req.enforce_memory:
-                        capacity = (req.cluster.device.memory_bytes
-                                    if req.capacity_bytes is None
-                                    else req.capacity_bytes)
-                    mode = run.contention or req.contention
-                    slots.append((mode, len(items_by[mode])))
-                    items_by[mode].append((plan, capacity))
-            pending.append((entry, schedule, group_cfg, lane_ids, live,
-                            lane_costs, slots))
+                    items_by[mode].append((plan, request_capacity(req)))
+            pending.append((mode, start, schedule, group_cfg, head.p,
+                            [lane_ids[pos] for pos in live],
+                            [lane_costs[pos] for pos in live]))
+    simulate_groups(requests, outcomes, items_by, pending, run)
+    return outcomes
 
-    batches: dict[bool, object] = {}
+
+def enforced_capacity(cluster: Cluster, capacity_bytes: int | None,
+                      enforce_memory: bool) -> int | None:
+    """The device capacity a measurement enforces — the what-if or the
+    card's — or ``None`` when enforcement is off."""
+    if not enforce_memory:
+        return None
+    return (cluster.device.memory_bytes if capacity_bytes is None
+            else capacity_bytes)
+
+
+def request_capacity(req) -> int | None:
+    return enforced_capacity(req.cluster, req.capacity_bytes,
+                             req.enforce_memory)
+
+
+def simulate_groups(requests, outcomes, items_by, pending, run) -> None:
+    """Execute every pending lane and fold the groups into ``outcomes``.
+
+    The tail the flat and hybrid batch harnesses share.  All
+    ``(plan, capacity)`` lanes of a contention mode go through one
+    :func:`repro.runtime.batched.execute_many`; each ``pending`` group
+    — ``(mode, first row, schedule, cfg, ring_p, request indices, stage
+    costs)`` — owns a contiguous row range of its mode's result and is
+    folded by one :func:`throughput_from_simulation` call.
+    """
+    batches = {}
     n_lanes = len(items_by[False]) + len(items_by[True])
     if n_lanes:
         with profiling.cell(f"simulate [{n_lanes} lanes]"):
@@ -600,30 +597,22 @@ def measure_throughput_batch(
                     if items:
                         mode_run = run if mode == run.contention else \
                             replace(run, contention=mode)
-                        batches[mode] = execute_many(items, mode_run,
-                                                     detail="lean")
-    for entry, schedule, group_cfg, lane_ids, live, lane_costs, slots \
-            in pending:
-        for out_pos, pos in enumerate(live):
-            i = lane_ids[pos]
+                        batches[mode] = execute_many(items, mode_run)
+    for mode, start, schedule, cfg, ring_p, ids, costs in pending:
+        batch = batches[mode]
+        done: list[int] = []
+        rows: list[int] = []
+        lanes: list[tuple] = []
+        for row, (i, lane_costs) in enumerate(zip(ids, costs), start):
             req = requests[i]
-            mode, idx = slots[out_pos]
-            batch = batches[mode]
-            err = batch.errors[idx]
+            err = batch.errors[row]
             if err is not None:
-                outcomes[i] = ThroughputResult(
-                    config=group_cfg, cluster_name=req.cluster.name,
-                    model_name=req.model.name, seq_per_s=None,
-                    bubble_ratio=None,
-                    peak_mem_bytes=float(err.peak_bytes),
-                    iteration_s=None, oom_device=err.device,
-                )
+                outcomes[i] = runtime_oom_result(cfg, req.cluster,
+                                                 req.model, err)
                 continue
-            sim = sim_result_from_events(entry.program,
-                                         batch.results[idx],
-                                         schedule=schedule)
-            outcomes[i] = throughput_from_simulation(
-                group_cfg, req.cluster, req.model, schedule,
-                lane_costs[pos], sim, ring_p=req.p,
-                overlap=req.overlap)
-    return outcomes
+            done.append(i)
+            rows.append(row)
+            lanes.append((req.cluster, req.model, lane_costs, req.overlap))
+        for i, result in zip(done, throughput_from_simulation(
+                cfg, schedule, lanes, batch.fold, rows, ring_p=ring_p)):
+            outcomes[i] = result

@@ -12,7 +12,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..models.costs import A100_40G, A100_80G, V100_32G, DeviceModel
@@ -119,14 +120,24 @@ _FACTORIES = {
 
 
 def get_cluster(name: str, num_devices: int = 8) -> Cluster:
-    """Look up one of the paper's four clusters by name."""
-    try:
-        factory = _FACTORIES[name.upper()]
-    except KeyError:
+    """Look up one of the paper's four clusters by name.
+
+    One shared instance per ``(name, num_devices)``: a
+    :class:`Topology` hashes by identity, so a fresh cluster per call
+    would miss every cost binding keyed on it (a server would re-time
+    and retain a plan per query).  Presets are never mutated.
+    """
+    key = name.upper()
+    if key not in _FACTORIES:
         raise ConfigError(
             f"unknown cluster {name!r}; expected one of {sorted(_FACTORIES)}"
-        ) from None
-    return factory(num_devices)
+        )
+    return _shared_cluster(key, num_devices)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_cluster(key: str, num_devices: int) -> Cluster:
+    return _FACTORIES[key](num_devices)
 
 
 def all_clusters(num_devices: int = 8) -> list[Cluster]:

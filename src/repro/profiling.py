@@ -133,16 +133,16 @@ class BatchingStats:
     scalar_s: float = 0.0
     #: lanes the time-ordered vector replay recovered — work that would
     #: have fallen back scalar before it existed (contention lanes with
-    #: divergent wire-grant orders, full-detail contention, mid-run
-    #: capacity aborts under contention); counted *inside* the batched
-    #: totals above, broken out so recovery coverage is visible
+    #: divergent wire-grant orders, mid-run capacity aborts under
+    #: contention); counted *inside* the batched totals above, broken
+    #: out so recovery coverage is visible
     recovered_batches: int = 0
     recovered_lanes: int = 0
     recovered_s: float = 0.0
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
     #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``singleton`` / ``tp>1`` / ``deadlock`` /
+    #: (``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
     #: ``structure-divergence``) makes batch-coverage regressions
     #: visible — a future change that silently de-batches a shape shows
     #: up here before it shows up in wall time.
@@ -243,8 +243,9 @@ def record_scalar(cells: int, seconds: float,
     """Count ``cells`` cells executed through the scalar fallback.
 
     ``reason`` names why the vectorized paths were not taken — one of
-    ``singleton`` / ``tp>1`` / ``deadlock`` / ``structure-divergence``
-    — with wall time attributed per reason alongside the cell counts.
+    ``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
+    ``structure-divergence`` — with wall time attributed per reason
+    alongside the cell counts.
     """
     _batching.record_scalar(cells, seconds, reason)
 

@@ -63,7 +63,7 @@ state of the scalar core (``wire_free`` / ``wire_exch``) is lifted to
 ``[N]``-wide arrays and the batched-P2P latency-sharing arithmetic
 becomes masked selects, so the exact scalar formulas run once per wire
 touch for all lanes.  The scalar contention driver executes actions in
-global *time* order while the lockstep replay is structural, so lean
+global *time* order while the lockstep replay is structural, so
 batches run the cheap lockstep pass first and check each lane as it
 runs: per wire, the action times must be nondecreasing with equal-time
 ties only between actions of one device (whose relative order both
@@ -75,9 +75,9 @@ Time-ordered vector replay
 
 Lanes the witness flags — wire-grant orders that leave structural
 order, e.g. hanayo-style wave interleavings on shared-link topologies —
-and every full-detail contention lane (whose ``comm``/``mem_events``
-logs interleave in driver order) are *recovered* by
-:func:`_execute_time_ordered`: a vectorized twin of the scalar
+are *recovered* by :func:`_execute_time_ordered` (as is a lockstep
+contention lane asked for its event view, whose ``comm``/``mem_events``
+logs interleave in driver order): a vectorized twin of the scalar
 contention driver itself.  Per-lane event cursors advance through the
 plan in each lane's own grant-time order; lanes sharing a structural
 state — the cursor tuple plus the posted-group bits, which determine
@@ -92,11 +92,24 @@ scalar driver, at the same pop, with the same attribution.  Lanes whose
 oracles intern different wire tables batch per wire-signature group
 instead of falling back.
 
+Columnar results
+----------------
+
+A pass returns what it already holds: the ``[·, N]`` matrices (compute
+start/end, device clocks, recv-wait, transfer windows, collective
+post/start/end and ring-step rows) plus a :class:`~.metrics.LaneFold`
+— makespan, bubble ratio, busy end, gradient-sync seconds and end,
+peak memory, one row per lane — reduced on the lane axis by
+:func:`~.metrics.fold_lanes`.  The measurement layer reads only the
+fold; :meth:`BatchResult.lane` builds one lane's
+:class:`~repro.runtime.events.EventResult` from column ``k`` when a
+trace, a plot or a parity test asks for it.
+
 Bit-identity
 ------------
 
-Every lane's :class:`~repro.runtime.events.EventResult` is **bit
-identical** to a scalar :func:`execute_plan` of that lane alone (pinned
+Every fold row equals the fold of, and every lane view is **bit
+identical** to, a scalar :func:`execute_plan` of that lane alone (pinned
 by ``tests/test_batched.py`` across the full schedule-family × prefetch
 × capacity × collectives × TP/DP × contention matrix).  The array
 formulas are chosen for exact float equality, not just closeness:
@@ -122,8 +135,8 @@ per-event mask branches; live lanes never stall on them.
 
 Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
 and every fallback is *reason-coded* —
-``singleton`` / ``tp>1`` / ``deadlock`` / ``structure-divergence``
-(defensive; congruent batches cannot reach it) — in
+``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
+``structure-divergence`` (defensive; congruent batches cannot reach it) — in
 :func:`repro.profiling.batching_stats`, with wall time attributed per
 reason and recovered-lane counts for the time-ordered replay, so
 batch-coverage regressions are visible in ``--profile`` output.
@@ -140,6 +153,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -152,10 +166,11 @@ from ..actions.lowering import (
     OP_SEND,
     ExecutablePlan,
 )
+from ..actions.ops import CollectiveKind
 from ..config import RunConfig
 from ..errors import ConfigError, OutOfMemoryError, SchedulingError
-from ..types import TimedOp, Timeline
 from .events import EventResult, _materialize, execute_plan
+from .metrics import LaneFold, fold_events, fold_lanes
 
 #: lockstep event kinds (first element of each event tuple)
 _COMP = 0      # (_, cid, di, remote_slots)
@@ -181,12 +196,9 @@ class LockstepSchedule:
 
     events: list[tuple]
     exec_seq: list[int]
-    #: computes grouped per device id (execution order within a device,
-    #: devices in first-appearance order) — per-device starts are
-    #: monotone under the greedy driver, so these lists are exactly the
-    #: sorted timeline spans and lanes can build their
-    #: :class:`~repro.types.Timeline` without the generic sort pass
-    dev_cids: list[tuple[int, list[int]]]
+    #: computes grouped per device (ascending device id, program order
+    #: within a device) — the order the lane fold sums busy time in
+    dev_cids: list[list[int]]
     post_seq: list[int]
     send_batched: bytearray
     #: (di, cid, signed delta, level-after, is_alloc) in replay order
@@ -196,6 +208,9 @@ class LockstepSchedule:
     alloc_pos: list[int]       # index into ``exec_seq`` of the alloc
     alloc_di: list[int]
     mem_peak: list[float]
+    #: per collective id, whether it is a ``GRAD_SYNC`` ring — the ones
+    #: the lane fold's sync accounting adds up
+    coll_sync: bytes
     deadlock: bool
     #: False when a compiler invariant the vector step relies on does
     #: not hold (never for compiled programs; defensive)
@@ -214,9 +229,6 @@ class LockstepSchedule:
     #: cost-independent lookup tables of the time-ordered driver,
     #: derived once per program on its first recovered execution
     time_tables: "object | None" = None
-    #: per-compute memory-trace entries, keyed by cid — the time-ordered
-    #: driver emits them in each lane's own pop order (lazily built)
-    mem_by_cid: dict | None = None
 
 
 def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
@@ -365,7 +377,7 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
     return LockstepSchedule(
         events=events,
         exec_seq=exec_seq,
-        dev_cids=list(by_device.items()),
+        dev_cids=[cids for _dev, cids in sorted(by_device.items())],
         post_seq=post_seq,
         send_batched=send_batched,
         mem_trace=mem_trace,
@@ -373,6 +385,8 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
         alloc_pos=alloc_pos,
         alloc_di=alloc_di,
         mem_peak=mem_peak,
+        coll_sync=bytes(op.kind is CollectiveKind.GRAD_SYNC
+                        for op in plan.coll_ops),
         deadlock=deadlock,
         vectorizable=vectorizable,
     )
@@ -402,14 +416,17 @@ def _events_match(head_ls: LockstepSchedule,
     Congruent plans always do (the congruence key covers every array
     the structural pass reads); this is the defensive verification,
     memoized per schedule pair — the tuple comparison is C-speed but
-    linear, and batches re-execute in tight loops.
+    linear, and batches re-execute in tight loops.  Collective *kinds*
+    sit outside the congruence key, and the lane fold sums gradient
+    rings by the head's table, so they must agree too.
     """
     if head_ls is lane_ls:
         return True
     hit = head_ls.event_parity.get(id(lane_ls))
     if hit is not None and hit[0] is lane_ls:
         return hit[1]
-    verdict = head_ls.events == lane_ls.events
+    verdict = (head_ls.events == lane_ls.events
+               and head_ls.coll_sync == lane_ls.coll_sync)
     head_ls.event_parity[id(lane_ls)] = (lane_ls, verdict)
     return verdict
 
@@ -479,35 +496,53 @@ class PlanBatch:
 class BatchResult:
     """Per-lane outcomes of one batch execution, in lane order.
 
-    ``results[k]`` is lane k's :class:`EventResult` and ``errors[k]``
-    is ``None`` — or the lane OOM-aborted and the fields swap roles,
-    mirroring the raise/return split of the scalar core.
+    Columnar: ``fold`` holds the lane-axis accounting (one row per
+    lane — all the measurement layer reads) and ``errors[k]`` lane k's
+    :class:`~repro.errors.OutOfMemoryError` or ``None``, mirroring the
+    raise/return split of the scalar core (an aborted lane's fold row
+    is meaningless).  Event objects are built only on request, by
+    :meth:`lane`, from the retained ``[·, N]`` columns.
     """
 
-    results: list[EventResult | None]
     errors: list[OutOfMemoryError | None]
+    fold: LaneFold
+    #: per lane, the zero-argument builder of its :class:`EventResult`
+    views: list
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def lane(self, k: int) -> EventResult | None:
+        """Lane ``k``'s :class:`EventResult` (``None`` if it aborted),
+        bit-identical to a scalar :func:`execute_plan` of that lane."""
+        return None if self.errors[k] is not None else self.views[k]()
+
+
+def _merge(n_lanes: int, parts) -> BatchResult:
+    """Scatter ``(lane ids, sub-result)`` parts into one lane-ordered
+    result; a later part overwrites an earlier one's lanes."""
+    if len(parts) == 1 and parts[0][0] == list(range(n_lanes)):
+        return parts[0][1]
+    out = BatchResult([None] * n_lanes, LaneFold.zeros(n_lanes),
+                      [None] * n_lanes)
+    for lane_ids, sub in parts:
+        for column, sub_column in zip(out.fold, sub.fold):
+            column[lane_ids] = sub_column
+        for pos, k in enumerate(lane_ids):
+            out.errors[k] = sub.errors[pos]
+            out.views[k] = sub.views[pos]
+    return out
 
 
 def execute_batch(
     batch: PlanBatch,
     run: RunConfig | None = None,
-    *,
-    detail: str = "full",
 ) -> BatchResult:
     """Advance every lane of ``batch`` in lockstep.
 
-    ``detail="lean"`` skips materializing the comm log, executed order
-    and memory events of each :class:`EventResult` — the measurement
-    layer only folds timelines, collectives, peaks and device ends, and
-    object construction is the dominant per-lane cost once the stepping
-    is shared.  Parity with the scalar core is pinned field-for-field
-    in full detail; lean results are an exact subset.
-
-    Contention batches run the lockstep pass first at ``detail="lean"``
-    and recover witness-flagged lanes through the time-ordered vector
-    replay; full-detail contention batches (whose ``comm`` and
-    ``mem_events`` logs interleave in driver order) go straight to the
-    time-ordered replay — no lane leaves the batch either way.
+    Contention batches run the cheap lockstep pass first and recover
+    witness-flagged lanes through the time-ordered vector replay — no
+    lane leaves the batch either way.
     """
     run = run or RunConfig()
     plans, caps_raw = batch.plans, batch.capacities
@@ -532,82 +567,65 @@ def execute_batch(
         raise SchedulingError(  # pragma: no cover - scalar core raised
             f"{head.program.name}: simulation deadlock"
         )
-    if not ls.vectorizable:  # pragma: no cover - defensive
-        return _scalar_batch(batch, run, detail=detail,
-                             reason="structure-divergence")
-
     # Congruent groups: each distinct program contributes its own
-    # structural replay (memory traces / materialization tables are
-    # per-lane); the event stream must match the head's.
+    # structural replay (memory traces are per-lane); the event stream
+    # must match the head's.
     n_lanes = len(plans)
     lane_lss = [ls] * n_lanes
-    scalar_k: dict[int, str] = {}
+    #: lanes left to the scalar core (defensive: compiled programs
+    #: always vectorize, congruent plans always match)
+    scalar_k = [] if ls.vectorizable else list(range(n_lanes))
     for k in range(1, n_lanes):
         plan = plans[k]
-        if plan.program is head.program:
+        if plan.program is head.program or not ls.vectorizable:
             continue
         lls = lockstep_schedule(plan)
         if not _events_match(ls, lls):  # pragma: no cover - defensive
-            scalar_k[k] = "structure-divergence"
+            scalar_k.append(k)
             continue
         lane_lss[k] = lls
 
+    def pick(group: list[int]) -> tuple:
+        return (ls, [plans[k] for k in group],
+                [lane_lss[k] for k in group],
+                [caps_raw[k] for k in group], run)
+
     live = [k for k in range(n_lanes) if k not in scalar_k]
-    results: list[EventResult | None] = [None] * n_lanes
-    errors: list[OutOfMemoryError | None] = [None] * n_lanes
-
-    def run_time_ordered(group: list[int]) -> None:
-        t0 = time.perf_counter()
-        tsub = _execute_time_ordered(
-            ls, [plans[k] for k in group], [lane_lss[k] for k in group],
-            [caps_raw[k] for k in group], run, detail=detail)
-        profiling.record_recovered(len(group), time.perf_counter() - t0)
-        for pos, k in enumerate(group):
-            results[k] = tsub.results[pos]
-            errors[k] = tsub.errors[pos]
-
+    parts: list[tuple[list[int], BatchResult]] = []
     if live and not run.contention:
         t0 = time.perf_counter()
-        sub, _redo = _execute_lockstep(
-            ls, [plans[k] for k in live], [lane_lss[k] for k in live],
-            [caps_raw[k] for k in live], run, detail=detail)
+        sub, _redo = _execute_lockstep(*pick(live))
         profiling.record_batch(len(live), time.perf_counter() - t0)
-        for pos, k in enumerate(live):
-            results[k] = sub.results[pos]
-            errors[k] = sub.errors[pos]
+        parts.append((live, sub))
     elif live:
         # The [N]-wide wire state requires every lane of one vectorized
         # pass to intern the same wires; the interning lives in
         # global-rank space, so lanes whose oracles map ranks
         # differently execute as separate wire-signature groups.
         for group in _wire_groups(plans, live):
-            if detail != "lean":
-                # driver-order comm/mem logs: time-ordered from the start
-                run_time_ordered(group)
-                continue
             t0 = time.perf_counter()
-            sub, redo = _execute_lockstep(
-                ls, [plans[k] for k in group],
-                [lane_lss[k] for k in group],
-                [caps_raw[k] for k in group], run, detail=detail)
+            sub, redo = _execute_lockstep(*pick(group))
             lanes_kept = len(group) - len(redo)
             if lanes_kept:
                 profiling.record_batch(lanes_kept,
                                        time.perf_counter() - t0)
-            for pos, k in enumerate(group):
-                if pos not in redo:
-                    results[k] = sub.results[pos]
-                    errors[k] = sub.errors[pos]
+            parts.append((group, sub))
             if redo:
                 # per-lane wire-grant orders that left structural order,
                 # or mid-run OOMs whose abort attribution is
                 # driver-dependent: recovered in each lane's own time
-                # order instead of replayed scalar
-                run_time_ordered([group[pos] for pos in sorted(redo)])
-    for k, reason in scalar_k.items():
-        results[k], errors[k] = _scalar_lane(plans[k], run, caps_raw[k],
-                                             detail=detail, reason=reason)
-    return BatchResult(results=results, errors=errors)
+                # order instead of replayed scalar (overwriting the
+                # lockstep pass's garbage rows for those lanes)
+                again = [group[pos] for pos in sorted(redo)]
+                t0 = time.perf_counter()
+                sub = _execute_time_ordered(*pick(again))
+                profiling.record_recovered(len(again),
+                                           time.perf_counter() - t0)
+                parts.append((again, sub))
+    for k in scalar_k:  # pragma: no cover - defensive
+        parts.append(([k], _scalar_lane(plans[k], run, caps_raw[k],
+                                        reason="structure-divergence")))
+    return _merge(n_lanes, parts)
 
 
 def _wire_groups(plans, live: list[int]) -> list[list[int]]:
@@ -635,30 +653,30 @@ def _wire_groups(plans, live: list[int]) -> list[list[int]]:
     return groups
 
 
-def _scalar_batch(batch: PlanBatch, run: RunConfig, *,
-                  detail: str, reason: str) -> BatchResult:
-    results: list = []
-    errors: list = []
-    for plan, cap in zip(batch.plans, batch.capacities):
-        res, err = _scalar_lane(plan, run, cap, detail=detail,
-                                reason=reason)
-        results.append(res)
-        errors.append(err)
-    return BatchResult(results=results, errors=errors)
+def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
+    """One lane through the scalar core, OOM captured, stats recorded.
 
-
-def _scalar_lane(plan, run, capacity_bytes, *, detail, reason):
-    """One lane through the scalar core, OOM captured, stats recorded."""
+    The fold is the N = 1 fold of the lean scalar result; the view
+    re-executes at full detail, only if asked.
+    """
     t0 = time.perf_counter()
+    error = None
+    fold = LaneFold.zeros(1)
     try:
-        res = execute_plan(plan, run, capacity_bytes=capacity_bytes,
-                           detail=detail)
-        return res, None
+        fold = fold_events(execute_plan(
+            plan, run, capacity_bytes=capacity_bytes, detail="lean"))
     except OutOfMemoryError as exc:
-        return None, exc
+        error = exc
     finally:
         profiling.record_scalar(1, time.perf_counter() - t0, reason)
+    return BatchResult([error], fold,
+                       [partial(execute_plan, plan, run, capacity_bytes)])
 
+
+#: narrowest contention group :func:`execute_many` vectorizes: the
+#: wire-exact passes pay a fixed NumPy cost per event, and below this
+#: they lose to the scalar core on every family (at 2 lanes, ~6x)
+MIN_CONTENTION_LANES = 8
 
 #: entries kept in the per-schedule stacked-cost cache; a structure's
 #: steady state needs at most a handful of distinct lane sets (the
@@ -688,12 +706,12 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
     cached = None if mutable else ls.cost_rows.get(mat_key)
     if (cached is not None
             and all(getattr(p, "_fully_resolved", False) for p in plans)):
-        Cm, Tm, Sm, Lm = cached
+        Cm, Tm, Sm, Lm, pinned = cached
         if with_lat and Lm is None:
             Lm = list(np.ascontiguousarray(
                 np.array([p.send_lat for p in plans],
                          dtype=np.float64).T))
-            ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm)
+            ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm, pinned)
         return Cm, Tm, Sm, Lm
     cols = []
     for k, plan in enumerate(plans):
@@ -721,57 +739,28 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
             and all(getattr(p, "_fully_resolved", False) for p in plans)):
         if len(ls.cost_rows) >= _COST_ROW_CACHE:
             ls.cost_rows.pop(next(iter(ls.cost_rows)))
-        ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm)
+        # the entry pins its plans: a PlanEntry may drop a bound plan
+        # first, and a recycled ``id`` must not hit another plan's rows
+        ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm, tuple(plans))
     return Cm, Tm, Sm, Lm
 
 
-def _lane_timeline(plan, lane_ls: LockstepSchedule, cs, ce) -> Timeline:
-    """One lane's timeline from its per-device structural compute order.
-
-    Correct under both drivers: per-device compute order is program
-    order whatever the interleaving, and per-device starts are monotone
-    (the device clock never regresses), so the rows below are exactly
-    the sorted spans :func:`_materialize` would build.
-    """
-    tl_new = TimedOp.__new__
-    comp_ops = plan.comp_ops
-    spans: dict = {}
-    for dev, cids in lane_ls.dev_cids:
-        row = []
-        push = row.append
-        for cid in cids:
-            # frozen-dataclass __init__ dominates lane fold time at
-            # this op count; filling the field dict directly keeps
-            # eq/hash semantics while skipping the guarded setattrs
-            top = tl_new(TimedOp)
-            d = top.__dict__
-            d["op"] = comp_ops[cid]
-            d["start"] = cs[cid]
-            d["end"] = ce[cid]
-            push(top)
-        spans[dev] = row
-    return Timeline(spans=spans)
-
-
 def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
-                      run: RunConfig, *,
-                      detail: str) -> tuple[BatchResult, set[int]]:
+                      run: RunConfig) -> tuple[BatchResult, set[int]]:
     """The timed pass over one structural replay.
 
     Returns the per-lane outcomes plus the set of lane positions that
     must be *redone* through the time-ordered vector replay (contention
     lanes whose wire-grant order diverged from the time-ordered driver,
     or whose capacity aborts mid-run under contention) — their columns
-    here are garbage and were never materialized.
+    and fold rows here are garbage.
     """
     head = plans[0]
     devices = head.devices
     num_devices = len(devices)
     n_lanes = len(plans)
     contention = run.contention
-    full = detail != "lean"
     n_comp = head.n_computes
-    n_send = len(head.send_src)
     exec_seq = ls.exec_seq
     send_slot = head.send_slot
     batch_send_ids, batch_recv_ids = head.batch_send_ids, head.batch_recv_ids
@@ -826,16 +815,12 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
     coll_free = [zero] * num_devices
     recv_wait = [zero] * num_devices
     # every record below is reference-assigned (each slot posts once,
-    # each compute/send executes once, and the lane vectors are never
-    # mutated in place); the compute/send rows are stacked to matrices
-    # after the loop so per-lane materialization is a single strided
-    # column extraction
+    # each compute executes once, lane vectors are never mutated in
+    # place); compute rows are stacked after the loop for fold and views
     ts_l: list = [None] * head.n_slots
     te_l: list = [None] * head.n_slots
     cs_l: list = [None] * n_comp
     ce_l: list = [None] * n_comp
-    sp_l: list = [None] * n_send if full else None
-    se_l: list = [None] * n_send if full else None
     coll_log: list[tuple] = []
 
     maximum, minimum = np.maximum, np.minimum
@@ -910,9 +895,6 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
             slot = send_slot[sid]
             ts_l[slot] = start
             te_l[slot] = end
-            if full:
-                sp_l[sid] = post
-                se_l[sid] = end
         elif kind == _POST:
             _, bid, di = ev
             post = clock[di]
@@ -941,9 +923,6 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
                 slot = send_slot[sid]
                 ts_l[slot] = start
                 te_l[slot] = end
-                if full:
-                    sp_l[sid] = post
-                    se_l[sid] = end
         elif kind == _RECV:
             _, rid, di = ev
             slot = recv_slot[rid]
@@ -1009,45 +988,105 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
     if contention and diverged.any():
         redo.update(int(k) for k in np.nonzero(diverged)[0])
 
-    # -- materialize live lanes ------------------------------------------
     empty = np.empty((0, n_lanes))
-    CS = np.array(cs_l) if cs_l else empty
-    CE = np.array(ce_l) if ce_l else empty
-    if full:
-        SP = np.array(sp_l) if sp_l else empty
-        SE = np.array(se_l) if se_l else empty
-    results: list[EventResult | None] = [None] * n_lanes
-    for k, plan in enumerate(plans):
-        if errors[k] is not None or k in redo:
-            continue
-        lane_ls = lane_lss[k]
-        cs = CS[:, k].tolist()
-        ce = CE[:, k].tolist()
-        lane_tl = _lane_timeline(plan, lane_ls, cs, ce)
-        clock_k = [float(clock[di][k]) for di in range(num_devices)]
-        recv_k = [float(recv_wait[di][k]) for di in range(num_devices)]
-        coll_k = [
-            (lid, di, float(post[k]), float(start[k]), float(end[k]),
-             tuple((float(s[k]), float(e[k])) for s, e in steps))
-            for lid, di, post, start, end, steps in coll_log
-        ]
-        if full:
-            sp = SP[:, k].tolist()
-            se = SE[:, k].tolist()
+    cols = _Columns(ls, plans, lane_lss,
+                    np.array(cs_l) if cs_l else empty,
+                    np.array(ce_l) if ce_l else empty,
+                    clock, recv_wait, ts_l, te_l, coll_log)
+    if contention:
+        # comm and memory logs follow the time-ordered driver's pop
+        # order, which this pass never ran: a view replays its lane there
+        views = [partial(_replay_lane, ls, plans[k], lane_lss[k],
+                         caps_raw[k], run) for k in range(n_lanes)]
+    else:
+        views = [partial(cols.lane, k) for k in range(n_lanes)]
+    return BatchResult(errors, cols.fold(), views), redo
+
+
+def _replay_lane(ls, plan, lane_ls, cap, run) -> EventResult:
+    return _execute_time_ordered(ls, [plan], [lane_ls], [cap], run).lane(0)
+
+
+@dataclass
+class _Columns:
+    """The ``[·, N]`` columns one vector pass retains.
+
+    Nothing here is per lane: :meth:`fold` reduces on the lane axis and
+    :meth:`lane` slices column ``k`` out, only then building that
+    lane's event objects.  Matrices and lists of ``[N]`` row vectors
+    are interchangeable (both index as ``rows[i][k]``).
+    """
+
+    ls: LockstepSchedule
+    plans: list
+    lane_lss: list
+    CS: np.ndarray        # compute start / end, [computes, N]
+    CE: np.ndarray
+    clock: object         # per-device end clocks, [devices, N]
+    recv_wait: object     # [devices, N]
+    TS: object            # transfer start / end per slot, [slots, N]
+    TE: object
+    #: ``(lid, di, post, start, end, ring steps)`` of every collective
+    #: in per-device program order; ``[N]`` vectors throughout
+    colls: list
+    # time-ordered passes only: sender post times ``[sends, N]`` and the
+    # driver's ``(id, lanes)`` pop logs of send posts and computes
+    SP: np.ndarray | None = None
+    post_log: list | None = None
+    comp_log: list | None = None
+
+    def fold(self) -> LaneFold:
+        sync = self.ls.coll_sync
+        return fold_lanes(
+            self.ls.dev_cids, self.CS, self.CE, self.clock,
+            [(di, start, end)
+             for lid, di, _post, start, end, _steps in self.colls
+             if sync[lid]],
+            np.array([max(lane_ls.mem_peak, default=0.0)
+                      if plan.program.tracks_memory else 0.0
+                      for plan, lane_ls in zip(self.plans, self.lane_lss)]),
+        )
+
+    def lane(self, k: int) -> EventResult:
+        plan, lane_ls, ls = self.plans[k], self.lane_lss[k], self.ls
+        cs = self.CS[:, k].tolist()
+        ce = self.CE[:, k].tolist()
+        ss = [float(self.TS[slot][k]) for slot in plan.send_slot]
+        se = [float(self.TE[slot][k]) for slot in plan.send_slot]
+        if self.post_log is None:
+            # uncontended lockstep: the wire grants a transfer the
+            # moment it is posted, and the logs keep structural order
+            sp, post_seq = ss, ls.post_seq
             mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level,
                       cid)
                      for di, cid, delta, level, is_alloc
                      in lane_ls.mem_trace]
         else:
-            sp = se = []
-            mem_k = []
-        mem_peak = (lane_ls.mem_peak if plan.program.tracks_memory
-                    else None)
-        results[k] = _materialize(
-            plan, exec_seq, cs, ce, ls.post_seq, sp, sp, se,
-            ls.send_batched, coll_k, mem_k, clock_k, recv_k, mem_peak,
-            detail=detail, timeline=lane_tl)
-    return BatchResult(results=results, errors=errors), redo
+            # the pops of one lane appear in the shared logs in that
+            # lane's own driver order
+            sp = self.SP[:, k].tolist()
+            post_seq = [sid for sid, lanes in self.post_log if k in lanes]
+            # deltas and watermark levels are structural: the trace
+            # grouped per compute, re-emitted in this lane's pop order
+            by_cid: dict = {}
+            for entry in lane_ls.mem_trace:
+                by_cid.setdefault(entry[1], []).append(entry)
+            mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level,
+                      cid)
+                     for cid, lanes in self.comp_log
+                     if cid in by_cid and k in lanes
+                     for di, _cid, delta, level, is_alloc in by_cid[cid]]
+        coll_k = [
+            (lid, di, float(post[k]), float(start[k]), float(end[k]),
+             tuple((float(s[k]), float(e[k])) for s, e in steps))
+            for lid, di, post, start, end, steps in self.colls
+        ]
+        return _materialize(
+            plan, ls.exec_seq, cs, ce, post_seq, sp, ss, se,
+            ls.send_batched, coll_k, mem_k,
+            [float(row[k]) for row in self.clock],
+            [float(row[k]) for row in self.recv_wait],
+            lane_ls.mem_peak if plan.program.tracks_memory else None)
 
 
 class _TimeTables:
@@ -1081,23 +1120,6 @@ class _TimeTables:
         self.comp_rslots = rslots
 
 
-def _mem_by_cid(lane_ls: LockstepSchedule) -> dict:
-    """Memory-trace entries grouped per compute, lazily cached.
-
-    The time-ordered driver emits memory events in each lane's own pop
-    order; deltas and watermark levels are structural, so grouping the
-    structural trace by compute id lets a lane rebuild its driver-order
-    log from its compute pop sequence alone.
-    """
-    m = lane_ls.mem_by_cid
-    if m is None:
-        m = {}
-        for di, cid, delta, level, is_alloc in lane_ls.mem_trace:
-            m.setdefault(cid, []).append((di, delta, level, is_alloc))
-        lane_ls.mem_by_cid = m
-    return m
-
-
 #: peek-cache sentinel — distinguishes "never computed / stale" from a
 #: cached ``None`` ("head is flag-blocked", still a valid cache entry)
 _UNSET = object()
@@ -1128,8 +1150,7 @@ class _Cohort:
 
 
 def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
-                          caps_raw, run: RunConfig, *,
-                          detail: str) -> BatchResult:
+                          caps_raw, run: RunConfig) -> BatchResult:
     """A vectorized twin of the scalar time-ordered contention driver.
 
     Per-lane event cursors advance through the plan in each lane's own
@@ -1150,9 +1171,9 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
     resolve in pop order up to and including the aborting compute,
     preserving the lazy-cost contract.
 
-    Every produced :class:`EventResult` is bit-identical to a scalar
-    ``execute_plan(plan, run, capacity_bytes=cap, detail=detail)`` of
-    that lane alone: the fold orders (dependency order for arrivals and
+    Every fold row and every lane view is bit-identical to a scalar
+    ``execute_plan(plan, run, capacity_bytes=cap)`` of that lane
+    alone: the fold orders (dependency order for arrivals and
     in-flight sums, wire-id order for collective steps, per-device
     program order for receives) and tie-breaking selects mirror the
     scalar core expression for expression.
@@ -1161,7 +1182,6 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
     devices = head.devices
     num_devices = len(devices)
     n = len(plans)
-    full = detail != "lean"
     prefetch = head.prefetch
     codes, args = head.codes, head.args
     send_slot, send_wire = head.send_slot, head.send_wire
@@ -1178,7 +1198,6 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
 
     # -- per-lane gating: static pre-check, mid-run violation map --------
     errors: list[OutOfMemoryError | None] = [None] * n
-    results: list[EventResult | None] = [None] * n
     resolve_upto = [len(ls.exec_seq)] * n
     #: lanes that will abort mid-run: their costs resolve in pop order
     risky: dict[int, ExecutablePlan] = {}
@@ -1226,21 +1245,12 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
     CE = np.zeros((n_comp, n))
     WF = np.zeros((n_wires, n))
     WE = np.full((n_wires, n), -1, dtype=np.int64)
-    tracked_any = any(p.program.tracks_memory for p in plans)
-    if full:
-        SP = np.zeros((n_send, n))
-        SS = np.zeros((n_send, n))
-        SE_ = np.zeros((n_send, n))
-        #: per-lane driver-order send posting / compute pop logs — the
-        #: only per-lane bookkeeping the vector pops do, and only at
-        #: full detail (the comm-sort and mem-event tie-breaks are the
-        #: sole consumers of driver order)
-        pop_post: list[list[int]] | None = [[] for _ in range(n)]
-        pop_comp: list[list[int]] | None = (
-            [[] for _ in range(n)] if tracked_any else None)
-    else:
-        SP = SS = SE_ = None
-        pop_post = pop_comp = None
+    SP = np.zeros((n_send, n))
+    #: driver-order ``(send id | compute id, cohort lanes)`` pop logs,
+    #: one append per cohort pop; a lane view filters them for its own
+    #: order (only the comm-sort and mem-event tie-breaks consume it)
+    post_log: list[tuple] = []
+    comp_log: list[tuple] = []
     #: lid -> (device, post, start, end, [(step start, step end), ...])
     coll_recs: dict[int, tuple] = {}
 
@@ -1338,9 +1348,7 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
             CE[a, X] = end
             CLK[di, X] = end
             co.comp_done[a] = 1
-            if pop_comp is not None:
-                for lane in L.tolist():
-                    pop_comp[lane].append(a)
+            comp_log.append((a, L))
             hit = viol_map.get(a)
             if hit:
                 dead = []
@@ -1371,12 +1379,8 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
             TS[slot, X] = start
             TE[slot, X] = end
             co.posted[slot] = 1
-            if full:
-                SP[a, X] = post
-                SS[a, X] = start
-                SE_[a, X] = end
-                for lane in L.tolist():
-                    pop_post[lane].append(a)
+            SP[a, X] = post
+            post_log.append((a, L))
             return True
         if code == OP_COLL:
             post = CLK[di, X]
@@ -1459,12 +1463,8 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
                     TS[slot, X] = start
                     TE[slot, X] = end
                     co.posted[slot] = 1
-                    if full:
-                        SP[sid, X] = post
-                        SS[sid, X] = start
-                        SE_[sid, X] = end
-                        for lane in L.tolist():
-                            pop_post[lane].append(sid)
+                    SP[sid, X] = post
+                    post_log.append((sid, L))
                 co.batch_posted[a] = 1
             if not prefetch:
                 recvs = batch_recv_ids[a]
@@ -1605,53 +1605,15 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
                 child.done += 1
             pool_add(child)
 
-    # -- materialize finished lanes --------------------------------------
-    coll_order = [(ev[1], ev[2]) for ev in ls.events if ev[0] == _COLL]
-    for co in finished:
-        for k in co.lanes.tolist():
-            plan = plans[k]
-            lane_ls = lane_lss[k]
-            cs = CS[:, k].tolist()
-            ce = CE[:, k].tolist()
-            lane_tl = _lane_timeline(plan, lane_ls, cs, ce)
-            clock_k = CLK[:, k].tolist()
-            recv_k = RW[:, k].tolist()
-            # per-device program order — all the (post, start, device)
-            # sort key needs, as in the lockstep materializer
-            coll_k = []
-            for lid, cdi in coll_order:
-                _cdi, postv, startv, endv, steps = coll_recs[lid]
-                coll_k.append(
-                    (lid, cdi, float(postv[k]), float(startv[k]),
-                     float(endv[k]),
-                     tuple((float(s[k]), float(e[k])) for s, e in steps)))
-            tracked_k = plan.program.tracks_memory
-            if full:
-                sp = SP[:, k].tolist()
-                ss = SS[:, k].tolist()
-                se = SE_[:, k].tolist()
-                post_seq_k = pop_post[k]
-                mem_k = []
-                if tracked_k and pop_comp is not None:
-                    mbc = _mem_by_cid(lane_ls)
-                    for cid in pop_comp[k]:
-                        ent = mbc.get(cid)
-                        if ent:
-                            s_, e_ = cs[cid], ce[cid]
-                            for adi, delta, level, is_alloc in ent:
-                                mem_k.append(
-                                    (adi, s_ if is_alloc else e_,
-                                     delta, level, cid))
-            else:
-                sp = ss = se = []
-                post_seq_k = []
-                mem_k = []
-            results[k] = _materialize(
-                plan, ls.exec_seq, cs, ce, post_seq_k, sp, ss, se,
-                ls.send_batched, coll_k, mem_k, clock_k, recv_k,
-                lane_ls.mem_peak if tracked_k else None,
-                detail=detail, timeline=lane_tl)
-    return BatchResult(results=results, errors=errors)
+    # every lane that did not abort ran every collective, so the
+    # records are complete whenever any fold row will be read
+    cols = _Columns(
+        ls, plans, lane_lss, CS, CE, CLK, RW, TS, TE,
+        [(ev[1], *coll_recs[ev[1]]) for ev in ls.events
+         if ev[0] == _COLL and ev[1] in coll_recs],
+        SP, post_log, comp_log)
+    return BatchResult(errors, cols.fold(),
+                       [partial(cols.lane, k) for k in range(n)])
 
 
 def _plan_congruence(plan: ExecutablePlan) -> str:
@@ -1676,8 +1638,6 @@ def _plan_congruence(plan: ExecutablePlan) -> str:
 def execute_many(
     items,
     run: RunConfig | None = None,
-    *,
-    detail: str = "full",
 ) -> BatchResult:
     """Execute ``(plan, capacity_bytes)`` pairs, batching where legal.
 
@@ -1686,32 +1646,28 @@ def execute_many(
     *different* programs — see
     :attr:`~repro.actions.lowering.ExecutablePlan.congruence_key`),
     executes each multi-lane group through :func:`execute_batch` and
-    everything else through the scalar core, and returns outcomes in
-    item order.  Contention lanes batch at every detail level — lean
-    through the lockstep pass with time-ordered recovery, full detail
-    through the time-ordered replay directly; only singleton groups
-    take the (reason-coded) scalar path.
+    everything else through the scalar core, and returns one columnar
+    result in item order.  Only singleton groups (under contention,
+    groups under :data:`MIN_CONTENTION_LANES`) take the reason-coded
+    scalar path.
     """
     run = run or RunConfig()
     items = list(items)
-    results: list[EventResult | None] = [None] * len(items)
-    errors: list[OutOfMemoryError | None] = [None] * len(items)
     groups: dict[str, list[int]] = {}
     for idx, (plan, _) in enumerate(items):
         groups.setdefault(_plan_congruence(plan), []).append(idx)
 
+    parts: list[tuple[list[int], BatchResult]] = []
+    widest_scalar = MIN_CONTENTION_LANES - 1 if run.contention else 1
     for lane_ids in groups.values():
-        if len(lane_ids) == 1:
-            idx = lane_ids[0]
-            plan, cap = items[idx]
-            results[idx], errors[idx] = _scalar_lane(
-                plan, run, cap, detail=detail, reason="singleton")
+        if len(lane_ids) <= widest_scalar:
+            reason = "singleton" if len(lane_ids) == 1 else "narrow"
+            parts += [([i], _scalar_lane(items[i][0], run, items[i][1],
+                                         reason=reason)) for i in lane_ids]
             continue
         sub = execute_batch(
             PlanBatch.from_plans([items[i][0] for i in lane_ids],
                                  [items[i][1] for i in lane_ids]),
-            run, detail=detail)
-        for pos, idx in enumerate(lane_ids):
-            results[idx] = sub.results[pos]
-            errors[idx] = sub.errors[pos]
-    return BatchResult(results=results, errors=errors)
+            run)
+        parts.append((lane_ids, sub))
+    return _merge(len(items), parts)

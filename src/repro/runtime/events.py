@@ -697,7 +697,7 @@ def execute_plan(
 def _materialize(plan, exec_seq, comp_start_a, comp_end_a, post_seq,
                  send_post_a, send_start_a, send_end_a, send_batched,
                  coll_log, mem_log, clock, recv_wait, mem_peak,
-                 detail="full", timeline=None):
+                 detail="full"):
     """Rebuild the rich event objects from the run's flat arrays.
 
     Object construction is deferred out of the hot loop: timeline
@@ -708,22 +708,16 @@ def _materialize(plan, exec_seq, comp_start_a, comp_end_a, post_seq,
     ``detail="lean"`` leaves ``comm``, ``order`` and ``mem_events``
     empty — the fields scoring paths never read — and is otherwise an
     exact subset of the full result.
-
-    ``timeline`` accepts a prebuilt (already start-ordered) timeline:
-    the lockstep executor groups spans per device from the structural
-    replay, where per-device monotonicity makes the generic build +
-    sort below a no-op reordering, so it skips both.
     """
     program = plan.program
     devices = plan.devices
-    if timeline is None:
-        timeline = Timeline()
-        comp_ops = plan.comp_ops
-        for cid in exec_seq:
-            timeline.add(TimedOp(op=comp_ops[cid], start=comp_start_a[cid],
-                                 end=comp_end_a[cid]))
-        for spans in timeline.spans.values():
-            spans.sort(key=lambda t: t.start)
+    timeline = Timeline()
+    comp_ops = plan.comp_ops
+    for cid in exec_seq:
+        timeline.add(TimedOp(op=comp_ops[cid], start=comp_start_a[cid],
+                             end=comp_end_a[cid]))
+    for spans in timeline.spans.values():
+        spans.sort(key=lambda t: t.start)
 
     full = detail != "lean"
     comm: list[CommEvent] = []

@@ -8,9 +8,13 @@ throughput in sequences per second for the evaluation figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
+
+from ..actions.ops import CollectiveKind
 from ..schedules.base import Schedule
-from ..types import OpKind, Timeline
+from ..types import OpKind, Timeline, seq_sum
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ def bubble_stats(timeline: Timeline) -> BubbleStats:
     busy = {d: timeline.busy_time(d) for d in timeline.devices}
     idle = {d: makespan - b for d, b in busy.items()}
     denom = makespan * max(1, len(busy))
-    ratio = sum(idle.values()) / denom if denom > 0 else 0.0
+    ratio = seq_sum(idle.values()) / denom if denom > 0 else 0.0
     per_device = {
         d: (idle[d] / makespan if makespan > 0 else 0.0) for d in busy
     }
@@ -44,6 +48,97 @@ def bubble_stats(timeline: Timeline) -> BubbleStats:
         idle=idle,
         bubble_ratio=ratio,
         per_device_ratio=per_device,
+    )
+
+
+class LaneFold(NamedTuple):
+    """What the measurement layer keeps of N simulated lanes.
+
+    Every field is an ``[N]`` float column, row k = lane k: the six
+    numbers a throughput figure is built from, so a batch of lanes is
+    folded on the lane axis without building one event object.
+    """
+
+    makespan: np.ndarray      # end of the last compute anywhere
+    bubble_ratio: np.ndarray  # idle / (devices * makespan)
+    busy_end: np.ndarray      # end of compute and blocking communication
+    sync_s: np.ndarray        # busiest device's gradient-ring seconds
+    sync_done: np.ndarray     # end of the last gradient sync (0 if none)
+    peak_mem: np.ndarray      # highest per-device peak bytes (0 untracked)
+
+    @classmethod
+    def zeros(cls, n: int) -> "LaneFold":
+        """``n`` blank rows (what an aborted lane's row holds)."""
+        return cls(*(np.zeros(n) for _ in cls._fields))
+
+    def row(self, k: int) -> tuple[float, ...]:
+        """Lane ``k``'s six numbers as Python floats."""
+        return tuple(float(column[k]) for column in self)
+
+
+def fold_lanes(dev_rows, starts, ends, device_end, syncs,
+               peak_mem) -> LaneFold:
+    """Fold N lanes' timing columns into a :class:`LaneFold`.
+
+    ``starts`` / ``ends`` are the ``[computes, N]`` span matrices and
+    ``dev_rows`` lists, per computing device in ascending device order,
+    the matrix rows that device executed in program order;
+    ``device_end`` is ``[devices, N]``; ``syncs`` holds ``(device,
+    start, end)`` of every ``GRAD_SYNC`` collective in per-device
+    program order, ``[N]`` vectors each.
+
+    The exactness rule, stated once: every sum below adds lane-wise,
+    one term at a time in per-device program order (:func:`seq_sum`),
+    exactly as :func:`bubble_stats` and the scalar core accumulate, so
+    each row is bit-identical to folding that lane's own
+    :class:`~repro.runtime.events.EventResult`; ``max`` is order-free
+    and may reduce whole matrices.
+    """
+    zero = np.zeros(ends.shape[1])
+    makespan = ends.max(axis=0) if len(ends) else zero
+    durations = ends - starts
+    idle = [makespan - seq_sum((durations[r] for r in rows), zero)
+            for rows in dev_rows]
+    denom = makespan * max(1, len(dev_rows))
+    bubble = np.divide(seq_sum(idle, zero), denom, out=np.zeros_like(zero),
+                       where=denom > 0)
+    busy_end = makespan
+    if len(device_end):
+        busy_end = np.maximum(makespan, np.max(device_end, axis=0))
+    per_device: dict = {}
+    sync_done = zero
+    for device, start, end in syncs:
+        per_device[device] = per_device.get(device, zero) + (end - start)
+        sync_done = np.maximum(sync_done, end)
+    sync_s = (np.max(list(per_device.values()), axis=0) if per_device
+              else zero)
+    return LaneFold(makespan, bubble, busy_end, sync_s, sync_done, peak_mem)
+
+
+def fold_events(result) -> LaneFold:
+    """The N = 1 fold of one scalar execution.
+
+    ``result`` is an :class:`~repro.runtime.events.EventResult` (either
+    event core's); its spans and collectives are laid out as one-lane
+    columns and go through :func:`fold_lanes`, so scalar and batched
+    measurements share one accounting.
+    """
+    timeline = result.timeline
+    dev_rows: list[range] = []
+    spans: list = []
+    for device in timeline.devices:
+        row = timeline.spans[device]
+        dev_rows.append(range(len(spans), len(spans) + len(row)))
+        spans.extend(row)
+    return fold_lanes(
+        dev_rows,
+        np.array([t.start for t in spans])[:, None],
+        np.array([t.end for t in spans])[:, None],
+        np.array(list(result.device_end.values()))[:, None],
+        [(c.device, np.array([c.start]), np.array([c.end]))
+         for c in result.collectives
+         if c.op.kind is CollectiveKind.GRAD_SYNC],
+        np.array([max(result.mem_peak.values(), default=0.0)]),
     )
 
 

@@ -81,21 +81,6 @@ class SimResult:
     def makespan(self) -> float:
         return self.timeline.makespan
 
-    @property
-    def busy_end(self) -> float:
-        """End of all compute and blocking communication — the base
-        the gradient-sync exposure is measured against."""
-        return max([self.timeline.makespan]
-                   + list(self.device_end.values()))
-
-    def sync_done(self) -> float:
-        """End of the last asynchronous gradient sync (0 if none)."""
-        from ..actions.ops import CollectiveKind
-
-        ends = [c.end for c in self.collectives
-                if c.op.kind is CollectiveKind.GRAD_SYNC]
-        return max(ends) if ends else 0.0
-
 
 @dataclass
 class TrainingSimResult:

@@ -147,6 +147,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: AdvisorServer
     protocol_version = "HTTP/1.1"
+    #: the unbuffered handler sends headers and body separately; with
+    #: Nagle on, the body waits ~40 ms for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -191,10 +194,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
+        self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
 
     def _end_chunked(self) -> None:
         self.wfile.write(b"0\r\n\r\n")

@@ -65,6 +65,7 @@ CACHE_VERSION = 8
 #: ``actions/lowering.py``) are covered the day they land.
 _MEASUREMENT_SOURCES = (
     "config.py",
+    "types.py",
     "models",
     "cluster",
     "schedules",

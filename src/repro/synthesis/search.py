@@ -292,7 +292,8 @@ class SynthesisContext:
         single :class:`RetimeBuffers` and execute at ``detail="lean"``,
         one event pass with no column allocations (batched lanes bind
         fresh columns instead — buffer columns alias, and a batch needs
-        every lane's columns live at once).  Scores are bit-identical
+        every lane's columns live at once — and are scored straight
+        from the batch's fold columns).  Scores are bit-identical
         either way (the batched-runtime invariant), so the search
         trajectory is unchanged.  Verdicts come back aligned with
         ``orderings`` (``None`` = illegal or infeasible).
@@ -327,16 +328,17 @@ class SynthesisContext:
                 for i, plan in zip(legal, plans):
                     verdicts[i] = self._score_lean(orderings[i], plan)
                 continue
-            batch = execute_batch(stacked, self.run, detail="lean")
-            for i, res, err in zip(legal, batch.results, batch.errors):
+            batch = execute_batch(stacked, self.run)
+            for i, err, makespan, bubble in zip(
+                    legal, batch.errors, batch.fold.makespan.tolist(),
+                    batch.fold.bubble_ratio.tolist()):
                 if err is not None:
                     self.infeasible += 1
                     continue
-                timeline = res.timeline
                 verdicts[i] = ScoredOrdering(
                     ordering=orderings[i],
-                    makespan=timeline.makespan,
-                    bubble_ratio=bubble_stats(timeline).bubble_ratio,
+                    makespan=makespan,
+                    bubble_ratio=bubble,
                 )
         return verdicts
 

@@ -14,6 +14,21 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 
+def seq_sum(terms, start=0.0):
+    """Left-to-right sum of ``terms`` — floats or ``[N]`` lane vectors.
+
+    Builtin ``sum()`` is naive up to Python 3.11 and Neumaier-compensated
+    from 3.12, and ``np.sum`` adds pairwise; the simulator's folded
+    statistics are pinned bit for bit, so every fold — the scalar
+    timeline accounting and the lane-axis one alike — accumulates
+    through this one explicit loop instead.
+    """
+    total = start
+    for term in terms:
+        total = total + term
+    return total
+
+
 class OpKind(enum.Enum):
     """The two compute op kinds in a training pipeline."""
 
@@ -123,9 +138,7 @@ class Timeline:
         return min(starts) if starts else 0.0
 
     def busy_time(self, device: int) -> float:
-        # t.end - t.start inline: the property call is measurable at
-        # sweep op counts, and the sum order is unchanged
-        return sum(t.end - t.start for t in self.spans.get(device, ()))
+        return seq_sum(t.end - t.start for t in self.spans.get(device, ()))
 
     def iter_ops(self) -> Iterator[TimedOp]:
         for spans in self.spans.values():

@@ -1,11 +1,14 @@
 """Lockstep batched execution parity (runtime/batched.py).
 
-The batched stepper is only allowed to change *cost*, never meaning:
-every lane of an ``execute_batch`` must be bit-identical — all eight
-``EventResult`` fields, ``==`` not approx — to running that lane alone
-through the scalar ``execute_plan``.  These tests pin that across every
+The batched stepper is only allowed to change *cost*, never meaning.
+Its result is columnar — a lane-axis fold plus on-demand lane views —
+and for every lane both must be bit-identical (``==`` not approx) to
+running that lane alone through the scalar ``execute_plan``: the fold
+row to the scalar accounting of that result, the ``lane(k)`` view to
+all eight ``EventResult`` fields.  These tests pin that across every
 schedule family × prefetch mode, under capacity enforcement with mixed
-OOM lanes, with gradient-sync collectives compiled in, and for ragged
+OOM lanes, with gradient-sync collectives compiled in, under
+contention (lockstep and time-ordered-recovered lanes), and for ragged
 batch widths.
 """
 
@@ -19,6 +22,7 @@ from repro.actions import (
     StageResources,
     compile_program,
 )
+from repro.actions.ops import CollectiveKind
 from repro.analysis import compile_cluster_program
 from repro.cluster import make_fc, make_pc, make_tacc
 from repro.config import CostConfig, PipelineConfig, RunConfig
@@ -29,10 +33,13 @@ from repro.runtime import (
     AbstractCosts,
     ConcreteCosts,
     PlanBatch,
+    bubble_stats,
     execute_batch,
     execute_many,
     execute_plan,
 )
+from repro.runtime import batched
+from repro.runtime.metrics import fold_events
 from repro.schedules import build_schedule
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
@@ -77,6 +84,57 @@ def assert_result_equal(got, want):
     assert got.device_end == want.device_end
 
 
+def reference_fold(result):
+    """The six fold numbers by the scalar accounting, written out
+    independently of ``fold_lanes`` (the loop version kept as oracle)."""
+    per_device = {}
+    for c in result.collectives:
+        if c.op.kind is CollectiveKind.GRAD_SYNC:
+            per_device[c.device] = per_device.get(c.device, 0.0) \
+                + c.duration
+    stats = bubble_stats(result.timeline)
+    return (stats.makespan, stats.bubble_ratio, result.busy_end,
+            max(per_device.values(), default=0.0), result.sync_done(),
+            max(result.mem_peak.values(), default=0.0))
+
+
+def assert_lane_equal(batch, k, want):
+    """Lane ``k`` of a columnar result against the scalar result: fold
+    row on every field, lane view on all eight fields."""
+    assert batch.errors[k] is None
+    assert fold_events(want).row(0) == reference_fold(want)
+    assert batch.fold.row(k) == reference_fold(want)
+    assert_result_equal(batch.lane(k), want)
+
+
+def assert_batch_equal(batch, plans, run, caps=None):
+    """Every lane against its scalar run; returns (n ok, n oom)."""
+    ok = oom = 0
+    for k, plan in enumerate(plans):
+        cap = caps[k] if caps is not None else None
+        try:
+            want = execute_plan(plan, run, capacity_bytes=cap)
+        except OutOfMemoryError as exc:
+            oom += 1
+            err = batch.errors[k]
+            assert batch.lane(k) is None
+            assert isinstance(err, OutOfMemoryError)
+            assert (err.device, err.peak_bytes, err.capacity_bytes) \
+                == (exc.device, exc.peak_bytes, exc.capacity_bytes)
+            assert str(err) == str(exc)
+        else:
+            ok += 1
+            assert_lane_equal(batch, k, want)
+    return ok, oom
+
+
+def time_ordered(plans, run, caps=None):
+    """All lanes straight through the time-ordered vector replay."""
+    ls = batched.lockstep_schedule(plans[0])
+    return batched._execute_time_ordered(
+        ls, plans, [ls] * len(plans), caps or [None] * len(plans), run)
+
+
 @pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
 @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
 class TestLanewiseParity:
@@ -85,9 +143,7 @@ class TestLanewiseParity:
         plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
         run = RunConfig(prefetch=prefetch)
         batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for plan, got, err in zip(plans, batch.results, batch.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run))
+        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
 
 class TestCapacityParity:
@@ -114,23 +170,8 @@ class TestCapacityParity:
         caps = self._mixed(plans)
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
-        saw_oom = saw_ok = False
-        for plan, cap, got, err in zip(plans, caps, batch.results,
-                                       batch.errors):
-            try:
-                want = execute_plan(plan, run, capacity_bytes=cap)
-            except OutOfMemoryError as exc:
-                saw_oom = True
-                assert got is None
-                assert isinstance(err, OutOfMemoryError)
-                assert (err.device, err.peak_bytes, err.capacity_bytes) \
-                    == (exc.device, exc.peak_bytes, exc.capacity_bytes)
-                assert str(err) == str(exc)
-            else:
-                saw_ok = True
-                assert err is None
-                assert_result_equal(got, want)
-        assert saw_oom and saw_ok  # the fixture really mixed verdicts
+        ok, oom = assert_batch_equal(batch, plans, run, caps)
+        assert ok and oom  # the fixture really mixed verdicts
 
     def test_uncapped_lanes_ride_along(self):
         """``None`` capacity disarms enforcement for that lane only."""
@@ -139,10 +180,7 @@ class TestCapacityParity:
         batch = execute_batch(PlanBatch.from_plans(plans, caps))
         assert [e is not None for e in batch.errors] == \
                [False, True, False, True]
-        for plan, got, cap in zip(plans[::2], batch.results[::2],
-                                  caps[::2]):
-            assert_result_equal(got, execute_plan(plan, RunConfig(),
-                                                  capacity_bytes=cap))
+        assert assert_batch_equal(batch, plans, RunConfig(), caps) == (2, 2)
 
 
 class TestCollectiveParity:
@@ -166,10 +204,11 @@ class TestCollectiveParity:
                 ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))))
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for plan, got in zip(plans, batch.results):
+        for k, plan in enumerate(plans):
             want = execute_plan(plan, run)
             assert want.collectives  # the rings really are in the plan
-            assert_result_equal(got, want)
+            assert fold_events(want).sync_s[0] > 0
+            assert_lane_equal(batch, k, want)
 
 
 class TestRaggedBatches:
@@ -178,25 +217,37 @@ class TestRaggedBatches:
         plans = lanes_for(lowered("interleaved", {"num_waves": 2}), n=n)
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert len(batch.results) == n
-        for plan, got in zip(plans, batch.results):
-            assert_result_equal(got, execute_plan(plan, run))
+        assert len(batch) == n
+        assert assert_batch_equal(batch, plans, run) == (n, 0)
 
 
-class TestLeanDetail:
-    def test_lean_is_an_exact_subset(self):
-        plans = lanes_for(lowered("dapple", {}))
-        run = RunConfig()
-        full = execute_batch(PlanBatch.from_plans(plans), run)
-        lean = execute_batch(PlanBatch.from_plans(plans), run,
-                             detail="lean")
-        for f, l in zip(full.results, lean.results):
-            assert l.timeline == f.timeline
-            assert l.recv_wait == f.recv_wait
-            assert l.collectives == f.collectives
-            assert l.mem_peak == f.mem_peak
-            assert l.device_end == f.device_end
-            assert l.comm == [] and l.order == {} and l.mem_events == []
+class TestColumnarResult:
+    """Lean is simply not asking for the view: no ``detail`` flag, no
+    event objects until ``lane(k)``."""
+
+    def test_no_detail_parameter_on_batched_entry_points(self):
+        import inspect
+
+        for fn in (execute_batch, execute_many, batched._execute_lockstep,
+                   batched._execute_time_ordered):
+            assert "detail" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("contention", [False, True],
+                             ids=["free", "contention"])
+    def test_views_are_built_on_demand(self, monkeypatch, contention):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("event objects built without lane()")
+
+        plans = lanes_for(lowered("hanayo", {"num_waves": 2}))
+        run = RunConfig(contention=contention)
+        want = [reference_fold(execute_plan(p, run)) for p in plans]
+        with monkeypatch.context() as patched:
+            patched.setattr(batched, "_materialize", forbidden)
+            batch = execute_batch(PlanBatch.from_plans(plans), run)
+            assert [batch.fold.row(k) for k in range(len(plans))] == want
+            with pytest.raises(AssertionError, match="without lane"):
+                batch.lane(0)
+        assert_result_equal(batch.lane(0), execute_plan(plans[0], run))
 
 
 class TestExecuteMany:
@@ -208,28 +259,54 @@ class TestExecuteMany:
                  (solo[0], None), (b[1], None)]
         run = RunConfig()
         out = execute_many(items, run)
-        assert len(out.results) == len(items)
-        for (plan, _), got, err in zip(items, out.results, out.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run))
+        assert len(out) == len(items)
+        # the singleton (gems) lane is a scalar-fallback lane: same
+        # fold, same view
+        plans = [plan for plan, _ in items]
+        assert assert_batch_equal(out, plans, run) == (len(items), 0)
 
-    def test_full_detail_contention_batches_time_ordered(self):
-        """Full-detail contention results interleave comm/mem logs in
-        driver order — the time-ordered vector replay produces them
-        in-batch now; no lane may take a ``contention`` fallback."""
+    def test_contention_lanes_never_fall_back_scalar(self):
+        """Wire-divergent contention lanes are recovered in-batch by
+        the time-ordered vector replay; no lane may take a
+        ``contention`` fallback."""
         from repro import profiling
 
         stats = profiling.batching_stats()
         before_scalar = stats.scalar_cells
         before_rec = stats.recovered_lanes
-        plans = lanes_for(lowered("dapple", {}), n=2)
+        plans = lanes_for(lowered("hanayo", {"num_waves": 2}),
+                          n=batched.MIN_CONTENTION_LANES)
         run = RunConfig(contention=True)
         out = execute_many([(p, None) for p in plans], run)
         assert "contention" not in stats.fallback_reasons
         assert stats.scalar_cells == before_scalar
-        assert stats.recovered_lanes == before_rec + 2
-        for plan, got in zip(plans, out.results):
-            assert_result_equal(got, execute_plan(plan, run))
+        # the zero-comm lanes (every fourth) keep structural order
+        assert stats.recovered_lanes == before_rec + 6
+        assert assert_batch_equal(out, plans, run) == (8, 0)
+
+    def test_narrow_contention_groups_run_scalar(self):
+        """Below ``MIN_CONTENTION_LANES`` the wire-exact vector passes
+        cost more than the scalar core, so ``execute_many`` runs such
+        a group lane by lane (reason ``narrow``) — same folds, same
+        views; contention off, two lanes are already a batch."""
+        from repro import profiling
+
+        stats = profiling.batching_stats()
+        narrow = stats.fallback_reasons.get("narrow", 0)
+        batches, recovered = stats.batches, stats.recovered_lanes
+        plans = lanes_for(lowered("hanayo", {"num_waves": 2}),
+                          n=batched.MIN_CONTENTION_LANES - 1)
+        run = RunConfig(contention=True)
+        out = execute_many([(p, None) for p in plans], run)
+        assert stats.fallback_reasons.get("narrow", 0) == \
+            narrow + len(plans)
+        assert (stats.batches, stats.recovered_lanes) == \
+            (batches, recovered)
+        assert assert_batch_equal(out, plans, run) == (len(plans), 0)
+        execute_many([(p, None) for p in plans[:2]], RunConfig())
+        assert stats.batches == batches + 1
+        assert stats.fallback_reasons.get("narrow", 0) == \
+            narrow + len(plans)
 
     def test_congruent_programs_share_one_batch(self):
         """Two separately-compiled copies of one structure (distinct
@@ -248,13 +325,14 @@ class TestExecuteMany:
         out = execute_many([(p, None) for p in lanes], run)
         assert stats.batches == batches + 1      # one lockstep batch,
         assert stats.scalar_cells == scalars     # no singleton fallback
-        for plan, got in zip(lanes, out.results):
-            assert_result_equal(got, execute_plan(plan, run))
+        assert assert_batch_equal(out, lanes, run) == (2, 0)
 
 
 class TestContentionParity:
-    """``contention=True`` lanes stay in the batch at ``detail="lean"``
-    and remain bit-identical to the scalar time-ordered driver."""
+    """``contention=True`` lanes stay in the batch — lockstep where the
+    witness allows (their views replay one lane time-ordered),
+    recovered otherwise — and remain bit-identical to the scalar
+    time-ordered driver."""
 
     @pytest.mark.parametrize("prefetch", [True, False],
                              ids=["pf", "nopf"])
@@ -263,12 +341,8 @@ class TestContentionParity:
         scheme, kw = param
         plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
         run = RunConfig(prefetch=prefetch, contention=True)
-        batch = execute_batch(PlanBatch.from_plans(plans), run,
-                              detail="lean")
-        for plan, got, err in zip(plans, batch.results, batch.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run,
-                                                  detail="lean"))
+        batch = execute_batch(PlanBatch.from_plans(plans), run)
+        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
                              ids=["FC", "TACC", "PC"])
@@ -292,12 +366,12 @@ class TestContentionParity:
                           ExecutablePlan.lower(program).retime(oracle)))
         run = RunConfig(contention=True)
         plans = [plan for _, _, plan in cells]
-        batch = execute_batch(PlanBatch.from_plans(plans), run,
-                              detail="lean")
-        for (program, oracle, plan), got in zip(cells, batch.results):
-            want = execute_plan(plan, run, detail="lean")
+        batch = execute_batch(PlanBatch.from_plans(plans), run)
+        for k, (program, oracle, plan) in enumerate(cells):
+            want = execute_plan(plan, run)
             assert want.collectives  # the rings really are in the plan
-            assert_result_equal(got, want)
+            assert_lane_equal(batch, k, want)
+            got = batch.lane(k)
             ref = execute_program_reference(program, oracle, run)
             assert got.timeline.spans == ref.timeline.spans
             assert got.recv_wait == ref.recv_wait
@@ -312,30 +386,29 @@ class TestContentionParity:
         plans = lanes_for(lowered("dapple", {}))
         run = RunConfig(contention=True)
         batches = stats.batches
-        out = execute_batch(PlanBatch.from_plans(plans), run,
-                            detail="lean")
+        out = execute_batch(PlanBatch.from_plans(plans), run)
         assert stats.batches == batches + 1
         assert all(err is None for err in out.errors)
 
 
 class TestTimeOrderedReplay:
     """The time-ordered vector replay: contention lanes whose wire
-    grants leave structural order, and full-detail contention, batch
-    bit-identically to the scalar time-ordered driver."""
+    grants leave structural order batch bit-identically to the scalar
+    time-ordered driver."""
 
     @pytest.mark.parametrize("prefetch", [True, False],
                              ids=["pf", "nopf"])
     @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
     def test_full_detail_contention_bit_equals_scalar(self, param,
                                                       prefetch):
-        """Driver-order comm and mem logs, lane for lane, all fields."""
+        """Every lane straight through the replay (diverging or not):
+        driver-order comm and mem logs are rebuilt from the shared pop
+        logs, lane for lane, all fields."""
         scheme, kw = param
         plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
         run = RunConfig(prefetch=prefetch, contention=True)
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for plan, got, err in zip(plans, batch.results, batch.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run))
+        batch = time_ordered(plans, run)
+        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
                              ids=["FC", "TACC", "PC"])
@@ -366,18 +439,15 @@ class TestTimeOrderedReplay:
         plans = [plan for _, _, plan in cells]
         scalar_before = stats.scalar_cells
         recovered_before = stats.recovered_lanes
-        for detail in ("lean", "full"):
-            batch = execute_batch(PlanBatch.from_plans(plans), run,
-                                  detail=detail)
-            for (program, oracle, plan), got in zip(cells,
-                                                    batch.results):
-                want = execute_plan(plan, run, detail=detail)
-                assert_result_equal(got, want)
-                ref = execute_program_reference(program, oracle, run)
-                assert got.timeline.spans == ref.timeline.spans
-                assert got.recv_wait == ref.recv_wait
-                assert got.collectives == ref.collectives
-                assert got.device_end == ref.device_end
+        batch = execute_batch(PlanBatch.from_plans(plans), run)
+        for k, (program, oracle, plan) in enumerate(cells):
+            assert_lane_equal(batch, k, execute_plan(plan, run))
+            got = batch.lane(k)
+            ref = execute_program_reference(program, oracle, run)
+            assert got.timeline.spans == ref.timeline.spans
+            assert got.recv_wait == ref.recv_wait
+            assert got.collectives == ref.collectives
+            assert got.device_end == ref.device_end
         assert stats.scalar_cells == scalar_before  # no lane left
         assert stats.recovered_lanes > recovered_before
 
@@ -388,26 +458,26 @@ class TestTimeOrderedReplay:
         from repro import profiling
 
         stats = profiling.batching_stats()
-        group = lanes_for(lowered("hanayo", {"num_waves": 2}), n=3)
+        group = lanes_for(lowered("hanayo", {"num_waves": 2}), n=8)
         solo = lanes_for(lowered("gems", {}), n=1)
-        items = [(group[0], None), (solo[0], None), (group[1], None),
-                 (group[2], None)]
+        items = [(group[0], None), (solo[0], None)] + \
+            [(plan, None) for plan in group[1:]]
         run = RunConfig(contention=True)
         singleton_before = stats.fallback_reasons.get("singleton", 0)
         recovered_before = stats.recovered_lanes
         out = execute_many(items, run)
         assert stats.fallback_reasons.get("singleton", 0) == \
             singleton_before + 1
-        assert stats.recovered_lanes == recovered_before + 3
-        for (plan, _), got, err in zip(items, out.results, out.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run))
+        assert stats.recovered_lanes == recovered_before + 6
+        plans = [plan for plan, _ in items]
+        assert assert_batch_equal(out, plans, run) == (len(items), 0)
 
-    @pytest.mark.parametrize("detail", ["lean", "full"])
-    def test_mid_run_oom_under_time_ordered_replay(self, detail):
+    @pytest.mark.parametrize("path", ["recovered", "direct"])
+    def test_mid_run_oom_under_time_ordered_replay(self, path):
         """Mid-run capacity aborts stay in-batch under contention: the
         abort device/peak attribution follows each lane's own pop
-        order, exactly as the scalar time-ordered driver."""
+        order, exactly as the scalar time-ordered driver — whether the
+        lane reaches the replay from the lockstep pass or directly."""
         scheme, kw = "hanayo", {"num_waves": 2}
         stages = build_schedule(make_config(scheme, P, B, **kw)) \
             .num_stages
@@ -420,26 +490,11 @@ class TestTimeOrderedReplay:
         # lane 0: statically rejected; lane 1: aborts mid-run; the
         # rest clear (one uncapped, one just-fitting)
         caps = [1, int(peaks[1]) - 1, None, int(peaks[3]) + 1]
-        batch = execute_batch(PlanBatch.from_plans(plans, caps), run,
-                              detail=detail)
-        saw_oom = saw_ok = False
-        for plan, cap, got, err in zip(plans, caps, batch.results,
-                                       batch.errors):
-            try:
-                want = execute_plan(plan, run, capacity_bytes=cap,
-                                    detail=detail)
-            except OutOfMemoryError as exc:
-                saw_oom = True
-                assert got is None
-                assert isinstance(err, OutOfMemoryError)
-                assert (err.device, err.peak_bytes, err.capacity_bytes) \
-                    == (exc.device, exc.peak_bytes, exc.capacity_bytes)
-                assert str(err) == str(exc)
-            else:
-                saw_ok = True
-                assert err is None
-                assert_result_equal(got, want)
-        assert saw_oom and saw_ok
+        if path == "recovered":
+            batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
+        else:
+            batch = time_ordered(plans, run, caps)
+        assert assert_batch_equal(batch, plans, run, caps) == (2, 2)
 
     def test_aborted_lane_keeps_lazy_cost_contract(self):
         """A mid-run-aborting contention lane resolves lazy compute
@@ -487,9 +542,7 @@ class TestCongruentGroups:
                  rec.retime(AbstractCosts(LANE_COSTS[3], P, stages))]
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for plan, got, err in zip(plans, batch.results, batch.errors):
-            assert err is None
-            assert_result_equal(got, execute_plan(plan, run))
+        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
     def test_congruent_mem_verdicts_are_per_lane(self):
         """Capacity verdicts must come from each lane's *own* memory
@@ -508,9 +561,8 @@ class TestCongruentGroups:
         with pytest.raises(OutOfMemoryError) as exc_info:
             execute_plan(plans[1], run, capacity_bytes=caps[1])
         assert str(batch.errors[1]) == str(exc_info.value)
-        assert_result_equal(batch.results[0],
-                            execute_plan(plans[0], run,
-                                         capacity_bytes=caps[0]))
+        assert_lane_equal(batch, 0, execute_plan(plans[0], run,
+                                                 capacity_bytes=caps[0]))
 
 
 class TestHybridTPParity:
@@ -540,11 +592,11 @@ class TestHybridTPParity:
         # cost-only lanes share the compiled structure...
         assert plans[0].program is plans[1].program
         batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for cell, got, err in zip(cells, batch.results, batch.errors):
-            assert err is None
+        for k, cell in enumerate(cells):
             want = execute_plan(cell.plan, run)
             assert want.collectives  # TP boundary all-reduces compiled in
-            assert_result_equal(got, want)
+            assert_lane_equal(batch, k, want)
+            got = batch.lane(k)
             ref = execute_program_reference(cell.program, cell.oracle,
                                             run)
             assert got.timeline.spans == ref.timeline.spans
@@ -567,15 +619,15 @@ class TestFallbackReasons:
         solo = lanes_for(lowered("gems", {}), n=1)
         run = RunConfig()
         execute_many([(solo[0], None)], run)
-        plans = lanes_for(lowered("dapple", {}), n=2)
+        plans = lanes_for(lowered("hanayo", {"num_waves": 2}), n=8)
         execute_many([(p, None) for p in plans],
-                     RunConfig(contention=True))  # full: time-ordered
+                     RunConfig(contention=True))  # wire-divergent lanes
         assert stats.fallback_reasons.get("singleton", 0) == \
             before.get("singleton", 0) + 1
         assert stats.fallback_s.get("singleton", 0.0) > \
             before_s.get("singleton", 0.0)
         assert "contention" not in stats.fallback_reasons
-        assert stats.recovered_lanes == before_rec + 2
+        assert stats.recovered_lanes == before_rec + 6
         text = stats.describe()
         assert "fallbacks [" in text
         assert "singleton=" in text
@@ -590,11 +642,14 @@ class TestFallbackReasons:
 
         stats = profiling.batching_stats()
         lanes0, batches0 = stats.lanes, stats.batches
+        recovered0 = stats.recovered_lanes
         plans = lanes_for(lowered("hanayo", {"num_waves": 2}))
         execute_batch(PlanBatch.from_plans(plans),
-                      RunConfig(contention=True), detail="full")
+                      RunConfig(contention=True))
+        # one lockstep batch of the kept lane + one replay of the rest
+        assert stats.recovered_lanes == recovered0 + 3
         assert stats.lanes == lanes0 + len(plans)
-        assert stats.batches == batches0 + 1
+        assert stats.batches == batches0 + 2
         assert sum(n * c for n, c in stats.occupancy.items()) \
             == stats.lanes
 
@@ -695,3 +750,23 @@ class TestBoundPlanCache:
         assert_result_equal(
             execute_plan(a1, RunConfig()),
             execute_plan(base.retime(self_oracle(0)), RunConfig()))
+
+    def test_bindings_are_lru_bounded(self, monkeypatch):
+        """A long-lived entry keeps its most recently used bindings."""
+        import repro.analysis.plans as plans_mod
+
+        monkeypatch.setattr(plans_mod, "MAX_BINDINGS", 3)
+        base = lowered("dapple", {})
+        entry = plans_mod.PlanEntry(
+            schedule=build_schedule(make_config("dapple", P, B)),
+            program=base.program, plan=base)
+
+        def oracle():
+            return AbstractCosts(LANE_COSTS[0], P, base.program.num_stages)
+
+        first = entry.bound_plan(("k", 0), oracle)
+        for i in (1, 2):
+            entry.bound_plan(("k", i), oracle)
+        assert entry.bound_plan(("k", 0), oracle) is first  # hit: bumped
+        entry.bound_plan(("k", 3), oracle)                   # evicts k1
+        assert list(entry.bindings) == [("k", 2), ("k", 0), ("k", 3)]

@@ -248,13 +248,13 @@ class TestAnalysisPruning:
     def _count_simulations(self, monkeypatch):
         import repro.analysis.throughput as thr
         calls = {"n": 0}
-        real = thr.simulate_program
+        real = thr.execute_plan
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(thr, "simulate_program", counting)
+        monkeypatch.setattr(thr, "execute_plan", counting)
         return calls
 
     def test_static_infeasible_cell_never_simulates(self, monkeypatch):

@@ -388,6 +388,57 @@ class TestServedParity:
         assert "occupancy" in stats["batching"]
 
 
+    def test_accepted_sockets_disable_nagle(self, server, monkeypatch):
+        """Headers and body are two sends on a keep-alive socket; with
+        Nagle on, the body waits out the client's delayed ACK."""
+        import socket
+
+        from repro.serve.server import _Handler
+
+        seen = []
+        real = _Handler.do_GET
+
+        def spying(handler):
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            real(handler)
+
+        monkeypatch.setattr(_Handler, "do_GET", spying)
+        with urllib.request.urlopen(server.url + "/healthz",
+                                    timeout=10) as resp:
+            resp.read()
+        assert seen and all(seen)
+
+    def test_warm_queries_bind_and_retime_nothing(self, monkeypatch):
+        """A repeated query must meet the cluster instance its plans
+        are already bound to: no re-time and no retained binding per
+        query (``Topology`` hashes by identity)."""
+        from repro.actions import ExecutablePlan
+        from repro.analysis import plan_cache
+
+        retimes = []
+        real = ExecutablePlan.retime
+
+        def counting(plan, *args, **kwargs):
+            retimes.append(plan.name)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutablePlan, "retime", counting)
+        query = AdviseQuery.make("FC", "tiny", 4, 8)
+
+        def bindings():
+            return {key: len(entry.bindings)
+                    for key, entry in plan_cache()._store.items()}
+
+        first = dumps_canonical(advise_answer(query))
+        warm_retimes, warm_bindings = len(retimes), bindings()
+        assert any(warm_bindings.values())
+        for _ in range(200):
+            assert dumps_canonical(advise_answer(query)) == first
+        assert len(retimes) == warm_retimes
+        assert bindings() == warm_bindings
+
+
 class TestServedSweep:
     def test_stream_frames_and_final_table_parity(self, server):
         query = SweepQuery.make(["gpipe", "hanayo"], "TACC", ["bert"],

@@ -182,6 +182,10 @@ class TestCache:
             "actions/lowering.py",
             "runtime/events.py",
             "runtime/events_ref.py",
+            # the lane-axis fold and the shared left-to-right sum are
+            # the accounting every cached number goes through
+            "runtime/metrics.py",
+            "types.py",
             "runtime/memory.py",
             "runtime/simulator.py",
             "runtime/costs.py",
@@ -475,6 +479,68 @@ class TestBatchUnits:
             assert row.result.bubble_ratio == want.bubble_ratio
             assert row.result.iteration_s == want.iteration_s
             assert row.result.peak_mem_bytes == want.peak_mem_bytes
+
+    @pytest.mark.parametrize("harness", ["hybrid", "contention"])
+    def test_measurement_path_builds_no_event_objects(self, monkeypatch,
+                                                      harness):
+        """The batch harnesses fold the runtime's lane-axis columns:
+        with every event-object constructor on the path patched to
+        raise, multi-lane groups still produce exactly the scalar
+        harness's results."""
+        import repro.runtime.batched as batched_mod
+        import repro.runtime.events as events_mod
+        from repro.analysis import (
+            HybridLayout,
+            HybridRequest,
+            ThroughputRequest,
+            measure_hybrid_throughput,
+            measure_hybrid_throughput_batch,
+            measure_throughput_batch,
+        )
+        from repro.config import RunConfig
+
+        model = tiny_model(num_layers=16)
+        clusters = (make_fc(8), make_tacc(8))
+        if harness == "hybrid":
+            requests = [
+                HybridRequest(scheme=scheme, cluster=cluster, model=model,
+                              layout=HybridLayout(tp=2, p=2, d=2),
+                              num_microbatches=4, w=w)
+                for scheme, w in (("dapple", 1), ("hanayo", 2))
+                for cluster in clusters]
+            want = [measure_hybrid_throughput(
+                r.scheme, r.cluster, r.model, r.layout,
+                r.num_microbatches, w=r.w) for r in requests]
+            measure = measure_hybrid_throughput_batch
+        else:
+            # eight lanes a structure: narrower contention groups run
+            # through the scalar core, which does build a lean result
+            requests = [
+                ThroughputRequest(scheme=scheme, cluster=cluster,
+                                  model=model, p=4, num_microbatches=4,
+                                  d=2, w=w, microbatch_size=size,
+                                  contention=True)
+                for scheme, w in (("dapple", 1), ("hanayo", 2))
+                for cluster in clusters for size in (1, 2, 4, 8)]
+            run = RunConfig(contention=True)
+            want = [measure_throughput(
+                r.scheme, r.cluster, r.model, p=r.p, d=r.d, w=r.w,
+                num_microbatches=r.num_microbatches,
+                microbatch_size=r.microbatch_size, run=run)
+                for r in requests]
+            measure = measure_throughput_batch
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("event object built while measuring")
+
+        for module, name in ((batched_mod, "_materialize"),
+                             (events_mod, "_materialize"),
+                             (events_mod, "TimedOp"),
+                             (events_mod, "CollectiveEvent")):
+            monkeypatch.setattr(module, name, forbidden)
+        got = measure(requests)
+        assert all(r.sync_s > 0 for r in got)   # the DP rings are folded
+        assert got == want
 
 
 class TestEngine:

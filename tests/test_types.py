@@ -1,8 +1,19 @@
 """ScheduleOp / TimedOp / Timeline primitives."""
 
+import math
+
 import pytest
 
-from repro.types import OpKind, ScheduleOp, TimedOp, Timeline, fmt_bytes
+import numpy as np
+
+from repro.types import (
+    OpKind,
+    ScheduleOp,
+    TimedOp,
+    Timeline,
+    fmt_bytes,
+    seq_sum,
+)
 
 
 def op(kind=OpKind.FORWARD, m=0, s=0, d=0, chunk=0):
@@ -59,6 +70,31 @@ class TestTimeline:
         assert tl.busy_time(0) == pytest.approx(3.0)
         assert tl.busy_time(1) == pytest.approx(1.0)
         assert tl.busy_time(9) == 0.0
+
+    def test_folds_add_left_to_right_on_every_interpreter(self):
+        """Builtin ``sum`` is naive on 3.11 but compensated from 3.12
+        (and ``np.sum`` is pairwise); the pinned statistics need the
+        one order the scalar core and the lane-axis fold share."""
+        from repro.runtime import bubble_stats
+
+        assert seq_sum([1e16, 1.0, -1e16]) == 0.0     # compensated: 1.0
+        lanes = seq_sum([np.array([1e16, 1.0]), np.array([1.0, 2.0]),
+                         np.array([-1e16, 3.0])], np.zeros(2))
+        assert lanes.tolist() == [0.0, 6.0]
+        # durations 2**53, 1, 1: each 1.0 is absorbed when added alone
+        big = 2.0 ** 53
+        tl = Timeline()
+        for m, end in enumerate((big, 1.0, 1.0)):
+            tl.add(TimedOp(op=op(m=m), start=0.0, end=end))
+        assert tl.busy_time(0) == big
+        assert math.fsum(t.duration for t in tl.spans[0]) == big + 2.0
+        # per-device idle 0, 2**53, 1, 1 — the same absorption
+        stats = bubble_stats(Timeline(spans={
+            d: [TimedOp(op=op(d=d), start=0.0, end=end)]
+            for d, end in enumerate((big, 0.0, big - 1.0, big - 1.0))}))
+        assert list(stats.idle.values()) == [0.0, big, 1.0, 1.0]
+        assert stats.bubble_ratio == 0.25
+        assert math.fsum(stats.idle.values()) / (big * 4) != 0.25
 
     def test_devices_sorted(self):
         assert self._timeline().devices == [0, 1]
