@@ -152,14 +152,11 @@ def _run_fig09_reference_pass(model, cells) -> None:
     with the reference core — exactly what ``measure_throughput`` did
     before the lowering refactor.
     """
-    from repro.analysis.throughput import (
-        _pipeline_comm,
-        compile_cluster_program,
-        throughput_from_simulation,
-    )
+    from repro.analysis import ClusterCosts, compile_cluster_program
+    from repro.analysis.throughput import throughput_from_simulation
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
-    from repro.runtime import ConcreteCosts, execute_program_reference
+    from repro.runtime import execute_program_reference
     from repro.runtime.metrics import fold_events
     from repro.schedules import build_schedule
 
@@ -172,7 +169,7 @@ def _run_fig09_reference_pass(model, cells) -> None:
         costs = stage_costs(model, schedule.num_stages, cluster.device, 1)
         program = compile_cluster_program(schedule, cluster, costs, d=d,
                                           run=run)
-        oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, p))
+        oracle = ClusterCosts(costs, cluster)
         ev = execute_program_reference(program, oracle, run)
         throughput_from_simulation(
             cfg, schedule, [(cluster, model, costs, "simulated")],
@@ -208,10 +205,11 @@ def bench_fig09() -> dict:
 
 
 def bench_fig09_batched() -> dict:
-    from repro.analysis import measure_throughput, plan_cache
-    from repro.analysis.throughput import (
+    from repro.analysis import (
         ThroughputRequest,
+        measure_throughput,
         measure_throughput_batch,
+        plan_cache,
     )
     from repro.cluster import all_clusters
     from repro.models import bert_64
@@ -281,16 +279,14 @@ def _run_fig11_reference_pass(model, cells) -> None:
     the reference core — what ``measure_hybrid_throughput`` amounted to
     before the lowering + batching refactors."""
     from repro.actions.collectives import with_tp_sync
-    from repro.analysis.hybrid import (
+    from repro.analysis import (
+        ClusterCosts,
         HybridLayout,
-        _SpacedCosts,
         apply_tensor_parallel,
+        compile_cluster_program,
         tp_rank_groups,
     )
-    from repro.analysis.throughput import (
-        compile_cluster_program,
-        throughput_from_simulation,
-    )
+    from repro.analysis.throughput import throughput_from_simulation
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
     from repro.runtime import execute_program_reference
@@ -314,7 +310,7 @@ def _run_fig11_reference_pass(model, cells) -> None:
         program = with_tp_sync(program, tp_rank_groups(cluster, layout),
                                nbytes=model.boundary_bytes(1),
                                count_per_pass=2.0 * layers_per_stage)
-        oracle = _SpacedCosts(costs, cluster, tp)
+        oracle = ClusterCosts(costs, cluster, tp)
         ev = execute_program_reference(program, oracle, run)
         throughput_from_simulation(
             cfg, schedule, [(cluster, model, costs, "simulated")],
@@ -322,11 +318,12 @@ def _run_fig11_reference_pass(model, cells) -> None:
 
 
 def bench_fig11_hybrid_batched() -> dict:
-    from repro.analysis import measure_hybrid_throughput, plan_cache
-    from repro.analysis.hybrid import (
+    from repro.analysis import (
         HybridLayout,
         HybridRequest,
+        measure_hybrid_throughput,
         measure_hybrid_throughput_batch,
+        plan_cache,
     )
     from repro.models import bert_64
 
@@ -377,15 +374,11 @@ def _contention_plans():
     ride the time-ordered replay instead — ``contention_divergent``).
     Eight microbatch sizes per cluster make the cost-only lane axis."""
     from repro.actions import ExecutablePlan
-    from repro.analysis.throughput import (
-        _pipeline_comm,
-        compile_cluster_program,
-    )
+    from repro.analysis import ClusterCosts, compile_cluster_program
     from repro.cluster import make_fc, make_pc, make_tacc, make_tc
     from repro.config import PipelineConfig
     from repro.models import bert_64
     from repro.models.costs import stage_costs
-    from repro.runtime import ConcreteCosts
     from repro.schedules import build_schedule
 
     grid = [
@@ -410,8 +403,7 @@ def _contention_plans():
                                     cluster.device, mb)
                 program = compile_cluster_program(sched, cluster, costs,
                                                   d=d)
-                oracle = ConcreteCosts(costs,
-                                       _pipeline_comm(cluster, 0, p))
+                oracle = ClusterCosts(costs, cluster)
                 plans.append(ExecutablePlan.lower(program).retime(oracle))
     return plans
 
@@ -473,15 +465,11 @@ def _divergent_plans():
     recovers.  One shared structure keeps the cohort pool dense, which
     is the replay's intended operating point (a sweep's cost axis)."""
     from repro.actions import ExecutablePlan
-    from repro.analysis.throughput import (
-        _pipeline_comm,
-        compile_cluster_program,
-    )
+    from repro.analysis import ClusterCosts, compile_cluster_program
     from repro.cluster import make_fc
     from repro.config import PipelineConfig
     from repro.models import bert_64
     from repro.models.costs import stage_costs
-    from repro.runtime import ConcreteCosts
     from repro.schedules import build_schedule
 
     model = bert_64()
@@ -495,7 +483,7 @@ def _divergent_plans():
     plans = []
     for mb in range(1, 257):
         costs = stage_costs(model, sched.num_stages, cluster.device, mb)
-        oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, 4))
+        oracle = ClusterCosts(costs, cluster)
         plans.append(ExecutablePlan.lower(program).retime(oracle))
     return plans
 

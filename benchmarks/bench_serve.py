@@ -274,9 +274,9 @@ def bench_batcher(coalesce: bool) -> dict:
 
     batcher = MicroBatcher(coalesce=coalesce)
     batcher_off = MicroBatcher(coalesce=False)
-    batcher_off.measure_flat(request_lists[0])  # warm the plan cache
+    batcher_off.measure_hybrid(request_lists[0])  # warm the plan cache
     for rs in request_lists:
-        batcher_off.measure_flat(rs)
+        batcher_off.measure_hybrid(rs)
     batcher_off.close()
 
     next_job = {"index": 0}
@@ -291,7 +291,7 @@ def bench_batcher(coalesce: bool) -> dict:
                     if index >= len(jobs):
                         return
                     next_job["index"] = index + 1
-                batcher.measure_flat(jobs[index])
+                batcher.measure_hybrid(jobs[index])
         except BaseException as exc:  # noqa: BLE001 - fail the bench
             errors.append(exc)
 

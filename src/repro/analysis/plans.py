@@ -16,12 +16,13 @@ streams, dependency edges, tensor/gradient byte sizes, resource deltas,
 collective groups — derives from the model spec and the layout shape,
 never from the cluster's device speeds or topology (those live in the
 cost oracle, resolved at re-time) and never from the capacity knob
-(enforcement is an execute-time argument).  The cache key therefore
-spans ``(scheme, P, B, microbatch size, D-as-compiled, TP, W, prefetch,
-batching, the ModelSpec itself)``; cluster and capacity are
-deliberately absent.  Out-of-range layouts are still rejected per call
-by the harness-level device-count checks, which run before the cache
-is consulted.  The sharing contract is *verifiable*, not assumed:
+(enforcement is an execute-time argument).  The cache key
+(:func:`repro.analysis.throughput.plan_key`, the only one) therefore
+spans ``(scheme, TP, P, D, D-as-compiled, TP-sync compiled?, B,
+microbatch size, W, prefetch, batching, the ModelSpec itself)``;
+cluster and capacity are deliberately absent.  Out-of-range layouts
+are still rejected per call by the harness-level device-count check,
+which runs before the cache is consulted.  The sharing contract is *verifiable*, not assumed:
 :attr:`ExecutablePlan.plan_key` content-hashes exactly the structural
 arrays execution reads, and the test suite pins that independent
 compilations of one cell shape against different clusters (and
@@ -61,7 +62,7 @@ class PlanEntry:
     program: Program
     plan: ExecutablePlan
     #: cost bindings of ``plan`` already produced, keyed by the cost
-    #: inputs (cluster, stage costs, ring width); a repeated-pass sweep
+    #: inputs (cluster, stage costs, TP spacing); a repeated-pass sweep
     #: re-times each (structure, cluster) pair once and thereafter
     #: reuses the bound plan — including its lazily filled duration
     #: column.  Bounded LRU like :class:`PlanCache` (insertion order is
@@ -79,7 +80,7 @@ class PlanEntry:
         ``oracle_factory`` builds the cost oracle only on a binding
         miss; the key must capture every input the oracle's answers
         depend on (the measurement layer uses ``(cluster, stage costs,
-        ring P)`` — see :func:`repro.analysis.throughput.measure_throughput`).
+        TP)`` — see :class:`repro.analysis.throughput.ClusterCosts`).
         Deterministic oracles make the reuse exact: re-timing the same
         structure under an equal oracle yields identical columns.
         """

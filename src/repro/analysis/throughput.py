@@ -1,20 +1,29 @@
 """End-to-end throughput measurement on a modeled cluster.
 
-This is the harness behind Figs. 9–12: pick a scheme and a parallel
-layout (``D`` pipelines of ``P`` devices each), lower the model onto the
-cluster's GPUs, compile the schedule **plus its data-parallel gradient
+This is the harness behind Figs. 9–12 — the only one: pick a scheme and
+a parallel layout (``TP x PP x DP``, :class:`HybridLayout`), lower the
+model onto the cluster's GPUs, compile the schedule **plus its
 collectives** into one Program, simulate the iteration, gate it against
-GPU memory, and convert the result into sequences/second.
+GPU memory, and convert the result into sequences/second.  The paper
+positions pipeline parallelism inside the standard Megatron recipe:
+tensor parallelism *within* a node (cheap collectives over NVLink),
+pipeline parallelism *across* nodes (cheap P2P), data parallelism on
+top.  A flat ``D`` pipelines x ``P`` devices layout is that recipe with
+``TP = 1``, and a single measurement is a batch of one — there is one
+request type (:class:`HybridRequest`) and one function that walks
+requests (:func:`measure_hybrid_throughput_batch`).
 
-Gradient-sync overlap is **measured, not assumed**: the compiler
+Communication overlap is **measured, not assumed**: the compiler
 inserts a ring all-reduce after each stage's last backward
-(:func:`repro.actions.with_gradient_sync`), the event core schedules
-its ``2 * (D - 1)`` chunk steps against the same link model as the
+(:func:`repro.actions.with_gradient_sync`) and blocking TP boundary
+all-reduces after every compute action
+(:func:`repro.actions.with_tp_sync`, two per layer per pass), the event
+core schedules their chunk steps against the same link model as the
 pipeline P2P, and the iteration ends when both compute and the last
-collective finish.  The closed-form ring model
-(:func:`dp_allreduce_seconds`) is retained as an upper-bound
-cross-check and as the explicitly-named ``overlap="model"`` analytic
-fallback.
+collective finish.  The closed-form models (:func:`dp_allreduce_seconds`,
+:func:`apply_tensor_parallel` with ``include_comm=True``) are retained
+as cross-checks and as the explicitly-named ``overlap="model"``
+analytic fallback.
 """
 
 from __future__ import annotations
@@ -22,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..actions.collectives import with_gradient_sync
+from ..actions.collectives import with_gradient_sync, with_tp_sync
 from ..actions.lowering import ExecutablePlan
 from ..actions.program import Program, compile_program
 from ..actions.resources import StageResources
 from .. import profiling
-from ..cluster.comm_model import CommModel, Transfer
+from ..cluster.comm_model import CommModel
 from ..cluster.presets import Cluster
 from ..cluster.topology import ring_transfer_chain
 from ..config import PipelineConfig, RunConfig
@@ -36,9 +45,8 @@ from ..models.costs import StageCosts, stage_costs
 from ..models.spec import ModelSpec
 from ..runtime.batched import execute_many
 from ..runtime.costs import ConcreteCosts
-from ..runtime.events import execute_plan
 from ..runtime.memory import static_memory
-from ..runtime.metrics import LaneFold, fold_events
+from ..runtime.metrics import LaneFold
 from ..schedules.base import Schedule
 from ..schedules.factory import build_schedule
 from ..types import seq_sum
@@ -54,26 +62,26 @@ ANALYTIC_DP_OVERLAP = 0.9
 OVERLAP_MODES = ("simulated", "model")
 
 
-def _pipeline_comm(cluster: Cluster, pipeline_index: int, p: int) -> CommModel:
-    """Comm model seen by one pipeline, with ranks offset into the cluster.
+@dataclass(frozen=True)
+class HybridLayout:
+    """A full 3D layout: tensor x pipeline x data parallel.
 
-    Pipelines are laid out in contiguous rank blocks: pipeline ``i``
-    owns cluster ranks ``[i*P, (i+1)*P)`` — the standard Megatron
-    layout that keeps pipeline P2P local and spreads DP across blocks.
+    Ranks are laid out Megatron-style: pipeline device ``g`` owns the
+    contiguous in-node ranks ``[g*tp, (g+1)*tp)``, so pipeline peers sit
+    ``tp`` ranks apart, and DP replica ``i`` starts ``i * p * tp`` ranks
+    in — pipeline P2P stays local, DP spreads across blocks.
     """
-    base = pipeline_index * p
 
-    class _Shifted(CommModel):
-        def __init__(self) -> None:
-            super().__init__(topology=cluster.topology)
+    tp: int
+    p: int
+    d: int
 
-        def transfer_time(self, transfer: Transfer) -> float:
-            return super().transfer_time(
-                Transfer(transfer.src + base, transfer.dst + base,
-                         transfer.nbytes)
-            )
+    @property
+    def devices(self) -> int:
+        return self.tp * self.p * self.d
 
-    return _Shifted()
+    def describe(self) -> str:
+        return f"TP={self.tp} x PP={self.p} x DP={self.d}"
 
 
 @dataclass
@@ -135,8 +143,7 @@ def static_oom_result(cfg: PipelineConfig, cluster: Cluster,
     the lowest device whose resident weights alone exceed ``capacity``,
     or ``None`` when every device's static footprint fits (the cell
     must then be simulated to get a verdict) or ``capacity`` is ``None``
-    (enforcement off).  Shared by the throughput and hybrid harnesses
-    so the pruned-result shape cannot drift.
+    (enforcement off).
     """
     if capacity is None:
         return None
@@ -169,11 +176,11 @@ def dp_rank_groups(cluster: Cluster, p: int, d: int,
     """Global-rank DP ring for every in-pipeline device.
 
     Device ``g`` of pipeline 0 sits at cluster rank ``g * spacing``
-    (``spacing`` is the tensor-parallel degree in hybrid layouts) and
-    reduces with its mirrors one pipeline block — ``p * spacing`` ranks
-    — apart.  Raises :class:`~repro.errors.ConfigError` when any group
-    member falls outside the cluster, instead of letting the rank leak
-    surface later as a raw networkx routing error.
+    (``spacing`` is the tensor-parallel degree) and reduces with its
+    mirrors one pipeline block — ``p * spacing`` ranks — apart.  Raises
+    :class:`~repro.errors.ConfigError` when any group member falls
+    outside the cluster, instead of letting the rank leak surface later
+    as a raw networkx routing error.
     """
     groups: dict[int, tuple[int, ...]] = {}
     for g in range(p):
@@ -187,6 +194,29 @@ def dp_rank_groups(cluster: Cluster, p: int, d: int,
                     f"(layout P={p} x D={d}"
                     + (f" x TP={spacing}" if spacing > 1 else "") + ")"
                 )
+        groups[g] = ranks
+    return groups
+
+
+def tp_rank_groups(cluster: Cluster, layout: HybridLayout
+                   ) -> dict[int, tuple[int, ...]]:
+    """Global-rank TP group for every in-pipeline device.
+
+    Pipeline device ``g`` owns cluster ranks ``[g*tp, (g+1)*tp)`` —
+    contiguous in-node ranks, the Megatron placement.  Raises
+    :class:`~repro.errors.ConfigError` when the layout references
+    ranks the topology does not have.
+    """
+    groups: dict[int, tuple[int, ...]] = {}
+    for g in range(layout.p):
+        ranks = tuple(g * layout.tp + j for j in range(layout.tp))
+        if ranks and ranks[-1] >= cluster.num_devices:
+            raise ConfigError(
+                f"TP group {list(ranks)} of pipeline device {g} "
+                f"references rank {ranks[-1]}, but cluster "
+                f"{cluster.name} has {cluster.num_devices} devices "
+                f"({layout.describe()})"
+            )
         groups[g] = ranks
     return groups
 
@@ -216,6 +246,20 @@ def dp_allreduce_seconds(cluster: Cluster, p: int, d: int,
     return worst
 
 
+def tp_allreduce_seconds(cluster: Cluster, tp: int,
+                         nbytes: float) -> float:
+    """One tensor-parallel all-reduce over the first TP group's ranks."""
+    if tp <= 1:
+        return 0.0
+    if tp > cluster.num_devices:
+        raise ConfigError(
+            f"TP group of {tp} ranks exceeds cluster {cluster.name} "
+            f"of {cluster.num_devices} devices"
+        )
+    ranks = list(range(tp))
+    return ring_transfer_chain(cluster.topology, ranks, nbytes)
+
+
 def stage_grad_bytes(costs: StageCosts) -> dict[int, float]:
     """fp32 gradient bytes per stage.
 
@@ -223,6 +267,83 @@ def stage_grad_bytes(costs: StageCosts) -> dict[int, float]:
     the all-reduced gradients alone are 4 B/param.
     """
     return {s: w / 16.0 * 4.0 for s, w in enumerate(costs.weight_bytes)}
+
+
+def apply_tensor_parallel(
+    costs: StageCosts,
+    cluster: Cluster,
+    model: ModelSpec,
+    tp: int,
+    microbatch_size: int,
+    layers_per_stage: float,
+    include_comm: bool = True,
+) -> StageCosts:
+    """Shard stage costs over a TP group.
+
+    ``include_comm=True`` (the closed-form model) folds the boundary
+    all-reduce seconds into every stage duration; the simulated path
+    passes ``False`` and lets the compiled :class:`CollectiveOp`\\ s
+    carry exactly those seconds instead — the parity the hybrid tests
+    pin down.
+    """
+    if tp < 1:
+        raise ConfigError("tensor-parallel degree must be >= 1")
+    if tp == 1:
+        return costs
+    if tp > cluster.gpus_per_node:
+        raise ConfigError(
+            f"TP degree {tp} exceeds the node size "
+            f"{cluster.gpus_per_node} (TP wants NVLink locality)"
+        )
+    per_stage_comm = 0.0
+    if include_comm:
+        ar = tp_allreduce_seconds(cluster, tp,
+                                  model.boundary_bytes(microbatch_size))
+        # 2 all-reduces per layer per pass; backward mirrors them.
+        per_stage_comm = 2.0 * layers_per_stage * ar
+    return StageCosts(
+        forward=tuple(f / tp + per_stage_comm for f in costs.forward),
+        backward=tuple(b / tp + per_stage_comm for b in costs.backward),
+        boundary_bytes=costs.boundary_bytes,
+        weight_bytes=tuple(w / tp for w in costs.weight_bytes),
+        activation_bytes=tuple(a / tp for a in costs.activation_bytes),
+    )
+
+
+class ClusterCosts(ConcreteCosts):
+    """Cost oracle of one pipeline placed on a cluster.
+
+    Pipeline peers sit ``tp`` ranks apart in the cluster topology
+    (rank = tp_rank + tp * pp_rank), so both pipeline transfers and the
+    program-local → global rank mapping space by the TP degree — which
+    is what routes DP/TP collective rings and link contention onto the
+    *physical* ranks.  ``tp = 1`` is the flat layout: pipeline 0 on
+    ranks ``0..P-1``.
+    """
+
+    def __init__(self, stage_costs: StageCosts, cluster: Cluster,
+                 tp: int = 1) -> None:
+        super().__init__(stage_costs,
+                         CommModel(topology=cluster.topology))
+        self._tp = tp
+
+    def global_rank(self, device: int) -> int:
+        return device * self._tp
+
+    def transfer_time(self, src: int, dst: int, stage: int) -> float:
+        if src == dst:
+            return 0.0
+        return self.comm.topology.transfer_time(
+            self.global_rank(src), self.global_rank(dst),
+            self.stage_costs.boundary_bytes,
+        )
+
+    def link_latency(self, src: int, dst: int) -> float:
+        if src == dst:
+            return 0.0
+        return self.comm.topology.effective_link(
+            self.global_rank(src), self.global_rank(dst)
+        ).latency
 
 
 def compile_cluster_program(
@@ -235,12 +356,10 @@ def compile_cluster_program(
 ) -> Program:
     """Lower a schedule onto a cluster, gradient collectives included.
 
-    The one compilation path the throughput harness, the hybrid
-    harness, and ``repro trace --dp`` share: compile the schedule with
-    byte-accurate tensors and memory resources, then — for ``d > 1`` —
-    insert the per-stage DP gradient rings over their concrete cluster
-    rank groups (``spacing`` is the tensor-parallel degree of hybrid
-    layouts).
+    Compile the schedule with byte-accurate tensors and memory
+    resources, then — for ``d > 1`` — insert the per-stage DP gradient
+    rings over their concrete cluster rank groups (``spacing`` is the
+    tensor-parallel degree of the layout).
     """
     run = run or RunConfig()
     program = compile_program(
@@ -272,16 +391,15 @@ def throughput_from_simulation(
 
     ``lanes[j]`` — ``(cluster, model, stage costs, overlap mode)`` —
     was simulated as row ``rows[j]`` of ``fold``.  The single
-    accounting tail of the flat and hybrid harnesses, batched (once per
-    plan group) and scalar (N = 1) alike, so the paths cannot drift
-    apart: the closed-form ring cross-check over ``ring_p`` in-ring
-    devices (``P`` flat, ``P * TP`` hybrid), the simulated-vs-analytic
-    overlap branch, and iteration = ``busy_end + exposed sync``.
-    Simulated overlap reads the fold: ``sync_s`` is the busiest
-    device's gradient-ring seconds, the exposure the iteration's
-    extension past ``busy_end`` (trailing TP all-reduces are *busy*
-    time, not sync exposure), the overlap the hidden fraction ``1 -
-    exposed / sync`` — the number the paper's Sec. 3.2 claim is about.
+    accounting tail of every measurement (once per plan group): the
+    closed-form ring cross-check over ``ring_p = P * TP`` in-ring
+    devices, the simulated-vs-analytic overlap branch, and iteration =
+    ``busy_end + exposed sync``.  Simulated overlap reads the fold:
+    ``sync_s`` is the busiest device's gradient-ring seconds, the
+    exposure the iteration's extension past ``busy_end`` (trailing TP
+    all-reduces are *busy* time, not sync exposure), the overlap the
+    hidden fraction ``1 - exposed / sync`` — the number the paper's
+    Sec. 3.2 claim is about.
     """
     d = cfg.data_parallel
     seqs = cfg.num_microbatches * cfg.microbatch_size * d
@@ -315,19 +433,366 @@ def throughput_from_simulation(
     return results
 
 
-def flat_plan_key(scheme: str, p: int, num_microbatches: int,
-                  microbatch_size: int, d: int, sync_d: int, w: int,
-                  run: RunConfig, model: ModelSpec) -> tuple:
-    """The structural plan-cache key of one flat measurement.
+@dataclass(frozen=True)
+class HybridRequest:
+    """One cell to measure — the one request type.
 
-    Everything the compiled program + lowered plan depend on; the
-    cluster and the capacity knob are deliberately absent — devices,
-    links and enforcement are per-call concerns resolved at re-time /
-    execute, never compiled into the plan (see :mod:`.plans`).  Cells
-    with equal keys are the lanes the batched measurement path stacks.
+    ``overlap`` selects how collective communication is charged.
+    ``"simulated"`` (the default) compiles the DP gradient rings and TP
+    boundary all-reduces into the program and lets the event core
+    measure how much of them pipeline bubbles hide; ``"model"`` is the
+    analytic fallback — closed-form ring times, the DP one discounted
+    by the assumed :data:`ANALYTIC_DP_OVERLAP` fraction — kept for
+    cross-checks and for comparison with the paper's own estimates.
+
+    Memory is enforced *live* unless ``enforce_memory`` is off:
+    statically-infeasible cells (weights + grads + optimizer alone
+    exceed capacity) are rejected in O(P) before any simulation, and
+    all other OOM cells abort the event loop at a violating allocation
+    — OOM verdicts never pay a full simulation.  ``capacity_bytes``
+    overrides the cluster device's memory (a ``--capacity-gib``
+    what-if).
     """
-    return ("flat", scheme, p, num_microbatches, microbatch_size, d,
-            sync_d, w, run.prefetch, run.batch_cross_comm, model)
+
+    scheme: str
+    cluster: Cluster
+    model: ModelSpec
+    layout: HybridLayout
+    num_microbatches: int
+    w: int = 1
+    microbatch_size: int = 1
+    enforce_memory: bool = True
+    overlap: str = "simulated"
+    capacity_bytes: int | None = None
+    #: arbitrate shared wires for this cell even when the batch-wide
+    #: RunConfig leaves contention off (ORed with ``run.contention``)
+    contention: bool = False
+
+    def config(self) -> PipelineConfig:
+        return PipelineConfig(
+            scheme=self.scheme,
+            num_devices=self.layout.p,
+            num_microbatches=self.num_microbatches,
+            num_waves=self.w,
+            data_parallel=self.layout.d,
+            microbatch_size=self.microbatch_size,
+        )
+
+    def capacity(self) -> int | None:
+        """The device capacity this cell enforces — the what-if or the
+        card's — or ``None`` when enforcement is off."""
+        if not self.enforce_memory:
+            return None
+        return (self.cluster.device.memory_bytes
+                if self.capacity_bytes is None else self.capacity_bytes)
+
+
+def ThroughputRequest(  # noqa: N802 - constructor of HybridRequest
+    scheme: str,
+    cluster: Cluster,
+    model: ModelSpec,
+    p: int,
+    num_microbatches: int,
+    d: int = 1,
+    w: int = 1,
+    microbatch_size: int = 1,
+    **knobs,
+) -> HybridRequest:
+    """The flat spelling of a request: ``D`` pipelines of ``P`` devices.
+
+    Exactly ``HybridRequest(..., layout=HybridLayout(1, p, d), ...)`` —
+    the two compare equal and share a plan-cache entry.
+    """
+    return HybridRequest(scheme, cluster, model, HybridLayout(1, p, d),
+                         num_microbatches, w, microbatch_size, **knobs)
+
+
+def plan_key(req: HybridRequest, run: RunConfig) -> tuple:
+    """The structural plan-cache key of one measurement.
+
+    Everything the compiled program + lowered plan (and the group's
+    shared :class:`~repro.config.PipelineConfig`) depend on: the
+    layout, ``D`` *as compiled* (1 under ``overlap="model"``, which
+    compiles no gradient rings), whether TP boundary all-reduces are
+    compiled in, the micro-batch shape, waves, the run's compile knobs
+    and the model.  So overlap modes share a plan wherever they compile
+    the same program (``D == 1`` at ``TP == 1``).  The cluster and the
+    capacity knob are deliberately absent — devices, links and
+    enforcement are per-call concerns resolved at re-time / execute,
+    never compiled into the plan (see :mod:`.plans`).  Cells with equal
+    keys are the lanes the batched measurement path stacks.
+    """
+    layout = req.layout
+    simulated = req.overlap == "simulated"
+    return (req.scheme, layout.tp, layout.p, layout.d,
+            layout.d if simulated else 1, simulated and layout.tp > 1,
+            req.num_microbatches, req.microbatch_size, req.w,
+            run.prefetch, run.batch_cross_comm, req.model)
+
+
+def _rejection(req: HybridRequest) -> ConfigError | None:
+    """Why ``req`` cannot be measured on its cluster at all, if so."""
+    if req.overlap not in OVERLAP_MODES:
+        return ConfigError(
+            f"unknown overlap mode {req.overlap!r}; expected one of "
+            f"{OVERLAP_MODES}"
+        )
+    if req.layout.devices > req.cluster.num_devices:
+        return ConfigError(
+            f"{req.layout.describe()} needs {req.layout.devices} "
+            f"devices; cluster has {req.cluster.num_devices}"
+        )
+    return None
+
+
+def _bind_group(requests: Sequence[HybridRequest], key: tuple,
+                run: RunConfig) -> tuple[PipelineConfig, Schedule, list]:
+    """Build, prune and cost-bind the lanes of one plan group.
+
+    ``requests`` share ``key`` (:func:`plan_key`), hence one schedule,
+    one compiled program and one lowered plan — fetched from the plan
+    cache, or compiled against the first live lane and retained.  Per
+    lane the only work is the cost-model lowering (TP-sharded), the
+    O(P) static-memory pre-check and the plan re-time.  Returns
+    ``(shared config, schedule, lanes)`` with ``lanes[j]`` either the
+    live lane's ``(stage costs, bound plan)`` or its verdict: the
+    :class:`ConfigError` of a TP degree its cluster's node cannot hold,
+    or its statically-pruned result.  Raises the schedule builder's
+    :class:`ConfigError` — a structural rejection, identical for every
+    lane of the group.
+    """
+    head = requests[0]
+    layout = head.layout
+    simulated = head.overlap == "simulated"
+    # every structural field config() reads is part of the group key
+    cfg = head.config()
+    plans = plan_cache()
+    entry = plans.get(key)
+    with profiling.phase("build"):
+        schedule = entry.schedule if entry is not None else \
+            build_schedule(cfg)
+        # model is part of the group key, so layers-per-stage and
+        # boundary bytes agree across the group's lanes
+        layers_per_stage = (head.model.num_layers + 2) / schedule.num_stages
+        lanes: list = []
+        for req in requests:
+            base = stage_costs(req.model, schedule.num_stages,
+                               req.cluster.device, req.microbatch_size)
+            try:
+                lanes.append(apply_tensor_parallel(
+                    base, req.cluster, req.model, layout.tp,
+                    req.microbatch_size, layers_per_stage,
+                    include_comm=not simulated))
+            except ConfigError as exc:
+                # per-lane: TP degree vs *this* cluster's node size
+                lanes.append(exc)
+    live: list[int] = []
+    for j, (req, costs) in enumerate(zip(requests, lanes)):
+        if isinstance(costs, ConfigError):
+            continue
+        pruned = static_oom_result(cfg, req.cluster, req.model, schedule,
+                                   costs, req.capacity())
+        if pruned is None:
+            live.append(j)
+        else:
+            lanes[j] = pruned
+    if live:
+        with profiling.phase("lower"):
+            if entry is None:
+                req, costs = requests[live[0]], lanes[live[0]]
+                program = compile_cluster_program(
+                    schedule, req.cluster, costs,
+                    d=layout.d if simulated else 1, run=run,
+                    spacing=layout.tp)
+                if simulated and layout.tp > 1:
+                    program = with_tp_sync(
+                        program, tp_rank_groups(req.cluster, layout),
+                        nbytes=req.model.boundary_bytes(
+                            req.microbatch_size),
+                        count_per_pass=2.0 * layers_per_stage)
+                entry = plans.put(key, PlanEntry(
+                    schedule, program, ExecutablePlan.lower(program)))
+            for j in live:
+                req, costs = requests[j], lanes[j]
+                lanes[j] = (costs, entry.bound_plan(
+                    (req.cluster, costs, layout.tp),
+                    lambda: ClusterCosts(costs, req.cluster, layout.tp)))
+    return cfg, schedule, lanes
+
+
+@dataclass
+class HybridCell:
+    """One compiled configuration, ready to simulate.
+
+    ``plan`` is the lowered + cost-bound execution plan of ``program``
+    (shared through the analysis plan cache across cost-only axes);
+    pass both to :func:`~repro.runtime.simulate_program`.
+    """
+
+    cfg: PipelineConfig
+    schedule: Schedule
+    costs: StageCosts
+    program: Program
+    oracle: ConcreteCosts
+    plan: ExecutablePlan
+
+
+def build_hybrid_simulation(
+    scheme: str,
+    cluster: Cluster,
+    model: ModelSpec,
+    layout: HybridLayout,
+    num_microbatches: int,
+    w: int = 1,
+    microbatch_size: int = 1,
+    run: RunConfig | None = None,
+    simulated: bool = True,
+) -> HybridCell:
+    """Compile one cell into a :class:`HybridCell`.
+
+    What ``repro trace --cluster`` simulates at full detail — built by
+    the very steps a measurement of the cell takes (a one-lane
+    :func:`_bind_group`), through the same plan cache.
+    ``simulated=True`` compiles TP boundary and DP gradient collectives
+    into the program (comm excluded from stage durations);
+    ``simulated=False`` folds TP comm into durations and leaves the
+    program collective-free (the closed-form model).
+    """
+    run = run or RunConfig()
+    req = HybridRequest(scheme, cluster, model, layout, num_microbatches,
+                        w, microbatch_size, enforce_memory=False,
+                        overlap="simulated" if simulated else "model")
+    rejected = _rejection(req)
+    if rejected is not None:
+        raise rejected
+    cfg, schedule, [lane] = _bind_group([req], plan_key(req, run), run)
+    if isinstance(lane, ConfigError):
+        raise lane
+    costs, plan = lane
+    return HybridCell(cfg=cfg, schedule=schedule, costs=costs,
+                      program=plan.program, oracle=plan.costs, plan=plan)
+
+
+def _measure(requests: Sequence[HybridRequest], run: RunConfig
+             ) -> list[ThroughputResult | ConfigError]:
+    """The body of :func:`measure_hybrid_throughput_batch`.
+
+    Private so the single-cell entry points reach it without passing
+    through a public name: whatever wraps those (call counters, span
+    tracers) then sees a single-cell call once, not as a batch nested
+    inside it.
+    """
+    outcomes: list[ThroughputResult | ConfigError | None] = \
+        [None] * len(requests)
+    #: lanes grouped by plan key and effective contention mode (plan
+    #: structure is shared across modes, the event core is not)
+    groups: dict[tuple, list[int]] = {}
+    for i, req in enumerate(requests):
+        outcomes[i] = _rejection(req)
+        if outcomes[i] is None:
+            groups.setdefault(
+                (plan_key(req, run), run.contention or req.contention),
+                []).append(i)
+
+    items_by: dict[bool, list[tuple]] = {False: [], True: []}
+    pending: list[tuple] = []
+    for (key, mode), lane_ids in groups.items():
+        group = [requests[i] for i in lane_ids]
+        head, layout = group[0], group[0].layout
+        label = (f"{head.scheme}/{head.model.name} TP{layout.tp} "
+                 f"P{layout.p} D{layout.d} W{head.w} "
+                 f"B{head.num_microbatches}x{head.microbatch_size} "
+                 f"[{len(group)} lanes]")
+        with profiling.cell(label):
+            try:
+                cfg, schedule, lanes = _bind_group(group, key, run)
+            except ConfigError as exc:
+                for i in lane_ids:
+                    outcomes[i] = exc
+                continue
+        start = len(items_by[mode])
+        ids: list[int] = []
+        costs: list[StageCosts] = []
+        for i, lane in zip(lane_ids, lanes):
+            if isinstance(lane, tuple):
+                ids.append(i)
+                costs.append(lane[0])
+                items_by[mode].append((lane[1], requests[i].capacity()))
+            else:
+                outcomes[i] = lane
+        if ids:
+            pending.append((mode, start, schedule, cfg,
+                            layout.p * layout.tp, ids, costs))
+    simulate_groups(requests, outcomes, items_by, pending, run)
+    return outcomes
+
+
+def measure_hybrid_throughput_batch(
+    requests: Sequence[HybridRequest],
+    run: RunConfig | None = None,
+) -> list[ThroughputResult | ConfigError]:
+    """Measure many cells at once, batching structure-sharing lanes.
+
+    The one function that walks requests; every layout goes through it
+    (TP = 1 and TP > 1 requests may be mixed freely) and a single-cell
+    measurement is a one-request call.  Outcomes are returned in
+    request order; an infeasible cell raises nothing here — its
+    :class:`~repro.errors.ConfigError` is returned *as the outcome* so
+    one infeasible cell cannot abort the batch (the sweep engine turns
+    it into an infeasible record).
+
+    Cells sharing a :func:`plan_key` share one schedule build and one
+    compile/lower (through the plan cache) — the collectives are
+    compiled into each group's program, so cost-only lanes (clusters,
+    capacity variants) re-time the cached plan.  *All* groups' lanes
+    then go through a single :func:`repro.runtime.batched.execute_many`
+    call per contention mode, which re-groups them by control-flow
+    congruence — so cells of *different* plan keys whose structures
+    agree (e.g. two models on one layout) still stack into one lockstep
+    batch, and a lane with nothing to stack with runs through the
+    scalar core (reason ``singleton``).  The accounting runs on the
+    batch's lane-axis fold columns (:func:`simulate_groups`).  A lane's
+    :class:`ThroughputResult` does not depend on what it was batched
+    with — pinned by the sweep parity tests and the ``fig09_batched`` /
+    ``fig11_hybrid_batched`` benchmarks' cross-checks.
+    """
+    return _measure(requests, run or RunConfig())
+
+
+#: the name from when flat (TP = 1) cells had a harness of their own
+measure_throughput_batch = measure_hybrid_throughput_batch
+
+
+def _measure_one(req: HybridRequest,
+                 run: RunConfig | None) -> ThroughputResult:
+    [outcome] = _measure([req], run or RunConfig())
+    if isinstance(outcome, ConfigError):
+        raise outcome
+    return outcome
+
+
+def measure_hybrid_throughput(
+    scheme: str,
+    cluster: Cluster,
+    model: ModelSpec,
+    layout: HybridLayout,
+    num_microbatches: int,
+    w: int = 1,
+    microbatch_size: int = 1,
+    run: RunConfig | None = None,
+    overlap: str = "simulated",
+    enforce_memory: bool = True,
+    capacity_bytes: int | None = None,
+) -> ThroughputResult:
+    """Throughput (or OOM) of one (TP, PP, DP) layout on a cluster.
+
+    A batch of one: the keyword surface is :class:`HybridRequest`'s,
+    and the :class:`~repro.errors.ConfigError` an infeasible cell gets
+    as its batch outcome is raised.
+    """
+    return _measure_one(HybridRequest(
+        scheme, cluster, model, layout, num_microbatches, w,
+        microbatch_size, enforce_memory, overlap, capacity_bytes), run)
 
 
 def measure_throughput(
@@ -344,245 +809,18 @@ def measure_throughput(
     overlap: str = "simulated",
     capacity_bytes: int | None = None,
 ) -> ThroughputResult:
-    """Simulate one configuration and return sequences/second (or OOM).
-
-    ``overlap`` selects how data-parallel gradient synchronisation is
-    charged.  ``"simulated"`` (the default) compiles the per-stage ring
-    all-reduces into the program and lets the event core measure how
-    much of them pipeline bubbles hide; ``"model"`` is the analytic
-    fallback — closed-form ring time discounted by the assumed
-    :data:`ANALYTIC_DP_OVERLAP` fraction — kept for cross-checks and
-    for comparison with the paper's own estimates.
-
-    Memory is enforced *live*: statically-infeasible cells (weights +
-    grads + optimizer alone exceed capacity) are rejected in O(P)
-    before any simulation, and all other OOM cells abort the event
-    loop at a violating allocation — OOM verdicts never pay a full
-    simulation.  ``capacity_bytes`` overrides the cluster device's
-    memory (a ``--capacity-gib`` what-if).
-    """
-    if overlap not in OVERLAP_MODES:
-        raise ConfigError(
-            f"unknown overlap mode {overlap!r}; expected one of "
-            f"{OVERLAP_MODES}"
-        )
-    if p * d > cluster.num_devices:
-        raise ConfigError(
-            f"layout P={p} x D={d} exceeds cluster of {cluster.num_devices}"
-        )
-    run = run or RunConfig()
-    capacity = enforced_capacity(cluster, capacity_bytes, enforce_memory)
-    cfg = PipelineConfig(
-        scheme=scheme,
-        num_devices=p,
-        num_microbatches=num_microbatches,
-        num_waves=w,
-        data_parallel=d,
-        microbatch_size=microbatch_size,
-    )
-    sync_d = d if overlap == "simulated" else 1
-    plans = plan_cache()
-    key = flat_plan_key(scheme, p, num_microbatches, microbatch_size,
-                        d, sync_d, w, run, model)
-    entry = plans.get(key)
-    with profiling.phase("build"):
-        schedule = entry.schedule if entry is not None else \
-            build_schedule(cfg)
-        costs = stage_costs(model, schedule.num_stages, cluster.device,
-                            microbatch_size)
-    pruned = static_oom_result(cfg, cluster, model, schedule, costs,
-                               capacity)
-    if pruned is not None:
-        return pruned
-    with profiling.phase("lower"):
-        if entry is None:
-            program = compile_cluster_program(schedule, cluster, costs,
-                                              d=sync_d, run=run)
-            entry = plans.put(key, PlanEntry(
-                schedule, program, ExecutablePlan.lower(program)))
-        plan = entry.bound_plan(
-            (cluster, costs, p),
-            lambda: ConcreteCosts(costs, _pipeline_comm(cluster, 0, p)))
-    try:
-        with profiling.phase("simulate"):
-            result = execute_plan(plan, run, capacity_bytes=capacity,
-                                  detail="lean")
-    except OutOfMemoryError as exc:
-        return runtime_oom_result(cfg, cluster, model, exc)
-    return throughput_from_simulation(
-        cfg, schedule, [(cluster, model, costs, overlap)],
-        fold_events(result), [0], ring_p=p)[0]
-
-
-@dataclass(frozen=True)
-class ThroughputRequest:
-    """One cell of a batched measurement (flat harness, TP = 1).
-
-    Field-for-field the keyword surface of :func:`measure_throughput`;
-    a list of these is what :func:`measure_throughput_batch` groups by
-    structural plan key and executes in lockstep.
-    """
-
-    scheme: str
-    cluster: Cluster
-    model: ModelSpec
-    p: int
-    num_microbatches: int
-    d: int = 1
-    w: int = 1
-    microbatch_size: int = 1
-    enforce_memory: bool = True
-    overlap: str = "simulated"
-    capacity_bytes: int | None = None
-    #: arbitrate shared wires for this cell even when the batch-wide
-    #: RunConfig leaves contention off (ORed with ``run.contention``)
-    contention: bool = False
-
-    def config(self) -> PipelineConfig:
-        return PipelineConfig(
-            scheme=self.scheme,
-            num_devices=self.p,
-            num_microbatches=self.num_microbatches,
-            num_waves=self.w,
-            data_parallel=self.d,
-            microbatch_size=self.microbatch_size,
-        )
-
-
-def measure_throughput_batch(
-    requests: list[ThroughputRequest],
-    run: RunConfig | None = None,
-) -> list[ThroughputResult | ConfigError]:
-    """Measure many cells at once, batching structure-sharing lanes.
-
-    Outcomes are returned in request order; a cell
-    :func:`measure_throughput` would reject raises nothing here — its
-    :class:`~repro.errors.ConfigError` is returned *as the outcome* so
-    one infeasible cell cannot abort the batch (the sweep engine turns
-    it into the same infeasible record a raise would have).
-
-    Cells sharing a :func:`flat_plan_key` share one schedule build and
-    one compile/lower (through the plan cache); *all* groups' lanes
-    then go through a single :func:`repro.runtime.batched.execute_many`
-    call, which re-groups them by control-flow congruence — so cells of
-    *different* plan keys whose structures agree (e.g. two models on
-    one layout) still stack into one lockstep batch.  Per lane the only
-    remaining work is the cost re-time and the lazy duration fill; the
-    accounting runs on the batch's lane-axis fold columns
-    (:func:`simulate_groups`).  Every produced :class:`ThroughputResult` is
-    exactly what a scalar :func:`measure_throughput` of that cell
-    returns — pinned by the sweep parity tests and the
-    ``fig09_batched`` benchmark's cross-check.
-    """
-    run = run or RunConfig()
-    outcomes: list[ThroughputResult | ConfigError | None] = \
-        [None] * len(requests)
-    #: lanes grouped by plan key and effective contention mode (plan
-    #: structure is shared across modes, the event core is not)
-    groups: dict[tuple, list[int]] = {}
-    for i, req in enumerate(requests):
-        if req.overlap not in OVERLAP_MODES:
-            outcomes[i] = ConfigError(
-                f"unknown overlap mode {req.overlap!r}; expected one of "
-                f"{OVERLAP_MODES}"
-            )
-            continue
-        if req.p * req.d > req.cluster.num_devices:
-            outcomes[i] = ConfigError(
-                f"layout P={req.p} x D={req.d} exceeds cluster of "
-                f"{req.cluster.num_devices}"
-            )
-            continue
-        sync_d = req.d if req.overlap == "simulated" else 1
-        key = flat_plan_key(req.scheme, req.p, req.num_microbatches,
-                            req.microbatch_size, req.d, sync_d, req.w,
-                            run, req.model)
-        groups.setdefault((key, run.contention or req.contention),
-                          []).append(i)
-
-    plans = plan_cache()
-    items_by: dict[bool, list[tuple]] = {False: [], True: []}
-    pending: list[tuple] = []
-    for (key, mode), lane_ids in groups.items():
-        head = requests[lane_ids[0]]
-        sync_d = head.d if head.overlap == "simulated" else 1
-        label = (f"{head.scheme}/{head.model.name} P{head.p} D{head.d} "
-                 f"W{head.w} B{head.num_microbatches}"
-                 f"x{head.microbatch_size} [{len(lane_ids)} lanes]")
-        # every structural field config() reads is part of the group key
-        group_cfg = head.config()
-        with profiling.cell(label):
-            entry = plans.get(key)
-            with profiling.phase("build"):
-                try:
-                    schedule = entry.schedule if entry is not None else \
-                        build_schedule(group_cfg)
-                except ConfigError as exc:
-                    # structural rejection: the verdict (and message)
-                    # is identical for every lane of the group
-                    for i in lane_ids:
-                        outcomes[i] = exc
-                    continue
-                lane_costs = [
-                    stage_costs(requests[i].model, schedule.num_stages,
-                                requests[i].cluster.device,
-                                requests[i].microbatch_size)
-                    for i in lane_ids
-                ]
-            live: list[int] = []     # positions into lane_ids
-            for pos, i in enumerate(lane_ids):
-                req = requests[i]
-                outcomes[i] = static_oom_result(
-                    group_cfg, req.cluster, req.model, schedule,
-                    lane_costs[pos], request_capacity(req))
-                if outcomes[i] is None:
-                    live.append(pos)
-            if not live:
-                continue
-            with profiling.phase("lower"):
-                if entry is None:
-                    pos = live[0]
-                    program = compile_cluster_program(
-                        schedule, requests[lane_ids[pos]].cluster,
-                        lane_costs[pos], d=sync_d, run=run)
-                    entry = plans.put(key, PlanEntry(
-                        schedule, program, ExecutablePlan.lower(program)))
-                start = len(items_by[mode])
-                for pos in live:
-                    req = requests[lane_ids[pos]]
-                    costs = lane_costs[pos]
-                    plan = entry.bound_plan(
-                        (req.cluster, costs, req.p),
-                        lambda req=req, costs=costs: ConcreteCosts(
-                            costs, _pipeline_comm(req.cluster, 0, req.p)))
-                    items_by[mode].append((plan, request_capacity(req)))
-            pending.append((mode, start, schedule, group_cfg, head.p,
-                            [lane_ids[pos] for pos in live],
-                            [lane_costs[pos] for pos in live]))
-    simulate_groups(requests, outcomes, items_by, pending, run)
-    return outcomes
-
-
-def enforced_capacity(cluster: Cluster, capacity_bytes: int | None,
-                      enforce_memory: bool) -> int | None:
-    """The device capacity a measurement enforces — the what-if or the
-    card's — or ``None`` when enforcement is off."""
-    if not enforce_memory:
-        return None
-    return (cluster.device.memory_bytes if capacity_bytes is None
-            else capacity_bytes)
-
-
-def request_capacity(req) -> int | None:
-    return enforced_capacity(req.cluster, req.capacity_bytes,
-                             req.enforce_memory)
+    """:func:`measure_hybrid_throughput` of ``D`` pipelines of ``P``
+    devices (``TP = 1``)."""
+    return _measure_one(ThroughputRequest(
+        scheme, cluster, model, p, num_microbatches, d, w,
+        microbatch_size, enforce_memory=enforce_memory, overlap=overlap,
+        capacity_bytes=capacity_bytes), run)
 
 
 def simulate_groups(requests, outcomes, items_by, pending, run) -> None:
     """Execute every pending lane and fold the groups into ``outcomes``.
 
-    The tail the flat and hybrid batch harnesses share.  All
-    ``(plan, capacity)`` lanes of a contention mode go through one
+    All ``(plan, capacity)`` lanes of a contention mode go through one
     :func:`repro.runtime.batched.execute_many`; each ``pending`` group
     — ``(mode, first row, schedule, cfg, ring_p, request indices, stage
     costs)`` — owns a contiguous row range of its mode's result and is

@@ -124,6 +124,8 @@ class BatchingStats:
     Unlike phase timing these are always on (plain counter bumps) so
     ``--profile`` runs can report how much work took the lockstep path
     versus the scalar fallback without instrumenting every call site.
+    The serving layer's dispatcher threads all record here, so every
+    mutation takes the lock (as :class:`ServeStats` does).
     """
 
     batches: int = 0
@@ -142,7 +144,7 @@ class BatchingStats:
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
     #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
+    #: (``singleton`` / ``narrow`` / ``deadlock`` /
     #: ``structure-divergence``) makes batch-coverage regressions
     #: visible — a future change that silently de-batches a shape shows
     #: up here before it shows up in wall time.
@@ -153,12 +155,15 @@ class BatchingStats:
     #: queries the serving layer answered from an identical in-flight
     #: query's result instead of executing anything (single-flight)
     dedup_hits: int = 0
+    _lock: threading.RLock = field(default_factory=threading.RLock,
+                                   repr=False, compare=False)
 
     def record_batch(self, lanes: int, seconds: float) -> None:
-        self.batches += 1
-        self.lanes += lanes
-        self.batched_s += seconds
-        self.occupancy[lanes] = self.occupancy.get(lanes, 0) + 1
+        with self._lock:
+            self.batches += 1
+            self.lanes += lanes
+            self.batched_s += seconds
+            self.occupancy[lanes] = self.occupancy.get(lanes, 0) + 1
 
     def record_recovered(self, lanes: int, seconds: float) -> None:
         """Count one time-ordered replay batch of ``lanes`` lanes.
@@ -167,36 +172,40 @@ class BatchingStats:
         and the occupancy histogram too, so occupancy keeps summing to
         every batched lane — and additionally the recovery counters.
         """
-        self.record_batch(lanes, seconds)
-        self.recovered_batches += 1
-        self.recovered_lanes += lanes
-        self.recovered_s += seconds
+        with self._lock:
+            self.record_batch(lanes, seconds)
+            self.recovered_batches += 1
+            self.recovered_lanes += lanes
+            self.recovered_s += seconds
 
     def record_scalar(self, cells: int, seconds: float,
                       reason: str = "singleton") -> None:
-        self.scalar_cells += cells
-        self.scalar_s += seconds
-        self.fallback_reasons[reason] = \
-            self.fallback_reasons.get(reason, 0) + cells
-        self.fallback_s[reason] = \
-            self.fallback_s.get(reason, 0.0) + seconds
+        with self._lock:
+            self.scalar_cells += cells
+            self.scalar_s += seconds
+            self.fallback_reasons[reason] = \
+                self.fallback_reasons.get(reason, 0) + cells
+            self.fallback_s[reason] = \
+                self.fallback_s.get(reason, 0.0) + seconds
 
     def record_dedup(self, queries: int = 1) -> None:
-        self.dedup_hits += queries
+        with self._lock:
+            self.dedup_hits += queries
 
     def reset(self) -> None:
-        self.batches = 0
-        self.lanes = 0
-        self.scalar_cells = 0
-        self.batched_s = 0.0
-        self.scalar_s = 0.0
-        self.recovered_batches = 0
-        self.recovered_lanes = 0
-        self.recovered_s = 0.0
-        self.occupancy.clear()
-        self.fallback_reasons.clear()
-        self.fallback_s.clear()
-        self.dedup_hits = 0
+        with self._lock:
+            self.batches = 0
+            self.lanes = 0
+            self.scalar_cells = 0
+            self.batched_s = 0.0
+            self.scalar_s = 0.0
+            self.recovered_batches = 0
+            self.recovered_lanes = 0
+            self.recovered_s = 0.0
+            self.occupancy.clear()
+            self.fallback_reasons.clear()
+            self.fallback_s.clear()
+            self.dedup_hits = 0
 
     def describe(self) -> str:
         """One-line summary, lane-occupancy and fallback histograms."""
@@ -243,7 +252,7 @@ def record_scalar(cells: int, seconds: float,
     """Count ``cells`` cells executed through the scalar fallback.
 
     ``reason`` names why the vectorized paths were not taken — one of
-    ``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
+    ``singleton`` / ``narrow`` / ``deadlock`` /
     ``structure-divergence`` — with wall time attributed per reason
     alongside the cell counts.
     """

@@ -135,7 +135,7 @@ per-event mask branches; live lanes never stall on them.
 
 Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
 and every fallback is *reason-coded* —
-``singleton`` / ``narrow`` / ``tp>1`` / ``deadlock`` /
+``singleton`` / ``narrow`` / ``deadlock`` /
 ``structure-divergence`` (defensive; congruent batches cannot reach it) — in
 :func:`repro.profiling.batching_stats`, with wall time attributed per
 reason and recovered-lane counts for the time-ordered replay, so

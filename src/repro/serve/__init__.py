@@ -13,9 +13,9 @@ process and answers what-if queries over HTTP:
   batch CLI and the server (parity by construction);
 * :mod:`.batcher` — the continuous micro-batcher: concurrent in-flight
   queries' measurement cells coalesce into single
-  ``measure_throughput_batch`` / ``measure_hybrid_throughput_batch``
-  calls, so the serving layer inherits the lockstep ``PlanBatch``
-  speedups instead of re-deriving them;
+  ``measure_hybrid_throughput_batch`` calls, so the serving layer
+  inherits the lockstep ``PlanBatch`` speedups instead of re-deriving
+  them;
 * :mod:`.singleflight` — identical concurrent queries execute once and
   share the answer;
 * :mod:`.server` — the stdlib ``ThreadingHTTPServer`` daemon with

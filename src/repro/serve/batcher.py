@@ -4,15 +4,14 @@ Handler threads do not measure anything themselves — they submit their
 query's measurement requests here and block.  A single dispatcher
 thread collects whatever is in flight across *all* concurrent queries
 (after a short coalescing window), and executes it as one
-:func:`~repro.analysis.measure_throughput_batch` /
-:func:`~repro.analysis.measure_hybrid_throughput_batch` call.  Those
-harnesses group lanes by :attr:`ExecutablePlan.congruence_key` and
-advance them through one vectorized ``PlanBatch`` per group — so two
-concurrent "best config?" queries whose grids share structures (they
-almost always do: the scheme × layout cross is the same, only batch
-sizes and clusters differ) stack into the same ``[N]``-wide NumPy
-steps, and the serving layer inherits the 10–25× batched speedups
-instead of re-deriving them.
+:func:`~repro.analysis.measure_hybrid_throughput_batch` call — TP = 1
+and TP > 1 lanes alike, there is one harness.  It groups lanes by
+:attr:`ExecutablePlan.congruence_key` and advances them through one
+vectorized ``PlanBatch`` per group — so two concurrent "best config?"
+queries whose grids share structures (they almost always do: the
+scheme × layout cross is the same, only batch sizes and clusters
+differ) stack into the same ``[N]``-wide NumPy steps, and the serving
+layer inherits the 10–25× batched speedups instead of re-deriving them.
 
 A small pool of dispatcher threads (``workers``) runs concurrently:
 coalescing amortizes the per-lane Python overhead (plan lookup,
@@ -21,9 +20,11 @@ keep multiple cores busy — the lockstep stepper's NumPy kernels release
 the GIL, so frozen batches genuinely overlap.
 
 Every outcome is exactly what the caller would have computed itself —
-the batch harnesses are bit-identical to the scalar core per lane
-(pinned since PR 7/8) — so coalescing is invisible in answers and only
-visible in latency.
+the harness is bit-identical to the scalar core per lane (pinned since
+PR 7/8) — so coalescing is invisible in answers and only visible in
+latency.  That includes failure: when a coalesced call raises, each
+submission in it is re-executed on its own and only the one that raises
+again fails.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import os
 import threading
 import time
 from collections import deque
+from itertools import groupby
 
 from .. import profiling
-from ..analysis.hybrid import measure_hybrid_throughput_batch
-from ..analysis.throughput import measure_throughput_batch
+from ..analysis.throughput import measure_hybrid_throughput_batch
 
 #: default coalescing window: how long the dispatcher waits after the
 #: first pending request for concurrent queries to pile on.  Warm-cache
@@ -68,13 +69,13 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Continuous micro-batching front end over the batch harnesses.
+    """Continuous micro-batching front end over the batch harness.
 
     ``coalesce=False`` disables the queue entirely — submissions
     execute synchronously in the calling thread, one harness call per
     submission.  That is the "micro-batcher off" baseline the load
     benchmark compares against: per-query batching still happens (the
-    harnesses batch within one request list), but concurrent queries
+    harness batches within one request list), but concurrent queries
     no longer share lockstep batches.
     """
 
@@ -85,7 +86,7 @@ class MicroBatcher:
         self.window_s = window_s
         self.max_lanes = max_lanes
         self.coalesce = coalesce
-        self._queue: deque = deque()   # (kind, request, index, pending)
+        self._queue: deque = deque()   # (request, index, pending)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._closed = False
@@ -103,30 +104,26 @@ class MicroBatcher:
 
     # -- submission ----------------------------------------------------------
 
-    def measure_flat(self, requests: list) -> list:
-        """Outcomes for flat (TP = 1) requests, in request order."""
-        return self._measure("flat", requests)
-
     def measure_hybrid(self, requests: list) -> list:
-        """Outcomes for hybrid (TP > 1) requests, in request order."""
-        return self._measure("hybrid", requests)
-
-    def _measure(self, kind: str, requests: list) -> list:
+        """Outcomes for ``requests`` (any layouts), in request order."""
         if not requests:
             return []
         if not self.coalesce:
-            return self._execute(kind, list(requests))
+            return self._execute(list(requests))
         pending = _Pending(len(requests))
         with self._work:
             if self._closed:
                 raise RuntimeError("micro-batcher is closed (draining)")
             for i, request in enumerate(requests):
-                self._queue.append((kind, request, i, pending))
+                self._queue.append((request, i, pending))
             self._work.notify_all()
         pending.done.wait()
         if pending.error is not None:
             raise pending.error
         return pending.outcomes
+
+    #: the name from when TP = 1 requests had a submit method of their own
+    measure_flat = measure_hybrid
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -149,34 +146,45 @@ class MicroBatcher:
                 items = [self._queue.popleft()
                          for _ in range(min(depth, self.max_lanes))]
             profiling.serve_stats().record_dispatch(len(items), depth)
-            for kind in ("flat", "hybrid"):
-                batch = [item for item in items if item[0] == kind]
-                if not batch:
-                    continue
-                try:
-                    outcomes = self._execute(
-                        kind, [request for _k, request, _i, _p in batch])
-                except BaseException as exc:  # propagate to every waiter
-                    for _k, _request, _i, pending in batch:
-                        pending.error = exc
-                    outcomes = [None] * len(batch)
-                # a submission's lanes can land in two dispatchers'
-                # batches, so completion accounting takes the lock
-                ready = []
-                with self._lock:
-                    for (_k, _request, i, pending), outcome in zip(
-                            batch, outcomes):
-                        pending.outcomes[i] = outcome
-                        pending.remaining -= 1
-                        if pending.remaining == 0:
-                            ready.append(pending)
-                for pending in ready:
-                    pending.done.set()
+            # a peer dispatcher may have taken everything meanwhile
+            outcomes = self._dispatch(items) if items else []
+            # a submission's lanes can land in two dispatchers'
+            # batches, so completion accounting takes the lock
+            ready = []
+            with self._lock:
+                for (_request, i, pending), outcome in zip(items, outcomes):
+                    pending.outcomes[i] = outcome
+                    pending.remaining -= 1
+                    if pending.remaining == 0:
+                        ready.append(pending)
+            for pending in ready:
+                pending.done.set()
 
-    def _execute(self, kind: str, requests: list) -> list:
-        if kind == "hybrid":
-            return measure_hybrid_throughput_batch(requests)
-        return measure_throughput_batch(requests)
+    def _dispatch(self, items: list) -> list:
+        """Outcomes of one coalesced dispatch, aligned with ``items``.
+
+        When the coalesced call raises, each submission's lanes (they
+        are contiguous in the queue) are re-executed on their own, so
+        one poisoned lane fails one client's query and the others get
+        their normal outcomes.  The exception is not swallowed: it is
+        handed to the submission, whose ``measure_hybrid`` raises it in
+        the submitting thread.
+        """
+        try:
+            return self._execute([request for request, _i, _p in items])
+        except BaseException:  # noqa: BLE001 - re-raised per submission
+            outcomes: list = []
+            for pending, lanes in groupby(items, key=lambda item: item[2]):
+                requests = [request for request, _i, _p in lanes]
+                try:
+                    outcomes += self._execute(requests)
+                except BaseException as exc:  # noqa: BLE001
+                    pending.error = exc
+                    outcomes += [None] * len(requests)
+            return outcomes
+
+    def _execute(self, requests: list) -> list:
+        return measure_hybrid_throughput_batch(requests)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -4,27 +4,23 @@
 :func:`advise_answer`; ``repro sweep``-shaped served queries go through
 :func:`sweep_answer`, which assembles its table with the same
 :func:`repro.sweep.engine.assemble_table` the batch engine uses.  The
-measurement step is pluggable: the CLI passes nothing (direct
-``measure_throughput_batch`` / ``measure_hybrid_throughput_batch``
-calls), the server passes the micro-batcher's executors — and because
-every lane the batched runtime produces is bit-identical to the scalar
-core (pinned since PR 7/8), a served answer equals the batch answer
-byte for byte once both sides serialize canonically.
+measurement step is pluggable: the CLI passes nothing (a direct
+``measure_hybrid_throughput_batch`` call), the server passes the
+micro-batcher's submit method — and because every lane the batched
+runtime produces is bit-identical to the scalar core (pinned since PR
+7/8), a served answer equals the batch answer byte for byte once both
+sides serialize canonically.
 """
 
 from __future__ import annotations
 
-from ..analysis.hybrid import (
-    HybridLayout,
-    HybridRequest,
-    measure_hybrid_throughput_batch,
-)
 from ..analysis.report import format_table
 from ..analysis.scaling import layouts_for
 from ..analysis.throughput import (
-    ThroughputRequest,
+    HybridLayout,
+    HybridRequest,
     ThroughputResult,
-    measure_throughput_batch,
+    measure_hybrid_throughput_batch,
 )
 from ..cluster.presets import get_cluster
 from ..errors import ConfigError
@@ -46,11 +42,9 @@ def advise_requests(
 
     Returns ``(cells, requests)`` aligned index-for-index: ``cells``
     carries the ``(scheme, p, d, tp, w)`` identity of each request.
-    TP = 1 cells become :class:`ThroughputRequest`, TP > 1 cells
-    :class:`HybridRequest` — mixed lists never occur since ``tp`` is a
-    single degree per query.  Raises :class:`ConfigError` when no
-    (P, D) layout fits the device budget (same verdict and message as
-    the original per-cell CLI loop).
+    Raises :class:`ConfigError` when no (P, D) layout fits the device
+    budget (same verdict and message as the original per-cell CLI
+    loop).
     """
     model = _model(query.model)
     cluster = get_cluster(query.cluster, query.devices)
@@ -76,46 +70,29 @@ def advise_requests(
                      else [1])
             for w in waves:
                 cells.append((scheme, p, d, query.tp, w))
-                if query.tp == 1:
-                    requests.append(ThroughputRequest(
-                        scheme=scheme, cluster=cluster, model=model,
-                        p=p, num_microbatches=shape[0], d=d, w=w,
-                        microbatch_size=shape[1],
-                        capacity_bytes=query.capacity_bytes,
-                        contention=query.contention,
-                    ))
-                else:
-                    requests.append(HybridRequest(
-                        scheme=scheme, cluster=cluster, model=model,
-                        layout=HybridLayout(tp=query.tp, p=p, d=d),
-                        num_microbatches=shape[0], w=w,
-                        microbatch_size=shape[1],
-                        capacity_bytes=query.capacity_bytes,
-                        contention=query.contention,
-                    ))
+                requests.append(HybridRequest(
+                    scheme=scheme, cluster=cluster, model=model,
+                    layout=HybridLayout(tp=query.tp, p=p, d=d),
+                    num_microbatches=shape[0], w=w,
+                    microbatch_size=shape[1],
+                    capacity_bytes=query.capacity_bytes,
+                    contention=query.contention,
+                ))
     return cells, requests
 
 
-def advise_answer(
-    query: AdviseQuery,
-    measure_flat=None,
-    measure_hybrid=None,
-) -> dict:
+def advise_answer(query: AdviseQuery, measure=None) -> dict:
     """The full answer payload for one advise query.
 
-    ``measure_flat`` / ``measure_hybrid`` execute request lists and
-    return outcome lists in request order (default: the batch harnesses
-    directly; the server passes the micro-batcher's executors).  Rows
-    are ranked by throughput — OOM cells sink to the bottom — with a
-    deterministic structural tie-break, truncated to ``query.top``.
+    ``measure`` executes a request list and returns the outcome list in
+    request order (default: the harness directly; the server passes the
+    micro-batcher's submit method).  Rows are ranked by throughput —
+    OOM cells sink to the bottom — with a deterministic structural
+    tie-break, truncated to ``query.top``.
     """
-    measure_flat = measure_flat or measure_throughput_batch
-    measure_hybrid = measure_hybrid or measure_hybrid_throughput_batch
+    measure = measure or measure_hybrid_throughput_batch
     cells, requests = advise_requests(query)
-    if query.tp == 1:
-        outcomes = measure_flat(requests) if requests else []
-    else:
-        outcomes = measure_hybrid(requests) if requests else []
+    outcomes = measure(requests) if requests else []
     rows = []
     for (scheme, p, d, tp, w), outcome in zip(cells, outcomes):
         if isinstance(outcome, ConfigError):
@@ -177,26 +154,23 @@ def sweep_spec(query: SweepQuery) -> SweepSpec:
     )
 
 
-def sweep_answer(
-    query: SweepQuery,
-    measure_flat=None,
-    measure_hybrid=None,
-    progress=None,
-) -> dict:
+def sweep_answer(query: SweepQuery, measure=None, progress=None) -> dict:
     """Evaluate a served sweep and fold it into the table payload.
 
     The grid expands and groups exactly like the batch engine
     (:func:`repro.sweep.engine.run_sweep` with no on-disk cache): cells
-    sharing every structural axis form one work unit measured through
-    the batch harnesses.  After each unit finishes, ``progress(done,
+    sharing every structural axis form one work unit measured by one
+    ``measure`` call.  After each unit finishes, ``progress(done,
     total)`` fires — the server streams these as chunked frames.  The
     final payload's ``result`` is exactly ``SweepTable.to_json``
     content for the same spec.
     """
-    from ..sweep.engine import assemble_table, evaluate_unit_requests
+    from ..sweep.engine import (
+        _batch_units,
+        assemble_table,
+        evaluate_unit_requests,
+    )
 
-    measure_flat = measure_flat or measure_throughput_batch
-    measure_hybrid = measure_hybrid or measure_hybrid_throughput_batch
     spec = sweep_spec(query)
     points = spec.expand()
     jobs = [
@@ -205,15 +179,10 @@ def sweep_answer(
          spec.enforce_memory, spec.capacity_bytes, spec.contention)
         for i, point in enumerate(points)
     ]
-    from ..sweep.engine import _batch_units
-
-    units = _batch_units(jobs)
     records: dict[int, tuple[dict, bool]] = {}
     done = 0
-    for unit in units:
-        for index, record in evaluate_unit_requests(
-                unit, measure_flat=measure_flat,
-                measure_hybrid=measure_hybrid):
+    for unit in _batch_units(jobs):
+        for index, record in evaluate_unit_requests(unit, measure):
             records[index] = (record, False)
         done += len(unit)
         if progress is not None:

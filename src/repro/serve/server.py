@@ -244,10 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         def execute() -> bytes:
             return dumps_canonical(advise_answer(
-                query,
-                measure_flat=batcher.measure_flat,
-                measure_hybrid=batcher.measure_hybrid,
-            ))
+                query, measure=batcher.measure_hybrid))
 
         body, _deduped = self.server.flights.do(
             query_key("advise", query), execute)
@@ -267,11 +264,8 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             payload = sweep_answer(
-                query,
-                measure_flat=batcher.measure_flat,
-                measure_hybrid=batcher.measure_hybrid,
-                progress=on_progress,
-            )
+                query, measure=batcher.measure_hybrid,
+                progress=on_progress)
             self._write_chunk(dumps_canonical(payload))
         except Exception as exc:  # headers are gone; fail in-band
             profiling.serve_stats().record_error()

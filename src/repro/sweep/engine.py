@@ -7,11 +7,9 @@ and produces a :class:`~repro.sweep.table.SweepTable`:
 2. resolve each cell against the on-disk cache (when one is given),
 3. group the misses into work units — cells that share every
    *structural* axis (scheme, P, B, micro-batch size, D, W, TP) and
-   differ only in cost axes (cluster, model) become one **batch unit**
-   measured in lockstep — TP = 1 units via
-   :func:`repro.analysis.measure_throughput_batch`, TP > 1 units via
-   :func:`repro.analysis.measure_hybrid_throughput_batch` — while lone
-   cells stay scalar,
+   differ only in cost axes (cluster, model) become one unit, measured
+   by one :func:`repro.analysis.measure_hybrid_throughput_batch` call
+   (a lone cell is a batch of one),
 4. fan the units out over a ``multiprocessing`` pool (``workers > 1``)
    or evaluate them inline — process sharding keeps structural variety
    across workers, lockstep batching amortizes within one,
@@ -19,17 +17,17 @@ and produces a :class:`~repro.sweep.table.SweepTable`:
    skip the whole grid — and assemble rows in spec order.
 
 Every actual measurement goes through this module's
-``measure_throughput`` / ``measure_throughput_batch`` globals, so tests
-can wrap them with call counters to prove that a warm cache performs
-**zero** simulator work (and that batch units really batch).
+``measure_hybrid_throughput_batch`` global, so tests can wrap it with a
+call counter to prove that a warm cache performs **zero** simulator
+work (and that multi-cell units really batch).
 
 Below the result cache sits a second, in-process reuse layer: the
-measurement harnesses share compiled programs + lowered
+measurement harness shares compiled programs + lowered
 :class:`~repro.actions.ExecutablePlan` objects through
 :func:`repro.analysis.plan_cache`, so cache-missing cells that differ
 only in cost axes (the cluster) re-time one plan per structure instead
 of recompiling — per worker process, since the cache is process-global.
-``repro sweep --profile`` surfaces the per-cell build/lower/simulate
+``repro sweep --profile`` surfaces the per-group build/lower/simulate
 split this produces.
 """
 
@@ -37,19 +35,11 @@ from __future__ import annotations
 
 import multiprocessing
 
-from .. import profiling
-from ..analysis.hybrid import (
+from ..analysis.throughput import (
     HybridLayout,
     HybridRequest,
-    measure_hybrid_throughput,
     measure_hybrid_throughput_batch,
 )
-from ..analysis.throughput import (
-    ThroughputRequest,
-    measure_throughput,
-    measure_throughput_batch,
-)
-from ..config import RunConfig
 from ..errors import ConfigError
 from .cache import (
     ResultCache,
@@ -76,93 +66,35 @@ __all__ = [
 MAX_WORKERS = 32
 
 
-def _evaluate(job: tuple) -> tuple[int, dict]:
-    """Measure one grid cell; must stay module-level (pool pickling).
+def unit_requests(unit: list[tuple]) -> list[HybridRequest]:
+    """The measurement requests of one work unit, in job order."""
+    return [
+        HybridRequest(
+            scheme=point.scheme, cluster=cluster, model=model,
+            layout=HybridLayout(tp=point.tp, p=point.p, d=point.d),
+            num_microbatches=point.num_microbatches, w=point.w,
+            microbatch_size=point.microbatch_size,
+            enforce_memory=enforce_memory, overlap=overlap,
+            capacity_bytes=capacity_bytes, contention=contention,
+        )
+        for (_index, point, cluster, model, overlap, enforce_memory,
+             capacity_bytes, contention) in unit
+    ]
 
-    TP = 1 cells run the flat throughput harness; TP > 1 cells run the
-    hybrid harness — both compile their collectives into the program
-    and share the overlap accounting.
+
+def evaluate_unit_requests(unit: list[tuple],
+                           measure=None) -> list[tuple[int, dict]]:
+    """Measure one work unit; must stay module-level (pool pickling).
+
+    ``measure`` defaults to this module's global (so test wrappers and
+    monkeypatches keep seeing every call); the serving layer passes its
+    micro-batcher's submit method instead.  Infeasible verdicts come
+    back as outcomes from the harness, so one rejected cell never
+    aborts its unit, and a cell's record does not depend on the unit it
+    was measured in (per-lane bit-identity is pinned by the
+    batched-runtime tests).
     """
-    (index, point, cluster, model, overlap, enforce_memory,
-     capacity_bytes, contention) = job
-    run = RunConfig(contention=contention)
-    label = (f"{point.scheme}/{cluster.name}/{model.name} "
-             f"P{point.p} D{point.d} TP{point.tp} W{point.w} "
-             f"B{point.num_microbatches}x{point.microbatch_size}")
-    try:
-        with profiling.cell(label):
-            if point.tp > 1:
-                result = measure_hybrid_throughput(
-                    point.scheme, cluster, model,
-                    HybridLayout(tp=point.tp, p=point.p, d=point.d),
-                    num_microbatches=point.num_microbatches, w=point.w,
-                    microbatch_size=point.microbatch_size,
-                    run=run, overlap=overlap,
-                    enforce_memory=enforce_memory,
-                    capacity_bytes=capacity_bytes,
-                )
-            else:
-                result = measure_throughput(
-                    point.scheme, cluster, model,
-                    p=point.p, d=point.d, w=point.w,
-                    num_microbatches=point.num_microbatches,
-                    microbatch_size=point.microbatch_size,
-                    run=run, overlap=overlap,
-                    enforce_memory=enforce_memory,
-                    capacity_bytes=capacity_bytes,
-                )
-    except ConfigError as exc:
-        return index, infeasible_record(str(exc))
-    return index, result_to_record(result)
-
-
-def unit_requests(unit: list[tuple]) -> list:
-    """The measurement requests of one work unit, in job order.
-
-    TP = 1 jobs become :class:`ThroughputRequest`\\ s, TP > 1 jobs
-    :class:`HybridRequest`\\ s; a unit never mixes degrees (TP is a
-    grouping axis in :func:`_batch_units`).
-    """
-    requests = []
-    for (_index, point, cluster, model, overlap, enforce_memory,
-         capacity_bytes, contention) in unit:
-        if point.tp > 1:
-            requests.append(HybridRequest(
-                scheme=point.scheme, cluster=cluster, model=model,
-                layout=HybridLayout(tp=point.tp, p=point.p, d=point.d),
-                num_microbatches=point.num_microbatches, w=point.w,
-                microbatch_size=point.microbatch_size,
-                enforce_memory=enforce_memory, overlap=overlap,
-                capacity_bytes=capacity_bytes, contention=contention,
-            ))
-        else:
-            requests.append(ThroughputRequest(
-                scheme=point.scheme, cluster=cluster, model=model,
-                p=point.p, num_microbatches=point.num_microbatches,
-                d=point.d, w=point.w,
-                microbatch_size=point.microbatch_size,
-                enforce_memory=enforce_memory, overlap=overlap,
-                capacity_bytes=capacity_bytes, contention=contention,
-            ))
-    return requests
-
-
-def evaluate_unit_requests(unit: list[tuple], measure_flat=None,
-                           measure_hybrid=None) -> list[tuple[int, dict]]:
-    """Measure one work unit through the batch harnesses.
-
-    ``measure_flat`` / ``measure_hybrid`` default to this module's
-    globals (so test wrappers and monkeypatches keep seeing every
-    call); the serving layer passes its micro-batcher's executors
-    instead.  Infeasible verdicts come back as outcomes from the batch
-    harnesses, so one rejected cell never aborts its unit, and every
-    record equals what the scalar path would have produced (per-lane
-    bit-identity is pinned by the batched-runtime tests).
-    """
-    if unit[0][1].tp > 1:
-        measure = measure_hybrid or measure_hybrid_throughput_batch
-    else:
-        measure = measure_flat or measure_throughput_batch
+    measure = measure or measure_hybrid_throughput_batch
     outcomes = measure(unit_requests(unit))
     return [
         (job[0], infeasible_record(str(out))
@@ -171,29 +103,15 @@ def evaluate_unit_requests(unit: list[tuple], measure_flat=None,
     ]
 
 
-def _evaluate_unit(unit: list[tuple]) -> list[tuple[int, dict]]:
-    """Measure one work unit; must stay module-level (pool pickling).
-
-    A unit is either a single cell (scalar path, exactly the records
-    :func:`_evaluate` produces) or a list of structure-sharing cells
-    measured as one lockstep batch — the flat harness for TP = 1 units,
-    the hybrid harness for TP > 1 units.
-    """
-    if len(unit) == 1:
-        return [_evaluate(unit[0])]
-    return evaluate_unit_requests(unit)
-
-
 def _batch_units(misses: list[tuple]) -> list[list[tuple]]:
     """Group miss jobs into work units, preserving first-seen order.
 
     Cells agreeing on every structural axis — scheme, P, B,
-    micro-batch size, D, W and TP (the batch harnesses' plan-key axes
-    plus run-config constants) — form one unit whatever their cluster
-    *or model*: those are cost axes, and the batched runtime's
-    congruence grouping stacks equal-structure lanes across models
-    (distinct plan keys) into one lockstep batch.  TP > 1 cells group
-    exactly like flat ones since the hybrid harness batches too.
+    micro-batch size, D, W and TP (the harness's plan-key axes plus
+    run-config constants) — form one unit whatever their cluster *or
+    model*: those are cost axes, and the batched runtime's congruence
+    grouping stacks equal-structure lanes across models (distinct plan
+    keys) into one lockstep batch.
     """
     units: list[list[tuple]] = []
     by_structure: dict[tuple, list[tuple]] = {}
@@ -279,13 +197,13 @@ def run_sweep(
         if workers is not None and workers > 1:
             pool_size = min(workers, MAX_WORKERS, len(units))
             with multiprocessing.Pool(pool_size) as pool:
-                for unit_records in pool.imap_unordered(_evaluate_unit,
-                                                        units):
+                for unit_records in pool.imap_unordered(
+                        evaluate_unit_requests, units):
                     for index, record in unit_records:
                         finish(index, record)
         else:
             for unit in units:
-                for index, record in _evaluate_unit(unit):
+                for index, record in evaluate_unit_requests(unit):
                     finish(index, record)
         stats.computed += len(misses)
 

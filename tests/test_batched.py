@@ -23,7 +23,7 @@ from repro.actions import (
     compile_program,
 )
 from repro.actions.ops import CollectiveKind
-from repro.analysis import compile_cluster_program
+from repro.analysis import ClusterCosts, compile_cluster_program
 from repro.cluster import make_fc, make_pc, make_tacc
 from repro.config import CostConfig, PipelineConfig, RunConfig
 from repro.errors import ConfigError, OutOfMemoryError, SchedulingError
@@ -31,7 +31,6 @@ from repro.models import tiny_model
 from repro.models.costs import stage_costs
 from repro.runtime import (
     AbstractCosts,
-    ConcreteCosts,
     PlanBatch,
     bubble_stats,
     execute_batch,
@@ -189,8 +188,6 @@ class TestCollectiveParity:
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
                              ids=["FC", "TACC", "PC"])
     def test_dp_collectives_bit_equal(self, factory):
-        from repro.analysis.throughput import _pipeline_comm
-
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
                              num_microbatches=B, data_parallel=2)
         sched = build_schedule(cfg)
@@ -201,7 +198,7 @@ class TestCollectiveParity:
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
             plans.append(ExecutablePlan.lower(program).retime(
-                ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))))
+                ClusterCosts(costs, cluster)))
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
         for k, plan in enumerate(plans):
@@ -349,7 +346,6 @@ class TestContentionParity:
     def test_contention_collectives_bit_equal_both_cores(self, factory):
         """Arbitrated DP rings: lean lanes must match the scalar core
         and (through it) the reference interpreter."""
-        from repro.analysis.throughput import _pipeline_comm
         from repro.runtime import execute_program_reference
 
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
@@ -361,7 +357,7 @@ class TestContentionParity:
             costs = stage_costs(tiny_model(num_layers=16),
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))
+            oracle = ClusterCosts(costs, cluster)
             cells.append((program, oracle,
                           ExecutablePlan.lower(program).retime(oracle)))
         run = RunConfig(contention=True)
@@ -418,7 +414,6 @@ class TestTimeOrderedReplay:
         against structural order — recovers in-batch (zero scalar
         fallbacks) and matches both event cores."""
         from repro import profiling
-        from repro.analysis.throughput import _pipeline_comm
         from repro.runtime import execute_program_reference
 
         stats = profiling.batching_stats()
@@ -432,7 +427,7 @@ class TestTimeOrderedReplay:
             costs = stage_costs(tiny_model(num_layers=16),
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))
+            oracle = ClusterCosts(costs, cluster)
             cells.append((program, oracle,
                           ExecutablePlan.lower(program).retime(oracle)))
         run = RunConfig(contention=True)
@@ -634,6 +629,50 @@ class TestFallbackReasons:
         assert "ms" in text.split("fallbacks [", 1)[1]  # wall time shown
         assert "recovered" in text
         assert "time-ordered" in text
+
+    def test_concurrent_recording_loses_no_update(self):
+        """The serving layer's dispatcher threads all record into one
+        ``BatchingStats``: N threads x M records must produce exact
+        totals and an occupancy histogram that sums to the batches."""
+        import sys
+        import threading
+
+        from repro.profiling import BatchingStats
+
+        stats = BatchingStats()
+        threads_n, rounds = 8, 2000
+        start = threading.Barrier(threads_n)
+
+        def hammer(tid):
+            start.wait(timeout=30)
+            for i in range(rounds):
+                stats.record_batch(1 + (tid + i) % 5, 0.001)
+                stats.record_scalar(2, 0.001, "singleton")
+                stats.record_recovered(3, 0.001)
+                stats.record_dedup()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(tid,))
+                       for tid in range(threads_n)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        calls = threads_n * rounds
+        assert stats.batches == 2 * calls       # recovered ones included
+        assert sum(stats.occupancy.values()) == stats.batches
+        assert stats.lanes == sum(n * count for n, count
+                                  in stats.occupancy.items())
+        assert stats.scalar_cells == 2 * calls
+        assert stats.fallback_reasons == {"singleton": 2 * calls}
+        assert (stats.recovered_batches, stats.recovered_lanes) == \
+               (calls, 3 * calls)
+        assert stats.dedup_hits == calls
 
     def test_recovery_counts_inside_batched_totals(self):
         """A recovered batch is a batch: occupancy and lane totals keep

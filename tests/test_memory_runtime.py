@@ -246,7 +246,9 @@ class TestAnalysisPruning:
     """OOM cells never pay a full simulation (fast-path satellite)."""
 
     def _count_simulations(self, monkeypatch):
-        import repro.analysis.throughput as thr
+        # a lone cell is a one-lane batch, which the batched runtime
+        # hands to the scalar core
+        import repro.runtime.batched as thr
         calls = {"n": 0}
         real = thr.execute_plan
 

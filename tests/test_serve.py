@@ -122,6 +122,8 @@ def _fake_outcomes(requests):
 
 
 class TestMicroBatcher:
+    HARNESS = "repro.serve.batcher.measure_hybrid_throughput_batch"
+
     def test_concurrent_submissions_coalesce(self, monkeypatch):
         calls = []
 
@@ -129,14 +131,13 @@ class TestMicroBatcher:
             calls.append(len(requests))
             return _fake_outcomes(requests)
 
-        monkeypatch.setattr("repro.serve.batcher.measure_throughput_batch",
-                            record)
+        monkeypatch.setattr(self.HARNESS, record)
         batcher = MicroBatcher(window_s=0.25)
         results = {}
 
         def submit(name):
             reqs = [object(), object()]
-            results[name] = (reqs, batcher.measure_flat(reqs))
+            results[name] = (reqs, batcher.measure_hybrid(reqs))
 
         threads = [threading.Thread(target=submit, args=(i,))
                    for i in range(3)]
@@ -152,64 +153,80 @@ class TestMicroBatcher:
         for reqs, outcomes in results.values():
             assert outcomes == [("out", id(r)) for r in reqs]
 
-    def test_flat_and_hybrid_partition(self, monkeypatch):
-        seen = {"flat": [], "hybrid": []}
+    def test_both_submit_names_share_one_harness_call(self, monkeypatch):
+        """``measure_flat`` is ``measure_hybrid``: lanes submitted under
+        either name coalesce into the same dispatch.  The window only
+        closes early once ``max_lanes`` are queued, so the one 3-lane
+        call is deterministic."""
+        seen = []
         monkeypatch.setattr(
-            "repro.serve.batcher.measure_throughput_batch",
-            lambda rs: seen["flat"].append(len(rs)) or _fake_outcomes(rs))
-        monkeypatch.setattr(
-            "repro.serve.batcher.measure_hybrid_throughput_batch",
-            lambda rs: seen["hybrid"].append(len(rs)) or _fake_outcomes(rs))
-        batcher = MicroBatcher(window_s=0.2)
+            self.HARNESS,
+            lambda rs: seen.append(len(rs)) or _fake_outcomes(rs))
+        assert MicroBatcher.measure_flat is MicroBatcher.measure_hybrid
+        batcher = MicroBatcher(window_s=30, max_lanes=3, workers=1)
+        flat, hybrid = [object()], [object(), object()]
         out = {}
         t1 = threading.Thread(
-            target=lambda: out.setdefault(
-                "f", batcher.measure_flat([object()])))
+            target=lambda: out.setdefault("f", batcher.measure_flat(flat)))
         t2 = threading.Thread(
             target=lambda: out.setdefault(
-                "h", batcher.measure_hybrid([object(), object()])))
-        t1.start(); t2.start(); t1.join(); t2.join()
+                "h", batcher.measure_hybrid(hybrid)))
+        t1.start(); t2.start(); t1.join(30); t2.join(30)
         batcher.close()
-        assert sum(seen["flat"]) == 1 and sum(seen["hybrid"]) == 2
-        assert len(out["f"]) == 1 and len(out["h"]) == 2
+        assert seen == [3]
+        assert out["f"] == _fake_outcomes(flat)
+        assert out["h"] == _fake_outcomes(hybrid)
 
-    def test_errors_propagate_to_every_waiter(self, monkeypatch):
-        def boom(requests):
-            raise RuntimeError("harness exploded")
+    def test_error_fails_only_the_culprit_submission(self, monkeypatch):
+        """A poisoned lane fails its own submission; a concurrent good
+        one coalesced into the same dispatch gets its normal outcomes
+        (the dispatch is re-executed per submission)."""
+        poison = object()
+        calls = []
 
-        monkeypatch.setattr("repro.serve.batcher.measure_throughput_batch",
-                            boom)
-        batcher = MicroBatcher(window_s=0.05)
-        errors = []
+        def harness(requests):
+            calls.append(len(requests))
+            if poison in requests:
+                raise RuntimeError("harness exploded")
+            return _fake_outcomes(requests)
 
-        def submit():
+        monkeypatch.setattr(self.HARNESS, harness)
+        batcher = MicroBatcher(window_s=30, max_lanes=3, workers=1)
+        good = [object(), object()]
+        got = {}
+
+        def submit(name, requests):
             try:
-                batcher.measure_flat([object()])
+                got[name] = batcher.measure_hybrid(requests)
             except RuntimeError as exc:
-                errors.append(str(exc))
+                got[name] = str(exc)
 
-        threads = [threading.Thread(target=submit) for _ in range(2)]
+        threads = [threading.Thread(target=submit, args=("good", good)),
+                   threading.Thread(target=submit, args=("bad", [poison]))]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(30)
         batcher.close()
-        assert errors == ["harness exploded"] * 2
+        assert got == {"good": _fake_outcomes(good),
+                       "bad": "harness exploded"}
+        # one coalesced attempt, then one call per submission
+        assert calls[0] == 3 and sorted(calls[1:]) == [1, 2]
 
     def test_closed_batcher_rejects_submissions(self):
         batcher = MicroBatcher(window_s=0.01)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
-            batcher.measure_flat([object()])
+            batcher.measure_hybrid([object()])
 
     def test_uncoalesced_mode_runs_inline(self, monkeypatch):
         thread_ids = []
         monkeypatch.setattr(
-            "repro.serve.batcher.measure_throughput_batch",
+            self.HARNESS,
             lambda rs: thread_ids.append(threading.get_ident())
             or _fake_outcomes(rs))
         batcher = MicroBatcher(coalesce=False)
-        batcher.measure_flat([object()])
+        batcher.measure_hybrid([object()])
         batcher.close()
         assert thread_ids == [threading.get_ident()]
 
@@ -357,6 +374,52 @@ class TestServedParity:
                  "PYTHONPATH": os.path.join(os.getcwd(), "src")},
             capture_output=True, check=True)
         assert cli.stdout == served
+
+    def test_tp1_and_tp2_queries_share_one_dispatch(self, capsysbinary):
+        """Two concurrent queries, ``--tp 1`` and ``--tp 2``, coalesce
+        into one harness call, and each answer stays byte-equal to
+        ``repro advise --json``.  The window only closes early once
+        every lane of both queries is queued, so the single dispatch is
+        deterministic."""
+        from repro.cli import main as cli_main
+        from repro.serve.queries import advise_requests
+
+        queries = {tp: AdviseQuery.make("TACC", "bert", 8, 16, tp=tp)
+                   for tp in (1, 2)}
+        lanes = sum(len(advise_requests(q)[1]) for q in queries.values())
+        srv = AdvisorServer(("127.0.0.1", 0), window_s=60,
+                            max_lanes=lanes)
+        dispatched = []
+        real = srv.batcher._execute
+        srv.batcher._execute = lambda requests: dispatched.append(
+            sorted({r.layout.tp for r in requests})) or real(requests)
+        accept = threading.Thread(target=srv.serve_forever, daemon=True)
+        accept.start()
+        answers = {}
+
+        def ask(tp):
+            with _post(srv.url + "/advise",
+                       queries[tp].to_payload()) as resp:
+                answers[tp] = resp.read()
+
+        try:
+            clients = [threading.Thread(target=ask, args=(tp,))
+                       for tp in queries]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=120)
+        finally:
+            srv.drain(timeout=30)
+            srv.shutdown()
+            accept.join(timeout=10)
+            srv.server_close()
+        assert dispatched == [[1, 2]]
+        for tp in queries:
+            assert cli_main(["advise", "--cluster", "TACC", "-n", "8",
+                             "--batch", "16", "--tp", str(tp),
+                             "--json"]) == 0
+            assert capsysbinary.readouterr().out == answers[tp]
 
     def test_format_advise_renders_the_cli_table(self):
         query = AdviseQuery.make("FC", "bert", 8, 8, top=5)

@@ -39,15 +39,16 @@ def tiny_spec(**overrides) -> SweepSpec:
 
 @pytest.fixture
 def counter(monkeypatch):
-    """Wrap the engine's measure_throughput with a call counter."""
+    """Wrap the engine's one measure global: one entry per lane."""
     calls = []
-    real = engine_mod.measure_throughput
+    real = engine_mod.measure_hybrid_throughput_batch
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
+    def counted(requests):
+        calls.extend(requests)
+        return real(requests)
 
-    monkeypatch.setattr(engine_mod, "measure_throughput", counted)
+    monkeypatch.setattr(engine_mod, "measure_hybrid_throughput_batch",
+                        counted)
     return calls
 
 
@@ -226,20 +227,21 @@ class TestCache:
         cache = ResultCache(tmp_path / "c")
         spec = tiny_spec(schemes=("gpipe", "dapple"), waves=(1,),
                          layouts=((4, 1),))
-        real = em.measure_throughput
+        real = em.measure_hybrid_throughput_batch
         calls = []
 
-        def explode_on_second(*args, **kwargs):
-            calls.append(args)
+        def explode_on_second(requests):
+            calls.append(requests)
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
+            return real(requests)
 
-        monkeypatch.setattr(em, "measure_throughput", explode_on_second)
+        monkeypatch.setattr(em, "measure_hybrid_throughput_batch",
+                            explode_on_second)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(spec, cache=cache)
         assert len(cache) == 1          # first cell survived the abort
-        monkeypatch.setattr(em, "measure_throughput", real)
+        monkeypatch.setattr(em, "measure_hybrid_throughput_batch", real)
         table = run_sweep(spec, cache=cache)
         assert table.stats.cached == 1 and table.stats.computed == 1
 
@@ -332,6 +334,34 @@ class TestPlanCache:
                                       **kw)
         assert cache.hits == 1 and cache.misses == 1
         assert a.seq_per_s != b.seq_per_s  # the clusters do differ
+
+    def test_flat_and_layout_constructors_are_one_request(self):
+        """``ThroughputRequest(p=, d=)`` is the layout-carrying request
+        with ``HybridLayout(1, p, d)``: equal requests, one plan-cache
+        entry (a miss, then hits) whichever spelling measures first."""
+        from repro.analysis import (
+            HybridLayout,
+            HybridRequest,
+            ThroughputRequest,
+            measure_hybrid_throughput_batch,
+            measure_throughput_batch,
+            plan_cache,
+        )
+        cache = plan_cache()
+        cluster, model = make_fc(4), tiny_model(num_layers=16)
+        flat = ThroughputRequest("hanayo", cluster, model, p=2,
+                                 num_microbatches=4, d=2, w=2,
+                                 microbatch_size=2, contention=True)
+        layout = HybridRequest("hanayo", cluster, model,
+                               HybridLayout(tp=1, p=2, d=2), 4, w=2,
+                               microbatch_size=2, contention=True)
+        assert flat == layout and hash(flat) == hash(layout)
+        first = measure_throughput_batch([flat])
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert measure_hybrid_throughput_batch([layout]) == first
+        assert measure_hybrid_throughput_batch([flat, layout]) == first * 2
+        assert (cache.hits, cache.misses) == (2, 1)
+        assert len(cache) == 1
 
     def test_plan_key_proves_cross_cluster_sharing_is_safe(self):
         """The cache's core assumption, verified through the content
@@ -431,13 +461,13 @@ class TestBatchUnits:
         """A two-cluster sweep (batch units) reproduces the per-cluster
         scalar sweeps cell for cell, and really took the batch path."""
         batch_calls = []
-        real = engine_mod.measure_throughput_batch
+        real = engine_mod.measure_hybrid_throughput_batch
 
         def counted(requests):
             batch_calls.append(len(requests))
             return real(requests)
 
-        monkeypatch.setattr(engine_mod, "measure_throughput_batch",
+        monkeypatch.setattr(engine_mod, "measure_hybrid_throughput_batch",
                             counted)
         spec = tiny_spec(clusters=(make_fc(4), make_tacc(4)))
         batched = run_sweep(spec)
@@ -480,55 +510,59 @@ class TestBatchUnits:
             assert row.result.iteration_s == want.iteration_s
             assert row.result.peak_mem_bytes == want.peak_mem_bytes
 
-    @pytest.mark.parametrize("harness", ["hybrid", "contention"])
-    def test_measurement_path_builds_no_event_objects(self, monkeypatch,
-                                                      harness):
-        """The batch harnesses fold the runtime's lane-axis columns:
-        with every event-object constructor on the path patched to
-        raise, multi-lane groups still produce exactly the scalar
-        harness's results."""
-        import repro.runtime.batched as batched_mod
-        import repro.runtime.events as events_mod
+    @staticmethod
+    def _lane_matrix():
+        """``(hybrid requests, flat contention requests)`` over two
+        clusters — the multi-lane groups of the matrices below."""
         from repro.analysis import (
             HybridLayout,
             HybridRequest,
             ThroughputRequest,
-            measure_hybrid_throughput,
-            measure_hybrid_throughput_batch,
-            measure_throughput_batch,
         )
-        from repro.config import RunConfig
 
         model = tiny_model(num_layers=16)
         clusters = (make_fc(8), make_tacc(8))
-        if harness == "hybrid":
-            requests = [
-                HybridRequest(scheme=scheme, cluster=cluster, model=model,
-                              layout=HybridLayout(tp=2, p=2, d=2),
-                              num_microbatches=4, w=w)
-                for scheme, w in (("dapple", 1), ("hanayo", 2))
-                for cluster in clusters]
-            want = [measure_hybrid_throughput(
-                r.scheme, r.cluster, r.model, r.layout,
-                r.num_microbatches, w=r.w) for r in requests]
-            measure = measure_hybrid_throughput_batch
-        else:
-            # eight lanes a structure: narrower contention groups run
-            # through the scalar core, which does build a lean result
-            requests = [
-                ThroughputRequest(scheme=scheme, cluster=cluster,
-                                  model=model, p=4, num_microbatches=4,
-                                  d=2, w=w, microbatch_size=size,
-                                  contention=True)
-                for scheme, w in (("dapple", 1), ("hanayo", 2))
-                for cluster in clusters for size in (1, 2, 4, 8)]
-            run = RunConfig(contention=True)
-            want = [measure_throughput(
-                r.scheme, r.cluster, r.model, p=r.p, d=r.d, w=r.w,
-                num_microbatches=r.num_microbatches,
-                microbatch_size=r.microbatch_size, run=run)
-                for r in requests]
-            measure = measure_throughput_batch
+        shapes = (("dapple", 1), ("hanayo", 2))
+        hybrid = [
+            HybridRequest(scheme=scheme, cluster=cluster, model=model,
+                          layout=HybridLayout(tp=2, p=2, d=2),
+                          num_microbatches=4, w=w)
+            for scheme, w in shapes for cluster in clusters]
+        # eight lanes a structure: narrower contention groups run
+        # through the scalar core, which does build a lean result
+        flat = [
+            ThroughputRequest(scheme=scheme, cluster=cluster,
+                              model=model, p=4, num_microbatches=4,
+                              d=2, w=w, microbatch_size=size,
+                              contention=True)
+            for scheme, w in shapes
+            for cluster in clusters for size in (1, 2, 4, 8)]
+        return hybrid, flat
+
+    @staticmethod
+    def _scalar(request):
+        from repro.analysis import measure_hybrid_throughput
+        from repro.config import RunConfig
+
+        return measure_hybrid_throughput(
+            request.scheme, request.cluster, request.model,
+            request.layout, request.num_microbatches, w=request.w,
+            microbatch_size=request.microbatch_size,
+            run=RunConfig(contention=request.contention))
+
+    @pytest.mark.parametrize("lanes", ["hybrid", "contention"])
+    def test_measurement_path_builds_no_event_objects(self, monkeypatch,
+                                                      lanes):
+        """The harness folds the runtime's lane-axis columns: with every
+        event-object constructor on the path patched to raise,
+        multi-lane groups still produce exactly the one-lane results."""
+        import repro.runtime.batched as batched_mod
+        import repro.runtime.events as events_mod
+        from repro.analysis import measure_hybrid_throughput_batch
+
+        hybrid, flat = self._lane_matrix()
+        requests = hybrid if lanes == "hybrid" else flat
+        want = [self._scalar(r) for r in requests]
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("event object built while measuring")
@@ -538,9 +572,41 @@ class TestBatchUnits:
                              (events_mod, "TimedOp"),
                              (events_mod, "CollectiveEvent")):
             monkeypatch.setattr(module, name, forbidden)
-        got = measure(requests)
+        got = measure_hybrid_throughput_batch(requests)
         assert all(r.sync_s > 0 for r in got)   # the DP rings are folded
         assert got == want
+
+    def test_mixed_tp_batch_matches_separate_calls(self):
+        """TP = 1 and TP > 1 requests interleaved in one call — with an
+        infeasible lane in the middle — come back, lane for lane, as
+        what separate calls (and one-lane calls) return."""
+        from repro.analysis import (
+            HybridLayout,
+            HybridRequest,
+            measure_hybrid_throughput_batch,
+            measure_throughput_batch,
+        )
+
+        hybrid, flat = self._lane_matrix()
+        assert measure_throughput_batch is measure_hybrid_throughput_batch
+        want = (measure_hybrid_throughput_batch(hybrid)
+                + measure_throughput_batch(flat))
+        # TP = 4 does not fit TACC's nodes
+        bad = HybridRequest("dapple", make_tacc(8), hybrid[0].model,
+                            HybridLayout(tp=4, p=2, d=1), 4)
+        # interleave: every third lane is a TP = 2 one
+        order = list(range(len(hybrid), len(want)))
+        for k in range(len(hybrid)):
+            order.insert(3 * k, k)
+        mixed = [(hybrid + flat)[k] for k in order]
+        mixed.insert(5, bad)
+        got = measure_hybrid_throughput_batch(mixed)
+        rejected = got.pop(5)
+        assert isinstance(rejected, ConfigError)
+        assert "node size" in str(rejected)
+        assert got == [want[k] for k in order]
+        assert want[0] == self._scalar(hybrid[0])
+        assert want[-1] == self._scalar(flat[-1])
 
 
 class TestEngine:

@@ -35,7 +35,7 @@ class TestMeasureThroughput:
         assert "dapple" in r.describe()
 
     def test_layout_exceeding_cluster(self, fc8):
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(ConfigError, match="needs 16 devices; cluster has 8"):
             measure_throughput("dapple", fc8, bert_64(), p=8,
                                num_microbatches=8, d=2)
 
