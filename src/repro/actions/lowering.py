@@ -26,15 +26,20 @@ parallel arrays —
   semantics (exchange ids replace the waiver's tag ``frozenset``,
   per-collective ring-step times and NIC/wire ids are precomputed).
 
-Lowering is split in two so sweeps can share work:
+Lowering is split in three so sweeps can share work (*shape → sizes →
+seconds*, see :mod:`repro.analysis.plans`):
 
-* the **structure** (everything listed above except the cost columns)
-  depends only on the compiled program — structurally identical sweep
-  cells share it through the analysis-level plan cache, and
-  :attr:`ExecutablePlan.plan_key` content-hashes exactly these arrays
-  so that sharing is *checkable*: two independently compiled cells are
+* the **shape** (streams, compute table and CSR edges, slots, send/
+  recv/batch tables, collective ring structure) depends only on the
+  pipeline, and the **sizes** (``comp_alloc``/``comp_free``,
+  ``send_nbytes``, collective descriptors and their ``count``/
+  ``active``/``chunk`` columns) only on the model's bytes:
+  :meth:`ExecutablePlan.with_sizes` re-binds them for another model's
+  program, sharing every shape array.  Together they are what
+  :attr:`ExecutablePlan.plan_key` content-hashes, so sharing is
+  *checkable*: a size-bound plan and an independently lowered one are
   interchangeable iff their keys are equal (the safety property the
-  plan-cache tests pin across clusters);
+  plan-cache tests pin across models, clusters and capacities);
 * the **cost binding** (:meth:`ExecutablePlan.retime`) resolves a
   :class:`~repro.runtime.costs.CostOracle` into flat cost arrays.
   Cost-only sweep axes (a different cluster timing the same program)
@@ -236,10 +241,38 @@ class ExecutablePlan:
         via :meth:`retime` — that is the sweep-cache contract: one
         structural lowering, many cost bindings.
         """
-        plan = _lower_structure(cls, program)
+        shape, colls = _lower_shape(program)
+        plan = cls(program=program, **shape, **_size_columns(
+            program, colls, shape["comp_keys"], shape["tags"],
+            shape["send_tag"], shape["coll_pairs"]))
         if costs is not None:
             plan = plan.retime(costs)
         return plan
+
+    def with_sizes(self, program: Program) -> "ExecutablePlan":
+        """The (unbound) plan of ``program``, which must have this
+        plan's *shape* — a :meth:`Program.with_sizes` binding of the
+        same compiled shape under the same collective transforms.
+        Shape arrays are shared, only the byte-bearing columns rebuilt:
+        ``lower(program)`` (equal :attr:`plan_key`) at a fraction of
+        its cost.
+        """
+        colls = [act for device in self.devices
+                 for act in program.actions[device]
+                 if isinstance(act, CollectiveOp)]
+        if [ring_pairs(act.group) for act in colls] != list(self.coll_pairs):
+            raise ValidationError(
+                f"{program.name}: collectives do not match the shape of "
+                f"plan[{self.name}]")
+        return dataclasses.replace(
+            self, program=program,
+            **_size_columns(program, colls, self.comp_keys, self.tags,
+                            self.send_tag, self.coll_pairs),
+            costs=None, comp_cost=None, send_time=None, send_lat=None,
+            coll_step_time=None, send_wire=None, coll_wires=None,
+            n_wires=0, global_ranks=(),
+            _plan_key=None, _congruence_key=None,
+        )
 
     def retime(self, costs,
                buffers: "RetimeBuffers | None" = None) -> "ExecutablePlan":
@@ -470,8 +503,27 @@ class ExecutablePlan:
                     tag=self.tags[self.recv_tag[rid]])
 
 
-def _lower_structure(cls, program: Program) -> ExecutablePlan:
-    """One pass over the program building every structural array."""
+def _size_columns(program: Program, colls, comp_keys, tags, send_tag,
+                  coll_pairs) -> dict:
+    """The byte-bearing columns of ``program`` — whose collectives, in
+    lowering order, are ``colls`` — over a lowered shape."""
+    nbytes = program.tensor_bytes
+    return dict(
+        comp_alloc=[program.alloc_bytes(key) for key in comp_keys],
+        comp_free=[program.free_bytes(key) for key in comp_keys],
+        send_nbytes=[nbytes.get(tags[tid], 0.0) for tid in send_tag],
+        coll_ops=tuple(colls),
+        coll_count=[float(act.count) for act in colls],
+        coll_active=[bool(pairs) and act.nbytes > 0 and act.count > 0
+                     for act, pairs in zip(colls, coll_pairs)],
+        coll_chunk=[act.nbytes / len(act.group) if act.group else 0.0
+                    for act in colls],
+    )
+
+
+def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
+    """One pass over the program building every shape array; also
+    returns the collectives met, in ``lid`` order."""
     devices = tuple(program.actions)
     dev_index = {d: i for i, d in enumerate(devices)}
 
@@ -521,15 +573,11 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
                                            intern_tag(dep.tag)))
         dep_ptr.append(len(dep_idx))
 
-    comp_alloc = [program.alloc_bytes(key) for key in comp_keys]
-    comp_free = [program.free_bytes(key) for key in comp_keys]
-
     send_src: list[int] = []
     send_dst: list[int] = []
     send_tag: list[int] = []
     send_stage: list[int] = []
     send_slot: list[int] = []
-    send_nbytes: list[float] = []
 
     def intern_send(di: int, send: Send) -> int:
         sid = len(send_src)
@@ -540,7 +588,6 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
         send_tag.append(tid)
         send_stage.append(send.tag.stage)
         send_slot.append(intern_slot(dst, tid))
-        send_nbytes.append(program.tensor_bytes.get(send.tag, 0.0))
         return sid
 
     recv_peer: list[int] = []
@@ -560,13 +607,10 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
     batch_exch: list[int] = []
     exchange_ids: dict[frozenset, int] = {}
 
-    coll_ops: list[CollectiveOp] = []
+    colls: list[CollectiveOp] = []
     coll_device: list[int] = []
     coll_blocking: list[bool] = []
-    coll_count: list[float] = []
     coll_nsteps: list[int] = []
-    coll_active: list[bool] = []
-    coll_chunk: list[float] = []
     coll_pairs: list[tuple[tuple[int, int], ...]] = []
 
     codes: list[list[int]] = []
@@ -610,20 +654,13 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
                 dev_codes.append(OP_BATCH)
                 dev_args.append(bid)
             elif isinstance(act, CollectiveOp):
-                lid = len(coll_ops)
-                pairs = ring_pairs(act.group)
-                coll_ops.append(act)
+                dev_codes.append(OP_COLL)
+                dev_args.append(len(colls))
+                colls.append(act)
                 coll_device.append(di)
                 coll_blocking.append(act.blocking)
-                coll_count.append(float(act.count))
                 coll_nsteps.append(ring_step_count(len(act.group)))
-                coll_active.append(bool(pairs) and act.nbytes > 0
-                                   and act.count > 0)
-                coll_chunk.append(
-                    act.nbytes / len(act.group) if act.group else 0.0)
-                coll_pairs.append(pairs)
-                dev_codes.append(OP_COLL)
-                dev_args.append(lid)
+                coll_pairs.append(ring_pairs(act.group))
             elif isinstance(act, Flush):
                 dev_codes.append(OP_NOOP)
                 dev_args.append(NOOP_FLUSH)
@@ -638,8 +675,7 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
         args.append(dev_args)
         n_actions += len(dev_codes)
 
-    return cls(
-        program=program,
+    return dict(
         devices=devices,
         prefetch=program.prefetch,
         codes=tuple(codes),
@@ -651,14 +687,11 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
         dep_ptr=dep_ptr,
         dep_remote=dep_remote,
         dep_idx=dep_idx,
-        comp_alloc=comp_alloc,
-        comp_free=comp_free,
         send_src=send_src,
         send_dst=send_dst,
         send_tag=send_tag,
         send_stage=send_stage,
         send_slot=send_slot,
-        send_nbytes=send_nbytes,
         n_slots=len(slot_ids),
         recv_peer=recv_peer,
         recv_tag=recv_tag,
@@ -666,13 +699,9 @@ def _lower_structure(cls, program: Program) -> ExecutablePlan:
         batch_send_ids=tuple(batch_send_ids),
         batch_recv_ids=tuple(batch_recv_ids),
         batch_exch=batch_exch,
-        coll_ops=tuple(coll_ops),
         coll_device=coll_device,
         coll_blocking=coll_blocking,
-        coll_count=coll_count,
         coll_nsteps=coll_nsteps,
-        coll_active=coll_active,
-        coll_chunk=coll_chunk,
         coll_pairs=tuple(coll_pairs),
         tags=tuple(tags),
-    )
+    ), colls

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 from ..errors import OutOfMemoryError, ValidationError
@@ -160,6 +161,38 @@ class Program:
             static_bytes=_static_bytes(self.resident, resources),
         )
 
+    def with_sizes(self, boundary_bytes: float | Callable[[Tag], float],
+                   resources: StageResources | None) -> "Program":
+        """The size binding: this pipeline *shape* under other bytes.
+
+        Action lists, ``ops``, ``deps`` and residency follow from the
+        schedule and the compile knobs alone; only ``tensor_bytes``
+        (``boundary_bytes``: a flat float, or a callable ``Tag ->
+        bytes``), ``resources`` and ``static_bytes`` are the model's,
+        and only they are rebuilt.  ``ops``/``deps`` stay shared,
+        read-only by contract; the action lists are *copied* — the
+        receiver may be a :meth:`frozen` shape other models bind too.
+        """
+        size = boundary_bytes if callable(boundary_bytes) else (
+            lambda _tag, _b=boundary_bytes: _b
+        )
+        return dataclasses.replace(
+            self.with_resources(resources),
+            actions={d: list(acts) for d, acts in self.actions.items()},
+            tensor_bytes={tag: float(size(tag)) for tag in self.tensor_bytes},
+        )
+
+    def frozen(self) -> "Program":
+        """This program made safe to share: tuple action lists and
+        read-only ``ops``/``deps``, so a holder that mutates in place
+        raises instead of corrupting the other holders' view."""
+        return dataclasses.replace(
+            self,
+            actions={d: tuple(acts) for d, acts in self.actions.items()},
+            ops=MappingProxyType(self.ops),
+            deps=MappingProxyType(self.deps),
+        )
+
     def alloc_bytes(self, key: ComputeKey) -> float:
         """Bytes a compute pins when it *starts* (forward allocation)."""
         if self.resources is None or key[0] is not OpKind.FORWARD:
@@ -244,20 +277,14 @@ def compile_program(
 ) -> Program:
     """Lower ``schedule`` to the single execution IR.
 
-    ``boundary_bytes`` sizes every in-flight tensor — a flat float for
-    abstract-cost runs, or a callable ``Tag -> bytes`` when stage
-    boundaries differ.  ``add_step`` appends the ``Flush`` +
-    ``OptimizerStep`` tail (off by default: both consumers charge the
-    step explicitly).  ``resources`` attaches per-stage memory
-    footprints so the compiled program carries its own alloc/free
-    effects and static residency bytes (see
-    :mod:`repro.actions.resources`).
+    A shape compile — everything but ``boundary_bytes`` and
+    ``resources`` — followed by the size binding
+    (:meth:`Program.with_sizes`, which documents those two), so a
+    caller meeting one pipeline under several models compiles once with
+    the unit defaults and re-binds per model.  ``add_step`` appends the
+    ``Flush`` + ``OptimizerStep`` tail (off by default: both consumers
+    charge the step explicitly).
     """
-    if resources is not None and resources.num_stages != schedule.num_stages:
-        raise ValidationError(
-            f"{schedule.name}: resources cover {resources.num_stages} "
-            f"stages, schedule has {schedule.num_stages}"
-        )
     lists = compile_schedule(
         schedule, prefetch=prefetch, batch_cross_comm=batch_cross_comm,
         add_step=add_step,
@@ -289,15 +316,12 @@ def compile_program(
         deps[key] = tuple(edges)
 
     tensor_bytes: dict[Tag, float] = {}
-    size = boundary_bytes if callable(boundary_bytes) else (
-        lambda _tag, _b=boundary_bytes: _b
-    )
     for acts in lists.values():
         for act in acts:
             sends = (act.sends if isinstance(act, BatchedP2P)
                      else (act,) if isinstance(act, Send) else ())
             for send in sends:
-                tensor_bytes[send.tag] = float(size(send.tag))
+                tensor_bytes[send.tag] = 1.0
 
     resident = {
         device: tuple(schedule.placement.stages_on(device))
@@ -316,6 +340,4 @@ def compile_program(
         deps=deps,
         tensor_bytes=tensor_bytes,
         resident=resident,
-        resources=resources,
-        static_bytes=_static_bytes(resident, resources),
-    )
+    ).with_sizes(boundary_bytes, resources)

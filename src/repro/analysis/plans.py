@@ -1,43 +1,49 @@
-"""The analysis-level plan cache: one lowering, many cost bindings.
+"""The analysis-level plan cache: shape → sizes → seconds.
 
-A sweep grid typically crosses a handful of *structural* axes (scheme,
-pipeline depth, micro-batch count, DP/TP widths, waves, prefetch,
-recompute/capacity knobs) with *cost-only* axes (which cluster's
-devices and links time the program).  Before this cache every cell paid
-the full schedule → compile → collective-annotation → lowering chain;
-now structurally identical cells share one compiled
-:class:`~repro.actions.program.Program` and one
-:class:`~repro.actions.lowering.ExecutablePlan`, and a cost-only cell
-merely **re-times** the cached plan against its oracle
-(:meth:`ExecutablePlan.retime`) before executing.
+A sweep grid crosses three kinds of axes, and the cache has a level for
+each.  **Shape** axes (scheme, pipeline depth, micro-batch count and
+size, DP/TP widths, waves, prefetch, batching) decide the schedule, the
+action lists and every control-flow array of the lowered plan: one
+:class:`PlanShape` per shape key is the only place the schedule →
+compile → collective-annotation → lowering chain runs.  The **model**
+only sizes a shape (tensor bytes, stage resources, collective payloads
+and counts): a :class:`PlanEntry` is one model's *size binding*
+(:meth:`Program.with_sizes` plus its collectives, then
+:meth:`ExecutablePlan.with_sizes`), sharing the shape's arrays and
+rebuilding the byte-bearing columns.  The **cluster** only times an
+entry: a cost-only cell **re-times** the entry's plan against its
+oracle (:meth:`ExecutablePlan.retime`) before executing; the capacity
+knob is no axis at all (enforcement is an execute-time argument).
 
-Safety of sharing: everything a compiled program carries — action
-streams, dependency edges, tensor/gradient byte sizes, resource deltas,
-collective groups — derives from the model spec and the layout shape,
-never from the cluster's device speeds or topology (those live in the
-cost oracle, resolved at re-time) and never from the capacity knob
-(enforcement is an execute-time argument).  The cache key
-(:func:`repro.analysis.throughput.plan_key`, the only one) therefore
-spans ``(scheme, TP, P, D, D-as-compiled, TP-sync compiled?, B,
-microbatch size, W, prefetch, batching, the ModelSpec itself)``;
-cluster and capacity are deliberately absent.  Out-of-range layouts
-are still rejected per call by the harness-level device-count check,
-which runs before the cache is consulted.  The sharing contract is *verifiable*, not assumed:
-:attr:`ExecutablePlan.plan_key` content-hashes exactly the structural
-arrays execution reads, and the test suite pins that independent
-compilations of one cell shape against different clusters (and
-capacities) produce plans with equal keys — the oracle for every claim
-in this paragraph.
+Safety of sharing.  The key (:func:`repro.analysis.throughput.plan_key`,
+the only one) is ``(*shape key, ModelSpec)``, the shape key ``(scheme,
+TP, P, D, D-as-compiled, TP-sync compiled?, B, microbatch size, W,
+prefetch, batching)``; cluster and capacity are deliberately absent,
+and out-of-range layouts are rejected per call, before the cache is
+consulted.  *Nothing flows upward*: no shape array depends on a byte
+count, no size column on a device speed or topology, so the donor a
+shape was first built for leaves no trace in a sibling's binding.
+*Shared means immutable*: a shape's action lists are tuples, its
+``ops``/``deps`` read-only views, and every binding copies the lists
+it hands out, so a consumer that mutates in place raises instead of
+corrupting a sibling model's plan.  And the contract is *verifiable*:
+:attr:`ExecutablePlan.plan_key` content-hashes exactly the shape and
+size arrays execution reads, and the test suite pins that a size-bound
+plan equals an independent compile + lowering of the same cell (keys,
+``congruence_key``, decoded lists; any model, cluster or capacity) and
+that measuring models in either order yields identical records.
 
 The cache is process-global (each sweep worker process grows its own)
-and bounded LRU — an over-capacity sweep keeps the structures it is
-actively re-timing and evicts the stalest ones; ``repro sweep
---profile`` surfaces the hit/miss/eviction counters.
+and bounded LRU over entries — an over-capacity sweep keeps the
+structures it is actively re-timing and evicts the stalest ones; a
+shape lives exactly as long as a retained entry references it.
+``repro sweep --profile`` surfaces both levels' counters.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -55,12 +61,27 @@ MAX_BINDINGS = 64
 
 
 @dataclass
+class PlanShape:
+    """What the models of one pipeline shape share: the schedule, the
+    compiled shape (collective-free, unit-sized, ``frozen()``) their
+    programs are size bindings of, and the first binding's lowering —
+    kept for its shape arrays, all ``with_sizes`` reads of it."""
+
+    schedule: Schedule
+    program: Program
+    plan: ExecutablePlan
+
+
+@dataclass
 class PlanEntry:
     """Everything a measurement reuses across cost-only axes."""
 
     schedule: Schedule
     program: Program
     plan: ExecutablePlan
+    #: what ``program``/``plan`` are a size binding of; held so the
+    #: shape stays findable in :class:`PlanCache` while this entry is
+    shape: PlanShape | None = None
     #: cost bindings of ``plan`` already produced, keyed by the cost
     #: inputs (cluster, stage costs, TP spacing); a repeated-pass sweep
     #: re-times each (structure, cluster) pair once and thereafter
@@ -104,6 +125,10 @@ class PlanCache:
     per-instance configurable; ``evictions`` counts entries dropped to
     enforce it.
 
+    Shapes are registered *weakly*: one stays findable exactly as long
+    as a retained entry (or a caller mid-build) references it, so the
+    level needs no bound or eviction of its own.
+
     All mutation (the LRU re-insert on ``get``, eviction on ``put``,
     the hit/miss/eviction counters) happens under one lock, so the
     cache is safe to share across threads — the serving layer's handler
@@ -121,7 +146,11 @@ class PlanCache:
     #: live key are not insertions); with the lock held this makes the
     #: eviction accounting exactly checkable
     insertions: int = 0
+    shape_hits: int = 0
+    shape_misses: int = 0
     _store: dict = field(default_factory=dict)
+    _shapes: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False, compare=False)
 
@@ -147,6 +176,20 @@ class PlanCache:
                 self.evictions += 1
             return entry
 
+    def get_shape(self, key: tuple) -> PlanShape | None:
+        """The live shape under ``key`` (counts a shape hit/miss)."""
+        with self._lock:
+            found = self._shapes.get(key)
+            self.shape_hits += found is not None
+            self.shape_misses += found is None
+            return found
+
+    def put_shape(self, key: tuple, shape: PlanShape) -> PlanShape:
+        """Make ``shape`` findable for as long as an entry holds it."""
+        with self._lock:
+            self._shapes[key] = shape
+            return shape
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._store)
@@ -154,16 +197,21 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
+            self._shapes.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
             self.insertions = 0
+            self.shape_hits = 0
+            self.shape_misses = 0
 
     def describe(self) -> str:
         with self._lock:
             return (f"plan cache: {len(self._store)}/{self.maxsize} plans, "
                     f"{self.hits} hits, {self.misses} misses, "
-                    f"{self.evictions} evictions")
+                    f"{self.evictions} evictions; "
+                    f"{len(self._shapes)} shapes, {self.shape_hits} hits, "
+                    f"{self.shape_misses} misses")
 
 
 def candidate_plan(

@@ -50,7 +50,7 @@ from ..runtime.metrics import LaneFold
 from ..schedules.base import Schedule
 from ..schedules.factory import build_schedule
 from ..types import seq_sum
-from .plans import PlanEntry, plan_cache
+from .plans import PlanEntry, PlanShape, plan_cache
 
 #: gradient-sync fraction the *analytic* fallback assumes is hidden
 #: under backward compute (bucketed all-reduce as in Megatron /
@@ -180,7 +180,7 @@ def dp_rank_groups(cluster: Cluster, p: int, d: int,
     mirrors one pipeline block — ``p * spacing`` ranks — apart.  Raises
     :class:`~repro.errors.ConfigError` when any group member falls
     outside the cluster, instead of letting the rank leak surface later
-    as a raw networkx routing error.
+    as a routing error deep inside a re-time.
     """
     groups: dict[int, tuple[int, ...]] = {}
     for g in range(p):
@@ -353,23 +353,22 @@ def compile_cluster_program(
     d: int = 1,
     run: RunConfig | None = None,
     spacing: int = 1,
+    shape: Program | None = None,
 ) -> Program:
     """Lower a schedule onto a cluster, gradient collectives included.
 
-    Compile the schedule with byte-accurate tensors and memory
-    resources, then — for ``d > 1`` — insert the per-stage DP gradient
-    rings over their concrete cluster rank groups (``spacing`` is the
-    tensor-parallel degree of the layout).
+    Compile the schedule's shape (or take ``shape``: it, already
+    compiled under ``run``'s knobs), size-bind ``costs``' byte-accurate
+    tensors and memory resources onto it, then — for ``d > 1`` — insert
+    the per-stage DP gradient rings over their concrete cluster rank
+    groups (``spacing`` is the tensor-parallel degree of the layout).
     """
-    run = run or RunConfig()
-    program = compile_program(
-        schedule,
-        prefetch=run.prefetch,
-        batch_cross_comm=run.batch_cross_comm,
-        add_step=False,
-        boundary_bytes=float(costs.boundary_bytes),
-        resources=StageResources.from_stage_costs(costs),
-    )
+    if shape is None:
+        run = run or RunConfig()
+        shape = compile_program(schedule, prefetch=run.prefetch,
+                                batch_cross_comm=run.batch_cross_comm)
+    program = shape.with_sizes(float(costs.boundary_bytes),
+                               StageResources.from_stage_costs(costs))
     if d > 1:
         groups = dp_rank_groups(cluster, schedule.num_devices, d,
                                 spacing=spacing)
@@ -508,16 +507,20 @@ def ThroughputRequest(  # noqa: N802 - constructor of HybridRequest
 
 
 def plan_key(req: HybridRequest, run: RunConfig) -> tuple:
-    """The structural plan-cache key of one measurement.
+    """The structural plan-cache key of one measurement: ``(*shape key,
+    model)``.
 
-    Everything the compiled program + lowered plan (and the group's
+    The shape key — ``plan_key(...)[:-1]`` — is everything the schedule,
+    the action lists and the lowered control flow (and the group's
     shared :class:`~repro.config.PipelineConfig`) depend on: the
     layout, ``D`` *as compiled* (1 under ``overlap="model"``, which
     compiles no gradient rings), whether TP boundary all-reduces are
-    compiled in, the micro-batch shape, waves, the run's compile knobs
-    and the model.  So overlap modes share a plan wherever they compile
-    the same program (``D == 1`` at ``TP == 1``).  The cluster and the
-    capacity knob are deliberately absent — devices, links and
+    compiled in, the micro-batch shape, waves and the run's compile
+    knobs.  So overlap modes share a plan wherever they compile the
+    same program (``D == 1`` at ``TP == 1``).  The model only sizes
+    that shape (bytes, collective payloads and counts), so it is the
+    last component and a re-bind axis like the cluster — which, with
+    the capacity knob, is deliberately absent: devices, links and
     enforcement are per-call concerns resolved at re-time / execute,
     never compiled into the plan (see :mod:`.plans`).  Cells with equal
     keys are the lanes the batched measurement path stacks.
@@ -551,11 +554,13 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
 
     ``requests`` share ``key`` (:func:`plan_key`), hence one schedule,
     one compiled program and one lowered plan — fetched from the plan
-    cache, or compiled against the first live lane and retained.  Per
-    lane the only work is the cost-model lowering (TP-sharded), the
-    O(P) static-memory pre-check and the plan re-time.  Returns
-    ``(shared config, schedule, lanes)`` with ``lanes[j]`` either the
-    live lane's ``(stage costs, bound plan)`` or its verdict: the
+    cache, or size-bound against the first live lane from the group's
+    :class:`~.plans.PlanShape` (``key[:-1]``; built first if no model
+    has met this shape yet) and retained.  Per lane the only work is
+    the cost-model lowering (TP-sharded), the O(P) static-memory
+    pre-check and the plan re-time.  Returns ``(shared config,
+    schedule, lanes)`` with ``lanes[j]`` either the live lane's
+    ``(stage costs, bound plan)`` or its verdict: the
     :class:`ConfigError` of a TP degree its cluster's node cannot hold,
     or its statically-pruned result.  Raises the schedule builder's
     :class:`ConfigError` — a structural rejection, identical for every
@@ -568,8 +573,10 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
     cfg = head.config()
     plans = plan_cache()
     entry = plans.get(key)
+    shape = entry.shape if entry is not None else plans.get_shape(key[:-1])
+    cached = entry or shape
     with profiling.phase("build"):
-        schedule = entry.schedule if entry is not None else \
+        schedule = cached.schedule if cached is not None else \
             build_schedule(cfg)
         # model is part of the group key, so layers-per-stage and
         # boundary bytes agree across the group's lanes
@@ -600,18 +607,28 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
         with profiling.phase("lower"):
             if entry is None:
                 req, costs = requests[live[0]], lanes[live[0]]
+                base = shape.program if shape is not None else \
+                    compile_program(
+                        schedule, prefetch=run.prefetch,
+                        batch_cross_comm=run.batch_cross_comm).frozen()
                 program = compile_cluster_program(
                     schedule, req.cluster, costs,
-                    d=layout.d if simulated else 1, run=run,
-                    spacing=layout.tp)
+                    d=layout.d if simulated else 1, spacing=layout.tp,
+                    shape=base)
                 if simulated and layout.tp > 1:
                     program = with_tp_sync(
                         program, tp_rank_groups(req.cluster, layout),
                         nbytes=req.model.boundary_bytes(
                             req.microbatch_size),
                         count_per_pass=2.0 * layers_per_stage)
-                entry = plans.put(key, PlanEntry(
-                    schedule, program, ExecutablePlan.lower(program)))
+                if shape is None:
+                    plan = ExecutablePlan.lower(program)
+                    shape = plans.put_shape(
+                        key[:-1], PlanShape(schedule, base, plan))
+                else:
+                    plan = shape.plan.with_sizes(program)
+                entry = plans.put(
+                    key, PlanEntry(schedule, program, plan, shape))
             for j in live:
                 req, costs = requests[j], lanes[j]
                 lanes[j] = (costs, entry.bound_plan(

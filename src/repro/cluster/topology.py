@@ -11,8 +11,7 @@ NVLink pairs ≫ PCIe ≫ cross-node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
 
 from ..errors import ConfigError
 
@@ -49,23 +48,24 @@ class Topology:
             raise ConfigError("num_devices must be >= 1")
         self.name = name
         self.num_devices = num_devices
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(num_devices))
+        #: rank -> {neighbour -> link}, both ways, in declaration order
+        #: (which breaks routing ties; see ``_route``)
+        self._adj: dict[int, dict[int, LinkClass]] = {
+            rank: {} for rank in range(num_devices)}
 
     def add_link(self, a: int, b: int, link: LinkClass) -> None:
         if not (0 <= a < self.num_devices and 0 <= b < self.num_devices):
             raise ConfigError(f"link ({a},{b}) outside device range")
         if a == b:
             raise ConfigError("self links are implicit (zero cost)")
-        existing = self._graph.get_edge_data(a, b)
+        existing = self._adj[a].get(b)
         # Keep the fastest link if several are declared between a pair.
-        if existing is None or existing["link"].bandwidth < link.bandwidth:
-            self._graph.add_edge(a, b, link=link, weight=1.0 / link.bandwidth)
+        if existing is None or existing.bandwidth < link.bandwidth:
+            self._adj[a][b] = self._adj[b][a] = link
 
     def link_between(self, a: int, b: int) -> LinkClass | None:
         """Direct link between two ranks, if any."""
-        data = self._graph.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        return self._adj.get(a, {}).get(b)
 
     def effective_link(self, a: int, b: int) -> LinkClass:
         """Link class governing a transfer from ``a`` to ``b``.
@@ -79,13 +79,8 @@ class Topology:
         direct = self.link_between(a, b)
         if direct is not None:
             return direct
-        try:
-            path = nx.shortest_path(self._graph, a, b, weight="weight")
-        except nx.NetworkXNoPath as exc:
-            raise ConfigError(
-                f"{self.name}: no route between {a} and {b}"
-            ) from exc
-        links = [self._graph[u][v]["link"] for u, v in zip(path, path[1:])]
+        path = self._route(a, b)
+        links = [self._adj[u][v] for u, v in zip(path, path[1:])]
         bottleneck = min(links, key=lambda l: l.bandwidth)
         total_latency = sum(l.latency for l in links)
         return LinkClass(
@@ -93,6 +88,48 @@ class Topology:
             bandwidth=bottleneck.bandwidth,
             latency=total_latency,
         )
+
+    def _route(self, a: int, b: int) -> list[int]:
+        """The ``1 / bandwidth``-shortest rank path from ``a`` to ``b``.
+
+        Bidirectional Dijkstra — one expansion from each end in turn,
+        heap ties broken by push order, neighbours relaxed in declaration
+        order — step for step the search ``networkx.shortest_path`` ran
+        when this was an ``nx.Graph``: *which* of several equally short
+        routes wins decides the bottleneck link and the latency sum, and
+        those are hashed into committed results (parity is pinned in
+        ``tests/test_cluster.py``).
+        """
+        if a not in self._adj or b not in self._adj:
+            raise ConfigError(
+                f"{self.name}: route ({a},{b}) outside device range")
+        done: tuple[dict, dict] = ({}, {})        # settled distances
+        seen: tuple[dict, dict] = ({a: 0.0}, {b: 0.0})
+        preds: tuple[dict, dict] = ({a: None}, {b: None})
+        fringe: tuple[list, list] = ([(0.0, 0, a)], [(0.0, 1, b)])
+        pushes, best, meet, side = 2, None, None, 1
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, v = heappop(fringe[side])
+            if v in done[side]:
+                continue
+            done[side][v] = dist
+            if v in done[1 - side]:
+                return (_chain(preds[0], meet)[::-1]
+                        + _chain(preds[1], preds[1][meet]))
+            for w, link in self._adj[v].items():
+                through = dist + 1.0 / link.bandwidth
+                if w not in done[side] and through < seen[side].get(
+                        w, float("inf")):
+                    seen[side][w] = through
+                    heappush(fringe[side], (through, pushes, w))
+                    pushes += 1
+                    preds[side][w] = v
+                    if w in seen[1 - side]:
+                        total = through + seen[1 - side][w]
+                        if best is None or total < best:
+                            best, meet = total, w
+        raise ConfigError(f"{self.name}: no route between {a} and {b}")
 
     def transfer_time(self, a: int, b: int, nbytes: float) -> float:
         if a == b:
@@ -104,19 +141,37 @@ class Topology:
         triples — a canonical, order-independent dump used by cache
         fingerprinting and debugging."""
         return sorted(
-            (min(a, b), max(a, b), data["link"])
-            for a, b, data in self._graph.edges(data=True)
+            (a, b, link)
+            for a, peers in self._adj.items()
+            for b, link in peers.items() if a < b
         )
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph) if self.num_devices > 1 else True
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            for peer in self._adj[frontier.pop()]:
+                if peer not in reached:
+                    reached.add(peer)
+                    frontier.append(peer)
+        return len(reached) == self.num_devices
 
     def neighbors(self, rank: int) -> list[int]:
-        return sorted(self._graph.neighbors(rank))
+        return sorted(self._adj[rank])
 
     def __repr__(self) -> str:
+        links = sum(len(peers) for peers in self._adj.values()) // 2
         return (f"Topology({self.name!r}, devices={self.num_devices}, "
-                f"links={self._graph.number_of_edges()})")
+                f"links={links})")
+
+
+def _chain(preds: dict, node) -> list[int]:
+    """``node`` and its predecessors, back to the search root."""
+    out = []
+    while node is not None:
+        out.append(node)
+        node = preds[node]
+    return out
 
 
 def ring_transfer_chain(topology: Topology, ranks: list[int], nbytes: float) -> float:

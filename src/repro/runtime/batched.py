@@ -141,7 +141,8 @@ and every fallback is *reason-coded* —
 reason and recovered-lane counts for the time-ordered replay, so
 batch-coverage regressions are visible in ``--profile`` output.
 
-Known divergence: a *deadlocking* structure raises
+Known divergence (pinned by ``tests/test_batched.py``
+``TestDeadlockOutranksCapacity``): a *deadlocking* structure raises
 :class:`~repro.errors.SchedulingError` for the whole batch (replayed
 through the scalar core for the identical message) even if some lane's
 capacity would have aborted with an OOM first under scalar execution.

@@ -728,6 +728,43 @@ class TestFromPlansValidation:
             execute_batch(PlanBatch.from_plans(plans, [100, None]))
 
 
+class TestDeadlockOutranksCapacity:
+    """The one known batch-vs-scalar divergence (``runtime/batched.py``
+    module doc), pinned: deadlock is a property of the structure, so a
+    deadlocking batch raises ``SchedulingError`` as a whole — even for
+    a lane whose capacity the scalar core would have hit first."""
+
+    def deadlocking_lanes(self):
+        from repro.actions.reorder import ordering_entries, reorder_program
+
+        stages = build_schedule(make_config("gpipe", P, B)).num_stages
+        base = lowered("gpipe", {}, resources=StageResources(
+            weight_bytes=(100.0,) * stages,
+            activation_bytes=(10.0,) * stages)).program
+        orders = ordering_entries(base)
+        last = max(orders)
+        # every backward before its own forward: a dependency inversion
+        orders[last] = orders[last][::-1]
+        plan = ExecutablePlan.lower(reorder_program(base, orders))
+        return lanes_for(plan, n=2)
+
+    def test_scalar_lane_ooms_first_batch_reports_the_deadlock(self):
+        plans = self.deadlocking_lanes()
+        run = RunConfig()
+        # scalar: device 0's first forward allocation (100 static + 10)
+        # aborts the lane before the event loop can get stuck ...
+        with pytest.raises(OutOfMemoryError):
+            execute_plan(plans[0], run, capacity_bytes=105)
+        # ... and without a capacity the same structure deadlocks
+        with pytest.raises(SchedulingError, match="deadlock") as scalar:
+            execute_plan(plans[1], run)
+        # batch: the structural verdict wins for every lane, with the
+        # scalar core's message
+        with pytest.raises(SchedulingError, match="deadlock") as batch:
+            execute_batch(PlanBatch.from_plans(plans, [105, None]), run)
+        assert str(batch.value) == str(scalar.value)
+
+
 class TestRetimeBuffers:
     """The shared-column retime used by the synthesis scorer."""
 

@@ -1,5 +1,7 @@
 """Topology graphs, cluster presets, and the communication model."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -18,6 +20,7 @@ from repro.cluster import (
     make_tc,
     ring_transfer_chain,
 )
+from repro.cluster.topology import NVLINK2
 from repro.errors import ConfigError
 
 
@@ -73,6 +76,113 @@ class TestTopology:
         t.add_link(0, 1, NVLINK3)
         with pytest.raises(ConfigError, match="no route"):
             t.effective_link(0, 2)
+
+
+    def test_out_of_range_route_is_a_config_error(self):
+        t = Topology("t", 2)
+        t.add_link(0, 1, NVLINK3)
+        with pytest.raises(ConfigError, match="outside device range"):
+            t.effective_link(0, 7)
+
+    def test_is_connected(self):
+        t = Topology("t", 4)
+        t.add_link(0, 1, NVLINK3)
+        t.add_link(2, 3, NVLINK3)
+        assert not t.is_connected()
+        t.add_link(1, 2, PCIE4)
+        assert t.is_connected()
+        assert Topology("one", 1).is_connected()
+        assert t.neighbors(1) == [0, 2]
+        assert t.links() == [(0, 1, NVLINK3), (1, 2, PCIE4), (2, 3, NVLINK3)]
+        assert "links=3" in repr(t)
+
+
+class TestRoutingParity:
+    """Route choice feeds committed results, so the in-house search must
+    pick — tie for tie — the path ``networkx.shortest_path`` picked when
+    the topology was an ``nx.Graph``."""
+
+    @staticmethod
+    def reference(monkeypatch):
+        """Mirror every ``add_link`` into the ``nx.Graph`` the old
+        implementation would have built, and route on that."""
+        nx = pytest.importorskip("networkx")
+        graphs = {}     # keyed by the topology itself: no id() reuse
+        add_link = Topology.add_link
+
+        def recording(self, a, b, link):
+            add_link(self, a, b, link)
+            if self not in graphs:
+                graphs[self] = nx.Graph()
+                graphs[self].add_nodes_from(range(self.num_devices))
+            old = graphs[self].get_edge_data(a, b)
+            if old is None or old["link"].bandwidth < link.bandwidth:
+                graphs[self].add_edge(a, b, link=link,
+                                      weight=1.0 / link.bandwidth)
+
+        monkeypatch.setattr(Topology, "add_link", recording)
+
+        def effective(topo, a, b):
+            graph = graphs[topo]
+            if graph.get_edge_data(a, b) is not None:
+                link = graph[a][b]["link"]
+                return link.bandwidth, link.latency, 1
+            try:
+                path = nx.shortest_path(graph, a, b, weight="weight")
+            except nx.NetworkXNoPath:
+                return None
+            links = [graph[u][v]["link"] for u, v in zip(path, path[1:])]
+            return (min(l.bandwidth for l in links),
+                    sum(l.latency for l in links), len(links))
+
+        return effective
+
+    @staticmethod
+    def ours(topo, a, b):
+        try:
+            link = topo.effective_link(a, b)
+        except ConfigError:
+            return None
+        hops = (int(link.name[:-1].rsplit("x", 1)[1])
+                if link.name.startswith("path(") else 1)
+        return link.bandwidth, link.latency, hops
+
+    @pytest.mark.parametrize("factory", [make_fc, make_pc, make_tacc, make_tc])
+    def test_presets_every_pair(self, factory, monkeypatch):
+        reference = self.reference(monkeypatch)
+        for n in range(2, 33):
+            if factory is make_pc and n % 2:
+                continue
+            topo = factory(n).topology
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        assert self.ours(topo, a, b) == \
+                            reference(topo, a, b), (n, a, b)
+
+    def test_sparse_graphs_with_equal_cost_routes(self, monkeypatch):
+        """Two NVLink3 hops weigh exactly one NVLink2 hop, and most
+        links share a class: ties everywhere, multi-hop everywhere."""
+        reference = self.reference(monkeypatch)
+        rng = random.Random(20230916)
+        classes = [NVLINK3, NVLINK3, NVLINK2, PCIE4, INTER_NODE]
+        multihop = 0
+        for _ in range(80):
+            n = rng.randint(4, 12)
+            topo = Topology("rand", n)
+            for _ in range(rng.randint(n - 2, 2 * n)):
+                a, b = rng.sample(range(n), 2)
+                topo.add_link(a, b, rng.choice(classes))
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    got = self.ours(topo, a, b)
+                    assert got == reference(topo, a, b), (topo.links(), a, b)
+                    multihop += got is not None and got[2] > 1
+            assert topo.is_connected() == all(
+                self.ours(topo, 0, b) is not None for b in range(1, n))
+        assert multihop > 1000
 
 
 class TestPresets:

@@ -259,7 +259,7 @@ class TestMeasuredOverlap:
 
 
 class TestLayoutValidation:
-    """Satellite: rank leaks become ConfigError, not networkx noise."""
+    """Satellite: rank leaks become ConfigError, not routing noise."""
 
     def test_dp_allreduce_rejects_oversized(self):
         with pytest.raises(ConfigError, match="rank"):

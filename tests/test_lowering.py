@@ -210,3 +210,82 @@ class TestLazyDurations:
         # a second execution of the same bound plan reuses the column
         execute_plan(plan)
         assert len(calls) == program.compute_count()
+
+
+LAYOUTS = [(1, 8, 1), (1, 4, 2), (1, 2, 4), (2, 4, 1)]
+
+
+@pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
+@pytest.mark.parametrize("batching", [True, False], ids=["batch", "nobatch"])
+@pytest.mark.parametrize("layout", LAYOUTS,
+                         ids=["8x1", "4x2", "2x4", "tp2"])
+@pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
+class TestSizeBinding:
+    """The plan cache builds a pipeline shape once and *size-binds* it
+    per model.  The binding may share arrays but never meaning: every
+    model's cached program + plan must be indistinguishable from an
+    independent compile + lowering of the same cell."""
+
+    def test_size_bound_plan_equals_independent_lowering(
+        self, param, layout, prefetch, batching
+    ):
+        from repro.actions import with_tp_sync
+        from repro.analysis import (
+            HybridLayout,
+            build_hybrid_simulation,
+            plan_cache,
+            tp_rank_groups,
+        )
+        from repro.models import bert_64, gpt_128
+        from repro.schedules import build_schedule
+
+        scheme, kw = param
+        tp, p, d = layout
+        layout = HybridLayout(tp, p, d)
+        cluster = make_fc(8)
+        run = RunConfig(prefetch=prefetch, batch_cross_comm=batching)
+        cache = plan_cache()
+        cache.clear()
+        models = [bert_64(), gpt_128(), tiny_model(num_layers=30)]
+        for model in models:    # bert donates the shape, the rest bind
+            cell = build_hybrid_simulation(
+                scheme, cluster, model, layout, num_microbatches=8,
+                w=kw.get("num_waves", 1), run=run)
+            program = compile_cluster_program(
+                build_schedule(cell.cfg), cluster, cell.costs, d=d,
+                run=run, spacing=tp)
+            if tp > 1:
+                program = with_tp_sync(
+                    program, tp_rank_groups(cluster, layout),
+                    nbytes=model.boundary_bytes(1),
+                    count_per_pass=2.0 * (model.num_layers + 2)
+                    / program.num_stages)
+            fresh = ExecutablePlan.lower(program)
+            assert cell.plan.plan_key == fresh.plan_key
+            assert cell.plan.congruence_key == fresh.congruence_key
+            for column in ("comp_alloc", "comp_free", "send_nbytes",
+                           "coll_ops", "coll_count", "coll_active",
+                           "coll_chunk"):     # not all of them are hashed
+                assert getattr(cell.plan, column) == getattr(fresh, column)
+            assert cell.program.actions == program.actions
+            assert cell.plan.decode() == cell.program.actions
+        assert (cache.shape_misses, cache.shape_hits) == (1, 2)
+        assert (len(cache), len(cache._shapes)) == (3, 1)
+
+
+def test_with_sizes_rejects_a_program_of_another_shape():
+    """The one shape fact a size binding can get wrong — collectives
+    missing or over other rank groups — is refused, not mis-lowered."""
+    from repro.errors import ValidationError
+    from repro.schedules import build_schedule
+
+    cluster = make_fc(8)
+    sched = build_schedule(PipelineConfig(
+        scheme="gpipe", num_devices=4, num_microbatches=4, data_parallel=2))
+    costs = stage_costs(tiny_model(num_layers=16), sched.num_stages,
+                        cluster.device, 1)
+    synced = compile_cluster_program(sched, cluster, costs, d=2)
+    plan = ExecutablePlan.lower(synced)
+    assert plan.with_sizes(synced).plan_key == plan.plan_key
+    with pytest.raises(ValidationError, match="do not match the shape"):
+        plan.with_sizes(compile_cluster_program(sched, cluster, costs, d=1))

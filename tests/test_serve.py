@@ -628,7 +628,10 @@ class TestDrain:
 
 class TestCacheThreadSafety:
     def test_plan_cache_concurrent_hammering(self):
-        from repro.analysis.plans import PlanCache
+        """Plan keys are ``(shape, model)``: three models per shape, so
+        the shape level is hammered too — looked up on a plan miss,
+        registered on a shape miss, alive only through its entries."""
+        from repro.analysis.plans import PlanCache, PlanEntry, PlanShape
 
         cache = PlanCache(maxsize=16)
         errors = []
@@ -636,9 +639,12 @@ class TestCacheThreadSafety:
         def worker(seed: int) -> None:
             try:
                 for i in range(300):
-                    key = f"k{(seed * 7 + i) % 48}"
+                    n = (seed * 7 + i) % 48
+                    key = (f"s{n // 3}", f"m{n % 3}")
                     if cache.get(key) is None:
-                        cache.put(key, object())
+                        shape = cache.get_shape(key[:-1]) or cache.put_shape(
+                            key[:-1], PlanShape(None, None, None))
+                        cache.put(key, PlanEntry(None, None, None, shape))
             except Exception as exc:  # noqa: BLE001 - fail the test
                 errors.append(exc)
 
@@ -652,8 +658,40 @@ class TestCacheThreadSafety:
         assert len(cache) <= 16
         # every get bumped exactly one counter...
         assert cache.hits + cache.misses == 8 * 300
-        # ...and the insertion ledger balances at quiescence
+        # ...a shape is looked up exactly once per plan miss...
+        assert cache.shape_hits + cache.shape_misses == cache.misses
+        # ...the insertion ledger balances at quiescence...
         assert cache.insertions == len(cache) + cache.evictions
+        # ...and the shapes alive are exactly those of retained entries
+        held = {id(entry.shape) for entry in cache._store.values()}
+        assert len(cache._shapes) <= len(held) <= len(cache)
+
+    def test_shape_lives_exactly_as_long_as_its_entries(self):
+        from repro.analysis.plans import PlanCache, PlanEntry, PlanShape
+
+        cache = PlanCache(maxsize=2)
+
+        def add(shape_key, model):
+            shape = cache.get_shape(shape_key) or cache.put_shape(
+                shape_key, PlanShape(None, None, None))
+            cache.put((*shape_key, model), PlanEntry(None, None, None, shape))
+
+        add(("a",), "bert")
+        add(("a",), "gpt")
+        assert (len(cache), len(cache._shapes)) == (2, 1)
+        assert (cache.shape_hits, cache.shape_misses) == (1, 1)
+        add(("b",), "bert")             # evicts (a, bert): a still held
+        assert cache.get_shape(("a",)) is not None
+        add(("c",), "bert")             # evicts (a, gpt): a's last entry
+        assert cache.get_shape(("a",)) is None
+        assert (len(cache), len(cache._shapes)) == (2, 2)
+        for n in range(50):             # bounded: shapes never outnumber
+            add((f"s{n}",), "bert")     # the entries that hold them
+            assert len(cache._shapes) <= len(cache) == 2
+        assert cache.insertions == len(cache) + cache.evictions
+        cache.clear()
+        assert (len(cache._shapes), cache.shape_hits,
+                cache.shape_misses) == (0, 0, 0)
 
     def test_bound_plan_retimes_once_under_contention(self):
         from repro.analysis.plans import PlanEntry

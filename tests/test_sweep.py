@@ -387,6 +387,75 @@ class TestPlanCache:
         assert key_for(make_fc(8)) == key_for(make_tacc(8))
         assert key_for(make_fc(8)) != key_for(make_fc(8), b=8)
 
+    def test_models_share_a_shape_and_leave_no_trace_in_each_other(self):
+        """The model is a re-bind axis: two models of one pipeline
+        shape build it once, and which of them donated it is invisible
+        — measuring ``[bert, gpt]`` and ``[gpt, bert]`` from a cleared
+        cache yields identical records, field for field."""
+        from repro.analysis import (
+            HybridLayout,
+            HybridRequest,
+            measure_hybrid_throughput_batch,
+            plan_cache,
+        )
+        from repro.models import gpt_128
+        cache = plan_cache()
+        clusters = (make_fc(8), make_tacc(8))
+
+        def requests(models):
+            return [HybridRequest("hanayo", cluster, model,
+                                  HybridLayout(*layout), 8, w=2,
+                                  microbatch_size=mb, contention=contend)
+                    for model in models
+                    for layout, mb, contend in (
+                        ((1, 8, 1), 1, False), ((1, 4, 2), 2, False),
+                        ((1, 2, 4), 1, True), ((2, 4, 1), 1, False),
+                        ((2, 2, 2), 1, False))
+                    for cluster in clusters]
+
+        bert, gpt = bert_64(), gpt_128()
+        forward = measure_hybrid_throughput_batch(requests([bert, gpt]))
+        assert (cache.misses, cache.shape_misses, cache.shape_hits) \
+            == (10, 5, 5)
+        assert (len(cache), len(cache._shapes)) == (10, 5)
+        cache.clear()
+        backward = measure_hybrid_throughput_batch(requests([gpt, bert]))
+        half = len(forward) // 2
+        assert backward == forward[half:] + forward[:half]
+        assert any(r.seq_per_s for r in forward)
+        assert "5 shapes, 5 hits, 5 misses" in cache.describe()
+
+    def test_shared_shape_is_immutable_and_bindings_do_not_alias(self):
+        """A consumer that mutates action lists in place raises on the
+        shared shape and cannot reach a sibling model's program."""
+        from repro.analysis import plan_cache
+        from repro.analysis.throughput import ThroughputRequest, plan_key
+        from repro.config import RunConfig
+        from repro.models import gpt_128
+        cache = plan_cache()
+        entries = []
+        for model in (tiny_model(num_layers=16), gpt_128()):
+            measure_throughput("hanayo", make_fc(4), model, p=4,
+                               num_microbatches=4)
+            entries.append(cache.get(plan_key(ThroughputRequest(
+                "hanayo", make_fc(4), model, 4, 4), RunConfig())))
+        first, second = entries
+        shape = first.shape
+        assert shape is second.shape and shape.schedule is first.schedule
+        with pytest.raises(AttributeError):
+            shape.program.actions[0].append(None)
+        with pytest.raises(TypeError):
+            shape.program.ops[None] = None
+        with pytest.raises(TypeError):
+            del shape.program.deps[next(iter(shape.program.deps))]
+        # ... and the donor's own program reads the same frozen views
+        with pytest.raises(TypeError):
+            first.program.ops[None] = None
+        before = list(second.program.actions[0])
+        first.program.actions[0].clear()
+        assert second.program.actions[0] == before
+        assert list(shape.program.actions[0]) == before
+
     def test_capacity_is_not_a_structural_axis(self):
         """Capacity what-ifs re-time the cached plan (enforcement is an
         execute-time argument, never compiled into the structure)."""
