@@ -87,6 +87,14 @@ OP_NOOP = 5
 NOOP_FLUSH = 0
 NOOP_STEP = 1
 
+#: field values of a plan with no cost binding and no cached keys: what
+#: every derivation that changes structural arrays must reset
+UNBOUND = dict(
+    costs=None, comp_cost=None, send_time=None, send_lat=None,
+    coll_step_time=None, send_wire=None, coll_wires=None, n_wires=0,
+    global_ranks=(), _plan_key=None, _congruence_key=None,
+)
+
 
 class RetimeBuffers:
     """Recyclable cost-column storage for :meth:`ExecutablePlan.retime`.
@@ -268,10 +276,7 @@ class ExecutablePlan:
             self, program=program,
             **_size_columns(program, colls, self.comp_keys, self.tags,
                             self.send_tag, self.coll_pairs),
-            costs=None, comp_cost=None, send_time=None, send_lat=None,
-            coll_step_time=None, send_wire=None, coll_wires=None,
-            n_wires=0, global_ranks=(),
-            _plan_key=None, _congruence_key=None,
+            **UNBOUND,
         )
 
     def retime(self, costs,

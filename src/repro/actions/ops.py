@@ -22,6 +22,10 @@ class CommKind(enum.Enum):
     ACTIVATION = "act"
     GRADIENT = "grad"
 
+    # identity hash at C speed, as for :class:`repro.types.OpKind`:
+    # every ``Tag`` lookup hashes one of these
+    __hash__ = object.__hash__
+
 
 class CollectiveKind(enum.Enum):
     """What a :class:`CollectiveOp` synchronises."""

@@ -44,7 +44,16 @@ from ..errors import OutOfMemoryError, ValidationError
 from ..schedules.base import Schedule
 from ..types import OpKind, ScheduleOp
 from .compiler import compile_schedule
-from .ops import Action, BatchedP2P, CommKind, Recv, Send, Tag
+from .ops import (
+    Action,
+    BatchedP2P,
+    CommKind,
+    ComputeBackward,
+    ComputeForward,
+    Recv,
+    Send,
+    Tag,
+)
 from .resources import StageResources
 
 #: Identity of one compute: ``(kind, microbatch, stage)``.
@@ -233,8 +242,6 @@ class Program:
 
 def compute_key(action: Action) -> ComputeKey | None:
     """``(kind, microbatch, stage)`` for a compute action, else ``None``."""
-    from .ops import ComputeBackward, ComputeForward
-
     if isinstance(action, ComputeForward):
         return (OpKind.FORWARD, action.microbatch, action.stage)
     if isinstance(action, ComputeBackward):

@@ -6,16 +6,23 @@ already-seen candidates, score the survivors by *simulated step time*,
 and stop after ``patience`` rounds without improvement.  What makes it
 fast enough to matter is the evaluation path, not the loop:
 
-* a candidate never goes back through a schedule — it is recompiled
-  from the base program by :func:`repro.actions.reorder.reorder_program`
-  (action surgery, no dependency re-derivation);
-* the lowered candidate adopts the base plan's lazily-filled compute
-  cost column (:func:`repro.analysis.plans.candidate_plan`), so the
-  cost oracle is consulted once per distinct compute across the *whole
-  search*, not once per candidate;
 * legality (:func:`~repro.synthesis.legality.check_ordering`) is a few
   linear passes and rejects deadlocks/OOMs before any event is
-  simulated.
+  simulated;
+* a candidate never goes back through a schedule, nor through a
+  :class:`~repro.actions.program.Program`: every candidate of a search
+  is a permutation of one program, so the base is lowered once (per
+  recompute frontier: size-bound once) and
+  :meth:`repro.actions.reorder.Reorderer.plan` re-emits its plan in
+  the candidate's order, over integers;
+* the candidate adopts the base plan's lazily-filled compute cost
+  column (:func:`repro.analysis.plans.candidate_plan`, the one builder
+  every scoring path calls), so the cost oracle is consulted once per
+  distinct compute across the *whole search*, not once per candidate.
+
+Only what must be a program still is one: the winner's ``plan_key``
+(:meth:`SynthesisContext.plan_for`) is lowered from the reordered
+``Program``, the way a replay of the serialized schedule recomputes it.
 
 ``benchmarks/bench_synthesis.py`` pins the resulting candidate
 throughput; the determinism contract (same seed ⇒ same best ordering,
@@ -31,9 +38,8 @@ from typing import Iterable, Mapping
 
 from ..actions.lowering import ExecutablePlan, RetimeBuffers
 from ..actions.program import compile_program
-from ..actions.reorder import Reorderer
 from ..actions.resources import StageResources
-from ..analysis.plans import PlanEntry
+from ..analysis.plans import PlanEntry, candidate_plan
 from ..config import RunConfig
 from ..errors import OutOfMemoryError, SchedulingError, SynthesisError
 from ..runtime.batched import PlanBatch, execute_batch
@@ -144,9 +150,9 @@ class SynthesisContext:
 
     Compiles the schedule exactly like :func:`repro.runtime.simulate`
     (byte-accurate boundary tensors from the oracle), then memoizes,
-    per recompute frontier, the resource-adjusted program, the wrapped
-    oracle and a cost-bound base plan whose compute-cost column every
-    candidate of that frontier shares.
+    per recompute frontier, one entry: the resource-adjusted program
+    and its base plan, bound to the frontier's (wrapped) oracle, whose
+    compute-cost column every candidate of that frontier shares.
     """
 
     def __init__(
@@ -176,8 +182,6 @@ class SynthesisContext:
         )
         self.checker = LegalityChecker(self.base_program, capacity_bytes)
         self._entries: dict[int | None, PlanEntry] = {}
-        self._oracles: dict[int | None, CostOracle] = {}
-        self._reorderers: dict[int | None, Reorderer] = {}
         #: scoring scratch: every candidate re-times into these columns
         #: (a scored plan is dropped before the next one binds, so the
         #: aliasing contract of RetimeBuffers holds by construction)
@@ -188,58 +192,38 @@ class SynthesisContext:
 
     # -- per-frontier memos ----------------------------------------------
 
-    def oracle_for(self, frontier: int | None) -> CostOracle:
-        if frontier is None or frontier >= self.base_program.num_stages:
-            return self.costs
-        found = self._oracles.get(frontier)
-        if found is None:
-            found = self._oracles.setdefault(
-                frontier, _RecomputeCosts(self.costs, frontier))
-        return found
-
     def entry_for(self, frontier: int | None) -> PlanEntry:
         found = self._entries.get(frontier)
         if found is not None:
             return found
+        program, costs = self.base_program, self.costs
         if frontier is None:
-            program = self.base_program
+            plan = ExecutablePlan.lower(program)
         else:
-            program = self.base_program.with_resources(
-                self.base_program.resources.with_recompute_from(frontier))
-        plan = ExecutablePlan.lower(program, self.oracle_for(frontier))
+            # a frontier changes only ``resources`` (and, below the
+            # last stage, what a backward costs): size-bind the one
+            # lowering instead of repeating it
+            program = program.with_resources(
+                program.resources.with_recompute_from(frontier))
+            plan = self.entry_for(None).plan.with_sizes(program)
+            if frontier < program.num_stages:
+                costs = _RecomputeCosts(costs, frontier)
         entry = PlanEntry(schedule=self.schedule, program=program,
-                          plan=plan)
+                          plan=plan.retime(costs))
         return self._entries.setdefault(frontier, entry)
 
-    def reorderer_for(self, frontier: int | None) -> Reorderer:
-        found = self._reorderers.get(frontier)
-        if found is None:
-            found = self._reorderers.setdefault(
-                frontier, Reorderer(self.entry_for(frontier).program))
-        return found
-
-    def _candidate_plan(self, ordering: ScheduleOrdering,
-                        check: bool,
+    def _candidate_plan(self, ordering: ScheduleOrdering, check: bool,
                         scratch: bool = False) -> ExecutablePlan:
-        """Lower a candidate, adopting the base's cost column.
+        """The bound plan a candidate is scored on (lowered route).
 
         ``scratch=True`` re-times into the context's shared
         :class:`RetimeBuffers` — the returned plan is only valid until
         the next scratch candidate binds (the score-then-drop loop).
         """
-        frontier = ordering.recompute_frontier
-        entry = self.entry_for(frontier)
-        oracle = self.oracle_for(frontier)
-        program = self.reorderer_for(frontier).reorder(
-            ordering.to_orders(), check=check)
-        plan = ExecutablePlan.lower(program).retime(
-            oracle, buffers=self._score_buffers if scratch else None)
-        if entry.plan.bound and entry.plan.costs is oracle:
-            # Same ops dict => identical compute table index-for-index;
-            # sharing the lazily-filled column means the oracle resolves
-            # each duration once per *search*, not once per candidate.
-            plan.comp_cost = entry.plan.comp_cost
-        return plan
+        return candidate_plan(
+            self.entry_for(ordering.recompute_frontier),
+            ordering.to_orders(), check=check,
+            buffers=self._score_buffers if scratch else None)
 
     # -- candidate evaluation --------------------------------------------
 
@@ -259,22 +243,9 @@ class SynthesisContext:
         if violations:
             self.illegal += 1
             return None
-        plan = self._candidate_plan(ordering, check=structural,
-                                    scratch=True)
-        try:
-            result = execute_plan(plan, self.run,
-                                  capacity_bytes=self.capacity_bytes,
-                                  detail="lean")
-        except OutOfMemoryError:  # pragma: no cover - legality is exact
-            self.infeasible += 1
-            return None
-        timeline = result.timeline
-        return ScoredOrdering(
-            ordering=ordering,
-            makespan=timeline.makespan,
-            bubble_ratio=bubble_stats(timeline).bubble_ratio,
-            provenance=provenance,
-        )
+        return self._score_lean(
+            ordering, self._candidate_plan(ordering, check=structural,
+                                           scratch=True), provenance)
 
     def evaluate_round(
         self,
@@ -342,8 +313,10 @@ class SynthesisContext:
                 )
         return verdicts
 
-    def _score_lean(self, ordering: ScheduleOrdering,
-                    plan: ExecutablePlan) -> ScoredOrdering | None:
+    def _score_lean(
+        self, ordering: ScheduleOrdering, plan: ExecutablePlan,
+        provenance: tuple[ProvenanceStep, ...] = (),
+    ) -> ScoredOrdering | None:
         """Scalar lean scoring of an already-lowered candidate."""
         try:
             result = execute_plan(plan, self.run,
@@ -357,11 +330,16 @@ class SynthesisContext:
             ordering=ordering,
             makespan=timeline.makespan,
             bubble_ratio=bubble_stats(timeline).bubble_ratio,
+            provenance=provenance,
         )
 
     def plan_for(self, ordering: ScheduleOrdering) -> ExecutablePlan:
-        """A bound plan of a (legal) ordering — for keys and replays."""
-        return self._candidate_plan(ordering, check=True)
+        """A bound plan of a (legal) ordering — for keys and replays:
+        lowered from the reordered ``Program``, as whoever replays the
+        serialized ordering will lower it."""
+        entry = self.entry_for(ordering.recompute_frontier)
+        return ExecutablePlan.lower(
+            entry.reorderer.reorder(ordering.to_orders()), entry.plan.costs)
 
 
 def _start_ordering(

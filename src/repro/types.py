@@ -35,6 +35,13 @@ class OpKind(enum.Enum):
     FORWARD = "F"
     BACKWARD = "B"
 
+    # Members are singletons compared by identity: hash at C speed
+    # instead of through ``Enum.__hash__``'s Python-level
+    # ``hash(self._name_)`` — compute keys are hashed millions of times
+    # per schedule search.  No result may depend on the value (``str``
+    # hashes are per-process randomized already).
+    __hash__ = object.__hash__
+
     @property
     def short(self) -> str:
         return self.value

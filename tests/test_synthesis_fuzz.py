@@ -19,6 +19,12 @@ ordering and, for each candidate:
 Zero tolerance in both directions: a legal verdict that deadlocks or a
 deadlock verdict that replays is a checker bug, and either fails here.
 
+Every walked candidate is also built by the route the searcher scores
+on — :meth:`Reorderer.plan`, the lowered-space reorder — pinned
+field-for-field against lowering the rebuilt program and executed too:
+same results, same ``heads = …; wait cycle: …`` deadlock text, same
+out-of-memory error.
+
 ``REPRO_SYNTH_FUZZ_N`` scales the per-family walk length (default 30 →
 270 candidates across the 9 families; CI runs 120 → 1080).
 """
@@ -31,6 +37,7 @@ from random import Random
 import pytest
 
 from repro.actions import compile_program
+from repro.actions.lowering import ExecutablePlan
 from repro.actions.resources import StageResources
 from repro.config import CostConfig, RunConfig
 from repro.errors import OutOfMemoryError, SchedulingError, SynthesisError
@@ -39,6 +46,7 @@ from repro.runtime import (
     execute_program,
     execute_program_reference,
 )
+from repro.runtime.events import execute_plan
 from repro.schedules import build_schedule
 from repro.synthesis import (
     DEADLOCK_KINDS,
@@ -50,7 +58,7 @@ from repro.synthesis import (
 from repro.actions.reorder import Reorderer
 from repro.actions.ops import CollectiveOp
 
-from conftest import ALL_SCHEMES, make_config, scheme_id
+from conftest import ALL_SCHEMES, assert_plans_equal, make_config, scheme_id
 
 N = int(os.environ.get("REPRO_SYNTH_FUZZ_N", "30"))
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
@@ -84,7 +92,7 @@ def run_walk(program, oracle, seed, steps, run=None, capacity_bytes=None,
     run = run or RunConfig()
     rng = Random(seed)
     checker = LegalityChecker(program, capacity_bytes)
-    reorderer = Reorderer(program)
+    reorderer = Reorderer(program, ExecutablePlan.lower(program))
     ordering = ScheduleOrdering.from_program(program)
     counts = {"legal": 0, "deadlock": 0, "oom": 0, "semantic": 0}
     for step in range(steps):
@@ -102,27 +110,31 @@ def run_walk(program, oracle, seed, steps, run=None, capacity_bytes=None,
         # structural
         assert not kinds & {"missing-op", "extra-op", "device-set"}
         rebuilt = reorderer.reorder(candidate.to_orders())
+        lowered = reorderer.plan(candidate.to_orders())
+        assert_plans_equal(lowered, ExecutablePlan.lower(rebuilt))
+        lowered = lowered.retime(oracle)
+        expected = None
         if kinds & DEADLOCK_KINDS:
             counts["deadlock"] += 1
             # a candidate can be deadlocked AND over capacity; replay
             # order decides which error fires first
             expected = (SchedulingError, OutOfMemoryError) \
                 if kinds & OOM_KINDS else SchedulingError
-            with pytest.raises(expected):
-                execute_program(rebuilt, oracle, run,
-                                capacity_bytes=capacity_bytes)
-            with pytest.raises(expected):
-                execute_program_reference(rebuilt, oracle, run,
-                                          capacity_bytes=capacity_bytes)
-            continue
-        if kinds & OOM_KINDS:
+        elif kinds & OOM_KINDS:
             counts["oom"] += 1
-            with pytest.raises(OutOfMemoryError):
+            expected = OutOfMemoryError
+        if expected is not None:
+            with pytest.raises(expected) as raised:
                 execute_program(rebuilt, oracle, run,
                                 capacity_bytes=capacity_bytes)
-            with pytest.raises(OutOfMemoryError):
+            with pytest.raises(expected):
                 execute_program_reference(rebuilt, oracle, run,
                                           capacity_bytes=capacity_bytes)
+            # the lowered route fails the same way, word for word (the
+            # deadlock report prints heads off the lazy action lists)
+            with pytest.raises(type(raised.value)) as lowered_raised:
+                execute_plan(lowered, run, capacity_bytes=capacity_bytes)
+            assert str(lowered_raised.value) == str(raised.value)
             continue
         # legal or semantic-only: must replay to completion on both
         # cores, bit-identically
@@ -137,6 +149,9 @@ def run_walk(program, oracle, seed, steps, run=None, capacity_bytes=None,
         ref = execute_program_reference(rebuilt, oracle, active,
                                         capacity_bytes=capacity_bytes)
         assert_bit_identical(new, ref)
+        assert_bit_identical(
+            execute_plan(lowered, active, capacity_bytes=capacity_bytes),
+            new)
         if kinds:
             assert kinds <= {"collective-order"}
             counts["semantic"] += 1
