@@ -14,7 +14,10 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: shared on-disk cache for the sweep-engine benches (fig09-fig12):
-#: overlapping cells — and re-runs — are measured exactly once
+#: overlapping cells — and re-runs — are measured exactly once.  It is
+#: one append-only ``results-v*-*.jsonl`` log per simulator version;
+#: per-key ``*.json`` files an older checkout left here are never read
+#: again (``ResultCache(SWEEP_CACHE_DIR).clear()`` removes them)
 SWEEP_CACHE_DIR = pathlib.Path(
     os.environ.get("REPRO_SWEEP_CACHE",
                    pathlib.Path(__file__).parent / ".sweep_cache")

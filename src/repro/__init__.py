@@ -38,26 +38,16 @@ src/repro/__init__.py`` checks it):
     0.238
 """
 
-from .analysis import measure_throughput
-from .config import CostConfig, PipelineConfig, RunConfig
-from .errors import ReproError
-from .runtime import simulate
-from .schedules import build_schedule
-from .sweep import ResultCache, SweepSpec, SweepTable, run_sweep
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "CostConfig",
-    "PipelineConfig",
-    "ReproError",
-    "ResultCache",
-    "RunConfig",
-    "SweepSpec",
-    "SweepTable",
-    "__version__",
-    "build_schedule",
-    "measure_throughput",
-    "run_sweep",
-    "simulate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analysis": ("measure_throughput",),
+    "config": ("CostConfig", "PipelineConfig", "RunConfig"),
+    "errors": ("ReproError",),
+    "runtime": ("simulate",),
+    "schedules": ("build_schedule",),
+    "sweep": ("ResultCache", "SweepSpec", "SweepTable", "run_sweep"),
+})
+__all__.append("__version__")

@@ -1,77 +1,27 @@
 """Action lists: IR, compiler, interpreter, and static validation."""
 
-from .compiler import (
-    batch_opposing,
-    comm_actions,
-    compile_schedule,
-    count_messages,
-    hoist_recvs,
-)
-from .collectives import (
-    collectives_in,
-    ring_pairs,
-    ring_step_count,
-    with_gradient_sync,
-    with_tp_sync,
-)
-from .interpreter import Executor, Interpreter
-from .lowering import ExecutablePlan, RetimeBuffers
-from .program import Dependency, Program, compile_program, compute_key
-from .reorder import OrderEntry, Reorderer, ordering_entries, reorder_program
-from .resources import StageResources
-from .ops import (
-    Action,
-    BatchedP2P,
-    CollectiveKind,
-    CollectiveOp,
-    CommKind,
-    ComputeBackward,
-    ComputeForward,
-    Flush,
-    OptimizerStep,
-    Recv,
-    Send,
-    Tag,
-)
-from .validate import check_deadlock_free, check_matching, validate_actions
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Action",
-    "BatchedP2P",
-    "CollectiveKind",
-    "CollectiveOp",
-    "CommKind",
-    "ComputeBackward",
-    "ComputeForward",
-    "Dependency",
-    "ExecutablePlan",
-    "Executor",
-    "Flush",
-    "Interpreter",
-    "OptimizerStep",
-    "OrderEntry",
-    "Program",
-    "Recv",
-    "RetimeBuffers",
-    "Reorderer",
-    "Send",
-    "StageResources",
-    "Tag",
-    "batch_opposing",
-    "check_deadlock_free",
-    "check_matching",
-    "collectives_in",
-    "comm_actions",
-    "compile_program",
-    "compile_schedule",
-    "compute_key",
-    "count_messages",
-    "hoist_recvs",
-    "ordering_entries",
-    "reorder_program",
-    "ring_pairs",
-    "ring_step_count",
-    "validate_actions",
-    "with_gradient_sync",
-    "with_tp_sync",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "collectives": (
+        "collectives_in", "ring_pairs", "ring_step_count",
+        "with_gradient_sync", "with_tp_sync",
+    ),
+    "compiler": (
+        "batch_opposing", "comm_actions", "compile_schedule", "count_messages",
+        "hoist_recvs",
+    ),
+    "interpreter": ("Executor", "Interpreter"),
+    "lowering": ("ExecutablePlan", "RetimeBuffers"),
+    "ops": (
+        "Action", "BatchedP2P", "CollectiveKind", "CollectiveOp", "CommKind",
+        "ComputeBackward", "ComputeForward", "Flush", "OptimizerStep", "Recv",
+        "Send", "Tag",
+    ),
+    "program": ("Dependency", "Program", "compile_program", "compute_key"),
+    "reorder": (
+        "OrderEntry", "Reorderer", "ordering_entries", "reorder_program",
+    ),
+    "resources": ("StageResources",),
+    "validate": ("check_deadlock_free", "check_matching", "validate_actions"),
+})

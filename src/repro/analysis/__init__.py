@@ -1,136 +1,44 @@
 """Analytic models, search, scaling, and reporting."""
 
-from .bubbles import (
-    chimera_bubble_ratio,
-    dapple_bubble_ratio,
-    gems_bubble_ratio,
-    gpipe_bubble_ratio,
-    hanayo_bubble_ratio,
-    hanayo_bubble_ratio_simplified,
-    interleaved_bubble_ratio,
-    theoretical_bubble_ratio,
-)
-from .memory_model import activation_balance_note, activation_units, weight_units
-from .perf_model import (
-    SchemeProfile,
-    chimera_k,
-    compare_schemes,
-    cross_comm_messages,
-    scheme_profile,
-)
-from .report import format_table, percent, ratio_vs
-from .scaling import (
-    ScalingPoint,
-    layouts_for,
-    parallel_efficiency,
-    speedup,
-    strong_scaling,
-    weak_scaling,
-)
-from .search import (
-    DEFAULT_WAVES,
-    SearchCell,
-    best_config,
-    best_throughput,
-    feasible_waves,
-    search_grid,
-    split_batch,
-)
-from .hybrid import hybrid_search
-from .plans import PlanCache, PlanEntry, candidate_plan, plan_cache
-from .throughput import (
-    ANALYTIC_DP_OVERLAP,
-    OVERLAP_MODES,
-    ClusterCosts,
-    HybridCell,
-    HybridLayout,
-    HybridRequest,
-    ThroughputRequest,
-    ThroughputResult,
-    apply_tensor_parallel,
-    build_hybrid_simulation,
-    compile_cluster_program,
-    dp_allreduce_seconds,
-    dp_rank_groups,
-    measure_hybrid_throughput,
-    measure_hybrid_throughput_batch,
-    measure_throughput,
-    measure_throughput_batch,
-    plan_key,
-    stage_grad_bytes,
-    tp_allreduce_seconds,
-    tp_rank_groups,
-)
-from .zones import (
-    ZoneBreakdown,
-    classify_idle,
-    zone_a_size,
-    zone_b_size,
-    zone_c_sizes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANALYTIC_DP_OVERLAP",
-    "ClusterCosts",
-    "DEFAULT_WAVES",
-    "OVERLAP_MODES",
-    "HybridCell",
-    "HybridLayout",
-    "HybridRequest",
-    "PlanCache",
-    "PlanEntry",
-    "ScalingPoint",
-    "SchemeProfile",
-    "SearchCell",
-    "ThroughputRequest",
-    "ThroughputResult",
-    "ZoneBreakdown",
-    "activation_balance_note",
-    "apply_tensor_parallel",
-    "activation_units",
-    "best_config",
-    "best_throughput",
-    "build_hybrid_simulation",
-    "candidate_plan",
-    "chimera_bubble_ratio",
-    "chimera_k",
-    "classify_idle",
-    "compare_schemes",
-    "compile_cluster_program",
-    "cross_comm_messages",
-    "dapple_bubble_ratio",
-    "dp_allreduce_seconds",
-    "dp_rank_groups",
-    "feasible_waves",
-    "format_table",
-    "gems_bubble_ratio",
-    "gpipe_bubble_ratio",
-    "hybrid_search",
-    "hanayo_bubble_ratio",
-    "hanayo_bubble_ratio_simplified",
-    "interleaved_bubble_ratio",
-    "layouts_for",
-    "measure_throughput",
-    "measure_throughput_batch",
-    "measure_hybrid_throughput",
-    "measure_hybrid_throughput_batch",
-    "parallel_efficiency",
-    "percent",
-    "plan_cache",
-    "plan_key",
-    "ratio_vs",
-    "scheme_profile",
-    "search_grid",
-    "speedup",
-    "split_batch",
-    "stage_grad_bytes",
-    "strong_scaling",
-    "theoretical_bubble_ratio",
-    "tp_allreduce_seconds",
-    "tp_rank_groups",
-    "weak_scaling",
-    "weight_units",
-    "zone_a_size",
-    "zone_b_size",
-    "zone_c_sizes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bubbles": (
+        "chimera_bubble_ratio", "dapple_bubble_ratio", "gems_bubble_ratio",
+        "gpipe_bubble_ratio", "hanayo_bubble_ratio",
+        "hanayo_bubble_ratio_simplified", "interleaved_bubble_ratio",
+        "theoretical_bubble_ratio",
+    ),
+    "hybrid": ("hybrid_search",),
+    "memory_model": (
+        "activation_balance_note", "activation_units", "weight_units",
+    ),
+    "perf_model": (
+        "SchemeProfile", "chimera_k", "compare_schemes", "cross_comm_messages",
+        "scheme_profile",
+    ),
+    "plans": ("PlanCache", "PlanEntry", "candidate_plan", "plan_cache"),
+    "report": ("format_table", "percent", "ratio_vs"),
+    "result": ("OVERLAP_MODES", "ThroughputResult"),
+    "scaling": (
+        "ScalingPoint", "layouts_for", "parallel_efficiency", "speedup",
+        "strong_scaling", "weak_scaling",
+    ),
+    "search": (
+        "DEFAULT_WAVES", "SearchCell", "best_config", "best_throughput",
+        "feasible_waves", "search_grid", "split_batch",
+    ),
+    "throughput": (
+        "ANALYTIC_DP_OVERLAP", "ClusterCosts", "HybridCell", "HybridLayout",
+        "HybridRequest", "ThroughputRequest", "apply_tensor_parallel",
+        "build_hybrid_simulation",
+        "compile_cluster_program", "dp_allreduce_seconds", "dp_rank_groups",
+        "measure_hybrid_throughput", "measure_hybrid_throughput_batch",
+        "measure_throughput", "measure_throughput_batch", "plan_key",
+        "stage_grad_bytes", "tp_allreduce_seconds", "tp_rank_groups",
+    ),
+    "zones": (
+        "ZoneBreakdown", "classify_idle", "zone_a_size", "zone_b_size",
+        "zone_c_sizes",
+    ),
+})

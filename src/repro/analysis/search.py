@@ -28,7 +28,7 @@ from ..models.spec import ModelSpec
 from ..sweep.cache import ResultCache
 from ..sweep.engine import run_sweep
 from ..sweep.spec import DEFAULT_WAVES, SweepSpec, feasible_waves, split_batch
-from .throughput import ThroughputResult
+from .result import ThroughputResult
 
 __all__ = [
     "DEFAULT_WAVES",

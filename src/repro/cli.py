@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import format_table
 from .config import CostConfig, PipelineConfig
 from .errors import ConfigError, ReproError
-from .runtime import AbstractCosts, bubble_stats, simulate
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -35,6 +33,7 @@ def _add_shape_args(p: argparse.ArgumentParser) -> None:
 
 def _build(args, run=None) -> tuple:
     from . import profiling
+    from .runtime import AbstractCosts, simulate
     from .schedules import build_schedule
     cfg = PipelineConfig(
         scheme=args.scheme, num_devices=args.devices,
@@ -48,6 +47,7 @@ def _build(args, run=None) -> tuple:
 
 
 def cmd_gallery(args) -> int:
+    from .runtime import bubble_stats
     from .viz import render_gantt
     _, sched, res = _build(args)
     stats = bubble_stats(res.timeline)
@@ -59,6 +59,8 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .analysis import format_table
+    from .runtime import bubble_stats
     _, sched, res = _build(args)
     stats = bubble_stats(res.timeline)
     rows = [[d, f"{stats.busy[d]:.2f}", f"{stats.idle[d]:.2f}",
@@ -375,6 +377,8 @@ _SYNTH_FAMILIES = (
 
 
 def cmd_synthesize(args) -> int:
+    from .analysis import format_table
+    from .runtime import AbstractCosts
     from .schedules import build_schedule
     from .synthesis import (
         SearchConfig,

@@ -1,55 +1,20 @@
 """Real NumPy execution engine: layers, channels, workers, trainer."""
 
-from .channels import PeerNetwork, batch_isend_irecv
-from .dataparallel import (
-    DataParallelPipelines,
-    DPStepResult,
-    allreduce_average,
-    ring_allreduce,
-)
-from .executor import EngineExecutor
-from .layers import (
-    Embedding,
-    Gelu,
-    Head,
-    Layer,
-    LayerNorm,
-    Linear,
-    MultiHeadAttention,
-    TransformerBlock,
-    instantiate_layer,
-)
-from .module import StageModule, build_stages
-from .optimizer import SGD, Adam, Optimizer
-from .reference import ReferenceResult, sequential_step, sequential_step_on
-from .trainer import PipelineTrainer, StepResult, make_batch
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Adam",
-    "DPStepResult",
-    "DataParallelPipelines",
-    "Embedding",
-    "EngineExecutor",
-    "Gelu",
-    "Head",
-    "Layer",
-    "LayerNorm",
-    "Linear",
-    "MultiHeadAttention",
-    "Optimizer",
-    "PeerNetwork",
-    "PipelineTrainer",
-    "ReferenceResult",
-    "SGD",
-    "StageModule",
-    "StepResult",
-    "TransformerBlock",
-    "allreduce_average",
-    "ring_allreduce",
-    "batch_isend_irecv",
-    "build_stages",
-    "instantiate_layer",
-    "make_batch",
-    "sequential_step",
-    "sequential_step_on",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "channels": ("PeerNetwork", "batch_isend_irecv"),
+    "dataparallel": (
+        "DPStepResult", "DataParallelPipelines", "allreduce_average",
+        "ring_allreduce",
+    ),
+    "executor": ("EngineExecutor",),
+    "layers": (
+        "Embedding", "Gelu", "Head", "Layer", "LayerNorm", "Linear",
+        "MultiHeadAttention", "TransformerBlock", "instantiate_layer",
+    ),
+    "module": ("StageModule", "build_stages"),
+    "optimizer": ("Adam", "Optimizer", "SGD"),
+    "reference": ("ReferenceResult", "sequential_step", "sequential_step_on"),
+    "trainer": ("PipelineTrainer", "StepResult", "make_batch"),
+})

@@ -1,75 +1,25 @@
 """Discrete-event runtime: cost oracles, simulator, memory, metrics."""
 
-from .costs import AbstractCosts, ConcreteCosts, CostOracle
-from .memory import (
-    MemoryStats,
-    memory_stats,
-    memory_stats_from_result,
-    static_memory,
-)
-from .metrics import (
-    BubbleStats,
-    bubble_stats,
-    compute_time_lower_bound,
-    kind_time,
-    steady_state_bubble_ratio,
-    throughput_seq_per_s,
-)
-from .events import (
-    CollectiveEvent,
-    CommEvent,
-    EventResult,
-    MemoryEvent,
-    execute_plan,
-    execute_program,
-)
-from .events_ref import execute_program_reference
-from .batched import (
-    BatchResult,
-    PlanBatch,
-    execute_batch,
-    execute_many,
-)
-from .simulator import (
-    SimResult,
-    TrainingSimResult,
-    sim_result_from_events,
-    simulate,
-    simulate_ordering,
-    simulate_program,
-    simulate_training,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AbstractCosts",
-    "BatchResult",
-    "BubbleStats",
-    "CollectiveEvent",
-    "CommEvent",
-    "ConcreteCosts",
-    "CostOracle",
-    "EventResult",
-    "MemoryEvent",
-    "MemoryStats",
-    "PlanBatch",
-    "SimResult",
-    "TrainingSimResult",
-    "bubble_stats",
-    "compute_time_lower_bound",
-    "execute_batch",
-    "execute_many",
-    "execute_plan",
-    "execute_program",
-    "execute_program_reference",
-    "sim_result_from_events",
-    "kind_time",
-    "memory_stats",
-    "memory_stats_from_result",
-    "simulate",
-    "simulate_ordering",
-    "simulate_program",
-    "simulate_training",
-    "static_memory",
-    "steady_state_bubble_ratio",
-    "throughput_seq_per_s",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batched": ("BatchResult", "PlanBatch", "execute_batch", "execute_many"),
+    "costs": ("AbstractCosts", "ConcreteCosts", "CostOracle"),
+    "events": (
+        "CollectiveEvent", "CommEvent", "EventResult", "MemoryEvent",
+        "execute_plan", "execute_program",
+    ),
+    "events_ref": ("execute_program_reference",),
+    "memory": (
+        "MemoryStats", "memory_stats", "memory_stats_from_result",
+        "static_memory",
+    ),
+    "metrics": (
+        "BubbleStats", "bubble_stats", "compute_time_lower_bound", "kind_time",
+        "steady_state_bubble_ratio", "throughput_seq_per_s",
+    ),
+    "simulator": (
+        "SimResult", "TrainingSimResult", "sim_result_from_events", "simulate",
+        "simulate_ordering", "simulate_program", "simulate_training",
+    ),
+})

@@ -1,57 +1,29 @@
 """Pipeline schedule generators and the schedule IR."""
 
-from .async_1f1b import async_1f1b_schedule, max_staleness, weight_versions
-from .base import Schedule
-from .chimera import chimera_schedule
-from .dapple import dapple_schedule
-from .factory import build_schedule
-from .gems import gems_schedule
-from .gpipe import gpipe_schedule
-from .greedy import GreedyPolicy, fifo_priority, greedy_order, wave_priority
-from .hanayo import hanayo_open_cap, hanayo_schedule
-from .interleaved import interleaved_schedule
-from .placement import (
-    CyclicPlacement,
-    LinearPlacement,
-    MirrorPlacement,
-    SnakePlacement,
-    StagePlacement,
-)
-from .transform import chimera_to_wave, chimera_wave_schedule, transformed_from
-from .validation import (
-    check_completeness,
-    check_executable,
-    check_placement,
-    validate,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CyclicPlacement",
-    "GreedyPolicy",
-    "LinearPlacement",
-    "MirrorPlacement",
-    "Schedule",
-    "SnakePlacement",
-    "StagePlacement",
-    "async_1f1b_schedule",
-    "build_schedule",
-    "check_completeness",
-    "check_executable",
-    "check_placement",
-    "chimera_schedule",
-    "chimera_to_wave",
-    "chimera_wave_schedule",
-    "dapple_schedule",
-    "fifo_priority",
-    "gems_schedule",
-    "gpipe_schedule",
-    "greedy_order",
-    "hanayo_open_cap",
-    "hanayo_schedule",
-    "interleaved_schedule",
-    "max_staleness",
-    "transformed_from",
-    "validate",
-    "wave_priority",
-    "weight_versions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "async_1f1b": ("async_1f1b_schedule", "max_staleness", "weight_versions"),
+    "base": ("Schedule",),
+    "chimera": ("chimera_schedule",),
+    "dapple": ("dapple_schedule",),
+    "factory": ("build_schedule",),
+    "gems": ("gems_schedule",),
+    "gpipe": ("gpipe_schedule",),
+    "greedy": (
+        "GreedyPolicy", "fifo_priority", "greedy_order", "wave_priority",
+    ),
+    "hanayo": ("hanayo_open_cap", "hanayo_schedule"),
+    "interleaved": ("interleaved_schedule",),
+    "placement": (
+        "CyclicPlacement", "LinearPlacement", "MirrorPlacement",
+        "SnakePlacement", "StagePlacement",
+    ),
+    "transform": (
+        "chimera_to_wave", "chimera_wave_schedule", "transformed_from",
+    ),
+    "validation": (
+        "check_completeness", "check_executable", "check_placement",
+        "validate",
+    ),
+})

@@ -22,18 +22,10 @@ process and answers what-if queries over HTTP:
   streamed sweep progress and graceful drain.
 """
 
-from .codec import AdviseQuery, SweepQuery, dumps_canonical, query_key
-from .queries import advise_answer, format_advise, sweep_answer
-from .server import AdvisorServer, serve_until_signalled
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdviseQuery",
-    "AdvisorServer",
-    "SweepQuery",
-    "advise_answer",
-    "dumps_canonical",
-    "format_advise",
-    "query_key",
-    "serve_until_signalled",
-    "sweep_answer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codec": ("AdviseQuery", "SweepQuery", "dumps_canonical", "query_key"),
+    "queries": ("advise_answer", "format_advise", "sweep_answer"),
+    "server": ("AdvisorServer", "serve_until_signalled"),
+})

@@ -32,48 +32,18 @@ End to end, on a tiny model so it runs anywhere::
     True
 """
 
-from .cache import (
-    CACHE_VERSION,
-    ResultCache,
-    cache_key,
-    cluster_fingerprint,
-    code_fingerprint,
-    fingerprint_files,
-    model_fingerprint,
-    record_to_result,
-    result_to_record,
-)
-from .engine import point_key, run_sweep
-from .spec import (
-    BIDIRECTIONAL_SCHEMES,
-    DEFAULT_WAVES,
-    SweepPoint,
-    SweepSpec,
-    feasible_waves,
-    split_batch,
-)
-from .table import EXPORT_FIELDS, SweepRow, SweepStats, SweepTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BIDIRECTIONAL_SCHEMES",
-    "CACHE_VERSION",
-    "DEFAULT_WAVES",
-    "EXPORT_FIELDS",
-    "ResultCache",
-    "SweepPoint",
-    "SweepRow",
-    "SweepSpec",
-    "SweepStats",
-    "SweepTable",
-    "cache_key",
-    "cluster_fingerprint",
-    "code_fingerprint",
-    "fingerprint_files",
-    "feasible_waves",
-    "model_fingerprint",
-    "point_key",
-    "record_to_result",
-    "result_to_record",
-    "run_sweep",
-    "split_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CACHE_VERSION", "ResultCache", "cache_key", "cluster_fingerprint",
+        "code_fingerprint", "fingerprint_files", "key_prefix",
+        "model_fingerprint", "record_to_result", "result_to_record",
+    ),
+    "engine": ("point_key", "run_sweep"),
+    "spec": (
+        "BIDIRECTIONAL_SCHEMES", "DEFAULT_WAVES", "SweepPoint", "SweepSpec",
+        "feasible_waves", "split_batch",
+    ),
+    "table": ("EXPORT_FIELDS", "SweepRow", "SweepStats", "SweepTable"),
+})

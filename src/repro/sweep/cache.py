@@ -7,12 +7,22 @@ model spec, the shape ``(P, D, W, B, microbatch size)``, and the
 measurement options.  The hash is computed from a canonical JSON
 serialisation, so it is stable across processes, interpreter restarts
 and ``PYTHONHASHSEED`` values — two hosts sweeping the same grid hit
-the same keys.
+the same keys.  The part that does not vary across one grid (version,
+code, cluster, model, options) is digested once as a
+:func:`key_prefix`; a cell hashes only that digest plus its shape.
 
-Records are one JSON file per key under the cache root.  Writes are
-atomic (temp file + ``os.replace``); unreadable or schema-mismatched
-entries are treated as misses and deleted, so a corrupted cache heals
-itself on the next run.
+Records live in one **append-only JSONL log per cache generation**
+(``results-v<CACHE_VERSION>-<code fingerprint prefix>.jsonl`` under the
+cache root) — the shape of the traffic, which is write-once, read-all.
+A ``put`` is a single ``write(2)`` of one complete line on an
+``O_APPEND`` descriptor, so finished cells survive an interrupted sweep
+and concurrent appenders interleave at line granularity; a ``get``
+answers from an in-memory index built by one read of the log.  Lines
+that do not parse, or carry the wrong version or schema, are skipped —
+they read as misses and are superseded by the recomputed line (later
+lines win), so a corrupted cache heals itself on the next run.  A
+source edit changes the fingerprint and therefore every key; it also
+starts a new log file, so stale generations are never parsed.
 """
 
 from __future__ import annotations
@@ -20,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import os
 import pathlib
@@ -29,7 +38,7 @@ import threading
 from ..cluster.presets import Cluster
 from ..config import PipelineConfig
 from ..models.spec import ModelSpec
-from ..analysis.throughput import ThroughputResult
+from ..analysis.result import ThroughputResult
 
 #: bump when record layout or fingerprint semantics change; old entries
 #: then read as misses instead of deserialising wrongly
@@ -52,17 +61,24 @@ from ..analysis.throughput import ThroughputResult
 #: contention-mode lanes execute through the lockstep stepper, and
 #: batch units span congruent structures (cross-model lanes), all new
 #: code paths between cached records and the event core
-CACHE_VERSION = 8
+#: 8: contention as a per-request axis — keys carry ``contention``
+#: 9: the result log — records move from one file per key to one
+#: append-only JSONL log per generation, keys become ``sha256(prefix
+#: digest + shape)``, and the reference interpreter leaves the code
+#: fingerprint
+CACHE_VERSION = 9
 
 #: package-relative sources whose behaviour determines a measurement;
 #: their content is hashed into every cache key so editing the cost
 #: model, a schedule generator, or the *execution semantics* — the
 #: action compiler / program IR / **plan lowering** under ``actions/``
 #: and the event-driven core under ``runtime/`` (``events.py``,
-#: ``events_ref.py``, ``simulator.py``) — invalidates old entries
+#: ``batched.py``, ``simulator.py``) — invalidates old entries
 #: automatically instead of serving stale numbers.  Directories are
 #: hashed recursively, so new execution modules (e.g.
-#: ``actions/lowering.py``) are covered the day they land.
+#: ``actions/lowering.py``) are covered the day they land.  The record
+#: *type* (``analysis/result.py``) is deliberately absent: it computes
+#: nothing, and its layout is governed by :data:`CACHE_VERSION`.
 _MEASUREMENT_SOURCES = (
     "config.py",
     "types.py",
@@ -77,6 +93,11 @@ _MEASUREMENT_SOURCES = (
     "synthesis",
 )
 
+#: files under the directories above that no measurement can reach: the
+#: reference interpreter is a test oracle, and editing it must not
+#: invalidate every user's cache
+_NOT_MEASUREMENT_SOURCES = ("runtime/events_ref.py",)
+
 
 def fingerprint_files() -> list[pathlib.Path]:
     """Every source file folded into :func:`code_fingerprint`, sorted.
@@ -88,11 +109,12 @@ def fingerprint_files() -> list[pathlib.Path]:
     import repro
 
     root = pathlib.Path(repro.__file__).parent
+    excluded = {root / name for name in _NOT_MEASUREMENT_SOURCES}
     files: list[pathlib.Path] = []
     for target in _MEASUREMENT_SOURCES:
         path = root / target
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    return files
+    return [path for path in files if path not in excluded]
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,6 +161,42 @@ def cluster_fingerprint(cluster: Cluster) -> dict:
     }
 
 
+def _digest(payload) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def key_prefix(
+    cluster: Cluster,
+    model: ModelSpec,
+    *,
+    overlap: str = "simulated",
+    enforce_memory: bool = True,
+    capacity_bytes: int | None = None,
+    contention: bool = False,
+) -> str:
+    """Digest of everything in a key that one grid's cells share.
+
+    Cache version, code fingerprint, the cluster's full link list, the
+    model and the measurement options are the expensive part of a key
+    and do not vary across the cells of one (cluster, model) grid, so
+    bulk callers (the sweep engine) digest them once and pass the
+    result to :func:`cache_key` as ``prefix``.
+    """
+    return _digest({
+        "version": CACHE_VERSION,
+        "code": code_fingerprint(),
+        "cluster": cluster_fingerprint(cluster),
+        "model": model_fingerprint(model),
+        "options": {
+            "overlap": overlap,
+            "enforce_memory": enforce_memory,
+            "capacity_bytes": capacity_bytes,
+            "contention": contention,
+        },
+    })
+
+
 def cache_key(
     scheme: str,
     cluster: Cluster,
@@ -154,14 +212,12 @@ def cache_key(
     enforce_memory: bool = True,
     capacity_bytes: int | None = None,
     contention: bool = False,
-    cluster_fp: dict | None = None,
-    model_fp: dict | None = None,
+    prefix: str | None = None,
 ) -> str:
     """64-hex-char content hash identifying one measurement.
 
-    ``cluster_fp`` / ``model_fp`` accept precomputed fingerprints so
-    bulk callers (the sweep engine) hash each cluster and model once
-    per run instead of once per grid cell.
+    ``prefix`` accepts the precomputed :func:`key_prefix` of
+    ``(cluster, model, options)``; those arguments are then not read.
 
     >>> from repro.cluster import make_fc
     >>> from repro.models import tiny_model
@@ -173,28 +229,12 @@ def cache_key(
     >>> k1 != cache_key("dapple", make_fc(4), tiny_model(), **shape)
     True
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "code": code_fingerprint(),
-        "scheme": scheme,
-        "cluster": cluster_fp if cluster_fp is not None
-        else cluster_fingerprint(cluster),
-        "model": model_fp if model_fp is not None
-        else model_fingerprint(model),
-        "shape": {
-            "p": p, "d": d, "w": w, "tp": tp,
-            "num_microbatches": num_microbatches,
-            "microbatch_size": microbatch_size,
-        },
-        "options": {
-            "overlap": overlap,
-            "enforce_memory": enforce_memory,
-            "capacity_bytes": capacity_bytes,
-            "contention": contention,
-        },
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if prefix is None:
+        prefix = key_prefix(
+            cluster, model, overlap=overlap, enforce_memory=enforce_memory,
+            capacity_bytes=capacity_bytes, contention=contention)
+    return _digest([prefix, scheme, p, d, w, tp, num_microbatches,
+                    microbatch_size])
 
 
 def result_to_record(result: ThroughputResult) -> dict:
@@ -259,87 +299,115 @@ def record_to_result(record: dict) -> ThroughputResult | None:
 
 
 class ResultCache:
-    """A directory of JSON measurement records, one file per key.
+    """A directory holding one append-only JSONL log of records.
 
-    Safe for concurrent use from many threads (and, as before, many
-    processes): reads and writes of the record files are already atomic
-    at the filesystem level (``os.replace``), temp-file names carry the
-    writing thread and a per-process sequence number so two threads
-    persisting the same key never collide on a staging file, and the
-    hit/miss/write counters are maintained under a lock so the serving
-    layer can report them consistently.
+    The log of the current generation — this :data:`CACHE_VERSION` and
+    this :func:`code_fingerprint` — is the only file ever parsed; logs
+    of other generations (and the per-key ``*.json`` files of versions
+    up to 8) just sit there until :meth:`clear`.
+
+    Safe for concurrent use from many threads (index, descriptor and
+    the hit/miss/write counters are maintained under one lock, so the
+    serving layer can report them consistently) and from many
+    processes: every ``put`` is one ``O_APPEND`` write of one complete
+    line, so appenders interleave at line granularity.  A process does
+    not see lines another process appends after its own first read — a
+    miss there recomputes a content-addressed, bit-identical record.
     """
 
-    _seq = itertools.count()
-
     def __init__(self, root: str | os.PathLike):
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._index: dict[str, dict] | None = None  # built by first read
+        self._fd: int | None = None                 # opened by first put
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self._lock = threading.Lock()
+        self.root = pathlib.Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / (
+            f"results-v{CACHE_VERSION}-{code_fingerprint()[:16]}.jsonl")
 
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.json"
+    def _records(self) -> dict[str, dict]:
+        """The key → record index (call with the lock held).
+
+        Built by one read of the log.  A line that does not parse, is
+        not an entry of this version, or lacks a string key or a dict
+        record is skipped; of several lines for one key the last wins.
+        """
+        if self._index is None:
+            index: dict[str, dict] = {}
+            try:
+                lines = self.path.read_bytes().splitlines()
+            except FileNotFoundError:
+                lines = []
+            for line in lines:
+                try:
+                    entry = json.loads(line)
+                except ValueError:      # garbage, or a torn write
+                    continue
+                if (isinstance(entry, dict)
+                        and entry.get("version") == CACHE_VERSION
+                        and isinstance(entry.get("key"), str)
+                        and isinstance(entry.get("record"), dict)):
+                    index[entry["key"]] = entry["record"]
+            self._index = index
+        return self._index
 
     def get(self, key: str) -> dict | None:
-        """The cached record for ``key``, or ``None`` on miss.
-
-        A file that cannot be parsed, carries the wrong version, or was
-        stored under a different key is deleted and reported as a miss.
-        """
-        path = self.path_for(key)
-        try:
-            entry = json.loads(path.read_text())
-        except FileNotFoundError:
-            return self._miss()
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self._discard(path)
-            return self._miss()
-        if (not isinstance(entry, dict)
-                or entry.get("version") != CACHE_VERSION
-                or entry.get("key") != key
-                or not isinstance(entry.get("record"), dict)):
-            self._discard(path)
-            return self._miss()
+        """The cached record for ``key``, or ``None`` on miss."""
         with self._lock:
-            self.hits += 1
-        return entry["record"]
-
-    def _miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-        return None
+            record = self._records().get(key)
+            if record is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return record
 
     def put(self, key: str, record: dict) -> None:
-        """Atomically persist ``record`` under ``key``."""
-        path = self.path_for(key)
-        tmp = path.with_name(
-            f".tmp-{key}-{os.getpid()}-{threading.get_ident()}"
-            f"-{next(self._seq)}")
-        entry = {"version": CACHE_VERSION, "key": key, "record": record}
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        """Persist ``record`` under ``key``: one appended line, written
+        at once, so an interrupted sweep keeps every finished cell."""
+        entry = {"key": key, "record": record, "version": CACHE_VERSION}
+        data = json.dumps(entry, separators=(",", ":")).encode() + b"\n"
         with self._lock:
+            if self._fd is None:
+                self._fd = os.open(
+                    self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+                size = os.fstat(self._fd).st_size
+                if size and os.pread(self._fd, 1, size - 1) != b"\n":
+                    # an interrupted writer's torn tail: end its line so
+                    # it cannot swallow ours
+                    data = b"\n" + data
+            view = memoryview(data)
+            while view:     # one write(2), barring a short write
+                view = view[os.write(self._fd, view):]
+            if self._index is not None:
+                self._index[key] = record
             self.writes += 1
 
-    def _discard(self, path: pathlib.Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    def close(self) -> None:
+        """Release the log descriptor (a later ``put`` reopens it)."""
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+
+    __del__ = close
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        with self._lock:
+            return len(self._records())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        n = 0
-        for path in self.root.glob("*.json"):
-            self._discard(path)
-            n += 1
-        return n
+        """Delete every generation's log and any per-key files older
+        versions left behind; returns the number of files removed."""
+        self.close()
+        with self._lock:
+            self._index = {}
+            stale = [*self.root.glob("results-*.jsonl"),
+                     *self.root.glob("*.json")]
+            for path in stale:
+                path.unlink(missing_ok=True)
+        return len(stale)
 
     def __repr__(self) -> str:
         return f"ResultCache({str(self.root)!r}, entries={len(self)})"

@@ -19,7 +19,11 @@ and produces a :class:`~repro.sweep.table.SweepTable`:
 Every actual measurement goes through this module's
 ``measure_hybrid_throughput_batch`` global, so tests can wrap it with a
 call counter to prove that a warm cache performs **zero** simulator
-work (and that multi-cell units really batch).
+work (and that multi-cell units really batch).  The simulator itself
+(:mod:`repro.analysis.throughput` and the schedule → action → runtime
+stack under it, NumPy included) is imported by the first *uncached*
+unit — in a pool worker, by that worker's first unit — so a sweep
+answered entirely from the cache never loads it.
 
 Below the result cache sits a second, in-process reuse layer: the
 measurement harness shares compiled programs + lowered
@@ -33,25 +37,22 @@ split this produces.
 
 from __future__ import annotations
 
-import multiprocessing
+from typing import TYPE_CHECKING
 
-from ..analysis.throughput import (
-    HybridLayout,
-    HybridRequest,
-    measure_hybrid_throughput_batch,
-)
 from ..errors import ConfigError
 from .cache import (
     ResultCache,
     cache_key,
-    cluster_fingerprint,
     infeasible_record,
-    model_fingerprint,
+    key_prefix,
     record_to_result,
     result_to_record,
 )
 from .spec import SweepPoint, SweepSpec
 from .table import SweepRow, SweepStats, SweepTable
+
+if TYPE_CHECKING:
+    from ..analysis.throughput import HybridRequest
 
 __all__ = [
     "MAX_WORKERS",
@@ -66,8 +67,16 @@ __all__ = [
 MAX_WORKERS = 32
 
 
+def measure_hybrid_throughput_batch(requests):
+    """The harness.  Importing it loads the whole simulator, so that
+    happens here — on the first uncached unit — not with this module."""
+    from ..analysis import throughput
+    return throughput.measure_hybrid_throughput_batch(requests)
+
+
 def unit_requests(unit: list[tuple]) -> list[HybridRequest]:
     """The measurement requests of one work unit, in job order."""
+    from ..analysis.throughput import HybridLayout, HybridRequest
     return [
         HybridRequest(
             scheme=point.scheme, cluster=cluster, model=model,
@@ -127,10 +136,21 @@ def _batch_units(misses: list[tuple]) -> list[list[tuple]]:
     return units
 
 
+def _key_prefix(spec: SweepSpec, cluster_index: int, model_index: int) -> str:
+    """Everything a key holds but the cell's scheme and shape."""
+    return key_prefix(
+        spec.clusters[cluster_index], spec.models[model_index],
+        overlap=spec.overlap, enforce_memory=spec.enforce_memory,
+        capacity_bytes=spec.capacity_bytes, contention=spec.contention)
+
+
 def point_key(spec: SweepSpec, point: SweepPoint,
-              cluster_fp: dict | None = None,
-              model_fp: dict | None = None) -> str:
-    """Content-hash cache key for one cell of ``spec``."""
+              prefix: str | None = None) -> str:
+    """Content-hash cache key for one cell of ``spec``.
+
+    ``prefix`` is the precomputed :func:`~.cache.key_prefix` of the
+    cell's (cluster, model) under ``spec``'s options.
+    """
     return cache_key(
         point.scheme,
         spec.clusters[point.cluster_index],
@@ -138,11 +158,8 @@ def point_key(spec: SweepSpec, point: SweepPoint,
         p=point.p, d=point.d, w=point.w, tp=point.tp,
         num_microbatches=point.num_microbatches,
         microbatch_size=point.microbatch_size,
-        overlap=spec.overlap,
-        enforce_memory=spec.enforce_memory,
-        capacity_bytes=spec.capacity_bytes,
-        contention=spec.contention,
-        cluster_fp=cluster_fp, model_fp=model_fp,
+        prefix=prefix or _key_prefix(spec, point.cluster_index,
+                                     point.model_index),
     )
 
 
@@ -164,14 +181,15 @@ def run_sweep(
     keys: list[str | None] = [None] * len(points)
     misses: list[tuple] = []
     if cache is not None:
-        # hash each distinct cluster/model once, not once per cell
-        cluster_fps = [cluster_fingerprint(c) for c in spec.clusters]
-        model_fps = [model_fingerprint(m) for m in spec.models]
+        # digested once per (cluster, model) instead of once per cell
+        prefixes = {(ci, mi): _key_prefix(spec, ci, mi)
+                    for ci in range(len(spec.clusters))
+                    for mi in range(len(spec.models))}
     for i, point in enumerate(points):
         if cache is not None:
-            keys[i] = point_key(spec, point,
-                                cluster_fp=cluster_fps[point.cluster_index],
-                                model_fp=model_fps[point.model_index])
+            keys[i] = point_key(
+                spec, point,
+                prefixes[point.cluster_index, point.model_index])
             hit = cache.get(keys[i])
             if hit is not None:
                 records[i] = (hit, True)
@@ -195,6 +213,7 @@ def run_sweep(
 
         units = _batch_units(misses)
         if workers is not None and workers > 1:
+            import multiprocessing
             pool_size = min(workers, MAX_WORKERS, len(units))
             with multiprocessing.Pool(pool_size) as pool:
                 for unit_records in pool.imap_unordered(

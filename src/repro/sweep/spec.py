@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.throughput import OVERLAP_MODES
+from ..analysis.result import OVERLAP_MODES
 from ..cluster.presets import Cluster
 from ..config import KNOWN_SCHEMES
 from ..errors import ConfigError

@@ -16,7 +16,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..analysis.report import format_table
-from ..analysis.throughput import ThroughputResult
+from ..analysis.result import ThroughputResult
 from ..errors import ConfigError
 
 #: flat export schema, also the CSV header

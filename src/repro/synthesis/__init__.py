@@ -28,73 +28,25 @@ The ``repro synthesize`` CLI is the front door; ``docs/synthesis.md``
 documents operators, legality rules and the Hanayo-rediscovery recipe.
 """
 
-from .legality import (
-    DEADLOCK_KINDS,
-    OOM_KINDS,
-    LegalityChecker,
-    Violation,
-    check_ordering,
-    is_legal,
-)
-from .mutations import (
-    MOVE_RECOMPUTE,
-    MUTATION_KINDS,
-    MoveRecomputeBoundary,
-    Mutation,
-    ReorderCollective,
-    ShiftEntry,
-    ShiftMicrobatch,
-    SwapAdjacent,
-    mutation_from_payload,
-    propose_mutation,
-)
-from .ordering import ScheduleOrdering, gpipe_like_ordering
-from .search import (
-    SearchConfig,
-    SearchResult,
-    ScoredOrdering,
-    SynthesisContext,
-    synthesize,
-    synthesize_families,
-)
-from .serialize import (
-    SCHEDULE_FORMAT,
-    ReplayReport,
-    load_schedule,
-    payload_for,
-    replay_payload,
-    save_schedule,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEADLOCK_KINDS",
-    "LegalityChecker",
-    "MOVE_RECOMPUTE",
-    "MUTATION_KINDS",
-    "OOM_KINDS",
-    "MoveRecomputeBoundary",
-    "Mutation",
-    "ReorderCollective",
-    "ReplayReport",
-    "SCHEDULE_FORMAT",
-    "ScheduleOrdering",
-    "ScoredOrdering",
-    "SearchConfig",
-    "SearchResult",
-    "ShiftEntry",
-    "ShiftMicrobatch",
-    "SwapAdjacent",
-    "SynthesisContext",
-    "Violation",
-    "check_ordering",
-    "gpipe_like_ordering",
-    "is_legal",
-    "load_schedule",
-    "mutation_from_payload",
-    "payload_for",
-    "propose_mutation",
-    "replay_payload",
-    "save_schedule",
-    "synthesize",
-    "synthesize_families",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "legality": (
+        "DEADLOCK_KINDS", "LegalityChecker", "OOM_KINDS", "Violation",
+        "check_ordering", "is_legal",
+    ),
+    "mutations": (
+        "MOVE_RECOMPUTE", "MUTATION_KINDS", "MoveRecomputeBoundary",
+        "Mutation", "ReorderCollective", "ShiftEntry", "ShiftMicrobatch",
+        "SwapAdjacent", "mutation_from_payload", "propose_mutation",
+    ),
+    "ordering": ("ScheduleOrdering", "gpipe_like_ordering"),
+    "search": (
+        "ScoredOrdering", "SearchConfig", "SearchResult", "SynthesisContext",
+        "synthesize", "synthesize_families",
+    ),
+    "serialize": (
+        "ReplayReport", "SCHEDULE_FORMAT", "load_schedule", "payload_for",
+        "replay_payload", "save_schedule",
+    ),
+})

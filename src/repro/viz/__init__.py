@@ -1,18 +1,11 @@
 """Text visualisation of schedules."""
 
-from .gantt import render_gantt, render_order
-from .trace import (
-    sim_to_chrome_trace,
-    timeline_to_chrome_trace,
-    write_chrome_trace,
-    write_sim_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "render_gantt",
-    "render_order",
-    "sim_to_chrome_trace",
-    "timeline_to_chrome_trace",
-    "write_chrome_trace",
-    "write_sim_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gantt": ("render_gantt", "render_order"),
+    "trace": (
+        "sim_to_chrome_trace", "timeline_to_chrome_trace",
+        "write_chrome_trace", "write_sim_trace",
+    ),
+})
