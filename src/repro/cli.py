@@ -187,7 +187,6 @@ def cmd_serve(args) -> int:
         (args.host, args.port),
         window_s=args.window_ms / 1e3,
         max_lanes=args.max_lanes,
-        coalesce=not args.no_batching,
         quiet=not args.verbose,
     )
     rc = serve_until_signalled(server)
@@ -562,9 +561,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="micro-batch coalescing window")
     sv.add_argument("--max-lanes", type=int, default=512,
                     help="measurement lanes per micro-batch dispatch")
-    sv.add_argument("--no-batching", action="store_true",
-                    help="disable cross-query micro-batching (each "
-                        "query measures in its own handler thread)")
     sv.add_argument("--profile", action="store_true",
                     help="print batching + plan-cache stats at drain")
     sv.add_argument("--verbose", action="store_true",

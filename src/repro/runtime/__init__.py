@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CollectiveEvent", "CommEvent", "EventResult", "MemoryEvent",
         "execute_plan", "execute_program",
     ),
-    "events_ref": ("execute_program_reference",),
     "memory": (
         "MemoryStats", "memory_stats", "memory_stats_from_result",
         "static_memory",

@@ -10,11 +10,9 @@ Array ready-state (``comp_done`` / ``posted`` byte arrays, per-slot
 transfer times) replaces the old ``produced: dict[tuple, float]`` and
 ``(device, tag)`` transfer dicts; wires and batched exchanges are
 pre-interned ints instead of ``frozenset`` keys; per-device cursors are
-preallocated lists.  The result is bit-identical to the retained
-reference interpreter (:mod:`repro.runtime.events_ref`) — pinned by the
-parity suite over the full schedule-family × prefetch × batching
-matrix — at a multiple of its speed (see ``benchmarks/bench_perf_core``
-and the committed ``BENCH_core.json``).
+preallocated lists.  The result is bit-identical to the pre-lowering
+interpreter, which the test suite keeps as its oracle and compares
+against over the full schedule-family × prefetch × batching matrix.
 
 Timing model
 ------------

@@ -69,38 +69,26 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Continuous micro-batching front end over the batch harness.
-
-    ``coalesce=False`` disables the queue entirely — submissions
-    execute synchronously in the calling thread, one harness call per
-    submission.  That is the "micro-batcher off" baseline the load
-    benchmark compares against: per-query batching still happens (the
-    harness batches within one request list), but concurrent queries
-    no longer share lockstep batches.
-    """
+    """Continuous micro-batching front end over the batch harness."""
 
     def __init__(self, window_s: float = DEFAULT_WINDOW_S,
                  max_lanes: int = DEFAULT_MAX_LANES,
-                 coalesce: bool = True,
                  workers: int | None = None):
         self.window_s = window_s
         self.max_lanes = max_lanes
-        self.coalesce = coalesce
         self._queue: deque = deque()   # (request, index, pending)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._closed = False
-        self._threads: list[threading.Thread] = []
-        if coalesce:
-            count = workers if workers is not None else default_workers()
-            self._threads = [
-                threading.Thread(target=self._loop,
-                                 name=f"repro-serve-batcher-{i}",
-                                 daemon=True)
-                for i in range(max(1, count))
-            ]
-            for thread in self._threads:
-                thread.start()
+        count = workers if workers is not None else default_workers()
+        self._threads = [
+            threading.Thread(target=self._loop,
+                             name=f"repro-serve-batcher-{i}",
+                             daemon=True)
+            for i in range(max(1, count))
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- submission ----------------------------------------------------------
 
@@ -108,8 +96,6 @@ class MicroBatcher:
         """Outcomes for ``requests`` (any layouts), in request order."""
         if not requests:
             return []
-        if not self.coalesce:
-            return self._execute(list(requests))
         pending = _Pending(len(requests))
         with self._work:
             if self._closed:
@@ -166,13 +152,18 @@ class MicroBatcher:
         When the coalesced call raises, each submission's lanes (they
         are contiguous in the queue) are re-executed on their own, so
         one poisoned lane fails one client's query and the others get
-        their normal outcomes.  The exception is not swallowed: it is
-        handed to the submission, whose ``measure_hybrid`` raises it in
-        the submitting thread.
+        their normal outcomes.  A dispatch holding a single submission
+        has no one to isolate it from and fails on the first raise.
+        The exception is not swallowed: it is handed to the submission,
+        whose ``measure_hybrid`` raises it in the submitting thread.
         """
         try:
             return self._execute([request for request, _i, _p in items])
-        except BaseException:  # noqa: BLE001 - re-raised per submission
+        except BaseException as error:  # noqa: BLE001 - handed to submitters
+            first = items[0][2]
+            if all(pending is first for _r, _i, pending in items):
+                first.error = error
+                return [None] * len(items)
             outcomes: list = []
             for pending, lanes in groupby(items, key=lambda item: item[2]):
                 requests = [request for request, _i, _p in lanes]

@@ -57,12 +57,9 @@ class AdvisorServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int] = ("127.0.0.1", 0), *,
                  window_s: float = DEFAULT_WINDOW_S,
                  max_lanes: int = DEFAULT_MAX_LANES,
-                 coalesce: bool = True,
                  quiet: bool = True):
         super().__init__(address, _Handler)
-        self.batcher = MicroBatcher(window_s=window_s,
-                                    max_lanes=max_lanes,
-                                    coalesce=coalesce)
+        self.batcher = MicroBatcher(window_s=window_s, max_lanes=max_lanes)
         self.flights = SingleFlight()
         self.quiet = quiet
         self.started = time.monotonic()

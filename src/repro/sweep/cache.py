@@ -93,11 +93,6 @@ _MEASUREMENT_SOURCES = (
     "synthesis",
 )
 
-#: files under the directories above that no measurement can reach: the
-#: reference interpreter is a test oracle, and editing it must not
-#: invalidate every user's cache
-_NOT_MEASUREMENT_SOURCES = ("runtime/events_ref.py",)
-
 
 def fingerprint_files() -> list[pathlib.Path]:
     """Every source file folded into :func:`code_fingerprint`, sorted.
@@ -109,12 +104,11 @@ def fingerprint_files() -> list[pathlib.Path]:
     import repro
 
     root = pathlib.Path(repro.__file__).parent
-    excluded = {root / name for name in _NOT_MEASUREMENT_SOURCES}
     files: list[pathlib.Path] = []
     for target in _MEASUREMENT_SOURCES:
         path = root / target
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    return [path for path in files if path not in excluded]
+    return files
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,7 +20,7 @@ evaluation cheap:
   boundary moves) with a seeded sampler;
 * :mod:`search` — the hill-climb/beam searcher scoring candidates by
   simulated step time through shared lowered plans (thousands of
-  candidates per second; see ``benchmarks/bench_synthesis.py``);
+  candidates per second; ``synth_search`` in ``benchmarks/e2e``);
 * :mod:`serialize` — replayable JSON schedules (ordering + plan_key +
   mutation provenance) for re-simulation and regression pinning.
 

@@ -24,9 +24,9 @@ Only what must be a program still is one: the winner's ``plan_key``
 (:meth:`SynthesisContext.plan_for`) is lowered from the reordered
 ``Program``, the way a replay of the serialized schedule recomputes it.
 
-``benchmarks/bench_synthesis.py`` pins the resulting candidate
-throughput; the determinism contract (same seed ⇒ same best ordering,
-same provenance) is pinned by the test suite.
+The ``synth_search`` workload of ``benchmarks/e2e`` measures the
+resulting candidate throughput; the determinism contract (same seed ⇒
+same best ordering, same provenance) is pinned by the test suite.
 """
 
 from __future__ import annotations

@@ -4,16 +4,12 @@ This is the dict-walking implementation :mod:`repro.runtime.events`
 shipped before programs were lowered to an
 :class:`~repro.actions.lowering.ExecutablePlan`.  It interprets the
 Program IR directly — ``(device, tag)`` tuple keys, ``frozenset`` wire
-identities, per-action ``isinstance`` dispatch — and is retained for
-two jobs:
-
-* **parity oracle**: ``tests/test_program_parity.py`` pins the lowered
-  core bit-identical to this implementation (timeline spans, recv
-  waits, comm events, memory watermarks, collectives) across the full
-  schedule-family × prefetch × batching matrix;
-* **perf baseline**: ``benchmarks/bench_perf_core.py`` measures the
-  lowered core's speedup against this loop and commits the ratio to
-  ``BENCH_core.json``.
+identities, per-action ``isinstance`` dispatch — and is the test
+suite's parity oracle: ``test_program_parity.py``, ``test_batched.py``
+and the synthesis suites pin the lowered and batched cores
+bit-identical to it (timeline spans, recv waits, comm events, memory
+watermarks, collectives) across the full schedule-family × prefetch ×
+batching matrix.
 
 Semantics documentation lives with the production core in
 :mod:`repro.runtime.events`; the two must only ever differ in
@@ -22,8 +18,8 @@ representation.
 
 from __future__ import annotations
 
-from ..actions.collectives import ring_pairs, ring_step_count
-from ..actions.ops import (
+from repro.actions.collectives import ring_pairs, ring_step_count
+from repro.actions.ops import (
     Action,
     BatchedP2P,
     CollectiveOp,
@@ -33,12 +29,17 @@ from ..actions.ops import (
     Send,
     Tag,
 )
-from ..actions.program import Program, compute_key
-from ..config import RunConfig
-from ..errors import OutOfMemoryError, SchedulingError
-from ..types import TimedOp, Timeline
-from .costs import CostOracle
-from .events import CollectiveEvent, CommEvent, EventResult, MemoryEvent
+from repro.actions.program import Program, compute_key
+from repro.config import RunConfig
+from repro.errors import OutOfMemoryError, SchedulingError
+from repro.runtime.costs import CostOracle
+from repro.runtime.events import (
+    CollectiveEvent,
+    CommEvent,
+    EventResult,
+    MemoryEvent,
+)
+from repro.types import TimedOp, Timeline
 
 
 class _Wire:

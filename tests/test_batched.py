@@ -14,6 +14,8 @@ batch widths.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.actions import (
@@ -42,6 +44,7 @@ from repro.runtime.metrics import fold_events
 from repro.schedules import build_schedule
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.events_ref import execute_program_reference
 
 P = B = 4
 
@@ -346,7 +349,6 @@ class TestContentionParity:
     def test_contention_collectives_bit_equal_both_cores(self, factory):
         """Arbitrated DP rings: lean lanes must match the scalar core
         and (through it) the reference interpreter."""
-        from repro.runtime import execute_program_reference
 
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
                              num_microbatches=B, data_parallel=2)
@@ -414,7 +416,6 @@ class TestTimeOrderedReplay:
         against structural order — recovers in-batch (zero scalar
         fallbacks) and matches both event cores."""
         from repro import profiling
-        from repro.runtime import execute_program_reference
 
         stats = profiling.batching_stats()
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
@@ -572,7 +573,6 @@ class TestHybridTPParity:
             build_hybrid_simulation,
             plan_cache,
         )
-        from repro.runtime import execute_program_reference
 
         plan_cache().clear()
         layout = HybridLayout(tp=tp, p=2, d=d)
@@ -691,6 +691,90 @@ class TestFallbackReasons:
         assert stats.batches == batches0 + 2
         assert sum(n * c for n, c in stats.occupancy.items()) \
             == stats.lanes
+
+
+def _bert_costs(sched, cluster, mb):
+    from repro.models import bert_64
+
+    return stage_costs(bert_64(), sched.num_stages, cluster.device, mb)
+
+
+def _span_order(result) -> tuple:
+    """The lane's global compute order: span ids merged by start time."""
+    events = sorted((top.start, str(dev), j)
+                    for dev, row in result.timeline.spans.items()
+                    for j, top in enumerate(row))
+    return tuple((dev, j) for _at, dev, j in events)
+
+
+class TestContentionGrids:
+    """Whole contention grids keep to the path they are meant for —
+    counted on :class:`~repro.profiling.BatchingStats`, so a change that
+    quietly de-batches a grid fails here, not only in wall time — and
+    every lane's fold row equals the scalar core's."""
+
+    def _run(self, plans):
+        from repro import profiling
+
+        stats = profiling.batching_stats()
+        before = (stats.batches, stats.scalar_cells, stats.recovered_lanes,
+                  dict(stats.fallback_reasons))
+        run = RunConfig(contention=True)
+        out = execute_many([(plan, None) for plan in plans], run)
+        delta = (stats.batches - before[0], stats.scalar_cells - before[1],
+                 stats.recovered_lanes - before[2])
+        assert stats.fallback_reasons == before[3]
+        wants = [execute_plan(plan, run, detail="lean") for plan in plans]
+        for k, want in enumerate(wants):
+            assert out.errors[k] is None
+            assert out.fold.row(k) == fold_events(want).row(0)
+        return delta, wants
+
+    def test_lockstep_grid_stays_lockstep(self):
+        """gpipe and dapple at P = 8 (dapple also at P = 4, D = 2) on
+        concrete clusters: wire grant order is structural order, so
+        each structure is one lockstep batch — no lane replayed, none
+        scalar."""
+        from repro.cluster import make_tc
+
+        grid = [
+            ("gpipe", 8, 1, [make_fc(8), make_pc(8), make_tacc(8),
+                             make_tc(8)]),
+            ("dapple", 8, 1, [make_fc(8), make_tc(16)]),
+            ("dapple", 4, 2, [make_fc(8)]),
+        ]
+        plans = []
+        for scheme, p, d, clusters in grid:
+            sched = build_schedule(PipelineConfig(
+                scheme=scheme, num_devices=p, num_microbatches=16,
+                data_parallel=d))
+            for cluster, mb in itertools.product(clusters, range(1, 9)):
+                costs = _bert_costs(sched, cluster, mb)
+                program = compile_cluster_program(sched, cluster, costs, d=d)
+                plans.append(ExecutablePlan.lower(program).retime(
+                    ClusterCosts(costs, cluster)))
+        assert len(plans) == 56
+        (batches, scalar, recovered), _ = self._run(plans)
+        assert (batches, scalar, recovered) == (3, 0, 0)
+
+    def test_divergent_grid_is_recovered(self):
+        """hanayo-w2 at P = 4, D = 2 retimed across microbatch sizes:
+        compute scales with the size, wire latency does not, so grant
+        orders genuinely reorder and every lane rides the time-ordered
+        replay — none scalar."""
+        sched = build_schedule(PipelineConfig(
+            scheme="hanayo", num_devices=4, num_microbatches=16,
+            num_waves=2, data_parallel=2))
+        cluster = make_fc(16)
+        base = ExecutablePlan.lower(compile_cluster_program(
+            sched, cluster, _bert_costs(sched, cluster, 1), d=2))
+        plans = [base.retime(ClusterCosts(_bert_costs(sched, cluster, mb),
+                                          cluster))
+                 for mb in range(1, 17)]
+        (_batches, scalar, recovered), wants = self._run(plans)
+        assert (scalar, recovered) == (0, len(plans))
+        # identical grant orders would make this a lockstep grid
+        assert len({_span_order(want) for want in wants}) >= 2
 
 
 class TestFromPlansValidation:

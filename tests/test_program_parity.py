@@ -20,15 +20,11 @@ import pytest
 from repro.config import CostConfig, RunConfig
 from repro.engine import PipelineTrainer, make_batch, sequential_step
 from repro.models import tiny_model
-from repro.runtime import (
-    AbstractCosts,
-    execute_program,
-    execute_program_reference,
-    simulate_program,
-)
+from repro.runtime import AbstractCosts, execute_program, simulate_program
 from repro.schedules import build_schedule
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.events_ref import execute_program_reference
 
 P = B = 4
 
@@ -100,7 +96,7 @@ class TestProgramParity:
 @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
 class TestLoweredCoreParity:
     """The lowered event core is *bit-identical* to the pre-refactor
-    interpreter (runtime/events_ref.py) — every span, wait, transfer,
+    interpreter (support/events_ref.py) — every span, wait, transfer,
     watermark and collective, across both drivers."""
 
     def test_bit_identical_to_reference_core(self, param, prefetch,

@@ -213,22 +213,30 @@ class TestMicroBatcher:
         # one coalesced attempt, then one call per submission
         assert calls[0] == 3 and sorted(calls[1:]) == [1, 2]
 
+    def test_lone_failing_submission_runs_once(self, monkeypatch):
+        """A dispatch holding one submission has nothing to isolate it
+        from: it costs exactly one harness call, and the caller gets the
+        original exception object."""
+        boom = RuntimeError("harness exploded")
+        calls = []
+
+        def harness(requests):
+            calls.append(len(requests))
+            raise boom
+
+        monkeypatch.setattr(self.HARNESS, harness)
+        batcher = MicroBatcher(window_s=0.01, workers=1)
+        with pytest.raises(RuntimeError) as info:
+            batcher.measure_hybrid([object(), object()])
+        batcher.close()
+        assert info.value is boom
+        assert calls == [2]
+
     def test_closed_batcher_rejects_submissions(self):
         batcher = MicroBatcher(window_s=0.01)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.measure_hybrid([object()])
-
-    def test_uncoalesced_mode_runs_inline(self, monkeypatch):
-        thread_ids = []
-        monkeypatch.setattr(
-            self.HARNESS,
-            lambda rs: thread_ids.append(threading.get_ident())
-            or _fake_outcomes(rs))
-        batcher = MicroBatcher(coalesce=False)
-        batcher.measure_hybrid([object()])
-        batcher.close()
-        assert thread_ids == [threading.get_ident()]
 
 
 # ---------------------------------------------------------------------------

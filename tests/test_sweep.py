@@ -280,12 +280,10 @@ class TestCache:
             "synthesis/serialize.py",
         ):
             assert required in covered, required
-        # every runtime module but the reference interpreter, which no
-        # measurement can reach: editing a test oracle must not
-        # invalidate every user's cache
+        # every runtime module: the package holds no test oracle
         runtime = {p.relative_to(root).as_posix()
                    for p in (root / "runtime").glob("*.py")}
-        assert runtime - covered == {"runtime/events_ref.py"}
+        assert runtime <= covered
         # the record *type* computes nothing; its layout is governed by
         # CACHE_VERSION, not by the code fingerprint
         assert "analysis/result.py" not in covered

@@ -45,7 +45,6 @@ from repro.errors import (
 from repro.runtime import (
     AbstractCosts,
     execute_program,
-    execute_program_reference,
     simulate,
     simulate_ordering,
 )
@@ -70,6 +69,7 @@ from repro.synthesis import (
 from repro.types import OpKind
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.events_ref import execute_program_reference
 
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
 
@@ -448,6 +448,44 @@ class TestSearch:
         ctx = SynthesisContext(sched, oracle, resources=res,
                                capacity_bytes=150)
         assert ctx.evaluate(result.best.ordering) is not None
+
+
+class TestHeadlineSearches:
+    """The two pinned seed-0 searches, against the compiled families
+    (their makespans alone are pinned by the e2e goldens)."""
+
+    @staticmethod
+    def _problem(scheme, b, **kw):
+        sched = build_schedule(make_config(scheme, 4, b, **kw), COMM)
+        return sched, AbstractCosts(COMM, 4, sched.num_stages)
+
+    def test_rediscovers_compiled_hanayo(self):
+        """From a GPipe-disciplined start on Hanayo-2's placement at
+        P = 4, B = 4 the search finds wave-style interleaving: exactly
+        as fast as the hand-designed hanayo-w2 schedule."""
+        sched, oracle = self._problem("hanayo", 4, num_waves=2)
+        conf = SearchConfig(seed=0, rounds=60, samples_per_round=32,
+                            beam_width=6, patience=16, max_shift=6)
+        res = synthesize(sched, oracle, conf, start="gpipe")
+        assert res.best.makespan == simulate(sched, oracle).makespan == 22.0
+
+    def test_beats_every_compiled_family(self):
+        """Searching Chimera's placement at P = 4, B = 6, t_c = 0.25
+        finds an ordering faster than every compiled family there (the
+        best of which is hanayo-w2)."""
+        compiled = {}
+        for scheme, kw in ALL_SCHEMES:
+            sched, oracle = self._problem(scheme, 6, **kw)
+            compiled[scheme_id((scheme, kw))] = \
+                simulate(sched, oracle).makespan
+        assert min(compiled, key=compiled.get) == "hanayo-w2"
+        assert compiled["hanayo-w2"] == 26.0
+        sched, oracle = self._problem("chimera", 6)
+        conf = SearchConfig(seed=0, rounds=150, samples_per_round=64,
+                            beam_width=8, patience=30, max_shift=8)
+        res = synthesize(sched, oracle, conf)
+        assert res.best.makespan == 22.25
+        assert res.best.makespan < min(compiled.values())
 
 
 class TestSerialization:

@@ -41,11 +41,7 @@ from repro.actions.lowering import ExecutablePlan
 from repro.actions.resources import StageResources
 from repro.config import CostConfig, RunConfig
 from repro.errors import OutOfMemoryError, SchedulingError, SynthesisError
-from repro.runtime import (
-    AbstractCosts,
-    execute_program,
-    execute_program_reference,
-)
+from repro.runtime import AbstractCosts, execute_program
 from repro.runtime.events import execute_plan
 from repro.schedules import build_schedule
 from repro.synthesis import (
@@ -59,6 +55,7 @@ from repro.actions.reorder import Reorderer
 from repro.actions.ops import CollectiveOp
 
 from conftest import ALL_SCHEMES, assert_plans_equal, make_config, scheme_id
+from support.events_ref import execute_program_reference
 
 N = int(os.environ.get("REPRO_SYNTH_FUZZ_N", "30"))
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
