@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "hoist_recvs",
     ),
     "interpreter": ("Executor", "Interpreter"),
-    "lowering": ("ExecutablePlan", "RetimeBuffers"),
+    "lowering": ("ExecutablePlan",),
     "ops": (
         "Action", "BatchedP2P", "CollectiveKind", "CollectiveOp", "CommKind",
         "ComputeBackward", "ComputeForward", "Flush", "OptimizerStep", "Recv",

@@ -96,42 +96,6 @@ UNBOUND = dict(
 )
 
 
-class RetimeBuffers:
-    """Recyclable cost-column storage for :meth:`ExecutablePlan.retime`.
-
-    Re-timing allocates four columns per call; callers that re-time in
-    a tight loop (the synthesis scorer binds thousands of candidate
-    orderings of one structure per search) hand the same buffer set to
-    every call and the columns are resized in place instead of
-    reallocated.
-
-    Aliasing contract: a plan bound through a buffer set shares the
-    buffer lists, so it is valid only until the buffers' next
-    ``columns``/``retime`` use — score it, fold the result, drop the
-    plan before the next candidate.
-    """
-
-    __slots__ = ("send_time", "send_lat", "send_wire", "coll_step_time")
-
-    def __init__(self) -> None:
-        self.send_time: list[float] = []
-        self.send_lat: list[float] = []
-        self.send_wire: list[int] = []
-        self.coll_step_time: list[float] = []
-
-    def columns(self, n_send: int, n_coll: int):
-        """The four columns resized to shape (contents unspecified)."""
-        for lst, n in ((self.send_time, n_send), (self.send_lat, n_send),
-                       (self.send_wire, n_send),
-                       (self.coll_step_time, n_coll)):
-            if len(lst) < n:
-                lst.extend([0.0] * (n - len(lst)))
-            elif len(lst) > n:
-                del lst[n:]
-        return (self.send_time, self.send_lat, self.send_wire,
-                self.coll_step_time)
-
-
 @dataclass
 class ExecutablePlan:
     """A Program lowered to flat integer-indexed arrays.
@@ -279,8 +243,7 @@ class ExecutablePlan:
             **UNBOUND,
         )
 
-    def retime(self, costs,
-               buffers: "RetimeBuffers | None" = None) -> "ExecutablePlan":
+    def retime(self, costs) -> "ExecutablePlan":
         """Bind (or re-bind) the cost columns against ``costs``.
 
         Returns a new plan sharing every structural array with ``self``
@@ -293,10 +256,6 @@ class ExecutablePlan:
         A program sends along few distinct ``(src, dst, stage)`` edges
         but many times per edge, so the oracle is consulted once per
         edge and the answer fanned out across the column.
-
-        ``buffers`` recycles the allocated columns across calls (see
-        :class:`RetimeBuffers`): the returned plan then *aliases* the
-        buffer lists and is valid only until the buffers' next use.
         """
         devices = self.devices
         granks = tuple(costs.global_rank(d) for d in devices)
@@ -321,10 +280,10 @@ class ExecutablePlan:
 
         src, dst, stage = self.send_src, self.send_dst, self.send_stage
         n_send = len(src)
-        if buffers is None:
-            buffers = RetimeBuffers()
-        send_time, send_lat, send_wire, coll_step_time = buffers.columns(
-            n_send, len(self.coll_ops))
+        send_time = [0.0] * n_send
+        send_lat = [0.0] * n_send
+        send_wire = [0] * n_send
+        coll_step_time = [0.0] * len(self.coll_ops)
         edges: dict[tuple[int, int, int], tuple[float, float, int]] = {}
         for sid in range(n_send):
             si, di = src[sid], dst[sid]

@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SchemeProfile", "chimera_k", "compare_schemes", "cross_comm_messages",
         "scheme_profile",
     ),
-    "plans": ("PlanCache", "PlanEntry", "candidate_plan", "plan_cache"),
+    "plans": ("PlanCache", "PlanEntry", "plan_cache"),
     "report": ("format_table", "percent", "ratio_vs"),
     "result": ("OVERLAP_MODES", "ThroughputResult"),
     "scaling": (

@@ -42,15 +42,12 @@ shape lives exactly as long as a retained entry references it.
 
 from __future__ import annotations
 
-import functools
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
-from ..actions.lowering import ExecutablePlan, RetimeBuffers
+from ..actions.lowering import ExecutablePlan
 from ..actions.program import Program
-from ..actions.reorder import OrderEntry, Reorderer
 from ..schedules.base import Schedule
 
 #: default bound on retained plans (a full fig09-style grid is ~50)
@@ -95,12 +92,6 @@ class PlanEntry:
     #: key instead of racing duplicate re-times
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
-
-    @functools.cached_property
-    def reorderer(self) -> Reorderer:
-        """The recompiler of this entry's program, built on first use
-        (only the synthesis searcher reorders an entry)."""
-        return Reorderer(self.program, self.plan)
 
     def bound_plan(self, key: tuple, oracle_factory) -> ExecutablePlan:
         """The plan re-timed under the oracle ``key`` stands for.
@@ -219,46 +210,6 @@ class PlanCache:
                     f"{self.evictions} evictions; "
                     f"{len(self._shapes)} shapes, {self.shape_hits} hits, "
                     f"{self.shape_misses} misses")
-
-
-def candidate_plan(
-    entry: PlanEntry,
-    orders: Mapping[int, Sequence[OrderEntry]],
-    costs=None,
-    *,
-    buffers: RetimeBuffers | None = None,
-    check: bool = True,
-) -> ExecutablePlan:
-    """A cost-bound plan for a *reordering* of a cached entry's program.
-
-    The schedule-synthesis searcher evaluates thousands of candidate
-    orderings against one structural cell; this is the cheap path it
-    rides.  A candidate is a permutation of the entry's program, so it
-    is never rebuilt as a program: :meth:`Reorderer.plan` re-emits the
-    entry's lowered plan in the new order, sharing the compute table —
-    identical index-for-index — and when the oracle is the very one the
-    base plan is bound to, the candidate adopts the base's lazily-filled
-    ``comp_cost`` column outright: every duration the oracle has ever
-    resolved for this cell is reused by every later candidate instead
-    of being re-queried per plan.
-
-    ``costs`` defaults to the base plan's bound oracle; pass an oracle
-    explicitly to time candidates against a different cluster (no
-    column sharing then).  An unbound base with no ``costs`` yields an
-    unbound candidate (still useful for ``plan_key``).  ``buffers``
-    re-times into recycled columns (the plan is then valid only until
-    their next use, see :class:`RetimeBuffers`); ``check=False`` skips
-    the permutation validation for orderings that are permutations by
-    construction.
-    """
-    plan = entry.reorderer.plan(orders, check=check)
-    oracle = costs if costs is not None else entry.plan.costs
-    if oracle is None:
-        return plan
-    plan = plan.retime(oracle, buffers=buffers)
-    if entry.plan.bound and entry.plan.costs is oracle:
-        plan.comp_cost = entry.plan.comp_cost
-    return plan
 
 
 _CACHE = PlanCache()

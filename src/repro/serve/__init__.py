@@ -2,8 +2,8 @@
 
 ``repro advise``/``sweep`` are batch CLIs that pay process startup and
 cold caches on every call.  This package keeps the expensive state hot
-— the structural :func:`~repro.analysis.plan_cache`, bound-plan /
-``RetimeBuffers`` reuse inside the batched runtime — in one long-lived
+— the structural :func:`~repro.analysis.plan_cache`, its bound-plan
+re-timings, the batched runtime's structural passes — in one long-lived
 process and answers what-if queries over HTTP:
 
 * :mod:`.codec` — one JSON request/answer codec shared by the server,

@@ -3,7 +3,7 @@
 One long-lived process holds everything the batch CLIs rebuild from
 scratch on each invocation — the interpreter and imports, the
 structural :func:`~repro.analysis.plan_cache` with its bound-plan
-re-timings, the batched runtime's ``RetimeBuffers`` — and answers
+re-timings, the batched runtime's structural passes — and answers
 queries over plain HTTP/1.1:
 
 * ``POST /advise`` — one :class:`~repro.serve.codec.AdviseQuery` body,

@@ -4,8 +4,7 @@ The paper hand-designs 8 schedule families; ROADMAP item 3 asks whether
 the action-list runtime can do better by *searching*.  This package
 implements that search over the one degree of freedom the execution IR
 leaves open — the per-device order of compute (and async collective)
-actions — on top of the lowered-plan machinery that makes candidate
-evaluation cheap:
+actions:
 
 * :mod:`ordering` — the immutable :class:`ScheduleOrdering` candidates
   are expressed in, extracted from / recompiled to a Program via
@@ -18,9 +17,12 @@ evaluation cheap:
 * :mod:`mutations` — invertible local operators (adjacent swaps, block
   shifts, micro-batch wave shifts, collective-bucket moves, recompute
   boundary moves) with a seeded sampler;
-* :mod:`search` — the hill-climb/beam searcher scoring candidates by
-  simulated step time through shared lowered plans (thousands of
-  candidates per second; ``synth_search`` in ``benchmarks/e2e``);
+* :mod:`timing` — :class:`~repro.synthesis.timing.TimedReplay`, a
+  legal candidate's step time as one float pass over the topological
+  order the legality check computed (``==`` the event core's);
+* :mod:`search` — the hill-climb/beam searcher scoring candidates with
+  it (thousands of candidates per second; ``synth_search`` in
+  ``benchmarks/e2e``);
 * :mod:`serialize` — replayable JSON schedules (ordering + plan_key +
   mutation provenance) for re-simulation and regression pinning.
 

@@ -19,7 +19,9 @@ what the differential fuzz harness pins:
   plus dataflow edges has a cycle.  Same-device inversions are reported
   individually; genuine cross-device cycles come with a concrete
   ``a -> b -> ... -> a`` witness (shared
-  :func:`~repro.schedules.validation.residual_cycle` machinery).
+  :func:`~repro.schedules.validation.residual_cycle` machinery).  An
+  acyclic graph's topological order is what the searcher times
+  (:attr:`LegalityChecker.order`, :mod:`repro.synthesis.timing`).
 * **Memory** (``capacity``): per device, activation deltas apply in
   program order — alloc at forward start, free at backward end, checked
   against capacity after each alloc — so a sequential walk reproduces
@@ -35,13 +37,13 @@ what the differential fuzz harness pins:
 :class:`LegalityChecker` is the search-rate form: it precomputes every
 program-side fact (entry multisets, interned dependency edges, per-rule
 indices) once, so the per-candidate cost is a few linear passes over
-the ordering itself.  :func:`check_ordering` builds a throwaway
-checker — same verdicts, one-shot convenience.
+the ordering itself plus one Kahn pass.  :func:`check_ordering`
+builds a throwaway checker — same verdicts, one-shot convenience.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -115,26 +117,35 @@ class LegalityChecker:
             device: Counter(entries)
             for device, entries in self.base_entries.items()
         }
-        # Interned compute keys: Kahn runs over ints, not tuples.
+        # Interned compute keys (``program.ops`` order, which is also
+        # the lowered plan's compute order): Kahn runs over ints.
         self._index: dict[ComputeKey, int] = {
             key: i for i, key in enumerate(program.ops)
         }
         self._keys: tuple[ComputeKey, ...] = tuple(program.ops)
         idx = self._index
-        #: all dataflow edges as (producer_idx, consumer_idx)
-        self._dep_edges: list[tuple[int, int]] = []
-        #: per device, the local (producer, consumer) key pairs whose
+        n = len(self._keys)
+        #: dataflow edges as producer -> consumers adjacency, in-degrees
+        self._dep_out: list[list[int]] = [[] for _ in range(n)]
+        self._dep_indeg = [0] * n
+        #: per device, the local (producer, consumer) index pairs whose
         #: relative order the ordering must preserve
-        self._local_pairs: dict[int, list[tuple[ComputeKey, ComputeKey]]] = {
+        self._local_pairs: dict[int, list[tuple[int, int]]] = {
             device: [] for device in self.base_entries
         }
         for key, deps in program.deps.items():
             ci = idx[key]
             for dep in deps:
-                self._dep_edges.append((idx[dep.producer], ci))
+                pi = idx[dep.producer]
+                self._dep_out[pi].append(ci)
+                self._dep_indeg[ci] += 1
                 if dep.tag is None:
                     device = program.ops[key].device
-                    self._local_pairs[device].append((dep.producer, key))
+                    self._local_pairs[device].append((pi, ci))
+        #: compute indices in a topological order of the last
+        #: :meth:`check`'s wait graph; ``None`` when that check stopped
+        #: before or at the deadlock rule
+        self.order: list[int] | None = None
         #: per device, per grad-sync (stage, replica): how many matching
         #: backwards the collective must trail
         self._sync_totals: dict[int, dict[tuple[int, int], int]] = {}
@@ -169,9 +180,11 @@ class LegalityChecker:
         program that replays to completion (and, when the checker
         carries a capacity, within it).  Structural violations suppress
         the downstream checks — positions are meaningless when the work
-        set is wrong.
+        set is wrong.  A check that passes the deadlock rule leaves that
+        rule's topological order in :attr:`order`, for the scorer.
         """
         program = self.program
+        self.order = None
         frontier = ordering.recompute_frontier
         if frontier is not None and program.resources is None:
             raise SchedulingError(
@@ -195,7 +208,8 @@ class LegalityChecker:
     def _check_structure(self,
                          ordering: "ScheduleOrdering") -> list[Violation]:
         out: list[Violation] = []
-        have = set(ordering.devices)
+        entries_of = dict(ordering.device_entries)
+        have = set(entries_of)
         want = set(self.base_entries)
         if have != want:
             out.append(Violation(
@@ -205,7 +219,7 @@ class LegalityChecker:
             ))
             return out
         for device, base_counts in self._counters.items():
-            theirs = Counter(ordering.entries(device))
+            theirs = Counter(entries_of[device])
             if theirs == base_counts:
                 continue
             missing = sorted(map(_fmt_entry,
@@ -231,86 +245,75 @@ class LegalityChecker:
     def _check_dependencies(
         self, ordering: "ScheduleOrdering",
     ) -> list[Violation]:
+        """One walk of the ordering builds the wait graph (per-device
+        entry order + dataflow edges); same-device inversions are read
+        off its positions, and a Kahn pass over it yields either a
+        cross-device cycle witness or the topological order
+        (:attr:`order`)."""
+        index = self._index
+        n = len(self._keys)
+        pos = [0] * n
+        nxt = [-1] * n          # the order edge leaving each compute
+        indeg = self._dep_indeg.copy()
+        for _, entries in ordering.device_entries:
+            prev = -1
+            for k, entry in enumerate(entries):
+                if isinstance(entry, CollectiveOp):
+                    continue  # never blocks; irrelevant to deadlock
+                cur = index[entry]
+                pos[cur] = k
+                if prev >= 0:
+                    nxt[prev] = cur
+                    indeg[cur] += 1
+                prev = cur
+
         out: list[Violation] = []
-        for device in ordering.devices:
-            pairs = self._local_pairs.get(device)
-            if not pairs:
-                continue
-            pos: dict[ComputeKey, int] = {}
-            for i, entry in enumerate(ordering.entries(device)):
-                if not isinstance(entry, CollectiveOp):
-                    pos[entry] = i
-            for producer, consumer in pairs:
-                if pos[producer] > pos[consumer]:
+        keys = self._keys
+        for device, _ in ordering.device_entries:
+            for pi, ci in self._local_pairs.get(device, ()):
+                if pos[pi] > pos[ci]:
                     out.append(Violation(
                         kind="dep-inversion", device=device,
-                        message=(f"{_fmt(consumer)} placed before its "
-                                 f"local producer {_fmt(producer)}"),
-                        subject=(producer, consumer),
+                        message=(f"{_fmt(keys[ci])} placed before its "
+                                 f"local producer {_fmt(keys[pi])}"),
+                        subject=(keys[pi], keys[ci]),
                     ))
         if out:
             # Local inversions already are cycles (order edge one way,
             # dep edge the other); the global pass would re-report them.
             return out
-        cycle = self._find_cycle(ordering)
-        if cycle:
-            path = " -> ".join(_fmt(k) for k in cycle)
-            out.append(Violation(
-                kind="cross-device-cycle",
-                device=self.program.ops[cycle[0]].device,
-                message=(f"order and dataflow edges form a wait cycle: "
-                         f"{path} -> {_fmt(cycle[0])}"),
-                subject=tuple(cycle),
-            ))
-        return out
 
-    def _find_cycle(
-        self, ordering: "ScheduleOrdering",
-    ) -> list[ComputeKey]:
-        """Kahn over per-device entry order + dataflow edges; a concrete
-        cycle if one exists, else ``[]``."""
-        n = len(self._keys)
-        indeg = [0] * n
-        out: list[list[int]] = [[] for _ in range(n)]
-        index = self._index
-        for pi, ci in self._dep_edges:
-            out[pi].append(ci)
-            indeg[ci] += 1
-        order_edges: list[tuple[int, int]] = []
-        for device in ordering.devices:
-            prev = -1
-            for entry in ordering.entries(device):
-                if isinstance(entry, CollectiveOp):
-                    continue  # never blocks; irrelevant to deadlock
-                cur = index[entry]
-                if prev >= 0:
-                    out[prev].append(cur)
-                    indeg[cur] += 1
-                    order_edges.append((prev, cur))
-                prev = cur
-
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        visited = 0
-        while queue:
-            i = queue.popleft()
-            visited += 1
-            for j in out[i]:
+        dep_out = self._dep_out
+        order = [i for i in range(n) if not indeg[i]]
+        for i in order:  # the list grows while it is walked: a queue
+            for j in dep_out[i]:
                 indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if visited == n:
-            return []
+                if not indeg[j]:
+                    order.append(j)
+            j = nxt[i]
+            if j >= 0:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) == n:
+            self.order = order
+            return out
         # Rare path: rebuild in key space for a readable witness.
-        keys = self._keys
-        key_out: dict[ComputeKey, list[ComputeKey]] = {
-            k: [] for k in keys
-        }
-        key_indeg: dict[ComputeKey, int] = {
-            keys[i]: indeg[i] for i in range(n)
-        }
-        for pi, ci in self._dep_edges + order_edges:
-            key_out[keys[pi]].append(keys[ci])
-        return residual_cycle(key_out, key_indeg)
+        key_out: dict[ComputeKey, list[ComputeKey]] = {k: [] for k in keys}
+        for i, consumers in enumerate(dep_out):
+            key_out[keys[i]] += (keys[j] for j in consumers)
+            if nxt[i] >= 0:
+                key_out[keys[i]].append(keys[nxt[i]])
+        cycle = residual_cycle(key_out, dict(zip(keys, indeg)))
+        path = " -> ".join(_fmt(k) for k in cycle)
+        out.append(Violation(
+            kind="cross-device-cycle",
+            device=self.program.ops[cycle[0]].device,
+            message=(f"order and dataflow edges form a wait cycle: "
+                     f"{path} -> {_fmt(cycle[0])}"),
+            subject=tuple(cycle),
+        ))
+        return out
 
     # -- memory -----------------------------------------------------------
 
@@ -335,7 +338,7 @@ class LegalityChecker:
         out: list[Violation] = []
         if capacity_bytes is None:
             return out
-        for device in ordering.devices:
+        for device, entries in ordering.device_entries:
             level = program.static_bytes.get(device, 0.0)
             if level > capacity_bytes:
                 out.append(Violation(
@@ -344,7 +347,7 @@ class LegalityChecker:
                              f"exceeds capacity {capacity_bytes}"),
                 ))
                 continue
-            for entry in ordering.entries(device):
+            for entry in entries:
                 if isinstance(entry, CollectiveOp):
                     continue
                 if entry[0] is OpKind.FORWARD:
@@ -370,8 +373,11 @@ class LegalityChecker:
     ) -> list[Violation]:
         program = self.program
         out: list[Violation] = []
+        if not self._sync_totals:
+            return out
+        entries_of = dict(ordering.device_entries)
         for device, totals in self._sync_totals.items():
-            entries = ordering.entries(device)
+            entries = entries_of[device]
             seen = dict.fromkeys(totals, 0)
             for i, entry in enumerate(entries):
                 if not isinstance(entry, CollectiveOp):

@@ -6,19 +6,18 @@ already-seen candidates, score the survivors by *simulated step time*,
 and stop after ``patience`` rounds without improvement.  What makes it
 fast enough to matter is the evaluation path, not the loop:
 
-* legality (:func:`~repro.synthesis.legality.check_ordering`) is a few
-  linear passes and rejects deadlocks/OOMs before any event is
-  simulated;
-* a candidate never goes back through a schedule, nor through a
-  :class:`~repro.actions.program.Program`: every candidate of a search
-  is a permutation of one program, so the base is lowered once (per
-  recompute frontier: size-bound once) and
-  :meth:`repro.actions.reorder.Reorderer.plan` re-emits its plan in
-  the candidate's order, over integers;
-* the candidate adopts the base plan's lazily-filled compute cost
-  column (:func:`repro.analysis.plans.candidate_plan`, the one builder
-  every scoring path calls), so the cost oracle is consulted once per
-  distinct compute across the *whole search*, not once per candidate.
+* legality (:class:`~repro.synthesis.legality.LegalityChecker`) is one
+  walk of the ordering plus a Kahn pass, and rejects deadlocks, OOMs
+  and misplaced collectives before anything is timed;
+* a legal candidate is scored on the topological order that pass
+  already computed: :class:`~repro.synthesis.timing.TimedReplay` runs
+  one float recurrence over it — no candidate ``Program``, no lowered
+  plan, no event loop — and is ``==`` to executing the reordered
+  program uncontended;
+* per recompute frontier the base is size-bound and cost-bound once,
+  and every candidate of that frontier shares its lazily filled
+  compute-cost column, so the cost oracle is consulted once per
+  distinct compute across the *whole search*.
 
 Only what must be a program still is one: the winner's ``plan_key``
 (:meth:`SynthesisContext.plan_for`) is lowered from the reordered
@@ -36,21 +35,19 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Iterable, Mapping
 
-from ..actions.lowering import ExecutablePlan, RetimeBuffers
+from ..actions.lowering import ExecutablePlan
 from ..actions.program import compile_program
+from ..actions.reorder import reorder_program
 from ..actions.resources import StageResources
-from ..analysis.plans import PlanEntry, candidate_plan
 from ..config import RunConfig
-from ..errors import OutOfMemoryError, SchedulingError, SynthesisError
-from ..runtime.batched import PlanBatch, execute_batch
+from ..errors import SynthesisError
 from ..runtime.costs import CostOracle
-from ..runtime.events import execute_plan
-from ..runtime.metrics import bubble_stats
 from ..schedules.base import Schedule
 from ..types import OpKind, ScheduleOp
 from .legality import LegalityChecker
 from .mutations import Mutation, default_operators, propose_mutation
 from .ordering import ScheduleOrdering, gpipe_like_ordering
+from .timing import TimedReplay
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,6 @@ class SearchResult:
     rounds_run: int
     evaluated: int
     illegal: int
-    infeasible: int
 
     @property
     def improved(self) -> bool:
@@ -118,7 +114,7 @@ class SearchResult:
                 f" -> best {self.best.makespan:.3f} "
                 f"(bubble {self.best.bubble_ratio:.4f}) after "
                 f"{self.rounds_run} rounds, {self.evaluated} evaluated, "
-                f"{self.illegal} illegal, {self.infeasible} infeasible, "
+                f"{self.illegal} illegal, "
                 f"{len(self.best.provenance)} mutations")
 
 
@@ -146,13 +142,15 @@ class _RecomputeCosts:
 
 
 class SynthesisContext:
-    """Shared state of one search: base program, per-frontier plans.
+    """Shared state of one search: base program, per-frontier timing.
 
     Compiles the schedule exactly like :func:`repro.runtime.simulate`
     (byte-accurate boundary tensors from the oracle), then memoizes,
-    per recompute frontier, one entry: the resource-adjusted program
-    and its base plan, bound to the frontier's (wrapped) oracle, whose
-    compute-cost column every candidate of that frontier shares.
+    per recompute frontier, one :class:`TimedReplay`: the
+    resource-adjusted program's plan bound to the frontier's (wrapped)
+    oracle, whose compute-cost column every candidate of that frontier
+    shares.  The replay times uncontended runs only, so a contended
+    ``run`` is rejected rather than silently scored without contention.
     """
 
     def __init__(
@@ -168,6 +166,11 @@ class SynthesisContext:
         self.costs = costs
         self.run = run or RunConfig()
         self.capacity_bytes = capacity_bytes
+        if self.run.contention:
+            raise SynthesisError(
+                f"{schedule.name}: the search scores uncontended runs; "
+                "contention=True is not supported"
+            )
         if capacity_bytes is not None and resources is None:
             raise SynthesisError(
                 f"{schedule.name}: a capacity cap needs resources"
@@ -181,19 +184,13 @@ class SynthesisContext:
             resources=resources,
         )
         self.checker = LegalityChecker(self.base_program, capacity_bytes)
-        self._entries: dict[int | None, PlanEntry] = {}
-        #: scoring scratch: every candidate re-times into these columns
-        #: (a scored plan is dropped before the next one binds, so the
-        #: aliasing contract of RetimeBuffers holds by construction)
-        self._score_buffers = RetimeBuffers()
+        self._replays: dict[int | None, TimedReplay] = {}
         self.evaluated = 0
         self.illegal = 0
-        self.infeasible = 0
 
-    # -- per-frontier memos ----------------------------------------------
-
-    def entry_for(self, frontier: int | None) -> PlanEntry:
-        found = self._entries.get(frontier)
+    def replay_for(self, frontier: int | None) -> TimedReplay:
+        """The timing tables of one recompute frontier (memoized)."""
+        found = self._replays.get(frontier)
         if found is not None:
             return found
         program, costs = self.base_program, self.costs
@@ -205,27 +202,11 @@ class SynthesisContext:
             # lowering instead of repeating it
             program = program.with_resources(
                 program.resources.with_recompute_from(frontier))
-            plan = self.entry_for(None).plan.with_sizes(program)
+            plan = self.replay_for(None).plan.with_sizes(program)
             if frontier < program.num_stages:
                 costs = _RecomputeCosts(costs, frontier)
-        entry = PlanEntry(schedule=self.schedule, program=program,
-                          plan=plan.retime(costs))
-        return self._entries.setdefault(frontier, entry)
-
-    def _candidate_plan(self, ordering: ScheduleOrdering, check: bool,
-                        scratch: bool = False) -> ExecutablePlan:
-        """The bound plan a candidate is scored on (lowered route).
-
-        ``scratch=True`` re-times into the context's shared
-        :class:`RetimeBuffers` — the returned plan is only valid until
-        the next scratch candidate binds (the score-then-drop loop).
-        """
-        return candidate_plan(
-            self.entry_for(ordering.recompute_frontier),
-            ordering.to_orders(), check=check,
-            buffers=self._score_buffers if scratch else None)
-
-    # -- candidate evaluation --------------------------------------------
+        return self._replays.setdefault(frontier,
+                                        TimedReplay(plan.retime(costs)))
 
     def evaluate(
         self,
@@ -233,113 +214,29 @@ class SynthesisContext:
         provenance: tuple[ProvenanceStep, ...] = (),
         structural: bool = True,
     ) -> ScoredOrdering | None:
-        """Score a candidate, or ``None`` if illegal/infeasible.
+        """Score a candidate, or ``None`` if illegal.
 
         ``structural=False`` skips the permutation check — safe for
         mutation-produced orderings, whose operators only move entries.
         """
         self.evaluated += 1
-        violations = self.checker.check(ordering, structural=structural)
-        if violations:
+        checker = self.checker
+        if checker.check(ordering, structural=structural):
             self.illegal += 1
             return None
-        return self._score_lean(
-            ordering, self._candidate_plan(ordering, check=structural,
-                                           scratch=True), provenance)
-
-    def evaluate_round(
-        self,
-        orderings: list[ScheduleOrdering],
-    ) -> list[ScoredOrdering | None]:
-        """Score one round's deduplicated candidates back-to-back.
-
-        Candidates of a round are *reorderings* — each compiles to its
-        own program with its own ``plan_key`` — but candidates sharing
-        a permutation and differing only in recompute frontier are
-        structurally *congruent* (the frontier moves costs and memory
-        deltas, never actions or edges), so such groups score as one
-        lockstep batch through the batched runtime.  Lone candidates
-        keep the scratch scalar path: they re-time into the context's
-        single :class:`RetimeBuffers` and execute at ``detail="lean"``,
-        one event pass with no column allocations (batched lanes bind
-        fresh columns instead — buffer columns alias, and a batch needs
-        every lane's columns live at once — and are scored straight
-        from the batch's fold columns).  Scores are bit-identical
-        either way (the batched-runtime invariant), so the search
-        trajectory is unchanged.  Verdicts come back aligned with
-        ``orderings`` (``None`` = illegal or infeasible).
-        """
-        verdicts: list[ScoredOrdering | None] = [None] * len(orderings)
-        groups: dict[ScheduleOrdering, list[int]] = {}
-        for i, ordering in enumerate(orderings):
-            groups.setdefault(ordering.with_frontier(None), []).append(i)
-        for idxs in groups.values():
-            if len(idxs) == 1:
-                i = idxs[0]
-                verdicts[i] = self.evaluate(orderings[i],
-                                            structural=False)
-                continue
-            legal: list[int] = []
-            for i in idxs:
-                self.evaluated += 1
-                if self.checker.check(orderings[i], structural=False):
-                    self.illegal += 1
-                else:
-                    legal.append(i)
-            if not legal:
-                continue
-            plans = [self._candidate_plan(orderings[i], check=False)
-                     for i in legal]
-            try:
-                stacked = PlanBatch.from_plans(
-                    plans, [self.capacity_bytes] * len(plans))
-            except SchedulingError:  # pragma: no cover - defensive
-                # frontier congruence should hold by construction;
-                # score the group scalar rather than abort the search
-                for i, plan in zip(legal, plans):
-                    verdicts[i] = self._score_lean(orderings[i], plan)
-                continue
-            batch = execute_batch(stacked, self.run)
-            for i, err, makespan, bubble in zip(
-                    legal, batch.errors, batch.fold.makespan.tolist(),
-                    batch.fold.bubble_ratio.tolist()):
-                if err is not None:
-                    self.infeasible += 1
-                    continue
-                verdicts[i] = ScoredOrdering(
-                    ordering=orderings[i],
-                    makespan=makespan,
-                    bubble_ratio=bubble,
-                )
-        return verdicts
-
-    def _score_lean(
-        self, ordering: ScheduleOrdering, plan: ExecutablePlan,
-        provenance: tuple[ProvenanceStep, ...] = (),
-    ) -> ScoredOrdering | None:
-        """Scalar lean scoring of an already-lowered candidate."""
-        try:
-            result = execute_plan(plan, self.run,
-                                  capacity_bytes=self.capacity_bytes,
-                                  detail="lean")
-        except OutOfMemoryError:  # pragma: no cover - legality is exact
-            self.infeasible += 1
-            return None
-        timeline = result.timeline
-        return ScoredOrdering(
-            ordering=ordering,
-            makespan=timeline.makespan,
-            bubble_ratio=bubble_stats(timeline).bubble_ratio,
-            provenance=provenance,
-        )
+        makespan, bubble_ratio = self.replay_for(
+            ordering.recompute_frontier).score(checker.order)
+        return ScoredOrdering(ordering=ordering, makespan=makespan,
+                              bubble_ratio=bubble_ratio,
+                              provenance=provenance)
 
     def plan_for(self, ordering: ScheduleOrdering) -> ExecutablePlan:
         """A bound plan of a (legal) ordering — for keys and replays:
         lowered from the reordered ``Program``, as whoever replays the
         serialized ordering will lower it."""
-        entry = self.entry_for(ordering.recompute_frontier)
+        plan = self.replay_for(ordering.recompute_frontier).plan
         return ExecutablePlan.lower(
-            entry.reorderer.reorder(ordering.to_orders()), entry.plan.costs)
+            reorder_program(plan.program, ordering.to_orders()), plan.costs)
 
 
 def _start_ordering(
@@ -427,8 +324,7 @@ def synthesize(
     for round_no in range(config.rounds):
         rounds_run = round_no + 1
         # propose-then-score: all of a round's rng draws happen before
-        # any simulation (the trajectory stays a pure function of the
-        # seed), and the scorer runs the survivors as one round batch
+        # any scoring (the trajectory stays a pure function of the seed)
         proposals: list[tuple] = []
         for _ in range(config.samples_per_round):
             parent = beam[rng.randrange(len(beam))]
@@ -443,9 +339,8 @@ def synthesize(
             seen.add(mutated)
             proposals.append((mutation, mutated, parent))
         fresh: list[ScoredOrdering] = []
-        verdicts = ctx.evaluate_round([m for _, m, _ in proposals])
-        for (mutation, _mutated, parent), scored in zip(proposals,
-                                                        verdicts):
+        for mutation, mutated, parent in proposals:
+            scored = ctx.evaluate(mutated, structural=False)
             if scored is None:
                 continue
             step = ProvenanceStep(round=round_no, mutation=mutation,
@@ -476,7 +371,6 @@ def synthesize(
         rounds_run=rounds_run,
         evaluated=ctx.evaluated,
         illegal=ctx.illegal,
-        infeasible=ctx.infeasible,
     )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.config import CostConfig, PipelineConfig
@@ -36,25 +34,6 @@ def make_config(scheme: str, p: int = 4, b: int = 4, **kw) -> PipelineConfig:
     return PipelineConfig(
         scheme=scheme, num_devices=p, num_microbatches=b, **kw
     )
-
-
-def assert_plans_equal(plan, oracle) -> None:
-    """``plan`` (from :meth:`Reorderer.plan`) is ``oracle`` (``lower``
-    of the reordered ``Program``) on every dataclass field, both
-    content keys and — through the lazy mapping — the action lists."""
-    for f in dataclasses.fields(oracle):
-        if f.name not in ("program", "_plan_key", "_congruence_key"):
-            assert getattr(plan, f.name) == getattr(oracle, f.name), f.name
-    assert plan.program is not oracle.program
-    for f in dataclasses.fields(oracle.program):
-        if f.name != "actions":
-            assert (getattr(plan.program, f.name)
-                    == getattr(oracle.program, f.name)), f.name
-    assert plan.plan_key == oracle.plan_key
-    assert plan.congruence_key == oracle.congruence_key
-    assert plan.program.actions == oracle.program.actions
-    assert list(plan.program.actions) == list(oracle.program.actions)
-    assert plan.decode() == oracle.decode()
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ import pytest
 
 from repro.actions import (
     ExecutablePlan,
-    RetimeBuffers,
     StageResources,
     compile_program,
 )
@@ -847,36 +846,6 @@ class TestDeadlockOutranksCapacity:
         with pytest.raises(SchedulingError, match="deadlock") as batch:
             execute_batch(PlanBatch.from_plans(plans, [105, None]), run)
         assert str(batch.value) == str(scalar.value)
-
-
-class TestRetimeBuffers:
-    """The shared-column retime used by the synthesis scorer."""
-
-    def _oracle(self, plan, i=0):
-        return AbstractCosts(LANE_COSTS[i], P, plan.program.num_stages)
-
-    def test_buffer_retime_equals_fresh(self):
-        base = lowered("hanayo", {"num_waves": 2})
-        buffers = RetimeBuffers()
-        shared = base.retime(self._oracle(base), buffers=buffers)
-        fresh = base.retime(self._oracle(base))
-        assert shared.send_time == fresh.send_time
-        assert shared.send_lat == fresh.send_lat
-        assert shared.send_wire == fresh.send_wire
-        assert shared.coll_step_time == fresh.coll_step_time
-        assert_result_equal(execute_plan(shared, RunConfig()),
-                            execute_plan(fresh, RunConfig()))
-
-    def test_columns_alias_until_next_use(self):
-        """The documented contract: a buffer-retimed plan is only valid
-        until the buffers' next use — the columns are shared."""
-        base = lowered("hanayo", {"num_waves": 2})
-        buffers = RetimeBuffers()
-        first = base.retime(self._oracle(base, 0), buffers=buffers)
-        second = base.retime(self._oracle(base, 2), buffers=buffers)
-        assert first.send_time is second.send_time
-        assert first.send_time == base.retime(self._oracle(base, 2)) \
-            .send_time
 
 
 class TestBoundPlanCache:

@@ -106,6 +106,14 @@ def test_cached_sweep_never_loads_the_simulator(tmp_path):
                     tuple(f"{s}." for s in SIMULATOR))}
 
 
+def test_search_never_loads_the_event_cores():
+    """Candidates are timed on legality's order, not by the runtime."""
+    proc = _run("-c", "import sys, repro.synthesis.search; print(*sorted("
+                "m for m in sys.modules if m.startswith(('repro.', 'numpy'))))")
+    assert not {"numpy", "repro.runtime.batched",
+                "repro.runtime.events"} & set(proc.stdout.split())
+
+
 def test_advise_does_not_load_the_daemon():
     loaded = _imported_by("advise", "--model", "tiny", "-n", "4",
                           "--batch", "8", "--json")

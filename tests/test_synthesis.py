@@ -32,8 +32,6 @@ from repro.actions import (
     with_gradient_sync,
 )
 from repro.actions.resources import StageResources
-from repro.analysis import candidate_plan
-from repro.analysis.plans import PlanEntry
 from repro.actions.lowering import ExecutablePlan
 from repro.config import CostConfig, PipelineConfig, RunConfig
 from repro.errors import (
@@ -343,25 +341,6 @@ class TestVerdictMatchesReplay:
         result = simulate_ordering(program, good.to_orders(), oracle,
                                    capacity_bytes=150)
         assert result.makespan > 0
-
-
-class TestCandidatePlan:
-    def test_retime_shares_cost_column(self):
-        cfg, sched, oracle, program = build("hanayo", num_waves=2)
-        base = ExecutablePlan.lower(program, oracle)
-        entry = PlanEntry(schedule=sched, program=program, plan=base)
-        orders = ordering_entries(program)
-        plan = candidate_plan(entry, orders)
-        assert plan.comp_cost is base.comp_cost
-        assert plan.plan_key == base.plan_key
-
-    def test_unbound_when_no_costs_available(self):
-        cfg, sched, _, program = build("gpipe")
-        entry = PlanEntry(schedule=sched, program=program,
-                          plan=ExecutablePlan.lower(program))
-        plan = candidate_plan(entry, ordering_entries(program))
-        assert not plan.bound
-        assert plan.plan_key  # structural key needs no costs
 
 
 class TestSearch:
