@@ -632,7 +632,7 @@ def make_parser() -> argparse.ArgumentParser:
     sw.add_argument("--contention", action="store_true",
                     help="serialize transfers sharing a device pair "
                          "(contended lanes still batch via the "
-                         "time-ordered replay)")
+                         "contention driver)")
     sw.add_argument("-j", "--workers", type=int, default=1,
                     help="worker processes for uncached cells")
     sw.add_argument("--cache", default=None,

@@ -133,18 +133,19 @@ class BatchingStats:
     scalar_cells: int = 0
     batched_s: float = 0.0
     scalar_s: float = 0.0
-    #: lanes the time-ordered vector replay recovered — work that would
-    #: have fallen back scalar before it existed (contention lanes with
-    #: divergent wire-grant orders, mid-run capacity aborts under
-    #: contention); counted *inside* the batched totals above, broken
-    #: out so recovery coverage is visible
+    #: lanes the wire-exact contention driver carried in-batch — work
+    #: that once fell back scalar; counted *inside* the batched totals
+    #: above, broken out so contention coverage is visible
     recovered_batches: int = 0
     recovered_lanes: int = 0
     recovered_s: float = 0.0
+    #: contention-driver cohort splits: each one a wire grant the lanes
+    #: of a cohort disagreed on (0 when every lane grants alike)
+    splits: int = 0
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
     #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``singleton`` / ``narrow`` / ``deadlock`` /
+    #: (``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
     #: ``structure-divergence``) makes batch-coverage regressions
     #: visible — a future change that silently de-batches a shape shows
     #: up here before it shows up in wall time.
@@ -165,18 +166,21 @@ class BatchingStats:
             self.batched_s += seconds
             self.occupancy[lanes] = self.occupancy.get(lanes, 0) + 1
 
-    def record_recovered(self, lanes: int, seconds: float) -> None:
-        """Count one time-ordered replay batch of ``lanes`` lanes.
+    def record_recovered(self, lanes: int, seconds: float,
+                         splits: int = 0) -> None:
+        """Count one contention-driver batch of ``lanes`` lanes whose
+        cohorts split ``splits`` times.
 
-        A recovered batch *is* a batch — it bumps the batched totals
+        A contention batch *is* a batch — it bumps the batched totals
         and the occupancy histogram too, so occupancy keeps summing to
-        every batched lane — and additionally the recovery counters.
+        every batched lane — and additionally the contention counters.
         """
         with self._lock:
             self.record_batch(lanes, seconds)
             self.recovered_batches += 1
             self.recovered_lanes += lanes
             self.recovered_s += seconds
+            self.splits += splits
 
     def record_scalar(self, cells: int, seconds: float,
                       reason: str = "singleton") -> None:
@@ -202,6 +206,7 @@ class BatchingStats:
             self.recovered_batches = 0
             self.recovered_lanes = 0
             self.recovered_s = 0.0
+            self.splits = 0
             self.occupancy.clear()
             self.fallback_reasons.clear()
             self.fallback_s.clear()
@@ -221,9 +226,10 @@ class BatchingStats:
                 f"{self.scalar_s * 1e3:.1f} ms scalar); "
                 f"occupancy [{hist}]; fallbacks [{reasons}]")
         if self.recovered_lanes:
-            text += (f"; recovered {self.recovered_lanes} lanes in "
-                     f"{self.recovered_batches} time-ordered replays "
-                     f"({self.recovered_s * 1e3:.1f} ms)")
+            text += (f"; contention driver {self.recovered_lanes} lanes "
+                     f"in {self.recovered_batches} batches "
+                     f"({self.recovered_s * 1e3:.1f} ms, "
+                     f"{self.splits} grant splits)")
         if self.dedup_hits:
             text += f"; dedup hits {self.dedup_hits}"
         return text
@@ -242,9 +248,9 @@ def record_batch(lanes: int, seconds: float) -> None:
     _batching.record_batch(lanes, seconds)
 
 
-def record_recovered(lanes: int, seconds: float) -> None:
-    """Count one time-ordered vector replay of ``lanes`` lanes."""
-    _batching.record_recovered(lanes, seconds)
+def record_recovered(lanes: int, seconds: float, splits: int = 0) -> None:
+    """Count one contention-driver batch of ``lanes`` lanes."""
+    _batching.record_recovered(lanes, seconds, splits)
 
 
 def record_scalar(cells: int, seconds: float,
@@ -252,7 +258,7 @@ def record_scalar(cells: int, seconds: float,
     """Count ``cells`` cells executed through the scalar fallback.
 
     ``reason`` names why the vectorized paths were not taken — one of
-    ``singleton`` / ``narrow`` / ``deadlock`` /
+    ``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
     ``structure-divergence`` — with wall time attributed per reason
     alongside the cell counts.
     """

@@ -55,42 +55,41 @@ list does not match the head's (impossible when the keys match, since
 the key covers every array the structural pass reads) falls back to
 the scalar core whole-lane — the ``structure-divergence`` fallback.
 
-Vectorized contention
----------------------
+Contention: a time-aware greedy driver
+--------------------------------------
 
-``contention=True`` lanes stay in the batch.  The per-link arbitration
-state of the scalar core (``wire_free`` / ``wire_exch``) is lifted to
-``[N]``-wide arrays and the batched-P2P latency-sharing arithmetic
-becomes masked selects, so the exact scalar formulas run once per wire
-touch for all lanes.  The scalar contention driver executes actions in
-global *time* order while the lockstep replay is structural, so
-batches run the cheap lockstep pass first and check each lane as it
-runs: per wire, the action times must be nondecreasing with equal-time
-ties only between actions of one device (whose relative order both
-drivers preserve).  A lane passing that check computes the time-ordered
-driver's fixpoint exactly.
+``contention=True`` lanes stay in the batch too, through
+:func:`_execute_contended`.  The scalar contention driver executes
+heads in global *time* order, but only one piece of state depends on
+that order: the per-wire arbitration (``wire_free`` / ``wire_exch``),
+touched by *wire actions* — sends, batched-group posts and active
+collectives.  Every other action times itself from already-final
+quantities.  So the vector driver advances each device greedily through
+its non-wire actions (a structural closure, as in lockstep) and stops
+it at its next wire action.  A parked wire action at time ``t`` on
+device ``a`` fires once no other device can still reach one of its
+wires before it in the scalar driver's ``(time, device)`` order:
 
-Time-ordered vector replay
---------------------------
+* a device parked at time ``u`` reaches wires no earlier than
+  ``(u, device)``;
+* a flag-blocked device reaches them no earlier than its clock, and
+  strictly after the earliest parked action (only a parked action can
+  unblock it, through a transfer of positive duration);
+* a device that never touches the wire again does not count.
 
-Lanes the witness flags — wire-grant orders that leave structural
-order, e.g. hanayo-style wave interleavings on shared-link topologies —
-are *recovered* by :func:`_execute_time_ordered` (as is a lockstep
-contention lane asked for its event view, whose ``comm``/``mem_events``
-logs interleave in driver order): a vectorized twin of the scalar
-contention driver itself.  Per-lane event cursors advance through the
-plan in each lane's own grant-time order; lanes sharing a structural
-state — the cursor tuple plus the posted-group bits, which determine
-every blocking predicate — form a **cohort**, and each pop evaluates
-the scalar driver's exact ``peek``/``step`` expressions lane-wise as
-one NumPy op per device over the cohort.  A cohort whose lanes choose
-different devices splits; cohorts whose states re-converge merge, so
-sibling lanes that diverge only transiently keep amortizing.  Mid-run
-capacity aborts stay in-batch too: watermark levels are structural, so
-a violating allocation kills exactly the lanes it would kill under the
-scalar driver, at the same pop, with the same attribution.  Lanes whose
-oracles intern different wire tables batch per wire-signature group
-instead of falling back.
+The earliest parked action of a lane always passes, so every lane
+progresses.  Lanes sharing a structural state — cursors plus
+posted-group bits — form a **cohort** that evaluates each rule once,
+lane-wise; a cohort splits only where its lanes disagree on whether a
+contended grant may fire, and cohorts whose states re-converge merge.
+A lane whose capacity a later allocation violates runs to the end and
+is then charged its abort: the violating allocation the scalar driver
+pops first, computes popping in ``(start, device)`` order.  A lane with
+a zero-duration transfer next to contended wires leaves the driver for
+the scalar core (reason ``zero-time``): a zero-time hand-off can enable
+a grant at the very instant of another, and the scalar pick then
+follows enabling order rather than device rank.  Lanes whose oracles
+intern different wire tables run as separate wire-signature groups.
 
 Columnar results
 ----------------
@@ -135,11 +134,11 @@ per-event mask branches; live lanes never stall on them.
 
 Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
 and every fallback is *reason-coded* —
-``singleton`` / ``narrow`` / ``deadlock`` /
-``structure-divergence`` (defensive; congruent batches cannot reach it) — in
-:func:`repro.profiling.batching_stats`, with wall time attributed per
-reason and recovered-lane counts for the time-ordered replay, so
-batch-coverage regressions are visible in ``--profile`` output.
+``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
+``structure-divergence`` (defensive; congruent batches cannot reach
+it) — in :func:`repro.profiling.batching_stats`, with wall
+time attributed per reason and contention-lane and grant-split counts,
+so batch-coverage regressions are visible in ``--profile`` output.
 
 Known divergence (pinned by ``tests/test_batched.py``
 ``TestDeadlockOutranksCapacity``): a *deadlocking* structure raises
@@ -218,18 +217,18 @@ class LockstepSchedule:
     vectorizable: bool
     #: stacked cost matrices keyed by ``(lane ids, resolve extents)`` —
     #: reused when the same fully-resolved lane set executes again (see
-    #: :func:`_stacked_costs`); a congruence group typically alternates
-    #: between its lockstep set and its time-ordered redo set, so a few
-    #: keyed entries are kept instead of one.  ``Lm`` (send latencies)
-    #: is filled lazily, on the first contention execution of a set
+    #: :func:`_stacked_costs`); a structure meets a few lane sets (one
+    #: per wire group, say), so a few keyed entries are kept instead of
+    #: one.  ``Lm`` (send latencies) is filled lazily, on the first
+    #: contention execution of a set
     cost_rows: dict = field(default_factory=dict)
     #: memoized event-stream parity verdicts against other structural
     #: replays (congruent-group check); values hold a strong reference
     #: to the compared schedule so its ``id`` stays valid
     event_parity: dict = field(default_factory=dict)
-    #: cost-independent lookup tables of the time-ordered driver,
-    #: derived once per program on its first recovered execution
-    time_tables: "object | None" = None
+    #: the contention driver's lookup tables per wire table
+    #: (:class:`_ContentionTables`), derived on first use
+    contention_tables: dict = field(default_factory=dict)
 
 
 def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
@@ -539,11 +538,11 @@ def execute_batch(
     batch: PlanBatch,
     run: RunConfig | None = None,
 ) -> BatchResult:
-    """Advance every lane of ``batch`` in lockstep.
+    """Advance every lane of ``batch`` at once.
 
-    Contention batches run the cheap lockstep pass first and recover
-    witness-flagged lanes through the time-ordered vector replay — no
-    lane leaves the batch either way.
+    Uncontended lanes replay the shared structural event sequence in
+    lockstep; contention lanes run the time-aware greedy driver, whose
+    cohorts split only where lanes disagree on a contended wire grant.
     """
     run = run or RunConfig()
     plans, caps_raw = batch.plans, batch.capacities
@@ -589,40 +588,21 @@ def execute_batch(
     def pick(group: list[int]) -> tuple:
         return (ls, [plans[k] for k in group],
                 [lane_lss[k] for k in group],
-                [caps_raw[k] for k in group], run)
+                [caps_raw[k] for k in group])
 
     live = [k for k in range(n_lanes) if k not in scalar_k]
     parts: list[tuple[list[int], BatchResult]] = []
     if live and not run.contention:
         t0 = time.perf_counter()
-        sub, _redo = _execute_lockstep(*pick(live))
+        parts.append((live, _execute_lockstep(*pick(live))))
         profiling.record_batch(len(live), time.perf_counter() - t0)
-        parts.append((live, sub))
     elif live:
         # The [N]-wide wire state requires every lane of one vectorized
         # pass to intern the same wires; the interning lives in
         # global-rank space, so lanes whose oracles map ranks
         # differently execute as separate wire-signature groups.
         for group in _wire_groups(plans, live):
-            t0 = time.perf_counter()
-            sub, redo = _execute_lockstep(*pick(group))
-            lanes_kept = len(group) - len(redo)
-            if lanes_kept:
-                profiling.record_batch(lanes_kept,
-                                       time.perf_counter() - t0)
-            parts.append((group, sub))
-            if redo:
-                # per-lane wire-grant orders that left structural order,
-                # or mid-run OOMs whose abort attribution is
-                # driver-dependent: recovered in each lane's own time
-                # order instead of replayed scalar (overwriting the
-                # lockstep pass's garbage rows for those lanes)
-                again = [group[pos] for pos in sorted(redo)]
-                t0 = time.perf_counter()
-                sub = _execute_time_ordered(*pick(again))
-                profiling.record_recovered(len(again),
-                                           time.perf_counter() - t0)
-                parts.append((again, sub))
+            parts.append((group, _execute_contended(*pick(group), run)))
     for k in scalar_k:  # pragma: no cover - defensive
         parts.append(([k], _scalar_lane(plans[k], run, caps_raw[k],
                                         reason="structure-divergence")))
@@ -667,7 +647,9 @@ def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
         fold = fold_events(execute_plan(
             plan, run, capacity_bytes=capacity_bytes, detail="lean"))
     except OutOfMemoryError as exc:
-        error = exc
+        # kept past this frame: without its traceback, so it pins no
+        # frame (and no caller's arrays) in a cycle until a full GC
+        error = exc.with_traceback(None)
     finally:
         profiling.record_scalar(1, time.perf_counter() - t0, reason)
     return BatchResult([error], fold,
@@ -680,13 +662,13 @@ def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
 MIN_CONTENTION_LANES = 8
 
 #: entries kept in the per-schedule stacked-cost cache; a structure's
-#: steady state needs at most a handful of distinct lane sets (the
-#: lockstep set plus its time-ordered redo set per wire group)
+#: steady state needs at most a handful of distinct lane sets (one per
+#: wire group)
 _COST_ROW_CACHE = 4
 
 
 def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
-                   with_lat: bool, mutable: bool = False):
+                   with_lat: bool):
     """Stack per-lane cost columns into ``[n, N]`` row lists.
 
     Resolves each lane's lazy compute costs for ``exec_seq`` up to its
@@ -697,14 +679,11 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
     once every lane's column is fully resolved the stacked rows are
     cached on the schedule, keyed by the exact lane set and replay
     extents.  ``Lm`` (send latencies) is filled lazily, on the first
-    contention execution of a lane set.  ``mutable=True`` bypasses the
-    cache both ways — the time-ordered driver fills mid-run-aborting
-    lanes' cells in place as it pops, which must never touch shared
-    rows.
+    contention execution of a lane set.
     """
     exec_seq = ls.exec_seq
     mat_key = (tuple(id(p) for p in plans), tuple(resolve_upto))
-    cached = None if mutable else ls.cost_rows.get(mat_key)
+    cached = ls.cost_rows.get(mat_key)
     if (cached is not None
             and all(getattr(p, "_fully_resolved", False) for p in plans)):
         Cm, Tm, Sm, Lm, pinned = cached
@@ -736,8 +715,7 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
     if with_lat:
         Lm = list(np.ascontiguousarray(
             np.array([p.send_lat for p in plans], dtype=np.float64).T))
-    if (not mutable
-            and all(getattr(p, "_fully_resolved", False) for p in plans)):
+    if all(getattr(p, "_fully_resolved", False) for p in plans):
         if len(ls.cost_rows) >= _COST_ROW_CACHE:
             ls.cost_rows.pop(next(iter(ls.cost_rows)))
         # the entry pins its plans: a PlanEntry may drop a bound plan
@@ -746,38 +724,20 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
     return Cm, Tm, Sm, Lm
 
 
-def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
-                      run: RunConfig) -> tuple[BatchResult, set[int]]:
-    """The timed pass over one structural replay.
+def _gate(plans, lane_lss, caps_raw):
+    """Per-lane capacity verdicts, before a single event is timed.
 
-    Returns the per-lane outcomes plus the set of lane positions that
-    must be *redone* through the time-ordered vector replay (contention
-    lanes whose wire-grant order diverged from the time-ordered driver,
-    or whose capacity aborts mid-run under contention) — their columns
-    and fold rows here are garbage.
+    Returns ``(errors, resolve_upto, midrun)``: each lane's static
+    pre-check :class:`~repro.errors.OutOfMemoryError` (or ``None``), the
+    ``exec_seq`` extent its lazy costs may resolve to (nothing for a
+    statically-rejected lane), and — for each lane whose capacity a
+    later allocation violates — the index of its first violating
+    allocation in structural order.
     """
-    head = plans[0]
-    devices = head.devices
-    num_devices = len(devices)
     n_lanes = len(plans)
-    contention = run.contention
-    n_comp = head.n_computes
-    exec_seq = ls.exec_seq
-    send_slot = head.send_slot
-    batch_send_ids, batch_recv_ids = head.batch_send_ids, head.batch_recv_ids
-    batch_exch = head.batch_exch
-    recv_slot = head.recv_slot
-    coll_active, coll_nsteps = head.coll_active, head.coll_nsteps
-    coll_count, coll_blocking = head.coll_count, head.coll_blocking
-    send_wire, coll_wires_t = head.send_wire, head.coll_wires
-
-    # -- per-lane gating: static pre-check, then the OOM scan ------------
     errors: list[OutOfMemoryError | None] = [None] * n_lanes
-    redo: set[int] = set()
-    #: computes (as exec_seq positions) each lane actually reaches;
-    #: the lazy-cost contract: an aborted lane resolves nothing beyond
-    #: its aborting compute, a statically-rejected lane resolves nothing
-    resolve_upto = [len(exec_seq)] * n_lanes
+    resolve_upto = [len(lane_lss[0].exec_seq)] * n_lanes
+    midrun: dict[int, int] = {}
     for k, cap in enumerate(caps_raw):
         if cap is None:
             continue
@@ -786,29 +746,44 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
         except OutOfMemoryError as exc:
             errors[k] = exc
             resolve_upto[k] = 0
-    for k, cap in enumerate(caps_raw):
-        if cap is None or errors[k] is not None:
             continue
+        levels = lane_lss[k].alloc_levels
+        if len(levels):
+            viol = levels > cap
+            if viol.any():
+                midrun[k] = int(np.argmax(viol))
+    return errors, resolve_upto, midrun
+
+
+def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
+                      caps_raw) -> BatchResult:
+    """The timed pass over one structural replay (uncontended lanes).
+
+    A lane whose capacity a later allocation violates aborts at its
+    first violation in replay order — the scalar greedy driver's abort
+    point — and resolves lazy costs only up to that compute.
+    """
+    head = plans[0]
+    devices = head.devices
+    num_devices = len(devices)
+    n_lanes = len(plans)
+    n_comp = head.n_computes
+    send_slot = head.send_slot
+    batch_send_ids, batch_recv_ids = head.batch_send_ids, head.batch_recv_ids
+    recv_slot = head.recv_slot
+    coll_active, coll_nsteps = head.coll_active, head.coll_nsteps
+    coll_count, coll_blocking = head.coll_count, head.coll_blocking
+
+    errors, resolve_upto, midrun = _gate(plans, lane_lss, caps_raw)
+    for k, j in midrun.items():
         lane_ls = lane_lss[k]
-        if not len(lane_ls.alloc_levels):
-            continue
-        viol = lane_ls.alloc_levels > cap
-        if viol.any():
-            if contention:
-                # mid-run abort attribution (device / peak) follows the
-                # driver's replay order; redo the lane scalar
-                redo.add(k)
-                resolve_upto[k] = 0
-                continue
-            j = int(np.argmax(viol))
-            errors[k] = OutOfMemoryError(
-                devices[lane_ls.alloc_di[j]],
-                int(lane_ls.alloc_levels[j]), cap)
-            resolve_upto[k] = lane_ls.alloc_pos[j] + 1
+        errors[k] = OutOfMemoryError(
+            devices[lane_ls.alloc_di[j]], int(lane_ls.alloc_levels[j]),
+            caps_raw[k])
+        resolve_upto[k] = lane_ls.alloc_pos[j] + 1
 
     # -- per-lane cost columns -> [n, N] matrices ------------------------
-    Cm, Tm, Sm, Lm = _stacked_costs(ls, plans, resolve_upto,
-                                    with_lat=contention)
+    Cm, Tm, Sm, _ = _stacked_costs(ls, plans, resolve_upto, with_lat=False)
 
     # -- lane-axis state -------------------------------------------------
     zero = np.zeros(n_lanes)
@@ -825,30 +800,6 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
     coll_log: list[tuple] = []
 
     maximum, minimum = np.maximum, np.minimum
-    where = np.where
-    if contention:
-        # [N]-wide mirrors of the scalar wire-arbitration state, plus
-        # the per-wire driver-order witness: the last action time and
-        # device that touched each wire, per lane.  A lane observing a
-        # time inversion (or an equal-time tie across devices) computes
-        # a grant order the time-ordered scalar driver may not produce
-        # and is flagged for scalar replay.
-        neg1 = np.full(n_lanes, -1)
-        neg_inf = np.full(n_lanes, -np.inf)
-        wire_free = [zero] * head.n_wires
-        wire_exch = [neg1] * head.n_wires
-        wire_last_t = [neg_inf] * head.n_wires
-        wire_last_di = [neg1] * head.n_wires
-        diverged = np.zeros(n_lanes, dtype=bool)
-
-        def wire_mark(w, tarr, di, applies):
-            lt = wire_last_t[w]
-            ld = wire_last_di[w]
-            diverged.__ior__(
-                applies & ((tarr < lt) | ((tarr == lt) & (ld != di))))
-            wire_last_t[w] = where(applies, tarr, lt)
-            wire_last_di[w] = where(applies, di, ld)
-
     for ev in ls.events:
         kind = ev[0]
         if kind == _COMP:
@@ -879,51 +830,16 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
         elif kind == _SEND:
             _, sid, di = ev
             post = clock[di]
-            t = Tm[sid]
-            if contention and (t > 0.0).any():
-                tpos = t > 0.0
-                w = send_wire[sid]
-                wire_mark(w, post, di, tpos)
-                wf = wire_free[w]
-                busy = tpos & (post < wf)
-                start = where(busy, wf, post)
-                end = start + t
-                wire_free[w] = where(tpos, end, wf)
-                wire_exch[w] = where(tpos, neg1, wire_exch[w])
-            else:
-                start = post
-                end = post + t
             slot = send_slot[sid]
-            ts_l[slot] = start
-            te_l[slot] = end
+            ts_l[slot] = post
+            te_l[slot] = post + Tm[sid]
         elif kind == _POST:
             _, bid, di = ev
             post = clock[di]
-            exch = batch_exch[bid]
             for sid in batch_send_ids[bid]:
-                t = Tm[sid]
-                if contention and (t > 0.0).any():
-                    tpos = t > 0.0
-                    w = send_wire[sid]
-                    wire_mark(w, post, di, tpos)
-                    wf = wire_free[w]
-                    we = wire_exch[w]
-                    busy = tpos & (post < wf)
-                    start = where(busy, wf, post)
-                    # the opposing transfer of the *same* batched
-                    # exchange holds the wire: the follower pays bytes
-                    # only, not a second launch latency
-                    dur = where(busy & (we == exch),
-                                maximum(t - Lm[sid], 0.0), t)
-                    end = start + dur
-                    wire_free[w] = where(tpos, end, wf)
-                    wire_exch[w] = where(tpos, exch, we)
-                else:
-                    start = post
-                    end = post + t
                 slot = send_slot[sid]
-                ts_l[slot] = start
-                te_l[slot] = end
+                ts_l[slot] = post
+                te_l[slot] = post + Tm[sid]
         elif kind == _RECV:
             _, rid, di = ev
             slot = recv_slot[rid]
@@ -949,63 +865,28 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss, caps_raw,
                 step_time = Sm[lid]
                 step_log = []
                 round_time = None
-                if contention:
-                    wids = coll_wires_t[lid]
-                    for w in wids:
-                        wire_mark(w, post, di, True)
-                    for _ in range(coll_nsteps[lid]):
-                        step_start = t
-                        for w in wids:
-                            step_start = maximum(step_start, wire_free[w])
-                        step_end = step_start + step_time
-                        step_log.append((step_start, step_end))
-                        round_time = (step_time if round_time is None
-                                      else round_time + step_time)
-                        for w in wids:
-                            wire_free[w] = step_end
-                            wire_exch[w] = neg1
-                        t = step_end
-                    count = coll_count[lid]
-                    if count != 1.0:
-                        t = t + (count - 1.0) * round_time
-                        for w in wids:
-                            wire_free[w] = t
-                else:
-                    for _ in range(coll_nsteps[lid]):
-                        e = t + step_time
-                        step_log.append((t, e))
-                        round_time = (step_time if round_time is None
-                                      else round_time + step_time)
-                        t = e
-                    count = coll_count[lid]
-                    if count != 1.0:
-                        t = t + (count - 1.0) * round_time
+                for _ in range(coll_nsteps[lid]):
+                    e = t + step_time
+                    step_log.append((t, e))
+                    round_time = (step_time if round_time is None
+                                  else round_time + step_time)
+                    t = e
+                count = coll_count[lid]
+                if count != 1.0:
+                    t = t + (count - 1.0) * round_time
                 steps = tuple(step_log)
             coll_free[di] = t
             coll_log.append((lid, di, post, start, t, steps))
             if coll_blocking[lid]:
                 clock[di] = t
 
-    if contention and diverged.any():
-        redo.update(int(k) for k in np.nonzero(diverged)[0])
-
     empty = np.empty((0, n_lanes))
     cols = _Columns(ls, plans, lane_lss,
                     np.array(cs_l) if cs_l else empty,
                     np.array(ce_l) if ce_l else empty,
                     clock, recv_wait, ts_l, te_l, coll_log)
-    if contention:
-        # comm and memory logs follow the time-ordered driver's pop
-        # order, which this pass never ran: a view replays its lane there
-        views = [partial(_replay_lane, ls, plans[k], lane_lss[k],
-                         caps_raw[k], run) for k in range(n_lanes)]
-    else:
-        views = [partial(cols.lane, k) for k in range(n_lanes)]
-    return BatchResult(errors, cols.fold(), views), redo
-
-
-def _replay_lane(ls, plan, lane_ls, cap, run) -> EventResult:
-    return _execute_time_ordered(ls, [plan], [lane_ls], [cap], run).lane(0)
+    return BatchResult(errors, cols.fold(),
+                       [partial(cols.lane, k) for k in range(n_lanes)])
 
 
 @dataclass
@@ -1030,11 +911,6 @@ class _Columns:
     #: ``(lid, di, post, start, end, ring steps)`` of every collective
     #: in per-device program order; ``[N]`` vectors throughout
     colls: list
-    # time-ordered passes only: sender post times ``[sends, N]`` and the
-    # driver's ``(id, lanes)`` pop logs of send posts and computes
-    SP: np.ndarray | None = None
-    post_log: list | None = None
-    comp_log: list | None = None
 
     def fold(self) -> LaneFold:
         sync = self.ls.coll_sync
@@ -1049,139 +925,152 @@ class _Columns:
         )
 
     def lane(self, k: int) -> EventResult:
+        """Lane ``k`` of an uncontended pass: the wire grants a transfer
+        the moment it is posted, and every log keeps structural order."""
         plan, lane_ls, ls = self.plans[k], self.lane_lss[k], self.ls
         cs = self.CS[:, k].tolist()
         ce = self.CE[:, k].tolist()
         ss = [float(self.TS[slot][k]) for slot in plan.send_slot]
         se = [float(self.TE[slot][k]) for slot in plan.send_slot]
-        if self.post_log is None:
-            # uncontended lockstep: the wire grants a transfer the
-            # moment it is posted, and the logs keep structural order
-            sp, post_seq = ss, ls.post_seq
-            mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level,
-                      cid)
-                     for di, cid, delta, level, is_alloc
-                     in lane_ls.mem_trace]
-        else:
-            # the pops of one lane appear in the shared logs in that
-            # lane's own driver order
-            sp = self.SP[:, k].tolist()
-            post_seq = [sid for sid, lanes in self.post_log if k in lanes]
-            # deltas and watermark levels are structural: the trace
-            # grouped per compute, re-emitted in this lane's pop order
-            by_cid: dict = {}
-            for entry in lane_ls.mem_trace:
-                by_cid.setdefault(entry[1], []).append(entry)
-            mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level,
-                      cid)
-                     for cid, lanes in self.comp_log
-                     if cid in by_cid and k in lanes
-                     for di, _cid, delta, level, is_alloc in by_cid[cid]]
+        mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level, cid)
+                 for di, cid, delta, level, is_alloc in lane_ls.mem_trace]
         coll_k = [
             (lid, di, float(post[k]), float(start[k]), float(end[k]),
              tuple((float(s[k]), float(e[k])) for s, e in steps))
             for lid, di, post, start, end, steps in self.colls
         ]
         return _materialize(
-            plan, ls.exec_seq, cs, ce, post_seq, sp, ss, se,
+            plan, ls.exec_seq, cs, ce, ls.post_seq, ss, ss, se,
             ls.send_batched, coll_k, mem_k,
             [float(row[k]) for row in self.clock],
             [float(row[k]) for row in self.recv_wait],
             lane_ls.mem_peak if plan.program.tracks_memory else None)
 
 
-class _TimeTables:
-    """Cost-independent lookup tables of the time-ordered driver.
+class _ContentionTables:
+    """Lookup tables of the contention driver for one structure under
+    one wire table, derived on first use and cached on the structural
+    replay.
 
-    The scalar ``peek``/``step`` walk the CSR dependency arrays per
-    visit; the vector driver visits each blocking predicate once per
-    *cohort*, so the per-compute local/remote splits are precomputed
-    (in dependency order — the fold order every timing expression
-    inherits) and cached on the structural replay.
+    ``comp_rslots[cid]`` lists a compute's remote slots in dependency
+    order (the fold order of every arrival expression); ``slot_pos``
+    locates each transfer slot's posting action — ``(device, index,
+    batched group or -1)`` — so "posted" is a cursor comparison;
+    ``rivals[d][i]`` lists, for wire action ``i`` of device ``d``, every
+    other device touching one of its wires, with the index of that
+    device's last such action.
     """
 
-    __slots__ = ("comp_ldeps", "comp_rslots")
+    __slots__ = ("comp_rslots", "slot_pos", "rivals")
 
     def __init__(self, plan: ExecutablePlan):
         dep_ptr = plan.dep_ptr
         dep_remote, dep_idx = plan.dep_remote, plan.dep_idx
-        ldeps: list[tuple] = []
-        rslots: list[tuple] = []
-        for a in range(plan.n_computes):
-            ld: list[int] = []
-            rs: list[int] = []
-            for e in range(dep_ptr[a], dep_ptr[a + 1]):
-                if dep_remote[e]:
-                    rs.append(dep_idx[e])
+        self.comp_rslots = [
+            tuple(dep_idx[e] for e in range(dep_ptr[a], dep_ptr[a + 1])
+                  if dep_remote[e])
+            for a in range(plan.n_computes)]
+        send_slot, send_wire = plan.send_slot, plan.send_wire
+        slot_pos: list = [None] * plan.n_slots
+        touches: list[dict[int, tuple]] = []
+        last: list[dict[int, int]] = []
+        for di, dev_codes in enumerate(plan.codes):
+            dev_args = plan.args[di]
+            touch: dict[int, tuple] = {}
+            last_at: dict[int, int] = {}
+            for i, code in enumerate(dev_codes):
+                a = dev_args[i]
+                if code == OP_SEND:
+                    slot_pos[send_slot[a]] = (di, i, -1)
+                    wires = (send_wire[a],)
+                elif code == OP_BATCH:
+                    sids = plan.batch_send_ids[a]
+                    for sid in sids:
+                        slot_pos[send_slot[sid]] = (di, i, a)
+                    wires = tuple({send_wire[sid] for sid in sids})
+                elif code == OP_COLL and plan.coll_active[a]:
+                    wires = plan.coll_wires[a]
                 else:
-                    ld.append(dep_idx[e])
-            ldeps.append(tuple(ld))
-            rslots.append(tuple(rs))
-        self.comp_ldeps = ldeps
-        self.comp_rslots = rslots
-
-
-#: peek-cache sentinel — distinguishes "never computed / stale" from a
-#: cached ``None`` ("head is flag-blocked", still a valid cache entry)
-_UNSET = object()
+                    continue
+                touch[i] = wires
+                for w in wires:
+                    last_at[w] = i
+            touches.append(touch)
+            last.append(last_at)
+        self.slot_pos = slot_pos
+        self.rivals = [
+            {i: tuple((e, max(last[e][w] for w in wires if w in last[e]))
+                      for e in range(len(last))
+                      if e != di and any(w in last[e] for w in wires))
+             for i, wires in touch.items()}
+            for di, touch in enumerate(touches)]
 
 
 class _Cohort:
-    """Lanes sharing one structural state of the time-ordered driver.
+    """Lanes sharing one structural state of the contention driver.
 
-    Blocking predicates read only flags (``comp_done`` / ``posted`` /
-    ``batch_posted``) and cursors — all here, all shared cohort-wide —
-    so one peek per device serves every lane; only *times* differ, and
-    those live in the group-global ``[*, N]`` arrays indexed by
-    ``lanes``.
+    The per-device cursors and the posted-group bits decide every
+    blocking predicate, so one closure and one grant round serve every
+    lane; only *times* differ, and those live in the group-global
+    ``[*, N]`` arrays indexed by ``lanes``.
     """
 
-    __slots__ = ("lanes", "cursors", "comp_done", "posted",
-                 "batch_posted", "done", "peeks")
+    __slots__ = ("lanes", "cursors", "batch_posted", "done", "progress")
 
-    def __init__(self, lanes, cursors, comp_done, posted, batch_posted,
-                 done):
+    def __init__(self, lanes, cursors, batch_posted, done, progress):
         self.lanes = lanes              # np.intp, ascending
         self.cursors = cursors          # per-device next action index
-        self.comp_done = comp_done
-        self.posted = posted
         self.batch_posted = batch_posted
         self.done = done                # actions fully executed
-        self.peeks = None               # per-device peek cache (lazy)
+        self.progress = progress        # done + groups posted
+
+    def split(self, lanes) -> "_Cohort":
+        return _Cohort(lanes, list(self.cursors),
+                       bytearray(self.batch_posted), self.done,
+                       self.progress)
 
 
-def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
-                          caps_raw, run: RunConfig) -> BatchResult:
-    """A vectorized twin of the scalar time-ordered contention driver.
+def _zero_time_transfers(plan: ExecutablePlan) -> bool:
+    """Whether ``plan`` may hand a tensor over in zero time while it
+    also contends for wires — the one case outside the contention
+    driver's ordering argument (a zero-time hand-off can enable a wire
+    action at the very instant of an earlier-enabled one, and the
+    scalar driver's pick then follows enabling order, not device rank).
+    Memoized on the bound plan.
+    """
+    hit = getattr(plan, "_zero_time", None)
+    if hit is None:
+        t, lat = plan.send_time, plan.send_lat
+        hit = ((any(x > 0.0 for x in t) or any(plan.coll_active))
+               and (any(x <= 0.0 for x in t)
+                    # a batched follower pays max(t - latency, 0)
+                    or any(t[sid] <= lat[sid]
+                           for sids in plan.batch_send_ids
+                           for sid in sids)))
+        plan._zero_time = hit
+    return hit
 
-    Per-lane event cursors advance through the plan in each lane's own
-    grant-time order.  Lanes sharing a structural state — the cursor
-    tuple plus the posted-group bits — form a cohort; each iteration
-    pops the least-advanced cohort once: one vectorized ``peek`` per
-    device over the cohort's lanes, the globally-earliest device chosen
-    per lane with the scalar driver's exact tie-break (strict ``<``,
-    ascending device), and the scalar ``step`` expressions evaluated
-    lane-wise for each chosen device.  Lanes choosing different devices
-    split the cohort; cohorts whose structural states re-converge merge
-    (timing state is global, so a merge is just a lane-set union).
 
-    Mid-run capacity aborts happen in-batch: the violating allocations
-    are structural, so each risky lane dies at whichever violating
-    compute *its own* pop order reaches first — the scalar abort point
-    — with the same device/peak attribution; its lazy compute costs
-    resolve in pop order up to and including the aborting compute,
-    preserving the lazy-cost contract.
+def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
+                       run: RunConfig) -> BatchResult:
+    """The contention driver: greedy per device, exact per wire.
 
-    Every fold row and every lane view is bit-identical to a scalar
-    ``execute_plan(plan, run, capacity_bytes=cap)`` of that lane
-    alone: the fold orders (dependency order for arrivals and
-    in-flight sums, wire-id order for collective steps, per-device
-    program order for receives) and tie-breaking selects mirror the
-    scalar core expression for expression.
+    Each cohort alternates a *closure* — every device advances through
+    its non-wire actions, whose times depend only on already-final
+    quantities — with a *grant round*: a parked wire action fires where
+    no rival device can still reach one of its wires first (the rules in
+    the module doc).  Actions ready in every lane fire together;
+    otherwise the lowest ready device fires in the lanes where it is
+    ready, which is the only way a cohort splits.
+
+    Every fold row equals the fold of a scalar ``execute_plan(plan, run,
+    capacity_bytes=cap)`` of that lane: each wire sees its grants in the
+    scalar driver's order, and every expression folds in the scalar
+    core's order.  A lane view re-runs its lane through the scalar core,
+    whose comm and memory logs follow that driver's own pop order.
     """
     head = plans[0]
-    devices = head.devices
-    num_devices = len(devices)
+    num_devices = len(head.devices)
     n = len(plans)
     prefetch = head.prefetch
     codes, args = head.codes, head.args
@@ -1192,429 +1081,389 @@ def _execute_time_ordered(ls: LockstepSchedule, plans, lane_lss,
     coll_active, coll_nsteps = head.coll_active, head.coll_nsteps
     coll_count, coll_blocking = head.coll_count, head.coll_blocking
     coll_wires_t = head.coll_wires
-    n_comp = head.n_computes
-    n_send = len(head.send_src)
-    n_slots = head.n_slots
-    n_wires = head.n_wires
 
-    # -- per-lane gating: static pre-check, mid-run violation map --------
-    errors: list[OutOfMemoryError | None] = [None] * n
-    resolve_upto = [len(ls.exec_seq)] * n
-    #: lanes that will abort mid-run: their costs resolve in pop order
-    risky: dict[int, ExecutablePlan] = {}
-    #: cid -> [(lane, level, device index)] violating allocations
-    viol_map: dict[int, list[tuple[int, float, int]]] = {}
-    for k, cap in enumerate(caps_raw):
-        if cap is None:
-            continue
-        try:
-            plans[k].program.check_static_memory(cap)
-        except OutOfMemoryError as exc:
-            errors[k] = exc
-            resolve_upto[k] = 0
-            continue
-        lane_ls = lane_lss[k]
-        if not len(lane_ls.alloc_levels):
-            continue
-        viol = lane_ls.alloc_levels > cap
-        if viol.any():
-            risky[k] = plans[k]
-            resolve_upto[k] = 0
-            lane_seq = lane_ls.exec_seq
-            for j in np.nonzero(viol)[0]:
-                j = int(j)
-                cid = lane_seq[lane_ls.alloc_pos[j]]
-                viol_map.setdefault(cid, []).append(
-                    (k, float(lane_ls.alloc_levels[j]),
-                     lane_ls.alloc_di[j]))
+    # -- per-lane gating: static pre-check, lanes left to the scalar core
+    errors, resolve_upto, midrun = _gate(plans, lane_lss, caps_raw)
+    scalar = [k for k in range(n) if errors[k] is None
+              and _zero_time_transfers(plans[k])]
+    for k in scalar:
+        resolve_upto[k] = 0
+    # a lane that will abort runs to the end; only what precedes its
+    # abort keeps a resolved cost
+    midrun = [k for k in midrun if k not in scalar]
+    for k in midrun:
+        resolve_upto[k] = 0
 
-    Cm, Tm, Sm, Lm = _stacked_costs(ls, plans, resolve_upto,
-                                    with_lat=True, mutable=bool(risky))
+    Cm, Tm, Sm, Lm = _stacked_costs(ls, plans, resolve_upto, with_lat=True)
+    exec_seq = ls.exec_seq
+    for k in midrun:
+        # a lane with unresolved costs never hits the row cache, so its
+        # column of these rows is this call's own
+        plan = plans[k]
+        comp_cost, oracle, comp_ops = plan.comp_cost, plan.costs, plan.comp_ops
+        for a in exec_seq:
+            c = comp_cost[a]
+            Cm[a][k] = oracle.duration(comp_ops[a]) if c is None else c
 
-    tt = ls.time_tables
-    if tt is None:
-        tt = ls.time_tables = _TimeTables(head)
-    comp_ldeps, comp_rslots = tt.comp_ldeps, tt.comp_rslots
+    wire_key = (tuple(send_wire), coll_wires_t)
+    tables = ls.contention_tables.get(wire_key)
+    if tables is None:
+        tables = ls.contention_tables[wire_key] = _ContentionTables(head)
+    comp_rslots, slot_pos = tables.comp_rslots, tables.slot_pos
+    rivals = tables.rivals
 
     # -- group-global timing state, [*, N] -------------------------------
     CLK = np.zeros((num_devices, n))
     CF = np.zeros((num_devices, n))     # per-device NIC cursors
     RW = np.zeros((num_devices, n))
-    TS = np.zeros((n_slots, n))
-    TE = np.zeros((n_slots, n))
-    CS = np.zeros((n_comp, n))
-    CE = np.zeros((n_comp, n))
-    WF = np.zeros((n_wires, n))
-    WE = np.full((n_wires, n), -1, dtype=np.int64)
-    SP = np.zeros((n_send, n))
-    #: driver-order ``(send id | compute id, cohort lanes)`` pop logs,
-    #: one append per cohort pop; a lane view filters them for its own
-    #: order (only the comm-sort and mem-event tie-breaks consume it)
-    post_log: list[tuple] = []
-    comp_log: list[tuple] = []
+    TS = np.zeros((head.n_slots, n))
+    TE = np.zeros((head.n_slots, n))
+    CS = np.zeros((head.n_computes, n))
+    CE = np.zeros((head.n_computes, n))
+    WF = np.zeros((head.n_wires, n))
+    WE = np.full((head.n_wires, n), -1, dtype=np.int64)
     #: lid -> (device, post, start, end, [(step start, step end), ...])
     coll_recs: dict[int, tuple] = {}
 
     maximum, minimum, where = np.maximum, np.minimum, np.where
+    # ufunc reductions: ``ndarray.any``/``all`` add a Python-level
+    # wrapper per call, and the grant loop makes tens of thousands
+    every, some = np.logical_and.reduce, np.logical_or.reduce
 
-    def peek_vec(co: _Cohort, di: int, X):
-        """Earliest execution times of the device's head, None if blocked.
+    # ``X`` indexes a cohort's lanes into the state arrays:
+    # ``slice(None)`` when the cohort holds every lane (views, no
+    # fancy-index copies), its lane array otherwise.  Every read of a
+    # view is consumed before the row it views is written.
 
-        ``X`` indexes the cohort's lanes into the [*, N] state arrays —
-        ``slice(None)`` when the cohort holds every lane (views, no
-        fancy-index copies), its lane array otherwise.
+    def compute(a, di, rs, X):
+        ready = CLK[di, X]
+        if rs:
+            r = rs[0]
+            arrival = TE[r, X]
+            in_flight = arrival - TS[r, X]
+            for r in rs[1:]:
+                te = TE[r, X]
+                arrival = maximum(arrival, te)
+                in_flight = in_flight + (te - TS[r, X])
+            # the lockstep formula (see _execute_lockstep): the scalar
+            # stall-vs-in-flight select in one ufunc, exact
+            RW[di, X] = RW[di, X] + maximum(
+                minimum(arrival - ready, in_flight), 0.0)
+            start = maximum(ready, arrival)
+        else:
+            start = ready
+        end = start + Cm[a][X]
+        CS[a, X] = start
+        CE[a, X] = end
+        CLK[di, X] = end
+
+    def recv(slot, di, X):
+        s = TS[slot, X]
+        duration = TE[slot, X] - s
+        cl = CLK[di, X]
+        CLK[di, X] = where(cl >= s, cl, s) + duration
+        RW[di, X] = RW[di, X] + duration
+
+    def transfer(sid, post, X, exch):
+        """Post send ``sid`` at ``post``: the scalar wire arbitration,
+        lane-wise (``exch`` is the batched exchange, -1 if unbatched)."""
+        t = Tm[sid][X]
+        tpos = t > 0.0
+        if every(tpos):
+            # every lane takes the wire: the selects below, unmasked
+            w = send_wire[sid]
+            wf = WF[w, X]
+            busy = post < wf
+            start = where(busy, wf, post)
+            if exch >= 0:
+                end = start + where(busy & (WE[w, X] == exch),
+                                    maximum(t - Lm[sid][X], 0.0), t)
+            else:
+                end = start + t
+            WF[w, X] = end
+            WE[w, X] = exch
+        elif some(tpos):
+            w = send_wire[sid]
+            wf = WF[w, X]
+            we = WE[w, X]
+            busy = tpos & (post < wf)
+            start = where(busy, wf, post)
+            if exch >= 0:
+                # the opposing transfer of the *same* batched exchange
+                # holds the wire: the follower pays bytes only, not a
+                # second launch latency
+                end = start + where(busy & (we == exch),
+                                    maximum(t - Lm[sid][X], 0.0), t)
+            else:
+                end = start + t
+            WF[w, X] = where(tpos, end, wf)
+            WE[w, X] = where(tpos, exch, we)
+        else:
+            start = post
+            end = post + t
+        slot = send_slot[sid]
+        TS[slot, X] = start
+        TE[slot, X] = end
+
+    def collective(lid, di, X):
+        post = CLK[di, X]
+        cf = CF[di, X]
+        start = where(post >= cf, post, cf)
+        t = start
+        rec = coll_recs.get(lid)
+        if rec is None:
+            rec = (di, np.zeros(n), np.zeros(n), np.zeros(n), [])
+            coll_recs[lid] = rec
+        if coll_active[lid]:
+            step_time = Sm[lid][X]
+            wids = coll_wires_t[lid]
+            steps = rec[4]
+            round_time = None
+            for si in range(coll_nsteps[lid]):
+                step_start = t
+                for w in wids:
+                    step_start = maximum(step_start, WF[w, X])
+                step_end = step_start + step_time
+                if len(steps) <= si:
+                    steps.append((np.zeros(n), np.zeros(n)))
+                steps[si][0][X] = step_start
+                steps[si][1][X] = step_end
+                round_time = (step_time if round_time is None
+                              else round_time + step_time)
+                for w in wids:
+                    WF[w, X] = step_end
+                    WE[w, X] = -1
+                t = step_end
+            count = coll_count[lid]
+            if count != 1.0:
+                # remaining rounds repeat the first back-to-back; the
+                # wires stay held for the whole run
+                t = t + (count - 1.0) * round_time
+                for w in wids:
+                    WF[w, X] = t
+        rec[1][X] = post
+        rec[2][X] = start
+        rec[3][X] = t
+        CF[di, X] = t
+        if coll_blocking[lid]:
+            CLK[di, X] = t
+
+    def close(co: _Cohort, X) -> list[int]:
+        """Advance every device through its non-wire actions; return
+        the devices parked at a wire action, ascending.
+
+        One pass suffices: only wire actions post transfers, so nothing
+        a closure executes can unblock another device.
         """
-        i = co.cursors[di]
-        dev_codes = codes[di]
-        if i >= len(dev_codes):
-            return None
-        code = dev_codes[i]
-        a = args[di][i]
-        if code == OP_COMPUTE:
-            comp_done = co.comp_done
-            for x in comp_ldeps[a]:
-                if not comp_done[x]:
-                    return None
-            at = CLK[di, X]
-            if prefetch:
-                posted = co.posted
-                rs = comp_rslots[a]
-                for r in rs:
-                    if not posted[r]:
-                        return None
-                for r in rs:
-                    at = maximum(at, TE[r, X])
-            return at
-        if code == OP_RECV and not prefetch:
-            slot = recv_slot[a]
-            if not co.posted[slot]:
-                return None
-            s = TS[slot, X]
-            cl = CLK[di, X]
-            return where(cl >= s, cl, s)
-        if code == OP_BATCH and not prefetch:
-            if not co.batch_posted[a]:
-                return CLK[di, X]  # the posts themselves are due
-            earliest = None
-            for rid in batch_recv_ids[a]:
-                slot = recv_slot[rid]
-                if not co.posted[slot]:
-                    return None
-                s = TS[slot, X]
-                earliest = s if earliest is None else minimum(earliest, s)
-            cl = CLK[di, X]
-            return where(cl >= earliest, cl, earliest)
-        return CLK[di, X]  # sends, free posts, collectives, flush, step
+        cur, bp = co.cursors, co.batch_posted
+        parked = []
+        for di in range(num_devices):
+            dev_codes, dev_args = codes[di], args[di]
+            n_dev = len(dev_codes)
+            i = i0 = cur[di]
+            while i < n_dev:
+                code = dev_codes[i]
+                a = dev_args[i]
+                if code == OP_COMPUTE:
+                    # local deps precede on the device (the structural
+                    # pass did not deadlock); prefetched remote ones
+                    # must be posted
+                    rs = comp_rslots[a] if prefetch else ()
+                    blocked = False
+                    for r in rs:
+                        d, j, bid = slot_pos[r]
+                        if cur[d] <= j and not (bid >= 0 and bp[bid]):
+                            blocked = True
+                            break
+                    if blocked:
+                        break
+                    compute(a, di, rs, X)
+                elif code == OP_SEND:
+                    parked.append(di)
+                    break
+                elif code == OP_RECV:
+                    if not prefetch:  # prefetched receives are free posts
+                        slot = recv_slot[a]
+                        d, j, bid = slot_pos[slot]
+                        if cur[d] <= j and not (bid >= 0 and bp[bid]):
+                            break
+                        recv(slot, di, X)
+                elif code == OP_BATCH:
+                    if not bp[a]:
+                        parked.append(di)
+                        break
+                    # posted, prefetch off (a prefetching group's post
+                    # advanced its cursor): the group's blocking waits
+                    slots = [recv_slot[rid] for rid in batch_recv_ids[a]]
+                    blocked = False
+                    for slot in slots:
+                        d, j, bid = slot_pos[slot]
+                        if cur[d] <= j and not (bid >= 0 and bp[bid]):
+                            blocked = True
+                            break
+                    if blocked:
+                        break
+                    for slot in slots:
+                        recv(slot, di, X)
+                elif code == OP_COLL:
+                    if coll_active[a]:
+                        parked.append(di)
+                        break
+                    collective(a, di, X)
+                i += 1  # OP_NOOP: flush/step; simulate_training charges it
+            cur[di] = i
+            co.done += i - i0
+            co.progress += i - i0
+        return parked
 
-    def step_vec(co: _Cohort, di: int, L, X) -> bool:
-        """Execute one action lane-wise; False if the device must block.
-
-        ``L`` is the cohort's lane array (bookkeeping: pop logs, lazy
-        cost resolution, OOM kills); ``X`` is the state-array indexer —
-        ``slice(None)`` when the cohort holds every lane.
-        """
+    def fire(co: _Cohort, di: int, X) -> None:
+        """Execute device ``di``'s parked wire action lane-wise."""
         i = co.cursors[di]
         code = codes[di][i]
         a = args[di][i]
-        if code == OP_COMPUTE:
-            ready = CLK[di, X]
-            rs = comp_rslots[a] if prefetch else ()
-            if rs:
-                r = rs[0]
-                arrival = TE[r, X]
-                in_flight = arrival - TS[r, X]
-                for r in rs[1:]:
-                    te = TE[r, X]
-                    arrival = maximum(arrival, te)
-                    in_flight = in_flight + (te - TS[r, X])
-                # the lockstep formula (see _execute_lockstep): the
-                # scalar stall-vs-in-flight select in one ufunc, exact
-                RW[di, X] = RW[di, X] + maximum(
-                    minimum(arrival - ready, in_flight), 0.0)
-                start = maximum(ready, arrival)
-            else:
-                start = ready
-            row = Cm[a]
-            if risky:
-                for lane in L.tolist():
-                    p = risky.get(lane)
-                    if p is not None:
-                        c = p.comp_cost[a]
-                        if c is None:
-                            c = p.costs.duration(p.comp_ops[a])
-                            p.comp_cost[a] = c
-                        row[lane] = c
-            end = start + row[X]
-            CS[a, X] = start
-            CE[a, X] = end
-            CLK[di, X] = end
-            co.comp_done[a] = 1
-            comp_log.append((a, L))
-            hit = viol_map.get(a)
-            if hit:
-                dead = []
-                for lane, level, adi in hit:
-                    if (L == lane).any():
-                        errors[lane] = OutOfMemoryError(
-                            devices[adi], int(level), caps_raw[lane])
-                        dead.append(lane)
-                if dead:
-                    co.lanes = co.lanes[~np.isin(co.lanes, dead)]
-            return True
         if code == OP_SEND:
+            transfer(a, CLK[di, X], X, -1)
+        elif code == OP_COLL:
+            collective(a, di, X)
+        else:  # OP_BATCH posts its whole group; the waits are a closure's
             post = CLK[di, X]
-            t = Tm[a][X]
-            tpos = t > 0.0
-            slot = send_slot[a]
-            if tpos.any():
-                w = send_wire[a]
-                wf = WF[w, X]
-                busy = tpos & (post < wf)
-                start = where(busy, wf, post)
-                end = start + t
-                WF[w, X] = where(tpos, end, wf)
-                WE[w, X] = where(tpos, -1, WE[w, X])
-            else:
-                start = post
-                end = post + t
-            TS[slot, X] = start
-            TE[slot, X] = end
-            co.posted[slot] = 1
-            SP[a, X] = post
-            post_log.append((a, L))
-            return True
-        if code == OP_COLL:
-            post = CLK[di, X]
-            cf = CF[di, X]
-            start = where(post >= cf, post, cf)
-            t = start
-            rec = coll_recs.get(a)
-            if rec is None:
-                rec = (di, np.zeros(n), np.zeros(n), np.zeros(n), [])
-                coll_recs[a] = rec
-            if coll_active[a]:
-                step_time = Sm[a][X]
-                wids = coll_wires_t[a]
-                steps = rec[4]
-                round_time = None
-                for si in range(coll_nsteps[a]):
-                    step_start = t
-                    for w in wids:
-                        step_start = maximum(step_start, WF[w, X])
-                    step_end = step_start + step_time
-                    if len(steps) <= si:
-                        steps.append((np.zeros(n), np.zeros(n)))
-                    steps[si][0][X] = step_start
-                    steps[si][1][X] = step_end
-                    round_time = (step_time if round_time is None
-                                  else round_time + step_time)
-                    for w in wids:
-                        WF[w, X] = step_end
-                        WE[w, X] = -1
-                    t = step_end
-                count = coll_count[a]
-                if count != 1.0:
-                    # remaining rounds repeat the first back-to-back;
-                    # the wires stay held for the whole run
-                    t = t + (count - 1.0) * round_time
-                    for w in wids:
-                        WF[w, X] = t
-            CF[di, X] = t
-            rec[1][X] = post
-            rec[2][X] = start
-            rec[3][X] = t
-            if coll_blocking[a]:
-                CLK[di, X] = t
-            return True
-        if code == OP_RECV:
-            if prefetch:
-                return True  # free post; arrival is awaited by computes
-            slot = recv_slot[a]
-            s = TS[slot, X]
-            duration = TE[slot, X] - s
-            cl = CLK[di, X]
-            CLK[di, X] = where(cl >= s, cl, s) + duration
-            RW[di, X] = RW[di, X] + duration
-            return True
-        if code == OP_BATCH:
-            if not co.batch_posted[a]:
-                exch = batch_exch[a]
-                post = CLK[di, X]
-                for sid in batch_send_ids[a]:
-                    t = Tm[sid][X]
-                    tpos = t > 0.0
-                    slot = send_slot[sid]
-                    if tpos.any():
-                        w = send_wire[sid]
-                        wf = WF[w, X]
-                        we = WE[w, X]
-                        busy = tpos & (post < wf)
-                        start = where(busy, wf, post)
-                        # the opposing transfer of the *same* batched
-                        # exchange holds the wire: the follower pays
-                        # bytes only, not a second launch latency
-                        dur = where(busy & (we == exch),
-                                    maximum(t - Lm[sid][X], 0.0), t)
-                        end = start + dur
-                        WF[w, X] = where(tpos, end, wf)
-                        WE[w, X] = where(tpos, exch, we)
-                    else:
-                        start = post
-                        end = post + t
-                    TS[slot, X] = start
-                    TE[slot, X] = end
-                    co.posted[slot] = 1
-                    SP[sid, X] = post
-                    post_log.append((sid, L))
-                co.batch_posted[a] = 1
+            exch = batch_exch[a]
+            for sid in batch_send_ids[a]:
+                transfer(sid, post, X, exch)
+            co.batch_posted[a] = 1
+            co.progress += 1
             if not prefetch:
-                recvs = batch_recv_ids[a]
-                posted = co.posted
-                for rid in recvs:
-                    if not posted[recv_slot[rid]]:
-                        # the posts were the progress; the cohort keeps
-                        # its cursor and re-peeks once the senders post
-                        return False
-                for rid in recvs:
-                    slot = recv_slot[rid]
-                    s = TS[slot, X]
-                    duration = TE[slot, X] - s
-                    cl = CLK[di, X]
-                    CLK[di, X] = where(cl >= s, cl, s) + duration
-                    RW[di, X] = RW[di, X] + duration
-            return True
-        return True  # OP_NOOP: flush/step; simulate_training charges it
+                return
+        co.cursors[di] = i + 1
+        co.done += 1
+        co.progress += 1
 
-    # -- the cohort pop loop ---------------------------------------------
-    live = [k for k in range(n) if errors[k] is None]
+    # -- the cohort loop -------------------------------------------------
+    live = [k for k in range(n) if errors[k] is None and k not in scalar]
     total = head.n_actions
     pool: dict[tuple, _Cohort] = {}
-    finished: list[_Cohort] = []
+    splits = 0
 
     def pool_add(co: _Cohort) -> None:
-        if not len(co.lanes):
-            return
-        if co.done == total:
-            finished.append(co)
-            return
         key = (tuple(co.cursors), bytes(co.batch_posted))
         ex = pool.get(key)
         if ex is not None:
             ex.lanes = np.sort(np.concatenate((ex.lanes, co.lanes)))
-            ex.peeks = None  # lane set changed: cached vectors are stale
         else:
             pool[key] = co
 
+    t0 = time.perf_counter()
     if live:
-        pool_add(_Cohort(
-            lanes=np.array(live, dtype=np.intp),
-            cursors=[0] * num_devices,
-            comp_done=bytearray(n_comp),
-            posted=bytearray(n_slots),
-            batch_posted=bytearray(len(batch_send_ids)),
-            done=0,
-        ))
+        pool_add(_Cohort(np.array(live, dtype=np.intp), [0] * num_devices,
+                         bytearray(len(batch_send_ids)), 0, 0))
     full_slice = slice(None)
     while pool:
         # the least-advanced cohort steps first: cohorts can only merge
         # at equal structural progress (the key fixes it), so keeping
         # the pool's progress spread tight maximizes re-convergence
         if len(pool) == 1:
-            key, best = next(iter(pool.items()))
+            key, co = next(iter(pool.items()))
         else:
-            key = best = best_p = None
-            for k, co in pool.items():
-                p = co.done + sum(co.batch_posted)
-                if best_p is None or p < best_p:
-                    key, best, best_p = k, co, p
+            key = co = best_p = None
+            for k, c in pool.items():
+                if best_p is None or c.progress < best_p:
+                    key, co, best_p = k, c, c.progress
         del pool[key]
-        L = best.lanes
+        L = co.lanes
         X = full_slice if len(L) == n else L
-        # per-device peek cache: a non-None peek reads only that
-        # device's clock and transfer slots already posted (whose times
-        # are final), so it stays valid until the device itself steps;
-        # a cached None (blocked head) can only flip after a step that
-        # sets flags.  _UNSET marks entries that must be recomputed.
-        peeks = best.peeks
-        if peeks is None:
-            peeks = best.peeks = [_UNSET] * num_devices
-        # fold per-device peeks; ``uni`` tracks the winning device while
-        # every lane still agrees so the common case skips np.unique
-        best_at = best_di = uni = None
-        for di in range(num_devices):
-            at = peeks[di]
-            if at is _UNSET:
-                at = peek_vec(best, di, X)
-                peeks[di] = at
-            if at is None:
-                continue
-            if best_at is None:
-                best_at, uni = at, di
-            else:
-                m = at < best_at
-                if m.any():
-                    if m.all():
-                        best_at, best_di, uni = at, None, di
-                    else:
-                        if best_di is None:
-                            best_di = np.full(len(L), uni, dtype=np.intp)
-                        best_at = where(m, at, best_at)
-                        best_di = where(m, di, best_di)
-                        uni = None
-        if best_at is None:  # pragma: no cover - structurally impossible
-            # blocking is flag-monotone, so any pop order completes
-            # whenever the greedy structural pass did
-            raise SchedulingError(
-                f"{head.program.name}: simulation deadlock"
-            )
-        if uni is not None:
-            # whole cohort agrees: advance in place, no split machinery
-            code = codes[uni][best.cursors[uni]]
-            n_before = len(L)
-            if step_vec(best, uni, L, X):
-                best.cursors[uni] += 1
-                best.done += 1
-            if len(best.lanes) != n_before:
-                best.peeks = None  # OOM kill shrank the lane set
-            else:
-                peeks[uni] = _UNSET
-                if (code == OP_COMPUTE or code == OP_SEND
-                        or code == OP_BATCH):
-                    # the step set flags: blocked heads may now be due
-                    for j in range(num_devices):
-                        if peeks[j] is None:
-                            peeks[j] = _UNSET
-            pool_add(best)
+        parked = close(co, X)
+        if co.done == total:
             continue
-        best.peeks = None  # splitting: every child re-peeks
-        for dv in np.unique(best_di):
-            dv = int(dv)
-            sub = L[best_di == dv]
-            if len(sub) == len(L):
-                child = best  # whole cohort agrees: advance in place
-            else:
-                child = _Cohort(
-                    lanes=sub,
-                    cursors=list(best.cursors),
-                    comp_done=bytearray(best.comp_done),
-                    posted=bytearray(best.posted),
-                    batch_posted=bytearray(best.batch_posted),
-                    done=best.done,
-                )
-            if step_vec(child, dv, sub, sub):
-                child.cursors[dv] += 1
-                child.done += 1
-            pool_add(child)
+        if not parked:  # pragma: no cover - structurally impossible
+            # blocking is flag-monotone, so any grant order completes
+            # whenever the greedy structural pass did
+            raise SchedulingError(f"{head.program.name}: simulation deadlock")
+        cur = co.cursors
+        taus = [CLK[di, X] for di in parked]
+        tmin = taus[0]
+        for tau in taus[1:]:
+            tmin = minimum(tmin, tau)
+        parked_at = {di: j for j, di in enumerate(parked)}
+        ready: list[int] = []
+        pick = None
+        for j, di in enumerate(parked):
+            tau = taus[j]
+            ok = None
+            for e, last in rivals[di][cur[di]]:
+                if cur[e] > last:
+                    continue  # e never touches these wires again
+                je = parked_at.get(e)
+                if je is not None:
+                    # parked rival: the (time, device) order decides
+                    c = tau <= taus[je] if di < e else tau < taus[je]
+                else:
+                    # blocked rival: it reaches the wires no earlier
+                    # than its clock, and strictly after the earliest
+                    # parked action (which alone can unblock it)
+                    ck = CLK[e, X]
+                    c = (tau <= tmin) | (
+                        (tau <= ck) if di < e else (tau < ck))
+                ok = c if ok is None else ok & c
+            if ok is None or every(ok):
+                ready.append(di)
+            elif pick is None and some(ok):
+                pick = (di, ok)
+        if ready:
+            # pairwise wire-disjoint (two actions on one wire cannot
+            # both precede each other), so their order is immaterial
+            for di in ready:
+                fire(co, di, X)
+            pool_add(co)
+            continue
+        # lanes disagree on a contended grant: split on it (each lane's
+        # earliest parked action is always ready, so ``pick`` exists)
+        di, ok = pick
+        child = co.split(L[ok])
+        fire(child, di, child.lanes)
+        co.lanes = L[~ok]
+        pool_add(child)
+        pool_add(co)
+        splits += 1
+    if live:
+        profiling.record_recovered(len(live), time.perf_counter() - t0,
+                                   splits)
 
-    # every lane that did not abort ran every collective, so the
-    # records are complete whenever any fold row will be read
+    # a lane whose capacity a later allocation violates aborts at the
+    # first violation in the scalar driver's pop order: computes pop by
+    # (start, device rank, program order) when hand-offs take positive
+    # time, and only computes up to that one keep a resolved cost
+    devices = head.devices
+    comp_device = head.comp_device
+    for k in midrun:
+        lane_ls, plan, cap = lane_lss[k], plans[k], caps_raw[k]
+        key = min(
+            (CS[lane_ls.exec_seq[pos], k], di, pos, j)
+            for j, (pos, di) in enumerate(zip(lane_ls.alloc_pos,
+                                              lane_ls.alloc_di))
+            if lane_ls.alloc_levels[j] > cap)
+        j = key[3]
+        errors[k] = OutOfMemoryError(devices[lane_ls.alloc_di[j]],
+                                     int(lane_ls.alloc_levels[j]), cap)
+        comp_cost = plan.comp_cost
+        for pos, a in enumerate(exec_seq):
+            if (comp_cost[a] is None
+                    and (CS[a, k], comp_device[a], pos) <= key[:3]):
+                comp_cost[a] = float(Cm[a][k])
+
+    # every lane that ran ran every collective, so the records are
+    # complete whenever any fold row will be read
     cols = _Columns(
         ls, plans, lane_lss, CS, CE, CLK, RW, TS, TE,
         [(ev[1], *coll_recs[ev[1]]) for ev in ls.events
-         if ev[0] == _COLL and ev[1] in coll_recs],
-        SP, post_log, comp_log)
-    return BatchResult(errors, cols.fold(),
-                       [partial(cols.lane, k) for k in range(n)])
+         if ev[0] == _COLL and ev[1] in coll_recs])
+    out = BatchResult(errors, cols.fold(),
+                      [partial(execute_plan, plans[k], run, caps_raw[k])
+                       for k in range(n)])
+    if not scalar:
+        return out
+    return _merge(n, [(list(range(n)), out)] + [
+        ([k], _scalar_lane(plans[k], run, caps_raw[k], reason="zero-time"))
+        for k in scalar])
 
 
 def _plan_congruence(plan: ExecutablePlan) -> str:

@@ -152,9 +152,8 @@ class SweepSpec:
         device's own capacity.
     contention:
         Arbitrate shared links during simulation (the ``repro sweep
-        --contention`` knob).  Contended cells still batch: lanes whose
-        wire grants leave structural order go through the time-ordered
-        vector replay instead of falling back scalar.
+        --contention`` knob).  Contended cells still batch, through the
+        runtime's wire-exact contention driver.
     skip_oversized:
         When true (the default), layouts that do not fit a cluster are
         silently dropped — useful for one spec spanning clusters of

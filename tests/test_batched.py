@@ -8,7 +8,7 @@ row to the scalar accounting of that result, the ``lane(k)`` view to
 all eight ``EventResult`` fields.  These tests pin that across every
 schedule family × prefetch mode, under capacity enforcement with mixed
 OOM lanes, with gradient-sync collectives compiled in, under
-contention (lockstep and time-ordered-recovered lanes), and for ragged
+contention (the wire-exact contention driver), and for ragged
 batch widths.
 """
 
@@ -129,10 +129,10 @@ def assert_batch_equal(batch, plans, run, caps=None):
     return ok, oom
 
 
-def time_ordered(plans, run, caps=None):
-    """All lanes straight through the time-ordered vector replay."""
+def contended(plans, run, caps=None):
+    """All lanes straight through the contention driver."""
     ls = batched.lockstep_schedule(plans[0])
-    return batched._execute_time_ordered(
+    return batched._execute_contended(
         ls, plans, [ls] * len(plans), caps or [None] * len(plans), run)
 
 
@@ -228,12 +228,16 @@ class TestColumnarResult:
         import inspect
 
         for fn in (execute_batch, execute_many, batched._execute_lockstep,
-                   batched._execute_time_ordered):
+                   batched._execute_contended):
             assert "detail" not in inspect.signature(fn).parameters
 
     @pytest.mark.parametrize("contention", [False, True],
                              ids=["free", "contention"])
     def test_views_are_built_on_demand(self, monkeypatch, contention):
+        """A contention lane's view re-runs the scalar core, so both
+        materializers are patched."""
+        from repro.runtime import events
+
         def forbidden(*_args, **_kwargs):
             raise AssertionError("event objects built without lane()")
 
@@ -242,6 +246,7 @@ class TestColumnarResult:
         want = [reference_fold(execute_plan(p, run)) for p in plans]
         with monkeypatch.context() as patched:
             patched.setattr(batched, "_materialize", forbidden)
+            patched.setattr(events, "_materialize", forbidden)
             batch = execute_batch(PlanBatch.from_plans(plans), run)
             assert [batch.fold.row(k) for k in range(len(plans))] == want
             with pytest.raises(AssertionError, match="without lane"):
@@ -265,9 +270,8 @@ class TestExecuteMany:
         assert assert_batch_equal(out, plans, run) == (len(items), 0)
 
     def test_contention_lanes_never_fall_back_scalar(self):
-        """Wire-divergent contention lanes are recovered in-batch by
-        the time-ordered vector replay; no lane may take a
-        ``contention`` fallback."""
+        """Wire-divergent contention lanes stay in-batch through the
+        contention driver; no lane may take a ``contention`` fallback."""
         from repro import profiling
 
         stats = profiling.batching_stats()
@@ -279,8 +283,7 @@ class TestExecuteMany:
         out = execute_many([(p, None) for p in plans], run)
         assert "contention" not in stats.fallback_reasons
         assert stats.scalar_cells == before_scalar
-        # the zero-comm lanes (every fourth) keep structural order
-        assert stats.recovered_lanes == before_rec + 6
+        assert stats.recovered_lanes == before_rec + len(plans)
         assert assert_batch_equal(out, plans, run) == (8, 0)
 
     def test_narrow_contention_groups_run_scalar(self):
@@ -328,9 +331,8 @@ class TestExecuteMany:
 
 
 class TestContentionParity:
-    """``contention=True`` lanes stay in the batch — lockstep where the
-    witness allows (their views replay one lane time-ordered),
-    recovered otherwise — and remain bit-identical to the scalar
+    """``contention=True`` lanes stay in the batch, through the
+    contention driver, and remain bit-identical to the scalar
     time-ordered driver."""
 
     @pytest.mark.parametrize("prefetch", [True, False],
@@ -388,23 +390,22 @@ class TestContentionParity:
         assert all(err is None for err in out.errors)
 
 
-class TestTimeOrderedReplay:
-    """The time-ordered vector replay: contention lanes whose wire
-    grants leave structural order batch bit-identically to the scalar
-    time-ordered driver."""
+class TestContentionDriver:
+    """The contention driver: lanes whose wire grants leave structural
+    order, or disagree with each other, batch bit-identically to the
+    scalar time-ordered driver."""
 
     @pytest.mark.parametrize("prefetch", [True, False],
                              ids=["pf", "nopf"])
     @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
     def test_full_detail_contention_bit_equals_scalar(self, param,
                                                       prefetch):
-        """Every lane straight through the replay (diverging or not):
-        driver-order comm and mem logs are rebuilt from the shared pop
-        logs, lane for lane, all fields."""
+        """Every lane straight through the driver: fold rows, and lane
+        views (the scalar core re-run) on all fields."""
         scheme, kw = param
         plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
         run = RunConfig(prefetch=prefetch, contention=True)
-        batch = time_ordered(plans, run)
+        batch = contended(plans, run)
         assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
@@ -412,7 +413,7 @@ class TestTimeOrderedReplay:
     def test_divergent_waves_recovered_both_cores(self, factory):
         """hanayo-w2 on shared-link concrete clusters — the
         known-divergent wave interleaving whose wire grants reorder
-        against structural order — recovers in-batch (zero scalar
+        against structural order — stays in-batch (zero scalar
         fallbacks) and matches both event cores."""
         from repro import profiling
 
@@ -463,16 +464,19 @@ class TestTimeOrderedReplay:
         out = execute_many(items, run)
         assert stats.fallback_reasons.get("singleton", 0) == \
             singleton_before + 1
-        assert stats.recovered_lanes == recovered_before + 6
+        assert stats.recovered_lanes == recovered_before + len(group)
         plans = [plan for plan, _ in items]
         assert assert_batch_equal(out, plans, run) == (len(items), 0)
 
-    @pytest.mark.parametrize("path", ["recovered", "direct"])
-    def test_mid_run_oom_under_time_ordered_replay(self, path):
-        """Mid-run capacity aborts stay in-batch under contention: the
-        abort device/peak attribution follows each lane's own pop
-        order, exactly as the scalar time-ordered driver — whether the
-        lane reaches the replay from the lockstep pass or directly."""
+    @pytest.mark.parametrize("path", ["batch", "direct"])
+    def test_mid_run_oom_under_contention(self, path):
+        """A lane that aborts mid-run under contention stays in the
+        driver, and its abort device/peak is the scalar pop order's —
+        whether it comes through ``execute_batch`` or directly."""
+        from repro import profiling
+
+        stats = profiling.batching_stats()
+        before = stats.scalar_cells
         scheme, kw = "hanayo", {"num_waves": 2}
         stages = build_schedule(make_config(scheme, P, B, **kw)) \
             .num_stages
@@ -485,11 +489,12 @@ class TestTimeOrderedReplay:
         # lane 0: statically rejected; lane 1: aborts mid-run; the
         # rest clear (one uncapped, one just-fitting)
         caps = [1, int(peaks[1]) - 1, None, int(peaks[3]) + 1]
-        if path == "recovered":
+        if path == "batch":
             batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
         else:
-            batch = time_ordered(plans, run, caps)
+            batch = contended(plans, run, caps)
         assert assert_batch_equal(batch, plans, run, caps) == (2, 2)
+        assert stats.scalar_cells == before
 
     def test_aborted_lane_keeps_lazy_cost_contract(self):
         """A mid-run-aborting contention lane resolves lazy compute
@@ -511,6 +516,61 @@ class TestTimeOrderedReplay:
         resolved = sum(c is not None for c in plans[1].comp_cost)
         assert 0 < resolved < len(plans[1].comp_cost)
         assert all(c is not None for c in plans[2].comp_cost)
+
+
+class TestContentionDriverEdges:
+    """Inputs chosen to hit the driver's tie and fallback rules."""
+
+    @pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
+    @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
+    def test_seeded_costs_with_ties_bit_equal_scalar(self, param, prefetch):
+        """Eight lanes of seeded costs, every other one on round
+        numbers so grants tie across devices: each fold row equals the
+        scalar time-ordered driver's."""
+        import random
+
+        scheme, kw = param
+        base = lowered(scheme, kw, prefetch=prefetch)
+        stages = base.program.num_stages
+        rng = random.Random(sum(map(ord, scheme)) * 2 + int(prefetch))
+        plans = []
+        for k in range(8):
+            if k % 2:
+                cfg = CostConfig(t_f=rng.uniform(0.5, 2.0),
+                                 t_b=rng.uniform(1.0, 3.0),
+                                 t_c=rng.uniform(0.05, 1.5))
+            else:
+                cfg = CostConfig(t_f=1.0, t_b=rng.choice([1.0, 2.0]),
+                                 t_c=rng.choice([0.25, 0.5, 1.0]))
+            plans.append(base.retime(AbstractCosts(cfg, P, stages)))
+        run = RunConfig(prefetch=prefetch, contention=True)
+        batch = contended(plans, run)
+        for k, plan in enumerate(plans):
+            assert batch.fold.row(k) == fold_events(
+                execute_plan(plan, run, detail="lean")).row(0)
+
+    def test_zero_time_transfers_run_scalar(self):
+        """A lane whose transfers partly take zero time while others
+        contend for wires leaves the driver (reason ``zero-time``); the
+        other lanes stay batched, and every outcome is the scalar one."""
+        from repro import profiling
+
+        class HalfFree(AbstractCosts):
+            def transfer_time(self, src, dst, stage):
+                if stage % 2:
+                    return 0.0
+                return super().transfer_time(src, dst, stage)
+
+        base = lowered("hanayo", {"num_waves": 2})
+        stages = base.program.num_stages
+        plans = lanes_for(base)
+        plans[1] = base.retime(HalfFree(LANE_COSTS[1], P, stages))
+        stats = profiling.batching_stats()
+        before = stats.fallback_reasons.get("zero-time", 0)
+        run = RunConfig(contention=True)
+        batch = execute_batch(PlanBatch.from_plans(plans), run)
+        assert stats.fallback_reasons.get("zero-time", 0) == before + 1
+        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
 
 
 class TestCongruentGroups:
@@ -621,13 +681,13 @@ class TestFallbackReasons:
         assert stats.fallback_s.get("singleton", 0.0) > \
             before_s.get("singleton", 0.0)
         assert "contention" not in stats.fallback_reasons
-        assert stats.recovered_lanes == before_rec + 6
+        assert stats.recovered_lanes == before_rec + len(plans)
         text = stats.describe()
         assert "fallbacks [" in text
         assert "singleton=" in text
         assert "ms" in text.split("fallbacks [", 1)[1]  # wall time shown
-        assert "recovered" in text
-        assert "time-ordered" in text
+        assert "contention driver" in text
+        assert "grant splits" in text
 
     def test_concurrent_recording_loses_no_update(self):
         """The serving layer's dispatcher threads all record into one
@@ -673,8 +733,8 @@ class TestFallbackReasons:
                (calls, 3 * calls)
         assert stats.dedup_hits == calls
 
-    def test_recovery_counts_inside_batched_totals(self):
-        """A recovered batch is a batch: occupancy and lane totals keep
+    def test_contention_counts_inside_batched_totals(self):
+        """A contention batch is a batch: occupancy and lane totals keep
         covering every batched lane."""
         from repro import profiling
 
@@ -684,10 +744,9 @@ class TestFallbackReasons:
         plans = lanes_for(lowered("hanayo", {"num_waves": 2}))
         execute_batch(PlanBatch.from_plans(plans),
                       RunConfig(contention=True))
-        # one lockstep batch of the kept lane + one replay of the rest
-        assert stats.recovered_lanes == recovered0 + 3
+        assert stats.recovered_lanes == recovered0 + len(plans)
         assert stats.lanes == lanes0 + len(plans)
-        assert stats.batches == batches0 + 2
+        assert stats.batches == batches0 + 1
         assert sum(n * c for n, c in stats.occupancy.items()) \
             == stats.lanes
 
@@ -716,12 +775,12 @@ class TestContentionGrids:
         from repro import profiling
 
         stats = profiling.batching_stats()
-        before = (stats.batches, stats.scalar_cells, stats.recovered_lanes,
+        before = (stats.batches, stats.scalar_cells, stats.splits,
                   dict(stats.fallback_reasons))
         run = RunConfig(contention=True)
         out = execute_many([(plan, None) for plan in plans], run)
         delta = (stats.batches - before[0], stats.scalar_cells - before[1],
-                 stats.recovered_lanes - before[2])
+                 stats.splits - before[2])
         assert stats.fallback_reasons == before[3]
         wants = [execute_plan(plan, run, detail="lean") for plan in plans]
         for k, want in enumerate(wants):
@@ -729,11 +788,12 @@ class TestContentionGrids:
             assert out.fold.row(k) == fold_events(want).row(0)
         return delta, wants
 
-    def test_lockstep_grid_stays_lockstep(self):
+    def test_grant_stable_grid_stays_one_batch(self):
         """gpipe and dapple at P = 8 (dapple also at P = 4, D = 2) on
-        concrete clusters: wire grant order is structural order, so
-        each structure is one lockstep batch — no lane replayed, none
-        scalar."""
+        concrete clusters: one batch per structure and no lane scalar.
+        The lanes grant their wires alike; the few splits come from the
+        driver's conservative bound on flag-blocked rivals and re-merge
+        (the count is deterministic, so a change in it is visible)."""
         from repro.cluster import make_tc
 
         grid = [
@@ -753,14 +813,14 @@ class TestContentionGrids:
                 plans.append(ExecutablePlan.lower(program).retime(
                     ClusterCosts(costs, cluster)))
         assert len(plans) == 56
-        (batches, scalar, recovered), _ = self._run(plans)
-        assert (batches, scalar, recovered) == (3, 0, 0)
+        (batches, scalar, splits), _ = self._run(plans)
+        assert (batches, scalar, splits) == (3, 0, 11)
 
-    def test_divergent_grid_is_recovered(self):
+    def test_divergent_grid_splits_but_stays_batched(self):
         """hanayo-w2 at P = 4, D = 2 retimed across microbatch sizes:
         compute scales with the size, wire latency does not, so grant
-        orders genuinely reorder and every lane rides the time-ordered
-        replay — none scalar."""
+        orders genuinely differ between lanes: the cohort splits on
+        those grants, and still no lane runs scalar."""
         sched = build_schedule(PipelineConfig(
             scheme="hanayo", num_devices=4, num_microbatches=16,
             num_waves=2, data_parallel=2))
@@ -770,8 +830,9 @@ class TestContentionGrids:
         plans = [base.retime(ClusterCosts(_bert_costs(sched, cluster, mb),
                                           cluster))
                  for mb in range(1, 17)]
-        (_batches, scalar, recovered), wants = self._run(plans)
-        assert (scalar, recovered) == (0, len(plans))
+        (batches, scalar, splits), wants = self._run(plans)
+        assert (batches, scalar) == (1, 0)
+        assert splits > 0
         # identical grant orders would make this a lockstep grid
         assert len({_span_order(want) for want in wants}) >= 2
 

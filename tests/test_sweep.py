@@ -637,8 +637,8 @@ class TestBatchUnits:
 
     def test_contention_sweep_matches_scalar(self):
         """A contention sweep's batch units reproduce the per-cell
-        scalar contention measurements — divergent lanes go through the
-        time-ordered replay, not back to the scalar loop."""
+        scalar contention measurements — divergent lanes stay in the
+        contention driver, not back to the scalar loop."""
         from repro.analysis import measure_throughput
         from repro.config import RunConfig
 
