@@ -714,12 +714,12 @@ def measure_hybrid_throughput_batch(
     call per contention mode, which re-groups them by control-flow
     congruence — so cells of *different* plan keys whose structures
     agree (e.g. two models on one layout) still stack into one lockstep
-    batch, and a lane with nothing to stack with runs through the
-    scalar core (reason ``singleton``).  The accounting runs on the
-    batch's lane-axis fold columns (:func:`simulate_groups`).  A lane's
+    batch, and an uncontended lane with nothing to stack with is a
+    batch of one.  The accounting runs on the batch's lane-axis fold
+    columns (:func:`simulate_groups`).  A lane's
     :class:`ThroughputResult` does not depend on what it was batched
-    with — pinned by the sweep parity tests and the ``fig09_batched`` /
-    ``fig11_hybrid_batched`` benchmarks' cross-checks.
+    with — pinned by the sweep parity tests and by the goldens of
+    ``benchmarks/e2e``.
     """
     return _measure(requests, run or RunConfig())
 

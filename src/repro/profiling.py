@@ -145,10 +145,12 @@ class BatchingStats:
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
     #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
+    #: (``narrow`` / ``zero-time`` / ``deadlock`` /
     #: ``structure-divergence``) makes batch-coverage regressions
     #: visible — a future change that silently de-batches a shape shows
-    #: up here before it shows up in wall time.
+    #: up here before it shows up in wall time.  An uncontended lane
+    #: with nothing to batch with is no fallback: it is a batch of one
+    #: (occupancy 1).
     fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: reason -> wall seconds spent in that scalar fallback: a rare
     #: reason burning most of the time ranks above a frequent cheap one
@@ -183,7 +185,7 @@ class BatchingStats:
             self.splits += splits
 
     def record_scalar(self, cells: int, seconds: float,
-                      reason: str = "singleton") -> None:
+                      reason: str) -> None:
         with self._lock:
             self.scalar_cells += cells
             self.scalar_s += seconds
@@ -253,14 +255,14 @@ def record_recovered(lanes: int, seconds: float, splits: int = 0) -> None:
     _batching.record_recovered(lanes, seconds, splits)
 
 
-def record_scalar(cells: int, seconds: float,
-                  reason: str = "singleton") -> None:
+def record_scalar(cells: int, seconds: float, reason: str) -> None:
     """Count ``cells`` cells executed through the scalar fallback.
 
     ``reason`` names why the vectorized paths were not taken — one of
-    ``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
+    ``narrow`` (a contention group under ``MIN_CONTENTION_LANES``
+    lanes, width 1 included) / ``zero-time`` / ``deadlock`` /
     ``structure-divergence`` — with wall time attributed per reason
-    alongside the cell counts.
+    alongside the cell counts.  Every caller names its reason.
     """
     _batching.record_scalar(cells, seconds, reason)
 

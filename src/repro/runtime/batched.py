@@ -132,9 +132,13 @@ Dead lanes ride the remaining lockstep arithmetic inertly — their
 columns are never observed again — which keeps the hot loop free of
 per-event mask branches; live lanes never stall on them.
 
+An uncontended lane with nothing to batch with is a batch of one: the
+same loop on Python floats, reusing its shape's cached structural pass
+instead of rediscovering blocking in the scalar greedy driver.
 Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
 and every fallback is *reason-coded* —
-``singleton`` / ``narrow`` / ``zero-time`` / ``deadlock`` /
+``narrow`` (a contention group under :data:`MIN_CONTENTION_LANES`
+lanes, width 1 included) / ``zero-time`` / ``deadlock`` /
 ``structure-divergence`` (defensive; congruent batches cannot reach
 it) — in :func:`repro.profiling.batching_stats`, with wall
 time attributed per reason and contention-lane and grant-split counts,
@@ -147,6 +151,8 @@ through the scalar core for the identical message) even if some lane's
 capacity would have aborted with an OOM first under scalar execution.
 Deadlock is a control-flow property covered by the congruence key — no
 batch can contain one lane that deadlocks and another that does not.
+A deadlocking batch of one keeps the scalar outcome instead (reason
+``deadlock``).
 """
 
 from __future__ import annotations
@@ -555,18 +561,14 @@ def execute_batch(
             )
     ls = lockstep_schedule(head)
     if ls.deadlock:
-        # Replay one lane through the scalar core for the identical
+        # Replay lane 0 through the scalar core for the identical
         # SchedulingError (heads + wait cycle); deadlock is structural,
-        # so capacity is irrelevant to the verdict (see module doc).
-        t0 = time.perf_counter()
-        try:
-            execute_plan(plans[0], run)
-        finally:
-            profiling.record_scalar(1, time.perf_counter() - t0,
-                                    "deadlock")
-        raise SchedulingError(  # pragma: no cover - scalar core raised
-            f"{head.program.name}: simulation deadlock"
-        )
+        # so capacity is irrelevant to a batch's verdict (see module
+        # doc).  A lone lane keeps its scalar outcome: an OOM may come
+        # first.
+        return _scalar_lane(head, run,
+                            caps_raw[0] if len(plans) == 1 else None,
+                            reason="deadlock")
     # Congruent groups: each distinct program contributes its own
     # structural replay (memory traces are per-lane); the event stream
     # must match the head's.
@@ -657,8 +659,9 @@ def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
 
 
 #: narrowest contention group :func:`execute_many` vectorizes: the
-#: wire-exact passes pay a fixed NumPy cost per event, and below this
-#: they lose to the scalar core on every family (at 2 lanes, ~6x)
+#: contention driver pays a fixed NumPy cost per event; it breaks even
+#: at about 2 lanes for gpipe, 4 for dapple and 8 for hanayo (2.8-3.5x
+#: the scalar cost at 2 lanes; table in docs/performance.md)
 MIN_CONTENTION_LANES = 8
 
 #: entries kept in the per-schedule stacked-cost cache; a structure's
@@ -667,19 +670,31 @@ MIN_CONTENTION_LANES = 8
 _COST_ROW_CACHE = 4
 
 
+def _resolve_costs(plan, exec_seq, upto: int) -> None:
+    """Resolve ``plan``'s lazy compute costs for ``exec_seq[:upto]``
+    (the lazy-cost contract: nothing past an aborting compute, nothing
+    for a statically-rejected lane)."""
+    if getattr(plan, "_fully_resolved", False):
+        return
+    comp_cost, oracle, comp_ops = plan.comp_cost, plan.costs, plan.comp_ops
+    for a in exec_seq[:upto]:
+        if comp_cost[a] is None:
+            comp_cost[a] = oracle.duration(comp_ops[a])
+    if upto == len(exec_seq):
+        plan._fully_resolved = True
+
+
 def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
                    with_lat: bool):
     """Stack per-lane cost columns into ``[n, N]`` row lists.
 
-    Resolves each lane's lazy compute costs for ``exec_seq`` up to its
-    ``resolve_upto`` extent (the lazy-cost contract: an aborted lane
-    resolves nothing beyond its aborting compute, a statically-rejected
-    lane resolves nothing).  A repeated pass over the same bound plans
-    (the cached-binding sweep steady state) produces the same matrices:
-    once every lane's column is fully resolved the stacked rows are
-    cached on the schedule, keyed by the exact lane set and replay
-    extents.  ``Lm`` (send latencies) is filled lazily, on the first
-    contention execution of a lane set.
+    Resolves each lane's lazy compute costs up to its ``resolve_upto``
+    extent (:func:`_resolve_costs`).  A repeated pass over the same
+    bound plans (the cached-binding sweep steady state) produces the
+    same matrices: once every lane's column is fully resolved the
+    stacked rows are cached on the schedule, keyed by the exact lane set
+    and replay extents.  ``Lm`` (send latencies) is filled lazily, on
+    the first contention execution of a lane set.
     """
     exec_seq = ls.exec_seq
     mat_key = (tuple(id(p) for p in plans), tuple(resolve_upto))
@@ -695,15 +710,8 @@ def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
         return Cm, Tm, Sm, Lm
     cols = []
     for k, plan in enumerate(plans):
-        comp_cost = plan.comp_cost
-        oracle = plan.costs
-        comp_ops_k = plan.comp_ops
-        for a in exec_seq[:resolve_upto[k]]:
-            if comp_cost[a] is None:
-                comp_cost[a] = oracle.duration(comp_ops_k[a])
-        if resolve_upto[k] == len(exec_seq):
-            plan._fully_resolved = True
-        cols.append([0.0 if c is None else c for c in comp_cost])
+        _resolve_costs(plan, exec_seq, resolve_upto[k])
+        cols.append([0.0 if c is None else c for c in plan.comp_cost])
     # row lists: plain list indexing per event beats ndarray row
     # slicing at sweep-typical lane counts
     Cm = list(np.ascontiguousarray(np.array(cols, dtype=np.float64).T))
@@ -744,7 +752,7 @@ def _gate(plans, lane_lss, caps_raw):
         try:
             plans[k].program.check_static_memory(cap)
         except OutOfMemoryError as exc:
-            errors[k] = exc
+            errors[k] = exc.with_traceback(None)  # see _scalar_lane
             resolve_upto[k] = 0
             continue
         levels = lane_lss[k].alloc_levels
@@ -762,6 +770,10 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
     A lane whose capacity a later allocation violates aborts at its
     first violation in replay order — the scalar greedy driver's abort
     point — and resolves lazy costs only up to that compute.
+
+    A batch of one runs on Python floats over the plan's own cost
+    columns: builtin ``max`` / ``min`` select bitwise as the ufuncs do
+    (no lane quantity is ever NaN or -0.0).
     """
     head = plans[0]
     devices = head.devices
@@ -782,11 +794,19 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
             caps_raw[k])
         resolve_upto[k] = lane_ls.alloc_pos[j] + 1
 
-    # -- per-lane cost columns -> [n, N] matrices ------------------------
-    Cm, Tm, Sm, _ = _stacked_costs(ls, plans, resolve_upto, with_lat=False)
+    # -- per-lane cost columns -> [n, N] matrices (one lane: its own) ----
+    if n_lanes == 1:
+        _resolve_costs(head, ls.exec_seq, resolve_upto[0])
+        if errors[0] is not None:  # nothing left to time
+            return BatchResult(errors, LaneFold.zeros(1), [None])
+        Cm, Tm, Sm = head.comp_cost, head.send_time, head.coll_step_time
+        maximum, minimum, zero = max, min, 0.0
+    else:
+        Cm, Tm, Sm, _ = _stacked_costs(ls, plans, resolve_upto,
+                                       with_lat=False)
+        maximum, minimum, zero = np.maximum, np.minimum, np.zeros(n_lanes)
 
     # -- lane-axis state -------------------------------------------------
-    zero = np.zeros(n_lanes)
     clock = [zero] * num_devices
     coll_free = [zero] * num_devices
     recv_wait = [zero] * num_devices
@@ -799,7 +819,6 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
     ce_l: list = [None] * n_comp
     coll_log: list[tuple] = []
 
-    maximum, minimum = np.maximum, np.minimum
     for ev in ls.events:
         kind = ev[0]
         if kind == _COMP:
@@ -880,11 +899,12 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
             if coll_blocking[lid]:
                 clock[di] = t
 
-    empty = np.empty((0, n_lanes))
-    cols = _Columns(ls, plans, lane_lss,
-                    np.array(cs_l) if cs_l else empty,
-                    np.array(ce_l) if ce_l else empty,
-                    clock, recv_wait, ts_l, te_l, coll_log)
+    if n_lanes > 1:
+        empty = np.empty((0, n_lanes))
+        cs_l = np.array(cs_l) if cs_l else empty
+        ce_l = np.array(ce_l) if ce_l else empty
+    cols = _Columns(ls, plans, lane_lss, cs_l, ce_l, clock, recv_wait,
+                    ts_l, te_l, coll_log)
     return BatchResult(errors, cols.fold(),
                        [partial(cols.lane, k) for k in range(n_lanes)])
 
@@ -896,14 +916,15 @@ class _Columns:
     Nothing here is per lane: :meth:`fold` reduces on the lane axis and
     :meth:`lane` slices column ``k`` out, only then building that
     lane's event objects.  Matrices and lists of ``[N]`` row vectors
-    are interchangeable (both index as ``rows[i][k]``).
+    are interchangeable (both index as ``rows[i][k]``); a lockstep
+    batch of one holds plain floats instead (``CS`` a list).
     """
 
     ls: LockstepSchedule
     plans: list
     lane_lss: list
-    CS: np.ndarray        # compute start / end, [computes, N]
-    CE: np.ndarray
+    CS: np.ndarray | list  # compute start / end, [computes, N]
+    CE: np.ndarray | list
     clock: object         # per-device end clocks, [devices, N]
     recv_wait: object     # [devices, N]
     TS: object            # transfer start / end per slot, [slots, N]
@@ -928,22 +949,26 @@ class _Columns:
         """Lane ``k`` of an uncontended pass: the wire grants a transfer
         the moment it is posted, and every log keeps structural order."""
         plan, lane_ls, ls = self.plans[k], self.lane_lss[k], self.ls
-        cs = self.CS[:, k].tolist()
-        ce = self.CE[:, k].tolist()
-        ss = [float(self.TS[slot][k]) for slot in plan.send_slot]
-        se = [float(self.TE[slot][k]) for slot in plan.send_slot]
+        one = isinstance(self.CS, list)  # one lane, already plain floats
+        cs = self.CS if one else self.CS[:, k].tolist()
+        ce = self.CE if one else self.CE[:, k].tolist()
+
+        def at(x):
+            return x if one else float(x[k])
+        ss = [at(self.TS[slot]) for slot in plan.send_slot]
+        se = [at(self.TE[slot]) for slot in plan.send_slot]
         mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level, cid)
                  for di, cid, delta, level, is_alloc in lane_ls.mem_trace]
         coll_k = [
-            (lid, di, float(post[k]), float(start[k]), float(end[k]),
-             tuple((float(s[k]), float(e[k])) for s, e in steps))
+            (lid, di, at(post), at(start), at(end),
+             tuple((at(s), at(e)) for s, e in steps))
             for lid, di, post, start, end, steps in self.colls
         ]
         return _materialize(
             plan, ls.exec_seq, cs, ce, ls.post_seq, ss, ss, se,
             ls.send_batched, coll_k, mem_k,
-            [float(row[k]) for row in self.clock],
-            [float(row[k]) for row in self.recv_wait],
+            [at(row) for row in self.clock],
+            [at(row) for row in self.recv_wait],
             lane_ls.mem_peak if plan.program.tracks_memory else None)
 
 
@@ -1495,11 +1520,11 @@ def execute_many(
     object trivially agree; so do structurally congruent plans of
     *different* programs — see
     :attr:`~repro.actions.lowering.ExecutablePlan.congruence_key`),
-    executes each multi-lane group through :func:`execute_batch` and
-    everything else through the scalar core, and returns one columnar
-    result in item order.  Only singleton groups (under contention,
-    groups under :data:`MIN_CONTENTION_LANES`) take the reason-coded
-    scalar path.
+    executes each group through :func:`execute_batch` — an uncontended
+    group of one included, which times in plain floats — and returns
+    one columnar result in item order.  Only contention groups under
+    :data:`MIN_CONTENTION_LANES` lanes, width 1 included, take the
+    scalar core (reason ``narrow``).
     """
     run = run or RunConfig()
     items = list(items)
@@ -1508,12 +1533,10 @@ def execute_many(
         groups.setdefault(_plan_congruence(plan), []).append(idx)
 
     parts: list[tuple[list[int], BatchResult]] = []
-    widest_scalar = MIN_CONTENTION_LANES - 1 if run.contention else 1
     for lane_ids in groups.values():
-        if len(lane_ids) <= widest_scalar:
-            reason = "singleton" if len(lane_ids) == 1 else "narrow"
+        if run.contention and len(lane_ids) < MIN_CONTENTION_LANES:
             parts += [([i], _scalar_lane(items[i][0], run, items[i][1],
-                                         reason=reason)) for i in lane_ids]
+                                         reason="narrow")) for i in lane_ids]
             continue
         sub = execute_batch(
             PlanBatch.from_plans([items[i][0] for i in lane_ids],

@@ -8,6 +8,7 @@ throughput in sequences per second for the evaluation figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +86,10 @@ def fold_lanes(dev_rows, starts, ends, device_end, syncs,
     the matrix rows that device executed in program order;
     ``device_end`` is ``[devices, N]``; ``syncs`` holds ``(device,
     start, end)`` of every ``GRAD_SYNC`` collective in per-device
-    program order, ``[N]`` vectors each.
+    program order, ``[N]`` vectors each; ``peak_mem`` is the ``[N]``
+    peak column.  One lane may come as plain floats instead — lists
+    for ``starts`` / ``ends`` / ``device_end``, floats in ``syncs`` —
+    and then folds without a NumPy call per compute.
 
     The exactness rule, stated once: every sum below adds lane-wise,
     one term at a time in per-device program order (:func:`seq_sum`),
@@ -94,49 +98,53 @@ def fold_lanes(dev_rows, starts, ends, device_end, syncs,
     :class:`~repro.runtime.events.EventResult`; ``max`` is order-free
     and may reduce whole matrices.
     """
-    zero = np.zeros(ends.shape[1])
-    makespan = ends.max(axis=0) if len(ends) else zero
-    durations = ends - starts
+    floats = not isinstance(ends, np.ndarray)
+    if floats:
+        zero, maximum = 0.0, max
+        makespan = max(ends, default=0.0)
+        durations = [end - start for start, end in zip(starts, ends)]
+    else:
+        zero, maximum = np.zeros(ends.shape[1]), np.maximum
+        makespan = ends.max(axis=0) if len(ends) else zero
+        durations = ends - starts
     idle = [makespan - seq_sum((durations[r] for r in rows), zero)
             for rows in dev_rows]
     denom = makespan * max(1, len(dev_rows))
     bubble = np.divide(seq_sum(idle, zero), denom, out=np.zeros_like(zero),
                        where=denom > 0)
-    busy_end = makespan
-    if len(device_end):
-        busy_end = np.maximum(makespan, np.max(device_end, axis=0))
+    busy_end = reduce(maximum, device_end, makespan)
     per_device: dict = {}
     sync_done = zero
     for device, start, end in syncs:
         per_device[device] = per_device.get(device, zero) + (end - start)
-        sync_done = np.maximum(sync_done, end)
-    sync_s = (np.max(list(per_device.values()), axis=0) if per_device
-              else zero)
-    return LaneFold(makespan, bubble, busy_end, sync_s, sync_done, peak_mem)
+        sync_done = maximum(sync_done, end)
+    sync_s = reduce(maximum, per_device.values()) if per_device else zero
+    columns = (makespan, bubble, busy_end, sync_s, sync_done)
+    if floats:
+        columns = tuple(np.array([x]) for x in columns)
+    return LaneFold(*columns, peak_mem)
 
 
 def fold_events(result) -> LaneFold:
     """The N = 1 fold of one scalar execution.
 
     ``result`` is an :class:`~repro.runtime.events.EventResult` (either
-    event core's); its spans and collectives are laid out as one-lane
-    columns and go through :func:`fold_lanes`, so scalar and batched
-    measurements share one accounting.
+    event core's); its spans and collectives go through
+    :func:`fold_lanes` as one lane of plain floats, so scalar and
+    batched measurements share one accounting.
     """
     timeline = result.timeline
     dev_rows: list[range] = []
-    spans: list = []
+    starts: list[float] = []
+    ends: list[float] = []
     for device in timeline.devices:
         row = timeline.spans[device]
-        dev_rows.append(range(len(spans), len(spans) + len(row)))
-        spans.extend(row)
+        dev_rows.append(range(len(ends), len(ends) + len(row)))
+        starts += [t.start for t in row]
+        ends += [t.end for t in row]
     return fold_lanes(
-        dev_rows,
-        np.array([t.start for t in spans])[:, None],
-        np.array([t.end for t in spans])[:, None],
-        np.array(list(result.device_end.values()))[:, None],
-        [(c.device, np.array([c.start]), np.array([c.end]))
-         for c in result.collectives
+        dev_rows, starts, ends, list(result.device_end.values()),
+        [(c.device, c.start, c.end) for c in result.collectives
          if c.op.kind is CollectiveKind.GRAD_SYNC],
         np.array([max(result.mem_peak.values(), default=0.0)]),
     )

@@ -129,6 +129,25 @@ def assert_batch_equal(batch, plans, run, caps=None):
     return ok, oom
 
 
+def assert_alone_equal(plan, run, cap=None):
+    """``plan`` as a batch of one through ``execute_many``: one lockstep
+    batch at occupancy 1 and no fallback; its fold row is the scalar
+    lean fold, its view (or OOM) the scalar run's.  Returns (ok, oom)."""
+    from repro import profiling
+
+    stats = profiling.batching_stats()
+    before = (stats.batches, stats.occupancy.get(1, 0), stats.scalar_cells,
+              dict(stats.fallback_reasons))
+    out = execute_many([(plan, cap)], run)
+    assert (stats.batches, stats.occupancy.get(1, 0), stats.scalar_cells,
+            stats.fallback_reasons) == \
+        (before[0] + 1, before[1] + 1, before[2], before[3])
+    if out.errors[0] is None:
+        lean = execute_plan(plan, run, capacity_bytes=cap, detail="lean")
+        assert out.fold.row(0) == fold_events(lean).row(0)
+    return assert_batch_equal(out, [plan], run, [cap])
+
+
 def contended(plans, run, caps=None):
     """All lanes straight through the contention driver."""
     ls = batched.lockstep_schedule(plans[0])
@@ -145,6 +164,12 @@ class TestLanewiseParity:
         run = RunConfig(prefetch=prefetch)
         batch = execute_batch(PlanBatch.from_plans(plans), run)
         assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
+
+    def test_batch_of_one_bit_equals_scalar(self, param, prefetch):
+        scheme, kw = param
+        run = RunConfig(prefetch=prefetch)
+        for plan in lanes_for(lowered(scheme, kw, prefetch=prefetch)):
+            assert assert_alone_equal(plan, run) == (1, 0)
 
 
 class TestCapacityParity:
@@ -183,13 +208,43 @@ class TestCapacityParity:
                [False, True, False, True]
         assert assert_batch_equal(batch, plans, RunConfig(), caps) == (2, 2)
 
+    @pytest.mark.parametrize("scheme,kw", [("dapple", {}),
+                                           ("hanayo", {"num_waves": 2})],
+                             ids=["dapple", "hanayo-w2"])
+    def test_batch_of_one_under_capacity(self, scheme, kw):
+        """Static rejection, mid-run abort and a fit, one lane each."""
+        plans = lanes_for(self._annotated(scheme, kw))
+        run = RunConfig()
+        for plan in plans:
+            peak = int(max(execute_plan(plan, run).mem_peak.values()))
+            got = [assert_alone_equal(plan, run, cap)
+                   for cap in (1, peak - 1, peak + 1, None)]
+            assert got == [(0, 1), (0, 1), (1, 0), (1, 0)]
+
+    def test_batch_of_one_keeps_lazy_cost_contract(self):
+        """A mid-run-aborting batch of one resolves exactly the lazy
+        compute costs the scalar core does — none after the aborting
+        compute; a statically-rejected one resolves none."""
+        base = self._annotated()
+        peak = max(execute_plan(lanes_for(base, n=1)[0],
+                                RunConfig()).mem_peak.values())
+        cap = int(peak) - 1
+        alone, scalar, static = (lanes_for(base, n=1)[0] for _ in range(3))
+        # two calls: together the lanes would stack into a batch of two
+        execute_many([(alone, cap)])
+        execute_many([(static, 1)])
+        with pytest.raises(OutOfMemoryError):
+            execute_plan(scalar, RunConfig(), capacity_bytes=cap)
+        resolved = [c is not None for c in alone.comp_cost]
+        assert resolved == [c is not None for c in scalar.comp_cost]
+        assert 0 < sum(resolved) < len(resolved)
+        assert not any(c is not None for c in static.comp_cost)
+
 
 class TestCollectiveParity:
     """Gradient-sync rings compiled in (concrete clusters, d=2)."""
 
-    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
-                             ids=["FC", "TACC", "PC"])
-    def test_dp_collectives_bit_equal(self, factory):
+    def _plans(self, factory):
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
                              num_microbatches=B, data_parallel=2)
         sched = build_schedule(cfg)
@@ -201,6 +256,12 @@ class TestCollectiveParity:
             program = compile_cluster_program(sched, cluster, costs, d=2)
             plans.append(ExecutablePlan.lower(program).retime(
                 ClusterCosts(costs, cluster)))
+        return plans
+
+    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
+                             ids=["FC", "TACC", "PC"])
+    def test_dp_collectives_bit_equal(self, factory):
+        plans = self._plans(factory)
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
         for k, plan in enumerate(plans):
@@ -208,6 +269,12 @@ class TestCollectiveParity:
             assert want.collectives  # the rings really are in the plan
             assert fold_events(want).sync_s[0] > 0
             assert_lane_equal(batch, k, want)
+
+    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
+                             ids=["FC", "TACC", "PC"])
+    def test_dp_collectives_batch_of_one(self, factory):
+        for plan in self._plans(factory):
+            assert assert_alone_equal(plan, RunConfig()) == (1, 0)
 
 
 class TestRaggedBatches:
@@ -264,8 +331,7 @@ class TestExecuteMany:
         run = RunConfig()
         out = execute_many(items, run)
         assert len(out) == len(items)
-        # the singleton (gems) lane is a scalar-fallback lane: same
-        # fold, same view
+        # the lone (gems) lane is a batch of one: same fold, same view
         plans = [plan for plan, _ in items]
         assert assert_batch_equal(out, plans, run) == (len(items), 0)
 
@@ -326,7 +392,7 @@ class TestExecuteMany:
         batches, scalars = stats.batches, stats.scalar_cells
         out = execute_many([(p, None) for p in lanes], run)
         assert stats.batches == batches + 1      # one lockstep batch,
-        assert stats.scalar_cells == scalars     # no singleton fallback
+        assert stats.scalar_cells == scalars     # no scalar lane
         assert assert_batch_equal(out, lanes, run) == (2, 0)
 
 
@@ -449,8 +515,9 @@ class TestContentionDriver:
 
     def test_mixed_recovered_and_fallback_lanes(self):
         """One execute_many with a recovered contention group and a
-        singleton scalar lane: outcomes stay item-ordered and each
-        path's accounting is attributed correctly."""
+        lone contention lane (a ``narrow`` group of width 1): outcomes
+        stay item-ordered and each path's accounting is attributed
+        correctly."""
         from repro import profiling
 
         stats = profiling.batching_stats()
@@ -459,11 +526,10 @@ class TestContentionDriver:
         items = [(group[0], None), (solo[0], None)] + \
             [(plan, None) for plan in group[1:]]
         run = RunConfig(contention=True)
-        singleton_before = stats.fallback_reasons.get("singleton", 0)
+        narrow_before = stats.fallback_reasons.get("narrow", 0)
         recovered_before = stats.recovered_lanes
         out = execute_many(items, run)
-        assert stats.fallback_reasons.get("singleton", 0) == \
-            singleton_before + 1
+        assert stats.fallback_reasons.get("narrow", 0) == narrow_before + 1
         assert stats.recovered_lanes == recovered_before + len(group)
         plans = [plan for plan, _ in items]
         assert assert_batch_equal(out, plans, run) == (len(items), 0)
@@ -658,12 +724,25 @@ class TestHybridTPParity:
             assert got.collectives == ref.collectives
             assert got.device_end == ref.device_end
 
+    @pytest.mark.parametrize("d", [1, 2], ids=["dp1", "dp2"])
+    def test_hybrid_batch_of_one(self, d):
+        from repro.analysis import HybridLayout, build_hybrid_simulation
+
+        layout = HybridLayout(tp=2, p=2, d=d)
+        run = RunConfig()
+        cell = build_hybrid_simulation("dapple", make_fc(layout.devices),
+                                       tiny_model(num_layers=16), layout,
+                                       B, run=run)
+        assert assert_alone_equal(cell.plan, run) == (1, 0)
+
 
 class TestFallbackReasons:
     """The --profile fallback histogram: every scalar cell is blamed,
     with wall time attributed per reason; recovered lanes counted."""
 
     def test_reasons_recorded_and_described(self):
+        """A lone uncontended lane is a batch of one, not a fallback; a
+        lone contention lane is a ``narrow`` one."""
         from repro import profiling
 
         stats = profiling.batching_stats()
@@ -671,20 +750,24 @@ class TestFallbackReasons:
         before_s = dict(stats.fallback_s)
         before_rec = stats.recovered_lanes
         solo = lanes_for(lowered("gems", {}), n=1)
-        run = RunConfig()
-        execute_many([(solo[0], None)], run)
+        batches = stats.batches
+        execute_many([(solo[0], None)], RunConfig())
+        assert stats.batches == batches + 1
+        assert stats.fallback_reasons == before
+        execute_many([(solo[0], None)], RunConfig(contention=True))
         plans = lanes_for(lowered("hanayo", {"num_waves": 2}), n=8)
         execute_many([(p, None) for p in plans],
                      RunConfig(contention=True))  # wire-divergent lanes
-        assert stats.fallback_reasons.get("singleton", 0) == \
-            before.get("singleton", 0) + 1
-        assert stats.fallback_s.get("singleton", 0.0) > \
-            before_s.get("singleton", 0.0)
+        assert stats.fallback_reasons.get("narrow", 0) == \
+            before.get("narrow", 0) + 1
+        assert stats.fallback_s.get("narrow", 0.0) > \
+            before_s.get("narrow", 0.0)
+        assert "singleton" not in stats.fallback_reasons
         assert "contention" not in stats.fallback_reasons
         assert stats.recovered_lanes == before_rec + len(plans)
         text = stats.describe()
         assert "fallbacks [" in text
-        assert "singleton=" in text
+        assert "narrow=" in text
         assert "ms" in text.split("fallbacks [", 1)[1]  # wall time shown
         assert "contention driver" in text
         assert "grant splits" in text
@@ -706,7 +789,7 @@ class TestFallbackReasons:
             start.wait(timeout=30)
             for i in range(rounds):
                 stats.record_batch(1 + (tid + i) % 5, 0.001)
-                stats.record_scalar(2, 0.001, "singleton")
+                stats.record_scalar(2, 0.001, "narrow")
                 stats.record_recovered(3, 0.001)
                 stats.record_dedup()
 
@@ -728,7 +811,7 @@ class TestFallbackReasons:
         assert stats.lanes == sum(n * count for n, count
                                   in stats.occupancy.items())
         assert stats.scalar_cells == 2 * calls
-        assert stats.fallback_reasons == {"singleton": 2 * calls}
+        assert stats.fallback_reasons == {"narrow": 2 * calls}
         assert (stats.recovered_batches, stats.recovered_lanes) == \
                (calls, 3 * calls)
         assert stats.dedup_hits == calls
@@ -876,7 +959,8 @@ class TestDeadlockOutranksCapacity:
     """The one known batch-vs-scalar divergence (``runtime/batched.py``
     module doc), pinned: deadlock is a property of the structure, so a
     deadlocking batch raises ``SchedulingError`` as a whole — even for
-    a lane whose capacity the scalar core would have hit first."""
+    a lane whose capacity the scalar core would have hit first.  A
+    batch of one is exempt: it keeps the scalar outcome."""
 
     def deadlocking_lanes(self):
         from repro.actions.reorder import ordering_entries, reorder_program
@@ -907,6 +991,23 @@ class TestDeadlockOutranksCapacity:
         with pytest.raises(SchedulingError, match="deadlock") as batch:
             execute_batch(PlanBatch.from_plans(plans, [105, None]), run)
         assert str(batch.value) == str(scalar.value)
+
+    def test_batch_of_one_keeps_the_scalar_outcome(self):
+        """A lone lane has no batch verdict to share: it keeps the
+        scalar core's outcome — the OOM under capacity 105, the same
+        deadlock message without a capacity."""
+        plans = self.deadlocking_lanes()
+        run = RunConfig()
+        out = execute_many([(plans[0], 105)], run)
+        assert isinstance(out.errors[0], OutOfMemoryError)
+        with pytest.raises(OutOfMemoryError) as scalar_oom:
+            execute_plan(plans[0], run, capacity_bytes=105)
+        assert str(out.errors[0]) == str(scalar_oom.value)
+        with pytest.raises(SchedulingError, match="deadlock") as scalar:
+            execute_plan(plans[1], run)
+        with pytest.raises(SchedulingError, match="deadlock") as alone:
+            execute_many([(plans[1], None)], run)
+        assert str(alone.value) == str(scalar.value)
 
 
 class TestBoundPlanCache:

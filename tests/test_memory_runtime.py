@@ -245,22 +245,17 @@ class TestRecomputeTransform:
 class TestAnalysisPruning:
     """OOM cells never pay a full simulation (fast-path satellite)."""
 
-    def _count_simulations(self, monkeypatch):
-        # a lone cell is a one-lane batch, which the batched runtime
-        # hands to the scalar core
-        import repro.runtime.batched as thr
-        calls = {"n": 0}
-        real = thr.execute_plan
+    def _count_simulations(self):
+        """Lanes the batched runtime executes from here on — batched
+        (a lone cell is a batch of one) or scalar, by its own counters."""
+        from repro import profiling
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        stats = profiling.batching_stats()
+        before = stats.lanes + stats.scalar_cells
+        return lambda: stats.lanes + stats.scalar_cells - before
 
-        monkeypatch.setattr(thr, "execute_plan", counting)
-        return calls
-
-    def test_static_infeasible_cell_never_simulates(self, monkeypatch):
-        calls = self._count_simulations(monkeypatch)
+    def test_static_infeasible_cell_never_simulates(self):
+        executed = self._count_simulations()
         r = measure_throughput("gpipe", make_tacc(8), bert_64(), p=8,
                                num_microbatches=8,
                                capacity_bytes=1 * 2**30)
@@ -268,7 +263,7 @@ class TestAnalysisPruning:
         assert r.oom_device == 0
         assert r.seq_per_s is None and r.bubble_ratio is None
         assert "static" in r.describe()
-        assert calls["n"] == 0
+        assert executed() == 0
 
     def test_runtime_oom_aborts_with_watermark_peak(self):
         # bert on 40 GB cards with a deep micro-batch backlog: static
@@ -279,10 +274,10 @@ class TestAnalysisPruning:
         assert r.oom_device is not None
         assert r.peak_mem_bytes > make_tacc(8).device.memory_bytes
 
-    def test_capacity_constrained_search_prunes(self, monkeypatch):
+    def test_capacity_constrained_search_prunes(self):
         """Fig. 10-style acceptance: a capacity-constrained grid does
         measurably fewer event-loop runs; pruned count > 0."""
-        calls = self._count_simulations(monkeypatch)
+        executed = self._count_simulations()
         spec = SweepSpec(
             schemes=("gpipe", "dapple", "hanayo"),
             clusters=(make_tacc(8),),
@@ -294,8 +289,8 @@ class TestAnalysisPruning:
         )
         table = run_sweep(spec)
         assert table.stats.pruned > 0
-        assert calls["n"] < table.stats.total
-        assert calls["n"] == table.stats.total - table.stats.pruned
+        assert executed() < table.stats.total
+        assert executed() == table.stats.total - table.stats.pruned
         assert all(row.oom for row in table.rows
                    if row.result.statically_pruned)
         assert "OOM-pruned" in table.stats.describe()
