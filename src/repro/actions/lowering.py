@@ -253,20 +253,16 @@ class ExecutablePlan:
         recomputed.  This is the cost-only re-timing path sweeps take
         when a cached structure meets a new cluster.
 
-        A program sends along few distinct ``(src, dst, stage)`` edges
-        but many times per edge, so the oracle is consulted once per
-        edge and the answer fanned out across the column.
+        Every duration is bound here, one oracle call per compute, so
+        no execution of the plan ever consults the oracle.  A program
+        sends along few distinct ``(src, dst, stage)`` edges but many
+        times per edge, so transfers consult it once per edge and fan
+        the answer out across the column.
         """
         devices = self.devices
         granks = tuple(costs.global_rank(d) for d in devices)
 
-        # Compute durations are resolved lazily, on first execution of
-        # each compute: a capacity-aborted run must not pay (or count)
-        # oracle lookups for work it never reaches — pinned by the
-        # memory-runtime tests.  A completed run still resolves every
-        # entry exactly once, and repeated executions of one bound plan
-        # reuse the filled column.
-        comp_cost: list[float | None] = [None] * len(self.comp_ops)
+        comp_cost = [costs.duration(op) for op in self.comp_ops]
 
         wire_ids: dict[frozenset, int] = {}
 

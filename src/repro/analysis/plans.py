@@ -83,9 +83,9 @@ class PlanEntry:
     #: cost bindings of ``plan`` already produced, keyed by the cost
     #: inputs (cluster, stage costs, TP spacing); a repeated-pass sweep
     #: re-times each (structure, cluster) pair once and thereafter
-    #: reuses the bound plan — including its lazily filled duration
-    #: column.  Bounded LRU like :class:`PlanCache` (insertion order is
-    #: recency order); evicted with the entry.
+    #: reuses the bound plan and its duration column.  Bounded LRU
+    #: like :class:`PlanCache` (insertion order is recency order);
+    #: evicted with the entry.
     bindings: dict = field(default_factory=dict)
     #: serializes binding fills so concurrent readers of one entry (the
     #: serving layer's worker threads) agree on a single bound plan per

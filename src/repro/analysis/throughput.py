@@ -615,9 +615,9 @@ def build_hybrid_simulation(
 ) -> HybridCell:
     """Compile one cell into a :class:`HybridCell`.
 
-    What ``repro trace --cluster`` simulates at full detail — built by
-    the very steps a measurement of the cell takes (a one-lane
-    :func:`_bind_group`), through the same plan cache.
+    What ``repro trace --cluster`` executes into a full event timeline
+    — built by the very steps a measurement of the cell takes (a
+    one-lane :func:`_bind_group`), through the same plan cache.
     ``simulated=True`` compiles TP boundary and DP gradient collectives
     into the program (comm excluded from stage durations);
     ``simulated=False`` folds TP comm into durations and leaves the

@@ -144,13 +144,11 @@ class BatchingStats:
     splits: int = 0
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
-    #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``narrow`` / ``zero-time`` / ``deadlock`` /
-    #: ``structure-divergence``) makes batch-coverage regressions
-    #: visible — a future change that silently de-batches a shape shows
-    #: up here before it shows up in wall time.  An uncontended lane
-    #: with nothing to batch with is no fallback: it is a batch of one
-    #: (occupancy 1).
+    #: why contention cells fell back scalar: reason -> cell count.
+    #: The taxonomy (``narrow`` / ``zero-time``) makes batch-coverage
+    #: regressions visible — a future change that silently de-batches a
+    #: shape shows up here before it shows up in wall time.  Uncontended
+    #: lanes never fall back: a lone one is a batch of one (occupancy 1).
     fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: reason -> wall seconds spent in that scalar fallback: a rare
     #: reason burning most of the time ranks above a frequent cheap one
@@ -258,11 +256,11 @@ def record_recovered(lanes: int, seconds: float, splits: int = 0) -> None:
 def record_scalar(cells: int, seconds: float, reason: str) -> None:
     """Count ``cells`` cells executed through the scalar fallback.
 
-    ``reason`` names why the vectorized paths were not taken — one of
+    ``reason`` names why the contention driver was not taken —
     ``narrow`` (a contention group under ``MIN_CONTENTION_LANES``
-    lanes, width 1 included) / ``zero-time`` / ``deadlock`` /
-    ``structure-divergence`` — with wall time attributed per reason
-    alongside the cell counts.  Every caller names its reason.
+    lanes, width 1 included) or ``zero-time`` — with wall time
+    attributed per reason alongside the cell counts.  Every caller
+    names its reason.
     """
     _batching.record_scalar(cells, seconds, reason)
 

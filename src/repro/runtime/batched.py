@@ -1,42 +1,23 @@
-"""Batched multi-plan execution: a vectorized lockstep stepper.
+"""Batched multi-plan execution: the lane axis over the event core.
 
 One :class:`~repro.actions.lowering.ExecutablePlan` structure often
 meets many cost bindings — the cost-only axes of a sweep (clusters,
-capacities), placement candidates, what-if queries.  The scalar event
-core (:func:`~repro.runtime.events.execute_plan`) replays the same
-control flow for every one of them, paying full interpreter overhead
-per lane.  This module amortizes that overhead: a :class:`PlanBatch`
-stacks N cost-bound plans sharing one control-flow structure and
-:func:`execute_batch` advances **all lanes at once**, one NumPy array
-op per event instead of one Python step per event per lane.
+capacities), placement candidates, what-if queries.  A
+:class:`PlanBatch` stacks N cost-bound plans sharing one control-flow
+structure and :func:`execute_batch` advances **all lanes at once**, one
+NumPy array op per event instead of one Python step per event per lane.
 
-The enabling invariant
-----------------------
-
-Under the fast (uncontended) driver, the event core's *control flow* is
-purely structural: whether an action blocks depends only on posted/done
-flags, never on simulated times (see the driver comment in
-``events.py`` — "timing is independent of replay order").  Two plans
-with equal structure therefore execute the *identical* event sequence,
-whatever their cost columns say.  Execution splits cleanly in two:
-
-1. a **structural pass** — a cost-blind twin of the greedy driver that
-   runs once per structure (cached on the program object) and records
-   the global event sequence, the executed compute order, the posting
-   order, and the per-device memory trace (watermark levels are
-   structural too: resource deltas apply in program order);
-2. a **timed pass** — replays that event sequence with every per-lane
-   quantity held as an ``[N]`` float64 array: clocks, collective/NIC
-   frontiers, recv-wait accumulators, per-slot transfer windows.  Each
-   event becomes a handful of NumPy elementwise ops over the lane axis.
-
-A second invariant makes the compute step branch-free: a *local*
-dependency edge always names a producer on the consumer's own device
-(compiler invariant, asserted by the structural pass), and per-device
-clocks are monotone — so a retired local producer can never push the
-consumer's start past the device clock.  Local deps gate *blocking*
-only; vectorized compute timing needs just the device clock and the
-remote arrival frontier.
+Uncontended lanes replay the structure's cached structural pass
+(:func:`~repro.runtime.events.lockstep_schedule`) through the timed
+pass of :mod:`repro.runtime.events` (:func:`~repro.runtime.events.replay`)
+with every per-lane quantity held as an ``[N]`` float64 array: clocks,
+collective/NIC frontiers, recv-wait accumulators, per-slot transfer
+windows.  Two plans with equal structure execute the *identical* event
+sequence whatever their cost columns say (the module doc of
+:mod:`repro.runtime.events` gives the invariant), so nothing here is
+per lane but the arithmetic.  A batch of one is exactly
+:func:`~repro.runtime.events.execute_plan`'s own uncontended path, on
+Python floats.
 
 Congruent structure groups
 --------------------------
@@ -50,10 +31,10 @@ toggled, a different model, or retimed collective bucket sizes — stack
 into one batch.  Each distinct program still contributes its own cached
 structural replay (memory traces and materialization tables are
 per-lane), but the *event sequence* is shared, so the timed pass runs
-once for the whole group.  Defensively, a lane whose recorded event
-list does not match the head's (impossible when the keys match, since
-the key covers every array the structural pass reads) falls back to
-the scalar core whole-lane — the ``structure-divergence`` fallback.
+once for the whole group.  A lane whose recorded event stream does not
+match the head's (impossible when the keys match, since the key covers
+every array the structural pass reads) is a
+:class:`~repro.errors.SchedulingError`.
 
 Contention: a time-aware greedy driver
 --------------------------------------
@@ -65,10 +46,10 @@ that order: the per-wire arbitration (``wire_free`` / ``wire_exch``),
 touched by *wire actions* — sends, batched-group posts and active
 collectives.  Every other action times itself from already-final
 quantities.  So the vector driver advances each device greedily through
-its non-wire actions (a structural closure, as in lockstep) and stops
-it at its next wire action.  A parked wire action at time ``t`` on
-device ``a`` fires once no other device can still reach one of its
-wires before it in the scalar driver's ``(time, device)`` order:
+its non-wire actions (a structural closure) and stops it at its next
+wire action.  A parked wire action at time ``t`` on device ``a`` fires
+once no other device can still reach one of its wires before it in the
+scalar driver's ``(time, device)`` order:
 
 * a device parked at time ``u`` reaches wires no earlier than
   ``(u, device)``;
@@ -110,55 +91,50 @@ Bit-identity
 Every fold row equals the fold of, and every lane view is **bit
 identical** to, a scalar :func:`execute_plan` of that lane alone (pinned
 by ``tests/test_batched.py`` across the full schedule-family × prefetch
-× capacity × collectives × TP/DP × contention matrix).  The array
-formulas are chosen for exact float equality, not just closeness:
-``maximum``/``minimum`` return the argument bitwise for equal doubles,
-``where`` selects stored values untouched, additive identities
-(``x + 0.0``) only ever apply to non-negative accumulators, and every
-sequential accumulation (in-flight bytes, collective round times, wire
-grants) folds in the same order as the scalar core.
+× capacity × collectives × TP/DP × contention matrix, and against the
+reference interpreter).  The array formulas are chosen for exact float
+equality, not just closeness: ``maximum``/``minimum`` return the
+argument bitwise for equal doubles, ``where`` selects stored values
+untouched, additive identities (``x + 0.0``) only ever apply to
+non-negative accumulators, and every sequential accumulation
+(in-flight bytes, collective round times, wire grants) folds in the
+same order as the scalar core.
 
 Lane masking
 ------------
 
 Lanes are masked *logically*, not arithmetically.  A lane that fails
-the static capacity pre-check resolves zero costs and reports its
-:class:`~repro.errors.OutOfMemoryError`; a lane whose capacity is
-violated mid-run aborts at the first violating allocation **in replay
-order** (exactly the scalar abort point — watermark levels are
-structural, so the scan is a single array comparison) and resolves
-lazy compute costs only up to and including the aborting compute.
-Dead lanes ride the remaining lockstep arithmetic inertly — their
-columns are never observed again — which keeps the hot loop free of
-per-event mask branches; live lanes never stall on them.
+the static capacity pre-check reports its
+:class:`~repro.errors.OutOfMemoryError`; an uncontended lane whose
+capacity is violated mid-run aborts at the first violating allocation
+**in replay order** (exactly the scalar abort point — watermark levels
+are structural, so the scan reads the cached trace only).  Dead lanes
+ride the remaining lockstep arithmetic inertly — their columns are
+never observed again — which keeps the hot loop free of per-event mask
+branches; live lanes never stall on them.
 
-An uncontended lane with nothing to batch with is a batch of one: the
-same loop on Python floats, reusing its shape's cached structural pass
-instead of rediscovering blocking in the scalar greedy driver.
-Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
-and every fallback is *reason-coded* —
-``narrow`` (a contention group under :data:`MIN_CONTENTION_LANES`
-lanes, width 1 included) / ``zero-time`` / ``deadlock`` /
-``structure-divergence`` (defensive; congruent batches cannot reach
-it) — in :func:`repro.profiling.batching_stats`, with wall
-time attributed per reason and contention-lane and grant-split counts,
-so batch-coverage regressions are visible in ``--profile`` output.
+Only contention lanes take the scalar core, and every such lane is
+*reason-coded* — ``narrow`` (a contention group under
+:data:`MIN_CONTENTION_LANES` lanes, width 1 included) / ``zero-time``
+— in :func:`repro.profiling.batching_stats`, with wall time attributed
+per reason and contention-lane and grant-split counts, so
+batch-coverage regressions are visible in ``--profile`` output.
 
 Known divergence (pinned by ``tests/test_batched.py``
 ``TestDeadlockOutranksCapacity``): a *deadlocking* structure raises
-:class:`~repro.errors.SchedulingError` for the whole batch (replayed
-through the scalar core for the identical message) even if some lane's
-capacity would have aborted with an OOM first under scalar execution.
-Deadlock is a control-flow property covered by the congruence key — no
-batch can contain one lane that deadlocks and another that does not.
-A deadlocking batch of one keeps the scalar outcome instead (reason
-``deadlock``).
+:class:`~repro.errors.SchedulingError` for a whole batch of two or more
+lanes, with the scalar core's message, even if some lane's capacity
+would have aborted with an OOM first under scalar execution.  Deadlock
+is a control-flow property covered by the congruence key — no batch
+can contain one lane that deadlocks and another that does not.  A batch
+of one is :func:`execute_plan`'s own path, so it keeps the scalar
+outcome.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -175,244 +151,23 @@ from ..actions.lowering import (
 from ..actions.ops import CollectiveKind
 from ..config import RunConfig
 from ..errors import ConfigError, OutOfMemoryError, SchedulingError
-from .events import EventResult, _materialize, execute_plan
-from .metrics import LaneFold, fold_events, fold_lanes
+from .events import (
+    _COLL,
+    EventResult,
+    LockstepSchedule,
+    check_capacity,
+    dev_rows,
+    execute_plan,
+    first_violation,
+    lane_view,
+    lockstep_schedule,
+    replay,
+    replay_alone,
+    run_contended,
+)
+from .metrics import LaneFold, fold_lanes
 
-#: lockstep event kinds (first element of each event tuple)
-_COMP = 0      # (_, cid, di, remote_slots)
-_SEND = 1      # (_, sid, di)
-_RECV = 2      # (_, rid, di)         blocking receive (prefetch off)
-_POST = 3      # (_, bid, di)         batched group posts its sends
-_WAIT = 4      # (_, bid, di)         batched group's blocking waits
-_COLL = 5      # (_, lid, di)
-
-_LOCKSTEP_ATTR = "_lockstep_schedule"
 _CONGRUENCE_ATTR = "_congruence_key_cache"
-
-
-@dataclass
-class LockstepSchedule:
-    """The structural replay of one plan, shared by every lane.
-
-    Everything here is cost-independent: the global event sequence the
-    greedy driver produces, the executed compute order, the posting
-    order, and the full memory trace (deltas *and* watermark levels —
-    they depend only on per-device program order).
-    """
-
-    events: list[tuple]
-    exec_seq: list[int]
-    #: computes grouped per device (ascending device id, program order
-    #: within a device) — the order the lane fold sums busy time in
-    dev_cids: list[list[int]]
-    post_seq: list[int]
-    send_batched: bytearray
-    #: (di, cid, signed delta, level-after, is_alloc) in replay order
-    mem_trace: list[tuple]
-    #: per-allocation watermark levels / positions, for the OOM scan
-    alloc_levels: np.ndarray
-    alloc_pos: list[int]       # index into ``exec_seq`` of the alloc
-    alloc_di: list[int]
-    mem_peak: list[float]
-    #: per collective id, whether it is a ``GRAD_SYNC`` ring — the ones
-    #: the lane fold's sync accounting adds up
-    coll_sync: bytes
-    deadlock: bool
-    #: False when a compiler invariant the vector step relies on does
-    #: not hold (never for compiled programs; defensive)
-    vectorizable: bool
-    #: stacked cost matrices keyed by ``(lane ids, resolve extents)`` —
-    #: reused when the same fully-resolved lane set executes again (see
-    #: :func:`_stacked_costs`); a structure meets a few lane sets (one
-    #: per wire group, say), so a few keyed entries are kept instead of
-    #: one.  ``Lm`` (send latencies) is filled lazily, on the first
-    #: contention execution of a set
-    cost_rows: dict = field(default_factory=dict)
-    #: memoized event-stream parity verdicts against other structural
-    #: replays (congruent-group check); values hold a strong reference
-    #: to the compared schedule so its ``id`` stays valid
-    event_parity: dict = field(default_factory=dict)
-    #: the contention driver's lookup tables per wire table
-    #: (:class:`_ContentionTables`), derived on first use
-    contention_tables: dict = field(default_factory=dict)
-
-
-def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
-    """Run the cost-blind greedy driver once, recording every event.
-
-    Mirrors the fast driver in :func:`execute_plan` statement for
-    statement, with times stripped out: blocking predicates are pure
-    flag reads, so the produced order is the order every cost binding
-    replays.
-    """
-    program = plan.program
-    devices = plan.devices
-    num_devices = len(devices)
-    codes, args = plan.codes, plan.args
-    dep_ptr, dep_remote, dep_idx = plan.dep_ptr, plan.dep_remote, plan.dep_idx
-    comp_device = plan.comp_device
-    comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
-    send_slot = plan.send_slot
-    batch_send_ids, batch_recv_ids = plan.batch_send_ids, plan.batch_recv_ids
-    recv_slot = plan.recv_slot
-    prefetch = plan.prefetch
-    tracked = program.tracks_memory
-
-    cursors = [0] * num_devices
-    comp_done = bytearray(plan.n_computes)
-    posted = bytearray(plan.n_slots)
-    batch_posted = bytearray(len(batch_send_ids))
-    send_batched = bytearray(len(plan.send_src))
-    events: list[tuple] = []
-    exec_seq: list[int] = []
-    post_seq: list[int] = []
-    static = [program.static_bytes.get(d, 0.0) for d in devices]
-    mem_level = list(static)
-    mem_peak = list(static)
-    mem_trace: list[tuple] = []
-    alloc_levels: list[float] = []
-    alloc_pos: list[int] = []
-    alloc_di: list[int] = []
-    vectorizable = True
-
-    def step(di: int, i: int) -> bool:
-        nonlocal vectorizable
-        code = codes[di][i]
-        a = args[di][i]
-        if code == OP_COMPUTE:
-            rslots: list[int] = []
-            for e in range(dep_ptr[a], dep_ptr[a + 1]):
-                x = dep_idx[e]
-                if dep_remote[e]:
-                    if prefetch:
-                        if not posted[x]:
-                            return False
-                        rslots.append(x)
-                else:
-                    if not comp_done[x]:
-                        return False
-                    if comp_device[x] != di:
-                        # a cross-device local edge would reintroduce a
-                        # timing dependency on another device's compute
-                        # ends; no compiler emits one, but refuse to
-                        # vectorize rather than trust it
-                        vectorizable = False
-            comp_done[a] = 1
-            events.append((_COMP, a, di, tuple(rslots)))
-            exec_seq.append(a)
-            if tracked:
-                alloc = comp_alloc[a]
-                if alloc:
-                    level = mem_level[di] + alloc
-                    mem_level[di] = level
-                    mem_trace.append((di, a, alloc, level, True))
-                    alloc_levels.append(level)
-                    alloc_pos.append(len(exec_seq) - 1)
-                    alloc_di.append(di)
-                    if level > mem_peak[di]:
-                        mem_peak[di] = level
-                freed = comp_free_b[a]
-                if freed:
-                    level = mem_level[di] - freed
-                    mem_level[di] = level
-                    mem_trace.append((di, a, -freed, level, False))
-            return True
-        if code == OP_SEND:
-            posted[send_slot[a]] = 1
-            events.append((_SEND, a, di))
-            post_seq.append(a)
-            return True
-        if code == OP_COLL:
-            events.append((_COLL, a, di))
-            return True
-        if code == OP_RECV:
-            if prefetch:
-                return True
-            if not posted[recv_slot[a]]:
-                return False
-            events.append((_RECV, a, di))
-            return True
-        if code == OP_BATCH:
-            if not batch_posted[a]:
-                for sid in batch_send_ids[a]:
-                    posted[send_slot[sid]] = 1
-                    send_batched[sid] = 1
-                    post_seq.append(sid)
-                batch_posted[a] = 1
-                events.append((_POST, a, di))
-            if not prefetch:
-                recvs = batch_recv_ids[a]
-                for rid in recvs:
-                    if not posted[recv_slot[rid]]:
-                        return False
-                events.append((_WAIT, a, di))
-            return True
-        return True  # OP_NOOP
-
-    total = plan.n_actions
-    done = 0
-    deadlock = False
-    while done < total:
-        progressed = False
-        for di in range(num_devices):
-            n = len(codes[di])
-            i = cursors[di]
-            while i < n and step(di, i):
-                i += 1
-                done += 1
-                progressed = True
-            cursors[di] = i
-        if not progressed and done < total:
-            deadlock = True
-            break
-
-    if tracked and not deadlock:
-        for di in range(num_devices):
-            drift = mem_level[di] - static[di]
-            if abs(drift) > max(64.0, 1e-9 * mem_peak[di]):
-                raise AssertionError(
-                    f"activation leak on device {devices[di]}: "
-                    f"{drift} bytes"
-                )
-
-    comp_ops = plan.comp_ops
-    by_device: dict[int, list[int]] = {}
-    for cid in exec_seq:
-        by_device.setdefault(comp_ops[cid].device, []).append(cid)
-
-    return LockstepSchedule(
-        events=events,
-        exec_seq=exec_seq,
-        dev_cids=[cids for _dev, cids in sorted(by_device.items())],
-        post_seq=post_seq,
-        send_batched=send_batched,
-        mem_trace=mem_trace,
-        alloc_levels=np.array(alloc_levels, dtype=np.float64),
-        alloc_pos=alloc_pos,
-        alloc_di=alloc_di,
-        mem_peak=mem_peak,
-        coll_sync=bytes(op.kind is CollectiveKind.GRAD_SYNC
-                        for op in plan.coll_ops),
-        deadlock=deadlock,
-        vectorizable=vectorizable,
-    )
-
-
-def lockstep_schedule(plan: ExecutablePlan) -> LockstepSchedule:
-    """The (cached) structural replay for ``plan``'s program.
-
-    Cached on the program object: every retime of one cached structure
-    shares the same program, so a sweep pays the structural pass once
-    per structure, not once per batch execution.
-    """
-    ls = getattr(plan.program, _LOCKSTEP_ATTR, None)
-    if ls is None:
-        ls = _build_lockstep(plan)
-        try:
-            setattr(plan.program, _LOCKSTEP_ATTR, ls)
-        except AttributeError:  # pragma: no cover - Program is mutable
-            pass
-    return ls
 
 
 def _events_match(head_ls: LockstepSchedule,
@@ -547,68 +302,54 @@ def execute_batch(
     """Advance every lane of ``batch`` at once.
 
     Uncontended lanes replay the shared structural event sequence in
-    lockstep; contention lanes run the time-aware greedy driver, whose
-    cohorts split only where lanes disagree on a contended wire grant.
+    lockstep (a lone one on Python floats); contention lanes run the
+    time-aware greedy driver, whose cohorts split only where lanes
+    disagree on a contended wire grant.
     """
     run = run or RunConfig()
-    plans, caps_raw = batch.plans, batch.capacities
+    plans, caps = batch.plans, batch.capacities
     head = plans[0]
-    for plan, cap in zip(plans, caps_raw):
-        if cap is not None and not plan.program.tracks_memory:
-            raise SchedulingError(
-                f"{plan.program.name}: capacity enforcement needs a "
-                "resource-annotated program (compile with resources=...)"
-            )
+    for plan, cap in zip(plans, caps):
+        if not plan.program.tracks_memory:
+            check_capacity(plan.program, cap)  # refuses any capacity
+    n_lanes = len(plans)
+    if n_lanes == 1 and not run.contention:
+        t0 = time.perf_counter()
+        out = _alone(head, caps[0])
+        profiling.record_batch(1, time.perf_counter() - t0)
+        return out
     ls = lockstep_schedule(head)
-    if ls.deadlock:
-        # Replay lane 0 through the scalar core for the identical
-        # SchedulingError (heads + wait cycle); deadlock is structural,
-        # so capacity is irrelevant to a batch's verdict (see module
-        # doc).  A lone lane keeps its scalar outcome: an OOM may come
-        # first.
-        return _scalar_lane(head, run,
-                            caps_raw[0] if len(plans) == 1 else None,
-                            reason="deadlock")
+    if ls.deadlock is not None:
+        # deadlock is structural, so capacity is irrelevant to a
+        # batch's verdict (see module doc)
+        raise SchedulingError(ls.deadlock)
     # Congruent groups: each distinct program contributes its own
     # structural replay (memory traces are per-lane); the event stream
     # must match the head's.
-    n_lanes = len(plans)
     lane_lss = [ls] * n_lanes
-    #: lanes left to the scalar core (defensive: compiled programs
-    #: always vectorize, congruent plans always match)
-    scalar_k = [] if ls.vectorizable else list(range(n_lanes))
     for k in range(1, n_lanes):
         plan = plans[k]
-        if plan.program is head.program or not ls.vectorizable:
+        if plan.program is head.program:
             continue
-        lls = lockstep_schedule(plan)
-        if not _events_match(ls, lls):  # pragma: no cover - defensive
-            scalar_k.append(k)
-            continue
-        lane_lss[k] = lls
-
-    def pick(group: list[int]) -> tuple:
-        return (ls, [plans[k] for k in group],
-                [lane_lss[k] for k in group],
-                [caps_raw[k] for k in group])
-
-    live = [k for k in range(n_lanes) if k not in scalar_k]
-    parts: list[tuple[list[int], BatchResult]] = []
-    if live and not run.contention:
+        lane_lss[k] = lockstep_schedule(plan)
+        if not _events_match(ls, lane_lss[k]):
+            raise SchedulingError(
+                f"PlanBatch: {plan.name} does not replay {head.name}'s "
+                "event stream")
+    if not run.contention:
         t0 = time.perf_counter()
-        parts.append((live, _execute_lockstep(*pick(live))))
-        profiling.record_batch(len(live), time.perf_counter() - t0)
-    elif live:
-        # The [N]-wide wire state requires every lane of one vectorized
-        # pass to intern the same wires; the interning lives in
-        # global-rank space, so lanes whose oracles map ranks
-        # differently execute as separate wire-signature groups.
-        for group in _wire_groups(plans, live):
-            parts.append((group, _execute_contended(*pick(group), run)))
-    for k in scalar_k:  # pragma: no cover - defensive
-        parts.append(([k], _scalar_lane(plans[k], run, caps_raw[k],
-                                        reason="structure-divergence")))
-    return _merge(n_lanes, parts)
+        out = _execute_lockstep(ls, plans, lane_lss, caps)
+        profiling.record_batch(n_lanes, time.perf_counter() - t0)
+        return out
+    # The [N]-wide wire state requires every lane of one vectorized
+    # pass to intern the same wires; the interning lives in global-rank
+    # space, so lanes whose oracles map ranks differently execute as
+    # separate wire-signature groups.
+    return _merge(n_lanes, [
+        (group, _execute_contended(ls, [plans[k] for k in group],
+                                   [lane_lss[k] for k in group],
+                                   [caps[k] for k in group], run))
+        for group in _wire_groups(plans, range(n_lanes))])
 
 
 def _wire_groups(plans, live: list[int]) -> list[list[int]]:
@@ -636,22 +377,44 @@ def _wire_groups(plans, live: list[int]) -> list[list[int]]:
     return groups
 
 
-def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
-    """One lane through the scalar core, OOM captured, stats recorded.
+def _alone(plan: ExecutablePlan, capacity_bytes) -> BatchResult:
+    """An uncontended batch of one: :func:`execute_plan`'s own path,
+    folded through :func:`~.metrics.fold_lanes`' float path."""
+    try:
+        ls, timing = replay_alone(plan, capacity_bytes)
+    except OutOfMemoryError as exc:
+        # kept past this frame: without its traceback, so it pins no
+        # frame (and no caller's arrays) in a cycle until a full GC
+        return BatchResult([exc.with_traceback(None)], LaneFold.zeros(1),
+                           [None])
+    cs, ce, clock, recv_wait, ts, te, colls = timing
+    fold = _Columns(ls, [plan], [ls], cs, ce, clock, recv_wait, ts, te,
+                    colls).fold()
+    return BatchResult([None], fold, [partial(lane_view, plan, ls, *timing)])
 
-    The fold is the N = 1 fold of the lean scalar result; the view
-    re-executes at full detail, only if asked.
+
+def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
+    """One contention lane through the scalar time-ordered driver, OOM
+    captured, stats recorded.
+
+    The fold is the driver's own arrays folded as one lane of floats;
+    the view re-executes through :func:`execute_plan`, only if asked.
     """
     t0 = time.perf_counter()
     error = None
     fold = LaneFold.zeros(1)
     try:
-        fold = fold_events(execute_plan(
-            plan, run, capacity_bytes=capacity_bytes, detail="lean"))
+        out = run_contended(plan, capacity_bytes)
+        coll_ops = plan.coll_ops
+        fold = fold_lanes(
+            dev_rows(plan, out.exec_seq), out.comp_start, out.comp_end,
+            out.clock,
+            [(di, start, end) for lid, di, _post, start, end, _steps
+             in out.coll_log
+             if coll_ops[lid].kind is CollectiveKind.GRAD_SYNC],
+            np.array([max(out.mem_peak or (), default=0.0)]))
     except OutOfMemoryError as exc:
-        # kept past this frame: without its traceback, so it pins no
-        # frame (and no caller's arrays) in a cycle until a full GC
-        error = exc.with_traceback(None)
+        error = exc.with_traceback(None)  # see _alone
     finally:
         profiling.record_scalar(1, time.perf_counter() - t0, reason)
     return BatchResult([error], fold,
@@ -670,241 +433,92 @@ MIN_CONTENTION_LANES = 8
 _COST_ROW_CACHE = 4
 
 
-def _resolve_costs(plan, exec_seq, upto: int) -> None:
-    """Resolve ``plan``'s lazy compute costs for ``exec_seq[:upto]``
-    (the lazy-cost contract: nothing past an aborting compute, nothing
-    for a statically-rejected lane)."""
-    if getattr(plan, "_fully_resolved", False):
-        return
-    comp_cost, oracle, comp_ops = plan.comp_cost, plan.costs, plan.comp_ops
-    for a in exec_seq[:upto]:
-        if comp_cost[a] is None:
-            comp_cost[a] = oracle.duration(comp_ops[a])
-    if upto == len(exec_seq):
-        plan._fully_resolved = True
+def _rows(columns) -> list:
+    """Per-lane columns -> ``[n, N]`` row list: plain list indexing per
+    event beats ndarray row slicing at sweep-typical lane counts."""
+    return list(np.ascontiguousarray(
+        np.array(columns, dtype=np.float64).T))
 
 
-def _stacked_costs(ls: LockstepSchedule, plans, resolve_upto, *,
+def _stacked_costs(ls: LockstepSchedule, plans, *, cache: bool,
                    with_lat: bool):
     """Stack per-lane cost columns into ``[n, N]`` row lists.
 
-    Resolves each lane's lazy compute costs up to its ``resolve_upto``
-    extent (:func:`_resolve_costs`).  A repeated pass over the same
-    bound plans (the cached-binding sweep steady state) produces the
-    same matrices: once every lane's column is fully resolved the
-    stacked rows are cached on the schedule, keyed by the exact lane set
-    and replay extents.  ``Lm`` (send latencies) is filled lazily, on
-    the first contention execution of a lane set.
+    A repeated pass over the same bound plans (the cached-binding sweep
+    steady state) produces the same matrices, so they are kept on the
+    schedule, keyed by the exact lane set — admitted only when
+    ``cache``: every lane of the pass runs to completion.  ``Lm`` (send
+    latencies) is filled on the first contention execution of a set.
     """
-    exec_seq = ls.exec_seq
-    mat_key = (tuple(id(p) for p in plans), tuple(resolve_upto))
-    cached = ls.cost_rows.get(mat_key)
-    if (cached is not None
-            and all(getattr(p, "_fully_resolved", False) for p in plans)):
+    key = tuple(id(p) for p in plans)
+    cached = ls.cost_rows.get(key)
+    if cached is not None:
         Cm, Tm, Sm, Lm, pinned = cached
         if with_lat and Lm is None:
-            Lm = list(np.ascontiguousarray(
-                np.array([p.send_lat for p in plans],
-                         dtype=np.float64).T))
-            ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm, pinned)
+            Lm = _rows([p.send_lat for p in plans])
+            ls.cost_rows[key] = (Cm, Tm, Sm, Lm, pinned)
         return Cm, Tm, Sm, Lm
-    cols = []
-    for k, plan in enumerate(plans):
-        _resolve_costs(plan, exec_seq, resolve_upto[k])
-        cols.append([0.0 if c is None else c for c in plan.comp_cost])
-    # row lists: plain list indexing per event beats ndarray row
-    # slicing at sweep-typical lane counts
-    Cm = list(np.ascontiguousarray(np.array(cols, dtype=np.float64).T))
-    Tm = list(np.ascontiguousarray(
-        np.array([p.send_time for p in plans], dtype=np.float64).T))
-    Sm = list(np.ascontiguousarray(
-        np.array([p.coll_step_time for p in plans], dtype=np.float64).T))
-    Lm = None
-    if with_lat:
-        Lm = list(np.ascontiguousarray(
-            np.array([p.send_lat for p in plans], dtype=np.float64).T))
-    if all(getattr(p, "_fully_resolved", False) for p in plans):
+    Cm = _rows([p.comp_cost for p in plans])
+    Tm = _rows([p.send_time for p in plans])
+    Sm = _rows([p.coll_step_time for p in plans])
+    Lm = _rows([p.send_lat for p in plans]) if with_lat else None
+    if cache:
         if len(ls.cost_rows) >= _COST_ROW_CACHE:
             ls.cost_rows.pop(next(iter(ls.cost_rows)))
         # the entry pins its plans: a PlanEntry may drop a bound plan
         # first, and a recycled ``id`` must not hit another plan's rows
-        ls.cost_rows[mat_key] = (Cm, Tm, Sm, Lm, tuple(plans))
+        ls.cost_rows[key] = (Cm, Tm, Sm, Lm, tuple(plans))
     return Cm, Tm, Sm, Lm
 
 
-def _gate(plans, lane_lss, caps_raw):
+def _gate(plans, lane_lss, caps):
     """Per-lane capacity verdicts, before a single event is timed.
 
-    Returns ``(errors, resolve_upto, midrun)``: each lane's static
-    pre-check :class:`~repro.errors.OutOfMemoryError` (or ``None``), the
-    ``exec_seq`` extent its lazy costs may resolve to (nothing for a
-    statically-rejected lane), and — for each lane whose capacity a
-    later allocation violates — the index of its first violating
-    allocation in structural order.
+    Returns ``(errors, midrun)``: each lane's static pre-check
+    :class:`~repro.errors.OutOfMemoryError` (or ``None``), and — for
+    each lane whose capacity a later allocation violates — the index of
+    its first violating allocation in structural order.
     """
-    n_lanes = len(plans)
-    errors: list[OutOfMemoryError | None] = [None] * n_lanes
-    resolve_upto = [len(lane_lss[0].exec_seq)] * n_lanes
+    errors: list[OutOfMemoryError | None] = [None] * len(plans)
     midrun: dict[int, int] = {}
-    for k, cap in enumerate(caps_raw):
+    for k, cap in enumerate(caps):
         if cap is None:
             continue
         try:
             plans[k].program.check_static_memory(cap)
         except OutOfMemoryError as exc:
-            errors[k] = exc.with_traceback(None)  # see _scalar_lane
-            resolve_upto[k] = 0
+            errors[k] = exc.with_traceback(None)  # see _alone
             continue
-        levels = lane_lss[k].alloc_levels
-        if len(levels):
-            viol = levels > cap
-            if viol.any():
-                midrun[k] = int(np.argmax(viol))
-    return errors, resolve_upto, midrun
+        j = first_violation(lane_lss[k], cap)
+        if j is not None:
+            midrun[k] = j
+    return errors, midrun
 
 
 def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
-                      caps_raw) -> BatchResult:
+                      caps) -> BatchResult:
     """The timed pass over one structural replay (uncontended lanes).
 
     A lane whose capacity a later allocation violates aborts at its
-    first violation in replay order — the scalar greedy driver's abort
-    point — and resolves lazy costs only up to that compute.
-
-    A batch of one runs on Python floats over the plan's own cost
-    columns: builtin ``max`` / ``min`` select bitwise as the ufuncs do
-    (no lane quantity is ever NaN or -0.0).
+    first violation in replay order — the scalar abort point.
     """
     head = plans[0]
-    devices = head.devices
-    num_devices = len(devices)
     n_lanes = len(plans)
-    n_comp = head.n_computes
-    send_slot = head.send_slot
-    batch_send_ids, batch_recv_ids = head.batch_send_ids, head.batch_recv_ids
-    recv_slot = head.recv_slot
-    coll_active, coll_nsteps = head.coll_active, head.coll_nsteps
-    coll_count, coll_blocking = head.coll_count, head.coll_blocking
-
-    errors, resolve_upto, midrun = _gate(plans, lane_lss, caps_raw)
+    errors, midrun = _gate(plans, lane_lss, caps)
     for k, j in midrun.items():
         lane_ls = lane_lss[k]
         errors[k] = OutOfMemoryError(
-            devices[lane_ls.alloc_di[j]], int(lane_ls.alloc_levels[j]),
-            caps_raw[k])
-        resolve_upto[k] = lane_ls.alloc_pos[j] + 1
-
-    # -- per-lane cost columns -> [n, N] matrices (one lane: its own) ----
-    if n_lanes == 1:
-        _resolve_costs(head, ls.exec_seq, resolve_upto[0])
-        if errors[0] is not None:  # nothing left to time
-            return BatchResult(errors, LaneFold.zeros(1), [None])
-        Cm, Tm, Sm = head.comp_cost, head.send_time, head.coll_step_time
-        maximum, minimum, zero = max, min, 0.0
-    else:
-        Cm, Tm, Sm, _ = _stacked_costs(ls, plans, resolve_upto,
-                                       with_lat=False)
-        maximum, minimum, zero = np.maximum, np.minimum, np.zeros(n_lanes)
-
-    # -- lane-axis state -------------------------------------------------
-    clock = [zero] * num_devices
-    coll_free = [zero] * num_devices
-    recv_wait = [zero] * num_devices
-    # every record below is reference-assigned (each slot posts once,
-    # each compute executes once, lane vectors are never mutated in
-    # place); compute rows are stacked after the loop for fold and views
-    ts_l: list = [None] * head.n_slots
-    te_l: list = [None] * head.n_slots
-    cs_l: list = [None] * n_comp
-    ce_l: list = [None] * n_comp
-    coll_log: list[tuple] = []
-
-    for ev in ls.events:
-        kind = ev[0]
-        if kind == _COMP:
-            _, a, di, rslots = ev
-            ready = clock[di]
-            if rslots:
-                r = rslots[0]
-                arrival = te_l[r]
-                in_flight = te_l[r] - ts_l[r]
-                for r in rslots[1:]:
-                    arrival = maximum(arrival, te_l[r])
-                    in_flight = in_flight + (te_l[r] - ts_l[r])
-                # scalar: only when arrival > ready, add
-                # min(stall, in_flight); adding an exact 0.0 elsewhere
-                # is bitwise neutral (the accumulator is never -0.0).
-                # max(min(stall, in_flight), 0) is that select in one
-                # ufunc: in_flight >= 0, so the min is the stall-capped
-                # wait when stall > 0 and clamps to +0.0 otherwise
-                recv_wait[di] = recv_wait[di] + maximum(
-                    minimum(arrival - ready, in_flight), 0.0)
-                start = maximum(ready, arrival)
-            else:
-                start = ready
-            end = start + Cm[a]
-            cs_l[a] = start
-            ce_l[a] = end
-            clock[di] = end
-        elif kind == _SEND:
-            _, sid, di = ev
-            post = clock[di]
-            slot = send_slot[sid]
-            ts_l[slot] = post
-            te_l[slot] = post + Tm[sid]
-        elif kind == _POST:
-            _, bid, di = ev
-            post = clock[di]
-            for sid in batch_send_ids[bid]:
-                slot = send_slot[sid]
-                ts_l[slot] = post
-                te_l[slot] = post + Tm[sid]
-        elif kind == _RECV:
-            _, rid, di = ev
-            slot = recv_slot[rid]
-            s = ts_l[slot]
-            duration = te_l[slot] - s
-            clock[di] = maximum(clock[di], s) + duration
-            recv_wait[di] = recv_wait[di] + duration
-        elif kind == _WAIT:
-            _, bid, di = ev
-            for rid in batch_recv_ids[bid]:
-                slot = recv_slot[rid]
-                s = ts_l[slot]
-                duration = te_l[slot] - s
-                clock[di] = maximum(clock[di], s) + duration
-                recv_wait[di] = recv_wait[di] + duration
-        else:  # _COLL
-            _, lid, di = ev
-            post = clock[di]
-            start = maximum(post, coll_free[di])
-            t = start
-            steps: tuple = ()
-            if coll_active[lid]:
-                step_time = Sm[lid]
-                step_log = []
-                round_time = None
-                for _ in range(coll_nsteps[lid]):
-                    e = t + step_time
-                    step_log.append((t, e))
-                    round_time = (step_time if round_time is None
-                                  else round_time + step_time)
-                    t = e
-                count = coll_count[lid]
-                if count != 1.0:
-                    t = t + (count - 1.0) * round_time
-                steps = tuple(step_log)
-            coll_free[di] = t
-            coll_log.append((lid, di, post, start, t, steps))
-            if coll_blocking[lid]:
-                clock[di] = t
-
-    if n_lanes > 1:
-        empty = np.empty((0, n_lanes))
-        cs_l = np.array(cs_l) if cs_l else empty
-        ce_l = np.array(ce_l) if ce_l else empty
-    cols = _Columns(ls, plans, lane_lss, cs_l, ce_l, clock, recv_wait,
-                    ts_l, te_l, coll_log)
+            head.devices[lane_ls.alloc_di[j]], int(lane_ls.alloc_levels[j]),
+            caps[k])
+    Cm, Tm, Sm, _ = _stacked_costs(
+        ls, plans, cache=all(e is None for e in errors), with_lat=False)
+    cs, ce, clock, recv_wait, ts, te, colls = replay(
+        ls, head, Cm, Tm, Sm, np.maximum, np.minimum, np.zeros(n_lanes))
+    empty = np.empty((0, n_lanes))
+    cols = _Columns(ls, plans, lane_lss,
+                    np.array(cs) if cs else empty,
+                    np.array(ce) if ce else empty,
+                    clock, recv_wait, ts, te, colls)
     return BatchResult(errors, cols.fold(),
                        [partial(cols.lane, k) for k in range(n_lanes)])
 
@@ -916,8 +530,9 @@ class _Columns:
     Nothing here is per lane: :meth:`fold` reduces on the lane axis and
     :meth:`lane` slices column ``k`` out, only then building that
     lane's event objects.  Matrices and lists of ``[N]`` row vectors
-    are interchangeable (both index as ``rows[i][k]``); a lockstep
-    batch of one holds plain floats instead (``CS`` a list).
+    are interchangeable (both index as ``rows[i][k]``); a batch of one
+    holds plain floats instead (``CS`` a list), which :meth:`fold`
+    takes as well.
     """
 
     ls: LockstepSchedule
@@ -946,30 +561,12 @@ class _Columns:
         )
 
     def lane(self, k: int) -> EventResult:
-        """Lane ``k`` of an uncontended pass: the wire grants a transfer
-        the moment it is posted, and every log keeps structural order."""
-        plan, lane_ls, ls = self.plans[k], self.lane_lss[k], self.ls
-        one = isinstance(self.CS, list)  # one lane, already plain floats
-        cs = self.CS if one else self.CS[:, k].tolist()
-        ce = self.CE if one else self.CE[:, k].tolist()
-
-        def at(x):
-            return x if one else float(x[k])
-        ss = [at(self.TS[slot]) for slot in plan.send_slot]
-        se = [at(self.TE[slot]) for slot in plan.send_slot]
-        mem_k = [(di, cs[cid] if is_alloc else ce[cid], delta, level, cid)
-                 for di, cid, delta, level, is_alloc in lane_ls.mem_trace]
-        coll_k = [
-            (lid, di, at(post), at(start), at(end),
-             tuple((at(s), at(e)) for s, e in steps))
-            for lid, di, post, start, end, steps in self.colls
-        ]
-        return _materialize(
-            plan, ls.exec_seq, cs, ce, ls.post_seq, ss, ss, se,
-            ls.send_batched, coll_k, mem_k,
-            [at(row) for row in self.clock],
-            [at(row) for row in self.recv_wait],
-            lane_ls.mem_peak if plan.program.tracks_memory else None)
+        """Lane ``k`` of an uncontended pass (see
+        :func:`~repro.runtime.events.lane_view`)."""
+        return lane_view(self.plans[k], self.lane_lss[k],
+                         self.CS[:, k].tolist(), self.CE[:, k].tolist(),
+                         self.clock, self.recv_wait, self.TS, self.TE,
+                         self.colls, at=lambda x: float(x[k]))
 
 
 class _ContentionTables:
@@ -1076,7 +673,7 @@ def _zero_time_transfers(plan: ExecutablePlan) -> bool:
     return hit
 
 
-def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
+def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps,
                        run: RunConfig) -> BatchResult:
     """The contention driver: greedy per device, exact per wire.
 
@@ -1108,27 +705,14 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
     coll_wires_t = head.coll_wires
 
     # -- per-lane gating: static pre-check, lanes left to the scalar core
-    errors, resolve_upto, midrun = _gate(plans, lane_lss, caps_raw)
+    errors, midrun = _gate(plans, lane_lss, caps)
     scalar = [k for k in range(n) if errors[k] is None
               and _zero_time_transfers(plans[k])]
-    for k in scalar:
-        resolve_upto[k] = 0
-    # a lane that will abort runs to the end; only what precedes its
-    # abort keeps a resolved cost
+    # a lane that will abort runs to the end, then is charged its abort
     midrun = [k for k in midrun if k not in scalar]
-    for k in midrun:
-        resolve_upto[k] = 0
-
-    Cm, Tm, Sm, Lm = _stacked_costs(ls, plans, resolve_upto, with_lat=True)
-    exec_seq = ls.exec_seq
-    for k in midrun:
-        # a lane with unresolved costs never hits the row cache, so its
-        # column of these rows is this call's own
-        plan = plans[k]
-        comp_cost, oracle, comp_ops = plan.comp_cost, plan.costs, plan.comp_ops
-        for a in exec_seq:
-            c = comp_cost[a]
-            Cm[a][k] = oracle.duration(comp_ops[a]) if c is None else c
+    Cm, Tm, Sm, Lm = _stacked_costs(
+        ls, plans, with_lat=True,
+        cache=not scalar and not midrun and all(e is None for e in errors))
 
     wire_key = (tuple(send_wire), coll_wires_t)
     tables = ls.contention_tables.get(wire_key)
@@ -1170,7 +754,7 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
                 te = TE[r, X]
                 arrival = maximum(arrival, te)
                 in_flight = in_flight + (te - TS[r, X])
-            # the lockstep formula (see _execute_lockstep): the scalar
+            # the lockstep formula (see events.replay): the scalar
             # stall-vs-in-flight select in one ufunc, exact
             RW[di, X] = RW[di, X] + maximum(
                 minimum(arrival - ready, in_flight), 0.0)
@@ -1456,24 +1040,16 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
     # a lane whose capacity a later allocation violates aborts at the
     # first violation in the scalar driver's pop order: computes pop by
     # (start, device rank, program order) when hand-offs take positive
-    # time, and only computes up to that one keep a resolved cost
-    devices = head.devices
-    comp_device = head.comp_device
+    # time
     for k in midrun:
-        lane_ls, plan, cap = lane_lss[k], plans[k], caps_raw[k]
-        key = min(
+        lane_ls, cap = lane_lss[k], caps[k]
+        _, _, _, j = min(
             (CS[lane_ls.exec_seq[pos], k], di, pos, j)
             for j, (pos, di) in enumerate(zip(lane_ls.alloc_pos,
                                               lane_ls.alloc_di))
             if lane_ls.alloc_levels[j] > cap)
-        j = key[3]
-        errors[k] = OutOfMemoryError(devices[lane_ls.alloc_di[j]],
+        errors[k] = OutOfMemoryError(head.devices[lane_ls.alloc_di[j]],
                                      int(lane_ls.alloc_levels[j]), cap)
-        comp_cost = plan.comp_cost
-        for pos, a in enumerate(exec_seq):
-            if (comp_cost[a] is None
-                    and (CS[a, k], comp_device[a], pos) <= key[:3]):
-                comp_cost[a] = float(Cm[a][k])
 
     # every lane that ran ran every collective, so the records are
     # complete whenever any fold row will be read
@@ -1482,12 +1058,12 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps_raw,
         [(ev[1], *coll_recs[ev[1]]) for ev in ls.events
          if ev[0] == _COLL and ev[1] in coll_recs])
     out = BatchResult(errors, cols.fold(),
-                      [partial(execute_plan, plans[k], run, caps_raw[k])
+                      [partial(execute_plan, plans[k], run, caps[k])
                        for k in range(n)])
     if not scalar:
         return out
     return _merge(n, [(list(range(n)), out)] + [
-        ([k], _scalar_lane(plans[k], run, caps_raw[k], reason="zero-time"))
+        ([k], _scalar_lane(plans[k], run, caps[k], reason="zero-time"))
         for k in scalar])
 
 

@@ -1,18 +1,43 @@
 """Event-driven execution of a compiled program, on its lowered form.
 
-This is the cluster-level event core both modeled executions share.
-Since the lowered-plan refactor it no longer interprets the rich
-Program IR directly: :func:`execute_program` first lowers the program
-to an :class:`~repro.actions.lowering.ExecutablePlan` — flat integer
-arrays with precomputed costs, interned wires and CSR dependency edges
-— and :func:`execute_plan` runs the event loop over those indices.
-Array ready-state (``comp_done`` / ``posted`` byte arrays, per-slot
-transfer times) replaces the old ``produced: dict[tuple, float]`` and
-``(device, tag)`` transfer dicts; wires and batched exchanges are
-pre-interned ints instead of ``frozenset`` keys; per-device cursors are
-preallocated lists.  The result is bit-identical to the pre-lowering
-interpreter, which the test suite keeps as its oracle and compares
-against over the full schedule-family × prefetch × batching matrix.
+This is the single-lane event core every modeled execution shares.  It
+does not interpret the rich Program IR: :func:`execute_program` first
+lowers the program to an :class:`~repro.actions.lowering.ExecutablePlan`
+— flat integer arrays with precomputed costs, interned wires and CSR
+dependency edges — and :func:`execute_plan` runs over those indices.
+The result is bit-identical to the pre-lowering interpreter, which the
+test suite keeps as its oracle and compares against over the full
+schedule-family × prefetch × batching matrix.  The module needs no
+NumPy; :mod:`repro.runtime.batched` adds only the lane axis on top.
+
+Drivers
+-------
+
+Without contention every start time is a function of already-fixed
+quantities (producer ends, post times), so timing is independent of
+replay order, and whether an action blocks depends only on posted/done
+flags.  An uncontended execution therefore splits in two:
+
+1. a **structural pass** (:func:`lockstep_schedule`): a cost-blind
+   greedy walk, run once per program and cached on it, that records the
+   global event sequence, the executed compute and posting orders, the
+   memory trace (watermark levels are structural: deltas apply in
+   program order) and, if the walk stalls, the deadlock message;
+2. a **timed pass** (:func:`replay`) over that event sequence, written
+   once over ``(maximum, minimum, zero)``: one lane runs it with the
+   builtins on Python floats, a batch with ufuncs on ``[N]`` vectors.
+
+A second invariant keeps the compute step branch-free: a *local*
+dependency always names a producer on the consumer's own device (the
+structural pass rejects any other program with a
+:class:`~repro.errors.SchedulingError`) and device clocks are monotone,
+so local dependencies gate blocking only.
+
+``contention=True`` runs the time-ordered driver instead
+(:func:`run_contended`): wire arbitration happens at post time, so
+heads execute in global time order.  Blocking reads only flags that are
+never cleared, so a deadlocking program stalls every driver in the same
+state, and :func:`_deadlock` words the error identically for both.
 
 Timing model
 ------------
@@ -72,14 +97,16 @@ structured :class:`~repro.errors.OutOfMemoryError` (after an O(P)
 static pre-check that rejects statically-infeasible programs before a
 single event is simulated).  The abort fires at the first violation
 *in replay order* — deterministic per driver, but the attributed
-device/peak may differ between the greedy and time-ordered drivers
-when several devices would violate; the OOM *verdict* is
+device/peak may differ between the structural and time-ordered
+drivers when several devices would violate; the OOM *verdict* is
 driver-independent.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..actions.lowering import (
     OP_BATCH,
@@ -211,40 +238,39 @@ def execute_program(
     allocation encountered in replay order — statically-infeasible
     programs are rejected in O(P) before the event loop starts.
     """
-    if capacity_bytes is not None:
-        # Reject statically-infeasible programs before lowering binds
-        # the oracle: an OOM verdict on static bytes alone must not
-        # pay (or depend on) a single cost lookup.
-        if not program.tracks_memory:
-            raise SchedulingError(
-                f"{program.name}: capacity enforcement needs a "
-                "resource-annotated program (compile with resources=...)"
-            )
-        program.check_static_memory(capacity_bytes)
+    # Reject statically-infeasible programs before lowering binds the
+    # oracle: an OOM verdict on static bytes alone must not pay (or
+    # depend on) a single cost lookup.
+    check_capacity(program, capacity_bytes)
     return execute_plan(ExecutablePlan.lower(program, costs), run,
                         capacity_bytes=capacity_bytes)
+
+
+def check_capacity(program: Program, capacity_bytes: int | None) -> None:
+    """Refuse a capacity on an unannotated program; run the O(P)
+    static pre-check (no-op without a capacity)."""
+    if capacity_bytes is None:
+        return
+    if not program.tracks_memory:
+        raise SchedulingError(
+            f"{program.name}: capacity enforcement needs a "
+            "resource-annotated program (compile with resources=...)"
+        )
+    program.check_static_memory(capacity_bytes)
 
 
 def execute_plan(
     plan: ExecutablePlan,
     run: RunConfig | None = None,
     capacity_bytes: int | None = None,
-    *,
-    detail: str = "full",
 ) -> EventResult:
-    """Run the event loop over a lowered (and cost-bound) plan.
+    """Run a lowered (and cost-bound) plan; see the module doc.
 
     Blocking-vs-overlapped receives are a property of the *compiled*
     program (the prefetch hoisting pass and asynchronous recv semantics
     belong together), so execution follows the plan's flag — a
     RunConfig compiled-elsewhere mismatch cannot silently mis-time the
     run.  RunConfig contributes the fidelity knobs (``contention``).
-
-    ``detail="lean"`` elides the comm log, executed order and memory
-    events from the result (see :func:`_materialize`); every field it
-    does produce is unchanged.  Scoring paths (sweeps, synthesis) that
-    fold only timelines, collectives and peaks use it to skip object
-    construction they would throw away.
     """
     run = run or RunConfig()
     if not plan.bound:
@@ -252,25 +278,561 @@ def execute_plan(
             f"{plan.name}: plan is not cost-bound; lower with an oracle "
             "or call plan.retime(costs) first"
         )
+    if run.contention:
+        return _materialize(plan, *run_contended(plan, capacity_bytes))
+    ls, timing = replay_alone(plan, capacity_bytes)
+    return lane_view(plan, ls, *timing)
+
+
+# -- the structural pass -------------------------------------------------------
+
+#: structural event kinds (first element of each event tuple)
+_COMP = 0      # (_, cid, di, remote_slots)
+_SEND = 1      # (_, sid, di)
+_RECV = 2      # (_, rid, di)         blocking receive (prefetch off)
+_POST = 3      # (_, bid, di)         batched group posts its sends
+_WAIT = 4      # (_, bid, di)         batched group's blocking waits
+_COLL = 5      # (_, lid, di)
+
+_LOCKSTEP_ATTR = "_lockstep_schedule"
+
+
+@dataclass
+class LockstepSchedule:
+    """The structural replay of one program, shared by every binding.
+
+    Everything here is cost-independent: the global event sequence the
+    greedy walk produces, the executed compute order, the posting
+    order, and the full memory trace (deltas *and* watermark levels —
+    they depend only on per-device program order).
+    """
+
+    events: list[tuple]
+    exec_seq: list[int]
+    #: computes grouped per device (ascending device id, program order
+    #: within a device) — the order the lane fold sums busy time in
+    dev_cids: list[list[int]]
+    post_seq: list[int]
+    send_batched: bytearray
+    #: (di, cid, signed delta, level-after, is_alloc) in replay order
+    mem_trace: list[tuple]
+    #: per-allocation watermark levels / positions, for the OOM scan
+    alloc_levels: array
+    alloc_pos: list[int]       # index into ``exec_seq`` of the alloc
+    alloc_di: list[int]
+    mem_peak: list[float]
+    #: per collective id, whether it is a ``GRAD_SYNC`` ring — the ones
+    #: the lane fold's sync accounting adds up
+    coll_sync: bytes
+    #: the :class:`SchedulingError` text when the walk stalls, else None
+    deadlock: str | None
+    # -- caches :mod:`repro.runtime.batched` keeps per structure ---------
+    #: stacked cost matrices keyed by lane set; a structure meets a few
+    #: lane sets (one per wire group, say), so a few entries are kept
+    cost_rows: dict = field(default_factory=dict)
+    #: memoized event-stream parity verdicts against other structural
+    #: replays (congruent-group check); values hold a strong reference
+    #: to the compared schedule so its ``id`` stays valid
+    event_parity: dict = field(default_factory=dict)
+    #: the contention driver's lookup tables per wire table
+    contention_tables: dict = field(default_factory=dict)
+
+
+def _comp_name(plan: ExecutablePlan, cid: int) -> str:
+    kind, mb, st = plan.comp_keys[cid]
+    return f"{kind.value}(m{mb},s{st})"
+
+
+def dev_rows(plan: ExecutablePlan, exec_seq) -> list[list[int]]:
+    """``exec_seq`` grouped per device: ascending device id, execution
+    (= program) order within a device."""
+    comp_ops = plan.comp_ops
+    by_device: dict[int, list[int]] = {}
+    for cid in exec_seq:
+        by_device.setdefault(comp_ops[cid].device, []).append(cid)
+    return [cids for _dev, cids in sorted(by_device.items())]
+
+
+def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
+    """Walk ``plan`` greedily without times, recording every event.
+
+    Each device advances as far as its flags allow, round after round:
+    blocking predicates are pure flag reads, so the produced order is
+    the order every cost binding replays.
+    """
     program = plan.program
-    tracked = program.tracks_memory
-    if capacity_bytes is not None:
-        if not tracked:
-            raise SchedulingError(
-                f"{program.name}: capacity enforcement needs a "
-                "resource-annotated program (compile with resources=...)"
-            )
-        program.check_static_memory(capacity_bytes)
+    devices = plan.devices
+    num_devices = len(devices)
+    codes, args = plan.codes, plan.args
+    dep_ptr, dep_remote, dep_idx = plan.dep_ptr, plan.dep_remote, plan.dep_idx
+    comp_device = plan.comp_device
+    comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
+    send_slot = plan.send_slot
+    batch_send_ids, batch_recv_ids = plan.batch_send_ids, plan.batch_recv_ids
+    recv_slot = plan.recv_slot
     prefetch = plan.prefetch
-    contention = run.contention
+    tracked = program.tracks_memory
+
+    cursors = [0] * num_devices
+    comp_done = bytearray(plan.n_computes)
+    posted = bytearray(plan.n_slots)
+    batch_posted = bytearray(len(batch_send_ids))
+    send_batched = bytearray(len(plan.send_src))
+    events: list[tuple] = []
+    exec_seq: list[int] = []
+    post_seq: list[int] = []
+    static = [program.static_bytes.get(d, 0.0) for d in devices]
+    mem_level = list(static)
+    mem_peak = list(static)
+    mem_trace: list[tuple] = []
+    alloc_levels = array("d")
+    alloc_pos: list[int] = []
+    alloc_di: list[int] = []
+
+    def step(di: int, i: int) -> bool:
+        """Execute one action; False if the device must block."""
+        code = codes[di][i]
+        a = args[di][i]
+        if code == OP_COMPUTE:
+            rslots: list[int] = []
+            for e in range(dep_ptr[a], dep_ptr[a + 1]):
+                x = dep_idx[e]
+                if dep_remote[e]:
+                    # Without prefetch the blocking Recv already waited.
+                    if prefetch:
+                        if not posted[x]:
+                            return False  # sender hasn't posted yet
+                        rslots.append(x)
+                elif comp_device[x] != di:
+                    # a cross-device hand-off must be a transfer: timing
+                    # it from another device's compute end would break
+                    # the branch-free compute step (module doc)
+                    raise SchedulingError(
+                        f"{program.name}: {_comp_name(plan, a)} on "
+                        f"d{devices[di]} has a local dependency on "
+                        f"{_comp_name(plan, x)} on "
+                        f"d{devices[comp_device[x]]}")
+                elif not comp_done[x]:
+                    # The producer must have retired earlier on this
+                    # device; if it hasn't, the program order is
+                    # inverted and the device blocks (a deadlock).
+                    return False
+            comp_done[a] = 1
+            events.append((_COMP, a, di, tuple(rslots)))
+            exec_seq.append(a)
+            if tracked:
+                alloc = comp_alloc[a]
+                if alloc:
+                    level = mem_level[di] + alloc
+                    mem_level[di] = level
+                    mem_trace.append((di, a, alloc, level, True))
+                    alloc_levels.append(level)
+                    alloc_pos.append(len(exec_seq) - 1)
+                    alloc_di.append(di)
+                    if level > mem_peak[di]:
+                        mem_peak[di] = level
+                freed = comp_free_b[a]
+                if freed:
+                    level = mem_level[di] - freed
+                    mem_level[di] = level
+                    mem_trace.append((di, a, -freed, level, False))
+            return True
+        if code == OP_SEND:
+            posted[send_slot[a]] = 1
+            events.append((_SEND, a, di))
+            post_seq.append(a)
+            return True
+        if code == OP_COLL:
+            events.append((_COLL, a, di))
+            return True
+        if code == OP_RECV:
+            if prefetch:
+                return True  # free post; arrival is awaited by computes
+            if not posted[recv_slot[a]]:
+                return False
+            events.append((_RECV, a, di))
+            return True
+        if code == OP_BATCH:
+            # Group semantics: all posts are issued the moment the
+            # cursor reaches the group — even while its own waits
+            # block — or opposing groups would deadlock each other.
+            if not batch_posted[a]:
+                for sid in batch_send_ids[a]:
+                    posted[send_slot[sid]] = 1
+                    send_batched[sid] = 1
+                    post_seq.append(sid)
+                batch_posted[a] = 1
+                events.append((_POST, a, di))
+            if not prefetch:
+                for rid in batch_recv_ids[a]:
+                    if not posted[recv_slot[rid]]:
+                        return False
+                events.append((_WAIT, a, di))
+            return True
+        return True  # OP_NOOP: flush/step; simulate_training charges it
+
+    total = plan.n_actions
+    done = 0
+    deadlock = None
+    while done < total:
+        progressed = False
+        for di in range(num_devices):
+            n = len(codes[di])
+            i = cursors[di]
+            while i < n and step(di, i):
+                i += 1
+                done += 1
+                progressed = True
+            cursors[di] = i
+        if not progressed and done < total:
+            deadlock = _deadlock(plan, cursors, comp_done, posted)
+            break
+
+    if tracked and deadlock is None:
+        _check_leak(devices, mem_level, static, mem_peak)
+
+    return LockstepSchedule(
+        events=events,
+        exec_seq=exec_seq,
+        dev_cids=dev_rows(plan, exec_seq),
+        post_seq=post_seq,
+        send_batched=send_batched,
+        mem_trace=mem_trace,
+        alloc_levels=alloc_levels,
+        alloc_pos=alloc_pos,
+        alloc_di=alloc_di,
+        mem_peak=mem_peak,
+        coll_sync=bytes(op.kind is CollectiveKind.GRAD_SYNC
+                        for op in plan.coll_ops),
+        deadlock=deadlock,
+    )
+
+
+def lockstep_schedule(plan: ExecutablePlan) -> LockstepSchedule:
+    """The (cached) structural replay for ``plan``'s program.
+
+    Cached on the program object: every retime of one cached structure
+    shares the same program, so a sweep pays the structural pass once
+    per structure, not once per execution.
+    """
+    ls = getattr(plan.program, _LOCKSTEP_ATTR, None)
+    if ls is None:
+        ls = _build_lockstep(plan)
+        try:
+            setattr(plan.program, _LOCKSTEP_ATTR, ls)
+        except AttributeError:  # pragma: no cover - Program is mutable
+            pass
+    return ls
+
+
+def first_violation(ls: LockstepSchedule, capacity_bytes: int) -> int | None:
+    """Index of the first allocation (replay order) whose watermark
+    exceeds ``capacity_bytes`` — the abort point of the structural walk
+    — or None when the capacity covers the peak."""
+    if capacity_bytes >= max(ls.mem_peak, default=0.0):
+        return None
+    return next((j for j, level in enumerate(ls.alloc_levels)
+                 if level > capacity_bytes), None)
+
+
+def replay_alone(plan: ExecutablePlan, capacity_bytes: int | None = None):
+    """One uncontended lane up to its timing: ``(schedule, timing)``.
+
+    The cached structural pass, then the verdicts it already holds — an
+    :class:`~repro.errors.OutOfMemoryError` at the first violating
+    allocation in replay order, else the structure's deadlock — then
+    :func:`replay` on Python floats over the plan's own cost columns
+    (builtin ``max`` / ``min`` select bitwise as the ufuncs do: no lane
+    quantity is ever NaN or -0.0).
+    """
+    check_capacity(plan.program, capacity_bytes)
+    ls = lockstep_schedule(plan)
+    if capacity_bytes is not None:
+        j = first_violation(ls, capacity_bytes)
+        if j is not None:
+            raise OutOfMemoryError(plan.devices[ls.alloc_di[j]],
+                                   int(ls.alloc_levels[j]), capacity_bytes)
+    if ls.deadlock is not None:
+        raise SchedulingError(ls.deadlock)
+    return ls, replay(ls, plan, plan.comp_cost, plan.send_time,
+                      plan.coll_step_time, max, min, 0.0)
+
+
+def replay(ls: LockstepSchedule, plan: ExecutablePlan, Cm, Tm, Sm,
+           maximum, minimum, zero):
+    """The timed pass over ``ls``'s event sequence.
+
+    ``Cm`` / ``Tm`` / ``Sm`` hold per compute / send / collective the
+    lane durations (floats for one lane, ``[N]`` vectors for a batch);
+    ``maximum`` / ``minimum`` / ``zero`` are the matching builtins or
+    ufuncs.  ``plan`` supplies the structural arrays only.  Returns
+    ``(compute starts, compute ends, device clocks, recv waits, slot
+    starts, slot ends, collectives)``, the last as ``(lid, di, post,
+    start, end, ring steps)`` in structural order.
+    """
+    num_devices = len(plan.devices)
+    send_slot = plan.send_slot
+    batch_send_ids, batch_recv_ids = plan.batch_send_ids, plan.batch_recv_ids
+    recv_slot = plan.recv_slot
+    coll_active, coll_nsteps = plan.coll_active, plan.coll_nsteps
+    coll_count, coll_blocking = plan.coll_count, plan.coll_blocking
+
+    clock = [zero] * num_devices
+    coll_free = [zero] * num_devices
+    recv_wait = [zero] * num_devices
+    # every record below is reference-assigned (each slot posts once,
+    # each compute executes once, lane vectors are never mutated in
+    # place)
+    ts_l: list = [None] * plan.n_slots
+    te_l: list = [None] * plan.n_slots
+    cs_l: list = [None] * plan.n_computes
+    ce_l: list = [None] * plan.n_computes
+    coll_log: list[tuple] = []
+
+    for ev in ls.events:
+        kind = ev[0]
+        if kind == _COMP:
+            _, a, di, rslots = ev
+            ready = clock[di]
+            if rslots:
+                r = rslots[0]
+                arrival = te_l[r]
+                in_flight = te_l[r] - ts_l[r]
+                for r in rslots[1:]:
+                    arrival = maximum(arrival, te_l[r])
+                    in_flight = in_flight + (te_l[r] - ts_l[r])
+                # Only the transfer-attributable share of the stall is
+                # recv wait (waiting on the producer is a bubble): add
+                # min(stall, in_flight) when arrival > ready.  Adding
+                # an exact 0.0 elsewhere is bitwise neutral (the
+                # accumulator is never -0.0), and in_flight >= 0, so
+                # max(min(stall, in_flight), 0) is that select in one op
+                recv_wait[di] = recv_wait[di] + maximum(
+                    minimum(arrival - ready, in_flight), 0.0)
+                start = maximum(ready, arrival)
+            else:
+                start = ready
+            end = start + Cm[a]
+            cs_l[a] = start
+            ce_l[a] = end
+            clock[di] = end
+        elif kind == _SEND:
+            _, sid, di = ev
+            post = clock[di]
+            slot = send_slot[sid]
+            ts_l[slot] = post
+            te_l[slot] = post + Tm[sid]
+        elif kind == _POST:
+            _, bid, di = ev
+            post = clock[di]
+            for sid in batch_send_ids[bid]:
+                slot = send_slot[sid]
+                ts_l[slot] = post
+                te_l[slot] = post + Tm[sid]
+        elif kind == _RECV:
+            _, rid, di = ev
+            slot = recv_slot[rid]
+            s = ts_l[slot]
+            duration = te_l[slot] - s
+            clock[di] = maximum(clock[di], s) + duration
+            recv_wait[di] = recv_wait[di] + duration
+        elif kind == _WAIT:
+            _, bid, di = ev
+            for rid in batch_recv_ids[bid]:
+                slot = recv_slot[rid]
+                s = ts_l[slot]
+                duration = te_l[slot] - s
+                clock[di] = maximum(clock[di], s) + duration
+                recv_wait[di] = recv_wait[di] + duration
+        else:  # _COLL
+            _, lid, di = ev
+            post = clock[di]
+            start = maximum(post, coll_free[di])
+            t = start
+            steps: tuple = ()
+            if coll_active[lid]:
+                step_time = Sm[lid]
+                step_log = []
+                round_time = None
+                for _ in range(coll_nsteps[lid]):
+                    e = t + step_time
+                    step_log.append((t, e))
+                    round_time = (step_time if round_time is None
+                                  else round_time + step_time)
+                    t = e
+                count = coll_count[lid]
+                if count != 1.0:
+                    # remaining rounds repeat the first back-to-back
+                    t = t + (count - 1.0) * round_time
+                steps = tuple(step_log)
+            coll_free[di] = t
+            coll_log.append((lid, di, post, start, t, steps))
+            if coll_blocking[lid]:
+                clock[di] = t
+    return cs_l, ce_l, clock, recv_wait, ts_l, te_l, coll_log
+
+
+def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, cs, ce, clock,
+              recv_wait, ts, te, colls, at=float) -> EventResult:
+    """One lane of an uncontended pass as an :class:`EventResult`.
+
+    ``cs`` / ``ce`` are the lane's compute starts / ends as floats;
+    every other argument is :func:`replay`'s, and ``at`` reads the
+    lane's float out of one of its quantities.  The wire grants a
+    transfer the moment it is posted, and every log keeps structural
+    order.
+    """
+    ss = [at(ts[slot]) for slot in plan.send_slot]
+    se = [at(te[slot]) for slot in plan.send_slot]
+    mem = [(di, cs[cid] if is_alloc else ce[cid], delta, level, cid)
+           for di, cid, delta, level, is_alloc in ls.mem_trace]
+    coll = [(lid, di, at(post), at(start), at(end),
+             tuple((at(s), at(e)) for s, e in steps))
+            for lid, di, post, start, end, steps in colls]
+    return _materialize(
+        plan, ls.exec_seq, cs, ce, ls.post_seq, ss, ss, se,
+        ls.send_batched, coll, mem, [at(x) for x in clock],
+        [at(x) for x in recv_wait],
+        ls.mem_peak if plan.program.tracks_memory else None)
+
+
+# -- the contention driver -----------------------------------------------------
+
+
+def _deadlock(plan: ExecutablePlan, cursors, comp_done, posted) -> str:
+    """The deadlock message for a walk stalled at ``cursors``.
+
+    Names every device's head, then explains the stall: every blocked
+    device waits on exactly one other device (the sender of an unposted
+    slot, or itself for a same-device dependency inversion); following
+    those pointers from any blocked device must revisit a device — that
+    repetition is the wait cycle.
+    """
+    program = plan.program
+    devices = plan.devices
+    codes, args = plan.codes, plan.args
+    dep_ptr, dep_remote, dep_idx = plan.dep_ptr, plan.dep_remote, plan.dep_idx
+    recv_slot, batch_recv_ids = plan.recv_slot, plan.batch_recv_ids
+    prefetch = plan.prefetch
+    heads = {
+        d: str(acts[cursors[di]])
+        for di, (d, acts) in enumerate(program.actions.items())
+        if cursors[di] < len(acts)
+    }
+    slot_sender = {}
+    slot_tag = {}
+    for sid, slot in enumerate(plan.send_slot):
+        slot_sender[slot] = plan.send_src[sid]
+        slot_tag[slot] = plan.tags[plan.send_tag[sid]]
+
+    def blocker(di: int) -> tuple[int, str] | None:
+        """(blocking device index, reason) for ``di``'s head."""
+        i = cursors[di]
+        if i >= len(codes[di]):
+            return None
+        code = codes[di][i]
+        a = args[di][i]
+        if code == OP_COMPUTE:
+            for e in range(dep_ptr[a], dep_ptr[a + 1]):
+                x = dep_idx[e]
+                if dep_remote[e]:
+                    if prefetch and not posted[x]:
+                        return (slot_sender[x], f"unposted {slot_tag[x]}")
+                elif not comp_done[x]:
+                    return (plan.comp_device[x],
+                            f"unretired {_comp_name(plan, x)}")
+        elif code == OP_RECV and not prefetch:
+            slot = recv_slot[a]
+            if not posted[slot]:
+                return (slot_sender[slot], f"unposted {slot_tag[slot]}")
+        elif code == OP_BATCH and not prefetch:
+            for rid in batch_recv_ids[a]:
+                slot = recv_slot[rid]
+                if not posted[slot]:
+                    return (slot_sender[slot], f"unposted {slot_tag[slot]}")
+        return None
+
+    cycle = ""
+    start_di = next(
+        (di for di in range(len(devices)) if blocker(di) is not None),
+        None,
+    )
+    if start_di is not None:
+        hops: list[tuple[int, int, str]] = []
+        first = {start_di: 0}
+        cur = start_di
+        while True:
+            blk = blocker(cur)
+            if blk is None:  # pragma: no cover - defensive
+                break
+            nxt, why = blk
+            hops.append((cur, nxt, why))
+            if nxt in first:
+                # keep only the cyclic suffix of the walk
+                hops = hops[first[nxt]:]
+                cycle = "; wait cycle: " + " -> ".join(
+                    f"d{devices[a_]} waits on d{devices[b_]} ({w})"
+                    for a_, b_, w in hops
+                )
+                break
+            first[nxt] = len(hops)
+            cur = nxt
+    return f"{program.name}: simulation deadlock; heads = {heads}{cycle}"
+
+
+def _check_leak(devices, mem_level, static, mem_peak) -> None:
+    for di, level in enumerate(mem_level):
+        drift = level - static[di]
+        # tolerance: float accumulation over many alloc/free pairs of
+        # non-representable byte counts (e.g. TP-sharded sizes)
+        if abs(drift) > max(64.0, 1e-9 * mem_peak[di]):
+            raise AssertionError(
+                f"activation leak on device {devices[di]}: {drift} bytes")
+
+
+class ScalarRun(NamedTuple):
+    """The flat arrays one time-ordered run fills: the arguments of
+    :func:`_materialize` after the plan."""
+
+    exec_seq: list[int]
+    comp_start: list[float]
+    comp_end: list[float]
+    post_seq: list[int]
+    send_post: list[float]
+    send_start: list[float]
+    send_end: list[float]
+    send_batched: bytearray
+    #: (lid, di, post, start, end, steps) in execution order
+    coll_log: list[tuple]
+    #: (di, time, delta, level, cid) in execution order
+    mem_log: list[tuple]
+    clock: list[float]
+    recv_wait: list[float]
+    mem_peak: list[float] | None
+
+
+def run_contended(plan: ExecutablePlan,
+                   capacity_bytes: int | None = None) -> ScalarRun:
+    """The time-ordered driver: execute heads in global time order.
+
+    Wire arbitration happens at send-post time, so posts must be issued
+    in nondecreasing simulated time or an earlier-posted transfer could
+    queue behind a later one (a replay-order artifact).  Executing the
+    globally earliest eligible head is sufficient: any action enabled by
+    an execution at time ``t`` becomes eligible no earlier than ``t``,
+    so execution times are monotone and wire grants follow post order
+    deterministically (ties broken by device rank).
+    """
+    program = plan.program
+    check_capacity(program, capacity_bytes)
+    tracked = program.tracks_memory
+    prefetch = plan.prefetch
 
     devices = plan.devices
     num_devices = len(devices)
     codes, args = plan.codes, plan.args
     dep_ptr, dep_remote, dep_idx = plan.dep_ptr, plan.dep_remote, plan.dep_idx
     comp_cost = plan.comp_cost
-    comp_ops = plan.comp_ops
-    oracle = plan.costs
     comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
     send_time, send_lat = plan.send_time, plan.send_lat
     send_wire, send_slot = plan.send_wire, plan.send_slot
@@ -306,12 +868,10 @@ def execute_plan(
     batch_posted = bytearray(len(batch_send_ids))
     wire_free = [0.0] * plan.n_wires
     wire_exch = [-1] * plan.n_wires
-    #: (lid, di, post, start, end, steps) in execution order
     coll_log: list[tuple] = []
     static = [program.static_bytes.get(d, 0.0) for d in devices]
     mem_level = list(static)
     mem_peak = list(static)
-    #: (di, time, delta, level, cid) in execution order
     mem_log: list[tuple] = []
 
     def step(di: int, i: int) -> bool:
@@ -338,9 +898,7 @@ def execute_plan(
                         in_flight += te - tr_start[x]
                 else:
                     # Local hand-off: the producer must have retired
-                    # earlier on this device; if it hasn't, the program
-                    # order is inverted and the device blocks (deadlock
-                    # detection reports it).
+                    # earlier on this device, or the device blocks.
                     if not comp_done[x]:
                         return False
                     de = comp_end_a[x]
@@ -354,11 +912,7 @@ def execute_plan(
                 stall = arrival - ready
                 recv_wait[di] += stall if stall < in_flight else in_flight
                 start = arrival
-            cost = comp_cost[a]
-            if cost is None:  # lazy duration fill (see retime)
-                cost = oracle.duration(comp_ops[a])
-                comp_cost[a] = cost
-            end = start + cost
+            end = start + comp_cost[a]
             comp_start_a[a] = start
             comp_end_a[a] = end
             comp_done[a] = 1
@@ -386,20 +940,19 @@ def execute_plan(
             t = send_time[a]
             post = clock[di]
             start = post
-            duration = t
-            if contention and t > 0.0:
+            if t > 0.0:
                 w = send_wire[a]
                 if post < wire_free[w]:
                     start = wire_free[w]
-                wire_free[w] = start + duration
+                wire_free[w] = start + t
                 wire_exch[w] = -1
             slot = send_slot[a]
             tr_start[slot] = start
-            tr_end[slot] = start + duration
+            tr_end[slot] = start + t
             posted[slot] = 1
             send_post_a[a] = post
             send_start_a[a] = start
-            send_end_a[a] = start + duration
+            send_end_a[a] = start + t
             post_seq.append(a)
             return True
         if code == OP_COLL:
@@ -415,27 +968,24 @@ def execute_plan(
                 round_time = 0.0
                 for _ in range(coll_nsteps[a]):
                     step_start = t
-                    if contention:
-                        for w in wids:
-                            wf = wire_free[w]
-                            if wf > step_start:
-                                step_start = wf
+                    for w in wids:
+                        wf = wire_free[w]
+                        if wf > step_start:
+                            step_start = wf
                     step_end = step_start + step_time
                     step_log.append((step_start, step_end))
                     round_time += step_time
-                    if contention:
-                        for w in wids:
-                            wire_free[w] = step_end
-                            wire_exch[w] = -1
+                    for w in wids:
+                        wire_free[w] = step_end
+                        wire_exch[w] = -1
                     t = step_end
                 count = coll_count[a]
                 if count != 1.0:
                     # Remaining rounds repeat the first back-to-back;
                     # the wires stay held for the whole run.
                     t += (count - 1.0) * round_time
-                    if contention:
-                        for w in wids:
-                            wire_free[w] = t
+                    for w in wids:
+                        wire_free[w] = t
                 steps = tuple(step_log)
             coll_free[di] = t
             coll_log.append((a, di, post, start, t, steps))
@@ -466,7 +1016,7 @@ def execute_plan(
                     post = clock[di]
                     start = post
                     duration = t
-                    if contention and t > 0.0:
+                    if t > 0.0:
                         w = send_wire[sid]
                         if post < wire_free[w]:
                             start = wire_free[w]
@@ -554,158 +1104,40 @@ def execute_plan(
             return cl if cl >= earliest else earliest
         return clock[di]  # sends, free posts, collectives, flush, step
 
-    def _deadlock() -> None:
-        heads = {
-            d: str(acts[cursors[di]])
-            for di, (d, acts) in enumerate(program.actions.items())
-            if cursors[di] < len(acts)
-        }
-        # Explain the stall: every blocked device waits on exactly one
-        # other device (the sender of an unposted slot, or itself for a
-        # same-device dependency inversion); following those pointers
-        # from any blocked device must revisit a device — that
-        # repetition is the wait cycle.
-        slot_sender = {}
-        slot_tag = {}
-        for sid in range(n_send):
-            slot = send_slot[sid]
-            slot_sender[slot] = plan.send_src[sid]
-            slot_tag[slot] = plan.tags[plan.send_tag[sid]]
-
-        def blocker(di: int) -> tuple[int, str] | None:
-            """(blocking device index, reason) for ``di``'s head."""
-            i = cursors[di]
-            if i >= len(codes[di]):
-                return None
-            code = codes[di][i]
-            a = args[di][i]
-            if code == OP_COMPUTE:
-                for e in range(dep_ptr[a], dep_ptr[a + 1]):
-                    x = dep_idx[e]
-                    if dep_remote[e]:
-                        if prefetch and not posted[x]:
-                            return (slot_sender[x],
-                                    f"unposted {slot_tag[x]}")
-                    elif not comp_done[x]:
-                        kind, mb, st = plan.comp_keys[x]
-                        return (plan.comp_device[x],
-                                f"unretired {kind.value}(m{mb},s{st})")
-            elif code == OP_RECV and not prefetch:
-                slot = recv_slot[a]
-                if not posted[slot]:
-                    return (slot_sender[slot], f"unposted {slot_tag[slot]}")
-            elif code == OP_BATCH and not prefetch:
-                for rid in batch_recv_ids[a]:
-                    slot = recv_slot[rid]
-                    if not posted[slot]:
-                        return (slot_sender[slot],
-                                f"unposted {slot_tag[slot]}")
-            return None
-
-        cycle = ""
-        start_di = next(
-            (di for di in range(num_devices) if blocker(di) is not None),
-            None,
-        )
-        if start_di is not None:
-            hops: list[tuple[int, int, str]] = []
-            first = {start_di: 0}
-            cur = start_di
-            while True:
-                blk = blocker(cur)
-                if blk is None:  # pragma: no cover - defensive
-                    break
-                nxt, why = blk
-                hops.append((cur, nxt, why))
-                if nxt in first:
-                    # keep only the cyclic suffix of the walk
-                    hops = hops[first[nxt]:]
-                    cycle = "; wait cycle: " + " -> ".join(
-                        f"d{devices[a_]} waits on d{devices[b_]} ({w})"
-                        for a_, b_, w in hops
-                    )
-                    break
-                first[nxt] = len(hops)
-                cur = nxt
-        raise SchedulingError(
-            f"{program.name}: simulation deadlock; heads = {heads}{cycle}"
-        )
-
     total = plan.n_actions
     done = 0
-    if contention:
-        # Contention driver: execute heads in global time order.  Wire
-        # arbitration happens at send-post time, so posts must be
-        # issued in nondecreasing simulated time or an earlier-posted
-        # transfer could queue behind a later one (a replay-order
-        # artifact).  Executing the globally earliest eligible head is
-        # sufficient: any action enabled by an execution at time ``t``
-        # becomes eligible no earlier than ``t``, so execution times
-        # are monotone and wire grants follow post order
-        # deterministically (ties broken by device rank).
-        while done < total:
-            best_at = None
-            best_di = -1
-            for di in range(num_devices):
-                at = peek(di)
-                if at is not None and (best_at is None or at < best_at):
-                    best_at, best_di = at, di
-            if best_di < 0:
-                _deadlock()
-            if step(best_di, cursors[best_di]):
-                cursors[best_di] += 1
-                done += 1
-            # else: a batched group posted its sends but still blocks
-            # on inbound transfers — posting was the progress.
-    else:
-        # Fast driver: advance each device as far as it can.  Correct
-        # whenever timing is independent of replay order — i.e. without
-        # contention, where every formula depends only on already-fixed
-        # quantities (producer ends, post times).
-        while done < total:
-            progressed = False
-            for di in range(num_devices):
-                n = len(codes[di])
-                i = cursors[di]
-                while i < n and step(di, i):
-                    i += 1
-                    done += 1
-                    progressed = True
-                cursors[di] = i
-            if not progressed and done < total:
-                _deadlock()
+    while done < total:
+        best_at = None
+        best_di = -1
+        for di in range(num_devices):
+            at = peek(di)
+            if at is not None and (best_at is None or at < best_at):
+                best_at, best_di = at, di
+        if best_di < 0:
+            raise SchedulingError(_deadlock(plan, cursors, comp_done, posted))
+        if step(best_di, cursors[best_di]):
+            cursors[best_di] += 1
+            done += 1
+        # else: a batched group posted its sends but still blocks on
+        # inbound transfers — posting was the progress.
 
     if tracked:
-        for di in range(num_devices):
-            drift = mem_level[di] - static[di]
-            # tolerance: float accumulation over many alloc/free pairs
-            # of non-representable byte counts (e.g. TP-sharded sizes)
-            if abs(drift) > max(64.0, 1e-9 * mem_peak[di]):
-                raise AssertionError(
-                    f"activation leak on device {devices[di]}: "
-                    f"{drift} bytes"
-                )
-
-    return _materialize(plan, exec_seq, comp_start_a, comp_end_a,
-                        post_seq, send_post_a, send_start_a, send_end_a,
-                        send_batched, coll_log, mem_log, clock, recv_wait,
-                        mem_peak if tracked else None, detail=detail)
+        _check_leak(devices, mem_level, static, mem_peak)
+    return ScalarRun(exec_seq, comp_start_a, comp_end_a, post_seq,
+                     send_post_a, send_start_a, send_end_a, send_batched,
+                     coll_log, mem_log, clock, recv_wait,
+                     mem_peak if tracked else None)
 
 
 def _materialize(plan, exec_seq, comp_start_a, comp_end_a, post_seq,
                  send_post_a, send_start_a, send_end_a, send_batched,
-                 coll_log, mem_log, clock, recv_wait, mem_peak,
-                 detail="full"):
+                 coll_log, mem_log, clock, recv_wait, mem_peak):
     """Rebuild the rich event objects from the run's flat arrays.
 
     Object construction is deferred out of the hot loop: timeline
     spans, comm/collective/memory events and the executed order are
     assembled once, in the exact order (and with the exact sort keys)
     the reference core produces them, so results stay bit-identical.
-
-    ``detail="lean"`` leaves ``comm``, ``order`` and ``mem_events``
-    empty — the fields scoring paths never read — and is otherwise an
-    exact subset of the full result.
     """
     program = plan.program
     devices = plan.devices
@@ -717,26 +1149,23 @@ def _materialize(plan, exec_seq, comp_start_a, comp_end_a, post_seq,
     for spans in timeline.spans.values():
         spans.sort(key=lambda t: t.start)
 
-    full = detail != "lean"
-    comm: list[CommEvent] = []
-    if full:
-        tags, send_tag = plan.tags, plan.send_tag
-        send_src, send_dst = plan.send_src, plan.send_dst
-        send_nbytes = plan.send_nbytes
-        comm = [
-            CommEvent(
-                tag=tags[send_tag[sid]],
-                src=devices[send_src[sid]],
-                dst=devices[send_dst[sid]],
-                post=send_post_a[sid],
-                start=send_start_a[sid],
-                end=send_end_a[sid],
-                nbytes=send_nbytes[sid],
-                batched=bool(send_batched[sid]),
-            )
-            for sid in post_seq
-        ]
-        comm.sort(key=lambda e: (e.post, e.start))
+    tags, send_tag = plan.tags, plan.send_tag
+    send_src, send_dst = plan.send_src, plan.send_dst
+    send_nbytes = plan.send_nbytes
+    comm = [
+        CommEvent(
+            tag=tags[send_tag[sid]],
+            src=devices[send_src[sid]],
+            dst=devices[send_dst[sid]],
+            post=send_post_a[sid],
+            start=send_start_a[sid],
+            end=send_end_a[sid],
+            nbytes=send_nbytes[sid],
+            batched=bool(send_batched[sid]),
+        )
+        for sid in post_seq
+    ]
+    comm.sort(key=lambda e: (e.post, e.start))
 
     coll_ops = plan.coll_ops
     collectives = [
@@ -746,24 +1175,20 @@ def _materialize(plan, exec_seq, comp_start_a, comp_end_a, post_seq,
     ]
     collectives.sort(key=lambda e: (e.post, e.start, e.device))
 
-    mem_events: list[MemoryEvent] = []
-    order: dict[int, list[Action]] = {}
-    if full:
-        comp_keys = plan.comp_keys
-        mem_events = [
-            MemoryEvent(device=devices[di], time=time, delta=delta,
-                        level=level, key=comp_keys[cid])
-            for di, time, delta, level, cid in mem_log
-        ]
-        # A completed run replays every device list prefix-complete, so
-        # the executed order IS the program's lists.
-        order = {d: list(program.actions[d]) for d in devices}
+    comp_keys = plan.comp_keys
+    mem_events = [
+        MemoryEvent(device=devices[di], time=time, delta=delta,
+                    level=level, key=comp_keys[cid])
+        for di, time, delta, level, cid in mem_log
+    ]
     return EventResult(
         timeline=timeline,
         recv_wait={devices[di]: recv_wait[di]
                    for di in range(len(devices))},
         comm=comm,
-        order=order,
+        # A completed run replays every device list prefix-complete, so
+        # the executed order IS the program's lists.
+        order={d: list(program.actions[d]) for d in devices},
         mem_peak=({devices[di]: mem_peak[di]
                    for di in range(len(devices))}
                   if mem_peak is not None else {}),

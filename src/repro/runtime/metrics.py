@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..actions.ops import CollectiveKind
 from ..schedules.base import Schedule
 from ..types import OpKind, Timeline, seq_sum
 
@@ -123,31 +122,6 @@ def fold_lanes(dev_rows, starts, ends, device_end, syncs,
     if floats:
         columns = tuple(np.array([x]) for x in columns)
     return LaneFold(*columns, peak_mem)
-
-
-def fold_events(result) -> LaneFold:
-    """The N = 1 fold of one scalar execution.
-
-    ``result`` is an :class:`~repro.runtime.events.EventResult` (either
-    event core's); its spans and collectives go through
-    :func:`fold_lanes` as one lane of plain floats, so scalar and
-    batched measurements share one accounting.
-    """
-    timeline = result.timeline
-    dev_rows: list[range] = []
-    starts: list[float] = []
-    ends: list[float] = []
-    for device in timeline.devices:
-        row = timeline.spans[device]
-        dev_rows.append(range(len(ends), len(ends) + len(row)))
-        starts += [t.start for t in row]
-        ends += [t.end for t in row]
-    return fold_lanes(
-        dev_rows, starts, ends, list(result.device_end.values()),
-        [(c.device, c.start, c.end) for c in result.collectives
-         if c.op.kind is CollectiveKind.GRAD_SYNC],
-        np.array([max(result.mem_peak.values(), default=0.0)]),
-    )
 
 
 def steady_state_bubble_ratio(timeline: Timeline, trim: float = 0.25) -> float:

@@ -15,9 +15,8 @@ fast enough to matter is the evaluation path, not the loop:
   plan, no event loop — and is ``==`` to executing the reordered
   program uncontended;
 * per recompute frontier the base is size-bound and cost-bound once,
-  and every candidate of that frontier shares its lazily filled
-  compute-cost column, so the cost oracle is consulted once per
-  distinct compute across the *whole search*.
+  and every candidate of that frontier shares its compute-cost column,
+  so the cost oracle is consulted once per compute per frontier.
 
 Only what must be a program still is one: the winner's ``plan_key``
 (:meth:`SynthesisContext.plan_for`) is lowered from the reordered

@@ -43,8 +43,8 @@ class TimedReplay:
     ``program.ops`` order — the index space of
     :class:`~repro.synthesis.legality.LegalityChecker` for the program
     the plan (or a size binding of it) was lowered from.  Every
-    :meth:`score` shares the plan's lazily filled ``comp_cost`` column,
-    so the oracle answers once per compute per search.
+    :meth:`score` reads the plan's ``comp_cost`` column, which
+    :meth:`~repro.actions.lowering.ExecutablePlan.retime` filled.
     """
 
     def __init__(self, plan: ExecutablePlan) -> None:
@@ -72,7 +72,7 @@ class TimedReplay:
         """``(makespan, bubble_ratio)`` of the ordering whose wait graph
         ``order`` topologically sorts."""
         plan = self.plan
-        cost, ops, oracle = plan.comp_cost, plan.comp_ops, plan.costs
+        cost = plan.comp_cost
         remote, device, prefetch = self._remote, self._device, plan.prefetch
         end = [0.0] * len(cost)
         clock = [0.0] * self._n_devices
@@ -94,10 +94,7 @@ class TimedReplay:
                     if post > start:
                         start = post
                     start = start + ((post + t) - post)
-            c = cost[i]
-            if c is None:  # lazy duration fill, as the event core does
-                c = cost[i] = oracle.duration(ops[i])
-            e = start + c
+            e = start + cost[i]
             end[i] = clock[d] = e
             busy[d] = busy[d] + (e - start)
             if e > makespan:

@@ -39,7 +39,6 @@ from repro.runtime import (
     execute_plan,
 )
 from repro.runtime import batched
-from repro.runtime.metrics import fold_events
 from repro.schedules import build_schedule
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
@@ -103,36 +102,57 @@ def assert_lane_equal(batch, k, want):
     """Lane ``k`` of a columnar result against the scalar result: fold
     row on every field, lane view on all eight fields."""
     assert batch.errors[k] is None
-    assert fold_events(want).row(0) == reference_fold(want)
     assert batch.fold.row(k) == reference_fold(want)
     assert_result_equal(batch.lane(k), want)
 
 
+def assert_same_oom(err, exc):
+    assert isinstance(err, OutOfMemoryError)
+    assert (err.device, err.peak_bytes, err.capacity_bytes) \
+        == (exc.device, exc.peak_bytes, exc.capacity_bytes)
+    assert str(err) == str(exc)
+
+
 def assert_batch_equal(batch, plans, run, caps=None):
-    """Every lane against its scalar run; returns (n ok, n oom)."""
+    """Every lane against its scalar run and against the reference
+    interpreter — independent of the event core, which an uncontended
+    ``execute_plan`` shares with the batch; returns (n ok, n oom)."""
     ok = oom = 0
     for k, plan in enumerate(plans):
         cap = caps[k] if caps is not None else None
         try:
+            ref = execute_program_reference(plan.program, plan.costs, run,
+                                            capacity_bytes=cap)
+        except OutOfMemoryError as exc:
+            ref = exc
+        try:
             want = execute_plan(plan, run, capacity_bytes=cap)
         except OutOfMemoryError as exc:
             oom += 1
-            err = batch.errors[k]
             assert batch.lane(k) is None
-            assert isinstance(err, OutOfMemoryError)
-            assert (err.device, err.peak_bytes, err.capacity_bytes) \
-                == (exc.device, exc.peak_bytes, exc.capacity_bytes)
-            assert str(err) == str(exc)
+            assert_same_oom(batch.errors[k], exc)
+            assert_same_oom(exc, ref)
         else:
             ok += 1
             assert_lane_equal(batch, k, want)
+            assert_result_equal(want, ref)
     return ok, oom
+
+
+def assert_same_deadlock(got, program, costs, run):
+    """``got`` (a raised SchedulingError) against the reference's
+    deadlock, whose message the event core extends by the wait cycle."""
+    with pytest.raises(SchedulingError, match="deadlock") as ref:
+        execute_program_reference(program, costs, run)
+    want = str(ref.value)
+    assert str(got) == want or str(got).startswith(want + "; wait cycle: ")
 
 
 def assert_alone_equal(plan, run, cap=None):
     """``plan`` as a batch of one through ``execute_many``: one lockstep
     batch at occupancy 1 and no fallback; its fold row is the scalar
-    lean fold, its view (or OOM) the scalar run's.  Returns (ok, oom)."""
+    fold, its view (or OOM) the scalar run's and the reference
+    interpreter's.  Returns (ok, oom)."""
     from repro import profiling
 
     stats = profiling.batching_stats()
@@ -142,9 +162,6 @@ def assert_alone_equal(plan, run, cap=None):
     assert (stats.batches, stats.occupancy.get(1, 0), stats.scalar_cells,
             stats.fallback_reasons) == \
         (before[0] + 1, before[1] + 1, before[2], before[3])
-    if out.errors[0] is None:
-        lean = execute_plan(plan, run, capacity_bytes=cap, detail="lean")
-        assert out.fold.row(0) == fold_events(lean).row(0)
     return assert_batch_equal(out, [plan], run, [cap])
 
 
@@ -221,26 +238,6 @@ class TestCapacityParity:
                    for cap in (1, peak - 1, peak + 1, None)]
             assert got == [(0, 1), (0, 1), (1, 0), (1, 0)]
 
-    def test_batch_of_one_keeps_lazy_cost_contract(self):
-        """A mid-run-aborting batch of one resolves exactly the lazy
-        compute costs the scalar core does — none after the aborting
-        compute; a statically-rejected one resolves none."""
-        base = self._annotated()
-        peak = max(execute_plan(lanes_for(base, n=1)[0],
-                                RunConfig()).mem_peak.values())
-        cap = int(peak) - 1
-        alone, scalar, static = (lanes_for(base, n=1)[0] for _ in range(3))
-        # two calls: together the lanes would stack into a batch of two
-        execute_many([(alone, cap)])
-        execute_many([(static, 1)])
-        with pytest.raises(OutOfMemoryError):
-            execute_plan(scalar, RunConfig(), capacity_bytes=cap)
-        resolved = [c is not None for c in alone.comp_cost]
-        assert resolved == [c is not None for c in scalar.comp_cost]
-        assert 0 < sum(resolved) < len(resolved)
-        assert not any(c is not None for c in static.comp_cost)
-
-
 class TestCollectiveParity:
     """Gradient-sync rings compiled in (concrete clusters, d=2)."""
 
@@ -267,7 +264,7 @@ class TestCollectiveParity:
         for k, plan in enumerate(plans):
             want = execute_plan(plan, run)
             assert want.collectives  # the rings really are in the plan
-            assert fold_events(want).sync_s[0] > 0
+            assert reference_fold(want)[3] > 0  # the rings' sync_s
             assert_lane_equal(batch, k, want)
 
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
@@ -294,15 +291,18 @@ class TestColumnarResult:
     def test_no_detail_parameter_on_batched_entry_points(self):
         import inspect
 
+        from repro.runtime import events
+
         for fn in (execute_batch, execute_many, batched._execute_lockstep,
-                   batched._execute_contended):
+                   batched._execute_contended, execute_plan,
+                   events._materialize):
             assert "detail" not in inspect.signature(fn).parameters
 
     @pytest.mark.parametrize("contention", [False, True],
                              ids=["free", "contention"])
     def test_views_are_built_on_demand(self, monkeypatch, contention):
-        """A contention lane's view re-runs the scalar core, so both
-        materializers are patched."""
+        """Every lane view, a contention lane's scalar re-run included,
+        goes through the one materializer."""
         from repro.runtime import events
 
         def forbidden(*_args, **_kwargs):
@@ -312,7 +312,6 @@ class TestColumnarResult:
         run = RunConfig(contention=contention)
         want = [reference_fold(execute_plan(p, run)) for p in plans]
         with monkeypatch.context() as patched:
-            patched.setattr(batched, "_materialize", forbidden)
             patched.setattr(events, "_materialize", forbidden)
             batch = execute_batch(PlanBatch.from_plans(plans), run)
             assert [batch.fold.row(k) for k in range(len(plans))] == want
@@ -562,28 +561,6 @@ class TestContentionDriver:
         assert assert_batch_equal(batch, plans, run, caps) == (2, 2)
         assert stats.scalar_cells == before
 
-    def test_aborted_lane_keeps_lazy_cost_contract(self):
-        """A mid-run-aborting contention lane resolves lazy compute
-        costs only up to (and including) its aborting compute; a
-        statically-rejected lane resolves none."""
-        scheme, kw = "dapple", {}
-        stages = build_schedule(make_config(scheme, P, B, **kw)) \
-            .num_stages
-        res = StageResources(weight_bytes=(100.0,) * stages,
-                             activation_bytes=(10.0,) * stages)
-        base = lowered(scheme, kw, resources=res)
-        probe = lanes_for(base)
-        peak = max(execute_plan(probe[1], RunConfig()).mem_peak.values())
-        caps = [1, int(peak) - 1, None, None]
-        plans = lanes_for(base)  # fresh lanes: no probe-resolved costs
-        execute_batch(PlanBatch.from_plans(plans, caps),
-                      RunConfig(contention=True))
-        assert all(c is None for c in plans[0].comp_cost)
-        resolved = sum(c is not None for c in plans[1].comp_cost)
-        assert 0 < resolved < len(plans[1].comp_cost)
-        assert all(c is not None for c in plans[2].comp_cost)
-
-
 class TestContentionDriverEdges:
     """Inputs chosen to hit the driver's tie and fallback rules."""
 
@@ -612,8 +589,8 @@ class TestContentionDriverEdges:
         run = RunConfig(prefetch=prefetch, contention=True)
         batch = contended(plans, run)
         for k, plan in enumerate(plans):
-            assert batch.fold.row(k) == fold_events(
-                execute_plan(plan, run, detail="lean")).row(0)
+            assert batch.fold.row(k) == reference_fold(
+                execute_plan(plan, run))
 
     def test_zero_time_transfers_run_scalar(self):
         """A lane whose transfers partly take zero time while others
@@ -865,10 +842,10 @@ class TestContentionGrids:
         delta = (stats.batches - before[0], stats.scalar_cells - before[1],
                  stats.splits - before[2])
         assert stats.fallback_reasons == before[3]
-        wants = [execute_plan(plan, run, detail="lean") for plan in plans]
+        wants = [execute_plan(plan, run) for plan in plans]
         for k, want in enumerate(wants):
             assert out.errors[k] is None
-            assert out.fold.row(k) == fold_events(want).row(0)
+            assert out.fold.row(k) == reference_fold(want)
         return delta, wants
 
     def test_grant_stable_grid_stays_one_batch(self):
@@ -1008,6 +985,54 @@ class TestDeadlockOutranksCapacity:
         with pytest.raises(SchedulingError, match="deadlock") as alone:
             execute_many([(plans[1], None)], run)
         assert str(alone.value) == str(scalar.value)
+
+
+class TestStructuralVerdicts:
+    """What the structural pass refuses or reports is an error of every
+    driver, worded as the scalar core and the reference word it."""
+
+    def test_deadlock_text_matches_every_driver(self):
+        """A deadlocking 8-lane contention group raises the scalar
+        contention core's exact text, which is also the uncontended
+        one's; both extend the reference interpreter's message."""
+        plan = TestDeadlockOutranksCapacity().deadlocking_lanes()[0]
+        plans = lanes_for(plan, n=batched.MIN_CONTENTION_LANES)
+        texts = []
+        for contention in (False, True):
+            run = RunConfig(contention=contention)
+            with pytest.raises(SchedulingError, match="deadlock") as scalar:
+                execute_plan(plans[0], run)
+            with pytest.raises(SchedulingError, match="deadlock") as many:
+                execute_many([(p, None) for p in plans], run)
+            assert str(many.value) == str(scalar.value)
+            assert_same_deadlock(scalar.value, plan.program, plans[0].costs,
+                                 run)
+            texts.append(str(scalar.value))
+        assert texts[0] == texts[1]
+        assert "wait cycle" in texts[0]
+
+    def test_cross_device_local_dependency_is_refused(self):
+        """A local (transfer-less) hand-off between two devices would
+        time a compute from another device's clock; the structural pass
+        names it instead of running it."""
+        import dataclasses
+
+        from repro.actions.program import Dependency
+
+        program = lowered("gpipe", {}).program
+        key, deps = next((key, deps) for key, deps in program.deps.items()
+                         if any(dep.remote for dep in deps))
+        forged = tuple(Dependency(dep.producer, dep.src) for dep in deps)
+        bad = ExecutablePlan.lower(dataclasses.replace(
+            program, deps={**program.deps, key: forged}))
+        plans = lanes_for(bad, n=2)
+        kind, mb, st = key
+        with pytest.raises(SchedulingError,
+                           match=rf"{kind.value}\(m{mb},s{st}\) on d\d+ "
+                                 "has a local dependency on"):
+            execute_plan(plans[0], RunConfig())
+        with pytest.raises(SchedulingError, match="local dependency"):
+            execute_batch(PlanBatch.from_plans(plans), RunConfig())
 
 
 class TestBoundPlanCache:

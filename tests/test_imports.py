@@ -114,6 +114,14 @@ def test_search_never_loads_the_event_cores():
                 "repro.runtime.events"} & set(proc.stdout.split())
 
 
+def test_uncontended_trace_never_loads_the_lane_axis(tmp_path):
+    """An uncontended ``execute_plan`` is the single-lane core alone."""
+    loaded = _imported_by("trace", "--scheme", "hanayo", "-p", "4", "-b",
+                          "8", "-w", "2", "-o", str(tmp_path / "t.json"))
+    assert "repro.runtime.events" in loaded
+    assert not {"numpy", "repro.runtime.batched"} & loaded
+
+
 def test_advise_does_not_load_the_daemon():
     loaded = _imported_by("advise", "--model", "tiny", "-n", "4",
                           "--batch", "8", "--json")

@@ -14,17 +14,19 @@ import pytest
 from repro.actions import (
     CollectiveOp,
     ExecutablePlan,
+    StageResources,
     compile_program,
 )
 from repro.analysis import compile_cluster_program
 from repro.cluster import make_fc
 from repro.config import CostConfig, PipelineConfig, RunConfig
-from repro.errors import SchedulingError
+from repro.errors import OutOfMemoryError, SchedulingError
 from repro.models import tiny_model
 from repro.models.costs import stage_costs
 from repro.runtime import (
     AbstractCosts,
     ConcreteCosts,
+    execute_many,
     execute_plan,
     execute_program,
 )
@@ -189,8 +191,10 @@ class TestBindingAndRetime:
             plan.decode_actions(99)
 
 
-class TestLazyDurations:
-    def test_completed_run_resolves_each_compute_once(self):
+class TestEagerDurations:
+    def test_retime_consults_the_oracle_once_per_compute(self):
+        """Costs bind at retime: one oracle call per compute there, and
+        none from any execution — completed, repeated or aborted."""
         from repro.schedules import build_schedule
 
         calls = []
@@ -202,13 +206,19 @@ class TestLazyDurations:
 
         cfg = make_config("dapple", P, B)
         sched = build_schedule(cfg)
-        program = compile_program(sched)
-        oracle = Counting(CostConfig(), P, sched.num_stages)
+        stages = sched.num_stages
+        program = compile_program(sched, resources=StageResources(
+            weight_bytes=(100.0,) * stages,
+            activation_bytes=(10.0,) * stages))
+        oracle = Counting(CostConfig(), P, stages)
         plan = ExecutablePlan.lower(program, oracle)
-        execute_plan(plan)
-        assert len(calls) == program.compute_count()
-        # a second execution of the same bound plan reuses the column
-        execute_plan(plan)
+        assert calls == list(plan.comp_ops)
+        for run in (RunConfig(), RunConfig(contention=True)):
+            execute_plan(plan, run)
+            execute_plan(plan, run)
+            with pytest.raises(OutOfMemoryError):
+                execute_plan(plan, run, capacity_bytes=105)
+        execute_many([(plan, None), (plan, 105)])
         assert len(calls) == program.compute_count()
 
 

@@ -706,7 +706,6 @@ class TestBatchUnits:
         """The harness folds the runtime's lane-axis columns: with every
         event-object constructor on the path patched to raise,
         multi-lane groups still produce exactly the one-lane results."""
-        import repro.runtime.batched as batched_mod
         import repro.runtime.events as events_mod
         from repro.analysis import measure_hybrid_throughput_batch
 
@@ -717,11 +716,8 @@ class TestBatchUnits:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("event object built while measuring")
 
-        for module, name in ((batched_mod, "_materialize"),
-                             (events_mod, "_materialize"),
-                             (events_mod, "TimedOp"),
-                             (events_mod, "CollectiveEvent")):
-            monkeypatch.setattr(module, name, forbidden)
+        for name in ("_materialize", "TimedOp", "CollectiveEvent"):
+            monkeypatch.setattr(events_mod, name, forbidden)
         got = measure_hybrid_throughput_batch(requests)
         assert all(r.sync_s > 0 for r in got)   # the DP rings are folded
         assert got == want
