@@ -18,10 +18,16 @@ what the differential fuzz harness pins:
   rebuilt program deadlocks *iff* the graph of per-device entry order
   plus dataflow edges has a cycle.  Same-device inversions are reported
   individually; genuine cross-device cycles come with a concrete
-  ``a -> b -> ... -> a`` witness (shared
-  :func:`~repro.schedules.validation.residual_cycle` machinery).  An
-  acyclic graph's topological order is what the searcher times
-  (:attr:`LegalityChecker.order`, :mod:`repro.synthesis.timing`).
+  ``a -> b -> ... -> a`` witness.  An acyclic graph's topological
+  order is what the searcher times (:attr:`LegalityChecker.order`,
+  :mod:`repro.synthesis.timing`).  A full check finds it with one Kahn
+  pass (and a cycle witness with the shared
+  :func:`~repro.schedules.validation.residual_cycle` machinery); a
+  mutated candidate instead *repairs* its parent's order
+  (:class:`Walk`): only the order edges around each moved window are
+  new, and they are inserted one at a time, Pearce–Kelly style, so a
+  cycle is caught — with the path that closes it as its witness — the
+  moment the edge closing it goes in.
 * **Memory** (``capacity``): per device, activation deltas apply in
   program order — alloc at forward start, free at backward end, checked
   against capacity after each alloc — so a sequential walk reproduces
@@ -37,15 +43,18 @@ what the differential fuzz harness pins:
 :class:`LegalityChecker` is the search-rate form: it precomputes every
 program-side fact (entry multisets, interned dependency edges, per-rule
 indices) once, so the per-candidate cost is a few linear passes over
-the ordering itself plus one Kahn pass.  :func:`check_ordering`
-builds a throwaway checker — same verdicts, one-shot convenience.
+the ordering plus the deadlock rule, whose repair touches only the
+changed devices and the order between a new edge's ends.
+:func:`check_ordering` builds a throwaway checker and runs the full
+check — the reference every repair is fuzzed against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..actions.ops import CollectiveKind, CollectiveOp
 from ..actions.program import ComputeKey, Program
@@ -84,6 +93,27 @@ class Violation:
         return f"[{self.kind}@{where}] {self.message}"
 
 
+class Walk(NamedTuple):
+    """The deadlock rule's result for one ordering, reusable by its
+    mutations.
+
+    ``device_entries`` is the ordering's own and ``seqs`` each device's
+    compute indices in that order (collectives dropped); ``nxt`` /
+    ``prv`` are the order edges leaving / entering each compute
+    (``-1`` at a device's ends); ``order`` is a topological order of
+    the wait graph and ``rank`` its inverse.  Copy-on-write: a repair
+    copies the arrays it changes and shares the rest, so a walk's
+    arrays never change once built.
+    """
+
+    device_entries: tuple
+    seqs: tuple[list[int], ...]
+    nxt: list[int]
+    prv: list[int]
+    rank: list[int]
+    order: list[int]
+
+
 def _fmt(key: ComputeKey) -> str:
     return f"{key[0].value}(m{key[1]},s{key[2]})"
 
@@ -98,9 +128,9 @@ class LegalityChecker:
     Construction pays the program-side extraction once; :meth:`check`
     then validates any number of candidate orderings.  ``structural``
     may be turned off per call when the caller guarantees the ordering
-    is a per-device permutation of the program's entries — true for
-    every mutation-produced candidate, whose operators only ever *move*
-    entries — which skips the multiset comparison entirely.
+    is a per-device permutation of the program's entries, which skips
+    the multiset comparison; ``parent=`` (see :meth:`check`) also
+    skips rebuilding the wait graph.
     """
 
     def __init__(self, program: Program,
@@ -125,26 +155,40 @@ class LegalityChecker:
         self._keys: tuple[ComputeKey, ...] = tuple(program.ops)
         idx = self._index
         n = len(self._keys)
-        #: dataflow edges as producer -> consumers adjacency, in-degrees
+        #: dataflow edges as producer -> consumers adjacency (and its
+        #: reverse), in-degrees
         self._dep_out: list[list[int]] = [[] for _ in range(n)]
+        self._dep_in: list[list[int]] = [[] for _ in range(n)]
         self._dep_indeg = [0] * n
         #: per device, the local (producer, consumer) index pairs whose
         #: relative order the ordering must preserve
         self._local_pairs: dict[int, list[tuple[int, int]]] = {
             device: [] for device in self.base_entries
         }
+        #: per consumer, ``(index in its device's local pairs,
+        #: producer)`` of each local pair
+        self._local_in: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for key, deps in program.deps.items():
             ci = idx[key]
             for dep in deps:
                 pi = idx[dep.producer]
                 self._dep_out[pi].append(ci)
+                self._dep_in[ci].append(pi)
                 self._dep_indeg[ci] += 1
                 if dep.tag is None:
-                    device = program.ops[key].device
-                    self._local_pairs[device].append((pi, ci))
-        #: compute indices in a topological order of the last
-        #: :meth:`check`'s wait graph; ``None`` when that check stopped
-        #: before or at the deadlock rule
+                    pairs = self._local_pairs[program.ops[key].device]
+                    self._local_in[ci].append((len(pairs), pi))
+                    pairs.append((pi, ci))
+        #: devices whose entries are all computes: interned by a plain
+        #: lookup, with no per-entry collective test
+        self._plain = {
+            device: not any(isinstance(e, CollectiveOp) for e in entries)
+            for device, entries in self.base_entries.items()
+        }
+        #: the last :meth:`check`'s :class:`Walk` and its topological
+        #: order; ``None`` when that check stopped before or at the
+        #: deadlock rule
+        self.walk: Walk | None = None
         self.order: list[int] | None = None
         #: per device, per grad-sync (stage, replica): how many matching
         #: backwards the collective must trail
@@ -171,7 +215,8 @@ class LegalityChecker:
     # -- entry point ------------------------------------------------------
 
     def check(self, ordering: "ScheduleOrdering",
-              structural: bool = True) -> list[Violation]:
+              structural: bool = True,
+              parent: Walk | None = None) -> list[Violation]:
         """Every rule ``ordering`` breaks, in severity order
         (structural, then deadlock, then memory, then semantic).
 
@@ -180,24 +225,32 @@ class LegalityChecker:
         program that replays to completion (and, when the checker
         carries a capacity, within it).  Structural violations suppress
         the downstream checks — positions are meaningless when the work
-        set is wrong.  A check that passes the deadlock rule leaves that
-        rule's topological order in :attr:`order`, for the scorer.
+        set is wrong.  A check that passes the deadlock rule leaves its
+        :class:`Walk` in :attr:`walk` and that walk's topological order
+        in :attr:`order`, for the scorer.
+
+        ``parent`` is the :attr:`walk` of an ordering whose entries
+        ``ordering`` only moves — true for every mutation-produced
+        candidate, so it implies ``structural=False``: the deadlock
+        rule then repairs it (:meth:`_repair_dependencies`), with the
+        same verdict and, for a cycle, its own witness.
         """
         program = self.program
-        self.order = None
+        self.walk = self.order = None
         frontier = ordering.recompute_frontier
         if frontier is not None and program.resources is None:
             raise SchedulingError(
                 f"{program.name}: a recompute frontier needs a "
                 "resource-annotated program (compile with resources=...)"
             )
-        if structural:
-            violations = self._check_structure(ordering)
-            if violations:
-                return violations
+        if parent is not None:
+            violations = self._repair_dependencies(ordering, parent)
         else:
-            violations = []
-        violations.extend(self._check_dependencies(ordering))
+            if structural:
+                violations = self._check_structure(ordering)
+                if violations:
+                    return violations
+            violations = self._check_dependencies(ordering)
         if program.tracks_memory:
             violations.extend(self._check_capacity(ordering))
         violations.extend(self._check_collectives(ordering))
@@ -249,35 +302,27 @@ class LegalityChecker:
         entry order + dataflow edges); same-device inversions are read
         off its positions, and a Kahn pass over it yields either a
         cross-device cycle witness or the topological order
-        (:attr:`order`)."""
-        index = self._index
+        (:attr:`walk`)."""
         n = len(self._keys)
         pos = [0] * n
         nxt = [-1] * n          # the order edge leaving each compute
+        prv = [-1] * n          # ... and entering it
         indeg = self._dep_indeg.copy()
-        for _, entries in ordering.device_entries:
-            prev = -1
-            for k, entry in enumerate(entries):
-                if isinstance(entry, CollectiveOp):
-                    continue  # never blocks; irrelevant to deadlock
-                cur = index[entry]
+        seqs = tuple(self._intern(device, entries)
+                     for device, entries in ordering.device_entries)
+        for seq in seqs:
+            for k, cur in enumerate(seq):
                 pos[cur] = k
-                if prev >= 0:
-                    nxt[prev] = cur
-                    indeg[cur] += 1
-                prev = cur
+            for cur, following in zip(seq, seq[1:]):
+                nxt[cur] = following
+                prv[following] = cur
+                indeg[following] += 1
 
         out: list[Violation] = []
-        keys = self._keys
         for device, _ in ordering.device_entries:
             for pi, ci in self._local_pairs.get(device, ()):
                 if pos[pi] > pos[ci]:
-                    out.append(Violation(
-                        kind="dep-inversion", device=device,
-                        message=(f"{_fmt(keys[ci])} placed before its "
-                                 f"local producer {_fmt(keys[pi])}"),
-                        subject=(keys[pi], keys[ci]),
-                    ))
+                    out.append(self._inversion(device, pi, ci))
         if out:
             # Local inversions already are cycles (order edge one way,
             # dep edge the other); the global pass would re-report them.
@@ -296,24 +341,169 @@ class LegalityChecker:
                 if not indeg[j]:
                     order.append(j)
         if len(order) == n:
-            self.order = order
+            rank = [0] * n
+            for r, i in enumerate(order):
+                rank[i] = r
+            self._accept(Walk(ordering.device_entries, seqs, nxt, prv,
+                              rank, order))
             return out
         # Rare path: rebuild in key space for a readable witness.
+        keys = self._keys
         key_out: dict[ComputeKey, list[ComputeKey]] = {k: [] for k in keys}
         for i, consumers in enumerate(dep_out):
             key_out[keys[i]] += (keys[j] for j in consumers)
             if nxt[i] >= 0:
                 key_out[keys[i]].append(keys[nxt[i]])
         cycle = residual_cycle(key_out, dict(zip(keys, indeg)))
+        out.append(self._cycle(cycle))
+        return out
+
+    def _repair_dependencies(
+        self, ordering: "ScheduleOrdering", parent: Walk,
+    ) -> list[Violation]:
+        """The deadlock rule for a mutation of ``parent``'s ordering.
+
+        Per device, only the window ``[lo, hi]`` of its compute
+        sequence that differs from the parent's moved, so a new
+        inversion has both ends inside a window, and the only new wait
+        edges are the order edges touching it.  Those are removed
+        first, then inserted one at a time into the parent's order
+        (:meth:`_insert_edge`) — exactly the verdicts of
+        :meth:`_check_dependencies`.
+        """
+        if ordering.device_entries is parent.device_entries:
+            self._accept(parent)  # a recompute-frontier move
+            return []
+        seqs = list(parent.seqs)
+        windows = []
+        for d, ((device, entries), (_, was)) in enumerate(
+                zip(ordering.device_entries, parent.device_entries)):
+            if entries is was or entries == was:
+                continue
+            old = seqs[d]
+            seq = self._intern(device, entries)
+            lo, m = 0, len(seq)
+            while lo < m and seq[lo] == old[lo]:
+                lo += 1
+            if lo == m:
+                continue  # only collectives moved
+            hi = m - 1
+            while seq[hi] == old[hi]:
+                hi -= 1
+            seqs[d] = seq
+            windows.append((device, old, seq, lo, hi))
+        if not windows:
+            self._accept(Walk(ordering.device_entries, parent.seqs,
+                              parent.nxt, parent.prv, parent.rank,
+                              parent.order))
+            return []
+
+        out: list[Violation] = []
+        local_in = self._local_in
+        for device, _, seq, lo, hi in windows:
+            at = {c: k for k, c in enumerate(seq[lo:hi + 1])}
+            hits = sorted(
+                (j, p, c) for c, k in at.items() for j, p in local_in[c]
+                if at.get(p, -1) > k)
+            out += (self._inversion(device, p, c) for _, p, c in hits)
+        if out:
+            return out
+
+        nxt, prv = parent.nxt.copy(), parent.prv.copy()
+        rank, order = parent.rank.copy(), parent.order.copy()
+        added = []
+        for _, old, seq, lo, hi in windows:
+            # order edges k -> k + 1 for k in [lo - 1, hi]
+            a, b = max(lo - 1, 0), hi + 2
+            for u, v in zip(old[a:b], old[a + 1:b]):
+                nxt[u] = prv[v] = -1
+            added += zip(seq[a:b], seq[a + 1:b])
+        for u, v in added:
+            if rank[u] > rank[v]:
+                cycle = self._insert_edge(u, v, nxt, prv, rank, order)
+                if cycle:
+                    keys = self._keys
+                    out.append(self._cycle([keys[i] for i in cycle]))
+                    return out
+            nxt[u] = v
+            prv[v] = u
+        self._accept(Walk(ordering.device_entries, tuple(seqs), nxt, prv,
+                          rank, order))
+        return out
+
+    def _insert_edge(self, u: int, v: int, nxt: list[int], prv: list[int],
+                     rank: list[int], order: list[int]) -> list[int]:
+        """Make ``order`` admit the edge ``u -> v`` (``rank[u] >
+        rank[v]``), Pearce–Kelly: or return the path ``v -> ... -> u``
+        that the edge closes into a cycle.
+
+        Only nodes ranked between the two ends can move: those ``v``
+        reaches go after those reaching ``u``, each set keeping its
+        relative order, in the rank slots they held between them.
+        """
+        ru, rv = rank[u], rank[v]
+        dep_out, dep_in = self._dep_out, self._dep_in
+        came = {v: -1}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            j = nxt[x]
+            for y in dep_out[x] if j < 0 else (*dep_out[x], j):
+                if y == u:
+                    path = [u, x]
+                    while came[x] >= 0:
+                        x = came[x]
+                        path.append(x)
+                    return path[::-1]
+                if rank[y] < ru and y not in came:
+                    came[y] = x
+                    stack.append(y)
+        back = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            j = prv[x]
+            for y in dep_in[x] if j < 0 else (*dep_in[x], j):
+                if rank[y] > rv and y not in back:
+                    back.add(y)
+                    stack.append(y)
+        at = rank.__getitem__
+        slots = sorted(map(at, chain(back, came)))
+        moved = sorted(back, key=at) + sorted(came, key=at)
+        for r, x in zip(slots, moved):
+            rank[x] = r
+            order[r] = x
+        return []
+
+    def _intern(self, device: int, entries: tuple) -> list[int]:
+        """A device's compute indices in entry order."""
+        if self._plain.get(device, False):
+            return list(map(self._index.__getitem__, entries))
+        index = self._index
+        return [index[e] for e in entries if not isinstance(e, CollectiveOp)]
+
+    def _accept(self, walk: Walk) -> None:
+        self.walk = walk
+        self.order = walk.order
+
+    def _inversion(self, device: int, pi: int, ci: int) -> Violation:
+        keys = self._keys
+        return Violation(
+            kind="dep-inversion", device=device,
+            message=(f"{_fmt(keys[ci])} placed before its "
+                     f"local producer {_fmt(keys[pi])}"),
+            subject=(keys[pi], keys[ci]),
+        )
+
+    def _cycle(self, cycle: list[ComputeKey]) -> Violation:
         path = " -> ".join(_fmt(k) for k in cycle)
-        out.append(Violation(
+        return Violation(
             kind="cross-device-cycle",
             device=self.program.ops[cycle[0]].device,
             message=(f"order and dataflow edges form a wait cycle: "
                      f"{path} -> {_fmt(cycle[0])}"),
             subject=tuple(cycle),
-        ))
-        return out
+        )
 
     # -- memory -----------------------------------------------------------
 

@@ -6,10 +6,14 @@ already-seen candidates, score the survivors by *simulated step time*,
 and stop after ``patience`` rounds without improvement.  What makes it
 fast enough to matter is the evaluation path, not the loop:
 
-* legality (:class:`~repro.synthesis.legality.LegalityChecker`) is one
-  walk of the ordering plus a Kahn pass, and rejects deadlocks, OOMs
-  and misplaced collectives before anything is timed;
-* a legal candidate is scored on the topological order that pass
+* legality (:class:`~repro.synthesis.legality.LegalityChecker`)
+  rejects deadlocks, OOMs and misplaced collectives before anything is
+  timed.  Every candidate is a mutation of a scored beam member, and
+  each scored candidate carries its check's
+  :class:`~repro.synthesis.legality.Walk`, so the deadlock rule
+  repairs the parent's topological order around the moved entries
+  instead of re-walking the whole wait graph;
+* a legal candidate is scored on the topological order that check
   already computed: :class:`~repro.synthesis.timing.TimedReplay` runs
   one float recurrence over it — no candidate ``Program``, no lowered
   plan, no event loop — and is ``==`` to executing the reordered
@@ -30,7 +34,7 @@ same best ordering, same provenance) is pinned by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Iterable, Mapping
 
@@ -43,7 +47,7 @@ from ..errors import SynthesisError
 from ..runtime.costs import CostOracle
 from ..schedules.base import Schedule
 from ..types import OpKind, ScheduleOp
-from .legality import LegalityChecker
+from .legality import LegalityChecker, Walk
 from .mutations import Mutation, default_operators, propose_mutation
 from .ordering import ScheduleOrdering, gpipe_like_ordering
 from .timing import TimedReplay
@@ -83,6 +87,8 @@ class ScoredOrdering:
     makespan: float
     bubble_ratio: float
     provenance: tuple[ProvenanceStep, ...] = ()
+    #: the legality check's walk, which its mutations' checks repair
+    walk: Walk | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -211,23 +217,24 @@ class SynthesisContext:
         self,
         ordering: ScheduleOrdering,
         provenance: tuple[ProvenanceStep, ...] = (),
-        structural: bool = True,
+        parent: Walk | None = None,
     ) -> ScoredOrdering | None:
         """Score a candidate, or ``None`` if illegal.
 
-        ``structural=False`` skips the permutation check — safe for
-        mutation-produced orderings, whose operators only move entries.
+        ``parent`` is the walk of the scored ordering ``ordering`` is a
+        mutation of: legality then repairs it instead of checking from
+        scratch (:meth:`LegalityChecker.check`).
         """
         self.evaluated += 1
         checker = self.checker
-        if checker.check(ordering, structural=structural):
+        if checker.check(ordering, parent=parent):
             self.illegal += 1
             return None
         makespan, bubble_ratio = self.replay_for(
             ordering.recompute_frontier).score(checker.order)
         return ScoredOrdering(ordering=ordering, makespan=makespan,
                               bubble_ratio=bubble_ratio,
-                              provenance=provenance)
+                              provenance=provenance, walk=checker.walk)
 
     def plan_for(self, ordering: ScheduleOrdering) -> ExecutablePlan:
         """A bound plan of a (legal) ordering — for keys and replays:
@@ -307,7 +314,8 @@ def synthesize(
         ctx.illegal += 1
         scored_start = ScoredOrdering(ordering=start_ordering,
                                       makespan=math.inf,
-                                      bubble_ratio=math.inf)
+                                      bubble_ratio=math.inf,
+                                      walk=ctx.checker.walk)
     else:
         scored_start = ctx.evaluate(start_ordering)
         assert scored_start is not None
@@ -339,7 +347,7 @@ def synthesize(
             proposals.append((mutation, mutated, parent))
         fresh: list[ScoredOrdering] = []
         for mutation, mutated, parent in proposals:
-            scored = ctx.evaluate(mutated, structural=False)
+            scored = ctx.evaluate(mutated, parent=parent.walk)
             if scored is None:
                 continue
             step = ProvenanceStep(round=round_no, mutation=mutation,

@@ -7,9 +7,12 @@ so timing does not depend on replay order (the invariant the batched
 runtime is built on).  A legal ordering's makespan is therefore a
 longest-path recurrence over the wait graph
 :class:`~repro.synthesis.legality.LegalityChecker` has already sorted
-(:attr:`~repro.synthesis.legality.LegalityChecker.order`), and
-:class:`TimedReplay` evaluates it in plain floats with the event core's
-own expressions, so a score is ``==`` to
+(:attr:`~repro.synthesis.legality.LegalityChecker.order` — a Kahn order
+for a full check, the parent's order repaired for a mutated candidate;
+any topological order gives the same score, since every one visits a
+device's computes in device order), and :class:`TimedReplay` evaluates
+it in plain floats with the event core's own expressions, so a score
+is ``==`` to
 :func:`~repro.runtime.events.execute_plan` +
 :func:`~repro.runtime.metrics.bubble_stats` of the reordered program
 (the synthesis fuzz suite pins it per candidate):

@@ -14,7 +14,10 @@ The load-bearing pins, in dependency order:
 * **Search determinism and the rediscovery demo** — the same seed
   yields the same best ordering, provenance and plan key; from a
   GPipe-disciplined start on Hanayo's placement the search finds a
-  strictly better schedule than the start.
+  strictly better schedule than the start.  The two headline searches
+  pin their whole trajectory (candidates evaluated, illegal, plan key),
+  so any legality verdict that moves shows even where no best
+  makespan changes.
 * **Replayable serialization** — payload -> JSON -> replay round-trips
   scores bit-identically and fails loudly on a plan-key mismatch.
 """
@@ -22,6 +25,7 @@ The load-bearing pins, in dependency order:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,11 @@ from conftest import ALL_SCHEMES, make_config, scheme_id
 from support.events_ref import execute_program_reference
 
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
+#: the seeded searches benchmarks/e2e pins bit for bit
+GOLDEN_SEARCHES = json.loads(
+    (Path(__file__).resolve().parents[1]
+     / "benchmarks" / "e2e" / "golden.json").read_text()
+)["synth_search"]["searches"]
 
 
 def build(scheme, p=4, b=4, prefetch=True, batching=True, resources=None,
@@ -438,6 +447,17 @@ class TestHeadlineSearches:
         sched = build_schedule(make_config(scheme, 4, b, **kw), COMM)
         return sched, AbstractCosts(COMM, 4, sched.num_stages)
 
+    def _beat_families(self):
+        sched, oracle = self._problem("chimera", 6)
+        conf = SearchConfig(seed=0, rounds=150, samples_per_round=64,
+                            beam_width=8, patience=30, max_shift=8)
+        return synthesize(sched, oracle, conf)
+
+    @staticmethod
+    def _assert_trajectory(res, name, evaluated, illegal):
+        assert (res.evaluated, res.illegal) == (evaluated, illegal)
+        assert res.plan_key == GOLDEN_SEARCHES[name]["plan_key"]
+
     def test_rediscovers_compiled_hanayo(self):
         """From a GPipe-disciplined start on Hanayo-2's placement at
         P = 4, B = 4 the search finds wave-style interleaving: exactly
@@ -447,6 +467,7 @@ class TestHeadlineSearches:
                             beam_width=6, patience=16, max_shift=6)
         res = synthesize(sched, oracle, conf, start="gpipe")
         assert res.best.makespan == simulate(sched, oracle).makespan == 22.0
+        self._assert_trajectory(res, "rediscovery_hanayo/0", 1098, 567)
 
     def test_beats_every_compiled_family(self):
         """Searching Chimera's placement at P = 4, B = 6, t_c = 0.25
@@ -459,12 +480,24 @@ class TestHeadlineSearches:
                 simulate(sched, oracle).makespan
         assert min(compiled, key=compiled.get) == "hanayo-w2"
         assert compiled["hanayo-w2"] == 26.0
-        sched, oracle = self._problem("chimera", 6)
-        conf = SearchConfig(seed=0, rounds=150, samples_per_round=64,
-                            beam_width=8, patience=30, max_shift=8)
-        res = synthesize(sched, oracle, conf)
+        res = self._beat_families()
         assert res.best.makespan == 22.25
         assert res.best.makespan < min(compiled.values())
+        self._assert_trajectory(res, "beat_families/0", 4030, 1938)
+
+    def test_discarded_candidates_build_no_witness(self, monkeypatch):
+        """A mutated candidate's wait cycle is reported with the path
+        the repair found, so the search never builds a key-space
+        ``residual_cycle`` witness for a candidate it then discards."""
+        from repro.synthesis import legality
+
+        def no_witness(*args, **kwargs):
+            raise AssertionError("residual_cycle called by the search")
+
+        monkeypatch.setattr(legality, "residual_cycle", no_witness)
+        res = self._beat_families()
+        assert res.best.makespan == 22.25
+        self._assert_trajectory(res, "beat_families/0", 4030, 1938)
 
 
 class TestSerialization:

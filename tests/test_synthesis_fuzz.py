@@ -25,6 +25,13 @@ the checker's topological order — and its ``(makespan, bubble_ratio)``
 must be ``==`` the uncontended event core's, which in turn may not beat
 :func:`~repro.runtime.metrics.compute_time_lower_bound`.
 
+Every candidate is checked twice, the way the searcher checks it (by
+repairing the walk of the ordering it was mutated from) and from
+scratch: both must agree on the violation kinds and the
+``dep-inversion`` list, a repaired cycle witness must be a real cycle
+of the candidate's wait graph, and a repaired order must sort that
+graph and score ``==`` the full check's.
+
 ``REPRO_SYNTH_FUZZ_N`` scales the per-family walk length (default 30 →
 270 candidates across the 9 families; CI runs 120 → 1080).
 """
@@ -97,16 +104,61 @@ def assert_replay_scores(replay, order, rebuilt, oracle, lower_bound):
     assert makespan >= lower_bound
 
 
+def wait_graph(program, ordering):
+    """Key-space wait graph: per-device compute order plus dataflow."""
+    succ = {key: set() for key in program.ops}
+    for _, entries in ordering.device_entries:
+        seq = [e for e in entries if not isinstance(e, CollectiveOp)]
+        for a, b in zip(seq, seq[1:]):
+            succ[a].add(b)
+    for key, deps in program.deps.items():
+        for dep in deps:
+            succ[dep.producer].add(key)
+    return succ
+
+
+def check_both(checker, replay, candidate, walk):
+    """The full check, pinned against repairing ``walk`` (the walk of
+    the ordering ``candidate`` was drawn from); returns the full
+    check's violations and order, and the repaired walk."""
+    violations = checker.check(candidate)
+    order = checker.order
+    repaired = checker.check(candidate, parent=walk)
+    assert {v.kind for v in repaired} == {v.kind for v in violations}
+    assert ([v for v in repaired if v.kind == "dep-inversion"]
+            == [v for v in violations if v.kind == "dep-inversion"])
+    graph = wait_graph(checker.program, candidate)
+    for v in repaired:
+        if v.kind == "cross-device-cycle":
+            cycle = v.subject
+            assert all(b in graph[a]
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    if order is None:
+        assert checker.order is None
+    else:
+        keys = list(checker.program.ops)
+        rank = {keys[i]: r for r, i in enumerate(checker.order)}
+        assert len(rank) == len(keys)
+        assert all(rank[a] < rank[b]
+                   for a, succ in graph.items() for b in succ)
+        assert replay.score(checker.order) == replay.score(order)
+    return violations, order, checker.walk
+
+
 def run_walk(schedule, program, oracle, seed, steps, run=None,
-             capacity_bytes=None, contention_every=5):
-    """The shared fuzz loop; returns (legal, deadlocks, ooms, semantic)."""
+             capacity_bytes=None, contention_every=5, frontier=None):
+    """The shared fuzz loop; returns counts of legal, deadlocked, OOM,
+    semantic-only and frontier-moving candidates."""
     run = run or RunConfig()
     rng = Random(seed)
     checker = LegalityChecker(program, capacity_bytes)
     replay = TimedReplay(ExecutablePlan.lower(program, oracle))
     lower_bound = compute_time_lower_bound(schedule, oracle.duration)
-    ordering = ScheduleOrdering.from_program(program)
-    counts = {"legal": 0, "deadlock": 0, "oom": 0, "semantic": 0}
+    ordering = ScheduleOrdering.from_program(program, frontier)
+    checker.check(ordering)
+    walk = checker.walk
+    counts = {"legal": 0, "deadlock": 0, "oom": 0, "semantic": 0,
+              "frontier": 0}
     for step in range(steps):
         if step % 3 == 2:
             candidate = random_transposition(rng, ordering)
@@ -116,12 +168,18 @@ def run_walk(schedule, program, oracle, seed, steps, run=None,
                                                 max_shift=4)
             except SynthesisError:
                 continue
-        violations = checker.check(candidate)
+        violations, order, repaired = check_both(checker, replay,
+                                                 candidate, walk)
         kinds = {v.kind for v in violations}
         # mutations and transpositions only move entries: never
         # structural
         assert not kinds & {"missing-op", "extra-op", "device-set"}
-        rebuilt = reorder_program(program, candidate.to_orders())
+        base, moved_to = program, candidate.recompute_frontier
+        if moved_to is not None:
+            base = program.with_resources(
+                program.resources.with_recompute_from(moved_to))
+            counts["frontier"] += moved_to != ordering.recompute_frontier
+        rebuilt = reorder_program(base, candidate.to_orders())
         expected = None
         if kinds & DEADLOCK_KINDS:
             counts["deadlock"] += 1
@@ -153,14 +211,13 @@ def run_walk(schedule, program, oracle, seed, steps, run=None,
         ref = execute_program_reference(rebuilt, oracle, active,
                                         capacity_bytes=capacity_bytes)
         assert_bit_identical(new, ref)
-        assert_replay_scores(replay, checker.order, rebuilt, oracle,
-                             lower_bound)
+        assert_replay_scores(replay, order, rebuilt, oracle, lower_bound)
         if kinds:
             assert kinds <= {"collective-order"}
             counts["semantic"] += 1
             continue  # keep walking from a fully legal point only
         counts["legal"] += 1
-        ordering = candidate
+        ordering, walk = candidate, repaired
     return counts
 
 
@@ -231,6 +288,26 @@ class TestFuzzWithCapacity:
                           capacity_bytes=capacity)
         assert counts["legal"] > 0
         assert counts["oom"] > 0
+
+    def test_recompute_frontier_walk(self):
+        """A walk whose ordering carries a movable recompute frontier:
+        frontier moves reach the repair as orderings with the parent's
+        own entries, and the capacity verdict follows the frontier's
+        activation footprint."""
+        sched = build_schedule(make_config("dapple", 4, 8), COMM)
+        oracle = AbstractCosts(COMM, 4, sched.num_stages)
+        stages = sched.num_stages
+        res = StageResources(weight_bytes=(0.0,) * stages,
+                             activation_bytes=(100.0,) * stages,
+                             boundary_bytes=10.0)
+        program = compile_program(
+            sched, boundary_bytes=lambda tag: 0.0, resources=res)
+        # dapple's 1F1B warmup holds at most P activations per device
+        counts = run_walk(sched, program, oracle, seed=1, steps=N,
+                          capacity_bytes=450, frontier=stages)
+        assert counts["legal"] > 0
+        assert counts["oom"] > 0
+        assert counts["frontier"] > 0
 
 
 class TestFuzzWithCollectives:
