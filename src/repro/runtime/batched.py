@@ -422,9 +422,10 @@ def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
 
 
 #: narrowest contention group :func:`execute_many` vectorizes: the
-#: contention driver pays a fixed NumPy cost per event; it breaks even
-#: at about 2 lanes for gpipe, 4 for dapple and 8 for hanayo (2.8-3.5x
-#: the scalar cost at 2 lanes; table in docs/performance.md)
+#: contention driver pays a fixed NumPy cost per event; against the
+#: scalar driver it breaks even at about 6 lanes for gpipe, 10 for
+#: chimera-wave, 12-16 for dapple and above 16 for hanayo (2.5-10x the
+#: scalar cost at 2 lanes; table in docs/performance.md)
 MIN_CONTENTION_LANES = 8
 
 #: entries kept in the per-schedule stacked-cost cache; a structure's

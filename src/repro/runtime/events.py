@@ -30,14 +30,25 @@ flags.  An uncontended execution therefore splits in two:
 A second invariant keeps the compute step branch-free: a *local*
 dependency always names a producer on the consumer's own device (the
 structural pass rejects any other program with a
-:class:`~repro.errors.SchedulingError`) and device clocks are monotone,
-so local dependencies gate blocking only.
+:class:`~repro.errors.SchedulingError`, the time-ordered driver any
+whose head waits on one) and device clocks are monotone, so local
+dependencies gate blocking only.
 
 ``contention=True`` runs the time-ordered driver instead
 (:func:`run_contended`): wire arbitration happens at post time, so
 heads execute in global time order.  Blocking reads only flags that are
 never cleared, so a deadlocking program stalls every driver in the same
 state, and :func:`_deadlock` words the error identically for both.
+
+The driver keeps each device's head time between steps instead of
+re-timing every head per step.  A head's time reads its own device's
+clock and retired computes (the local-dependency invariant above),
+slots that are written once, when posted, and its own group's post
+flag — never wire state.  So a runnable head keeps its time until its
+own device steps, and a blocked head can only wake when another device
+posts a slot addressed to it.  After each step the driver re-times the
+device that stepped and, for every send the step posted, the receiver
+if its head is blocked.
 
 Timing model
 ------------
@@ -343,6 +354,16 @@ def _comp_name(plan: ExecutablePlan, cid: int) -> str:
     return f"{kind.value}(m{mb},s{st})"
 
 
+def _cross_device_dep(plan: ExecutablePlan, cid: int,
+                      producer: int) -> SchedulingError:
+    """The refusal of a local dependency across devices."""
+    devices, comp_device = plan.devices, plan.comp_device
+    return SchedulingError(
+        f"{plan.program.name}: {_comp_name(plan, cid)} on "
+        f"d{devices[comp_device[cid]]} has a local dependency on "
+        f"{_comp_name(plan, producer)} on d{devices[comp_device[producer]]}")
+
+
 def dev_rows(plan: ExecutablePlan, exec_seq) -> list[list[int]]:
     """``exec_seq`` grouped per device: ascending device id, execution
     (= program) order within a device."""
@@ -407,11 +428,7 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
                     # a cross-device hand-off must be a transfer: timing
                     # it from another device's compute end would break
                     # the branch-free compute step (module doc)
-                    raise SchedulingError(
-                        f"{program.name}: {_comp_name(plan, a)} on "
-                        f"d{devices[di]} has a local dependency on "
-                        f"{_comp_name(plan, x)} on "
-                        f"d{devices[comp_device[x]]}")
+                    raise _cross_device_dep(plan, a, x)
                 elif not comp_done[x]:
                     # The producer must have retired earlier on this
                     # device; if it hasn't, the program order is
@@ -698,6 +715,9 @@ def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, cs, ce, clock,
 
 # -- the contention driver -----------------------------------------------------
 
+#: a blocked (or finished) device's head time in the contention driver
+_INF = float("inf")
+
 
 def _deadlock(plan: ExecutablePlan, cursors, comp_done, posted) -> str:
     """The deadlock message for a walk stalled at ``cursors``.
@@ -822,6 +842,13 @@ def run_contended(plan: ExecutablePlan,
     an execution at time ``t`` becomes eligible no earlier than ``t``,
     so execution times are monotone and wire grants follow post order
     deterministically (ties broken by device rank).
+
+    ``heads`` caches each device's :func:`peek` (``inf`` when blocked or
+    done; see the module doc for why a cached time stays exact): a step
+    re-peeks its own device and the blocked receivers of the sends it
+    posted, and ``min`` / ``index`` pick the earliest head, lowest rank
+    first.  A compute head's peek leaves its recv-wait charge in
+    ``head_wait``, so its step does not walk the dependencies again.
     """
     program = plan.program
     check_capacity(program, capacity_bytes)
@@ -836,6 +863,7 @@ def run_contended(plan: ExecutablePlan,
     comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
     send_time, send_lat = plan.send_time, plan.send_lat
     send_wire, send_slot = plan.send_wire, plan.send_slot
+    send_dst, comp_device = plan.send_dst, plan.comp_device
     batch_send_ids, batch_recv_ids = plan.batch_send_ids, plan.batch_recv_ids
     batch_exch = plan.batch_exch
     recv_slot = plan.recv_slot
@@ -874,44 +902,14 @@ def run_contended(plan: ExecutablePlan,
     mem_peak = list(static)
     mem_log: list[tuple] = []
 
-    def step(di: int, i: int) -> bool:
-        """Execute one action; False if the device must block."""
+    def step(di: int, i: int, at: float) -> bool:
+        """Execute the device's runnable head, which :func:`peek` timed
+        at ``at``; False if a batched group posted but must block."""
         code = codes[di][i]
         a = args[di][i]
         if code == OP_COMPUTE:
-            ready = clock[di]
-            arrival = 0.0
-            have_arrival = False
-            in_flight = 0.0
-            for e in range(dep_ptr[a], dep_ptr[a + 1]):
-                x = dep_idx[e]
-                if dep_remote[e]:
-                    # Without prefetch the blocking Recv already
-                    # advanced the clock past the arrival.
-                    if prefetch:
-                        if not posted[x]:
-                            return False  # sender hasn't posted yet
-                        te = tr_end[x]
-                        if not have_arrival or te > arrival:
-                            arrival = te
-                        have_arrival = True
-                        in_flight += te - tr_start[x]
-                else:
-                    # Local hand-off: the producer must have retired
-                    # earlier on this device, or the device blocks.
-                    if not comp_done[x]:
-                        return False
-                    de = comp_end_a[x]
-                    if de > ready:
-                        ready = de
-            start = ready
-            if have_arrival and arrival > ready:
-                # Only the transfer-attributable share of the stall
-                # counts as recv wait; waiting on the *producer* is a
-                # bubble, not communication.
-                stall = arrival - ready
-                recv_wait[di] += stall if stall < in_flight else in_flight
-                start = arrival
+            start = at
+            recv_wait[di] += head_wait[di]
             end = start + comp_cost[a]
             comp_start_a[a] = start
             comp_end_a[a] = end
@@ -996,13 +994,8 @@ def run_contended(plan: ExecutablePlan,
             if prefetch:
                 return True  # free post; arrival is awaited by computes
             slot = recv_slot[a]
-            if not posted[slot]:
-                return False
-            s = tr_start[slot]
-            duration = tr_end[slot] - s
-            cl = clock[di]
-            start = cl if cl >= s else s
-            clock[di] = start + duration
+            duration = tr_end[slot] - tr_start[slot]
+            clock[di] = at + duration
             recv_wait[di] += duration
             return True
         if code == OP_BATCH:
@@ -1056,36 +1049,59 @@ def run_contended(plan: ExecutablePlan,
             return True
         return True  # OP_NOOP: flush/step; simulate_training charges it
 
-    def peek(di: int) -> float | None:
-        """Earliest execution time of the device's head, None if blocked."""
+    def peek(di: int) -> float:
+        """Earliest execution time of the device's head; ``inf`` if it
+        is blocked or the device is done.  A compute head also leaves
+        the recv wait its start charges in ``head_wait``."""
         i = cursors[di]
         dev_codes = codes[di]
         if i >= len(dev_codes):
-            return None
+            return _INF
         code = dev_codes[i]
         a = args[di][i]
         if code == OP_COMPUTE:
-            at = clock[di]
+            ready = clock[di]
+            arrival = 0.0
+            have_arrival = False
+            in_flight = 0.0
             for e in range(dep_ptr[a], dep_ptr[a + 1]):
                 x = dep_idx[e]
                 if dep_remote[e]:
+                    # Without prefetch the blocking Recv already
+                    # advanced the clock past the arrival.
                     if prefetch:
                         if not posted[x]:
-                            return None
+                            return _INF  # sender hasn't posted yet
                         te = tr_end[x]
-                        if te > at:
-                            at = te
+                        if not have_arrival or te > arrival:
+                            arrival = te
+                        have_arrival = True
+                        in_flight += te - tr_start[x]
+                elif not comp_done[x]:
+                    # Local hand-off: the producer must retire earlier
+                    # on this device, so this head blocks for good.  A
+                    # producer on another device would retire without
+                    # waking it: refused, as the structural pass does.
+                    if comp_device[x] != di:
+                        raise _cross_device_dep(plan, a, x)
+                    return _INF
                 else:
-                    if not comp_done[x]:
-                        return None
                     de = comp_end_a[x]
-                    if de > at:
-                        at = de
-            return at
+                    if de > ready:
+                        ready = de
+            if have_arrival and arrival > ready:
+                # Only the transfer-attributable share of the stall
+                # counts as recv wait; waiting on the *producer* is a
+                # bubble, not communication.
+                stall = arrival - ready
+                head_wait[di] = stall if stall < in_flight else in_flight
+                return arrival
+            head_wait[di] = 0.0
+            return ready
         if code == OP_RECV and not prefetch:
             slot = recv_slot[a]
             if not posted[slot]:
-                return None
+                return _INF
             s = tr_start[slot]
             cl = clock[di]
             return cl if cl >= s else s
@@ -1096,7 +1112,7 @@ def run_contended(plan: ExecutablePlan,
             for rid in batch_recv_ids[a]:
                 slot = recv_slot[rid]
                 if not posted[slot]:
-                    return None
+                    return _INF
                 s = tr_start[slot]
                 if earliest is None or s < earliest:
                     earliest = s
@@ -1104,22 +1120,26 @@ def run_contended(plan: ExecutablePlan,
             return cl if cl >= earliest else earliest
         return clock[di]  # sends, free posts, collectives, flush, step
 
+    head_wait = [0.0] * num_devices
+    heads = [peek(di) for di in range(num_devices)]
     total = plan.n_actions
     done = 0
     while done < total:
-        best_at = None
-        best_di = -1
-        for di in range(num_devices):
-            at = peek(di)
-            if at is not None and (best_at is None or at < best_at):
-                best_at, best_di = at, di
-        if best_di < 0:
+        at = min(heads)
+        if at == _INF:
             raise SchedulingError(_deadlock(plan, cursors, comp_done, posted))
-        if step(best_di, cursors[best_di]):
-            cursors[best_di] += 1
+        di = heads.index(at)  # the lowest rank among tied heads
+        n_posted = len(post_seq)
+        if step(di, cursors[di], at):
+            cursors[di] += 1
             done += 1
         # else: a batched group posted its sends but still blocks on
         # inbound transfers — posting was the progress.
+        heads[di] = peek(di)
+        for sid in post_seq[n_posted:]:
+            dst = send_dst[sid]
+            if heads[dst] == _INF:
+                heads[dst] = peek(dst)
 
     if tracked:
         _check_leak(devices, mem_level, static, mem_peak)

@@ -1014,7 +1014,8 @@ class TestStructuralVerdicts:
     def test_cross_device_local_dependency_is_refused(self):
         """A local (transfer-less) hand-off between two devices would
         time a compute from another device's clock; the structural pass
-        names it instead of running it."""
+        names it instead of running it.  The time-ordered driver refuses
+        it too: it wakes a blocked head only on a post to its device."""
         import dataclasses
 
         from repro.actions.program import Dependency
@@ -1033,6 +1034,10 @@ class TestStructuralVerdicts:
             execute_plan(plans[0], RunConfig())
         with pytest.raises(SchedulingError, match="local dependency"):
             execute_batch(PlanBatch.from_plans(plans), RunConfig())
+        with pytest.raises(SchedulingError,
+                           match=rf"{kind.value}\(m{mb},s{st}\) on d\d+ "
+                                 "has a local dependency on"):
+            execute_plan(plans[0], RunConfig(contention=True))
 
 
 class TestBoundPlanCache:

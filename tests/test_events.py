@@ -87,6 +87,34 @@ class TestContention:
         assert not any(e.batched for e in unbatched.comm)
         assert wire_time(batched) < wire_time(unbatched)
 
+    def test_batched_group_wakes_every_blocked_receiver(self):
+        """One group posting to two blocked receivers: the time-ordered
+        driver must wake both, not only the first, and time them as the
+        reference interpreter does."""
+        from repro.actions import BatchedP2P, Program, Recv, Send
+        from repro.actions.ops import CommKind, Tag
+
+        from support.events_ref import execute_program_reference
+
+        to1 = Tag(CommKind.ACTIVATION, 0, 0)
+        to2 = Tag(CommKind.ACTIVATION, 1, 0)
+        program = Program(
+            name="fan-out", num_devices=3, num_stages=3,
+            num_microbatches=2, prefetch=False, batch_cross_comm=True,
+            actions={0: [BatchedP2P(sends=(Send(peer=1, tag=to1),
+                                           Send(peer=2, tag=to2)),
+                                    recvs=())],
+                     1: [Recv(peer=0, tag=to1)],
+                     2: [Recv(peer=0, tag=to2)]},
+            tensor_bytes={to1: 1.0, to2: 1.0})
+        oracle = AbstractCosts(CostConfig(t_c=0.5), 3, 3)
+        run = RunConfig(prefetch=False, contention=True)
+        res = execute_program(program, oracle, run)
+        ref = execute_program_reference(program, oracle, run)
+        assert res.comm == ref.comm
+        assert res.device_end == ref.device_end == {0: 0.0, 1: 0.5, 2: 0.5}
+        assert res.recv_wait == ref.recv_wait
+
 
 class TestProgramExecution:
     def test_flush_and_step_execute_at_zero_cost(self):

@@ -15,13 +15,18 @@ sequential computation.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.config import CostConfig, RunConfig
 from repro.engine import PipelineTrainer, make_batch, sequential_step
+from repro.errors import OutOfMemoryError
 from repro.models import tiny_model
 from repro.runtime import AbstractCosts, execute_program, simulate_program
+from repro.runtime.costs import CostOracle
 from repro.schedules import build_schedule
+from repro.types import OpKind
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
 from support.events_ref import execute_program_reference
@@ -128,6 +133,124 @@ class TestLoweredCoreParity:
         assert new.mem_events == ref.mem_events
         assert new.collectives == ref.collectives
         assert new.device_end == ref.device_end
+
+
+class RandomCosts(CostOracle):
+    """Seeded irregular costs: per-(kind, microbatch, stage) durations
+    and per-pair transfer times from small dyadic sets (exact sums, so
+    heads still tie), zero-time pairs included, and link latencies no
+    larger than their pair's transfer time."""
+
+    DURATIONS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    TRANSFERS = (0.0, 0.25, 0.5, 1.0)
+
+    def __init__(self, seed: int, num_devices: int, num_stages: int,
+                 num_microbatches: int):
+        rng = random.Random(seed)
+        self._duration = {
+            (kind, mb, st): rng.choice(self.DURATIONS)
+            for kind in OpKind for mb in range(num_microbatches)
+            for st in range(num_stages)}
+        self._transfer = {}
+        self._latency = {}
+        for src in range(num_devices):
+            for dst in range(num_devices):
+                t = 0.0 if src == dst else rng.choice(self.TRANSFERS)
+                self._transfer[src, dst] = t
+                self._latency[src, dst] = rng.choice((0.0, t / 2, t))
+
+    def duration(self, op) -> float:
+        return self._duration[op.kind, op.microbatch, op.stage]
+
+    def transfer_time(self, src: int, dst: int, stage: int) -> float:
+        return self._transfer[src, dst]
+
+    def link_latency(self, src: int, dst: int) -> float:
+        return self._latency[src, dst]
+
+
+def random_cost_program(scheme, kw, prefetch, batching, seed, b=B):
+    """A resource-annotated program with seeded stage bytes, and its
+    :class:`RandomCosts` oracle."""
+    from repro.actions import compile_program
+    from repro.actions.resources import StageResources
+
+    sched = build_schedule(make_config(scheme, P, b, **kw))
+    rng = random.Random(seed)
+    stages = sched.num_stages
+    resources = StageResources(
+        weight_bytes=tuple(rng.choice((64.0, 96.0, 128.0))
+                           for _ in range(stages)),
+        activation_bytes=tuple(rng.choice((8.0, 12.0, 16.0, 24.0))
+                               for _ in range(stages)),
+    )
+    program = compile_program(sched, prefetch=prefetch,
+                              batch_cross_comm=batching,
+                              resources=resources)
+    return program, RandomCosts(seed, P, stages, b)
+
+
+@pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
+@pytest.mark.parametrize("batching", [True, False], ids=["batch", "nobatch"])
+@pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
+class TestContendedRandomCostParity:
+    """The time-ordered driver against the reference interpreter under
+    irregular costs: devices block while others post, heads tie
+    irregularly, and zero-time pairs bypass the wire."""
+
+    SEEDS = range(8)
+
+    def test_bit_identical_to_reference_core(self, param, prefetch,
+                                             batching):
+        scheme, kw = param
+        run = RunConfig(prefetch=prefetch, batch_cross_comm=batching,
+                        contention=True)
+        for seed in self.SEEDS:
+            program, costs = random_cost_program(scheme, kw, prefetch,
+                                                 batching, seed)
+            new = execute_program(program, costs, run)
+            ref = execute_program_reference(program, costs, run)
+            assert new.timeline.spans == ref.timeline.spans, seed
+            assert new.recv_wait == ref.recv_wait, seed
+            assert new.comm == ref.comm, seed
+            assert new.order == ref.order, seed
+            assert new.mem_peak == ref.mem_peak, seed
+            assert new.mem_events == ref.mem_events, seed
+            assert new.collectives == ref.collectives, seed
+            assert new.device_end == ref.device_end, seed
+
+    def test_mid_run_oom_attribution_matches_reference(self, param,
+                                                        prefetch, batching):
+        """A mid-run abort observes the driver's pop order: which device
+        violates first, at what watermark.  Capacities lie strictly
+        between static residency and the uncapped peak; one just under
+        each device's peak makes every higher-peaked device a candidate
+        violator too."""
+        scheme, kw = param
+        run = RunConfig(prefetch=prefetch, batch_cross_comm=batching,
+                        contention=True)
+        program, costs = random_cost_program(scheme, kw, prefetch,
+                                             batching, seed=2, b=8)
+        static = max(program.static_bytes.values())
+        peaks = execute_program(program, costs, run).mem_peak.values()
+        peak = max(peaks)
+        capacities = sorted(
+            c for c in ({int(p) - 1 for p in peaks}
+                        | {int(static + f * (peak - static))
+                           for f in (0.2, 0.5, 0.8)})
+            if static < c < peak)
+        assert capacities
+        for cap in capacities:
+            with pytest.raises(OutOfMemoryError) as new:
+                execute_program(program, costs, run, capacity_bytes=cap)
+            with pytest.raises(OutOfMemoryError) as ref:
+                execute_program_reference(program, costs, run,
+                                          capacity_bytes=cap)
+            got = (new.value.device, new.value.peak_bytes,
+                   new.value.capacity_bytes)
+            want = (ref.value.device, ref.value.peak_bytes,
+                    ref.value.capacity_bytes)
+            assert got == want, cap
 
 
 class TestLoweredCoreParityWithCollectives:
