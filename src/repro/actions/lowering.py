@@ -368,18 +368,19 @@ class ExecutablePlan:
         """Stable content hash of the *control-flow* arrays alone.
 
         A strict widening of :attr:`plan_key`: it covers exactly the
-        arrays the event core's control flow and the lockstep stepper's
-        event schedule read — action streams, dependency edges,
-        transfer slots, batched-exchange membership, collective step
-        structure — and deliberately **excludes** every cost-bearing
-        array (payload bytes, resource deltas, tags, static residency,
-        the rich op/collective descriptors).  Two plans with equal keys
-        execute the *identical event sequence* under the uncontended
-        driver, whatever their cost columns resolve to; they are the
-        "congruent structure groups" the batched runtime stacks into
-        one :class:`~repro.runtime.batched.PlanBatch` — e.g. the same
-        family/P/B/prefetch with recompute toggled, different models,
-        or different collective bucket sizes that only retime.
+        arrays the event core's structural pass reads — action streams,
+        dependency edges, transfer slots, batched-exchange membership,
+        collective step structure and kinds — and deliberately
+        **excludes** every cost-bearing array (payload bytes, resource
+        deltas, tags, static residency, the rich op descriptors).  Two
+        plans with equal keys share *one* structural pass
+        (:func:`~repro.runtime.events.lockstep_schedule`) and execute
+        its event sequence under the uncontended driver, whatever their
+        cost columns resolve to; they are the "congruence classes" the
+        batched runtime stacks into one
+        :class:`~repro.runtime.batched.PlanBatch` — e.g. the same
+        family/P/B/prefetch with recompute toggled, different models or
+        micro-batch sizes, or collective bucket sizes that only retime.
 
         Equal ``plan_key`` ⇒ equal ``congruence_key``; never the
         converse.
@@ -403,6 +404,8 @@ class ExecutablePlan:
                   self.batch_exch))
             feed((self.coll_device, self.coll_blocking, self.coll_count,
                   self.coll_nsteps, self.coll_active))
+            # the lane fold sums gradient rings by the structure's table
+            feed([c.kind.value for c in self.coll_ops])
             self._congruence_key = h.hexdigest()
         return self._congruence_key
 

@@ -15,23 +15,8 @@ Two properties are checked before anything executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DeadlockError, ValidationError
 from .ops import Action, BatchedP2P, Recv, Send, Tag
-
-
-def _flatten(actions: list[Action]) -> list[Action]:
-    flat: list[Action] = []
-    for act in actions:
-        if isinstance(act, BatchedP2P):
-            # Group semantics: all posts are issued together; represent
-            # as the batch itself so the deadlock model can treat it
-            # atomically.
-            flat.append(act)
-        else:
-            flat.append(act)
-    return flat
 
 
 def check_matching(lists: dict[int, list[Action]]) -> None:
@@ -74,14 +59,8 @@ def check_deadlock_free(lists: dict[int, list[Action]],
     issued_sends: set[tuple[int, int, Tag]] = set()
     posted_recvs: set[tuple[int, int, Tag]] = set()
 
-    def send_ok(device: int, send: Send, own_recvs: list[Recv]) -> bool:
-        if not rendezvous:
-            return True
-        key = (device, send.peer, send.tag)
-        return key in posted_recvs or _peer_recv_posted(send, device)
-
-    def _peer_recv_posted(send: Send, device: int) -> bool:
-        return (device, send.peer, send.tag) in posted_recvs
+    def send_ok(device: int, send: Send) -> bool:
+        return not rendezvous or (device, send.peer, send.tag) in posted_recvs
 
     def recv_ok(device: int, recv: Recv) -> bool:
         return (recv.peer, device, recv.tag) in issued_sends
@@ -103,7 +82,7 @@ def check_deadlock_free(lists: dict[int, list[Action]],
                     if not all(recv_ok(device, r) for r in act.recvs):
                         break
                 elif isinstance(act, Send):
-                    if not send_ok(device, act, []):
+                    if not send_ok(device, act):
                         break
                     issued_sends.add((device, act.peer, act.tag))
                 elif isinstance(act, Recv):

@@ -7,7 +7,7 @@ capacities), placement candidates, what-if queries.  A
 structure and :func:`execute_batch` advances **all lanes at once**, one
 NumPy array op per event instead of one Python step per event per lane.
 
-Uncontended lanes replay the structure's cached structural pass
+Uncontended lanes replay their congruence class's one structural pass
 (:func:`~repro.runtime.events.lockstep_schedule`) through the timed
 pass of :mod:`repro.runtime.events` (:func:`~repro.runtime.events.replay`)
 with every per-lane quantity held as an ``[N]`` float64 array: clocks,
@@ -19,22 +19,20 @@ per lane but the arithmetic.  A batch of one is exactly
 :func:`~repro.runtime.events.execute_plan`'s own uncontended path, on
 Python floats.
 
-Congruent structure groups
---------------------------
+Congruence classes
+------------------
 
 Lanes need not share one ``plan_key``:
 :attr:`~repro.actions.lowering.ExecutablePlan.congruence_key` hashes
-exactly the control-flow arrays (action streams, dependency edges,
-transfer slots, exchange membership, collective step structure) and
-plans with equal keys — same family/P/B/prefetch but, say, recompute
-toggled, a different model, or retimed collective bucket sizes — stack
-into one batch.  Each distinct program still contributes its own cached
-structural replay (memory traces and materialization tables are
-per-lane), but the *event sequence* is shared, so the timed pass runs
-once for the whole group.  A lane whose recorded event stream does not
-match the head's (impossible when the keys match, since the key covers
-every array the structural pass reads) is a
-:class:`~repro.errors.SchedulingError`.
+exactly the arrays the structural pass reads (action streams,
+dependency edges, transfer slots, exchange membership, collective step
+structure and kinds), and plans with equal keys — same
+family/P/B/prefetch but, say, recompute toggled, a different model or
+micro-batch size, or retimed collective bucket sizes — stack into one
+batch.  Equal keys mean one shared structure, so a batch replays that
+one structure for every lane; only the memory trace
+(:func:`~repro.runtime.events.memory_trace`) is per lane, since its
+deltas are each program's own.
 
 Contention: a time-aware greedy driver
 --------------------------------------
@@ -123,12 +121,12 @@ batch-coverage regressions are visible in ``--profile`` output.
 Known divergence (pinned by ``tests/test_batched.py``
 ``TestDeadlockOutranksCapacity``): a *deadlocking* structure raises
 :class:`~repro.errors.SchedulingError` for a whole batch of two or more
-lanes, with the scalar core's message, even if some lane's capacity
-would have aborted with an OOM first under scalar execution.  Deadlock
-is a control-flow property covered by the congruence key — no batch
-can contain one lane that deadlocks and another that does not.  A batch
-of one is :func:`execute_plan`'s own path, so it keeps the scalar
-outcome.
+lanes, with the scalar core's message for its first lane, even if some
+lane's capacity would have aborted with an OOM first under scalar
+execution.  Deadlock is a control-flow property covered by the
+congruence key — no batch can contain one lane that deadlocks and
+another that does not.  A batch of one is :func:`execute_plan`'s own
+path, so it keeps the scalar outcome.
 """
 
 from __future__ import annotations
@@ -155,41 +153,19 @@ from .events import (
     _COLL,
     EventResult,
     LockstepSchedule,
+    _deadlock,
     check_capacity,
     dev_rows,
     execute_plan,
     first_violation,
     lane_view,
     lockstep_schedule,
+    memory_trace,
     replay,
     replay_alone,
     run_contended,
 )
 from .metrics import LaneFold, fold_lanes
-
-_CONGRUENCE_ATTR = "_congruence_key_cache"
-
-
-def _events_match(head_ls: LockstepSchedule,
-                  lane_ls: LockstepSchedule) -> bool:
-    """Whether two structural replays recorded the same event stream.
-
-    Congruent plans always do (the congruence key covers every array
-    the structural pass reads); this is the defensive verification,
-    memoized per schedule pair — the tuple comparison is C-speed but
-    linear, and batches re-execute in tight loops.  Collective *kinds*
-    sit outside the congruence key, and the lane fold sums gradient
-    rings by the head's table, so they must agree too.
-    """
-    if head_ls is lane_ls:
-        return True
-    hit = head_ls.event_parity.get(id(lane_ls))
-    if hit is not None and hit[0] is lane_ls:
-        return hit[1]
-    verdict = (head_ls.events == lane_ls.events
-               and head_ls.coll_sync == lane_ls.coll_sync)
-    head_ls.event_parity[id(lane_ls)] = (lane_ls, verdict)
-    return verdict
 
 
 @dataclass
@@ -318,27 +294,17 @@ def execute_batch(
         out = _alone(head, caps[0])
         profiling.record_batch(1, time.perf_counter() - t0)
         return out
+    # one structure for the whole congruence class; memory traces are
+    # per program
     ls = lockstep_schedule(head)
-    if ls.deadlock is not None:
+    if ls.stall is not None:
         # deadlock is structural, so capacity is irrelevant to a
         # batch's verdict (see module doc)
-        raise SchedulingError(ls.deadlock)
-    # Congruent groups: each distinct program contributes its own
-    # structural replay (memory traces are per-lane); the event stream
-    # must match the head's.
-    lane_lss = [ls] * n_lanes
-    for k in range(1, n_lanes):
-        plan = plans[k]
-        if plan.program is head.program:
-            continue
-        lane_lss[k] = lockstep_schedule(plan)
-        if not _events_match(ls, lane_lss[k]):
-            raise SchedulingError(
-                f"PlanBatch: {plan.name} does not replay {head.name}'s "
-                "event stream")
+        raise SchedulingError(_deadlock(head, *ls.stall))
+    traces = [memory_trace(plan) for plan in plans]
     if not run.contention:
         t0 = time.perf_counter()
-        out = _execute_lockstep(ls, plans, lane_lss, caps)
+        out = _execute_lockstep(ls, plans, traces, caps)
         profiling.record_batch(n_lanes, time.perf_counter() - t0)
         return out
     # The [N]-wide wire state requires every lane of one vectorized
@@ -347,7 +313,7 @@ def execute_batch(
     # separate wire-signature groups.
     return _merge(n_lanes, [
         (group, _execute_contended(ls, [plans[k] for k in group],
-                                   [lane_lss[k] for k in group],
+                                   [traces[k] for k in group],
                                    [caps[k] for k in group], run))
         for group in _wire_groups(plans, range(n_lanes))])
 
@@ -381,16 +347,17 @@ def _alone(plan: ExecutablePlan, capacity_bytes) -> BatchResult:
     """An uncontended batch of one: :func:`execute_plan`'s own path,
     folded through :func:`~.metrics.fold_lanes`' float path."""
     try:
-        ls, timing = replay_alone(plan, capacity_bytes)
+        ls, trace, timing = replay_alone(plan, capacity_bytes)
     except OutOfMemoryError as exc:
         # kept past this frame: without its traceback, so it pins no
         # frame (and no caller's arrays) in a cycle until a full GC
         return BatchResult([exc.with_traceback(None)], LaneFold.zeros(1),
                            [None])
     cs, ce, clock, recv_wait, ts, te, colls = timing
-    fold = _Columns(ls, [plan], [ls], cs, ce, clock, recv_wait, ts, te,
+    fold = _Columns(ls, [plan], [trace], cs, ce, clock, recv_wait, ts, te,
                     colls).fold()
-    return BatchResult([None], fold, [partial(lane_view, plan, ls, *timing)])
+    return BatchResult([None], fold,
+                       [partial(lane_view, plan, ls, trace, *timing)])
 
 
 def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
@@ -428,9 +395,10 @@ def _scalar_lane(plan, run, capacity_bytes, *, reason) -> BatchResult:
 #: scalar cost at 2 lanes; table in docs/performance.md)
 MIN_CONTENTION_LANES = 8
 
-#: entries kept in the per-schedule stacked-cost cache; a structure's
-#: steady state needs at most a handful of distinct lane sets (one per
-#: wire group)
+#: entries kept in the per-structure stacked-cost cache; a cached-binding
+#: grid's steady state needs at most a handful of distinct lane sets (one
+#: per wire group), while a daemon's coalesced batches seldom repeat one
+#: (docs/performance.md), so more entries would only hold memory
 _COST_ROW_CACHE = 4
 
 
@@ -472,7 +440,7 @@ def _stacked_costs(ls: LockstepSchedule, plans, *, cache: bool,
     return Cm, Tm, Sm, Lm
 
 
-def _gate(plans, lane_lss, caps):
+def _gate(plans, traces, caps):
     """Per-lane capacity verdicts, before a single event is timed.
 
     Returns ``(errors, midrun)``: each lane's static pre-check
@@ -490,13 +458,13 @@ def _gate(plans, lane_lss, caps):
         except OutOfMemoryError as exc:
             errors[k] = exc.with_traceback(None)  # see _alone
             continue
-        j = first_violation(lane_lss[k], cap)
+        j = first_violation(traces[k], cap)
         if j is not None:
             midrun[k] = j
     return errors, midrun
 
 
-def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
+def _execute_lockstep(ls: LockstepSchedule, plans, traces,
                       caps) -> BatchResult:
     """The timed pass over one structural replay (uncontended lanes).
 
@@ -505,18 +473,18 @@ def _execute_lockstep(ls: LockstepSchedule, plans, lane_lss,
     """
     head = plans[0]
     n_lanes = len(plans)
-    errors, midrun = _gate(plans, lane_lss, caps)
+    errors, midrun = _gate(plans, traces, caps)
     for k, j in midrun.items():
-        lane_ls = lane_lss[k]
+        trace = traces[k]
         errors[k] = OutOfMemoryError(
-            head.devices[lane_ls.alloc_di[j]], int(lane_ls.alloc_levels[j]),
+            head.devices[trace.alloc_di[j]], int(trace.alloc_levels[j]),
             caps[k])
     Cm, Tm, Sm, _ = _stacked_costs(
         ls, plans, cache=all(e is None for e in errors), with_lat=False)
     cs, ce, clock, recv_wait, ts, te, colls = replay(
         ls, head, Cm, Tm, Sm, np.maximum, np.minimum, np.zeros(n_lanes))
     empty = np.empty((0, n_lanes))
-    cols = _Columns(ls, plans, lane_lss,
+    cols = _Columns(ls, plans, traces,
                     np.array(cs) if cs else empty,
                     np.array(ce) if ce else empty,
                     clock, recv_wait, ts, te, colls)
@@ -538,7 +506,7 @@ class _Columns:
 
     ls: LockstepSchedule
     plans: list
-    lane_lss: list
+    traces: list          # per lane, its program's memory trace
     CS: np.ndarray | list  # compute start / end, [computes, N]
     CE: np.ndarray | list
     clock: object         # per-device end clocks, [devices, N]
@@ -556,15 +524,15 @@ class _Columns:
             [(di, start, end)
              for lid, di, _post, start, end, _steps in self.colls
              if sync[lid]],
-            np.array([max(lane_ls.mem_peak, default=0.0)
+            np.array([max(trace.mem_peak, default=0.0)
                       if plan.program.tracks_memory else 0.0
-                      for plan, lane_ls in zip(self.plans, self.lane_lss)]),
+                      for plan, trace in zip(self.plans, self.traces)]),
         )
 
     def lane(self, k: int) -> EventResult:
         """Lane ``k`` of an uncontended pass (see
         :func:`~repro.runtime.events.lane_view`)."""
-        return lane_view(self.plans[k], self.lane_lss[k],
+        return lane_view(self.plans[k], self.ls, self.traces[k],
                          self.CS[:, k].tolist(), self.CE[:, k].tolist(),
                          self.clock, self.recv_wait, self.TS, self.TE,
                          self.colls, at=lambda x: float(x[k]))
@@ -674,7 +642,7 @@ def _zero_time_transfers(plan: ExecutablePlan) -> bool:
     return hit
 
 
-def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps,
+def _execute_contended(ls: LockstepSchedule, plans, traces, caps,
                        run: RunConfig) -> BatchResult:
     """The contention driver: greedy per device, exact per wire.
 
@@ -706,7 +674,7 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps,
     coll_wires_t = head.coll_wires
 
     # -- per-lane gating: static pre-check, lanes left to the scalar core
-    errors, midrun = _gate(plans, lane_lss, caps)
+    errors, midrun = _gate(plans, traces, caps)
     scalar = [k for k in range(n) if errors[k] is None
               and _zero_time_transfers(plans[k])]
     # a lane that will abort runs to the end, then is charged its abort
@@ -1043,19 +1011,19 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps,
     # (start, device rank, program order) when hand-offs take positive
     # time
     for k in midrun:
-        lane_ls, cap = lane_lss[k], caps[k]
+        trace, cap = traces[k], caps[k]
         _, _, _, j = min(
-            (CS[lane_ls.exec_seq[pos], k], di, pos, j)
-            for j, (pos, di) in enumerate(zip(lane_ls.alloc_pos,
-                                              lane_ls.alloc_di))
-            if lane_ls.alloc_levels[j] > cap)
-        errors[k] = OutOfMemoryError(head.devices[lane_ls.alloc_di[j]],
-                                     int(lane_ls.alloc_levels[j]), cap)
+            (CS[ls.exec_seq[pos], k], di, pos, j)
+            for j, (pos, di) in enumerate(zip(trace.alloc_pos,
+                                              trace.alloc_di))
+            if trace.alloc_levels[j] > cap)
+        errors[k] = OutOfMemoryError(head.devices[trace.alloc_di[j]],
+                                     int(trace.alloc_levels[j]), cap)
 
     # every lane that ran ran every collective, so the records are
     # complete whenever any fold row will be read
     cols = _Columns(
-        ls, plans, lane_lss, CS, CE, CLK, RW, TS, TE,
+        ls, plans, traces, CS, CE, CLK, RW, TS, TE,
         [(ev[1], *coll_recs[ev[1]]) for ev in ls.events
          if ev[0] == _COLL and ev[1] in coll_recs])
     out = BatchResult(errors, cols.fold(),
@@ -1066,25 +1034,6 @@ def _execute_contended(ls: LockstepSchedule, plans, lane_lss, caps,
     return _merge(n, [(list(range(n)), out)] + [
         ([k], _scalar_lane(plans[k], run, caps[k], reason="zero-time"))
         for k in scalar])
-
-
-def _plan_congruence(plan: ExecutablePlan) -> str:
-    """``plan.congruence_key``, memoized on the (shared) program object.
-
-    Retimed plans are fresh dataclass instances, so the lazy per-plan
-    cache alone would re-hash once per lane; every retime of one cached
-    structure shares its program, which makes the program the natural
-    memo site.
-    """
-    program = plan.program
-    key = getattr(program, _CONGRUENCE_ATTR, None)
-    if key is None:
-        key = plan.congruence_key
-        try:
-            setattr(program, _CONGRUENCE_ATTR, key)
-        except AttributeError:  # pragma: no cover - Program is mutable
-            pass
-    return key
 
 
 def execute_many(
@@ -1107,7 +1056,7 @@ def execute_many(
     items = list(items)
     groups: dict[str, list[int]] = {}
     for idx, (plan, _) in enumerate(items):
-        groups.setdefault(_plan_congruence(plan), []).append(idx)
+        groups.setdefault(lockstep_schedule(plan).key, []).append(idx)
 
     parts: list[tuple[list[int], BatchResult]] = []
     for lane_ids in groups.values():

@@ -19,13 +19,22 @@ replay order, and whether an action blocks depends only on posted/done
 flags.  An uncontended execution therefore splits in two:
 
 1. a **structural pass** (:func:`lockstep_schedule`): a cost-blind
-   greedy walk, run once per program and cached on it, that records the
-   global event sequence, the executed compute and posting orders, the
-   memory trace (watermark levels are structural: deltas apply in
-   program order) and, if the walk stalls, the deadlock message;
+   greedy walk that records the global event sequence, the executed
+   compute and posting orders and, if the walk stalls, where;
 2. a **timed pass** (:func:`replay`) over that event sequence, written
    once over ``(maximum, minimum, zero)``: one lane runs it with the
    builtins on Python floats, a batch with ufuncs on ``[N]`` vectors.
+
+The structural pass reads only arrays that
+:attr:`~repro.actions.lowering.ExecutablePlan.congruence_key` hashes,
+so it runs once per congruence class: a weak registry maps each key to
+its :class:`LockstepSchedule`, and each program keeps one memo,
+``(structure, memory trace)``, that holds it strongly.  Only the
+:class:`MemoryTrace` is per program, i.e. per size binding: watermark
+levels are structural too (deltas apply in program order), but the
+deltas and static bytes are the program's own.  A stalled walk keeps
+its cursors and flags, and :func:`_deadlock` words the error from each
+program's own plan.
 
 A second invariant keeps the compute step branch-free: a *local*
 dependency always names a producer on the consumer's own device (the
@@ -115,6 +124,7 @@ driver-independent.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -291,8 +301,8 @@ def execute_plan(
         )
     if run.contention:
         return _materialize(plan, *run_contended(plan, capacity_bytes))
-    ls, timing = replay_alone(plan, capacity_bytes)
-    return lane_view(plan, ls, *timing)
+    ls, trace, timing = replay_alone(plan, capacity_bytes)
+    return lane_view(plan, ls, trace, *timing)
 
 
 # -- the structural pass -------------------------------------------------------
@@ -305,19 +315,24 @@ _POST = 3      # (_, bid, di)         batched group posts its sends
 _WAIT = 4      # (_, bid, di)         batched group's blocking waits
 _COLL = 5      # (_, lid, di)
 
-_LOCKSTEP_ATTR = "_lockstep_schedule"
+#: one structure per congruence class, alive while a program's memo
+#: holds it (the lifetime rule of the analysis plan cache's shapes)
+_STRUCTURES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: the per-program memo: ``(structure, memory trace)``
+_LOCKSTEP_ATTR = "_lockstep"
 
 
 @dataclass
 class LockstepSchedule:
-    """The structural replay of one program, shared by every binding.
+    """The structural replay of one congruence class.
 
-    Everything here is cost-independent: the global event sequence the
-    greedy walk produces, the executed compute order, the posting
-    order, and the full memory trace (deltas *and* watermark levels —
-    they depend only on per-device program order).
+    Everything here is cost- and size-blind, so every program with this
+    :attr:`~repro.actions.lowering.ExecutablePlan.congruence_key`
+    shares it: the global event sequence the greedy walk produces, the
+    executed compute and posting orders and, if the walk stalls, where.
     """
 
+    key: str
     events: list[tuple]
     exec_seq: list[int]
     #: computes grouped per device (ascending device id, program order
@@ -325,6 +340,28 @@ class LockstepSchedule:
     dev_cids: list[list[int]]
     post_seq: list[int]
     send_batched: bytearray
+    #: per collective id, whether it is a ``GRAD_SYNC`` ring — the ones
+    #: the lane fold's sync accounting adds up
+    coll_sync: bytes
+    #: ``(cursors, comp_done, posted)`` where the walk stalled, else
+    #: None; :func:`_deadlock` words it from each program's own plan
+    stall: tuple | None
+    # -- caches :mod:`repro.runtime.batched` keeps per structure ---------
+    #: stacked cost matrices keyed by lane set; a structure meets a few
+    #: lane sets (one per wire group, say), so a few entries are kept
+    cost_rows: dict = field(default_factory=dict)
+    #: the contention driver's lookup tables per wire table
+    contention_tables: dict = field(default_factory=dict)
+
+
+@dataclass
+class MemoryTrace:
+    """One program's watermarks over its class's executed order.
+
+    Levels depend only on per-device program order, so they hold for
+    every cost binding of the program.
+    """
+
     #: (di, cid, signed delta, level-after, is_alloc) in replay order
     mem_trace: list[tuple]
     #: per-allocation watermark levels / positions, for the OOM scan
@@ -332,21 +369,6 @@ class LockstepSchedule:
     alloc_pos: list[int]       # index into ``exec_seq`` of the alloc
     alloc_di: list[int]
     mem_peak: list[float]
-    #: per collective id, whether it is a ``GRAD_SYNC`` ring — the ones
-    #: the lane fold's sync accounting adds up
-    coll_sync: bytes
-    #: the :class:`SchedulingError` text when the walk stalls, else None
-    deadlock: str | None
-    # -- caches :mod:`repro.runtime.batched` keeps per structure ---------
-    #: stacked cost matrices keyed by lane set; a structure meets a few
-    #: lane sets (one per wire group, say), so a few entries are kept
-    cost_rows: dict = field(default_factory=dict)
-    #: memoized event-stream parity verdicts against other structural
-    #: replays (congruent-group check); values hold a strong reference
-    #: to the compared schedule so its ``id`` stays valid
-    event_parity: dict = field(default_factory=dict)
-    #: the contention driver's lookup tables per wire table
-    contention_tables: dict = field(default_factory=dict)
 
 
 def _comp_name(plan: ExecutablePlan, cid: int) -> str:
@@ -374,25 +396,21 @@ def dev_rows(plan: ExecutablePlan, exec_seq) -> list[list[int]]:
     return [cids for _dev, cids in sorted(by_device.items())]
 
 
-def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
+def _build_lockstep(plan: ExecutablePlan, key: str) -> LockstepSchedule:
     """Walk ``plan`` greedily without times, recording every event.
 
     Each device advances as far as its flags allow, round after round:
     blocking predicates are pure flag reads, so the produced order is
     the order every cost binding replays.
     """
-    program = plan.program
-    devices = plan.devices
-    num_devices = len(devices)
+    num_devices = len(plan.devices)
     codes, args = plan.codes, plan.args
     dep_ptr, dep_remote, dep_idx = plan.dep_ptr, plan.dep_remote, plan.dep_idx
     comp_device = plan.comp_device
-    comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
     send_slot = plan.send_slot
     batch_send_ids, batch_recv_ids = plan.batch_send_ids, plan.batch_recv_ids
     recv_slot = plan.recv_slot
     prefetch = plan.prefetch
-    tracked = program.tracks_memory
 
     cursors = [0] * num_devices
     comp_done = bytearray(plan.n_computes)
@@ -402,13 +420,6 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
     events: list[tuple] = []
     exec_seq: list[int] = []
     post_seq: list[int] = []
-    static = [program.static_bytes.get(d, 0.0) for d in devices]
-    mem_level = list(static)
-    mem_peak = list(static)
-    mem_trace: list[tuple] = []
-    alloc_levels = array("d")
-    alloc_pos: list[int] = []
-    alloc_di: list[int] = []
 
     def step(di: int, i: int) -> bool:
         """Execute one action; False if the device must block."""
@@ -437,22 +448,6 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
             comp_done[a] = 1
             events.append((_COMP, a, di, tuple(rslots)))
             exec_seq.append(a)
-            if tracked:
-                alloc = comp_alloc[a]
-                if alloc:
-                    level = mem_level[di] + alloc
-                    mem_level[di] = level
-                    mem_trace.append((di, a, alloc, level, True))
-                    alloc_levels.append(level)
-                    alloc_pos.append(len(exec_seq) - 1)
-                    alloc_di.append(di)
-                    if level > mem_peak[di]:
-                        mem_peak[di] = level
-                freed = comp_free_b[a]
-                if freed:
-                    level = mem_level[di] - freed
-                    mem_level[di] = level
-                    mem_trace.append((di, a, -freed, level, False))
             return True
         if code == OP_SEND:
             posted[send_slot[a]] = 1
@@ -490,7 +485,7 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
 
     total = plan.n_actions
     done = 0
-    deadlock = None
+    stall = None
     while done < total:
         progressed = False
         for di in range(num_devices):
@@ -502,77 +497,124 @@ def _build_lockstep(plan: ExecutablePlan) -> LockstepSchedule:
                 progressed = True
             cursors[di] = i
         if not progressed and done < total:
-            deadlock = _deadlock(plan, cursors, comp_done, posted)
+            stall = (cursors, comp_done, posted)
             break
 
-    if tracked and deadlock is None:
-        _check_leak(devices, mem_level, static, mem_peak)
-
     return LockstepSchedule(
+        key=key,
         events=events,
         exec_seq=exec_seq,
         dev_cids=dev_rows(plan, exec_seq),
         post_seq=post_seq,
         send_batched=send_batched,
-        mem_trace=mem_trace,
-        alloc_levels=alloc_levels,
-        alloc_pos=alloc_pos,
-        alloc_di=alloc_di,
-        mem_peak=mem_peak,
         coll_sync=bytes(op.kind is CollectiveKind.GRAD_SYNC
                         for op in plan.coll_ops),
-        deadlock=deadlock,
+        stall=stall,
     )
 
 
-def lockstep_schedule(plan: ExecutablePlan) -> LockstepSchedule:
-    """The (cached) structural replay for ``plan``'s program.
+def _memory_trace(plan: ExecutablePlan, ls: LockstepSchedule) -> MemoryTrace:
+    """``plan``'s deltas and static bytes applied over ``ls``'s executed
+    order, with the leak check of a completed walk."""
+    program = plan.program
+    devices = plan.devices
+    static = [program.static_bytes.get(d, 0.0) for d in devices]
+    if not program.tracks_memory:
+        return MemoryTrace([], array("d"), [], [], static)
+    comp_device = plan.comp_device
+    comp_alloc, comp_free_b = plan.comp_alloc, plan.comp_free
+    mem_level = list(static)
+    mem_peak = list(static)
+    mem_trace: list[tuple] = []
+    alloc_levels = array("d")
+    alloc_pos: list[int] = []
+    alloc_di: list[int] = []
+    for pos, a in enumerate(ls.exec_seq):
+        di = comp_device[a]
+        alloc = comp_alloc[a]
+        if alloc:
+            level = mem_level[di] + alloc
+            mem_level[di] = level
+            mem_trace.append((di, a, alloc, level, True))
+            alloc_levels.append(level)
+            alloc_pos.append(pos)
+            alloc_di.append(di)
+            if level > mem_peak[di]:
+                mem_peak[di] = level
+        freed = comp_free_b[a]
+        if freed:
+            level = mem_level[di] - freed
+            mem_level[di] = level
+            mem_trace.append((di, a, -freed, level, False))
+    if ls.stall is None:
+        _check_leak(devices, mem_level, static, mem_peak)
+    return MemoryTrace(mem_trace, alloc_levels, alloc_pos, alloc_di, mem_peak)
 
-    Cached on the program object: every retime of one cached structure
-    shares the same program, so a sweep pays the structural pass once
-    per structure, not once per execution.
+
+def _memo(plan: ExecutablePlan) -> tuple[LockstepSchedule, MemoryTrace]:
+    """``plan``'s program memo: its class's structure, its own trace.
+
+    The structure comes from the registry, so congruent programs — the
+    models and micro-batch sizes bound to one shape, say — pay the
+    structural pass once; each program pays only its memory trace.
+    Every retime of a program shares the program object, so a sweep
+    looks both up once per program, not once per execution.
     """
-    ls = getattr(plan.program, _LOCKSTEP_ATTR, None)
-    if ls is None:
-        ls = _build_lockstep(plan)
-        try:
-            setattr(plan.program, _LOCKSTEP_ATTR, ls)
-        except AttributeError:  # pragma: no cover - Program is mutable
-            pass
-    return ls
+    program = plan.program
+    memo = getattr(program, _LOCKSTEP_ATTR, None)
+    if memo is None:
+        key = plan.congruence_key
+        ls = _STRUCTURES.get(key)
+        if ls is None:
+            ls = _STRUCTURES[key] = _build_lockstep(plan, key)
+        memo = (ls, _memory_trace(plan, ls))
+        setattr(program, _LOCKSTEP_ATTR, memo)
+    return memo
 
 
-def first_violation(ls: LockstepSchedule, capacity_bytes: int) -> int | None:
+def lockstep_schedule(plan: ExecutablePlan) -> LockstepSchedule:
+    """The (shared) structural replay of ``plan``'s congruence class."""
+    return _memo(plan)[0]
+
+
+def memory_trace(plan: ExecutablePlan) -> MemoryTrace:
+    """The (cached) memory trace of ``plan``'s program."""
+    return _memo(plan)[1]
+
+
+def first_violation(trace: MemoryTrace, capacity_bytes: int) -> int | None:
     """Index of the first allocation (replay order) whose watermark
     exceeds ``capacity_bytes`` — the abort point of the structural walk
     — or None when the capacity covers the peak."""
-    if capacity_bytes >= max(ls.mem_peak, default=0.0):
+    if capacity_bytes >= max(trace.mem_peak, default=0.0):
         return None
-    return next((j for j, level in enumerate(ls.alloc_levels)
+    return next((j for j, level in enumerate(trace.alloc_levels)
                  if level > capacity_bytes), None)
 
 
 def replay_alone(plan: ExecutablePlan, capacity_bytes: int | None = None):
-    """One uncontended lane up to its timing: ``(schedule, timing)``.
+    """One uncontended lane up to its timing: ``(schedule, trace,
+    timing)``.
 
-    The cached structural pass, then the verdicts it already holds — an
-    :class:`~repro.errors.OutOfMemoryError` at the first violating
-    allocation in replay order, else the structure's deadlock — then
-    :func:`replay` on Python floats over the plan's own cost columns
-    (builtin ``max`` / ``min`` select bitwise as the ufuncs do: no lane
-    quantity is ever NaN or -0.0).
+    The cached structural pass and memory trace, then the verdicts they
+    already hold — an :class:`~repro.errors.OutOfMemoryError` at the
+    first violating allocation in replay order, else the structure's
+    deadlock — then :func:`replay` on Python floats over the plan's own
+    cost columns (builtin ``max`` / ``min`` select bitwise as the ufuncs
+    do: no lane quantity is ever NaN or -0.0).
     """
     check_capacity(plan.program, capacity_bytes)
-    ls = lockstep_schedule(plan)
+    ls, trace = _memo(plan)
     if capacity_bytes is not None:
-        j = first_violation(ls, capacity_bytes)
+        j = first_violation(trace, capacity_bytes)
         if j is not None:
-            raise OutOfMemoryError(plan.devices[ls.alloc_di[j]],
-                                   int(ls.alloc_levels[j]), capacity_bytes)
-    if ls.deadlock is not None:
-        raise SchedulingError(ls.deadlock)
-    return ls, replay(ls, plan, plan.comp_cost, plan.send_time,
-                      plan.coll_step_time, max, min, 0.0)
+            raise OutOfMemoryError(plan.devices[trace.alloc_di[j]],
+                                   int(trace.alloc_levels[j]),
+                                   capacity_bytes)
+    if ls.stall is not None:
+        raise SchedulingError(_deadlock(plan, *ls.stall))
+    return ls, trace, replay(ls, plan, plan.comp_cost, plan.send_time,
+                             plan.coll_step_time, max, min, 0.0)
 
 
 def replay(ls: LockstepSchedule, plan: ExecutablePlan, Cm, Tm, Sm,
@@ -689,8 +731,9 @@ def replay(ls: LockstepSchedule, plan: ExecutablePlan, Cm, Tm, Sm,
     return cs_l, ce_l, clock, recv_wait, ts_l, te_l, coll_log
 
 
-def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, cs, ce, clock,
-              recv_wait, ts, te, colls, at=float) -> EventResult:
+def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, trace: MemoryTrace,
+              cs, ce, clock, recv_wait, ts, te, colls,
+              at=float) -> EventResult:
     """One lane of an uncontended pass as an :class:`EventResult`.
 
     ``cs`` / ``ce`` are the lane's compute starts / ends as floats;
@@ -702,7 +745,7 @@ def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, cs, ce, clock,
     ss = [at(ts[slot]) for slot in plan.send_slot]
     se = [at(te[slot]) for slot in plan.send_slot]
     mem = [(di, cs[cid] if is_alloc else ce[cid], delta, level, cid)
-           for di, cid, delta, level, is_alloc in ls.mem_trace]
+           for di, cid, delta, level, is_alloc in trace.mem_trace]
     coll = [(lid, di, at(post), at(start), at(end),
              tuple((at(s), at(e)) for s, e in steps))
             for lid, di, post, start, end, steps in colls]
@@ -710,7 +753,7 @@ def lane_view(plan: ExecutablePlan, ls: LockstepSchedule, cs, ce, clock,
         plan, ls.exec_seq, cs, ce, ls.post_seq, ss, ss, se,
         ls.send_batched, coll, mem, [at(x) for x in clock],
         [at(x) for x in recv_wait],
-        ls.mem_peak if plan.program.tracks_memory else None)
+        trace.mem_peak if plan.program.tracks_memory else None)
 
 
 # -- the contention driver -----------------------------------------------------

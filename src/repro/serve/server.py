@@ -169,10 +169,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_query_payload(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown: its bytes must not be read
+            # as the next request on this keep-alive connection
+            self.close_connection = True
+            raise ConfigError(
+                f"malformed Content-Length header {header!r}; send the "
+                "body's size in bytes")
+        if length == 0:
             raise ConfigError("request body is empty; send a JSON query")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
             raise ConfigError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")

@@ -167,9 +167,10 @@ def assert_alone_equal(plan, run, cap=None):
 
 def contended(plans, run, caps=None):
     """All lanes straight through the contention driver."""
-    ls = batched.lockstep_schedule(plans[0])
     return batched._execute_contended(
-        ls, plans, [ls] * len(plans), caps or [None] * len(plans), run)
+        batched.lockstep_schedule(plans[0]), plans,
+        [batched.memory_trace(p) for p in plans],
+        caps or [None] * len(plans), run)
 
 
 @pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
@@ -1038,6 +1039,99 @@ class TestStructuralVerdicts:
                            match=rf"{kind.value}\(m{mb},s{st}\) on d\d+ "
                                  "has a local dependency on"):
             execute_plan(plans[0], RunConfig(contention=True))
+
+
+class TestOneStructurePerClass:
+    """Congruent programs share one structural pass; only the memory
+    trace is per program (per size binding)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A fresh structure registry and the programs whose structural
+        pass actually ran."""
+        import weakref
+
+        from repro.runtime import events
+
+        monkeypatch.setattr(events, "_STRUCTURES",
+                            weakref.WeakValueDictionary())
+        seen = []
+        real = events._build_lockstep
+
+        def counting(plan, key):
+            seen.append(plan.name)
+            return real(plan, key)
+
+        monkeypatch.setattr(events, "_build_lockstep", counting)
+        return seen
+
+    def test_models_and_microbatch_sizes_share_one_pass(self, builds):
+        cfg = PipelineConfig(scheme="hanayo", num_devices=P,
+                             num_microbatches=B, data_parallel=2)
+        sched = build_schedule(cfg)
+        cluster = make_tacc(8)
+        plans = []
+        for model in (tiny_model(num_layers=16), tiny_model(num_layers=8)):
+            for size in (1, 2):
+                costs = stage_costs(model, sched.num_stages, cluster.device,
+                                    size)
+                program = compile_cluster_program(sched, cluster, costs, d=2)
+                plans.append(ExecutablePlan.lower(program).retime(
+                    ClusterCosts(costs, cluster)))
+        assert len({id(p.program) for p in plans}) == 4
+        run = RunConfig()
+        out = execute_many([(p, None) for p in plans], run)
+        assert len(builds) == 1
+        assert assert_batch_equal(out, plans, run) == (4, 0)
+        assert len(builds) == 1
+        # the traces are the programs' own: four distinct peaks
+        assert len({tuple(batched.memory_trace(p).mem_peak)
+                    for p in plans}) == 4
+
+    def test_congruent_deadlocks_name_their_own_program(self, builds):
+        import dataclasses
+
+        program = TestDeadlockOutranksCapacity().deadlocking_lanes()[0] \
+            .program
+        twin = dataclasses.replace(program, name="twin-of-gpipe")
+        plans = [lanes_for(ExecutablePlan.lower(p), n=1)[0]
+                 for p in (program, twin)]
+        assert plans[0].congruence_key == plans[1].congruence_key
+        for run in (RunConfig(), RunConfig(contention=True)):
+            for plan in plans:
+                for execute in (lambda: execute_plan(plan, run),
+                                lambda: execute_many([(plan, None)], run)):
+                    with pytest.raises(SchedulingError) as err:
+                        execute()
+                    assert str(err.value).startswith(
+                        f"{plan.program.name}: simulation deadlock")
+        assert builds == [program.name]
+
+    def test_collective_kind_enters_the_key(self):
+        import dataclasses
+
+        plan = TestCollectiveParity()._plans(make_tacc)[0]
+        flipped = dataclasses.replace(
+            plan,
+            coll_ops=type(plan.coll_ops)(
+                dataclasses.replace(op, kind=CollectiveKind.TP_BOUNDARY)
+                for op in plan.coll_ops),
+            _congruence_key=None)
+        assert any(op.kind is CollectiveKind.GRAD_SYNC
+                   for op in plan.coll_ops)
+        assert flipped.congruence_key != plan.congruence_key
+
+    def test_structure_lives_as_long_as_its_programs(self, builds):
+        import gc
+
+        from repro.runtime import events
+
+        plans = lanes_for(lowered("gpipe", {}), n=2)
+        execute_batch(PlanBatch.from_plans(plans), RunConfig())
+        assert len(events._STRUCTURES) == 1
+        del plans
+        gc.collect()
+        assert len(events._STRUCTURES) == 0
 
 
 class TestBoundPlanCache:

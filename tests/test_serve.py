@@ -446,6 +446,38 @@ class TestServedParity:
             _post(server.url + "/nope", {})
         assert info.value.code == 404
 
+    @staticmethod
+    def _raw_post(server, headers: bytes, body: bytes) -> bytes:
+        """Send one raw POST on a fresh connection; read until EOF."""
+        import socket
+
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /advise HTTP/1.1\r\nHost: test\r\n"
+                         + headers + b"\r\n" + body)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        return raw
+
+    def test_malformed_content_length_is_a_400_naming_the_header(
+            self, server):
+        raw = self._raw_post(server, b"Content-Length: abc\r\n", b"{}")
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", raw) == [b"400"]
+        error = json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert "Content-Length" in error and "'abc'" in error
+
+    def test_oversized_body_closes_the_connection(self, server):
+        """The unread body must not be parsed as a second request on
+        the keep-alive connection: one response, then EOF."""
+        from repro.serve.server import MAX_BODY_BYTES
+
+        raw = self._raw_post(
+            server, b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1),
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", raw) == [b"400"]
+        assert b"exceeds" in raw
+
     def test_healthz_and_stats(self, server):
         with urllib.request.urlopen(server.url + "/healthz",
                                     timeout=10) as resp:
