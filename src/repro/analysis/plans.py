@@ -1,37 +1,40 @@
 """The analysis-level plan cache: shape → sizes → seconds.
 
 A sweep grid crosses three kinds of axes, and the cache has a level for
-each.  **Shape** axes (scheme, pipeline depth, micro-batch count and
-size, DP/TP widths, waves, prefetch, batching) decide the schedule, the
+each.  **Shape** axes (scheme, pipeline depth, micro-batch count,
+DP/TP widths, waves, prefetch, batching) decide the schedule, the
 action lists and every control-flow array of the lowered plan: one
 :class:`PlanShape` per shape key is the only place the schedule →
-compile → collective-annotation → lowering chain runs.  The **model**
-only sizes a shape (tensor bytes, stage resources, collective payloads
-and counts): a :class:`PlanEntry` is one model's *size binding*
-(:meth:`Program.with_sizes` plus its collectives, then
+compile → collective-annotation → lowering chain runs.  The **micro-batch
+size and the model** only size a shape (tensor bytes, stage resources,
+collective payloads and counts): a :class:`PlanEntry` is one such *size
+binding* (:meth:`Program.with_sizes` plus its collectives, then
 :meth:`ExecutablePlan.with_sizes`), sharing the shape's arrays and
-rebuilding the byte-bearing columns.  The **cluster** only times an
-entry: a cost-only cell **re-times** the entry's plan against its
-oracle (:meth:`ExecutablePlan.retime`) before executing; the capacity
-knob is no axis at all (enforcement is an execute-time argument).
+rebuilding the byte-bearing columns; its schedule shares the shape's op
+lists under its own :class:`~repro.config.PipelineConfig`.  The
+**cluster** only times an entry: a cost-only cell **re-times** the
+entry's plan against its oracle (:meth:`ExecutablePlan.retime`) before
+executing; the capacity knob is no axis at all (enforcement is an
+execute-time argument).
 
 Safety of sharing.  The key (:func:`repro.analysis.throughput.plan_key`,
-the only one) is ``(*shape key, ModelSpec)``, the shape key ``(scheme,
-TP, P, D, D-as-compiled, TP-sync compiled?, B, microbatch size, W,
+the only one) is ``(shape key, microbatch size, ModelSpec)``, the shape
+key ``(scheme, TP, P, D, D-as-compiled, TP-sync compiled?, B, W,
 prefetch, batching)``; cluster and capacity are deliberately absent,
 and out-of-range layouts are rejected per call, before the cache is
 consulted.  *Nothing flows upward*: no shape array depends on a byte
-count, no size column on a device speed or topology, so the donor a
-shape was first built for leaves no trace in a sibling's binding.
+count, no size column on a device speed or topology, so the binding a
+shape was first built for leaves no trace in a sibling's.
 *Shared means immutable*: a shape's action lists are tuples, its
 ``ops``/``deps`` read-only views, and every binding copies the lists
 it hands out, so a consumer that mutates in place raises instead of
-corrupting a sibling model's plan.  And the contract is *verifiable*:
+corrupting a sibling binding's plan.  And the contract is *verifiable*:
 :attr:`ExecutablePlan.plan_key` content-hashes exactly the shape and
 size arrays execution reads, and the test suite pins that a size-bound
 plan equals an independent compile + lowering of the same cell (keys,
 ``congruence_key``, decoded lists; any model, cluster or capacity) and
-that measuring models in either order yields identical records.
+that measuring models or micro-batch sizes in either order yields
+identical records.
 
 The cache is process-global (each sweep worker process grows its own)
 and bounded LRU over entries — an over-capacity sweep keeps the
@@ -60,10 +63,11 @@ MAX_BINDINGS = 64
 
 @dataclass
 class PlanShape:
-    """What the models of one pipeline shape share: the schedule, the
-    compiled shape (collective-free, unit-sized, ``frozen()``) their
-    programs are size bindings of, and the first binding's lowering —
-    kept for its shape arrays, all ``with_sizes`` reads of it."""
+    """What the size bindings of one pipeline shape share: the
+    schedule's op lists, the compiled shape (collective-free,
+    unit-sized, ``frozen()``) their programs are size bindings of, and
+    the first binding's lowering — kept for its shape arrays, all
+    ``with_sizes`` reads of it."""
 
     schedule: Schedule
     program: Program

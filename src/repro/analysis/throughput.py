@@ -454,31 +454,36 @@ def ThroughputRequest(  # noqa: N802 - constructor of HybridRequest
                          num_microbatches, w, microbatch_size, **knobs)
 
 
-def plan_key(req: HybridRequest, run: RunConfig) -> tuple:
-    """The structural plan-cache key of one measurement: ``(*shape key,
-    model)``.
-
-    The shape key — ``plan_key(...)[:-1]`` — is everything the schedule,
-    the action lists and the lowered control flow (and the group's
-    shared :class:`~repro.config.PipelineConfig`) depend on: the
-    layout, ``D`` *as compiled* (1 under ``overlap="model"``, which
-    compiles no gradient rings), whether TP boundary all-reduces are
-    compiled in, the micro-batch shape, waves and the run's compile
-    knobs.  So overlap modes share a plan wherever they compile the
-    same program (``D == 1`` at ``TP == 1``).  The model only sizes
-    that shape (bytes, collective payloads and counts), so it is the
-    last component and a re-bind axis like the cluster — which, with
-    the capacity knob, is deliberately absent: devices, links and
-    enforcement are per-call concerns resolved at re-time / execute,
-    never compiled into the plan (see :mod:`.plans`).  Cells with equal
-    keys are the lanes the batched measurement path stacks.
+def _shape_key(req: HybridRequest, run: RunConfig) -> tuple:
+    """Everything the schedule, the action lists and the lowered control
+    flow depend on: the layout, ``D`` *as compiled* (1 under
+    ``overlap="model"``, which compiles no gradient rings), whether TP
+    boundary all-reduces are compiled in, the micro-batch count, waves
+    and the run's compile knobs.  So overlap modes share a shape
+    wherever they compile the same program (``D == 1`` at ``TP == 1``).
     """
     layout = req.layout
     simulated = req.overlap == "simulated"
     return (req.scheme, layout.tp, layout.p, layout.d,
             layout.d if simulated else 1, simulated and layout.tp > 1,
-            req.num_microbatches, req.microbatch_size, req.w,
-            run.prefetch, run.batch_cross_comm, req.model)
+            req.num_microbatches, req.w, run.prefetch,
+            run.batch_cross_comm)
+
+
+def plan_key(req: HybridRequest, run: RunConfig) -> tuple:
+    """The structural plan-cache key of one measurement: ``(shape key,
+    microbatch size, model)``.
+
+    The shape key decides the plan's structure; the micro-batch size
+    and the model only size it (bytes, stage resources, collective
+    payloads and counts) — the *size binding*, a re-bind axis like the
+    cluster.  The cluster, with the capacity knob, is deliberately
+    absent: devices, links and enforcement are per-call concerns
+    resolved at re-time / execute, never compiled into the plan (see
+    :mod:`.plans`).  Cells with equal keys are the lanes the batched
+    measurement path stacks.
+    """
+    return (_shape_key(req, run), req.microbatch_size, req.model)
 
 
 def _rejection(req: HybridRequest) -> ConfigError | None:
@@ -503,8 +508,10 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
     ``requests`` share ``key`` (:func:`plan_key`), hence one schedule,
     one compiled program and one lowered plan — fetched from the plan
     cache, or size-bound against the first live lane from the group's
-    :class:`~.plans.PlanShape` (``key[:-1]``; built first if no model
-    has met this shape yet) and retained.  Per lane the only work is
+    :class:`~.plans.PlanShape` (its shape key; built first if no
+    (micro-batch size, model) binding has met this shape yet) and
+    retained.  A schedule taken from a shape carries the group's own
+    config: only the op lists are shared.  Per lane the only work is
     the cost-model lowering (TP-sharded), the O(P) static-memory
     pre-check and the plan re-time.  Returns ``(shared config,
     schedule, lanes)`` with ``lanes[j]`` either the live lane's
@@ -521,11 +528,17 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
     cfg = head.config()
     plans = plan_cache()
     entry = plans.get(key)
-    shape = entry.shape if entry is not None else plans.get_shape(key[:-1])
+    shape_key = _shape_key(head, run)
+    shape = entry.shape if entry is not None else plans.get_shape(shape_key)
     cached = entry or shape
     with profiling.phase("build"):
         schedule = cached.schedule if cached is not None else \
             build_schedule(cfg)
+        if schedule.config.microbatch_size != head.microbatch_size:
+            # no builder reads the micro-batch size: rebind the shape's
+            # config, share its op lists
+            schedule = replace(schedule, config=replace(
+                schedule.config, microbatch_size=head.microbatch_size))
         # model is part of the group key, so layers-per-stage and
         # boundary bytes agree across the group's lanes
         layers_per_stage = (head.model.num_layers + 2) / schedule.num_stages
@@ -572,7 +585,7 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
                 if shape is None:
                     plan = ExecutablePlan.lower(program)
                     shape = plans.put_shape(
-                        key[:-1], PlanShape(schedule, base, plan))
+                        shape_key, PlanShape(schedule, base, plan))
                 else:
                     plan = shape.plan.with_sizes(program)
                 entry = plans.put(
@@ -706,14 +719,15 @@ def measure_hybrid_throughput_batch(
     one infeasible cell cannot abort the batch (the sweep engine turns
     it into an infeasible record).
 
-    Cells sharing a :func:`plan_key` share one schedule build and one
-    compile/lower (through the plan cache) — the collectives are
-    compiled into each group's program, so cost-only lanes (clusters,
-    capacity variants) re-time the cached plan.  *All* groups' lanes
-    then go through a single :func:`repro.runtime.batched.execute_many`
-    call per contention mode, which re-groups them by control-flow
-    congruence — so cells of *different* plan keys whose structures
-    agree (e.g. two models on one layout) still stack into one lockstep
+    Cells sharing a pipeline shape (any micro-batch size or model)
+    share one schedule build and one compile/lower through the plan
+    cache — the collectives are compiled into each group's program, so
+    cost-only lanes (clusters, capacity variants) re-time the cached
+    plan.  *All* groups' lanes then go through a single
+    :func:`repro.runtime.batched.execute_many` call per contention
+    mode, which re-groups them by control-flow congruence — so cells of
+    *different* plan keys whose structures agree (e.g. two models or
+    micro-batch sizes on one layout) still stack into one lockstep
     batch, and an uncontended lane with nothing to stack with is a
     batch of one.  The accounting runs on the batch's lane-axis fold
     columns (:func:`simulate_groups`).  A lane's

@@ -159,11 +159,12 @@ def sweep_answer(query: SweepQuery, measure=None, progress=None) -> dict:
 
     The grid expands and groups exactly like the batch engine
     (:func:`repro.sweep.engine.run_sweep` with no on-disk cache): cells
-    sharing every structural axis form one work unit measured by one
-    ``measure`` call.  After each unit finishes, ``progress(done,
-    total)`` fires — the server streams these as chunked frames.  The
-    final payload's ``result`` is exactly ``SweepTable.to_json``
-    content for the same spec.
+    sharing every structural axis form one work unit — one pipeline
+    shape, whatever the micro-batch size, model or cluster — measured by
+    one ``measure`` call.  After each unit finishes, ``progress(done,
+    total)`` fires — the server streams these as chunked frames, one
+    per shape.  The final payload's ``result`` is exactly
+    ``SweepTable.to_json`` content for the same spec.
     """
     from ..sweep.engine import (
         _batch_units,

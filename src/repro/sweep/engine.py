@@ -6,10 +6,10 @@ and produces a :class:`~repro.sweep.table.SweepTable`:
 1. expand the spec to concrete grid cells,
 2. resolve each cell against the on-disk cache (when one is given),
 3. group the misses into work units — cells that share every
-   *structural* axis (scheme, P, B, micro-batch size, D, W, TP) and
-   differ only in cost axes (cluster, model) become one unit, measured
-   by one :func:`repro.analysis.measure_hybrid_throughput_batch` call
-   (a lone cell is a batch of one),
+   *structural* axis (scheme, P, B, D, W, TP) and differ only in size
+   and cost axes (micro-batch size, model, cluster) become one unit,
+   measured by one :func:`repro.analysis.measure_hybrid_throughput_batch`
+   call (a lone cell is a batch of one),
 4. fan the units out over a ``multiprocessing`` pool (``workers > 1``)
    or evaluate them inline — process sharding keeps structural variety
    across workers, lockstep batching amortizes within one,
@@ -115,19 +115,20 @@ def evaluate_unit_requests(unit: list[tuple],
 def _batch_units(misses: list[tuple]) -> list[list[tuple]]:
     """Group miss jobs into work units, preserving first-seen order.
 
-    Cells agreeing on every structural axis — scheme, P, B,
-    micro-batch size, D, W and TP (the harness's plan-key axes plus
-    run-config constants) — form one unit whatever their cluster *or
-    model*: those are cost axes, and the batched runtime's congruence
-    grouping stacks equal-structure lanes across models (distinct plan
-    keys) into one lockstep batch.
+    Cells agreeing on every structural axis — scheme, P, B, D, W and
+    TP (the harness's shape-key axes plus run-config constants) — form
+    one unit whatever their micro-batch size, model or cluster: those
+    only size or time a shape, and the batched runtime's congruence
+    grouping stacks equal-structure lanes across size bindings
+    (distinct plan keys) into one lockstep batch.  So a unit is a
+    shape.
     """
     units: list[list[tuple]] = []
     by_structure: dict[tuple, list[tuple]] = {}
     for job in misses:
         point = job[1]
         gkey = (point.scheme, point.p, point.num_microbatches,
-                point.microbatch_size, point.d, point.w, point.tp)
+                point.d, point.w, point.tp)
         group = by_structure.get(gkey)
         if group is None:
             group = by_structure[gkey] = []

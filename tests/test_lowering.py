@@ -283,6 +283,44 @@ class TestSizeBinding:
         assert (len(cache), len(cache._shapes)) == (3, 1)
 
 
+#: cross-family aliases of the ``sweep_cold`` grid (layouts P x D with
+#: D = 8 / P, B = P): ``(scheme, scheme', P, B, W)`` compiling to
+#: congruent programs, and one pair that must stay apart
+ALIASES = [
+    ("dapple", "interleaved", 2, 2, 1),
+    ("gems", "chimera", 2, 2, 1),
+    ("chimera-wave", "hanayo", 2, 2, 1),
+    ("chimera-wave", "hanayo", 4, 4, 1),
+    ("chimera-wave", "hanayo", 8, 8, 1),
+]
+
+
+class TestCrossFamilyAliases:
+    """Some (scheme, P, B, W) shapes of different families lower to
+    one control flow: the batched runtime stacks them into one lockstep
+    batch, though the plan cache still builds each shape on its own.
+    A claim about the schedules, pinned as ``congruence_key`` facts."""
+
+    @staticmethod
+    def _congruence_key(scheme, p, b, w):
+        from repro.analysis import HybridLayout, build_hybrid_simulation
+
+        return build_hybrid_simulation(
+            scheme, make_fc(8), tiny_model(num_layers=16),
+            HybridLayout(1, p, 8 // p), b, w=w).plan.congruence_key
+
+    @pytest.mark.parametrize("scheme, alias, p, b, w", ALIASES,
+                             ids=[f"{s}={a}-P{p}" for s, a, p, _, _
+                                  in ALIASES])
+    def test_alias(self, scheme, alias, p, b, w):
+        assert self._congruence_key(scheme, p, b, w) == \
+            self._congruence_key(alias, p, b, w)
+
+    def test_hanayo_two_waves_is_not_chimera_wave(self):
+        assert self._congruence_key("hanayo", 4, 4, 2) != \
+            self._congruence_key("chimera-wave", 4, 4, 1)
+
+
 def test_with_sizes_rejects_a_program_of_another_shape():
     """The one shape fact a size binding can get wrong — collectives
     missing or over other rank groups — is refused, not mis-lowered."""

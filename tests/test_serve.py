@@ -668,8 +668,8 @@ class TestDrain:
 
 class TestCacheThreadSafety:
     def test_plan_cache_concurrent_hammering(self):
-        """Plan keys are ``(shape, model)``: three models per shape, so
-        the shape level is hammered too — looked up on a plan miss,
+        """Plan keys are ``(shape, size binding)``: three bindings per
+        shape, so the shape level is hammered too — looked up on a plan miss,
         registered on a shape miss, alive only through its entries."""
         from repro.analysis.plans import PlanCache, PlanEntry, PlanShape
 

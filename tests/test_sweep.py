@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -506,6 +507,44 @@ class TestPlanCache:
         assert any(r.seq_per_s for r in forward)
         assert "5 shapes, 5 hits, 5 misses" in cache.describe()
 
+    def test_microbatch_sizes_share_a_shape_and_leave_no_trace(self):
+        """Micro-batch size is a size axis like the model: three sizes
+        times two models of one pipeline shape build it once, measuring
+        the sizes in either order yields identical records, and a
+        schedule taken from the shared shape carries its own cell's
+        config."""
+        from repro.analysis import (
+            HybridLayout,
+            HybridRequest,
+            build_hybrid_simulation,
+            measure_hybrid_throughput_batch,
+            plan_cache,
+        )
+        from repro.models import gpt_128
+        cache = plan_cache()
+        layout = HybridLayout(1, 4, 2)
+
+        def requests(sizes):
+            return [HybridRequest("hanayo", make_fc(8), model, layout, 4,
+                                  w=2, microbatch_size=mb)
+                    for mb in sizes for model in (bert_64(), gpt_128())]
+
+        forward = measure_hybrid_throughput_batch(requests((1, 2, 4)))
+        assert (cache.shape_misses, cache.shape_hits) == (1, 5)
+        assert any(r.seq_per_s for r in forward)
+        cache.clear()
+        backward = measure_hybrid_throughput_batch(requests((4, 2, 1)))
+        assert backward == forward[4:] + forward[2:4] + forward[:2]
+
+        cache.clear()
+        build_hybrid_simulation("hanayo", make_fc(8), bert_64(), layout, 4,
+                                w=2, microbatch_size=1)
+        cell = build_hybrid_simulation("hanayo", make_fc(8), bert_64(),
+                                       layout, 4, w=2, microbatch_size=2)
+        assert cache.shape_hits == 1
+        assert cell.schedule.config == cell.cfg
+        assert cell.schedule.config.microbatch_size == 2
+
     def test_shared_shape_is_immutable_and_bindings_do_not_alias(self):
         """A consumer that mutates action lists in place raises on the
         shared shape and cannot reach a sibling model's program."""
@@ -597,7 +636,7 @@ class TestBatchUnits:
         for unit in units:
             points = [job[1] for job in unit]
             assert len({(pt.scheme, pt.p, pt.num_microbatches,
-                         pt.microbatch_size, pt.d, pt.w)
+                         pt.d, pt.w, pt.tp)
                         for pt in points}) == 1
         # and no cell is dropped or duplicated
         assert sorted(job[0] for u in units for job in u) == \
@@ -606,6 +645,31 @@ class TestBatchUnits:
     def test_single_cluster_units_are_singletons(self):
         units = engine_mod._batch_units(self._misses(tiny_spec()))
         assert units and all(len(u) == 1 for u in units)
+
+    def test_microbatch_sizes_form_one_unit(self):
+        """A unit is a shape: cells that differ only in micro-batch size
+        are measured together, and the rows match per-batch sweeps."""
+        spec = tiny_spec(total_batches=(8, 16))
+        units = engine_mod._batch_units(self._misses(spec))
+        assert units and all(len(u) == 2 for u in units)
+        for unit in units:
+            first, second = (job[1] for job in unit)
+            assert first.microbatch_size != second.microbatch_size
+            assert dataclasses.replace(
+                first, microbatch_size=second.microbatch_size,
+                total_batch=second.total_batch) == second
+
+        def key(row):
+            return (row.scheme, row.p, row.d, row.w, row.total_batch)
+
+        reference = {key(row): row.to_dict()
+                     for batch in spec.total_batches
+                     for row in run_sweep(
+                         tiny_spec(total_batches=(batch,))).rows}
+        rows = run_sweep(spec).rows
+        assert len(rows) == len(reference)
+        for row in rows:
+            assert row.to_dict() == reference[key(row)]
 
     def test_batched_rows_match_scalar(self, monkeypatch):
         """A two-cluster sweep (batch units) reproduces the per-cluster
