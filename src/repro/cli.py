@@ -19,6 +19,7 @@ import sys
 
 from .config import CostConfig, PipelineConfig
 from .errors import ConfigError, ReproError
+from .models.zoo import MODELS
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -111,11 +112,9 @@ def _trace_body(args, run) -> int:
                   "(topology provides transfer times)", file=sys.stderr)
         from .analysis import HybridLayout, build_hybrid_simulation
         from .cluster import get_cluster
-        from .models import bert_64, gpt_128, tiny_model
         from .runtime import simulate_program
 
-        model = {"bert": bert_64, "gpt": gpt_128,
-                 "tiny": tiny_model}[args.model]()
+        model = MODELS[args.model]()
         cluster = get_cluster(args.cluster,
                               args.devices * args.dp * args.tp)
         layout = HybridLayout(tp=args.tp, p=args.devices, d=args.dp)
@@ -281,11 +280,9 @@ def _parse_layouts(text: str) -> tuple[tuple[int, ...], ...]:
 def cmd_sweep(args) -> int:
     from .analysis import layouts_for
     from .cluster import get_cluster
-    from .models import bert_64, gpt_128, tiny_model
     from .sweep import ResultCache, SweepSpec, run_sweep
 
-    factories = {"bert": bert_64, "gpt": gpt_128, "tiny": tiny_model}
-    models = tuple(factories[name]() for name in args.models)
+    models = tuple(MODELS[name]() for name in args.models)
     clusters = tuple(get_cluster(name, args.devices)
                      for name in args.clusters)
     tps = tuple(dict.fromkeys(args.tp))
@@ -510,7 +507,7 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["PC", "FC", "TACC", "TC"],
                    help="simulate on a modeled cluster (concrete costs)")
     t.add_argument("--model", default="bert",
-                   choices=["bert", "gpt", "tiny"],
+                   choices=list(MODELS),
                    help="model for --cluster runs")
     t.add_argument("--no-prefetch", action="store_true",
                    help="blocking receives (ablate Sec. 4.2 overlap)")
@@ -535,7 +532,7 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--cluster", default="TACC",
                    choices=["PC", "FC", "TACC", "TC"])
     a.add_argument("--model", default="bert",
-                   choices=["bert", "gpt", "tiny"])
+                   choices=list(MODELS))
     a.add_argument("-n", "--devices", type=int, default=8)
     a.add_argument("--batch", type=int, default=16)
     a.add_argument("--top", type=int, default=10)
@@ -576,10 +573,10 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--cluster", default="TACC",
                    choices=["PC", "FC", "TACC", "TC"])
     q.add_argument("--model", default="bert",
-                   choices=["bert", "gpt", "tiny"],
+                   choices=list(MODELS),
                    help="model for advise queries")
     q.add_argument("--models", nargs="+", default=["bert"],
-                   choices=["bert", "gpt", "tiny"],
+                   choices=list(MODELS),
                    help="models for sweep queries")
     q.add_argument("--schemes", nargs="+",
                    default=["gpipe", "dapple", "chimera-wave", "hanayo"],
@@ -606,7 +603,7 @@ def make_parser() -> argparse.ArgumentParser:
     sw.add_argument("--clusters", nargs="+", default=["TACC"],
                     choices=["PC", "FC", "TACC", "TC"])
     sw.add_argument("--model", dest="models", nargs="+", default=["bert"],
-                    choices=["bert", "gpt", "tiny"])
+                    choices=list(MODELS))
     sw.add_argument("-n", "--devices", type=int, default=8)
     sw.add_argument("--batch", type=int, nargs="+", default=[16],
                     help="total batch size(s) to sweep")

@@ -44,3 +44,7 @@ def tiny_model(num_layers: int = 8, hidden: int = 32, heads: int = 4,
         vocab=vocab,
         bytes_per_el=8,  # engine trains in float64 for exact equivalence
     )
+
+
+#: the evaluation models by the name the CLI and advisor queries use
+MODELS = {"bert": bert_64, "gpt": gpt_128, "tiny": tiny_model}

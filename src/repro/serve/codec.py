@@ -23,13 +23,14 @@ import json
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..models.zoo import MODELS
 
 #: bump when query or answer payload layout changes; a client/server
 #: version mismatch then fails loudly instead of mis-parsing
 CODEC_VERSION = 2
 
-#: model names a query may reference (resolved in ``queries.py``)
-KNOWN_MODELS = ("bert", "gpt", "tiny")
+#: model names a query may reference
+KNOWN_MODELS = tuple(MODELS)
 
 #: cluster presets a query may reference
 KNOWN_CLUSTERS = ("PC", "FC", "TACC", "TC")

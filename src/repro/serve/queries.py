@@ -1,56 +1,44 @@
-"""Query expansion and answer folding — one path for CLI and server.
+"""Advisor answers — one path for the CLI and the server.
 
-``repro advise`` and the server's ``/advise`` endpoint both call
-:func:`advise_answer`; ``repro sweep``-shaped served queries go through
-:func:`sweep_answer`, which assembles its table with the same
-:func:`repro.sweep.engine.assemble_table` the batch engine uses.  The
-measurement step is pluggable: the CLI passes nothing (a direct
-``measure_hybrid_throughput_batch`` call), the server passes the
-micro-batcher's submit method — and because every lane the batched
-runtime produces is bit-identical to the scalar core (pinned since PR
-7/8), a served answer equals the batch answer byte for byte once both
-sides serialize canonically.
+An advise query is a ranked one-batch sweep: :func:`advise_requests`
+lowers it to a :class:`~repro.sweep.spec.SweepSpec` (the Sec. 5.3
+search: schemes × (P, D) layouts × Hanayo waves under B = P) and
+expands it; :func:`advise_answer` measures the grid in one ``measure``
+call and ranks the assembled table.  A served sweep is
+:func:`~repro.sweep.engine.run_sweep`.  ``measure`` defaults to the
+engine's harness; the server passes its micro-batcher's submit method,
+whose lanes are bit-identical, so served and CLI answers are the same
+bytes.  The simulator (NumPy) loads with the first measurement.
 """
 
 from __future__ import annotations
 
+import json
+
 from ..analysis.report import format_table
 from ..analysis.scaling import layouts_for
-from ..analysis.throughput import (
-    HybridLayout,
-    HybridRequest,
-    ThroughputResult,
-    measure_hybrid_throughput_batch,
-)
 from ..cluster.presets import get_cluster
 from ..errors import ConfigError
-from ..sweep.spec import SweepSpec, feasible_waves, split_batch
+from ..models.zoo import MODELS
+from ..sweep.engine import (
+    assemble_table,
+    evaluate_unit_requests,
+    run_sweep,
+    spec_jobs,
+)
+from ..sweep.spec import SweepPoint, SweepSpec
 from .codec import ADVISE_SCHEMES, CODEC_VERSION, AdviseQuery, SweepQuery
 
-#: model factories by query name (import deferred — models are cheap,
-#: but keeping one table makes the valid set obvious)
-def _model(name: str):
-    from ..models import bert_64, gpt_128, tiny_model
 
-    return {"bert": bert_64, "gpt": gpt_128, "tiny": tiny_model}[name]()
+def advise_requests(query: AdviseQuery) -> tuple[SweepSpec, list[SweepPoint]]:
+    """Lower a query to its one-batch sweep and expand it.
 
-
-def advise_requests(
-    query: AdviseQuery,
-) -> tuple[list[tuple[str, int, int, int, int]], list]:
-    """Expand a query to measurement requests.
-
-    Returns ``(cells, requests)`` aligned index-for-index: ``cells``
-    carries the ``(scheme, p, d, tp, w)`` identity of each request.
-    Raises :class:`ConfigError` when no (P, D) layout fits the device
-    budget (same verdict and message as the original per-cell CLI
-    loop).
+    Layouts are ``(P, D, TP)`` triples filling ``devices / tp``, kept
+    to ``query.dp`` widths when given; :class:`ConfigError` when none
+    fits.
     """
-    model = _model(query.model)
-    cluster = get_cluster(query.cluster, query.devices)
-    budget = query.devices // query.tp
     layouts = tuple(
-        (p, d) for p, d in layouts_for(budget)
+        (p, d, query.tp) for p, d in layouts_for(query.devices // query.tp)
         if query.dp is None or d in query.dp
     )
     if not layouts:
@@ -59,53 +47,35 @@ def advise_requests(
             f"--tp {query.tp}"
             + (f" --dp {list(query.dp)}" if query.dp else "")
         )
-    cells: list[tuple[str, int, int, int, int]] = []
-    requests: list = []
-    for scheme in ADVISE_SCHEMES:
-        for p, d in layouts:
-            shape = split_batch(query.batch, d, p, scheme)
-            if shape is None:
-                continue
-            waves = (feasible_waves(model, p) if scheme == "hanayo"
-                     else [1])
-            for w in waves:
-                cells.append((scheme, p, d, query.tp, w))
-                requests.append(HybridRequest(
-                    scheme=scheme, cluster=cluster, model=model,
-                    layout=HybridLayout(tp=query.tp, p=p, d=d),
-                    num_microbatches=shape[0], w=w,
-                    microbatch_size=shape[1],
-                    capacity_bytes=query.capacity_bytes,
-                    contention=query.contention,
-                ))
-    return cells, requests
+    spec = SweepSpec(
+        schemes=ADVISE_SCHEMES,
+        clusters=(get_cluster(query.cluster, query.devices),),
+        models=(MODELS[query.model](),),
+        layouts=layouts,
+        total_batches=(query.batch,),
+        capacity_bytes=query.capacity_bytes,
+        contention=query.contention,
+    )
+    return spec, spec.expand()
 
 
 def advise_answer(query: AdviseQuery, measure=None) -> dict:
     """The full answer payload for one advise query.
 
-    ``measure`` executes a request list and returns the outcome list in
-    request order (default: the harness directly; the server passes the
-    micro-batcher's submit method).  Rows are ranked by throughput —
-    OOM cells sink to the bottom — with a deterministic structural
-    tie-break, truncated to ``query.top``.
+    The grid is one ``measure`` call (one micro-batcher submission, so
+    one coalescing window); rows are ranked by throughput — OOM cells
+    last — with a structural tie-break, truncated to ``query.top``.
     """
-    measure = measure or measure_hybrid_throughput_batch
-    cells, requests = advise_requests(query)
-    outcomes = measure(requests) if requests else []
-    rows = []
-    for (scheme, p, d, tp, w), outcome in zip(cells, outcomes):
-        if isinstance(outcome, ConfigError):
-            # infeasible cell (layout/node-size limits) — the paper's
-            # empty grid slots; anything else propagated already
-            continue
-        result: ThroughputResult = outcome
-        rows.append({
-            "scheme": scheme, "p": p, "d": d, "tp": tp, "w": w,
-            "seq_per_s": result.seq_per_s,
-            "oom": result.oom,
-            "statically_pruned": result.statically_pruned,
-        })
+    spec, points = advise_requests(query)
+    jobs = spec_jobs(spec, enumerate(points))
+    records = {index: (record, False)
+               for index, record in evaluate_unit_requests(jobs, measure)}
+    rows = [
+        {"scheme": row.scheme, "p": row.p, "d": row.d, "tp": row.tp,
+         "w": row.w, "seq_per_s": row.result.seq_per_s, "oom": row.oom,
+         "statically_pruned": row.result.statically_pruned}
+        for row in assemble_table(spec, points, records).rows
+    ]
     rows.sort(key=lambda r: (
         -(r["seq_per_s"] if r["seq_per_s"] is not None else float("-inf")),
         r["scheme"], r["p"], r["d"], r["tp"], r["w"],
@@ -143,7 +113,7 @@ def sweep_spec(query: SweepQuery) -> SweepSpec:
     return SweepSpec(
         schemes=query.schemes,
         clusters=(get_cluster(query.cluster, query.devices),),
-        models=tuple(_model(name) for name in query.models),
+        models=tuple(MODELS[name]() for name in query.models),
         layouts=(query.layouts if query.layouts is not None
                  else layouts_for(query.devices)),
         total_batches=query.batches,
@@ -157,43 +127,14 @@ def sweep_spec(query: SweepQuery) -> SweepSpec:
 def sweep_answer(query: SweepQuery, measure=None, progress=None) -> dict:
     """Evaluate a served sweep and fold it into the table payload.
 
-    The grid expands and groups exactly like the batch engine
-    (:func:`repro.sweep.engine.run_sweep` with no on-disk cache): cells
-    sharing every structural axis form one work unit — one pipeline
-    shape, whatever the micro-batch size, model or cluster — measured by
-    one ``measure`` call.  After each unit finishes, ``progress(done,
-    total)`` fires — the server streams these as chunked frames, one
-    per shape.  The final payload's ``result`` is exactly
-    ``SweepTable.to_json`` content for the same spec.
+    :func:`~repro.sweep.engine.run_sweep` without a cache: one
+    ``measure`` call and one ``progress(done, total)`` (a streamed frame
+    on the server) per work unit; ``result`` is ``SweepTable.to_json``.
     """
-    from ..sweep.engine import (
-        _batch_units,
-        assemble_table,
-        evaluate_unit_requests,
-    )
-
-    spec = sweep_spec(query)
-    points = spec.expand()
-    jobs = [
-        (i, point, spec.clusters[point.cluster_index],
-         spec.models[point.model_index], spec.overlap,
-         spec.enforce_memory, spec.capacity_bytes, spec.contention)
-        for i, point in enumerate(points)
-    ]
-    records: dict[int, tuple[dict, bool]] = {}
-    done = 0
-    for unit in _batch_units(jobs):
-        for index, record in evaluate_unit_requests(unit, measure):
-            records[index] = (record, False)
-        done += len(unit)
-        if progress is not None:
-            progress(done, len(points))
-    table = assemble_table(spec, points, records)
-    import json as _json
-
+    table = run_sweep(sweep_spec(query), measure=measure, progress=progress)
     return {
         "kind": "sweep",
         "version": CODEC_VERSION,
         "query": query.to_payload(),
-        "result": _json.loads(table.to_json()),
+        "result": json.loads(table.to_json()),
     }

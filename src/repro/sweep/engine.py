@@ -8,15 +8,14 @@ and produces a :class:`~repro.sweep.table.SweepTable`:
 3. group the misses into work units — cells that share every
    *structural* axis (scheme, P, B, D, W, TP) and differ only in size
    and cost axes (micro-batch size, model, cluster) become one unit,
-   measured by one :func:`repro.analysis.measure_hybrid_throughput_batch`
-   call (a lone cell is a batch of one),
+   measured by one ``measure`` call (a lone cell is a batch of one),
 4. fan the units out over a ``multiprocessing`` pool (``workers > 1``)
    or evaluate them inline — process sharding keeps structural variety
    across workers, lockstep batching amortizes within one,
 5. persist fresh results — including *infeasible* verdicts, so re-runs
    skip the whole grid — and assemble rows in spec order.
 
-Every actual measurement goes through this module's
+Every default measurement goes through this module's
 ``measure_hybrid_throughput_batch`` global, so tests can wrap it with a
 call counter to prove that a warm cache performs **zero** simulator
 work (and that multi-cell units really batch).  The simulator itself
@@ -37,6 +36,7 @@ split this produces.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -60,6 +60,7 @@ __all__ = [
     "evaluate_unit_requests",
     "point_key",
     "run_sweep",
+    "spec_jobs",
     "unit_requests",
 ]
 
@@ -72,6 +73,17 @@ def measure_hybrid_throughput_batch(requests):
     happens here — on the first uncached unit — not with this module."""
     from ..analysis import throughput
     return throughput.measure_hybrid_throughput_batch(requests)
+
+
+def spec_jobs(spec: SweepSpec, indexed) -> list[tuple]:
+    """Job tuples for ``(index, point)`` cells of ``spec``: the point,
+    its cluster and model, and the spec's measurement options."""
+    return [
+        (i, point, spec.clusters[point.cluster_index],
+         spec.models[point.model_index], spec.overlap,
+         spec.enforce_memory, spec.capacity_bytes, spec.contention)
+        for i, point in indexed
+    ]
 
 
 def unit_requests(unit: list[tuple]) -> list[HybridRequest]:
@@ -168,19 +180,25 @@ def run_sweep(
     spec: SweepSpec,
     cache: ResultCache | None = None,
     workers: int | None = None,
+    measure=None,
+    progress=None,
 ) -> SweepTable:
     """Evaluate a sweep spec, reusing cached cells.
 
     ``workers=None`` or ``1`` evaluates inline (deterministic, easiest
     to debug and to instrument); ``workers > 1`` runs misses on a
     process pool.  Row order is the spec's expansion order either way.
+    ``measure`` runs one unit's requests on either path (default: this
+    module's harness global; the server passes its micro-batcher).
+    ``progress(done, total)`` fires after each unit with the cells
+    resolved so far, cache hits included, ending at ``(total, total)``.
     """
     points = spec.expand()
     stats = SweepStats(total=len(points))
     records: dict[int, tuple[dict, bool]] = {}
 
     keys: list[str | None] = [None] * len(points)
-    misses: list[tuple] = []
+    misses: list[tuple[int, SweepPoint]] = []
     if cache is not None:
         # digested once per (cluster, model) instead of once per cell
         prefixes = {(ci, mi): _key_prefix(spec, ci, mi)
@@ -196,35 +214,30 @@ def run_sweep(
                 records[i] = (hit, True)
                 stats.cached += 1
                 continue
-        misses.append((
-            i, point,
-            spec.clusters[point.cluster_index],
-            spec.models[point.model_index],
-            spec.overlap, spec.enforce_memory, spec.capacity_bytes,
-            spec.contention,
-        ))
+        misses.append((i, point))
 
     if misses:
-        def finish(index: int, record: dict) -> None:
+        def finish(unit_records: list[tuple[int, dict]]) -> None:
             # persist immediately so an interrupted sweep keeps every
             # cell that already finished
-            records[index] = (record, False)
-            if cache is not None:
-                cache.put(keys[index], record)
+            for index, record in unit_records:
+                records[index] = (record, False)
+                if cache is not None:
+                    cache.put(keys[index], record)
+            if progress is not None:
+                progress(len(records), len(points))
 
-        units = _batch_units(misses)
+        evaluate = functools.partial(evaluate_unit_requests, measure=measure)
+        units = _batch_units(spec_jobs(spec, misses))
         if workers is not None and workers > 1:
             import multiprocessing
             pool_size = min(workers, MAX_WORKERS, len(units))
             with multiprocessing.Pool(pool_size) as pool:
-                for unit_records in pool.imap_unordered(
-                        evaluate_unit_requests, units):
-                    for index, record in unit_records:
-                        finish(index, record)
+                for unit_records in pool.imap_unordered(evaluate, units):
+                    finish(unit_records)
         else:
             for unit in units:
-                for index, record in evaluate_unit_requests(unit):
-                    finish(index, record)
+                finish(evaluate(unit))
         stats.computed += len(misses)
 
     return assemble_table(spec, points, records, stats=stats)
@@ -238,13 +251,12 @@ def assemble_table(
 ) -> SweepTable:
     """Fold per-point records into a :class:`SweepTable`, in spec order.
 
-    The one assembly path: :func:`run_sweep` and the serving layer's
-    sweep endpoint both finish here, so a served table and a batch
-    table of the same grid cannot drift in row content or stats
-    accounting.  ``records`` maps point index to ``(record,
-    was_cached)``; ``stats`` carries the caller's computed/cached
-    tallies (a fresh one is derived when omitted — every record then
-    counts as computed).
+    The one assembly path: :func:`run_sweep` and the advisor both
+    finish here, so an advise ranking and a sweep table of the same
+    grid cannot drift in row content or stats accounting.  ``records``
+    maps point index to ``(record, was_cached)``; ``stats`` carries the
+    caller's computed/cached tallies (a fresh one is derived when
+    omitted — every record then counts as computed).
     """
     if stats is None:
         stats = SweepStats(total=len(points), computed=len(records))

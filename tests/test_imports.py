@@ -130,6 +130,15 @@ def test_advise_does_not_load_the_daemon():
                 "repro.serve.batcher"} & loaded
 
 
+def test_advise_query_module_is_numpy_free():
+    """The advisor lowers to the sweep engine: the simulator loads with
+    the first measurement, not with the module."""
+    proc = _run("-c", "import sys, repro.serve.queries; print(*sorted("
+                "m for m in sys.modules if m.startswith(('repro.', 'numpy'))))")
+    assert not {"numpy", "repro.analysis.throughput"} & set(
+        proc.stdout.split())
+
+
 class TestFreezeOnFullCollection:
     """``repro.__main__.run`` — the process entry point, never
     ``cli.main`` — freezes what a full collection kept, except under

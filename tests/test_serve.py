@@ -394,7 +394,9 @@ class TestServedParity:
 
         queries = {tp: AdviseQuery.make("TACC", "bert", 8, 16, tp=tp)
                    for tp in (1, 2)}
-        lanes = sum(len(advise_requests(q)[1]) for q in queries.values())
+        # advise_requests returns (spec, points): one lane per point
+        lanes = sum(len(points) for _spec, points in
+                    map(advise_requests, queries.values()))
         srv = AdvisorServer(("127.0.0.1", 0), window_s=60,
                             max_lanes=lanes)
         dispatched = []
@@ -542,6 +544,73 @@ class TestServedParity:
         assert bindings() == warm_bindings
 
 
+#: advise queries covering every lowering axis: flat, TP > 1, a DP
+#: filter, wire contention, OOM + statically pruned cells, and a batch
+#: no layout can split
+ADVISE_SWEEP_QUERIES = [
+    pytest.param(dict(cluster="FC", model="bert", devices=8, batch=8,
+                      top=5), id="flat"),
+    pytest.param(dict(cluster="TACC", model="bert", devices=8, batch=16,
+                      tp=2), id="tp2"),
+    pytest.param(dict(cluster="PC", model="gpt", devices=8, batch=16,
+                      dp=[2]), id="dp-filter"),
+    pytest.param(dict(cluster="TACC", model="tiny", devices=8, batch=16,
+                      contention=True), id="contention"),
+    pytest.param(dict(cluster="FC", model="bert", devices=8, batch=8,
+                      top=20, capacity_gib=10), id="oom-and-pruned"),
+    pytest.param(dict(cluster="FC", model="tiny", devices=8, batch=3,
+                      dp=[2]), id="unsplittable"),
+]
+
+
+class TestAdviseIsARankedSweep:
+    """An advise answer is the engine's table for the lowered spec,
+    ranked and truncated, measured in a single ``measure`` call."""
+
+    @pytest.mark.parametrize("kwargs", ADVISE_SWEEP_QUERIES)
+    def test_rows_are_the_ranked_sweep_table(self, kwargs):
+        from repro.serve.queries import advise_requests
+        from repro.sweep.engine import (
+            measure_hybrid_throughput_batch,
+            run_sweep,
+        )
+
+        query = AdviseQuery.make(**kwargs)
+        spec, points = advise_requests(query)
+        calls = []
+
+        def measure(requests):
+            calls.append(len(requests))
+            return measure_hybrid_throughput_batch(requests)
+
+        answer = advise_answer(query, measure=measure)
+        assert calls == [len(points)]
+        table = run_sweep(spec)
+        want = sorted(
+            ({"scheme": r.scheme, "p": r.p, "d": r.d, "tp": r.tp,
+              "w": r.w, "seq_per_s": r.result.seq_per_s, "oom": r.oom,
+              "statically_pruned": r.result.statically_pruned}
+             for r in table.rows),
+            key=lambda r: (
+                -(r["seq_per_s"] if r["seq_per_s"] is not None
+                  else float("-inf")),
+                r["scheme"], r["p"], r["d"], r["tp"], r["w"]))
+        assert answer["rows"] == want[: query.top]
+        assert answer["considered"] == len(table.rows)
+
+    def test_grid_covers_every_case(self):
+        def answer(name):
+            [param] = [p for p in ADVISE_SWEEP_QUERIES if p.id == name]
+            return advise_answer(AdviseQuery.make(**param.values[0]))
+
+        rows = answer("oom-and-pruned")["rows"]
+        assert any(r["oom"] and not r["statically_pruned"] for r in rows)
+        assert any(r["statically_pruned"] for r in rows)
+        assert answer("unsplittable")["considered"] == 0
+        assert {r["tp"] for r in answer("tp2")["rows"]} == {2}
+        assert {r["d"] for r in answer("dp-filter")["rows"]} == {2}
+
+
 class TestServedSweep:
     def test_stream_frames_and_final_table_parity(self, server):
         query = SweepQuery.make(["gpipe", "hanayo"], "TACC", ["bert"],
@@ -556,6 +625,14 @@ class TestServedSweep:
         dones = [f["done"] for f in progress]
         assert dones == sorted(dones)
         assert progress[-1]["done"] == progress[-1]["total"]
+        # the frames are run_sweep's own progress calls, one per unit
+        from repro.serve.queries import sweep_spec
+        from repro.sweep.engine import run_sweep
+        calls = []
+        run_sweep(sweep_spec(query),
+                  progress=lambda done, total: calls.append(
+                      {"kind": "progress", "done": done, "total": total}))
+        assert progress == calls
         final = frames[-1]
         assert final["kind"] == "sweep"
         assert dumps_canonical(final) == dumps_canonical(

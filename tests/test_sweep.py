@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -623,10 +624,7 @@ class TestBatchUnits:
     """Structure-sharing misses ride the lockstep batch path."""
 
     def _misses(self, spec):
-        return [(i, p, spec.clusters[p.cluster_index],
-                 spec.models[p.model_index], spec.overlap,
-                 spec.enforce_memory, spec.capacity_bytes)
-                for i, p in enumerate(spec.expand())]
+        return engine_mod.spec_jobs(spec, enumerate(spec.expand()))
 
     def test_cluster_lanes_form_one_unit(self):
         spec = tiny_spec(clusters=(make_fc(4), make_tacc(4)))
@@ -868,6 +866,42 @@ class TestEngine:
             tiny_spec(overlap="guess")
         with pytest.raises(ConfigError, match="tensor-parallel"):
             tiny_spec(tensor_parallel=(0,))
+
+
+class TestRunSweepHooks:
+    """``run_sweep``'s ``progress`` and ``measure`` parameters."""
+
+    def test_progress_rises_once_per_unit(self, tmp_path):
+        spec = tiny_spec()
+        points = spec.expand()
+        units = engine_mod._batch_units(
+            engine_mod.spec_jobs(spec, enumerate(points)))
+        calls = []
+        cache = ResultCache(tmp_path / "c")
+        run_sweep(spec, cache=cache,
+                  progress=lambda done, total: calls.append((done, total)))
+        assert calls == [(done, len(points)) for done in
+                         itertools.accumulate(map(len, units))]
+        assert calls[-1] == (len(points), len(points))
+        calls.clear()
+        run_sweep(spec, cache=cache,
+                  progress=lambda done, total: calls.append((done, total)))
+        assert calls == []
+
+    def test_measure_sees_every_unit(self):
+        spec = tiny_spec()
+        seen = []
+
+        def measure(requests):
+            seen.append(len(requests))
+            return engine_mod.measure_hybrid_throughput_batch(requests)
+
+        table = run_sweep(spec, measure=measure)
+        assert seen == [len(unit) for unit in engine_mod._batch_units(
+            engine_mod.spec_jobs(spec, enumerate(spec.expand())))]
+        assert sum(seen) == table.stats.total == table.stats.computed
+        assert [r.to_dict() for r in table.rows] == \
+               [r.to_dict() for r in run_sweep(spec).rows]
 
 
 class TestTable:
