@@ -21,9 +21,7 @@ what the differential fuzz harness pins:
   ``a -> b -> ... -> a`` witness.  An acyclic graph's topological
   order is what the searcher times (:attr:`LegalityChecker.order`,
   :mod:`repro.synthesis.timing`).  A full check finds it with one Kahn
-  pass (and a cycle witness with the shared
-  :func:`~repro.schedules.validation.residual_cycle` machinery); a
-  mutated candidate instead *repairs* its parent's order
+  pass; a mutated candidate instead *repairs* its parent's order
   (:class:`Walk`): only the order edges around each moved window are
   new, and they are inserted one at a time, Pearce–Kelly style, so a
   cycle is caught — with the path that closes it as its witness — the
@@ -40,12 +38,10 @@ what the differential fuzz harness pins:
   without being deadlocks.  :data:`DEADLOCK_KINDS` / :data:`OOM_KINDS`
   classify kinds for callers pinning verdicts against replays.
 
-:class:`LegalityChecker` is the search-rate form: it precomputes every
-program-side fact (entry multisets, interned dependency edges, per-rule
-indices) once, so the per-candidate cost is a few linear passes over
-the ordering plus the deadlock rule, whose repair touches only the
-changed devices and the order between a new edge's ends.
-:func:`check_ordering` builds a throwaway checker and runs the full
+:class:`LegalityChecker` is the search-rate form: every rule reads the
+ordering's entry ids against per-id arrays of the program's
+:class:`~repro.synthesis.ordering.EntryTable` and dependency edges
+built once.  :func:`check_ordering` runs a throwaway checker's full
 check — the reference every repair is fuzzed against.
 """
 
@@ -54,17 +50,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from ..actions.ops import CollectiveKind, CollectiveOp
 from ..actions.program import ComputeKey, Program
-from ..actions.reorder import OrderEntry, ordering_entries
 from ..errors import SchedulingError
 from ..schedules.validation import residual_cycle
-from ..types import OpKind
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .ordering import ScheduleOrdering
+from .ordering import EntryTable, ScheduleOrdering
 
 #: Violation kinds that make the rebuilt program deadlock in replay.
 DEADLOCK_KINDS = frozenset({"dep-inversion", "cross-device-cycle"})
@@ -97,40 +88,30 @@ class Walk(NamedTuple):
     """The deadlock rule's result for one ordering, reusable by its
     mutations.
 
-    ``device_entries`` is the ordering's own and ``seqs`` each device's
-    compute indices in that order (collectives dropped); ``nxt`` /
-    ``prv`` are the order edges leaving / entering each compute
-    (``-1`` at a device's ends); ``order`` is a topological order of
-    the wait graph and ``rank`` its inverse.  Copy-on-write: a repair
-    copies the arrays it changes and shares the rest, so a walk's
-    arrays never change once built.
+    ``device_entries`` is the ordering's own id tuples (its ``seqs``)
+    and ``seqs`` each device's compute ids in that order (the same
+    tuples when the program has no collectives); ``nxt`` / ``prv`` are
+    the order edges leaving / entering each compute (``-1`` at a
+    device's ends); ``order`` is a topological order of the wait graph
+    and ``rank`` its inverse.  Copy-on-write: a repair copies the
+    arrays it changes and shares the rest, so a walk's arrays never
+    change once built.
     """
 
-    device_entries: tuple
-    seqs: tuple[list[int], ...]
+    device_entries: tuple[tuple[int, ...], ...]
+    seqs: tuple[tuple[int, ...], ...]
     nxt: list[int]
     prv: list[int]
     rank: list[int]
     order: list[int]
 
 
-def _fmt(key: ComputeKey) -> str:
-    return f"{key[0].value}(m{key[1]},s{key[2]})"
-
-
-def _fmt_entry(entry: OrderEntry) -> str:
-    return str(entry) if isinstance(entry, CollectiveOp) else _fmt(entry)
-
-
 class LegalityChecker:
     """Reusable checker over one program's (immutable) dataflow facts.
 
-    Construction pays the program-side extraction once; :meth:`check`
-    then validates any number of candidate orderings.  ``structural``
-    may be turned off per call when the caller guarantees the ordering
-    is a per-device permutation of the program's entries, which skips
-    the multiset comparison; ``parent=`` (see :meth:`check`) also
-    skips rebuilding the wait graph.
+    Construction builds the program's entry table (:attr:`table`) and
+    its dependency edges once; :meth:`check` then validates any number
+    of candidate orderings.
     """
 
     def __init__(self, program: Program,
@@ -142,28 +123,17 @@ class LegalityChecker:
             )
         self.program = program
         self.capacity_bytes = capacity_bytes
-        self.base_entries = ordering_entries(program)
-        self._counters = {
-            device: Counter(entries)
-            for device, entries in self.base_entries.items()
-        }
-        # Interned compute keys (``program.ops`` order, which is also
-        # the lowered plan's compute order): Kahn runs over ints.
-        self._index: dict[ComputeKey, int] = {
-            key: i for i, key in enumerate(program.ops)
-        }
-        self._keys: tuple[ComputeKey, ...] = tuple(program.ops)
-        idx = self._index
-        n = len(self._keys)
+        table = self.table = EntryTable(program)
+        idx = table.index
+        n = table.n_computes
         #: dataflow edges as producer -> consumers adjacency (and its
         #: reverse), in-degrees
         self._dep_out: list[list[int]] = [[] for _ in range(n)]
         self._dep_in: list[list[int]] = [[] for _ in range(n)]
-        self._dep_indeg = [0] * n
         #: per device, the local (producer, consumer) index pairs whose
         #: relative order the ordering must preserve
         self._local_pairs: dict[int, list[tuple[int, int]]] = {
-            device: [] for device in self.base_entries
+            device: [] for device in table.base
         }
         #: per consumer, ``(index in its device's local pairs,
         #: producer)`` of each local pair
@@ -174,17 +144,11 @@ class LegalityChecker:
                 pi = idx[dep.producer]
                 self._dep_out[pi].append(ci)
                 self._dep_in[ci].append(pi)
-                self._dep_indeg[ci] += 1
                 if dep.tag is None:
                     pairs = self._local_pairs[program.ops[key].device]
                     self._local_in[ci].append((len(pairs), pi))
                     pairs.append((pi, ci))
-        #: devices whose entries are all computes: interned by a plain
-        #: lookup, with no per-entry collective test
-        self._plain = {
-            device: not any(isinstance(e, CollectiveOp) for e in entries)
-            for device, entries in self.base_entries.items()
-        }
+        self._dep_indeg = list(map(len, self._dep_in))
         #: the last :meth:`check`'s :class:`Walk` and its topological
         #: order; ``None`` when that check stopped before or at the
         #: deadlock rule
@@ -193,29 +157,16 @@ class LegalityChecker:
         #: per device, per grad-sync (stage, replica): how many matching
         #: backwards the collective must trail
         self._sync_totals: dict[int, dict[tuple[int, int], int]] = {}
-        for device, entries in self.base_entries.items():
-            sites = {
-                (e.stage, e.replica)
-                for e in entries
-                if isinstance(e, CollectiveOp)
-                and e.kind is CollectiveKind.GRAD_SYNC
-            }
-            if not sites:
-                continue
-            totals = dict.fromkeys(sites, 0)
-            for e in entries:
-                if isinstance(e, CollectiveOp):
-                    continue
-                if e[0] is OpKind.BACKWARD:
-                    site = (e[2], program.ops[e].replica)
-                    if site in totals:
-                        totals[site] += 1
-            self._sync_totals[device] = totals
+        site = table.site
+        for device, seq in table.base.items():
+            syncs = {site[e] for e in seq if e >= n} - {None}
+            if syncs:
+                self._sync_totals[device] = Counter(
+                    site[e] for e in seq if e < n and site[e] in syncs)
 
     # -- entry point ------------------------------------------------------
 
-    def check(self, ordering: "ScheduleOrdering",
-              structural: bool = True,
+    def check(self, ordering: ScheduleOrdering,
               parent: Walk | None = None) -> list[Violation]:
         """Every rule ``ordering`` breaks, in severity order
         (structural, then deadlock, then memory, then semantic).
@@ -231,12 +182,12 @@ class LegalityChecker:
 
         ``parent`` is the :attr:`walk` of an ordering whose entries
         ``ordering`` only moves — true for every mutation-produced
-        candidate, so it implies ``structural=False``: the deadlock
-        rule then repairs it (:meth:`_repair_dependencies`), with the
-        same verdict and, for a cycle, its own witness.
+        candidate — so the structural rule is skipped and the deadlock
+        rule repairs that walk (:meth:`_repair_dependencies`).
         """
         program = self.program
         self.walk = self.order = None
+        ordering = self.table.adopt(ordering)
         frontier = ordering.recompute_frontier
         if frontier is not None and program.resources is None:
             raise SchedulingError(
@@ -246,24 +197,23 @@ class LegalityChecker:
         if parent is not None:
             violations = self._repair_dependencies(ordering, parent)
         else:
-            if structural:
-                violations = self._check_structure(ordering)
-                if violations:
-                    return violations
+            violations = self._check_structure(ordering)
+            if violations:
+                return violations
             violations = self._check_dependencies(ordering)
         if program.tracks_memory:
             violations.extend(self._check_capacity(ordering))
-        violations.extend(self._check_collectives(ordering))
+        if self._sync_totals:
+            violations.extend(self._check_collectives(ordering))
         return violations
 
     # -- structural -------------------------------------------------------
 
     def _check_structure(self,
-                         ordering: "ScheduleOrdering") -> list[Violation]:
+                         ordering: ScheduleOrdering) -> list[Violation]:
         out: list[Violation] = []
-        entries_of = dict(ordering.device_entries)
-        have = set(entries_of)
-        want = set(self.base_entries)
+        have = set(ordering.devices)
+        want = set(self.table.base)
         if have != want:
             out.append(Violation(
                 kind="device-set", device=-1,
@@ -271,13 +221,15 @@ class LegalityChecker:
                          f"program has {sorted(want)}"),
             ))
             return out
-        for device, base_counts in self._counters.items():
-            theirs = Counter(entries_of[device])
+        names = self.table.names
+        for device, seq in zip(ordering.devices, ordering.seqs):
+            base_counts = Counter(self.table.base[device])
+            theirs = Counter(seq)
             if theirs == base_counts:
                 continue
-            missing = sorted(map(_fmt_entry,
+            missing = sorted(map(names.__getitem__,
                                  (base_counts - theirs).elements()))
-            extra = sorted(map(_fmt_entry,
+            extra = sorted(map(names.__getitem__,
                                (theirs - base_counts).elements()))
             if missing:
                 out.append(Violation(
@@ -295,21 +247,26 @@ class LegalityChecker:
 
     # -- deadlock ---------------------------------------------------------
 
+    def _computes(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """A device's compute ids, in order (its collectives dropped)."""
+        n = self.table.n_computes
+        return ids if n == len(self.table.entries) else tuple(
+            e for e in ids if e < n)
+
     def _check_dependencies(
-        self, ordering: "ScheduleOrdering",
+        self, ordering: ScheduleOrdering,
     ) -> list[Violation]:
         """One walk of the ordering builds the wait graph (per-device
         entry order + dataflow edges); same-device inversions are read
         off its positions, and a Kahn pass over it yields either a
         cross-device cycle witness or the topological order
         (:attr:`walk`)."""
-        n = len(self._keys)
+        n = self.table.n_computes
         pos = [0] * n
         nxt = [-1] * n          # the order edge leaving each compute
         prv = [-1] * n          # ... and entering it
         indeg = self._dep_indeg.copy()
-        seqs = tuple(self._intern(device, entries)
-                     for device, entries in ordering.device_entries)
+        seqs = tuple(map(self._computes, ordering.seqs))
         for seq in seqs:
             for k, cur in enumerate(seq):
                 pos[cur] = k
@@ -319,7 +276,7 @@ class LegalityChecker:
                 indeg[following] += 1
 
         out: list[Violation] = []
-        for device, _ in ordering.device_entries:
+        for device in ordering.devices:
             for pi, ci in self._local_pairs.get(device, ()):
                 if pos[pi] > pos[ci]:
                     out.append(self._inversion(device, pi, ci))
@@ -344,22 +301,22 @@ class LegalityChecker:
             rank = [0] * n
             for r, i in enumerate(order):
                 rank[i] = r
-            self._accept(Walk(ordering.device_entries, seqs, nxt, prv,
-                              rank, order))
+            self._accept(Walk(ordering.seqs, seqs, nxt, prv, rank, order))
             return out
         # Rare path: rebuild in key space for a readable witness.
-        keys = self._keys
+        keys = self.table.entries[:n]
         key_out: dict[ComputeKey, list[ComputeKey]] = {k: [] for k in keys}
         for i, consumers in enumerate(dep_out):
             key_out[keys[i]] += (keys[j] for j in consumers)
             if nxt[i] >= 0:
                 key_out[keys[i]].append(keys[nxt[i]])
         cycle = residual_cycle(key_out, dict(zip(keys, indeg)))
-        out.append(self._cycle(cycle))
+        index = self.table.index
+        out.append(self._cycle([index[k] for k in cycle]))
         return out
 
     def _repair_dependencies(
-        self, ordering: "ScheduleOrdering", parent: Walk,
+        self, ordering: ScheduleOrdering, parent: Walk,
     ) -> list[Violation]:
         """The deadlock rule for a mutation of ``parent``'s ordering.
 
@@ -371,17 +328,17 @@ class LegalityChecker:
         (:meth:`_insert_edge`) — exactly the verdicts of
         :meth:`_check_dependencies`.
         """
-        if ordering.device_entries is parent.device_entries:
+        if ordering.seqs is parent.device_entries:
             self._accept(parent)  # a recompute-frontier move
             return []
         seqs = list(parent.seqs)
         windows = []
-        for d, ((device, entries), (_, was)) in enumerate(
-                zip(ordering.device_entries, parent.device_entries)):
-            if entries is was or entries == was:
+        for d, (device, ids, was) in enumerate(zip(
+                ordering.devices, ordering.seqs, parent.device_entries)):
+            if ids is was or ids == was:
                 continue
             old = seqs[d]
-            seq = self._intern(device, entries)
+            seq = self._computes(ids)
             lo, m = 0, len(seq)
             while lo < m and seq[lo] == old[lo]:
                 lo += 1
@@ -393,19 +350,19 @@ class LegalityChecker:
             seqs[d] = seq
             windows.append((device, old, seq, lo, hi))
         if not windows:
-            self._accept(Walk(ordering.device_entries, parent.seqs,
-                              parent.nxt, parent.prv, parent.rank,
-                              parent.order))
+            self._accept(Walk(ordering.seqs, parent.seqs, parent.nxt,
+                              parent.prv, parent.rank, parent.order))
             return []
 
         out: list[Violation] = []
         local_in = self._local_in
         for device, _, seq, lo, hi in windows:
             at = {c: k for k, c in enumerate(seq[lo:hi + 1])}
-            hits = sorted(
-                (j, p, c) for c, k in at.items() for j, p in local_in[c]
-                if at.get(p, -1) > k)
-            out += (self._inversion(device, p, c) for _, p, c in hits)
+            hits = [(j, p, c) for c, k in at.items() for j, p in local_in[c]
+                    if at.get(p, -1) > k]
+            if hits:
+                hits.sort()
+                out += (self._inversion(device, p, c) for _, p, c in hits)
         if out:
             return out
 
@@ -422,13 +379,12 @@ class LegalityChecker:
             if rank[u] > rank[v]:
                 cycle = self._insert_edge(u, v, nxt, prv, rank, order)
                 if cycle:
-                    keys = self._keys
-                    out.append(self._cycle([keys[i] for i in cycle]))
+                    out.append(self._cycle(cycle))
                     return out
             nxt[u] = v
             prv[v] = u
-        self._accept(Walk(ordering.device_entries, tuple(seqs), nxt, prv,
-                          rank, order))
+        self._accept(Walk(ordering.seqs, tuple(seqs), nxt, prv, rank,
+                          order))
         return out
 
     def _insert_edge(self, u: int, v: int, nxt: list[int], prv: list[int],
@@ -475,40 +431,34 @@ class LegalityChecker:
             order[r] = x
         return []
 
-    def _intern(self, device: int, entries: tuple) -> list[int]:
-        """A device's compute indices in entry order."""
-        if self._plain.get(device, False):
-            return list(map(self._index.__getitem__, entries))
-        index = self._index
-        return [index[e] for e in entries if not isinstance(e, CollectiveOp)]
-
     def _accept(self, walk: Walk) -> None:
         self.walk = walk
         self.order = walk.order
 
     def _inversion(self, device: int, pi: int, ci: int) -> Violation:
-        keys = self._keys
+        keys, names = self.table.entries, self.table.names
         return Violation(
             kind="dep-inversion", device=device,
-            message=(f"{_fmt(keys[ci])} placed before its "
-                     f"local producer {_fmt(keys[pi])}"),
+            message=(f"{names[ci]} placed before its "
+                     f"local producer {names[pi]}"),
             subject=(keys[pi], keys[ci]),
         )
 
-    def _cycle(self, cycle: list[ComputeKey]) -> Violation:
-        path = " -> ".join(_fmt(k) for k in cycle)
+    def _cycle(self, cycle: list[int]) -> Violation:
+        keys, names = self.table.entries, self.table.names
+        path = " -> ".join(names[i] for i in cycle)
         return Violation(
             kind="cross-device-cycle",
-            device=self.program.ops[cycle[0]].device,
+            device=self.program.ops[keys[cycle[0]]].device,
             message=(f"order and dataflow edges form a wait cycle: "
-                     f"{path} -> {_fmt(cycle[0])}"),
-            subject=tuple(cycle),
+                     f"{path} -> {names[cycle[0]]}"),
+            subject=tuple(keys[i] for i in cycle),
         )
 
     # -- memory -----------------------------------------------------------
 
     def _check_capacity(
-        self, ordering: "ScheduleOrdering",
+        self, ordering: ScheduleOrdering,
     ) -> list[Violation]:
         """The event core's per-device watermark walk, without events.
 
@@ -519,16 +469,18 @@ class LegalityChecker:
         """
         program = self.program
         capacity_bytes = self.capacity_bytes
+        out: list[Violation] = []
+        if capacity_bytes is None:
+            return out
         resources = program.resources
         assert resources is not None
         frontier = ordering.recompute_frontier
         if frontier is not None:
             resources = resources.with_recompute_from(frontier)
         activation = resources.activation_bytes
-        out: list[Violation] = []
-        if capacity_bytes is None:
-            return out
-        for device, entries in ordering.device_entries:
+        table = self.table
+        n, forward, stage = table.n_computes, table.forward, table.stage
+        for device, seq in zip(ordering.devices, ordering.seqs):
             level = program.static_bytes.get(device, 0.0)
             if level > capacity_bytes:
                 out.append(Violation(
@@ -537,70 +489,58 @@ class LegalityChecker:
                              f"exceeds capacity {capacity_bytes}"),
                 ))
                 continue
-            for entry in entries:
-                if isinstance(entry, CollectiveOp):
+            for e in seq:
+                if e >= n:
                     continue
-                if entry[0] is OpKind.FORWARD:
-                    level += activation[entry[2]]
+                if forward[e]:
+                    level += activation[stage[e]]
                     if level > capacity_bytes:
                         out.append(Violation(
                             kind="capacity", device=device,
-                            message=(f"allocating {_fmt(entry)} lifts "
+                            message=(f"allocating {table.names[e]} lifts "
                                      f"the watermark to {level:.0f} "
                                      f"bytes, over capacity "
                                      f"{capacity_bytes}"),
-                            subject=(entry,),
+                            subject=(table.entries[e],),
                         ))
                         break
                 else:
-                    level -= activation[entry[2]]
+                    level -= activation[stage[e]]
         return out
 
     # -- collectives ------------------------------------------------------
 
     def _check_collectives(
-        self, ordering: "ScheduleOrdering",
+        self, ordering: ScheduleOrdering,
     ) -> list[Violation]:
-        program = self.program
         out: list[Violation] = []
-        if not self._sync_totals:
-            return out
-        entries_of = dict(ordering.device_entries)
+        table = self.table
+        n, site, entries = table.n_computes, table.site, table.entries
+        names = table.names
         for device, totals in self._sync_totals.items():
-            entries = entries_of[device]
+            seq = ordering.ids(device)
             seen = dict.fromkeys(totals, 0)
-            for i, entry in enumerate(entries):
-                if not isinstance(entry, CollectiveOp):
-                    if entry[0] is OpKind.BACKWARD:
-                        site = (entry[2], program.ops[entry].replica)
-                        if site in seen:
-                            seen[site] += 1
+            for i, e in enumerate(seq):
+                if e < n:
+                    if site[e] in seen:
+                        seen[site[e]] += 1
                     continue
-                if entry.kind is not CollectiveKind.GRAD_SYNC:
+                at = site[e]
+                if at is None or seen.get(at, 0) >= totals.get(at, 0):
                     continue
-                site = (entry.stage, entry.replica)
-                if seen.get(site, 0) >= totals.get(site, 0):
-                    continue
-                late = [
-                    other for other in entries[i + 1:]
-                    if not isinstance(other, CollectiveOp)
-                    and other[0] is OpKind.BACKWARD
-                    and other[2] == entry.stage
-                    and program.ops[other].replica == entry.replica
-                ]
+                late = [o for o in seq[i + 1:] if o < n and site[o] == at]
                 out.append(Violation(
                     kind="collective-order", device=device,
-                    message=(f"{entry} posted before "
-                             f"{_fmt_entry(late[0])} finalizes its "
-                             "gradient"),
-                    subject=(entry, *late),
+                    message=(f"{names[e]} posted before {names[late[0]]} "
+                             "finalizes its gradient"),
+                    subject=(entries[e], *map(entries.__getitem__, late)),
                 ))
         return out
 
 
 def check_ordering(
     program: Program,
-    ordering: "ScheduleOrdering",
+    ordering: ScheduleOrdering,
     capacity_bytes: int | None = None,
 ) -> list[Violation]:
     """One-shot form of :meth:`LegalityChecker.check`."""
@@ -609,7 +549,7 @@ def check_ordering(
 
 def is_legal(
     program: Program,
-    ordering: "ScheduleOrdering",
+    ordering: ScheduleOrdering,
     capacity_bytes: int | None = None,
 ) -> bool:
     """Convenience predicate over :func:`check_ordering`."""

@@ -13,6 +13,10 @@ Each operator is a small frozen dataclass with three duties:
 * ``payload()`` / :func:`mutation_from_payload` — a JSON-safe
   round-trip so serialized schedules can carry their mutation history.
 
+Operators move entry ids (indices count every entry of a device,
+collectives included); a mutated ordering shares each unchanged
+device's id tuple with its parent, so legality's repair skips it.
+
 Operators are deliberately *mechanical*: an applied mutation may well
 be illegal (that is :func:`~repro.synthesis.legality.check_ordering`'s
 verdict to give), and the differential fuzz harness relies on exactly
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import ClassVar, Sequence
 
-from ..actions.ops import CollectiveKind, CollectiveOp
 from ..actions.program import Program
 from ..errors import SynthesisError
 from ..types import OpKind
@@ -74,12 +77,6 @@ class Mutation:
         return f"{self.kind}({inner})"
 
 
-def _move(entries: list, i: int, j: int) -> None:
-    """Relocate ``entries[i]`` to final position ``j`` in place."""
-    entry = entries.pop(i)
-    entries.insert(j, entry)
-
-
 @dataclass(frozen=True)
 class SwapAdjacent(Mutation):
     """Exchange a device's entries at ``index`` and ``index + 1``.
@@ -93,15 +90,15 @@ class SwapAdjacent(Mutation):
     kind: ClassVar[str] = SWAP_ADJACENT
 
     def apply(self, ordering: ScheduleOrdering) -> ScheduleOrdering:
-        entries = list(ordering.entries(self.device))
-        if not 0 <= self.index < len(entries) - 1:
+        ids = ordering.ids(self.device)
+        i = self.index
+        if not 0 <= i < len(ids) - 1:
             raise SynthesisError(
-                f"swap index {self.index} out of range on device "
-                f"{self.device} ({len(entries)} entries)"
+                f"swap index {i} out of range on device "
+                f"{self.device} ({len(ids)} entries)"
             )
-        entries[self.index], entries[self.index + 1] = (
-            entries[self.index + 1], entries[self.index])
-        return ordering.replace_entries(self.device, entries)
+        return ordering.with_ids(
+            self.device, ids[:i] + (ids[i + 1], ids[i]) + ids[i + 2:])
 
     def inverse(self) -> "SwapAdjacent":
         return self
@@ -118,16 +115,16 @@ class ShiftEntry(Mutation):
     kind: ClassVar[str] = SHIFT_ENTRY
 
     def apply(self, ordering: ScheduleOrdering) -> ScheduleOrdering:
-        entries = list(ordering.entries(self.device))
+        ids = list(ordering.ids(self.device))
         j = self.index + self.delta
-        if self.delta == 0 or not 0 <= self.index < len(entries) \
-                or not 0 <= j < len(entries):
+        if self.delta == 0 or not 0 <= self.index < len(ids) \
+                or not 0 <= j < len(ids):
             raise SynthesisError(
                 f"shift {self.index} -> {j} out of range on device "
-                f"{self.device} ({len(entries)} entries)"
+                f"{self.device} ({len(ids)} entries)"
             )
-        _move(entries, self.index, j)
-        return ordering.replace_entries(self.device, entries)
+        ids.insert(j, ids.pop(self.index))
+        return ordering.with_ids(self.device, ids)
 
     def inverse(self) -> "ShiftEntry":
         return ShiftEntry(device=self.device, index=self.index + self.delta,
@@ -142,7 +139,8 @@ class ShiftMicrobatch(Mutation):
     computes, each one moves ``delta`` slots (right-to-left for
     positive deltas, left-to-right for negative, so earlier moves never
     disturb the indices of later ones — which is also what makes the
-    operator invert exactly).
+    operator invert exactly).  Each compute is looked up on the device
+    the program places it on; an ordering lacking one there raises.
     """
 
     microbatch: int
@@ -154,34 +152,34 @@ class ShiftMicrobatch(Mutation):
     def apply(self, ordering: ScheduleOrdering) -> ScheduleOrdering:
         if self.delta == 0:
             raise SynthesisError("microbatch shift with delta 0")
-        orders = {}
-        hit = False
-        for device in ordering.devices:
-            entries = list(ordering.entries(device))
-            matches = [
-                i for i, e in enumerate(entries)
-                if not isinstance(e, CollectiveOp)
-                and e[0] is self.op_kind and e[1] == self.microbatch
-            ]
-            if matches:
-                hit = True
-                order = reversed(matches) if self.delta > 0 else matches
-                for i in order:
-                    j = i + self.delta
-                    if not 0 <= j < len(entries):
-                        raise SynthesisError(
-                            f"microbatch shift {i} -> {j} out of range "
-                            f"on device {device} ({len(entries)} entries)"
-                        )
-                    _move(entries, i, j)
-            orders[device] = entries
-        if not hit:
+        wave = ordering.table.waves.get((self.op_kind, self.microbatch))
+        if wave is None:
             raise SynthesisError(
                 f"no {self.op_kind.value} computes of microbatch "
                 f"{self.microbatch} in ordering"
             )
-        return ScheduleOrdering.from_orders(
-            orders, ordering.recompute_frontier)
+        delta = self.delta
+        seqs = list(ordering.seqs)
+        for device, ids in wave:
+            try:
+                k = ordering.devices.index(device)
+                matches = sorted(map(seqs[k].index, ids))
+            except ValueError:
+                raise SynthesisError(
+                    f"device {device} lacks a compute of its "
+                    f"{self.op_kind.value} wave {self.microbatch}"
+                ) from None
+            moved = list(seqs[k])
+            for i in reversed(matches) if delta > 0 else matches:
+                if not 0 <= i + delta < len(moved):
+                    raise SynthesisError(
+                        f"microbatch shift {i} -> {i + delta} out of "
+                        f"range on device {device} ({len(moved)} entries)"
+                    )
+                moved.insert(i + delta, moved.pop(i))
+            seqs[k] = tuple(moved)
+        return ScheduleOrdering(ordering.table, ordering.devices,
+                                tuple(seqs), ordering.recompute_frontier)
 
     def inverse(self) -> "ShiftMicrobatch":
         return ShiftMicrobatch(microbatch=self.microbatch,
@@ -214,13 +212,10 @@ class ReorderCollective(Mutation):
     def apply(self, ordering: ScheduleOrdering) -> ScheduleOrdering:
         if self.delta == 0:
             raise SynthesisError("collective reorder with delta 0")
-        entries = list(ordering.entries(self.device))
-        idxs = [
-            i for i, e in enumerate(entries)
-            if isinstance(e, CollectiveOp)
-            and e.kind is CollectiveKind.GRAD_SYNC
-            and e.stage == self.stage and e.replica == self.replica
-        ]
+        ids = list(ordering.ids(self.device))
+        n, site = ordering.table.n_computes, ordering.table.site
+        idxs = [i for i, e in enumerate(ids)
+                if e >= n and site[e] == (self.stage, self.replica)]
         if len(idxs) != 1:
             raise SynthesisError(
                 f"device {self.device} has {len(idxs)} grad-sync "
@@ -229,13 +224,13 @@ class ReorderCollective(Mutation):
             )
         i = idxs[0]
         j = i + self.delta
-        if not 0 <= j < len(entries):
+        if not 0 <= j < len(ids):
             raise SynthesisError(
                 f"collective move {i} -> {j} out of range on device "
-                f"{self.device} ({len(entries)} entries)"
+                f"{self.device} ({len(ids)} entries)"
             )
-        _move(entries, i, j)
-        return ordering.replace_entries(self.device, entries)
+        ids.insert(j, ids.pop(i))
+        return ordering.with_ids(self.device, ids)
 
     def inverse(self) -> "ReorderCollective":
         return ReorderCollective(device=self.device, stage=self.stage,
@@ -301,13 +296,11 @@ def _signed_delta(rng: Random, max_shift: int) -> int:
 def _grad_sync_sites(
     ordering: ScheduleOrdering,
 ) -> list[tuple[int, int, int]]:
-    sites = []
-    for device in ordering.devices:
-        for entry in ordering.entries(device):
-            if (isinstance(entry, CollectiveOp)
-                    and entry.kind is CollectiveKind.GRAD_SYNC):
-                sites.append((device, entry.stage, entry.replica))
-    return sites
+    """``(device, stage, replica)`` of each grad-sync, by position."""
+    n, site = ordering.table.n_computes, ordering.table.site
+    return [(device, *site[e])
+            for device, seq in zip(ordering.devices, ordering.seqs)
+            for e in seq if e >= n and site[e] is not None]
 
 
 def default_operators(program: Program,
@@ -339,15 +332,13 @@ def propose_mutation(
     list was empty or the ordering has fewer than two entries
     everywhere.
     """
-    kinds = (list(operators) if operators is not None
+    kinds = (operators if operators is not None
              else default_operators(program, ordering))
     if not kinds:
         raise SynthesisError("no mutation operators to sample from")
-    busy = [d for d in ordering.devices if len(ordering.entries(d)) >= 2]
     for _ in range(64):
-        kind = kinds[rng.randrange(len(kinds))]
         try:
-            mutation = _sample(kind, rng, program, ordering, busy,
+            mutation = _sample(rng.choice(kinds), rng, program, ordering,
                                max_shift)
             return mutation, mutation.apply(ordering)
         except SynthesisError:
@@ -358,30 +349,26 @@ def propose_mutation(
 
 
 def _sample(kind: str, rng: Random, program: Program,
-            ordering: ScheduleOrdering, busy: list[int],
-            max_shift: int) -> Mutation:
+            ordering: ScheduleOrdering, max_shift: int) -> Mutation:
     if kind in (SWAP_ADJACENT, SHIFT_ENTRY):
+        busy = ordering.busy
         if not busy:
             raise SynthesisError("every device has fewer than 2 entries")
-        device = busy[rng.randrange(len(busy))]
-        size = len(ordering.entries(device))
+        device, size = rng.choice(busy)
         if kind == SWAP_ADJACENT:
-            return SwapAdjacent(device=device,
-                                index=rng.randrange(size - 1))
-        return ShiftEntry(device=device, index=rng.randrange(size),
-                          delta=_signed_delta(rng, max_shift))
+            return SwapAdjacent(device, rng.randrange(size - 1))
+        return ShiftEntry(device, rng.randrange(size),
+                          _signed_delta(rng, max_shift))
     if kind == SHIFT_MICROBATCH:
         return ShiftMicrobatch(
-            microbatch=rng.randrange(program.num_microbatches),
-            op_kind=OpKind.FORWARD if rng.random() < 0.5
-            else OpKind.BACKWARD,
-            delta=_signed_delta(rng, max_shift),
-        )
+            rng.randrange(program.num_microbatches),
+            OpKind.FORWARD if rng.random() < 0.5 else OpKind.BACKWARD,
+            _signed_delta(rng, max_shift))
     if kind == REORDER_COLLECTIVE:
         sites = _grad_sync_sites(ordering)
         if not sites:
             raise SynthesisError("no gradient-sync collectives to move")
-        device, stage, replica = sites[rng.randrange(len(sites))]
+        device, stage, replica = rng.choice(sites)
         return ReorderCollective(device=device, stage=stage,
                                  replica=replica,
                                  delta=_signed_delta(rng, max_shift))

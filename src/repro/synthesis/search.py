@@ -216,7 +216,6 @@ class SynthesisContext:
     def evaluate(
         self,
         ordering: ScheduleOrdering,
-        provenance: tuple[ProvenanceStep, ...] = (),
         parent: Walk | None = None,
     ) -> ScoredOrdering | None:
         """Score a candidate, or ``None`` if illegal.
@@ -233,8 +232,7 @@ class SynthesisContext:
         makespan, bubble_ratio = self.replay_for(
             ordering.recompute_frontier).score(checker.order)
         return ScoredOrdering(ordering=ordering, makespan=makespan,
-                              bubble_ratio=bubble_ratio,
-                              provenance=provenance, walk=checker.walk)
+                              bubble_ratio=bubble_ratio, walk=checker.walk)
 
     def plan_for(self, ordering: ScheduleOrdering) -> ExecutablePlan:
         """A bound plan of a (legal) ordering — for keys and replays:
@@ -262,6 +260,8 @@ def _start_ordering(
             f"unknown start {start!r}; expected an ordering, "
             "'program' or 'gpipe'"
         )
+    # over the checker's own table, so no check has to re-encode it
+    ordering = ctx.checker.table.adopt(ordering)
     if (config.recompute and ordering.recompute_frontier is None
             and program.resources is not None):
         # Movable frontier, starting at "recompute nothing".
@@ -334,27 +334,28 @@ def synthesize(
         # any scoring (the trajectory stays a pure function of the seed)
         proposals: list[tuple] = []
         for _ in range(config.samples_per_round):
-            parent = beam[rng.randrange(len(beam))]
+            parent = rng.choice(beam)
             try:
                 mutation, mutated = propose_mutation(
                     rng, ctx.base_program, parent.ordering,
                     operators=operators, max_shift=config.max_shift)
             except SynthesisError:
                 continue
-            if mutated in seen:
-                continue
+            size = len(seen)
             seen.add(mutated)
+            if len(seen) == size:
+                continue    # already seen
             proposals.append((mutation, mutated, parent))
         fresh: list[ScoredOrdering] = []
         for mutation, mutated, parent in proposals:
             scored = ctx.evaluate(mutated, parent=parent.walk)
             if scored is None:
                 continue
-            step = ProvenanceStep(round=round_no, mutation=mutation,
-                                  makespan=scored.makespan,
-                                  bubble_ratio=scored.bubble_ratio)
-            fresh.append(replace(scored,
-                                 provenance=parent.provenance + (step,)))
+            step = ProvenanceStep(round_no, mutation, scored.makespan,
+                                  scored.bubble_ratio)
+            fresh.append(ScoredOrdering(
+                mutated, scored.makespan, scored.bubble_ratio,
+                parent.provenance + (step,), scored.walk))
         # Stable sort: ties keep discovery order, so the beam (and
         # hence the whole trajectory) is a pure function of the seed.
         beam = sorted(beam + fresh,

@@ -33,7 +33,6 @@ from ..errors import SynthesisError
 from ..runtime.costs import AbstractCosts
 from ..runtime.metrics import bubble_stats
 from ..types import OpKind
-from .ordering import ScheduleOrdering
 from .search import SearchResult
 
 #: payload format version; bump on any incompatible layout change
@@ -101,21 +100,6 @@ def _decode_entry(raw) -> OrderEntry:
     return (OpKind(kind), int(microbatch), int(stage))
 
 
-def _encode_orders(ordering: ScheduleOrdering) -> dict:
-    return {
-        str(device): [_encode_entry(e) for e in entries]
-        for device, entries in ordering.device_entries
-    }
-
-
-def _decode_orders(raw: dict, frontier: int | None) -> ScheduleOrdering:
-    return ScheduleOrdering.from_orders(
-        {int(device): [_decode_entry(e) for e in entries]
-         for device, entries in raw.items()},
-        recompute_frontier=frontier,
-    )
-
-
 # -- payload --------------------------------------------------------------
 
 
@@ -174,7 +158,8 @@ def payload_for(
             }
             for step in best.provenance
         ],
-        "orders": _encode_orders(best.ordering),
+        "orders": {str(device): list(map(_encode_entry, entries))
+                   for device, entries in best.ordering.device_entries},
     }
 
 
@@ -218,8 +203,10 @@ def replay_payload(payload: dict) -> ReplayReport:
     oracle = AbstractCosts(cost, config.num_devices, schedule.num_stages)
     ctx = SynthesisContext(schedule, oracle, run, resources=resources,
                            capacity_bytes=payload.get("capacity_bytes"))
-    ordering = _decode_orders(payload["orders"],
-                              payload.get("recompute_frontier"))
+    ordering = ctx.checker.table.ordering(
+        {int(device): list(map(_decode_entry, entries))
+         for device, entries in payload["orders"].items()},
+        payload.get("recompute_frontier"))
 
     plan_key = ctx.plan_for(ordering).plan_key
     stored_key = payload.get("plan_key", "")

@@ -107,7 +107,9 @@ def test_cached_sweep_never_loads_the_simulator(tmp_path):
 
 
 def test_search_never_loads_the_event_cores():
-    """Candidates are timed on legality's order, not by the runtime."""
+    """Candidates are timed on legality's order, not by the runtime, and
+    are tuples of Python ints, so the search loads no NumPy (the CI
+    cold-import step pins the same)."""
     proc = _run("-c", "import sys, repro.synthesis.search; print(*sorted("
                 "m for m in sys.modules if m.startswith(('repro.', 'numpy'))))")
     assert not {"numpy", "repro.runtime.batched",

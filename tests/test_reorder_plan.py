@@ -208,7 +208,7 @@ class TestScorerRidesLegalitysOrder:
                                            ordering, max_shift=3)
             except SynthesisError:
                 continue
-            if not ctx.checker.check(cand, structural=False):
+            if not ctx.checker.check(cand):
                 ordering = cand
         makespans = set()
         for frontier in range(stages + 1):
