@@ -54,7 +54,7 @@ def compute():
     for row in table:
         label = (f"H-{row.w}" if row.scheme == "hanayo"
                  else LABELS[row.scheme])
-        out[(row.cluster, row.p, label)] = row.result
+        out[(row.cluster, row.p, label)] = row
     return out
 
 

@@ -13,7 +13,7 @@ cell uses P=8, and Hanayo's best beats every other scheme's best.
 
 from __future__ import annotations
 
-from repro.analysis import best_config, format_table, search_grid
+from repro.analysis import format_table, search_grid
 from repro.cluster import make_tc
 from repro.models import bert_64
 
@@ -41,9 +41,9 @@ def test_fig10_config_search(benchmark):
     grids = benchmark.pedantic(compute, rounds=1, iterations=1)
     rows = []
     best = {}
-    for (scheme, batch), cells in grids.items():
+    for (scheme, batch), table in grids.items():
         by_layout = {}
-        for c in cells:
+        for c in table:
             key = (c.p, c.d)
             if c.throughput > by_layout.get(key, (0, None))[0]:
                 by_layout[key] = (c.throughput, c)
@@ -52,19 +52,18 @@ def test_fig10_config_search(benchmark):
             entry = by_layout.get((p, d))
             if entry is None:
                 row.append("-")
-            elif entry[1].result.oom:
+            elif entry[1].oom:
                 row.append("OOM")
             else:
                 w = entry[1].w
                 suffix = f" (w={w})" if scheme == "hanayo" else ""
                 row.append(f"{entry[0]:.2f}{suffix}")
         rows.append(row)
-        alive = [c for c in cells if not c.result.oom]
-        if alive:
-            best[(scheme, batch)] = best_config(cells)
-    all_cells = [c for cells in grids.values() for c in cells]
-    oom_cells = [c for c in all_cells if c.result.oom]
-    pruned = sum(1 for c in oom_cells if c.result.statically_pruned)
+        if any(not c.oom for c in table):
+            best[(scheme, batch)] = table.best()
+    all_cells = [c for table in grids.values() for c in table]
+    oom_cells = [c for c in all_cells if c.oom]
+    pruned = sum(1 for c in oom_cells if c.statically_pruned)
     prune_note = (
         f"OOM pruning: {len(oom_cells)}/{len(all_cells)} cells OOM; "
         f"{pruned} rejected by the static pre-check (no event loop), "

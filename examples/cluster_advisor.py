@@ -28,17 +28,17 @@ def main() -> None:
     rows = []
     best = None
     for scheme in ("gpipe", "dapple", "chimera-wave", "hanayo"):
-        cells = search_grid(scheme, cluster, model,
+        table = search_grid(scheme, cluster, model,
                             layouts_for(devices), total_batch)
-        for c in cells:
-            if c.result.oom:
+        for c in table:
+            if c.oom:
                 rows.append([scheme, c.p, c.d, c.w, None, None, None])
                 continue
             rows.append([
                 scheme, c.p, c.d, c.w,
                 f"{c.throughput:.2f}",
-                f"{c.result.bubble_ratio * 100:.1f}%",
-                f"{c.result.peak_mem_bytes / 2**30:.1f}",
+                f"{c.bubble_ratio * 100:.1f}%",
+                f"{c.peak_mem_gib:.1f}",
             ])
             if best is None or c.throughput > best[1].throughput:
                 best = (scheme, c)

@@ -25,8 +25,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "strong_scaling", "weak_scaling",
     ),
     "search": (
-        "DEFAULT_WAVES", "SearchCell", "best_config", "best_throughput",
-        "feasible_waves", "search_grid", "split_batch",
+        "DEFAULT_WAVES", "best_throughput", "feasible_waves", "search_grid",
+        "split_batch",
     ),
     "throughput": (
         "ANALYTIC_DP_OVERLAP", "ClusterCosts", "HybridCell", "HybridLayout",

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..models.spec import ModelSpec
 from ..sweep.cache import ResultCache
-from .search import SearchCell, best_throughput
+from ..sweep.table import SweepRow
+from .search import best_throughput
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class ScalingPoint:
 
     devices: int
     scheme: str
-    cell: SearchCell | None     # None ⇔ every config OOM'd or infeasible
+    cell: SweepRow | None       # None ⇔ every config OOM'd or infeasible
 
     @property
     def throughput(self) -> float | None:

@@ -3,7 +3,8 @@
 For every scheme the paper searches the (pipeline size, data-parallel
 size) grid — plus the wave count for Hanayo — and reports each cell's
 throughput, marking OOM cells.  :func:`search_grid` reproduces that
-table; :func:`best_config` picks the winner the scaling figures use.
+table as a :class:`~repro.sweep.SweepTable`; :func:`best_throughput`
+picks the winner the scaling figures use (``SweepTable.best``).
 
 The search is **total-batch-centric**: a layout ``(P, D)`` splits the
 job's ``total_batch`` sequences into ``D`` pipeline shards of
@@ -20,39 +21,20 @@ while keeping the original serial, uncached behaviour as the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..cluster.presets import Cluster
-from ..errors import ConfigError
 from ..models.spec import ModelSpec
 from ..sweep.cache import ResultCache
 from ..sweep.engine import run_sweep
 from ..sweep.spec import DEFAULT_WAVES, SweepSpec, feasible_waves, split_batch
-from .result import ThroughputResult
+from ..sweep.table import SweepRow, SweepTable
 
 __all__ = [
     "DEFAULT_WAVES",
-    "SearchCell",
-    "best_config",
     "best_throughput",
     "feasible_waves",
     "search_grid",
     "split_batch",
 ]
-
-
-@dataclass(frozen=True)
-class SearchCell:
-    """One (P, D, variant) point of the search grid."""
-
-    p: int
-    d: int
-    w: int
-    result: ThroughputResult
-
-    @property
-    def throughput(self) -> float:
-        return self.result.seq_per_s if self.result.seq_per_s else 0.0
 
 
 def search_grid(
@@ -66,7 +48,7 @@ def search_grid(
     *,
     cache: ResultCache | None = None,
     workers: int | None = None,
-) -> list[SearchCell]:
+) -> SweepTable:
     """Evaluate a scheme over (P, D) layouts, searching waves for Hanayo.
 
     Infeasible cells (layout cannot host the batch fairly, or the model
@@ -85,17 +67,7 @@ def search_grid(
         target_microbatches=target_microbatches,
         skip_oversized=False,
     )
-    table = run_sweep(spec, cache=cache, workers=workers)
-    return [SearchCell(p=row.p, d=row.d, w=row.w, result=row.result)
-            for row in table.rows]
-
-
-def best_config(cells: list[SearchCell]) -> SearchCell:
-    """Highest-throughput non-OOM cell."""
-    alive = [c for c in cells if not c.result.oom]
-    if not alive:
-        raise ConfigError("every searched configuration OOMs")
-    return max(alive, key=lambda c: c.throughput)
+    return run_sweep(spec, cache=cache, workers=workers)
 
 
 def best_throughput(
@@ -109,9 +81,9 @@ def best_throughput(
     *,
     cache: ResultCache | None = None,
     workers: int | None = None,
-) -> SearchCell:
-    """Search then pick, in one call (what the scaling figures do)."""
-    cells = search_grid(scheme, cluster, model, layouts, total_batch,
-                        target_microbatches, waves,
-                        cache=cache, workers=workers)
-    return best_config(cells)
+) -> SweepRow:
+    """Search then pick, in one call (what the scaling figures do);
+    :class:`ConfigError` when every cell OOMs."""
+    return search_grid(scheme, cluster, model, layouts, total_batch,
+                       target_microbatches, waves,
+                       cache=cache, workers=workers).best()

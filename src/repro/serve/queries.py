@@ -13,8 +13,6 @@ bytes.  The simulator (NumPy) loads with the first measurement.
 
 from __future__ import annotations
 
-import json
-
 from ..analysis.report import format_table
 from ..analysis.scaling import layouts_for
 from ..cluster.presets import get_cluster
@@ -28,6 +26,10 @@ from ..sweep.engine import (
 )
 from ..sweep.spec import SweepPoint, SweepSpec
 from .codec import ADVISE_SCHEMES, CODEC_VERSION, AdviseQuery, SweepQuery
+
+#: an advise row: the projection of a sweep row onto these columns
+ADVISE_FIELDS = ("scheme", "p", "d", "tp", "w", "seq_per_s", "oom",
+                 "statically_pruned")
 
 
 def advise_requests(query: AdviseQuery) -> tuple[SweepSpec, list[SweepPoint]]:
@@ -70,22 +72,16 @@ def advise_answer(query: AdviseQuery, measure=None) -> dict:
     jobs = spec_jobs(spec, enumerate(points))
     records = {index: (record, False)
                for index, record in evaluate_unit_requests(jobs, measure)}
-    rows = [
-        {"scheme": row.scheme, "p": row.p, "d": row.d, "tp": row.tp,
-         "w": row.w, "seq_per_s": row.result.seq_per_s, "oom": row.oom,
-         "statically_pruned": row.result.statically_pruned}
-        for row in assemble_table(spec, points, records).rows
-    ]
-    rows.sort(key=lambda r: (
-        -(r["seq_per_s"] if r["seq_per_s"] is not None else float("-inf")),
-        r["scheme"], r["p"], r["d"], r["tp"], r["w"],
-    ))
+    table = assemble_table(spec, points, records)
+    ranked = sorted(table, key=lambda r: (
+        -r.throughput, r.scheme, r.p, r.d, r.tp, r.w))
     return {
         "kind": "advise",
         "version": CODEC_VERSION,
         "query": query.to_payload(),
-        "rows": rows[: query.top],
-        "considered": len(rows),
+        "rows": [{f: getattr(row, f) for f in ADVISE_FIELDS}
+                 for row in ranked[: query.top]],
+        "considered": len(table),
     }
 
 
@@ -129,12 +125,13 @@ def sweep_answer(query: SweepQuery, measure=None, progress=None) -> dict:
 
     :func:`~repro.sweep.engine.run_sweep` without a cache: one
     ``measure`` call and one ``progress(done, total)`` (a streamed frame
-    on the server) per work unit; ``result`` is ``SweepTable.to_json``.
+    on the server) per work unit; ``result`` is ``SweepTable.payload``
+    (the dict ``SweepTable.to_json`` renders).
     """
     table = run_sweep(sweep_spec(query), measure=measure, progress=progress)
     return {
         "kind": "sweep",
         "version": CODEC_VERSION,
         "query": query.to_payload(),
-        "result": json.loads(table.to_json()),
+        "result": table.payload(),
     }

@@ -38,7 +38,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cache": (
         "CACHE_VERSION", "ResultCache", "cache_key", "cluster_fingerprint",
         "code_fingerprint", "fingerprint_files", "key_prefix",
-        "model_fingerprint", "record_to_result", "result_to_record",
+        "model_fingerprint", "result_to_record",
     ),
     "engine": ("point_key", "run_sweep"),
     "spec": (

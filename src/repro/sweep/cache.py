@@ -36,7 +36,6 @@ import pathlib
 import threading
 
 from ..cluster.presets import Cluster
-from ..config import PipelineConfig
 from ..models.spec import ModelSpec
 from ..analysis.result import ThroughputResult
 
@@ -260,36 +259,6 @@ def result_to_record(result: ThroughputResult) -> dict:
 def infeasible_record(error: str) -> dict:
     """Record for a cell ``measure_throughput`` rejected outright."""
     return {"infeasible": True, "error": error}
-
-
-def record_to_result(record: dict) -> ThroughputResult | None:
-    """Rebuild a :class:`ThroughputResult`; ``None`` for infeasible cells."""
-    if record.get("infeasible"):
-        return None
-    cfg = PipelineConfig(
-        scheme=record["scheme"],
-        num_devices=record["p"],
-        num_microbatches=record["b"],
-        num_waves=record["w"],
-        data_parallel=record["d"],
-        microbatch_size=record["microbatch_size"],
-    )
-    return ThroughputResult(
-        config=cfg,
-        cluster_name=record["cluster_name"],
-        model_name=record["model_name"],
-        seq_per_s=record["seq_per_s"],
-        bubble_ratio=record["bubble_ratio"],
-        peak_mem_bytes=record["peak_mem_bytes"],
-        iteration_s=record["iteration_s"],
-        oom_device=record["oom_device"],
-        statically_pruned=record.get("statically_pruned", False),
-        sync_s=record.get("sync_s", 0.0),
-        sync_exposed_s=record.get("sync_exposed_s", 0.0),
-        sync_overlap=record.get("sync_overlap"),
-        sync_model_s=record.get("sync_model_s", 0.0),
-        overlap_mode=record.get("overlap_mode", "simulated"),
-    )
 
 
 class ResultCache:

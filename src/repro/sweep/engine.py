@@ -45,7 +45,6 @@ from .cache import (
     cache_key,
     infeasible_record,
     key_prefix,
-    record_to_result,
     result_to_record,
 )
 from .spec import SweepPoint, SweepSpec
@@ -263,11 +262,10 @@ def assemble_table(
     rows: list[SweepRow] = []
     for i, point in enumerate(points):
         record, was_cached = records[i]
-        result = record_to_result(record)
-        if result is None:
+        if record.get("infeasible"):
             stats.infeasible += 1
             continue
-        if result.statically_pruned:
+        if record.get("statically_pruned"):
             stats.pruned += 1
         rows.append(SweepRow(
             scheme=point.scheme,
@@ -277,7 +275,7 @@ def assemble_table(
             num_microbatches=point.num_microbatches,
             microbatch_size=point.microbatch_size,
             total_batch=point.total_batch,
-            result=result,
+            record=record,
             cached=was_cached,
         ))
     return SweepTable(rows=rows, stats=stats)

@@ -206,6 +206,15 @@ class SweepSpec:
         for tp in self.tensor_parallel:
             if tp < 1:
                 raise ConfigError(f"tensor-parallel degree {tp} must be >= 1")
+        for name in ("total_batches", "waves"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(
+                    f"sweep spec {name} entries must be >= 1, got "
+                    f"{getattr(self, name)!r}")
+        target = self.target_microbatches
+        if target is not None and target < 1:
+            raise ConfigError(
+                f"target_microbatches must be >= 1 (or None), got {target!r}")
         if self.overlap not in OVERLAP_MODES:
             raise ConfigError(
                 f"unknown overlap mode {self.overlap!r}; expected one of "

@@ -3,8 +3,10 @@
 A :class:`SweepTable` is the engine's output — one :class:`SweepRow`
 per feasible grid cell, in deterministic spec-expansion order, plus a
 :class:`SweepStats` accounting of where each result came from (fresh
-computation, cache hit, or infeasible).  Tables render to aligned text,
-CSV and JSON so benches and the CLI share one formatting path.
+computation, cache hit, or infeasible).  A row reads its cache record
+in place; the export and advise rows are projections of it.  Tables
+render to aligned text, CSV and JSON so benches and the CLI share one
+formatting path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..analysis.report import format_table
-from ..analysis.result import ThroughputResult
 from ..errors import ConfigError
 
 #: flat export schema, also the CSV header
@@ -48,9 +49,16 @@ class SweepStats:
         return text
 
 
+def _column(name: str, default=None) -> property:
+    """A read-only view of one column of a row's record."""
+    return property(lambda row: row.record.get(name, default))
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    """One measured cell of a sweep grid."""
+    """One measured cell of a sweep grid: its coordinates plus its
+    cache record, read in place and shared with the cache's index —
+    never written to; every projection builds a new dict."""
 
     scheme: str
     cluster: str
@@ -61,40 +69,33 @@ class SweepRow:
     num_microbatches: int
     microbatch_size: int
     total_batch: int
-    result: ThroughputResult
+    record: dict
     cached: bool = False
     tp: int = 1
 
+    seq_per_s = _column("seq_per_s")            # None ⇔ OOM
+    bubble_ratio = _column("bubble_ratio")
+    peak_mem_bytes = _column("peak_mem_bytes")
+    iteration_s = _column("iteration_s")
+    sync_overlap = _column("sync_overlap")
+    statically_pruned = _column("statically_pruned", False)
+
+    @property
+    def peak_mem_gib(self) -> float | None:
+        peak = self.peak_mem_bytes
+        return None if peak is None else peak / 2**30
+
     @property
     def oom(self) -> bool:
-        return self.result.oom
+        return self.seq_per_s is None
 
     @property
     def throughput(self) -> float:
         """Sequences/second; 0 for OOM cells so ``max`` never picks them."""
-        return self.result.seq_per_s if self.result.seq_per_s else 0.0
+        return self.seq_per_s or 0.0
 
     def to_dict(self) -> dict:
-        peak = self.result.peak_mem_bytes
-        return {
-            "scheme": self.scheme,
-            "cluster": self.cluster,
-            "model": self.model,
-            "p": self.p,
-            "d": self.d,
-            "w": self.w,
-            "tp": self.tp,
-            "num_microbatches": self.num_microbatches,
-            "microbatch_size": self.microbatch_size,
-            "total_batch": self.total_batch,
-            "seq_per_s": self.result.seq_per_s,
-            "bubble_ratio": self.result.bubble_ratio,
-            "peak_mem_gib": None if peak is None else peak / 2**30,
-            "iteration_s": self.result.iteration_s,
-            "sync_overlap": self.result.sync_overlap,
-            "oom": self.oom,
-            "cached": self.cached,
-        }
+        return {f: getattr(self, f) for f in EXPORT_FIELDS}
 
 
 @dataclass
@@ -171,13 +172,15 @@ class SweepTable:
             pathlib.Path(path).write_text(text)
         return text
 
+    def payload(self) -> dict:
+        """Rows + stats as a fresh JSON-safe dict (what ``to_json``
+        renders)."""
+        return {"stats": dict(vars(self.stats)),
+                "rows": [row.to_dict() for row in self.rows]}
+
     def to_json(self, path: str | pathlib.Path | None = None) -> str:
         """Render rows + stats as JSON; optionally write to ``path``."""
-        payload = {
-            "stats": vars(self.stats),
-            "rows": [row.to_dict() for row in self.rows],
-        }
-        text = json.dumps(payload, indent=1, sort_keys=True)
+        text = json.dumps(self.payload(), indent=1, sort_keys=True)
         if path is not None:
             pathlib.Path(path).write_text(text)
         return text
@@ -192,8 +195,8 @@ class SweepTable:
             [r.scheme, r.cluster, r.model, r.p, r.d, r.w, r.tp,
              r.num_microbatches, r.microbatch_size,
              None if r.oom else f"{r.throughput:.2f}",
-             ("" if r.result.sync_overlap is None
-              else f"{r.result.sync_overlap * 100:.0f}%"),
+             ("" if r.sync_overlap is None
+              else f"{r.sync_overlap * 100:.0f}%"),
              "*" if r.cached else ""]
             for r in rows
         ]

@@ -453,8 +453,8 @@ class TestSweepAxes:
         by = {(r.p, r.d, r.tp): r for r in table.rows}
         assert not any(r.oom for r in table.rows)
         # TP=2 rows came from the hybrid harness: sharded weights
-        assert (by[(4, 1, 2)].result.peak_mem_bytes
-                < by[(4, 1, 1)].result.peak_mem_bytes)
+        assert (by[(4, 1, 2)].peak_mem_bytes
+                < by[(4, 1, 1)].peak_mem_bytes)
 
     def test_pinned_tp_layout_triples_not_crossed(self):
         """(P, D, TP) layouts bind one degree; (P, D) pairs cross all.
@@ -503,7 +503,8 @@ class TestSweepAxes:
         fresh = run_sweep(spec, cache=cache)
         warm = run_sweep(spec, cache=cache)
         assert warm.stats.cached == warm.stats.total
-        a, b = fresh.rows[0].result, warm.rows[0].result
+        a, b = fresh.rows[0], warm.rows[0]
         assert a.sync_overlap == b.sync_overlap
-        assert a.sync_s == b.sync_s
-        assert a.overlap_mode == b.overlap_mode == "simulated"
+        assert a.record["sync_s"] == b.record["sync_s"]
+        assert (a.record["overlap_mode"] == b.record["overlap_mode"]
+                == "simulated")

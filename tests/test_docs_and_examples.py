@@ -3,7 +3,7 @@
 Wired into the tier-1 entry point (plain ``pytest``): a nested
 ``pytest --doctest-modules`` pass over the package front door and the
 sweep package (whose docstrings double as the quickstart docs), plus a
-smoke run of ``examples/quickstart.py`` — so the README's first
+smoke run of every ``examples/*.py`` script — so the README's first
 commands can never rot silently.
 """
 
@@ -13,6 +13,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -39,14 +41,17 @@ def test_doctest_modules_pass():
     assert "passed" in proc.stdout
 
 
-def test_quickstart_example_runs():
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (REPO / "examples").glob("*.py")))
+def test_example_runs(script):
     proc = subprocess.run(
-        [sys.executable, str(REPO / "examples" / "quickstart.py")],
+        [sys.executable, str(REPO / "examples" / script)],
         cwd=REPO, env=_env(), text=True, capture_output=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "bubble ratio" in proc.stdout
-    assert "versus the baselines" in proc.stdout
+    if script == "quickstart.py":
+        assert "bubble ratio" in proc.stdout
+        assert "versus the baselines" in proc.stdout
 
 
 def test_sweep_cli_help_lists_command():

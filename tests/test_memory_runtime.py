@@ -280,7 +280,7 @@ class TestAnalysisPruning:
         assert executed() < table.stats.total
         assert executed() == table.stats.total - table.stats.pruned
         assert all(row.oom for row in table.rows
-                   if row.result.statically_pruned)
+                   if row.statically_pruned)
         assert "OOM-pruned" in table.stats.describe()
 
     def test_hybrid_static_precheck(self):

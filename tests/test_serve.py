@@ -588,8 +588,8 @@ class TestAdviseIsARankedSweep:
         table = run_sweep(spec)
         want = sorted(
             ({"scheme": r.scheme, "p": r.p, "d": r.d, "tp": r.tp,
-              "w": r.w, "seq_per_s": r.result.seq_per_s, "oom": r.oom,
-              "statically_pruned": r.result.statically_pruned}
+              "w": r.w, "seq_per_s": r.seq_per_s, "oom": r.oom,
+              "statically_pruned": r.statically_pruned}
              for r in table.rows),
             key=lambda r: (
                 -(r["seq_per_s"] if r["seq_per_s"] is not None

@@ -39,6 +39,14 @@ def tiny_spec(**overrides) -> SweepSpec:
     return SweepSpec(**base)
 
 
+def mixed_spec() -> SweepSpec:
+    """A grid holding live, OOM and infeasible cells: chimera cannot
+    run on 3 devices, and the capacity sits between the cells' peaks."""
+    return tiny_spec(schemes=("chimera", "dapple"), waves=(1,),
+                     layouts=((3, 1), (4, 1), (2, 2)),
+                     capacity_bytes=3_000_000)
+
+
 @pytest.fixture
 def counter(monkeypatch):
     """Wrap the engine's one measure global: one entry per lane."""
@@ -717,10 +725,10 @@ class TestBatchUnits:
                 num_microbatches=row.num_microbatches,
                 microbatch_size=row.microbatch_size, run=run,
             )
-            assert row.result.seq_per_s == want.seq_per_s
-            assert row.result.bubble_ratio == want.bubble_ratio
-            assert row.result.iteration_s == want.iteration_s
-            assert row.result.peak_mem_bytes == want.peak_mem_bytes
+            assert row.seq_per_s == want.seq_per_s
+            assert row.bubble_ratio == want.bubble_ratio
+            assert row.iteration_s == want.iteration_s
+            assert row.peak_mem_bytes == want.peak_mem_bytes
 
     @staticmethod
     def _lane_matrix():
@@ -845,10 +853,9 @@ class TestEngine:
                 "hanayo", cluster, model, p=cell.p, d=cell.d, w=cell.w,
                 num_microbatches=shape[0], microbatch_size=shape[1],
             )
-            assert direct.seq_per_s == pytest.approx(cell.result.seq_per_s)
-            assert direct.bubble_ratio == pytest.approx(
-                cell.result.bubble_ratio)
-            assert direct.peak_mem_bytes == cell.result.peak_mem_bytes
+            assert direct.seq_per_s == pytest.approx(cell.seq_per_s)
+            assert direct.bubble_ratio == pytest.approx(cell.bubble_ratio)
+            assert direct.peak_mem_bytes == cell.peak_mem_bytes
 
     def test_search_grid_oversized_layout_raises(self):
         with pytest.raises(ConfigError, match="exceeds"):
@@ -866,6 +873,22 @@ class TestEngine:
             tiny_spec(overlap="guess")
         with pytest.raises(ConfigError, match="tensor-parallel"):
             tiny_spec(tensor_parallel=(0,))
+        for field, bad in (("total_batches", (8, 0)), ("waves", (0,)),
+                           ("total_batches", (-1,))):
+            with pytest.raises(ConfigError, match=field):
+                tiny_spec(**{field: bad})
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match="target_microbatches"):
+                tiny_spec(target_microbatches=bad)
+
+    def test_cli_rejects_non_positive_sizes(self, capsys):
+        base = ["sweep", "--clusters", "FC", "--model", "tiny", "-n", "4",
+                "--layouts", "4x1"]
+        for extra in (["--batch", "0"], ["--batch", "8", "--waves", "0"],
+                      ["--batch", "8", "--target-microbatches", "0"],
+                      ["--batch", "8", "--target-microbatches", "-1"]):
+            assert cli_main(base + extra) == 2, extra
+            assert "error:" in capsys.readouterr().err
 
 
 class TestRunSweepHooks:
@@ -933,7 +956,7 @@ class TestTable:
             rows = list(csv_mod.DictReader(fh))
         assert len(rows) == len(table.rows)
         assert float(rows[0]["seq_per_s"]) == pytest.approx(
-            table.rows[0].result.seq_per_s)
+            table.rows[0].seq_per_s)
 
     def test_json_roundtrip(self, table, tmp_path):
         path = tmp_path / "sweep.json"
@@ -941,6 +964,43 @@ class TestTable:
         payload = json.loads(path.read_text())
         assert payload["stats"]["total"] == table.stats.total
         assert len(payload["rows"]) == len(table.rows)
+
+    def test_payload_is_the_json_export(self):
+        """``payload()`` is what ``to_json`` renders, on a grid holding
+        a live, an OOM and an infeasible cell; it is a fresh dict."""
+        spec = mixed_spec()
+        table = run_sweep(spec)
+        assert table.stats.infeasible == 1
+        assert any(r.oom for r in table) and not all(r.oom for r in table)
+        payload = table.payload()
+        assert payload == json.loads(table.to_json())
+        payload["stats"]["total"] = -1
+        payload["rows"][0]["seq_per_s"] = -1.0
+        assert table.stats.total == len(spec.expand())
+        assert table.payload() == json.loads(table.to_json())
+        assert all(r.record["seq_per_s"] != -1.0 for r in table)
+
+    def test_warm_sweep_builds_no_result_objects(self, tmp_path,
+                                                 monkeypatch):
+        """A cached sweep reads each row's record in place: it never
+        constructs a ``ThroughputResult`` or a ``PipelineConfig``."""
+        from repro.analysis.result import ThroughputResult
+        from repro.config import PipelineConfig
+
+        cache = ResultCache(tmp_path / "c")
+        spec = mixed_spec()
+        cold = run_sweep(spec, cache=cache)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached sweep built a result object")
+
+        monkeypatch.setattr(ThroughputResult, "__init__", refuse)
+        monkeypatch.setattr(PipelineConfig, "__init__", refuse)
+        warm = run_sweep(spec, cache=cache)
+        assert warm.stats.cached == warm.stats.total == cold.stats.total
+        assert warm.to_csv() and json.loads(warm.to_json())["rows"]
+        assert "*" in warm.format(title="warm")
+        assert warm.best().throughput == cold.best().throughput > 0
 
     def test_format_marks_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    best_config,
     dp_allreduce_seconds,
     feasible_waves,
     layouts_for,
@@ -112,14 +111,14 @@ class TestSearch:
                         if scheme == "chimera":
                             assert b % 2 == 0
 
-    def test_best_config_skips_oom(self):
+    def test_best_skips_oom(self):
         cluster = make_tacc(8)
-        cells = search_grid("gpipe", cluster, bert_64(),
+        table = search_grid("gpipe", cluster, bert_64(),
                             layouts=((8, 1),),
                             total_batch=256, target_microbatches=32)
-        assert all(c.result.oom for c in cells)
+        assert table.rows and all(c.oom for c in table)
         with pytest.raises(ConfigError, match="OOM"):
-            best_config(cells)
+            table.best()
 
     def test_layouts_for(self):
         assert layouts_for(32) == ((32, 1), (16, 2), (8, 4), (4, 8))
