@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..models.spec import ModelSpec
 from ..sweep.cache import ResultCache
+from ..sweep.spec import layouts_for
 from ..sweep.table import SweepRow
 from .search import best_throughput
 
@@ -37,16 +38,6 @@ class ScalingPoint:
     @property
     def throughput(self) -> float | None:
         return None if self.cell is None else self.cell.throughput
-
-
-def layouts_for(devices: int, min_pipeline: int = 4) -> tuple[tuple[int, int], ...]:
-    """(P, D) combinations the paper searches at a device count."""
-    opts = []
-    p = devices
-    while p >= min_pipeline:
-        opts.append((p, devices // p))
-        p //= 2
-    return tuple(opts)
 
 
 def _best(scheme: str, cluster, model: ModelSpec, devices: int,

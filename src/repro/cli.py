@@ -17,9 +17,32 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import CostConfig, PipelineConfig
+from .config import KNOWN_CLUSTERS, CostConfig, PipelineConfig
 from .errors import ConfigError, ReproError
 from .models.zoo import MODELS
+from .sweep.spec import ADVISE_REQUEST, SWEEP_REQUEST, decode_request
+
+
+def _add_request_args(p: argparse.ArgumentParser, fields) -> None:
+    """One option per row of a request table (``repro.sweep.spec``)."""
+    for row in fields:
+        if row.type is bool:
+            p.add_argument(*row.flags, dest=row.name, action="store_true",
+                           help=row.help)
+            continue
+        # choices and bounds are the decoder's to check, so a bad value
+        # is the same ConfigError from argv as from a served payload
+        p.add_argument(
+            *row.flags, dest=row.name, default=row.default,
+            type=str if row.type is tuple else row.type,
+            nargs="+" if row.many and row.type is not tuple else None,
+            metavar="{%s}" % ",".join(row.choices) if row.choices else None,
+            help=row.help)
+
+
+def request_payload(args, fields) -> dict:
+    """The request payload a parsed command line spells."""
+    return {row.name: getattr(args, row.name) for row in fields}
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -158,18 +181,13 @@ def _trace_body(args, run) -> int:
 
 
 def cmd_advise(args) -> int:
-    # the exact expansion + folding the server runs (repro.serve.queries),
-    # so `repro advise --json` and a served /advise answer for the same
-    # query are the same bytes
+    # the server's own decode, expansion and folding: `repro advise
+    # --json` and a served /advise answer are the same bytes
     from .serve.codec import AdviseQuery, dumps_canonical
     from .serve.queries import advise_answer, format_advise
 
-    query = AdviseQuery.make(
-        cluster=args.cluster, model=args.model, devices=args.devices,
-        batch=args.batch, tp=args.tp, dp=args.dp, top=args.top,
-        capacity_gib=args.capacity_gib, contention=args.contention,
-    )
-    payload = advise_answer(query)
+    payload = advise_answer(AdviseQuery.from_payload(
+        request_payload(args, ADVISE_REQUEST)))
     if args.json:
         sys.stdout.buffer.write(dumps_canonical(payload))
         sys.stdout.buffer.flush()
@@ -201,28 +219,16 @@ def cmd_query(args) -> int:
     from urllib.error import HTTPError, URLError
     from urllib.request import Request, urlopen
 
-    from .serve.codec import AdviseQuery, SweepQuery, dumps_canonical
+    from .serve.codec import dumps_canonical
 
     base = args.server.rstrip("/")
     if not base.startswith("http"):
         base = "http://" + base
-    if args.kind == "sweep":
-        query = SweepQuery.make(
-            schemes=args.schemes, cluster=args.cluster,
-            models=args.models, devices=args.devices,
-            batches=args.batch, tp=args.tp,
-            capacity_gib=args.capacity_gib,
-            contention=args.contention,
-        )
-    else:
-        query = AdviseQuery.make(
-            cluster=args.cluster, model=args.model,
-            devices=args.devices, batch=args.batch[0], tp=args.tp[0],
-            dp=args.dp, top=args.top, capacity_gib=args.capacity_gib,
-            contention=args.contention,
-        )
+    fields = SWEEP_REQUEST if args.kind == "sweep" else ADVISE_REQUEST
+    # decoded here too, so a bad request fails before it is sent
+    query = decode_request(request_payload(args, fields), fields)
     request = Request(
-        f"{base}/{args.kind}", data=dumps_canonical(query.to_payload()),
+        f"{base}/{args.kind}", data=dumps_canonical(query),
         headers={"Content-Type": "application/json"}, method="POST",
     )
     try:
@@ -258,74 +264,12 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _parse_layouts(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse ``"8x1,4x2"`` into ``((8, 1), (4, 2))``.
-
-    A third component pins a cell's tensor-parallel degree:
-    ``"4x1x2"`` is (P=4, D=1, TP=2), exempt from the ``--tp`` cross.
-    """
-    layouts = []
-    for token in text.split(","):
-        parts = token.lower().strip().split("x")
-        if (len(parts) not in (2, 3)
-                or not all(t.strip().isdigit() for t in parts)):
-            raise ConfigError(
-                f"bad layout {token!r}; expected PxD pairs like 8x1,4x2 "
-                "(or PxDxTP triples)"
-            )
-        layouts.append(tuple(int(t) for t in parts))
-    return tuple(layouts)
-
-
 def cmd_sweep(args) -> int:
-    from .analysis import layouts_for
-    from .cluster import get_cluster
-    from .sweep import ResultCache, SweepSpec, run_sweep
+    from .sweep.cache import ResultCache
+    from .sweep.engine import run_sweep
+    from .sweep.spec import SweepSpec
 
-    models = tuple(MODELS[name]() for name in args.models)
-    clusters = tuple(get_cluster(name, args.devices)
-                     for name in args.clusters)
-    tps = tuple(dict.fromkeys(args.tp))
-    if args.layouts:
-        layouts = _parse_layouts(args.layouts)
-    elif args.dp or any(t > 1 for t in tps):
-        # Hybrid layouts without Python: each requested DP width (all
-        # power-of-two widths when --dp is omitted) is paired with the
-        # deepest pipeline that exactly fills the cluster *per TP
-        # degree* — (P, D, TP) triples, so the spec does not re-cross
-        # a depth derived for one degree with the others.
-        dps = tuple(args.dp) if args.dp else tuple(
-            dict.fromkeys(d for _p, d in layouts_for(args.devices)))
-        layouts = tuple(sorted(
-            {(args.devices // (d * t), d, t)
-             for d in dps for t in tps
-             if args.devices % (d * t) == 0 and args.devices // (d * t) >= 2},
-            reverse=True,
-        ))
-        if not layouts:
-            raise ConfigError(
-                f"no (P, D) layout fits {args.devices} devices with "
-                f"--dp {args.dp} --tp {list(tps)}"
-            )
-    else:
-        layouts = layouts_for(args.devices)
-    spec = SweepSpec(
-        schemes=tuple(args.schemes),
-        clusters=clusters,
-        models=models,
-        layouts=layouts,
-        total_batches=tuple(args.batch),
-        waves=tuple(args.sweep_waves),
-        tensor_parallel=tps,
-        target_microbatches=args.target_microbatches,
-        overlap=args.overlap,
-        capacity_bytes=(int(args.capacity_gib * 2**30)
-                        if args.capacity_gib is not None else None),
-        contention=args.contention,
-        # explicitly requested layouts must error when they don't fit,
-        # not vanish into an empty table
-        skip_oversized=args.layouts is None,
-    )
+    spec = SweepSpec.from_payload(request_payload(args, SWEEP_REQUEST))
     cache = ResultCache(args.cache) if args.cache else None
     prof = None
     if args.profile:
@@ -503,8 +447,7 @@ def make_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="export a Chrome/Perfetto trace")
     _add_shape_args(t)
     t.add_argument("-o", "--output", default="pipeline_trace.json")
-    t.add_argument("--cluster", default=None,
-                   choices=["PC", "FC", "TACC", "TC"],
+    t.add_argument("--cluster", default=None, choices=KNOWN_CLUSTERS,
                    help="simulate on a modeled cluster (concrete costs)")
     t.add_argument("--model", default="bert",
                    choices=list(MODELS),
@@ -529,21 +472,7 @@ def make_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_trace)
 
     a = sub.add_parser("advise", help="configuration search")
-    a.add_argument("--cluster", default="TACC",
-                   choices=["PC", "FC", "TACC", "TC"])
-    a.add_argument("--model", default="bert",
-                   choices=list(MODELS))
-    a.add_argument("-n", "--devices", type=int, default=8)
-    a.add_argument("--batch", type=int, default=16)
-    a.add_argument("--top", type=int, default=10)
-    a.add_argument("--dp", type=int, nargs="+", default=None,
-                   help="restrict the data-parallel widths searched")
-    a.add_argument("--tp", type=int, default=1,
-                   help="tensor-parallel degree (hybrid layouts)")
-    a.add_argument("--capacity-gib", type=float, default=None,
-                   help="override per-device memory for OOM verdicts")
-    a.add_argument("--contention", action="store_true",
-                   help="serialize transfers sharing a device pair")
+    _add_request_args(a, ADVISE_REQUEST)
     a.add_argument("--json", action="store_true",
                    help="emit the canonical JSON answer (byte-identical "
                         "to a served /advise answer of the same query)")
@@ -566,70 +495,21 @@ def make_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser(
         "query", help="query a running `repro serve` daemon")
-    q.add_argument("kind", choices=["advise", "sweep"],
-                   help="question shape: one ranking or a full grid")
-    q.add_argument("--server", default="127.0.0.1:8642",
-                   help="host:port of the daemon")
-    q.add_argument("--cluster", default="TACC",
-                   choices=["PC", "FC", "TACC", "TC"])
-    q.add_argument("--model", default="bert",
-                   choices=list(MODELS),
-                   help="model for advise queries")
-    q.add_argument("--models", nargs="+", default=["bert"],
-                   choices=list(MODELS),
-                   help="models for sweep queries")
-    q.add_argument("--schemes", nargs="+",
-                   default=["gpipe", "dapple", "chimera-wave", "hanayo"],
-                   help="schemes for sweep queries")
-    q.add_argument("-n", "--devices", type=int, default=8)
-    q.add_argument("--batch", type=int, nargs="+", default=[16],
-                   help="total batch size(s); advise uses the first")
-    q.add_argument("--tp", type=int, nargs="+", default=[1],
-                   help="tensor-parallel degree(s); advise uses the first")
-    q.add_argument("--dp", type=int, nargs="+", default=None,
-                   help="restrict data-parallel widths (advise)")
-    q.add_argument("--top", type=int, default=10)
-    q.add_argument("--capacity-gib", type=float, default=None)
-    q.add_argument("--contention", action="store_true",
-                   help="serialize transfers sharing a device pair")
-    q.add_argument("--timeout", type=float, default=120.0,
-                   help="per-request socket timeout in seconds")
-    q.set_defaults(fn=cmd_query)
+    kinds = q.add_subparsers(dest="kind", required=True)
+    for kind, fields, what in (
+            ("advise", ADVISE_REQUEST, "one ranking"),
+            ("sweep", SWEEP_REQUEST, "a full grid, streamed")):
+        qk = kinds.add_parser(kind, help=what)
+        _add_request_args(qk, fields)
+        qk.add_argument("--server", default="127.0.0.1:8642",
+                        help="host:port of the daemon")
+        qk.add_argument("--timeout", type=float, default=120.0,
+                        help="per-request socket timeout in seconds")
+        qk.set_defaults(fn=cmd_query)
 
     sw = sub.add_parser(
         "sweep", help="parallel, cached multi-scheme grid sweep")
-    sw.add_argument("--schemes", nargs="+",
-                    default=["gpipe", "dapple", "chimera-wave", "hanayo"])
-    sw.add_argument("--clusters", nargs="+", default=["TACC"],
-                    choices=["PC", "FC", "TACC", "TC"])
-    sw.add_argument("--model", dest="models", nargs="+", default=["bert"],
-                    choices=list(MODELS))
-    sw.add_argument("-n", "--devices", type=int, default=8)
-    sw.add_argument("--batch", type=int, nargs="+", default=[16],
-                    help="total batch size(s) to sweep")
-    sw.add_argument("--layouts", default=None,
-                    help="PxD pairs like 8x1,4x2 (default: all for -n)")
-    sw.add_argument("--dp", type=int, nargs="+", default=None,
-                    help="data-parallel widths to sweep (derives P from "
-                         "-n; overridden by --layouts)")
-    sw.add_argument("--tp", type=int, nargs="+", default=[1],
-                    help="tensor-parallel degrees to cross with every "
-                         "layout (TP > 1 runs the hybrid harness)")
-    sw.add_argument("--overlap", default="simulated",
-                    choices=["simulated", "model"],
-                    help="gradient-sync accounting: event-core measured "
-                         "overlap (default) or the analytic closed form")
-    sw.add_argument("--waves", dest="sweep_waves", type=int, nargs="+",
-                    default=[1, 2, 4, 8],
-                    help="wave counts searched for hanayo")
-    sw.add_argument("--target-microbatches", type=int, default=None)
-    sw.add_argument("--capacity-gib", type=float, default=None,
-                    help="override per-device memory for OOM verdicts "
-                         "(what-if smaller/larger cards)")
-    sw.add_argument("--contention", action="store_true",
-                    help="serialize transfers sharing a device pair "
-                         "(contended lanes still batch via the "
-                         "contention driver)")
+    _add_request_args(sw, SWEEP_REQUEST)
     sw.add_argument("-j", "--workers", type=int, default=1,
                     help="worker processes for uncached cells")
     sw.add_argument("--cache", default=None,

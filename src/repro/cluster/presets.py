@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from ..config import KNOWN_CLUSTERS
 from ..errors import ConfigError
 from ..models.costs import A100_40G, A100_80G, V100_32G, DeviceModel
 from .topology import (
@@ -130,7 +131,7 @@ def get_cluster(name: str, num_devices: int = 8) -> Cluster:
     key = name.upper()
     if key not in _FACTORIES:
         raise ConfigError(
-            f"unknown cluster {name!r}; expected one of {sorted(_FACTORIES)}"
+            f"unknown cluster {name!r}; expected one of {list(KNOWN_CLUSTERS)}"
         )
     return _shared_cluster(key, num_devices)
 

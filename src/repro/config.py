@@ -25,6 +25,9 @@ KNOWN_SCHEMES = (
     "async-1f1b",      # PipeDream-style, no flush
 )
 
+#: The paper's four evaluation clusters (:func:`repro.cluster.get_cluster`).
+KNOWN_CLUSTERS = ("PC", "FC", "TACC", "TC")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -25,7 +25,7 @@ process and answers what-if queries over HTTP:
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "codec": ("AdviseQuery", "SweepQuery", "dumps_canonical", "query_key"),
+    "codec": ("AdviseQuery", "dumps_canonical", "query_key"),
     "queries": ("advise_answer", "format_advise", "sweep_answer"),
     "server": ("AdvisorServer", "serve_until_signalled"),
 })

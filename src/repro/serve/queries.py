@@ -5,7 +5,8 @@ lowers it to a :class:`~repro.sweep.spec.SweepSpec` (the Sec. 5.3
 search: schemes × (P, D) layouts × Hanayo waves under B = P) and
 expands it; :func:`advise_answer` measures the grid in one ``measure``
 call and ranks the assembled table.  A served sweep is
-:func:`~repro.sweep.engine.run_sweep`.  ``measure`` defaults to the
+:func:`~repro.sweep.engine.run_sweep` over the grid ``repro sweep``
+builds from the same request.  ``measure`` defaults to the
 engine's harness; the server passes its micro-batcher's submit method,
 whose lanes are bit-identical, so served and CLI answers are the same
 bytes.  The simulator (NumPy) loads with the first measurement.
@@ -14,7 +15,6 @@ bytes.  The simulator (NumPy) loads with the first measurement.
 from __future__ import annotations
 
 from ..analysis.report import format_table
-from ..analysis.scaling import layouts_for
 from ..cluster.presets import get_cluster
 from ..errors import ConfigError
 from ..models.zoo import MODELS
@@ -24,8 +24,15 @@ from ..sweep.engine import (
     run_sweep,
     spec_jobs,
 )
-from ..sweep.spec import SweepPoint, SweepSpec
-from .codec import ADVISE_SCHEMES, CODEC_VERSION, AdviseQuery, SweepQuery
+from ..sweep.spec import (
+    SEARCH_SCHEMES,
+    SWEEP_REQUEST,
+    SweepPoint,
+    SweepSpec,
+    decode_request,
+    layouts_for,
+)
+from .codec import CODEC_VERSION, AdviseQuery
 
 #: an advise row: the projection of a sweep row onto these columns
 ADVISE_FIELDS = ("scheme", "p", "d", "tp", "w", "seq_per_s", "oom",
@@ -50,7 +57,7 @@ def advise_requests(query: AdviseQuery) -> tuple[SweepSpec, list[SweepPoint]]:
             + (f" --dp {list(query.dp)}" if query.dp else "")
         )
     spec = SweepSpec(
-        schemes=ADVISE_SCHEMES,
+        schemes=SEARCH_SCHEMES,
         clusters=(get_cluster(query.cluster, query.devices),),
         models=(MODELS[query.model](),),
         layouts=layouts,
@@ -104,34 +111,19 @@ def format_advise(payload: dict) -> str:
 # -- sweep queries ------------------------------------------------------------
 
 
-def sweep_spec(query: SweepQuery) -> SweepSpec:
-    """Lower a served sweep query to the engine's declarative spec."""
-    return SweepSpec(
-        schemes=query.schemes,
-        clusters=(get_cluster(query.cluster, query.devices),),
-        models=tuple(MODELS[name]() for name in query.models),
-        layouts=(query.layouts if query.layouts is not None
-                 else layouts_for(query.devices)),
-        total_batches=query.batches,
-        waves=query.waves,
-        tensor_parallel=query.tp,
-        capacity_bytes=query.capacity_bytes,
-        contention=query.contention,
-    )
-
-
-def sweep_answer(query: SweepQuery, measure=None, progress=None) -> dict:
-    """Evaluate a served sweep and fold it into the table payload.
-
-    :func:`~repro.sweep.engine.run_sweep` without a cache: one
+def sweep_answer(payload, measure=None, progress=None) -> dict:
+    """Evaluate a sweep request (:data:`~repro.sweep.spec.SWEEP_REQUEST`)
+    on :meth:`SweepSpec.from_payload`'s grid, the one ``repro sweep``
+    runs: :func:`~repro.sweep.engine.run_sweep` without a cache, one
     ``measure`` call and one ``progress(done, total)`` (a streamed frame
-    on the server) per work unit; ``result`` is ``SweepTable.payload``
-    (the dict ``SweepTable.to_json`` renders).
-    """
-    table = run_sweep(sweep_spec(query), measure=measure, progress=progress)
+    on the server) per work unit.  ``query`` echoes the request
+    normalized; ``result`` is ``SweepTable.payload``."""
+    query = decode_request(payload, SWEEP_REQUEST)
+    table = run_sweep(SweepSpec.from_payload(query), measure=measure,
+                      progress=progress)
     return {
         "kind": "sweep",
         "version": CODEC_VERSION,
-        "query": query.to_payload(),
+        "query": query,
         "result": table.payload(),
     }

@@ -10,8 +10,9 @@ queries over plain HTTP/1.1:
   one canonical answer.  Identical concurrent queries are merged by the
   single-flight registry; distinct concurrent queries coalesce in the
   micro-batcher and execute as lanes of shared lockstep batches.
-* ``POST /sweep`` — a :class:`~repro.serve.codec.SweepQuery` body,
-  answered as a **chunked NDJSON stream**: one
+* ``POST /sweep`` — a sweep request body
+  (:data:`~repro.sweep.spec.SWEEP_REQUEST`, the ``repro sweep``
+  options), answered as a **chunked NDJSON stream**: one
   ``{"kind": "progress", "done": n, "total": N}`` frame per finished
   work unit, then the full table payload as the final line.
 * ``GET /healthz`` — liveness + drain state.
@@ -40,7 +41,7 @@ from .. import profiling
 from ..analysis import plan_cache
 from ..errors import ConfigError
 from .batcher import DEFAULT_MAX_LANES, DEFAULT_WINDOW_S, MicroBatcher
-from .codec import AdviseQuery, SweepQuery, dumps_canonical, query_key
+from .codec import AdviseQuery, dumps_canonical, query_key
 from .queries import advise_answer, sweep_answer
 from .singleflight import SingleFlight
 
@@ -196,13 +197,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- chunked streaming (sweep progress) ----------------------------------
 
-    def _start_chunked(self) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
     def _write_chunk(self, data: bytes) -> None:
+        if not self._streaming:
+            # headers go out with the first frame, so a sweep that fails
+            # before one (a grid that does not fit) is still a plain 400
+            self._streaming = True
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
         self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
 
     def _end_chunked(self) -> None:
@@ -262,27 +265,30 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, body)
 
     def _handle_sweep(self) -> None:
-        query = SweepQuery.from_payload(self._read_query_payload())
+        payload = self._read_query_payload()
         batcher = self.server.batcher
         start = time.perf_counter()
-        self._start_chunked()
+        self._streaming = False
 
         def on_progress(done: int, total: int) -> None:
             self._write_chunk(dumps_canonical(
                 {"kind": "progress", "done": done, "total": total}))
 
         try:
-            payload = sweep_answer(
-                query, measure=batcher.measure_hybrid,
-                progress=on_progress)
-            self._write_chunk(dumps_canonical(payload))
-        except Exception as exc:  # headers are gone; fail in-band
+            self._write_chunk(dumps_canonical(sweep_answer(
+                payload, measure=batcher.measure_hybrid,
+                progress=on_progress)))
+        except Exception as exc:
+            if not self._streaming:
+                raise  # nothing sent yet: do_POST answers 400 or 500
+            # headers are gone; fail in-band
             profiling.serve_stats().record_error()
             self._write_chunk(dumps_canonical(
                 {"kind": "error",
                  "error": f"{type(exc).__name__}: {exc}"}))
         finally:
-            self._end_chunked()
+            if self._streaming:
+                self._end_chunked()
         profiling.serve_stats().record_query(
             "sweep", time.perf_counter() - start)
 

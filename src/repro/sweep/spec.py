@@ -1,4 +1,4 @@
-"""Declarative sweep specifications.
+"""Declarative sweep specifications, and the one sweep request.
 
 A :class:`SweepSpec` names a full cartesian grid of throughput
 measurements — schemes × clusters × models × (P, D) layouts × total
@@ -12,17 +12,29 @@ comparable.  :func:`split_batch` therefore rejects layouts whose
 data-parallel degree does not divide the total batch, and rebalances
 the micro-batch count to an exact divisor of the per-pipeline batch
 instead of silently dropping remainder sequences.
+
+A sweep *request* — the ``repro sweep`` and ``repro query sweep``
+options and the served ``/sweep`` body — is described once, by the
+:data:`SWEEP_REQUEST` table of :class:`RequestField` rows (advise's
+:data:`ADVISE_REQUEST` shares its rows).  :func:`decode_request` is the
+strict decode over such a table, and :meth:`SweepSpec.from_payload`
+lowers a sweep request to its grid, so the CLI and the server expand
+the same cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..analysis.result import OVERLAP_MODES
-from ..cluster.presets import Cluster
-from ..config import KNOWN_SCHEMES
+from ..config import KNOWN_CLUSTERS, KNOWN_SCHEMES
 from ..errors import ConfigError
 from ..models.spec import ModelSpec
+from ..models.zoo import MODELS
+
+if TYPE_CHECKING:
+    from ..cluster.presets import Cluster
 
 #: wave counts the paper explores (H-2 / H-4 / H-8 in Fig. 9)
 DEFAULT_WAVES = (1, 2, 4, 8)
@@ -30,6 +42,20 @@ DEFAULT_WAVES = (1, 2, 4, 8)
 #: schemes that run micro-batches in two directions and therefore need
 #: an even micro-batch count
 BIDIRECTIONAL_SCHEMES = ("chimera", "chimera-wave", "gems")
+
+#: the configuration-search scheme set (paper Sec. 5.3): what advise
+#: ranks, and what a sweep compares unless told otherwise
+SEARCH_SCHEMES = ("gpipe", "dapple", "chimera-wave", "hanayo")
+
+
+def layouts_for(devices: int, min_pipeline: int = 4) -> tuple[tuple[int, int], ...]:
+    """(P, D) combinations the paper searches at a device count."""
+    opts = []
+    p = devices
+    while p >= min_pipeline:
+        opts.append((p, devices // p))
+        p //= 2
+    return tuple(opts)
 
 
 def feasible_waves(model: ModelSpec, p: int,
@@ -90,6 +116,195 @@ def split_batch(total_batch: int, d: int, p: int, scheme: str,
     return None
 
 
+# -- the request table ---------------------------------------------------------
+
+
+def parse_layouts(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse ``"8x1,4x1x2"`` into ``((8, 1), (4, 1, 2))``: a third
+    component pins a cell's TP degree, exempt from the ``tp`` cross."""
+    layouts = []
+    for token in text.split(","):
+        parts = token.lower().strip().split("x")
+        if (len(parts) not in (2, 3)
+                or not all(t.strip().isdigit() for t in parts)):
+            raise ConfigError(
+                f"bad layout {token!r}; expected PxD pairs like 8x1,4x2 "
+                "(or PxDxTP triples)"
+            )
+        layouts.append(tuple(int(t) for t in parts))
+    return tuple(layouts)
+
+
+@dataclass(frozen=True)
+class RequestField:
+    """One field of a request: its wire name (also the CLI's ``dest``),
+    its CLI flags, and the values it takes.
+
+    ``type`` is the element type: ``int``, ``float``, ``str``, ``bool``,
+    or ``tuple`` for one ``[P, D]`` / ``[P, D, TP]`` layout (``PxD`` or
+    ``PxDxTP`` on the command line).  ``many`` makes the field a
+    non-empty list of elements, and a bare element reads as a list of
+    one.  ``default`` is the CLI's default and, unless ``required``,
+    the payload's; ``null`` is accepted only where the default is
+    ``None``.  Numbers, layout entries included, must be positive, and
+    ``choices`` match case-insensitively.
+    """
+
+    name: str
+    flags: tuple[str, ...]
+    type: type
+    default: object = None
+    many: bool = False
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+    def check(self, value, label: str):
+        """``value`` normalized — lists become tuples, names their
+        canonical spelling, numbers of a float field floats — or a
+        :class:`ConfigError` naming ``label``."""
+        if value is None and self.default is None:
+            return None
+        if isinstance(value, str) and self.type is tuple:
+            value = parse_layouts(value)
+        items = (value if self.many and isinstance(value, (list, tuple))
+                 else (value,))
+        types = {float: (int, float), tuple: (list, tuple)}.get(
+            self.type, self.type)
+        if not items or any(isinstance(v, bool) is not (self.type is bool)
+                            or not isinstance(v, types) for v in items):
+            raise ConfigError(
+                f"{label} must be {self._expected()}, got {value!r}")
+        items = tuple(self._element(v, label, value) for v in items)
+        return items if self.many else items[0]
+
+    def _element(self, item, label: str, value):
+        if self.choices is not None:
+            names = {choice.lower(): choice for choice in self.choices}
+            if item.lower() not in names:
+                raise ConfigError(
+                    f"unknown {self.name.removesuffix('s')} {item!r} in "
+                    f"{label}; expected one of {list(self.choices)}")
+            return names[item.lower()]
+        if self.type is tuple:
+            if len(item) not in (2, 3) or any(
+                    isinstance(v, bool) or not isinstance(v, int) or v < 1
+                    for v in item):
+                raise ConfigError(
+                    f"bad layout {list(item)!r} in {label}; want [P, D] "
+                    "or [P, D, TP] of positive integers")
+            return tuple(item)
+        if self.type in (int, float) and item <= 0:
+            raise ConfigError(
+                f"{label} must be {self._expected()}, got {value!r}")
+        return float(item) if self.type is float else item
+
+    def _expected(self) -> str:
+        noun = {str: "name", bool: "boolean", tuple: "layout",
+                float: "positive number", int: "positive integer"}[self.type]
+        return f"a non-empty list of {noun}s" if self.many else f"a {noun}"
+
+
+#: a sweep request: the ``repro sweep`` / ``repro query sweep`` options
+#: and the served ``/sweep`` body, one row per field
+SWEEP_REQUEST = (
+    RequestField("schemes", ("--schemes",), str, SEARCH_SCHEMES, many=True,
+                 required=True, choices=KNOWN_SCHEMES,
+                 help="pipeline schemes to compare"),
+    RequestField("cluster", ("--clusters",), str, ("TACC",), many=True,
+                 required=True, choices=KNOWN_CLUSTERS,
+                 help="cluster presets to evaluate on"),
+    RequestField("models", ("--model",), str, ("bert",), many=True,
+                 required=True, choices=tuple(MODELS),
+                 help="models to evaluate"),
+    RequestField("devices", ("-n", "--devices"), int, 8, required=True,
+                 help="devices in each cluster"),
+    RequestField("batches", ("--batch",), int, (16,), many=True,
+                 required=True, help="total batch size(s) to sweep"),
+    RequestField("layouts", ("--layouts",), tuple, many=True,
+                 help="PxD pairs like 8x1,4x2, or PxDxTP triples; each "
+                      "must fit the cluster (default: every P >= 4 split "
+                      "of -n)"),
+    RequestField("dp", ("--dp",), int, many=True,
+                 help="data-parallel widths to sweep (derives P from -n; "
+                      "overridden by --layouts)"),
+    RequestField("tp", ("--tp",), int, (1,), many=True,
+                 help="tensor-parallel degrees (TP > 1 runs the hybrid "
+                      "harness); crossed with explicit PxD layouts"),
+    RequestField("waves", ("--waves",), int, DEFAULT_WAVES, many=True,
+                 help="wave counts searched for hanayo"),
+    RequestField("target_microbatches", ("--target-microbatches",), int,
+                 help="preferred micro-batch count per pipeline (default: P)"),
+    RequestField("overlap", ("--overlap",), str, "simulated",
+                 choices=OVERLAP_MODES,
+                 help="gradient-sync accounting: event-core measured "
+                      "overlap (default) or the analytic closed form"),
+    RequestField("capacity_gib", ("--capacity-gib",), float,
+                 help="override per-device memory for OOM verdicts "
+                      "(what-if smaller/larger cards)"),
+    RequestField("contention", ("--contention",), bool, False,
+                 help="serialize transfers sharing a device pair "
+                      "(contended lanes still batch via the contention "
+                      "driver)"),
+)
+
+_ROW = {row.name: row for row in SWEEP_REQUEST}
+
+#: an advise request (``repro advise``, ``repro query advise``, the
+#: served ``/advise`` body): one value of the sweep's grid fields, plus
+#: what advise adds — the ``dp`` filter and ``top``
+ADVISE_REQUEST = (
+    replace(_ROW["cluster"], flags=("--cluster",), default="TACC",
+            many=False, help="cluster preset"),
+    replace(_ROW["models"], name="model", flags=("--model",),
+            default="bert", many=False, help="model"),
+    _ROW["devices"],
+    replace(_ROW["batches"], name="batch", default=16, many=False,
+            help="total batch size"),
+    replace(_ROW["tp"], default=1, many=False,
+            help="tensor-parallel degree (hybrid layouts)"),
+    replace(_ROW["dp"], help="restrict the data-parallel widths searched"),
+    RequestField("top", ("--top",), int, 10,
+                 help="rows of the ranking to return"),
+    _ROW["capacity_gib"],
+    _ROW["contention"],
+)
+
+
+def decode_request(payload, fields: tuple[RequestField, ...]) -> dict:
+    """The strict decode of a request payload over its field table.
+
+    Unknown fields, missing required fields, wrong types (``bool`` as
+    a number included) and out-of-range values are each a
+    :class:`ConfigError` naming the field.  Returns every field by wire
+    name, normalized, with defaults filled in.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(
+            f"query must be a JSON object, got {type(payload).__name__}")
+    names = [row.name for row in fields]
+    extra = sorted(set(payload) - set(names))
+    if extra:
+        raise ConfigError(
+            f"unknown query field(s) {extra}; expected a subset of "
+            f"{sorted(names)}")
+    decoded = {}
+    for row in fields:
+        if row.name in payload:
+            value = payload[row.name]
+        elif row.required:
+            raise ConfigError(
+                f"query is missing required field {row.name!r}")
+        else:
+            value = row.default
+        decoded[row.name] = row.check(value, f"query field {row.name!r}")
+    return decoded
+
+
+def _fits(cluster: Cluster, p: int, d: int, tp: int) -> bool:
+    return tp * p * d <= cluster.num_devices and tp <= cluster.gpus_per_node
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One concrete measurement: a cell of the expanded sweep grid.
@@ -126,8 +341,8 @@ class SweepSpec:
         ``(P, D)`` pairs — pipeline depth × data-parallel width — or
         ``(P, D, TP)`` triples that pin a cell to one tensor-parallel
         degree.  Pairs are crossed with every ``tensor_parallel``
-        degree; triples are not (the CLI's ``--dp``/``--tp`` layout
-        derivation uses triples so each degree gets exactly the
+        degree; triples are not (:meth:`from_payload`'s ``dp``/``tp``
+        layout derivation uses triples so each degree gets exactly the
         pipeline depth that fills the cluster).
     total_batches:
         Total sequences per iteration for the whole job; each layout
@@ -189,39 +404,90 @@ class SweepSpec:
     skip_oversized: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("schemes", "clusters", "models", "layouts",
-                     "total_batches", "waves", "tensor_parallel"):
+        for name in ("clusters", "models"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep spec has empty {name}")
-        for scheme in self.schemes:
-            if scheme not in KNOWN_SCHEMES:
-                raise ConfigError(
-                    f"unknown scheme {scheme!r}; expected one of {KNOWN_SCHEMES}"
-                )
-        for layout in self.layouts:
-            if (len(layout) not in (2, 3) or any(v < 1 for v in layout)):
-                raise ConfigError(
-                    f"bad layout {layout!r}; want (P, D) or (P, D, TP) >= 1"
-                )
-        for tp in self.tensor_parallel:
-            if tp < 1:
-                raise ConfigError(f"tensor-parallel degree {tp} must be >= 1")
-        for name in ("total_batches", "waves"):
-            if any(v < 1 for v in getattr(self, name)):
-                raise ConfigError(
-                    f"sweep spec {name} entries must be >= 1, got "
-                    f"{getattr(self, name)!r}")
-        target = self.target_microbatches
-        if target is not None and target < 1:
-            raise ConfigError(
-                f"target_microbatches must be >= 1 (or None), got {target!r}")
-        if self.overlap not in OVERLAP_MODES:
-            raise ConfigError(
-                f"unknown overlap mode {self.overlap!r}; expected one of "
-                f"{OVERLAP_MODES}"
-            )
+        # the request table's rows bound the grid axes they fill
+        for attr, row in (("schemes", "schemes"), ("layouts", "layouts"),
+                          ("total_batches", "batches"), ("waves", "waves"),
+                          ("tensor_parallel", "tp"),
+                          ("target_microbatches", "target_microbatches"),
+                          ("overlap", "overlap")):
+            object.__setattr__(self, attr, _ROW[row].check(
+                getattr(self, attr), f"sweep spec {attr}"))
         if self.capacity_bytes is not None and self.capacity_bytes < 1:
             raise ConfigError("capacity_bytes must be >= 1 (or None)")
+
+    @classmethod
+    def from_payload(cls, payload) -> "SweepSpec":
+        """The grid a sweep request (:data:`SWEEP_REQUEST`) asks for: the
+        one decode behind ``repro sweep``, ``repro query sweep`` and the
+        served ``/sweep``.
+
+        Layouts default to every ``P >= 4`` split of ``devices``.  With
+        ``dp``, or a TP degree above 1, each DP width (every width that
+        default yields, when ``dp`` is omitted) is paired per TP degree
+        with the deepest pipeline that exactly fills the cluster — ``(P,
+        D, TP)`` triples, so a depth derived for one degree is not
+        re-crossed with the others.  Explicit ``layouts`` must each fit
+        every cluster.
+
+        >>> spec = SweepSpec.from_payload({
+        ...     "schemes": ["hanayo"], "cluster": "tacc", "models": ["bert"],
+        ...     "devices": 8, "batches": [16], "tp": [1, 2]})
+        >>> spec.layouts
+        ((8, 1, 1), (4, 2, 1), (4, 1, 2), (2, 2, 2))
+        """
+        from ..cluster.presets import get_cluster
+
+        request = decode_request(payload, SWEEP_REQUEST)
+        devices = request["devices"]
+        dps, tps = request["dp"], tuple(dict.fromkeys(request["tp"]))
+        clusters = tuple(get_cluster(name, devices)
+                         for name in request["cluster"])
+        layouts = request["layouts"]
+        if layouts is not None:
+            for layout in layouts:
+                p, d, tp = (*layout, 1)[:3]
+                for cluster in clusters:
+                    if not _fits(cluster, p, d, tp):
+                        raise ConfigError(
+                            f"query field 'layouts': layout "
+                            f"{'x'.join(map(str, layout))} exceeds cluster "
+                            f"{cluster.name} ({cluster.num_devices} "
+                            f"devices, {cluster.gpus_per_node} per node)")
+        else:
+            layouts = layouts_for(devices)
+            hybrid = any(t > 1 for t in tps)
+            if dps or hybrid:
+                widths = dps or tuple(dict.fromkeys(d for _p, d in layouts))
+                layouts = tuple(sorted(
+                    {(devices // (d * t), d, t) for d in widths for t in tps
+                     if devices % (d * t) == 0
+                     and devices // (d * t) >= 2},
+                    reverse=True,
+                ))
+            if not layouts:
+                field = "dp" if dps else "tp" if hybrid else "devices"
+                raise ConfigError(
+                    f"query field {field!r}: no (P, D) layout fits "
+                    f"{devices} devices with dp {list(dps or ())} and tp "
+                    f"{list(tps)}")
+        capacity = request["capacity_gib"]
+        return cls(
+            schemes=request["schemes"],
+            clusters=clusters,
+            models=tuple(MODELS[name]() for name in request["models"]),
+            layouts=layouts,
+            total_batches=request["batches"],
+            waves=request["waves"],
+            tensor_parallel=tps,
+            target_microbatches=request["target_microbatches"],
+            overlap=request["overlap"],
+            capacity_bytes=(None if capacity is None
+                            else int(capacity * 2**30)),
+            contention=request["contention"],
+        )
 
     @property
     def grid_size(self) -> int:
@@ -254,7 +520,7 @@ class SweepSpec:
 
     def _expand_cell(self, ci, cluster, mi, model, scheme,
                      total_batch, p, d, tp) -> list[SweepPoint]:
-        if tp * p * d > cluster.num_devices or tp > cluster.gpus_per_node:
+        if not _fits(cluster, p, d, tp):
             if self.skip_oversized or tp > 1:
                 # TP degrees are a crossed axis: a degree that does not
                 # fit one layout may fit the next, so oversized hybrid

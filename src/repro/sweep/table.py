@@ -28,6 +28,10 @@ EXPORT_FIELDS = (
     "sync_overlap", "oom", "cached",
 )
 
+#: row attributes ``filter`` and ``best_per`` accept: every exported
+#: column plus the pruning flag
+_QUERY_FIELDS = frozenset(EXPORT_FIELDS) | {"statically_pruned"}
+
 
 @dataclass
 class SweepStats:
@@ -120,7 +124,7 @@ class SweepTable:
         an 8-deep pipeline; stats are carried over unchanged.
         """
         for name in criteria:
-            if name not in SweepRow.__dataclass_fields__:
+            if name not in _QUERY_FIELDS:
                 raise ConfigError(f"unknown sweep filter field {name!r}")
         rows = [r for r in self.rows
                 if all(getattr(r, k) == v for k, v in criteria.items())]
@@ -143,7 +147,7 @@ class SweepTable:
         cell — the Fig. 9–12 reduction.  Groups with no live cell are
         omitted.
         """
-        if attr not in SweepRow.__dataclass_fields__:
+        if attr not in _QUERY_FIELDS:
             raise ConfigError(f"unknown sweep field {attr!r}")
         out: dict = {}
         for row in self.rows:

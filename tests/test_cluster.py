@@ -231,6 +231,18 @@ class TestPresets:
         names = [c.name for c in all_clusters(8)]
         assert names == ["PC", "FC", "TACC", "TC"]
 
+    def test_known_clusters_are_the_presets(self):
+        """``config.KNOWN_CLUSTERS`` — what the CLI and the request
+        decoder accept — names exactly the presets ``get_cluster``
+        builds, in the paper's order."""
+        from repro.cluster.presets import _FACTORIES
+        from repro.config import KNOWN_CLUSTERS
+
+        assert set(_FACTORIES) == set(KNOWN_CLUSTERS)
+        assert [c.name for c in all_clusters(8)] == list(KNOWN_CLUSTERS)
+        for name in KNOWN_CLUSTERS:
+            assert get_cluster(name.lower(), 4).name == name
+
 
 class TestCommModel:
     def test_uniform_mode(self):

@@ -91,6 +91,18 @@ def test_bare_import_loads_no_layer():
     assert proc.stdout.split() == ["repro._lazy"]
 
 
+def test_cli_import_loads_no_cluster_or_engine():
+    """The CLI's options are the request tables of ``repro.sweep.spec``;
+    cluster presets resolve only when a request is decoded (the CI
+    cold-import step pins the same)."""
+    proc = _run("-c", "import sys, repro.cli; print(*sorted("
+                "m for m in sys.modules if m.startswith('repro.')))")
+    loaded = proc.stdout.split()
+    assert "repro.sweep.spec" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("repro.cluster", "repro.sweep.engine"))]
+
+
 def test_cached_sweep_never_loads_the_simulator(tmp_path):
     argv = ("sweep", "--clusters", "FC", "--model", "tiny", "-n", "4",
             "--batch", "8", "--layouts", "4x1,2x2", "--schemes", "gpipe",

@@ -35,12 +35,19 @@ import pytest
 
 from repro import profiling
 from repro.errors import ConfigError
-from repro.serve import AdviseQuery, SweepQuery, dumps_canonical, query_key
+from repro.serve import AdviseQuery, dumps_canonical, query_key
 from repro.serve.batcher import MicroBatcher
 from repro.serve.codec import CODEC_VERSION
 from repro.serve.queries import advise_answer, format_advise, sweep_answer
 from repro.serve.server import AdvisorServer
 from repro.serve.singleflight import SingleFlight
+from repro.sweep.spec import SWEEP_REQUEST, SweepSpec, decode_request
+
+
+def advise_query(cluster, model, devices, batch, **extra) -> AdviseQuery:
+    """An advise query through the one decode the CLI and server use."""
+    return AdviseQuery.from_payload(dict(
+        cluster=cluster, model=model, devices=devices, batch=batch, **extra))
 
 # ---------------------------------------------------------------------------
 # codec
@@ -55,20 +62,22 @@ class TestCodec:
         assert b" " not in a
 
     def test_advise_normalization_merges_equivalent_queries(self):
-        q1 = AdviseQuery.make("fc", "bert", 8, 16, dp=[2, 1, 2])
-        q2 = AdviseQuery.make("FC", "bert", 8, 16, dp=(1, 2))
+        q1 = advise_query("fc", "bert", 8, 16, dp=[2, 1, 2])
+        q2 = advise_query("FC", "bert", 8, 16, dp=(1, 2))
         assert q1 == q2
         assert q1.dp == (1, 2)
         assert query_key("advise", q1) == query_key("advise", q2)
 
     def test_round_trip_through_payload(self):
-        q = AdviseQuery.make("TACC", "gpt", 16, 32, tp=2, dp=[1],
+        q = advise_query("TACC", "gpt", 16, 32, tp=2, dp=[1],
                              top=3, capacity_gib=40)
         assert AdviseQuery.from_payload(q.to_payload()) == q
-        s = SweepQuery.make(["gpipe", "hanayo"], "PC", ["bert", "tiny"],
-                            8, [8, 16], tp=[2, 1], layouts=[[4, 2]])
-        assert SweepQuery.from_payload(s.to_payload()) == s
-        assert s.tp == (1, 2)
+        s = decode_request(
+            {"schemes": ["gpipe", "hanayo"], "cluster": "pc",
+             "models": ["bert", "tiny"], "devices": 8, "batches": [8, 16],
+             "tp": [2, 1], "layouts": [[4, 2]]}, SWEEP_REQUEST)
+        assert decode_request(s, SWEEP_REQUEST) == s
+        assert s["cluster"] == ("PC",) and s["layouts"] == ((4, 2),)
 
     @pytest.mark.parametrize("payload, fragment", [
         ({}, "missing required field"),
@@ -79,7 +88,7 @@ class TestCodec:
         ({"cluster": "FC", "model": "resnet", "devices": 8, "batch": 16},
          "unknown model"),
         ({"cluster": "FC", "model": "bert", "devices": 8, "batch": True},
-         "boolean"),
+         "'batch' must be a positive integer, got True"),
         ({"cluster": "FC", "model": "bert", "devices": 8, "batch": 16,
           "tp": 3}, "must divide"),
         ({"cluster": "FC", "model": "bert", "devices": 8, "batch": 16,
@@ -87,7 +96,7 @@ class TestCodec:
         ({"cluster": "FC", "model": "bert", "devices": 8, "batch": 16,
           "capacity_gib": -1}, "positive number"),
         ({"cluster": "FC", "model": "bert", "devices": "8", "batch": 16},
-         "has type str"),
+         "'devices' must be a positive integer, got '8'"),
     ])
     def test_bad_advise_payloads_name_the_field(self, payload, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -97,18 +106,18 @@ class TestCodec:
         good = {"schemes": ["gpipe"], "cluster": "FC",
                 "models": ["bert"], "devices": 8, "batches": [16]}
         with pytest.raises(ConfigError, match="schemes"):
-            SweepQuery.from_payload({**good, "schemes": ["nope"]})
+            SweepSpec.from_payload({**good, "schemes": ["nope"]})
         with pytest.raises(ConfigError, match="layout"):
-            SweepQuery.from_payload({**good, "layouts": [[4]]})
+            SweepSpec.from_payload({**good, "layouts": [[4]]})
         with pytest.raises(ConfigError, match="devices"):
-            SweepQuery.from_payload({**good, "devices": 1})
+            SweepSpec.from_payload({**good, "devices": 1})
 
     def test_distinct_queries_hash_apart(self):
-        q1 = AdviseQuery.make("FC", "bert", 8, 16)
-        q2 = AdviseQuery.make("FC", "bert", 8, 32)
+        q1 = advise_query("FC", "bert", 8, 16)
+        q2 = advise_query("FC", "bert", 8, 32)
         assert query_key("advise", q1) != query_key("advise", q2)
         assert q1.capacity_bytes is None
-        assert AdviseQuery.make("FC", "bert", 8, 16,
+        assert advise_query("FC", "bert", 8, 16,
                                 capacity_gib=2).capacity_bytes == 2**31
 
 
@@ -356,7 +365,7 @@ PARITY_QUERIES = [
 class TestServedParity:
     @pytest.mark.parametrize("kwargs", PARITY_QUERIES)
     def test_served_advise_equals_batch_bytes(self, server, kwargs):
-        query = AdviseQuery.make(**kwargs)
+        query = AdviseQuery.from_payload(kwargs)
         with _post(server.url + "/advise", query.to_payload()) as resp:
             served = resp.read()
         assert served == dumps_canonical(advise_answer(query))
@@ -366,13 +375,13 @@ class TestServedParity:
         assert payload["rows"], "parity grid queries must have answers"
 
     def test_capacity_pruning_actually_prunes(self, server):
-        query = AdviseQuery.make("FC", "bert", 8, 8, capacity_gib=0.05)
+        query = advise_query("FC", "bert", 8, 8, capacity_gib=0.05)
         with _post(server.url + "/advise", query.to_payload()) as resp:
             payload = json.loads(resp.read())
         assert all(row["oom"] for row in payload["rows"])
 
     def test_served_answer_matches_cli_json(self, server):
-        query = AdviseQuery.make("FC", "bert", 8, 8, top=5)
+        query = advise_query("FC", "bert", 8, 8, top=5)
         with _post(server.url + "/advise", query.to_payload()) as resp:
             served = resp.read()
         cli = subprocess.run(
@@ -392,7 +401,7 @@ class TestServedParity:
         from repro.cli import main as cli_main
         from repro.serve.queries import advise_requests
 
-        queries = {tp: AdviseQuery.make("TACC", "bert", 8, 16, tp=tp)
+        queries = {tp: advise_query("TACC", "bert", 8, 16, tp=tp)
                    for tp in (1, 2)}
         # advise_requests returns (spec, points): one lane per point
         lanes = sum(len(points) for _spec, points in
@@ -432,7 +441,7 @@ class TestServedParity:
             assert capsysbinary.readouterr().out == answers[tp]
 
     def test_format_advise_renders_the_cli_table(self):
-        query = AdviseQuery.make("FC", "bert", 8, 8, top=5)
+        query = advise_query("FC", "bert", 8, 8, top=5)
         text = format_advise(advise_answer(query))
         assert "seq/s" in text and "hanayo" in text
         assert "bert on cluster FC (8 devices), batch 8" in text
@@ -529,7 +538,7 @@ class TestServedParity:
             return real(plan, *args, **kwargs)
 
         monkeypatch.setattr(ExecutablePlan, "retime", counting)
-        query = AdviseQuery.make("FC", "tiny", 4, 8)
+        query = advise_query("FC", "tiny", 4, 8)
 
         def bindings():
             return {key: len(entry.bindings)
@@ -575,7 +584,7 @@ class TestAdviseIsARankedSweep:
             run_sweep,
         )
 
-        query = AdviseQuery.make(**kwargs)
+        query = AdviseQuery.from_payload(kwargs)
         spec, points = advise_requests(query)
         calls = []
 
@@ -601,7 +610,7 @@ class TestAdviseIsARankedSweep:
     def test_grid_covers_every_case(self):
         def answer(name):
             [param] = [p for p in ADVISE_SWEEP_QUERIES if p.id == name]
-            return advise_answer(AdviseQuery.make(**param.values[0]))
+            return advise_answer(AdviseQuery.from_payload(param.values[0]))
 
         rows = answer("oom-and-pruned")["rows"]
         assert any(r["oom"] and not r["statically_pruned"] for r in rows)
@@ -611,12 +620,19 @@ class TestAdviseIsARankedSweep:
         assert {r["d"] for r in answer("dp-filter")["rows"]} == {2}
 
 
+#: a served sweep with a TP axis: its (P, D, TP) layouts are derived
+#: exactly as ``repro sweep --tp 1 2`` derives them
+TP_SWEEP = {"schemes": ["gpipe", "hanayo"], "cluster": "TACC",
+            "models": ["bert"], "devices": 8, "batches": [16],
+            "tp": [1, 2]}
+
+
 class TestServedSweep:
     def test_stream_frames_and_final_table_parity(self, server):
-        query = SweepQuery.make(["gpipe", "hanayo"], "TACC", ["bert"],
-                                8, [16])
+        payload = {"schemes": ["gpipe", "hanayo"], "cluster": "TACC",
+                   "models": ["bert"], "devices": 8, "batches": [16]}
         frames = []
-        with _post(server.url + "/sweep", query.to_payload()) as resp:
+        with _post(server.url + "/sweep", payload) as resp:
             assert resp.headers["Content-Type"] == "application/x-ndjson"
             for line in resp:
                 frames.append(json.loads(line))
@@ -626,27 +642,54 @@ class TestServedSweep:
         assert dones == sorted(dones)
         assert progress[-1]["done"] == progress[-1]["total"]
         # the frames are run_sweep's own progress calls, one per unit
-        from repro.serve.queries import sweep_spec
         from repro.sweep.engine import run_sweep
         calls = []
-        run_sweep(sweep_spec(query),
+        run_sweep(SweepSpec.from_payload(payload),
                   progress=lambda done, total: calls.append(
                       {"kind": "progress", "done": done, "total": total}))
         assert progress == calls
         final = frames[-1]
         assert final["kind"] == "sweep"
+        # the answer echoes the request normalized, defaults filled in
+        assert final["query"] == json.loads(dumps_canonical(
+            decode_request(payload, SWEEP_REQUEST)))
+        assert final["query"]["waves"] == [1, 2, 4, 8]
         assert dumps_canonical(final) == dumps_canonical(
-            sweep_answer(query))
+            sweep_answer(payload))
 
     def test_served_sweep_equals_engine_table(self, server):
         from repro.sweep.engine import run_sweep
-        from repro.serve.queries import sweep_spec
 
-        query = SweepQuery.make(["hanayo"], "TACC", ["bert"], 8, [16])
-        with _post(server.url + "/sweep", query.to_payload()) as resp:
+        payload = {"schemes": ["hanayo"], "cluster": "TACC",
+                   "models": ["bert"], "devices": 8, "batches": [16]}
+        with _post(server.url + "/sweep", payload) as resp:
             final = json.loads(resp.read().splitlines()[-1])
-        table = run_sweep(sweep_spec(query))
+        table = run_sweep(SweepSpec.from_payload(payload))
         assert final["result"] == json.loads(table.to_json())
+
+    def test_served_sweep_equals_cli_table(self, server, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        with _post(server.url + "/sweep", TP_SWEEP) as resp:
+            final = json.loads(resp.read().splitlines()[-1])
+        out = tmp_path / "table.json"
+        assert cli_main(["sweep", "--schemes", "gpipe", "hanayo",
+                         "--clusters", "TACC", "--model", "bert", "-n", "8",
+                         "--batch", "16", "--tp", "1", "2",
+                         "--json", str(out)]) == 0
+        assert final["result"] == json.loads(out.read_text())
+        assert {row["tp"] for row in final["result"]["rows"]} == {1, 2}
+
+    def test_oversized_layout_is_a_400_and_exit_2(self, server, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(server.url + "/sweep", {**TP_SWEEP, "layouts": [[16, 1]]})
+        assert info.value.code == 400
+        assert "'layouts'" in json.loads(info.value.read())["error"]
+        assert cli_main(["sweep", "--clusters", "TACC", "-n", "8",
+                         "--layouts", "16x1"]) == 2
+        assert "'layouts'" in capsys.readouterr().err
 
 
 class TestSingleFlightOverHTTP:
@@ -666,7 +709,7 @@ class TestSingleFlightOverHTTP:
 
         monkeypatch.setattr(server_mod, "advise_answer", gated)
         before = profiling.serve_stats().dedup_hits
-        query = AdviseQuery.make("FC", "bert", 8, 8, top=4)
+        query = advise_query("FC", "bert", 8, 8, top=4)
         answers = []
 
         def ask():
@@ -702,7 +745,7 @@ class TestDrain:
         thread.start()
         try:
             assert srv.drain(timeout=10)
-            query = AdviseQuery.make("FC", "bert", 8, 8)
+            query = advise_query("FC", "bert", 8, 8)
             with pytest.raises(urllib.error.HTTPError) as info:
                 _post(srv.url + "/advise", query.to_payload(), timeout=10)
             assert info.value.code == 503
@@ -723,7 +766,7 @@ class TestDrain:
             match = re.match(r"serving on (http://[\d.]+:\d+)", ready)
             assert match, f"no ready line, got {ready!r}"
             url = match.group(1)
-            query = AdviseQuery.make("FC", "bert", 8, 8, top=3)
+            query = advise_query("FC", "bert", 8, 8, top=3)
             with _post(url + "/advise", query.to_payload(),
                        timeout=120) as resp:
                 assert json.loads(resp.read())["rows"]

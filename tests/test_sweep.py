@@ -871,7 +871,7 @@ class TestEngine:
             tiny_spec(layouts=((0, 1),))
         with pytest.raises(ConfigError, match="overlap"):
             tiny_spec(overlap="guess")
-        with pytest.raises(ConfigError, match="tensor-parallel"):
+        with pytest.raises(ConfigError, match="tensor_parallel"):
             tiny_spec(tensor_parallel=(0,))
         for field, bad in (("total_batches", (8, 0)), ("waves", (0,)),
                            ("total_batches", (-1,))):
@@ -889,6 +889,13 @@ class TestEngine:
                       ["--batch", "8", "--target-microbatches", "-1"]):
             assert cli_main(base + extra) == 2, extra
             assert "error:" in capsys.readouterr().err
+        # the --dp/--tp layout derivation divides by these: a ConfigError
+        # naming the field, never a ZeroDivisionError
+        for extra, field in ((["--dp", "0"], "dp"),
+                             (["--tp", "0", "2"], "tp")):
+            assert cli_main(["sweep", "--clusters", "FC", "--model", "tiny",
+                             "-n", "4", "--batch", "8", *extra]) == 2, extra
+            assert f"error: query field {field!r}" in capsys.readouterr().err
 
 
 class TestRunSweepHooks:
@@ -939,6 +946,19 @@ class TestTable:
         assert best.throughput == max(r.throughput for r in hanayo)
         with pytest.raises(ConfigError, match="unknown sweep filter"):
             table.filter(nonsense=1)
+        with pytest.raises(ConfigError, match="unknown sweep field"):
+            table.best_per("nonsense")
+
+    def test_every_column_filters(self, table):
+        """Result columns are properties over the row's record, and
+        filter / best_per accept them like the coordinates."""
+        assert table.filter(oom=False).rows == [r for r in table
+                                                if not r.oom]
+        assert table.filter(statically_pruned=False).rows == table.rows
+        assert table.filter(cached=False, tp=1).rows == table.rows
+        assert set(table.best_per("oom")) == {False}
+        fastest = table.filter(seq_per_s=table.best().seq_per_s)
+        assert table.best() in fastest.rows
         with pytest.raises(ConfigError, match="no live sweep cell"):
             table.best(p=64)
 
