@@ -16,12 +16,13 @@ parallel arrays —
 * per-device action streams: ``codes[d][i]`` (what kind of action) and
   ``args[d][i]`` (an index into that kind's table);
 * a compute table with CSR dependency edges (``dep_ptr`` /
-  ``dep_remote`` / ``dep_idx``), pre-resolved per-action compute costs,
-  and the alloc/free **resource deltas** each compute applies;
-* a send table with pre-resolved transfer seconds, link latencies,
-  interned transfer slots (the old ``(device, tag)`` dict keys) and
-  interned wire ids (the old ``frozenset`` keys of the contention
-  model);
+  ``dep_remote`` / ``dep_idx``), each compute's (stage, direction)
+  cell, pre-resolved compute costs, and the alloc/free **resource
+  deltas** each compute applies;
+* a send table with interned transfer slots (the old ``(device, tag)``
+  dict keys) and each send's distinct ``(src, dst, stage)`` edge, from
+  which its transfer seconds, link latency and interned wire id (the
+  old ``frozenset`` keys of the contention model) are fanned out;
 * batched-exchange and collective tables mirroring the grouped
   semantics (exchange ids replace the waiver's tag ``frozenset``,
   per-collective ring-step times and NIC/wire ids are precomputed).
@@ -30,20 +31,22 @@ Lowering is split in three so sweeps can share work (*shape → sizes →
 seconds*, see :mod:`repro.analysis.plans`):
 
 * the **shape** (streams, compute table and CSR edges, slots, send/
-  recv/batch tables, collective ring structure) depends only on the
-  pipeline, and the **sizes** (``comp_alloc``/``comp_free``,
-  ``send_nbytes``, collective descriptors and their ``count``/
-  ``active``/``chunk`` columns) only on the model's bytes:
-  :meth:`ExecutablePlan.with_sizes` re-binds them for another model's
-  program, sharing every shape array.  Together they are what
-  :attr:`ExecutablePlan.plan_key` content-hashes, so sharing is
-  *checkable*: a size-bound plan and an independently lowered one are
-  interchangeable iff their keys are equal (the safety property the
-  plan-cache tests pin across models, clusters and capacities);
+  recv/batch/edge tables, collective ring structure, hashed once into
+  ``shape_digest``) depends only on the pipeline, and the **sizes**
+  (``comp_alloc``/``comp_free``, ``send_nbytes``, collective
+  descriptors and their ``count``/``active``/``chunk`` columns) only
+  on the model's bytes: :meth:`ExecutablePlan.with_sizes` re-binds
+  them for another model's program, sharing every shape array.
+  Together they are what :attr:`ExecutablePlan.plan_key`
+  content-hashes, so sharing is *checkable*: a size-bound plan and an
+  independently lowered one are interchangeable iff their keys are
+  equal (the safety property the plan-cache tests pin across models,
+  clusters and capacities);
 * the **cost binding** (:meth:`ExecutablePlan.retime`) resolves a
-  :class:`~repro.runtime.costs.CostOracle` into flat cost arrays.
-  Cost-only sweep axes (a different cluster timing the same program)
-  re-bind a cached plan instead of recompiling the schedule.
+  :class:`~repro.runtime.costs.CostOracle` into flat cost arrays, per
+  distinct stage and edge, not per compute or send.  Cost-only sweep
+  axes (a different cluster timing the same program) re-bind a cached
+  plan instead of recompiling the schedule.
 
 The plan also **decodes back**: :meth:`ExecutablePlan.decode_actions`
 rebuilds the action objects from the arrays alone, and the round-trip
@@ -57,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..errors import SchedulingError, ValidationError
 from ..types import OpKind, ScheduleOp
@@ -87,12 +91,12 @@ OP_NOOP = 5
 NOOP_FLUSH = 0
 NOOP_STEP = 1
 
-#: field values of a plan with no cost binding and no cached keys: what
-#: every derivation that changes structural arrays must reset
+#: field values of a plan with no cost binding and no cached plan key:
+#: what every derivation that changes size columns must reset
 UNBOUND = dict(
     costs=None, comp_cost=None, send_time=None, send_lat=None,
     coll_step_time=None, send_wire=None, coll_wires=None, n_wires=0,
-    global_ranks=(), _plan_key=None, _congruence_key=None,
+    global_ranks=(), _plan_key=None,
 )
 
 
@@ -123,6 +127,11 @@ class ExecutablePlan:
     comp_ops: tuple[ScheduleOp, ...]
     comp_keys: tuple[ComputeKey, ...]
     comp_device: list[int]
+    #: ``2 * stage + (0 forward | 1 backward)``: the compute's cell of
+    #: the interleaved per-stage duration tables
+    comp_cell: list[int]
+    #: stages the computes span (``1 + max stage``)
+    n_stages: int
     #: CSR dependency edges, preserving the program's dep order
     dep_ptr: list[int]
     dep_remote: list[int]      # 1 = remote (dep_idx is a slot), 0 = local
@@ -137,7 +146,10 @@ class ExecutablePlan:
     send_tag: list[int]        # index into ``tags``
     send_stage: list[int]
     send_slot: list[int]
+    send_edge: list[int]       # index into ``edges``
     send_nbytes: list[float]
+    #: distinct ``(src, dst, stage)`` send links, in first-send order
+    edges: tuple[tuple[int, int, int], ...]
 
     # -- transfer slots: interned (dst device index, tag) pairs -----------
     n_slots: int
@@ -165,6 +177,9 @@ class ExecutablePlan:
 
     # -- interned objects --------------------------------------------------
     tags: tuple[Tag, ...]
+    #: content hash of every control-flow shape array: the size-blind
+    #: part of :attr:`congruence_key`, shared by all size bindings
+    shape_digest: str = field(repr=False)
 
     # -- cost binding (None until bound) -----------------------------------
     costs: object | None = None
@@ -216,7 +231,7 @@ class ExecutablePlan:
         shape, colls = _lower_shape(program)
         plan = cls(program=program, **shape, **_size_columns(
             program, colls, shape["comp_keys"], shape["tags"],
-            shape["send_tag"], shape["coll_pairs"]))
+            shape["send_tag"], shape["coll_pairs"], shape["shape_digest"]))
         if costs is not None:
             plan = plan.retime(costs)
         return plan
@@ -225,9 +240,9 @@ class ExecutablePlan:
         """The (unbound) plan of ``program``, which must have this
         plan's *shape* — a :meth:`Program.with_sizes` binding of the
         same compiled shape under the same collective transforms.
-        Shape arrays are shared, only the byte-bearing columns rebuilt:
-        ``lower(program)`` (equal :attr:`plan_key`) at a fraction of
-        its cost.
+        Shape arrays are shared, only the byte-bearing columns (and
+        the :attr:`congruence_key`) rebuilt: ``lower(program)`` (equal
+        :attr:`plan_key`) at a fraction of its cost.
         """
         colls = [act for device in self.devices
                  for act in program.actions[device]
@@ -239,63 +254,58 @@ class ExecutablePlan:
         return dataclasses.replace(
             self, program=program,
             **_size_columns(program, colls, self.comp_keys, self.tags,
-                            self.send_tag, self.coll_pairs),
+                            self.send_tag, self.coll_pairs,
+                            self.shape_digest),
             **UNBOUND,
         )
 
     def retime(self, costs) -> "ExecutablePlan":
         """Bind (or re-bind) the cost columns against ``costs``.
 
-        Returns a new plan sharing every structural array with ``self``
-        — only the per-compute durations, per-send transfer seconds and
-        latencies, per-collective ring-step times, the global-rank map
-        and the wire interning (which lives in global-rank space) are
-        recomputed.  This is the cost-only re-timing path sweeps take
-        when a cached structure meets a new cluster.
+        Returns a new plan sharing every structural array (and the
+        cached keys) with ``self`` — only the per-compute durations,
+        per-send transfer seconds and latencies, per-collective
+        ring-step times, the global-rank map and the wire interning
+        (which lives in global-rank space) are recomputed.  This is the
+        cost-only re-timing path sweeps take when a cached structure
+        meets a new cluster.
 
-        Every duration is bound here, one oracle call per compute, so
-        no execution of the plan ever consults the oracle.  A program
-        sends along few distinct ``(src, dst, stage)`` edges but many
-        times per edge, so transfers consult it once per edge and fan
-        the answer out across the column.
+        Every duration is bound here, so no execution of the plan ever
+        consults the oracle.  An oracle whose durations depend only on
+        (kind, stage) hands over its per-stage tables
+        (:meth:`~repro.runtime.costs.CostOracle.stage_durations`) and
+        the duration column is one gather over them; any other oracle —
+        or tables too short for the plan's stages — is asked
+        ``duration(op)`` per compute.  A program sends along few
+        distinct ``(src, dst, stage)`` edges but many times per edge,
+        so transfers, latencies and wires are resolved once per edge,
+        in first-send order, and gathered across the send columns.
         """
         devices = self.devices
         granks = tuple(costs.global_rank(d) for d in devices)
 
-        comp_cost = [costs.duration(op) for op in self.comp_ops]
+        tables = costs.stage_durations()
+        cells = [] if tables is None else \
+            [t for pair in zip(*tables) for t in pair]
+        if len(cells) >= 2 * self.n_stages:
+            comp_cost = _gather(cells, self.comp_cell)
+        else:
+            comp_cost = [costs.duration(op) for op in self.comp_ops]
 
         wire_ids: dict[frozenset, int] = {}
 
         def wire(a: int, b: int) -> int:
-            key = frozenset((a, b))
-            wid = wire_ids.get(key)
-            if wid is None:
-                wid = len(wire_ids)
-                wire_ids[key] = wid
-            return wid
+            return wire_ids.setdefault(frozenset((a, b)), len(wire_ids))
 
-        src, dst, stage = self.send_src, self.send_dst, self.send_stage
-        n_send = len(src)
-        send_time = [0.0] * n_send
-        send_lat = [0.0] * n_send
-        send_wire = [0] * n_send
-        coll_step_time = [0.0] * len(self.coll_ops)
-        edges: dict[tuple[int, int, int], tuple[float, float, int]] = {}
-        for sid in range(n_send):
-            si, di = src[sid], dst[sid]
-            key = (si, di, stage[sid])
-            hit = edges.get(key)
-            if hit is None:
-                s, d = devices[si], devices[di]
-                hit = (costs.transfer_time(s, d, stage[sid]),
-                       costs.link_latency(s, d),
-                       wire(granks[si], granks[di]))
-                edges[key] = hit
-            send_time[sid] = hit[0]
-            send_lat[sid] = hit[1]
-            send_wire[sid] = hit[2]
+        edge_time, edge_lat, edge_wire = [], [], []
+        for si, di, stage in self.edges:
+            s, d = devices[si], devices[di]
+            edge_time.append(costs.transfer_time(s, d, stage))
+            edge_lat.append(costs.link_latency(s, d))
+            edge_wire.append(wire(granks[si], granks[di]))
 
         coll_wires = []
+        coll_step_time = [0.0] * len(self.coll_ops)
         for lid, pairs in enumerate(self.coll_pairs):
             coll_wires.append(tuple(wire(a, b) for a, b in pairs))
             if self.coll_active[lid]:
@@ -304,16 +314,15 @@ class ExecutablePlan:
                     costs.collective_link_time(a, b, chunk)
                     for a, b in pairs
                 )
-            else:
-                coll_step_time[lid] = 0.0
 
+        send_edge = self.send_edge
         return dataclasses.replace(
             self,
             costs=costs,
             comp_cost=comp_cost,
-            send_time=send_time,
-            send_lat=send_lat,
-            send_wire=send_wire,
+            send_time=_gather(edge_time, send_edge),
+            send_lat=_gather(edge_lat, send_edge),
+            send_wire=_gather(edge_wire, send_edge),
             coll_step_time=coll_step_time,
             coll_wires=tuple(coll_wires),
             n_wires=len(wire_ids),
@@ -337,30 +346,22 @@ class ExecutablePlan:
         equal keys ⇔ interchangeable plans.
         """
         if self._plan_key is None:
-            h = hashlib.sha256()
-
-            def feed(part) -> None:
-                h.update(repr(part).encode())
-                h.update(b";")
-
-            feed(("devices", self.devices, self.prefetch))
-            for di in range(len(self.devices)):
-                feed(self.codes[di])
-                feed(self.args[di])
-            feed([(op.kind.value, op.microbatch, op.stage, op.chunk,
-                   op.replica, op.device) for op in self.comp_ops])
-            feed((self.dep_ptr, self.dep_remote, self.dep_idx))
-            feed((self.comp_alloc, self.comp_free))
-            feed([(t.kind.value, t.microbatch, t.stage) for t in self.tags])
-            feed((self.send_src, self.send_dst, self.send_tag,
-                  self.send_stage, self.send_slot, self.send_nbytes))
-            feed((self.recv_peer, self.recv_tag, self.recv_slot))
-            feed((self.batch_send_ids, self.batch_recv_ids, self.batch_exch))
-            feed([(c.kind.value, c.group, c.nbytes, c.stage, c.replica,
-                   c.blocking, c.count) for c in self.coll_ops])
-            feed([program_static
-                  for program_static in sorted(self.program.static_bytes.items())])
-            self._plan_key = h.hexdigest()
+            self._plan_key = _digest(
+                ("devices", self.devices, self.prefetch),
+                *_streams(self.codes, self.args),
+                [(op.kind.value, op.microbatch, op.stage, op.chunk,
+                  op.replica, op.device) for op in self.comp_ops],
+                (self.dep_ptr, self.dep_remote, self.dep_idx),
+                (self.comp_alloc, self.comp_free),
+                [(t.kind.value, t.microbatch, t.stage) for t in self.tags],
+                (self.send_src, self.send_dst, self.send_tag,
+                 self.send_stage, self.send_slot, self.send_nbytes),
+                (self.recv_peer, self.recv_tag, self.recv_slot),
+                (self.batch_send_ids, self.batch_recv_ids, self.batch_exch),
+                [(c.kind.value, c.group, c.nbytes, c.stage, c.replica,
+                  c.blocking, c.count) for c in self.coll_ops],
+                sorted(self.program.static_bytes.items()),
+            )
         return self._plan_key
 
     @property
@@ -382,31 +383,17 @@ class ExecutablePlan:
         family/P/B/prefetch with recompute toggled, different models or
         micro-batch sizes, or collective bucket sizes that only retime.
 
-        Equal ``plan_key`` ⇒ equal ``congruence_key``; never the
+        It is the :attr:`shape_digest` combined with the three
+        size-bound columns the structural pass also reads — collective
+        counts, activity and kinds — so a size binding fills it at the
+        cost of hashing those alone, and every re-timed copy inherits
+        it.  Equal ``plan_key`` ⇒ equal ``congruence_key``; never the
         converse.
         """
         if self._congruence_key is None:
-            h = hashlib.sha256()
-
-            def feed(part) -> None:
-                h.update(repr(part).encode())
-                h.update(b";")
-
-            feed(("devices", self.devices, self.prefetch, self.n_slots))
-            for di in range(len(self.devices)):
-                feed(self.codes[di])
-                feed(self.args[di])
-            feed(self.comp_device)
-            feed((self.dep_ptr, self.dep_remote, self.dep_idx))
-            feed((self.send_src, self.send_dst, self.send_slot))
-            feed(self.recv_slot)
-            feed((self.batch_send_ids, self.batch_recv_ids,
-                  self.batch_exch))
-            feed((self.coll_device, self.coll_blocking, self.coll_count,
-                  self.coll_nsteps, self.coll_active))
-            # the lane fold sums gradient rings by the structure's table
-            feed([c.kind.value for c in self.coll_ops])
-            self._congruence_key = h.hexdigest()
+            self._congruence_key = _congruence_key(
+                self.shape_digest, self.coll_count, self.coll_active,
+                self.coll_ops)
         return self._congruence_key
 
     # -- decoding ------------------------------------------------------------
@@ -466,21 +453,72 @@ class ExecutablePlan:
                     tag=self.tags[self.recv_tag[rid]])
 
 
+def _gather(values, index) -> list:
+    """``[values[i] for i in index]``, in one C-level pass."""
+    if len(index) > 1:
+        return list(itemgetter(*index)(values))
+    return [values[i] for i in index]
+
+
+def _digest(*parts) -> str:
+    """sha256 over the ``repr`` of each part, ``;``-separated."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def _streams(codes, args):
+    """Each device's code stream, then its arg stream, device by device."""
+    for device_codes, device_args in zip(codes, args):
+        yield device_codes
+        yield device_args
+
+
+def _shape_digest(shape: dict) -> str:
+    """The control-flow shape arrays the structural pass reads, hashed
+    once per lowering."""
+    return _digest(
+        ("devices", shape["devices"], shape["prefetch"], shape["n_slots"]),
+        *_streams(shape["codes"], shape["args"]),
+        shape["comp_device"],
+        (shape["dep_ptr"], shape["dep_remote"], shape["dep_idx"]),
+        (shape["send_src"], shape["send_dst"], shape["send_slot"]),
+        shape["recv_slot"],
+        (shape["batch_send_ids"], shape["batch_recv_ids"],
+         shape["batch_exch"]),
+        (shape["coll_device"], shape["coll_blocking"], shape["coll_nsteps"]),
+    )
+
+
+def _congruence_key(digest: str, coll_count, coll_active, coll_ops) -> str:
+    # the lane fold sums gradient rings by the structure's table, so
+    # the collective kinds enter the key with their counts
+    return _digest(digest, coll_count, coll_active,
+                   [c.kind.value for c in coll_ops])
+
+
 def _size_columns(program: Program, colls, comp_keys, tags, send_tag,
-                  coll_pairs) -> dict:
+                  coll_pairs, digest: str) -> dict:
     """The byte-bearing columns of ``program`` — whose collectives, in
-    lowering order, are ``colls`` — over a lowered shape."""
+    lowering order, are ``colls`` — over a lowered shape of digest
+    ``digest``, and the congruence key they complete."""
     nbytes = program.tensor_bytes
+    coll_count = [float(act.count) for act in colls]
+    coll_active = [bool(pairs) and act.nbytes > 0 and act.count > 0
+                   for act, pairs in zip(colls, coll_pairs)]
     return dict(
         comp_alloc=[program.alloc_bytes(key) for key in comp_keys],
         comp_free=[program.free_bytes(key) for key in comp_keys],
         send_nbytes=[nbytes.get(tags[tid], 0.0) for tid in send_tag],
         coll_ops=tuple(colls),
-        coll_count=[float(act.count) for act in colls],
-        coll_active=[bool(pairs) and act.nbytes > 0 and act.count > 0
-                     for act, pairs in zip(colls, coll_pairs)],
+        coll_count=coll_count,
+        coll_active=coll_active,
         coll_chunk=[act.nbytes / len(act.group) if act.group else 0.0
                     for act in colls],
+        _congruence_key=_congruence_key(digest, coll_count, coll_active,
+                                        colls),
     )
 
 
@@ -515,11 +553,13 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
     comp_ops: list[ScheduleOp] = []
     comp_keys: list[ComputeKey] = []
     comp_device: list[int] = []
+    comp_cell: list[int] = []
     for key, op in program.ops.items():
         comp_ids[key] = len(comp_ops)
         comp_ops.append(op)
         comp_keys.append(key)
         comp_device.append(dev_index[op.device])
+        comp_cell.append(2 * op.stage + (op.kind is not OpKind.FORWARD))
 
     dep_ptr = [0]
     dep_remote: list[int] = []
@@ -541,16 +581,21 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
     send_tag: list[int] = []
     send_stage: list[int] = []
     send_slot: list[int] = []
+    send_edge: list[int] = []
+    edge_ids: dict[tuple[int, int, int], int] = {}
 
     def intern_send(di: int, send: Send) -> int:
         sid = len(send_src)
         tid = intern_tag(send.tag)
         dst = dev_index[send.peer]
+        stage = send.tag.stage
         send_src.append(di)
         send_dst.append(dst)
         send_tag.append(tid)
-        send_stage.append(send.tag.stage)
+        send_stage.append(stage)
         send_slot.append(intern_slot(dst, tid))
+        send_edge.append(edge_ids.setdefault((di, dst, stage),
+                                             len(edge_ids)))
         return sid
 
     recv_peer: list[int] = []
@@ -638,7 +683,7 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         args.append(dev_args)
         n_actions += len(dev_codes)
 
-    return dict(
+    shape = dict(
         devices=devices,
         prefetch=program.prefetch,
         codes=tuple(codes),
@@ -647,6 +692,8 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         comp_ops=tuple(comp_ops),
         comp_keys=tuple(comp_keys),
         comp_device=comp_device,
+        comp_cell=comp_cell,
+        n_stages=max(comp_cell, default=-2) // 2 + 1,
         dep_ptr=dep_ptr,
         dep_remote=dep_remote,
         dep_idx=dep_idx,
@@ -655,6 +702,8 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         send_tag=send_tag,
         send_stage=send_stage,
         send_slot=send_slot,
+        send_edge=send_edge,
+        edges=tuple(edge_ids),
         n_slots=len(slot_ids),
         recv_peer=recv_peer,
         recv_tag=recv_tag,
@@ -667,4 +716,6 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         coll_nsteps=coll_nsteps,
         coll_pairs=tuple(coll_pairs),
         tags=tuple(tags),
-    ), colls
+    )
+    shape["shape_digest"] = _shape_digest(shape)
+    return shape, colls

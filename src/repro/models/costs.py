@@ -28,13 +28,7 @@ def partition_layers(spec: ModelSpec, num_stages: int) -> list[list[LayerSpec]]:
     contiguity).  Raises if there are fewer layers than stages.
     """
     layers = spec.layers
-    if num_stages < 1:
-        raise ConfigError(f"num_stages must be >= 1, got {num_stages}")
-    if len(layers) < num_stages:
-        raise ConfigError(
-            f"{spec.name}: cannot split {len(layers)} layers into "
-            f"{num_stages} stages"
-        )
+    _check_stages(spec, num_stages)
     costs = [l.flops_per_token() for l in layers]
     total = sum(costs)
     target = total / num_stages
@@ -56,6 +50,30 @@ def partition_layers(spec: ModelSpec, num_stages: int) -> list[list[LayerSpec]]:
     assert len(stages) == num_stages
     assert sum(len(s) for s in stages) == len(layers)
     return stages
+
+
+def _check_stages(spec: ModelSpec, num_stages: int) -> None:
+    """Raise unless ``spec``'s layers split into ``num_stages`` stages."""
+    if num_stages < 1:
+        raise ConfigError(f"num_stages must be >= 1, got {num_stages}")
+    n_layers = spec.num_layers + 2     # embedding + body + head
+    if n_layers < num_stages:
+        raise ConfigError(
+            f"{spec.name}: cannot split {n_layers} layers into "
+            f"{num_stages} stages"
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _layer_totals(spec: ModelSpec) -> tuple[float, int, float]:
+    """Whole-model forward FLOPs per token, parameter count and saved
+    activation bytes per token — each summed over ``spec.layers`` in
+    layer order, once per model."""
+    layers = spec.layers
+    return (sum(l.flops_per_token() for l in layers),
+            sum(l.param_count for l in layers),
+            sum(l.activation_bytes_per_token(spec.bytes_per_el)
+                for l in layers))
 
 
 @dataclass(frozen=True)
@@ -99,18 +117,6 @@ class StageCosts:
     def num_stages(self) -> int:
         return len(self.forward)
 
-    @property
-    def t_f_device(self) -> float:
-        """Paper ``T_F``: whole-model forward time divided by P-worth.
-
-        Computed as total forward over all stages; callers divide by P.
-        """
-        return sum(self.forward)
-
-    @property
-    def t_b_device(self) -> float:
-        return sum(self.backward)
-
 
 #: fp32 Adam: 4 B params + 4 B grads + 8 B optimizer moments.
 BYTES_PER_PARAM = 16.0
@@ -147,17 +153,15 @@ def stage_costs(
     """
     if microbatch_size < 1:
         raise ConfigError("microbatch_size must be >= 1")
-    stages = partition_layers(spec, num_stages)
     tokens = spec.seq_len * microbatch_size
     bwd_ratio = BACKWARD_RATIO + (1.0 if recompute else 0.0)
     if balanced:
-        flops = tokens * sum(l.flops_per_token() for l in spec.layers)
-        seconds = flops / device.effective_flops / num_stages
-        params = spec.param_count / num_stages
-        act = tokens * sum(
-            l.activation_bytes_per_token(spec.bytes_per_el)
-            for l in spec.layers
-        ) / num_stages
+        _check_stages(spec, num_stages)
+        flops_per_token, param_count, act_per_token = _layer_totals(spec)
+        seconds = tokens * flops_per_token / device.effective_flops \
+            / num_stages
+        params = param_count / num_stages
+        act = tokens * act_per_token / num_stages
         if recompute:
             act = spec.boundary_bytes(microbatch_size)
         fwd = [seconds] * num_stages
@@ -166,7 +170,7 @@ def stage_costs(
         acts = [act] * num_stages
     else:
         fwd, bwd, weights, acts = [], [], [], []
-        for stage in stages:
+        for stage in partition_layers(spec, num_stages):
             flops = tokens * sum(l.flops_per_token() for l in stage)
             seconds = flops / device.effective_flops
             fwd.append(seconds)

@@ -12,6 +12,7 @@ Two implementations cover the two experiment families:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..cluster.comm_model import CommModel, Transfer
@@ -26,6 +27,18 @@ class CostOracle:
 
     def duration(self, op: ScheduleOp) -> float:
         raise NotImplementedError
+
+    def stage_durations(self) -> tuple[Sequence[float], Sequence[float]] | None:
+        """``(forward, backward)`` seconds per stage when :meth:`duration`
+        depends on an op's kind and stage alone, else ``None``.
+
+        ``ExecutablePlan.retime`` binds the tables with one gather
+        instead of a :meth:`duration` call per compute (ops past their
+        end still ask :meth:`duration`), so the two must agree: a
+        subclass overriding :meth:`duration` overrides this too, if
+        only to return ``None``.
+        """
+        return None
 
     def transfer_time(self, src: int, dst: int, stage: int) -> float:
         """Seconds to move one boundary tensor (activation or gradient)."""
@@ -87,6 +100,10 @@ class AbstractCosts(CostOracle):
         base = self.costs.t_f if op.kind is OpKind.FORWARD else self.costs.t_b
         return base * self._per_stage
 
+    def stage_durations(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return ((self.costs.t_f * self._per_stage,) * self.num_stages,
+                (self.costs.t_b * self._per_stage,) * self.num_stages)
+
     def transfer_time(self, src: int, dst: int, stage: int) -> float:
         return 0.0 if src == dst else self.costs.t_c
 
@@ -112,6 +129,9 @@ class ConcreteCosts(CostOracle):
                 f"op stage {op.stage} outside cost table of {len(table)}"
             )
         return table[op.stage]
+
+    def stage_durations(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return self.stage_costs.forward, self.stage_costs.backward
 
     def transfer_time(self, src: int, dst: int, stage: int) -> float:
         if src == dst:

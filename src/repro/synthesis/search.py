@@ -20,7 +20,7 @@ fast enough to matter is the evaluation path, not the loop:
   program uncontended;
 * per recompute frontier the base is size-bound and cost-bound once,
   and every candidate of that frontier shares its compute-cost column,
-  so the cost oracle is consulted once per compute per frontier.
+  so the cost oracle is bound once per frontier.
 
 Only what must be a program still is one: the winner's ``plan_key``
 (:meth:`SynthesisContext.plan_for`) is lowered from the reordered
@@ -128,8 +128,10 @@ class _RecomputeCosts:
 
     Stages at or past the frontier keep only their boundary tensor, so
     their backward re-executes the stage forward first.  Everything
-    except :meth:`duration` delegates to the wrapped oracle — transfer
-    times, ring steps and rank mapping are recompute-blind.
+    except :meth:`duration` and :meth:`stage_durations` delegates to
+    the wrapped oracle — transfer times, ring steps and rank mapping
+    are recompute-blind.  Both are defined here, so the delegation can
+    never hand a plan the wrapped oracle's uncharged tables.
     """
 
     def __init__(self, inner: CostOracle, frontier: int) -> None:
@@ -141,6 +143,15 @@ class _RecomputeCosts:
         if op.kind is OpKind.BACKWARD and op.stage >= self._frontier:
             d += self._inner.duration(replace(op, kind=OpKind.FORWARD))
         return d
+
+    def stage_durations(self):
+        tables = self._inner.stage_durations()
+        if tables is None:
+            return None
+        forward, backward = tables
+        return forward, [b + f if stage >= self._frontier else b
+                         for stage, (f, b) in enumerate(zip(forward,
+                                                            backward))]
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

@@ -17,12 +17,14 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
+LOADED_MODULES = pathlib.Path(__file__).parent / "support" / "loaded_modules.py"
 
 #: every package whose ``__init__`` re-exports names
 PACKAGES = ("repro", *(
@@ -34,19 +36,20 @@ SIMULATOR = ("numpy", "repro.runtime", "repro.actions", "repro.schedules",
              "repro.analysis.throughput", "repro.serve")
 
 
-def _run(*argv: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+def _run(*argv: str) -> subprocess.CompletedProcess:
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *flags, *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           text=True, capture_output=True, check=True)
 
 
 def _imported_by(*repro_argv: str) -> set[str]:
-    """Modules a real ``python -m repro ...`` process imported."""
-    proc = _run("-m", "repro", *repro_argv, flags=("-X", "importtime"))
-    return {line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    """Modules a real ``repro ...`` process held at exit — lazily
+    exported ones included, which ``-X importtime`` does not log."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "modules.txt"
+        _run(str(LOADED_MODULES), str(out), *repro_argv)
+        return set(out.read_text().split())
 
 
 def test_packages_cover_the_tree():
@@ -134,6 +137,16 @@ def test_uncontended_trace_never_loads_the_lane_axis(tmp_path):
                           "8", "-w", "2", "-o", str(tmp_path / "t.json"))
     assert "repro.runtime.events" in loaded
     assert not {"numpy", "repro.runtime.batched"} & loaded
+
+
+def test_lazily_exported_modules_are_seen(tmp_path):
+    """``trace`` reaches the simulator and the schedule factory only
+    through the ``repro.runtime`` / ``repro.schedules`` export tables,
+    i.e. through ``importlib.import_module``: the positive control for
+    every "never loads" check in this file."""
+    loaded = _imported_by("trace", "--scheme", "hanayo", "-p", "4", "-b",
+                          "8", "-w", "2", "-o", str(tmp_path / "t.json"))
+    assert {"repro.runtime.simulator", "repro.schedules.factory"} <= loaded
 
 
 def test_advise_does_not_load_the_daemon():

@@ -193,10 +193,26 @@ class TestBindingAndRetime:
 
 class TestEagerDurations:
     def test_retime_consults_the_oracle_once_per_compute(self):
-        """Costs bind at retime: one oracle call per compute there, and
-        none from any execution — completed, repeated or aborted."""
-        from repro.schedules import build_schedule
+        """Costs bind at retime: one call per compute there for an
+        oracle without stage tables, and none from any execution —
+        completed, repeated or aborted."""
+        calls = []
 
+        class Counting(AbstractCosts):
+            stage_durations = CostOracle.stage_durations
+
+            def duration(self, op):
+                calls.append(op)
+                return super().duration(op)
+
+        program, plan = self._bind(Counting)
+        assert calls == list(plan.comp_ops)
+        self._execute_all(plan)
+        assert len(calls) == program.compute_count()
+
+    def test_retime_gathers_stage_tables_once(self):
+        """An oracle with stage tables hands them over once per retime
+        and is never asked for a single duration."""
         calls = []
 
         class Counting(AbstractCosts):
@@ -204,22 +220,37 @@ class TestEagerDurations:
                 calls.append(op)
                 return super().duration(op)
 
-        cfg = make_config("dapple", P, B)
-        sched = build_schedule(cfg)
+            def stage_durations(self):
+                calls.append("tables")
+                return super().stage_durations()
+
+        _, plan = self._bind(Counting)
+        assert calls == ["tables"]
+        assert plan.comp_cost == [
+            AbstractCosts.duration(plan.costs, op) for op in plan.comp_ops]
+        self._execute_all(plan)
+        assert calls == ["tables"]
+
+    @staticmethod
+    def _bind(oracle_type):
+        from repro.schedules import build_schedule
+
+        sched = build_schedule(make_config("dapple", P, B))
         stages = sched.num_stages
         program = compile_program(sched, resources=StageResources(
             weight_bytes=(100.0,) * stages,
             activation_bytes=(10.0,) * stages))
-        oracle = Counting(CostConfig(), P, stages)
-        plan = ExecutablePlan.lower(program, oracle)
-        assert calls == list(plan.comp_ops)
+        oracle = oracle_type(CostConfig(), P, stages)
+        return program, ExecutablePlan.lower(program, oracle)
+
+    @staticmethod
+    def _execute_all(plan):
         for run in (RunConfig(), RunConfig(contention=True)):
             execute_plan(plan, run)
             execute_plan(plan, run)
             with pytest.raises(OutOfMemoryError):
                 execute_plan(plan, run, capacity_bytes=105)
         execute_many([(plan, None), (plan, 105)])
-        assert len(calls) == program.compute_count()
 
 
 LAYOUTS = [(1, 8, 1), (1, 4, 2), (1, 2, 4), (2, 4, 1)]

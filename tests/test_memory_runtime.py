@@ -53,6 +53,10 @@ class CountingCosts(AbstractCosts):
         self.calls += 1
         return super().duration(op)
 
+    def stage_durations(self):
+        self.calls += 1
+        return super().stage_durations()
+
 
 class TestWatermarkParity:
     """Runtime watermarks == offline replay, byte for byte (tentpole)."""

@@ -15,6 +15,7 @@ from repro.models import (
     tiny_model,
 )
 from repro.models.costs import BACKWARD_RATIO, BYTES_PER_PARAM
+from repro.models.zoo import MODELS
 
 
 class TestModelSpec:
@@ -126,3 +127,41 @@ class TestStageCosts:
     def test_bad_microbatch(self):
         with pytest.raises(ConfigError):
             stage_costs(bert_64(), 8, A100_40G, microbatch_size=0)
+
+    @pytest.mark.parametrize("num_stages", [0, 11])
+    def test_balanced_rejects_like_the_partition(self, num_stages):
+        """``balanced=True`` never partitions, but refuses exactly what
+        the partition would, with its words."""
+        spec = tiny_model(num_layers=8)
+        with pytest.raises(ConfigError) as expected:
+            partition_layers(spec, num_stages)
+        with pytest.raises(ConfigError) as got:
+            stage_costs(spec, num_stages, A100_40G, balanced=True)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_balanced_equals_the_per_layer_sums(self, name):
+        """Per-model totals change no float: the balanced costs equal
+        the per-layer summation over ``spec.layers`` at every stage
+        count, micro-batch size and recompute mode."""
+        spec = MODELS[name]()
+        layers = spec.layers
+        for num_stages in (1, 2, 4, 8, 10):
+            for mbs in (1, 2, 3, 8):
+                for recompute in (False, True):
+                    tokens = spec.seq_len * mbs
+                    flops = tokens * sum(l.flops_per_token() for l in layers)
+                    seconds = flops / A100_40G.effective_flops / num_stages
+                    act = (spec.boundary_bytes(mbs) if recompute else
+                           tokens * sum(l.activation_bytes_per_token(
+                               spec.bytes_per_el) for l in layers)
+                           / num_stages)
+                    ratio = BACKWARD_RATIO + recompute
+                    sc = stage_costs(spec, num_stages, A100_40G, mbs,
+                                     recompute=recompute)
+                    assert sc.forward == (seconds,) * num_stages
+                    assert sc.backward == (seconds * ratio,) * num_stages
+                    assert sc.weight_bytes == (
+                        spec.param_count / num_stages * BYTES_PER_PARAM,
+                    ) * num_stages
+                    assert sc.activation_bytes == (act,) * num_stages

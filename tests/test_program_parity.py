@@ -24,11 +24,10 @@ from repro.engine import PipelineTrainer, make_batch, sequential_step
 from repro.errors import OutOfMemoryError
 from repro.models import tiny_model
 from repro.runtime import AbstractCosts, execute_program, simulate_program
-from repro.runtime.costs import CostOracle
 from repro.schedules import build_schedule
-from repro.types import OpKind
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.binding import RandomCosts
 from support.events_ref import execute_program_reference
 
 P = B = 4
@@ -133,40 +132,6 @@ class TestLoweredCoreParity:
         assert new.mem_events == ref.mem_events
         assert new.collectives == ref.collectives
         assert new.device_end == ref.device_end
-
-
-class RandomCosts(CostOracle):
-    """Seeded irregular costs: per-(kind, microbatch, stage) durations
-    and per-pair transfer times from small dyadic sets (exact sums, so
-    heads still tie), zero-time pairs included, and link latencies no
-    larger than their pair's transfer time."""
-
-    DURATIONS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-    TRANSFERS = (0.0, 0.25, 0.5, 1.0)
-
-    def __init__(self, seed: int, num_devices: int, num_stages: int,
-                 num_microbatches: int):
-        rng = random.Random(seed)
-        self._duration = {
-            (kind, mb, st): rng.choice(self.DURATIONS)
-            for kind in OpKind for mb in range(num_microbatches)
-            for st in range(num_stages)}
-        self._transfer = {}
-        self._latency = {}
-        for src in range(num_devices):
-            for dst in range(num_devices):
-                t = 0.0 if src == dst else rng.choice(self.TRANSFERS)
-                self._transfer[src, dst] = t
-                self._latency[src, dst] = rng.choice((0.0, t / 2, t))
-
-    def duration(self, op) -> float:
-        return self._duration[op.kind, op.microbatch, op.stage]
-
-    def transfer_time(self, src: int, dst: int, stage: int) -> float:
-        return self._transfer[src, dst]
-
-    def link_latency(self, src: int, dst: int) -> float:
-        return self._latency[src, dst]
 
 
 def random_cost_program(scheme, kw, prefetch, batching, seed, b=B):
