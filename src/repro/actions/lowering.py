@@ -42,11 +42,12 @@ seconds*, see :mod:`repro.analysis.plans`):
   independently lowered one are interchangeable iff their keys are
   equal (the safety property the plan-cache tests pin across models,
   clusters and capacities);
-* the **cost binding** (:meth:`ExecutablePlan.retime`) resolves a
-  :class:`~repro.runtime.costs.CostOracle` into flat cost arrays, per
-  distinct stage and edge, not per compute or send.  Cost-only sweep
-  axes (a different cluster timing the same program) re-bind a cached
-  plan instead of recompiling the schedule.
+* the **cost binding** (:meth:`ExecutablePlan.retime`) resolves cost
+  oracles (:class:`~repro.runtime.costs.CostOracle`) into flat cost
+  arrays, per distinct stage, edge and ring, not per compute or send,
+  for all lanes of a size binding in one call.  Cost-only sweep axes (a
+  different cluster timing the same program) re-bind a cached plan
+  instead of recompiling the schedule.
 
 The plan also **decodes back**: :meth:`ExecutablePlan.decode_actions`
 rebuilds the action objects from the arrays alone, and the round-trip
@@ -211,12 +212,6 @@ class ExecutablePlan:
         """Whether cost columns are resolved (execution needs them)."""
         return self.comp_cost is not None
 
-    def describe(self) -> str:
-        return (f"plan[{self.name}]: devices={len(self.devices)} "
-                f"actions={self.n_actions} computes={self.n_computes} "
-                f"sends={len(self.send_src)} slots={self.n_slots} "
-                f"{'bound' if self.bound else 'unbound'}")
-
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -229,9 +224,8 @@ class ExecutablePlan:
         structural lowering, many cost bindings.
         """
         shape, colls = _lower_shape(program)
-        plan = cls(program=program, **shape, **_size_columns(
-            program, colls, shape["comp_keys"], shape["tags"],
-            shape["send_tag"], shape["coll_pairs"], shape["shape_digest"]))
+        plan = cls(program=program, **shape,
+                   **_size_columns(program, colls, shape))
         if costs is not None:
             plan = plan.retime(costs)
         return plan
@@ -252,82 +246,87 @@ class ExecutablePlan:
                 f"{program.name}: collectives do not match the shape of "
                 f"plan[{self.name}]")
         return dataclasses.replace(
-            self, program=program,
-            **_size_columns(program, colls, self.comp_keys, self.tags,
-                            self.send_tag, self.coll_pairs,
-                            self.shape_digest),
-            **UNBOUND,
-        )
+            self, program=program, **_size_columns(program, colls, vars(self)),
+            **UNBOUND)
 
-    def retime(self, costs) -> "ExecutablePlan":
-        """Bind (or re-bind) the cost columns against ``costs``.
+    def retime(self, costs):
+        """Bind (or re-bind) the cost columns against ``costs``: one
+        oracle gives one bound plan, a sequence of oracles a list of
+        them, in order, from one pass over the structure.
 
-        Returns a new plan sharing every structural array (and the
-        cached keys) with ``self`` — only the per-compute durations,
-        per-send transfer seconds and latencies, per-collective
-        ring-step times, the global-rank map and the wire interning
-        (which lives in global-rank space) are recomputed.  This is the
-        cost-only re-timing path sweeps take when a cached structure
-        meets a new cluster.
+        A bound plan shares every structural array (and the cached
+        keys) with ``self`` — only the per-compute durations, per-send
+        transfer seconds and latencies, per-collective ring-step times,
+        the global-rank map and the wire interning (which lives in
+        global-rank space) are recomputed.  This is the cost-only
+        re-timing path sweeps take when a cached structure meets new
+        clusters.
 
         Every duration is bound here, so no execution of the plan ever
         consults the oracle.  An oracle whose durations depend only on
-        (kind, stage) hands over its per-stage tables
+        the op's stage and pass hands over per-stage tables
         (:meth:`~repro.runtime.costs.CostOracle.stage_durations`) and
         the duration column is one gather over them; any other oracle —
         or tables too short for the plan's stages — is asked
         ``duration(op)`` per compute.  A program sends along few
         distinct ``(src, dst, stage)`` edges but many times per edge,
-        so transfers, latencies and wires are resolved once per edge,
-        in first-send order, and gathered across the send columns.
+        and its collectives over few distinct rings, so transfers and
+        latencies are asked once per edge, ring steps once per distinct
+        ``(ring pairs, chunk)``, wires once per rank map, and gathered.
         """
+        one = hasattr(costs, "global_rank")  # an oracle, not a sequence
         devices = self.devices
-        granks = tuple(costs.global_rank(d) for d in devices)
+        links = [(devices[s], devices[d], st) for s, d, st in self.edges]
+        comp_of = _gather(self.comp_cell)
+        send_of = _gather(self.send_edge)
+        # inactive collectives take the trailing 0.0 cell
+        rings: dict[tuple, int] = {}
+        ring_of = _gather([
+            rings.setdefault((pairs, chunk), len(rings)) if active else -1
+            for pairs, chunk, active in zip(self.coll_pairs, self.coll_chunk,
+                                            self.coll_active)])
+        bound, wires = [], {}
+        for oracle in [costs] if one else costs:
+            granks = tuple(map(oracle.global_rank, devices))
+            if granks not in wires:
+                wires[granks] = self._wires(granks)
+            tables = oracle.stage_durations()
+            cells = [] if tables is None else \
+                [t for pair in zip(*tables) for t in pair]
+            if len(cells) >= 2 * self.n_stages:
+                comp_cost = comp_of(cells)
+            else:
+                comp_cost = [oracle.duration(op) for op in self.comp_ops]
+            steps = [max(oracle.collective_link_time(a, b, chunk)
+                         for a, b in pairs) for pairs, chunk in rings]
+            bound.append(dataclasses.replace(
+                self,
+                costs=oracle,
+                comp_cost=comp_cost,
+                send_time=send_of([oracle.transfer_time(*link)
+                                   for link in links]),
+                send_lat=send_of([oracle.link_latency(s, d)
+                                  for s, d, _ in links]),
+                coll_step_time=ring_of(steps + [0.0]),
+                global_ranks=granks,
+                **wires[granks],
+            ))
+        return bound[0] if one else bound
 
-        tables = costs.stage_durations()
-        cells = [] if tables is None else \
-            [t for pair in zip(*tables) for t in pair]
-        if len(cells) >= 2 * self.n_stages:
-            comp_cost = _gather(cells, self.comp_cell)
-        else:
-            comp_cost = [costs.duration(op) for op in self.comp_ops]
-
+    def _wires(self, granks: tuple[int, ...]) -> dict:
+        """The wire columns under the rank map ``granks``, interned in
+        global-rank space, edges (first-send order) before rings."""
         wire_ids: dict[frozenset, int] = {}
 
         def wire(a: int, b: int) -> int:
             return wire_ids.setdefault(frozenset((a, b)), len(wire_ids))
 
-        edge_time, edge_lat, edge_wire = [], [], []
-        for si, di, stage in self.edges:
-            s, d = devices[si], devices[di]
-            edge_time.append(costs.transfer_time(s, d, stage))
-            edge_lat.append(costs.link_latency(s, d))
-            edge_wire.append(wire(granks[si], granks[di]))
-
-        coll_wires = []
-        coll_step_time = [0.0] * len(self.coll_ops)
-        for lid, pairs in enumerate(self.coll_pairs):
-            coll_wires.append(tuple(wire(a, b) for a, b in pairs))
-            if self.coll_active[lid]:
-                chunk = self.coll_chunk[lid]
-                coll_step_time[lid] = max(
-                    costs.collective_link_time(a, b, chunk)
-                    for a, b in pairs
-                )
-
-        send_edge = self.send_edge
-        return dataclasses.replace(
-            self,
-            costs=costs,
-            comp_cost=comp_cost,
-            send_time=_gather(edge_time, send_edge),
-            send_lat=_gather(edge_lat, send_edge),
-            send_wire=_gather(edge_wire, send_edge),
-            coll_step_time=coll_step_time,
-            coll_wires=tuple(coll_wires),
-            n_wires=len(wire_ids),
-            global_ranks=granks,
-        )
+        send_wire = _gather(self.send_edge)(
+            [wire(granks[s], granks[d]) for s, d, _ in self.edges])
+        coll_wires = tuple(tuple(wire(a, b) for a, b in ring)
+                           for ring in self.coll_pairs)
+        return dict(send_wire=send_wire, coll_wires=coll_wires,
+                    n_wires=len(wire_ids))
 
     # -- identity ------------------------------------------------------------
 
@@ -453,11 +452,12 @@ class ExecutablePlan:
                     tag=self.tags[self.recv_tag[rid]])
 
 
-def _gather(values, index) -> list:
-    """``[values[i] for i in index]``, in one C-level pass."""
+def _gather(index):
+    """``values -> [values[i] for i in index]``, in one C-level pass."""
     if len(index) > 1:
-        return list(itemgetter(*index)(values))
-    return [values[i] for i in index]
+        get = itemgetter(*index)
+        return lambda values: list(get(values))
+    return lambda values: [values[i] for i in index]
 
 
 def _digest(*parts) -> str:
@@ -499,26 +499,32 @@ def _congruence_key(digest: str, coll_count, coll_active, coll_ops) -> str:
                    [c.kind.value for c in coll_ops])
 
 
-def _size_columns(program: Program, colls, comp_keys, tags, send_tag,
-                  coll_pairs, digest: str) -> dict:
+def _size_columns(program: Program, colls, shape) -> dict:
     """The byte-bearing columns of ``program`` — whose collectives, in
-    lowering order, are ``colls`` — over a lowered shape of digest
-    ``digest``, and the congruence key they complete."""
-    nbytes = program.tensor_bytes
+    lowering order, are ``colls`` — over the lowered ``shape`` (its
+    arrays by name), and the congruence key they complete.  Bytes are
+    looked up once per tag and per stage, then gathered."""
     coll_count = [float(act.count) for act in colls]
     coll_active = [bool(pairs) and act.nbytes > 0 and act.count > 0
-                   for act, pairs in zip(colls, coll_pairs)]
+                   for act, pairs in zip(colls, shape["coll_pairs"])]
+    # a forward pins its stage's activation at start, a backward frees
+    # it at end: interleaved per-stage tables, gathered by comp_cell
+    act = (program.resources.activation_bytes if program.tracks_memory
+           else (0.0,) * shape["n_stages"])
+    nbytes = program.tensor_bytes
+    by_cell = _gather(shape["comp_cell"])
     return dict(
-        comp_alloc=[program.alloc_bytes(key) for key in comp_keys],
-        comp_free=[program.free_bytes(key) for key in comp_keys],
-        send_nbytes=[nbytes.get(tags[tid], 0.0) for tid in send_tag],
+        comp_alloc=by_cell([v for a in act for v in (a, 0.0)]),
+        comp_free=by_cell([v for a in act for v in (0.0, a)]),
+        send_nbytes=_gather(shape["send_tag"])(
+            [nbytes.get(tag, 0.0) for tag in shape["tags"]]),
         coll_ops=tuple(colls),
         coll_count=coll_count,
         coll_active=coll_active,
         coll_chunk=[act.nbytes / len(act.group) if act.group else 0.0
                     for act in colls],
-        _congruence_key=_congruence_key(digest, coll_count, coll_active,
-                                        colls),
+        _congruence_key=_congruence_key(shape["shape_digest"], coll_count,
+                                        coll_active, colls),
     )
 
 
@@ -587,6 +593,9 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
     def intern_send(di: int, send: Send) -> int:
         sid = len(send_src)
         tid = intern_tag(send.tag)
+        # keep the send's own object: ``program.tensor_bytes`` is keyed
+        # by it, so a size binding's byte lookups hit by identity
+        tags[tid] = send.tag
         dst = dev_index[send.peer]
         stage = send.tag.stage
         send_src.append(di)

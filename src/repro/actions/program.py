@@ -116,9 +116,6 @@ class Program:
 
     # -- shape -----------------------------------------------------------
 
-    def device_actions(self, device: int) -> list[Action]:
-        return list(self.actions.get(device, ()))
-
     def action_count(self) -> int:
         return sum(len(acts) for acts in self.actions.values())
 
@@ -135,13 +132,6 @@ class Program:
                 elif isinstance(act, BatchedP2P):
                     total += len(act.sends)
         return total
-
-    def op_for(self, action: Action) -> ScheduleOp:
-        """The ScheduleOp behind a compute action."""
-        key = compute_key(action)
-        if key is None:
-            raise ValidationError(f"{action} is not a compute action")
-        return self.ops[key]
 
     # -- memory effects ---------------------------------------------------
 
@@ -182,13 +172,14 @@ class Program:
         read-only by contract; the action lists are *copied* — the
         receiver may be a :meth:`frozen` shape other models bind too.
         """
-        size = boundary_bytes if callable(boundary_bytes) else (
-            lambda _tag, _b=boundary_bytes: _b
-        )
         return dataclasses.replace(
             self.with_resources(resources),
             actions={d: list(acts) for d, acts in self.actions.items()},
-            tensor_bytes={tag: float(size(tag)) for tag in self.tensor_bytes},
+            tensor_bytes=(
+                {tag: float(boundary_bytes(tag)) for tag in self.tensor_bytes}
+                if callable(boundary_bytes)
+                # keys straight from the dict, with their stored hashes
+                else dict.fromkeys(self.tensor_bytes, float(boundary_bytes))),
         )
 
     def frozen(self) -> "Program":

@@ -12,10 +12,10 @@ binding* (:meth:`Program.with_sizes` plus its collectives, then
 :meth:`ExecutablePlan.with_sizes`), sharing the shape's arrays and
 rebuilding the byte-bearing columns; its schedule shares the shape's op
 lists under its own :class:`~repro.config.PipelineConfig`.  The
-**cluster** only times an entry: a cost-only cell **re-times** the
-entry's plan against its oracle (:meth:`ExecutablePlan.retime`) before
-executing; the capacity knob is no axis at all (enforcement is an
-execute-time argument).
+**cluster** only times an entry: its cost-only cells **re-time** its
+plan against their oracles in one call (:meth:`PlanEntry.bound_plans`)
+before executing; the capacity knob is no axis at all (enforcement is
+an execute-time argument).
 
 Safety of sharing.  The key (:func:`repro.analysis.throughput.plan_key`,
 the only one) is ``(shape key, microbatch size, ModelSpec)``, the shape
@@ -97,24 +97,29 @@ class PlanEntry:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def bound_plan(self, key: tuple, oracle_factory) -> ExecutablePlan:
-        """The plan re-timed under the oracle ``key`` stands for.
+    def bound_plans(self, keys: list, oracle_factories: list) -> list:
+        """The plan re-timed under the oracle each key stands for, in
+        order; the keys not bound yet in one ``retime`` call.
 
-        ``oracle_factory`` builds the cost oracle only on a binding
-        miss; the key must capture every input the oracle's answers
+        ``oracle_factories[j]`` builds ``keys[j]``'s oracle only on a
+        miss; a key must capture every input its oracle's answers
         depend on (the measurement layer uses ``(cluster, stage costs,
         TP)`` — see :class:`repro.analysis.throughput.ClusterCosts`).
-        Deterministic oracles make the reuse exact: re-timing the same
+        Deterministic oracles make the reuse exact: binding the same
         structure under an equal oracle yields identical columns.
         """
         with self._lock:
-            plan = self.bindings.pop(key, None)
-            if plan is None:
-                plan = self.plan.retime(oracle_factory())
-                if len(self.bindings) >= MAX_BINDINGS:
-                    self.bindings.pop(next(iter(self.bindings)))
-            self.bindings[key] = plan  # (re-)insert: most recently used
-            return plan
+            bindings = self.bindings
+            missing = {key: make for key, make in zip(keys, oracle_factories)
+                       if key not in bindings}
+            if missing:
+                bindings.update(zip(missing, self.plan.retime(
+                    [make() for make in missing.values()])))
+            # (re-)insert each key: most recently used
+            plans = [bindings.setdefault(k, bindings.pop(k)) for k in keys]
+            while len(bindings) > MAX_BINDINGS:
+                bindings.pop(next(iter(bindings)))
+            return plans
 
 
 @dataclass

@@ -29,6 +29,7 @@ analytic fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 from ..actions.collectives import with_gradient_sync, with_tp_sync
@@ -512,10 +513,11 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
     (micro-batch size, model) binding has met this shape yet) and
     retained.  A schedule taken from a shape carries the group's own
     config: only the op lists are shared.  Per lane the only work is
-    the cost-model lowering (TP-sharded), the O(P) static-memory
-    pre-check and the plan re-time.  Returns ``(shared config,
-    schedule, lanes)`` with ``lanes[j]`` either the live lane's
-    ``(stage costs, bound plan)`` or its verdict: the
+    the cost-model lowering (TP-sharded) and the O(P) static-memory
+    pre-check; the live lanes the entry has not bound yet are re-timed
+    in one call.  Returns ``(shared config, schedule, lanes)`` with
+    ``lanes[j]`` either the live lane's ``(stage costs, bound plan)``
+    or its verdict: the
     :class:`ConfigError` of a TP degree its cluster's node cannot hold,
     or its statically-pruned result.  Raises the schedule builder's
     :class:`ConfigError` — a structural rejection, identical for every
@@ -590,11 +592,12 @@ def _bind_group(requests: Sequence[HybridRequest], key: tuple,
                     plan = shape.plan.with_sizes(program)
                 entry = plans.put(
                     key, PlanEntry(schedule, program, plan, shape))
-            for j in live:
-                req, costs = requests[j], lanes[j]
-                lanes[j] = (costs, entry.bound_plan(
-                    (req.cluster, costs, layout.tp),
-                    lambda: ClusterCosts(costs, req.cluster, layout.tp)))
+            bound = entry.bound_plans(
+                [(requests[j].cluster, lanes[j], layout.tp) for j in live],
+                [partial(ClusterCosts, lanes[j], requests[j].cluster,
+                         layout.tp) for j in live])
+            for j, retimed in zip(live, bound):
+                lanes[j] = (lanes[j], retimed)
     return cfg, schedule, lanes
 
 

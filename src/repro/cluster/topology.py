@@ -52,6 +52,8 @@ class Topology:
         #: (which breaks routing ties; see ``_route``)
         self._adj: dict[int, dict[int, LinkClass]] = {
             rank: {} for rank in range(num_devices)}
+        #: :meth:`effective_link` per rank pair; ``add_link`` clears it
+        self._effective: dict[tuple[int, int], LinkClass] = {}
 
     def add_link(self, a: int, b: int, link: LinkClass) -> None:
         if not (0 <= a < self.num_devices and 0 <= b < self.num_devices):
@@ -62,6 +64,7 @@ class Topology:
         # Keep the fastest link if several are declared between a pair.
         if existing is None or existing.bandwidth < link.bandwidth:
             self._adj[a][b] = self._adj[b][a] = link
+            self._effective.clear()
 
     def link_between(self, a: int, b: int) -> LinkClass | None:
         """Direct link between two ranks, if any."""
@@ -73,21 +76,25 @@ class Topology:
         Direct edge if present; otherwise the bottleneck (slowest) link
         along the bandwidth-shortest path, with per-hop latency summed.
         Same-rank transfers are free and must be filtered by callers.
+        Memoized per pair, so a routed pair runs its search once.
         """
+        found = self._effective.get((a, b))
+        if found is not None:
+            return found
         if a == b:
             raise ConfigError("effective_link called for a self transfer")
-        direct = self.link_between(a, b)
-        if direct is not None:
-            return direct
-        path = self._route(a, b)
-        links = [self._adj[u][v] for u, v in zip(path, path[1:])]
-        bottleneck = min(links, key=lambda l: l.bandwidth)
-        total_latency = sum(l.latency for l in links)
-        return LinkClass(
-            name=f"path({bottleneck.name}x{len(links)})",
-            bandwidth=bottleneck.bandwidth,
-            latency=total_latency,
-        )
+        found = self.link_between(a, b)
+        if found is None:
+            path = self._route(a, b)
+            hops = [self._adj[u][v] for u, v in zip(path, path[1:])]
+            bottleneck = min(hops, key=lambda l: l.bandwidth)
+            found = LinkClass(
+                name=f"path({bottleneck.name}x{len(hops)})",
+                bandwidth=bottleneck.bandwidth,
+                latency=sum(l.latency for l in hops),
+            )
+        self._effective[a, b] = found
+        return found
 
     def _route(self, a: int, b: int) -> list[int]:
         """The ``1 / bandwidth``-shortest rank path from ``a`` to ``b``.

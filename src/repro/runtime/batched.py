@@ -327,20 +327,11 @@ def _wire_groups(plans, live: list[int]) -> list[list[int]]:
     anchors its own group (wire interning happens at retime, so even
     plans sharing a program object must compare by content).
     """
-    groups: list[list[int]] = []
-    reps: list = []
+    groups: dict[tuple, list[int]] = {}
     for k in live:
-        plan = plans[k]
-        for gi, rep in enumerate(reps):
-            if (plan.n_wires == rep.n_wires
-                    and plan.send_wire == rep.send_wire
-                    and plan.coll_wires == rep.coll_wires):
-                groups[gi].append(k)
-                break
-        else:
-            reps.append(plan)
-            groups.append([k])
-    return groups
+        wires = (tuple(plans[k].send_wire), plans[k].coll_wires)
+        groups.setdefault(wires, []).append(k)
+    return list(groups.values())
 
 
 def _alone(plan: ExecutablePlan, capacity_bytes) -> BatchResult:

@@ -1156,9 +1156,9 @@ class TestBoundPlanCache:
             return AbstractCosts(LANE_COSTS[i], P,
                                  base.program.num_stages)
 
-        a1 = entry.bound_plan(("k1",), factory(0))
-        a2 = entry.bound_plan(("k1",), factory(0))
-        b = entry.bound_plan(("k2",), factory(1))
+        [a1] = entry.bound_plans([("k1",)], [factory(0)])
+        [a2] = entry.bound_plans([("k1",)], [factory(0)])
+        [b] = entry.bound_plans([("k2",)], [factory(1)])
         assert a1 is a2            # second lookup never re-times
         assert b is not a1
         assert calls == [0, 1]     # one oracle build per distinct key
@@ -1179,9 +1179,12 @@ class TestBoundPlanCache:
         def oracle():
             return AbstractCosts(LANE_COSTS[0], P, base.program.num_stages)
 
-        first = entry.bound_plan(("k", 0), oracle)
+        def bind(key):
+            return entry.bound_plans([key], [oracle])[0]
+
+        first = bind(("k", 0))
         for i in (1, 2):
-            entry.bound_plan(("k", i), oracle)
-        assert entry.bound_plan(("k", 0), oracle) is first  # hit: bumped
-        entry.bound_plan(("k", 3), oracle)                   # evicts k1
+            bind(("k", i))
+        assert bind(("k", 0)) is first  # hit: bumped
+        bind(("k", 3))                  # evicts k1
         assert list(entry.bindings) == [("k", 2), ("k", 0), ("k", 3)]

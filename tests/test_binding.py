@@ -1,10 +1,11 @@
 """Cost binding (``ExecutablePlan.retime``) and the split plan keys.
 
 ``retime`` gathers per-stage duration tables and fans per-edge transfer
-answers out across the sends; the per-op / per-send loop it replaced is
-kept in ``support.binding`` as the reference, and every oracle kind is
-compared against it field by field.  The congruence key is one shape
-digest per lowering plus the collective columns a size binding sets.
+answers out across the sends, for one oracle or for a sequence of
+lanes in one call; the per-op / per-send loop it replaced is kept in
+``support.binding`` as the reference, and every oracle kind is compared
+against it field by field.  The congruence key is one shape digest per
+lowering plus the collective columns a size binding sets.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from repro.analysis import (
     tp_rank_groups,
 )
 from repro.analysis.throughput import ClusterCosts, HybridRequest
-from repro.cluster import make_fc, make_pc
+from repro.cluster import make_fc, make_pc, make_tacc, make_tc
 from repro.config import CostConfig, RunConfig
 from repro.errors import ConfigError
 from repro.models import bert_64, gpt_128, stage_costs
 from repro.runtime import AbstractCosts
 from repro.schedules import build_schedule
+from repro.sweep import SweepSpec, run_sweep
 from repro.synthesis.search import _RecomputeCosts
 from repro.types import OpKind
 
@@ -68,19 +70,14 @@ def cluster_program(scheme, kw, layout, prefetch, batching):
     return program, cluster, costs
 
 
-def assert_binds_like_reference(plan, oracle):
-    bound = plan.retime(oracle)
-    reference = reference_binding(plan, oracle)
-    for column in BOUND:
-        assert getattr(bound, column) == reference[column], column
-
-
 @pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
 @pytest.mark.parametrize("batching", [True, False], ids=["batch", "nobatch"])
 @pytest.mark.parametrize("layout", LAYOUTS, ids=["8x1", "4x2", "tp2"])
 @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
 def test_every_oracle_binds_like_the_per_op_loop(param, layout, prefetch,
                                                  batching):
+    """Every oracle binds like the reference: alone, as a one-lane
+    tuple, and as one lane of a single call binding a mixed list."""
     scheme, kw = param
     program, cluster, costs = cluster_program(scheme, kw, layout, prefetch,
                                               batching)
@@ -88,16 +85,94 @@ def test_every_oracle_binds_like_the_per_op_loop(param, layout, prefetch,
     stages = program.num_stages
     p = len(plan.devices)
     oracles = [
-        ClusterCosts(costs, cluster, 1),
-        ClusterCosts(costs, cluster, 2),
+        *(ClusterCosts(costs, factory(16), tp)
+          for factory in (make_pc, make_fc, make_tacc, make_tc)
+          for tp in (1, 2)),
         AbstractCosts(CostConfig(t_c=0.5), p, stages),
         RandomCosts(7, p, stages, B),
         _RecomputeCosts(RandomCosts(7, p, stages, B), 1),
         *(_RecomputeCosts(ClusterCosts(costs, cluster, layout[0]), frontier)
           for frontier in range(stages + 1)),
     ]
-    for oracle in oracles:
-        assert_binds_like_reference(plan, oracle)
+    lanes = plan.retime(oracles)
+    assert len(lanes) == len(oracles)
+    for oracle, lane in zip(oracles, lanes):
+        reference = reference_binding(plan, oracle)
+        [alone] = plan.retime((oracle,))
+        bound = plan.retime(oracle)
+        for binding in (lane, alone, bound):
+            assert binding.costs is oracle
+            assert binding.comp_cell is plan.comp_cell
+            for column in BOUND:
+                assert getattr(binding, column) == reference[column], column
+
+
+def test_a_cold_sweep_binds_each_size_binding_once(monkeypatch):
+    """Four clusters time every size binding: one ``retime`` per binding
+    group binds all its lanes, and the rows equal a run that binds one
+    lane per call."""
+    retimes = []
+    real = ExecutablePlan.retime
+
+    def counting(plan, costs):
+        retimes.append(1 if hasattr(costs, "global_rank") else len(costs))
+        return real(plan, costs)
+
+    monkeypatch.setattr(ExecutablePlan, "retime", counting)
+    spec = SweepSpec(
+        schemes=("gpipe", "hanayo"),
+        clusters=tuple(factory(8) for factory in (make_pc, make_fc,
+                                                  make_tacc, make_tc)),
+        models=(bert_64(),), layouts=((8, 1), (4, 2)),
+        total_batches=(8, 16), waves=(1, 2))
+    cache = plan_cache()
+    cache.clear()
+    batched = run_sweep(spec)
+    groups = len(cache)
+    assert len(retimes) == groups
+    assert sum(retimes) == 4 * groups      # every lane of a group at once
+
+    def per_lane(requests):
+        return [out for req in requests
+                for out in measure_hybrid_throughput_batch([req])]
+
+    retimes.clear()
+    cache.clear()
+    reference = run_sweep(spec, measure=per_lane)
+    assert retimes == [1] * (4 * groups)
+    assert [row.to_dict() for row in batched.rows] == \
+        [row.to_dict() for row in reference.rows]
+
+
+def test_a_group_binds_only_its_missing_lanes():
+    """``PlanEntry.bound_plans`` binds the keys it lacks in one call, a
+    repeated key once, and hands cached plans back as they are."""
+    from repro.analysis.plans import PlanEntry
+
+    program, _, costs = cluster_program("dapple", {}, (1, 4, 2), True, True)
+    plan = ExecutablePlan.lower(program)
+    calls = []
+
+    class Counting(ExecutablePlan):
+        def retime(self, oracles):
+            calls.append(len(oracles))
+            return super().retime(oracles)
+
+    entry = PlanEntry(schedule=None, program=program,
+                      plan=Counting(**vars(plan)))
+
+    def oracle(factory):
+        return lambda: ClusterCosts(costs, factory(16))
+
+    first = entry.bound_plans(["pc", "fc"],
+                              [oracle(make_pc), oracle(make_fc)])
+    again = entry.bound_plans(["fc", "tc", "tc", "pc"],
+                              [oracle(make_fc), oracle(make_tc),
+                               oracle(make_tc), oracle(make_pc)])
+    assert calls == [2, 1]
+    assert again[0] is first[1] and again[3] is first[0]
+    assert again[1] is again[2]
+    assert list(entry.bindings) == ["fc", "tc", "pc"]
 
 
 def test_recompute_tables_are_never_forwarded():

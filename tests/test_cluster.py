@@ -97,6 +97,46 @@ class TestTopology:
         assert "links=3" in repr(t)
 
 
+class TestLinkMemo:
+    """``effective_link`` answers each rank pair once per topology;
+    declaring a link forgets the answers."""
+
+    @pytest.mark.parametrize("factory", [make_fc, make_pc, make_tacc, make_tc])
+    def test_memoized_links_equal_a_fresh_topology(self, factory):
+        for n in (8, 16):
+            topo = factory(n).topology
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    memoized = topo.effective_link(a, b)
+                    assert topo.effective_link(a, b) is memoized
+                    assert memoized == \
+                        factory(n).topology.effective_link(a, b)
+
+    def test_a_routed_pair_is_searched_once(self, monkeypatch):
+        searches = []
+        route = Topology._route
+        monkeypatch.setattr(Topology, "_route", lambda self, a, b: (
+            searches.append((a, b)) or route(self, a, b)))
+        t = Topology("t", 3)
+        t.add_link(0, 1, NVLINK3)
+        t.add_link(1, 2, PCIE4)
+        for _ in range(3):
+            t.effective_link(0, 2)
+            t.effective_link(0, 1)
+        assert searches == [(0, 2)]
+
+    def test_a_link_added_after_a_query_changes_its_answer(self):
+        t = Topology("t", 3)
+        t.add_link(0, 1, NVLINK3)
+        t.add_link(1, 2, PCIE4)
+        routed = t.effective_link(0, 2)
+        assert routed.bandwidth == PCIE4.bandwidth
+        t.add_link(0, 2, NVLINK2)
+        assert t.effective_link(0, 2) == NVLINK2
+
+
 class TestRoutingParity:
     """Route choice feeds committed results, so the in-house search must
     pick — tie for tie — the path ``networkx.shortest_path`` picked when

@@ -860,17 +860,17 @@ class TestCacheThreadSafety:
             def __init__(self):
                 self.retimes = 0
 
-            def retime(self, oracle):
+            def retime(self, oracles):
                 self.retimes += 1
                 time.sleep(0.005)  # widen the race window
-                return ("bound", oracle)
+                return [("bound", oracle) for oracle in oracles]
 
         plan = FakePlan()
         entry = PlanEntry(schedule=None, program=None, plan=plan)
         results = []
         threads = [
             threading.Thread(target=lambda: results.append(
-                entry.bound_plan("oracle-key", lambda: "oracle")))
+                entry.bound_plans(["oracle-key"], [lambda: "oracle"])))
             for _ in range(8)
         ]
         for t in threads:
@@ -878,7 +878,7 @@ class TestCacheThreadSafety:
         for t in threads:
             t.join()
         assert plan.retimes == 1
-        assert results == [("bound", "oracle")] * 8
+        assert results == [[("bound", "oracle")]] * 8
 
     def test_result_cache_concurrent_readers_and_writers(self, tmp_path):
         from repro.sweep.cache import ResultCache
