@@ -87,13 +87,13 @@ Bit-identity
 ------------
 
 Every fold row equals the fold of, and every lane view is **bit
-identical** to, a scalar :func:`execute_plan` of that lane alone (pinned
-by ``tests/test_batched.py`` across the full schedule-family × prefetch
-× capacity × collectives × TP/DP × contention matrix, and against the
-reference interpreter).  The array formulas are chosen for exact float
-equality, not just closeness: ``maximum``/``minimum`` return the
-argument bitwise for equal doubles, ``where`` selects stored values
-untouched, additive identities (``x + 0.0``) only ever apply to
+identical** to, a scalar :func:`execute_plan` of that lane alone and the
+reference interpreter — pinned by the generated corpus of
+``tests/test_executor_oracle.py``, whose results must also hold the
+invariants of ``tests/support/invariants.py``.  The array formulas aim
+at exact float equality, not just closeness: ``maximum``/``minimum``
+return the argument bitwise for equal doubles, ``where`` selects stored
+values untouched, additive identities (``x + 0.0``) only ever apply to
 non-negative accumulators, and every sequential accumulation
 (in-flight bytes, collective round times, wire grants) folds in the
 same order as the scalar core.
@@ -119,14 +119,14 @@ per reason and contention-lane and grant-split counts, so
 batch-coverage regressions are visible in ``--profile`` output.
 
 Known divergence (pinned by ``tests/test_batched.py``
-``TestDeadlockOutranksCapacity``): a *deadlocking* structure raises
-:class:`~repro.errors.SchedulingError` for a whole batch of two or more
-lanes, with the scalar core's message for its first lane, even if some
-lane's capacity would have aborted with an OOM first under scalar
-execution.  Deadlock is a control-flow property covered by the
-congruence key — no batch can contain one lane that deadlocks and
-another that does not.  A batch of one is :func:`execute_plan`'s own
-path, so it keeps the scalar outcome.
+``TestDeadlockOutranksCapacity``; the oracle draws deadlocks uncapped):
+a *deadlocking* structure raises :class:`~repro.errors.SchedulingError`
+for a whole batch of two or more lanes, with the scalar core's message
+for its first lane, even if some lane's capacity would have aborted
+with an OOM first under scalar execution.  Deadlock is a control-flow
+property covered by the congruence key — no batch can contain one lane
+that deadlocks and another that does not.  A batch of one is
+:func:`execute_plan`'s own path, so it keeps the scalar outcome.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CyclicPlacement", "LinearPlacement", "MirrorPlacement",
         "SnakePlacement", "StagePlacement",
     ),
-    "transform": (
-        "chimera_to_wave", "chimera_wave_schedule", "transformed_from",
-    ),
+    "transform": ("chimera_to_wave", "chimera_wave_schedule"),
     "validation": (
         "check_completeness", "check_executable", "check_placement",
         "validate",

@@ -15,7 +15,6 @@ from ..config import PipelineConfig
 from ..errors import ConfigError
 from ..types import ScheduleOp
 from .base import Schedule
-from .chimera import chimera_schedule
 from .greedy import GreedyPolicy, greedy_order, wave_priority
 from .placement import SnakePlacement
 
@@ -96,9 +95,3 @@ def chimera_to_wave(chimera: Schedule) -> tuple[Schedule, Schedule]:
         return greedy_order(sched, policy)
 
     return build(0), build(1)
-
-
-def transformed_from(config: PipelineConfig) -> tuple[Schedule, Schedule]:
-    """Convenience: run Chimera then transform it."""
-    chimera = chimera_schedule(config)
-    return chimera_to_wave(chimera)

@@ -1,10 +1,8 @@
-"""Shared fixtures and parametrization helpers."""
+"""Shared parametrization helpers."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.config import CostConfig, PipelineConfig
+from repro.config import PipelineConfig
 
 #: (scheme, extra kwargs) pairs covering every generator, used by the
 #: cross-scheme structural tests.
@@ -34,13 +32,3 @@ def make_config(scheme: str, p: int = 4, b: int = 4, **kw) -> PipelineConfig:
     return PipelineConfig(
         scheme=scheme, num_devices=p, num_microbatches=b, **kw
     )
-
-
-@pytest.fixture
-def unit_costs() -> CostConfig:
-    return CostConfig(t_f=1.0, t_b=2.0, t_c=0.0)
-
-
-@pytest.fixture
-def comm_costs() -> CostConfig:
-    return CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)

@@ -48,25 +48,32 @@ class RandomCosts(CostOracle):
     """Seeded irregular costs: per-(kind, microbatch, stage) durations
     and per-pair transfer times from small dyadic sets (exact sums, so
     heads still tie), zero-time pairs included, and link latencies no
-    larger than their pair's transfer time."""
+    larger than their pair's transfer time.
+
+    ``zero_time=False`` draws every cross-device transfer positive and
+    every latency under half of it, so no hand-off (a batched
+    follower's ``transfer - latency`` included) takes zero time.
+    """
 
     DURATIONS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
     TRANSFERS = (0.0, 0.25, 0.5, 1.0)
 
     def __init__(self, seed: int, num_devices: int, num_stages: int,
-                 num_microbatches: int):
+                 num_microbatches: int, zero_time: bool = True):
         rng = random.Random(seed)
         self._duration = {
             (kind, mb, st): rng.choice(self.DURATIONS)
             for kind in OpKind for mb in range(num_microbatches)
             for st in range(num_stages)}
+        transfers = self.TRANSFERS if zero_time else self.TRANSFERS[1:]
+        latencies = (0.0, 0.5, 1.0) if zero_time else (0.0, 0.5)
         self._transfer = {}
         self._latency = {}
         for src in range(num_devices):
             for dst in range(num_devices):
-                t = 0.0 if src == dst else rng.choice(self.TRANSFERS)
+                t = 0.0 if src == dst else rng.choice(transfers)
                 self._transfer[src, dst] = t
-                self._latency[src, dst] = rng.choice((0.0, t / 2, t))
+                self._latency[src, dst] = t * rng.choice(latencies)
 
     def duration(self, op) -> float:
         return self._duration[op.kind, op.microbatch, op.stage]

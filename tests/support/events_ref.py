@@ -4,12 +4,11 @@ This is the dict-walking implementation :mod:`repro.runtime.events`
 shipped before programs were lowered to an
 :class:`~repro.actions.lowering.ExecutablePlan`.  It interprets the
 Program IR directly — ``(device, tag)`` tuple keys, ``frozenset`` wire
-identities, per-action ``isinstance`` dispatch — and is the test
-suite's parity oracle: ``test_program_parity.py``, ``test_batched.py``
-and the synthesis suites pin the lowered and batched cores
-bit-identical to it (timeline spans, recv waits, comm events, memory
-watermarks, collectives) across the full schedule-family × prefetch ×
-batching matrix.
+identities, per-action ``isinstance`` dispatch — and is the first
+executor :func:`support.oracle.assert_executors_agree` runs: every other
+executor must match it on all eight ``EventResult`` fields, the OOM
+triple and the deadlock text, over the generated corpus of
+``tests/test_executor_oracle.py``.
 
 Semantics documentation lives with the production core in
 :mod:`repro.runtime.events`; the two must only ever differ in

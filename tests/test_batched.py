@@ -1,15 +1,11 @@
-"""Lockstep batched execution parity (runtime/batched.py).
+"""The batched layer's own contracts (runtime/batched.py).
 
-The batched stepper is only allowed to change *cost*, never meaning.
-Its result is columnar — a lane-axis fold plus on-demand lane views —
-and for every lane both must be bit-identical (``==`` not approx) to
-running that lane alone through the scalar ``execute_plan``: the fold
-row to the scalar accounting of that result, the ``lane(k)`` view to
-all eight ``EventResult`` fields.  These tests pin that across every
-schedule family × prefetch mode, under capacity enforcement with mixed
-OOM lanes, with gradient-sync collectives compiled in, under
-contention (the wire-exact contention driver), and for ragged
-batch widths.
+Bit-identity of every lane through every executor is the generated
+corpus of ``tests/test_executor_oracle.py``.  Kept here is what one
+draw cannot state: on-demand views, several structures in one call,
+profile counters, whole grids' batch and split counts, ``PlanBatch``
+validation, the known divergence (deadlock outranks capacity),
+structural verdicts, the structure registry and the bound-plan cache.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.models.costs import stage_costs
 from repro.runtime import (
     AbstractCosts,
     PlanBatch,
-    bubble_stats,
     execute_batch,
     execute_many,
     execute_plan,
@@ -41,14 +36,14 @@ from repro.runtime import (
 from repro.runtime import batched
 from repro.schedules import build_schedule
 
-from conftest import ALL_SCHEMES, make_config, scheme_id
+from conftest import make_config
 from support.events_ref import execute_program_reference
+from support.invariants import fold_of
+from support.oracle import assert_lanes_agree, assert_result_equal
 
 P = B = 4
 
-#: four lanes with genuinely different arithmetic — asymmetric ratios,
-#: zero comm, comm-dominated — so lockstep masking bugs cannot hide
-#: behind lanes that agree numerically
+#: four lanes with genuinely different arithmetic
 LANE_COSTS = (
     CostConfig(t_f=1.0, t_b=2.0, t_c=0.25),
     CostConfig(t_f=1.3, t_b=2.1, t_c=0.1),
@@ -57,10 +52,9 @@ LANE_COSTS = (
 )
 
 
-def lowered(scheme, kw, prefetch=True, resources=None):
+def lowered(scheme, kw, resources=None):
     cfg = make_config(scheme, P, B, **kw)
-    program = compile_program(build_schedule(cfg), prefetch=prefetch,
-                              resources=resources)
+    program = compile_program(build_schedule(cfg), resources=resources)
     return ExecutablePlan.lower(program)
 
 
@@ -70,219 +64,6 @@ def lanes_for(plan, n=len(LANE_COSTS)):
     return [plan.retime(AbstractCosts(LANE_COSTS[i % len(LANE_COSTS)],
                                       P, stages))
             for i in range(n)]
-
-
-def assert_result_equal(got, want):
-    """All eight EventResult fields, exact equality."""
-    assert got.timeline == want.timeline
-    assert got.recv_wait == want.recv_wait
-    assert got.comm == want.comm
-    assert got.order == want.order
-    assert got.mem_peak == want.mem_peak
-    assert got.mem_events == want.mem_events
-    assert got.collectives == want.collectives
-    assert got.device_end == want.device_end
-
-
-def reference_fold(result):
-    """The six fold numbers by the scalar accounting, written out
-    independently of ``fold_lanes`` (the loop version kept as oracle)."""
-    per_device = {}
-    for c in result.collectives:
-        if c.op.kind is CollectiveKind.GRAD_SYNC:
-            per_device[c.device] = per_device.get(c.device, 0.0) \
-                + c.duration
-    stats = bubble_stats(result.timeline)
-    return (stats.makespan, stats.bubble_ratio, result.busy_end,
-            max(per_device.values(), default=0.0), result.sync_done(),
-            max(result.mem_peak.values(), default=0.0))
-
-
-def assert_lane_equal(batch, k, want):
-    """Lane ``k`` of a columnar result against the scalar result: fold
-    row on every field, lane view on all eight fields."""
-    assert batch.errors[k] is None
-    assert batch.fold.row(k) == reference_fold(want)
-    assert_result_equal(batch.lane(k), want)
-
-
-def assert_same_oom(err, exc):
-    assert isinstance(err, OutOfMemoryError)
-    assert (err.device, err.peak_bytes, err.capacity_bytes) \
-        == (exc.device, exc.peak_bytes, exc.capacity_bytes)
-    assert str(err) == str(exc)
-
-
-def assert_batch_equal(batch, plans, run, caps=None):
-    """Every lane against its scalar run and against the reference
-    interpreter — independent of the event core, which an uncontended
-    ``execute_plan`` shares with the batch; returns (n ok, n oom)."""
-    ok = oom = 0
-    for k, plan in enumerate(plans):
-        cap = caps[k] if caps is not None else None
-        try:
-            ref = execute_program_reference(plan.program, plan.costs, run,
-                                            capacity_bytes=cap)
-        except OutOfMemoryError as exc:
-            ref = exc
-        try:
-            want = execute_plan(plan, run, capacity_bytes=cap)
-        except OutOfMemoryError as exc:
-            oom += 1
-            assert batch.lane(k) is None
-            assert_same_oom(batch.errors[k], exc)
-            assert_same_oom(exc, ref)
-        else:
-            ok += 1
-            assert_lane_equal(batch, k, want)
-            assert_result_equal(want, ref)
-    return ok, oom
-
-
-def assert_same_deadlock(got, program, costs, run):
-    """``got`` (a raised SchedulingError) against the reference's
-    deadlock, whose message the event core extends by the wait cycle."""
-    with pytest.raises(SchedulingError, match="deadlock") as ref:
-        execute_program_reference(program, costs, run)
-    want = str(ref.value)
-    assert str(got) == want or str(got).startswith(want + "; wait cycle: ")
-
-
-def assert_alone_equal(plan, run, cap=None):
-    """``plan`` as a batch of one through ``execute_many``: one lockstep
-    batch at occupancy 1 and no fallback; its fold row is the scalar
-    fold, its view (or OOM) the scalar run's and the reference
-    interpreter's.  Returns (ok, oom)."""
-    from repro import profiling
-
-    stats = profiling.batching_stats()
-    before = (stats.batches, stats.occupancy.get(1, 0), stats.scalar_cells,
-              dict(stats.fallback_reasons))
-    out = execute_many([(plan, cap)], run)
-    assert (stats.batches, stats.occupancy.get(1, 0), stats.scalar_cells,
-            stats.fallback_reasons) == \
-        (before[0] + 1, before[1] + 1, before[2], before[3])
-    return assert_batch_equal(out, [plan], run, [cap])
-
-
-def contended(plans, run, caps=None):
-    """All lanes straight through the contention driver."""
-    return batched._execute_contended(
-        batched.lockstep_schedule(plans[0]), plans,
-        [batched.memory_trace(p) for p in plans],
-        caps or [None] * len(plans), run)
-
-
-@pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
-@pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
-class TestLanewiseParity:
-    def test_every_lane_bit_equals_scalar(self, param, prefetch):
-        scheme, kw = param
-        plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
-        run = RunConfig(prefetch=prefetch)
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
-
-    def test_batch_of_one_bit_equals_scalar(self, param, prefetch):
-        scheme, kw = param
-        run = RunConfig(prefetch=prefetch)
-        for plan in lanes_for(lowered(scheme, kw, prefetch=prefetch)):
-            assert assert_alone_equal(plan, run) == (1, 0)
-
-
-class TestCapacityParity:
-    """Mixed OOM/surviving lanes under capacity enforcement."""
-
-    def _annotated(self, scheme="dapple", kw={}):
-        stages = build_schedule(make_config(scheme, P, B, **kw)).num_stages
-        res = StageResources(weight_bytes=(100.0,) * stages,
-                             activation_bytes=(10.0,) * stages)
-        return lowered(scheme, kw, resources=res)
-
-    def _mixed(self, plans):
-        """Capacities that OOM some lanes and clear others."""
-        run = RunConfig()
-        peaks = [max(execute_plan(p, run).mem_peak.values())
-                 for p in plans]
-        caps = []
-        for k, peak in enumerate(peaks):
-            caps.append(int(peak) - 1 if k % 2 else int(peak) + 1)
-        return caps
-
-    def test_oom_lanes_match_scalar_error(self):
-        plans = lanes_for(self._annotated())
-        caps = self._mixed(plans)
-        run = RunConfig()
-        batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
-        ok, oom = assert_batch_equal(batch, plans, run, caps)
-        assert ok and oom  # the fixture really mixed verdicts
-
-    def test_uncapped_lanes_ride_along(self):
-        """``None`` capacity disarms enforcement for that lane only."""
-        plans = lanes_for(self._annotated())
-        caps = [None, 1, None, 1]  # lanes 1 and 3 cannot fit 1 byte
-        batch = execute_batch(PlanBatch.from_plans(plans, caps))
-        assert [e is not None for e in batch.errors] == \
-               [False, True, False, True]
-        assert assert_batch_equal(batch, plans, RunConfig(), caps) == (2, 2)
-
-    @pytest.mark.parametrize("scheme,kw", [("dapple", {}),
-                                           ("hanayo", {"num_waves": 2})],
-                             ids=["dapple", "hanayo-w2"])
-    def test_batch_of_one_under_capacity(self, scheme, kw):
-        """Static rejection, mid-run abort and a fit, one lane each."""
-        plans = lanes_for(self._annotated(scheme, kw))
-        run = RunConfig()
-        for plan in plans:
-            peak = int(max(execute_plan(plan, run).mem_peak.values()))
-            got = [assert_alone_equal(plan, run, cap)
-                   for cap in (1, peak - 1, peak + 1, None)]
-            assert got == [(0, 1), (0, 1), (1, 0), (1, 0)]
-
-class TestCollectiveParity:
-    """Gradient-sync rings compiled in (concrete clusters, d=2)."""
-
-    def _plans(self, factory):
-        cfg = PipelineConfig(scheme="hanayo", num_devices=P,
-                             num_microbatches=B, data_parallel=2)
-        sched = build_schedule(cfg)
-        plans = []
-        for size in (8, 16):
-            cluster = factory(size)
-            costs = stage_costs(tiny_model(num_layers=16),
-                                sched.num_stages, cluster.device, 2)
-            program = compile_cluster_program(sched, cluster, costs, d=2)
-            plans.append(ExecutablePlan.lower(program).retime(
-                ClusterCosts(costs, cluster)))
-        return plans
-
-    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
-                             ids=["FC", "TACC", "PC"])
-    def test_dp_collectives_bit_equal(self, factory):
-        plans = self._plans(factory)
-        run = RunConfig()
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for k, plan in enumerate(plans):
-            want = execute_plan(plan, run)
-            assert want.collectives  # the rings really are in the plan
-            assert reference_fold(want)[3] > 0  # the rings' sync_s
-            assert_lane_equal(batch, k, want)
-
-    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
-                             ids=["FC", "TACC", "PC"])
-    def test_dp_collectives_batch_of_one(self, factory):
-        for plan in self._plans(factory):
-            assert assert_alone_equal(plan, RunConfig()) == (1, 0)
-
-
-class TestRaggedBatches:
-    @pytest.mark.parametrize("n", [1, 5], ids=["N1", "N5"])
-    def test_ragged_width_parity(self, n):
-        plans = lanes_for(lowered("interleaved", {"num_waves": 2}), n=n)
-        run = RunConfig()
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert len(batch) == n
-        assert assert_batch_equal(batch, plans, run) == (n, 0)
 
 
 class TestColumnarResult:
@@ -311,7 +92,7 @@ class TestColumnarResult:
 
         plans = lanes_for(lowered("hanayo", {"num_waves": 2}))
         run = RunConfig(contention=contention)
-        want = [reference_fold(execute_plan(p, run)) for p in plans]
+        want = [fold_of(execute_plan(p, run)) for p in plans]
         with monkeypatch.context() as patched:
             patched.setattr(events, "_materialize", forbidden)
             batch = execute_batch(PlanBatch.from_plans(plans), run)
@@ -330,10 +111,9 @@ class TestExecuteMany:
                  (solo[0], None), (b[1], None)]
         run = RunConfig()
         out = execute_many(items, run)
-        assert len(out) == len(items)
         # the lone (gems) lane is a batch of one: same fold, same view
-        plans = [plan for plan, _ in items]
-        assert assert_batch_equal(out, plans, run) == (len(items), 0)
+        assert_lanes_agree(out, [execute_plan(plan, run)
+                                 for plan, _ in items])
 
     def test_contention_lanes_never_fall_back_scalar(self):
         """Wire-divergent contention lanes stay in-batch through the
@@ -350,7 +130,7 @@ class TestExecuteMany:
         assert "contention" not in stats.fallback_reasons
         assert stats.scalar_cells == before_scalar
         assert stats.recovered_lanes == before_rec + len(plans)
-        assert assert_batch_equal(out, plans, run) == (8, 0)
+        assert_lanes_agree(out, [execute_plan(p, run) for p in plans])
 
     def test_narrow_contention_groups_run_scalar(self):
         """Below ``MIN_CONTENTION_LANES`` the wire-exact vector passes
@@ -370,7 +150,7 @@ class TestExecuteMany:
             narrow + len(plans)
         assert (stats.batches, stats.recovered_lanes) == \
             (batches, recovered)
-        assert assert_batch_equal(out, plans, run) == (len(plans), 0)
+        assert_lanes_agree(out, [execute_plan(p, run) for p in plans])
         execute_many([(p, None) for p in plans[:2]], RunConfig())
         assert stats.batches == batches + 1
         assert stats.fallback_reasons.get("narrow", 0) == \
@@ -393,325 +173,7 @@ class TestExecuteMany:
         out = execute_many([(p, None) for p in lanes], run)
         assert stats.batches == batches + 1      # one lockstep batch,
         assert stats.scalar_cells == scalars     # no scalar lane
-        assert assert_batch_equal(out, lanes, run) == (2, 0)
-
-
-class TestContentionParity:
-    """``contention=True`` lanes stay in the batch, through the
-    contention driver, and remain bit-identical to the scalar
-    time-ordered driver."""
-
-    @pytest.mark.parametrize("prefetch", [True, False],
-                             ids=["pf", "nopf"])
-    @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
-    def test_lean_contention_bit_equals_scalar(self, param, prefetch):
-        scheme, kw = param
-        plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
-        run = RunConfig(prefetch=prefetch, contention=True)
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
-
-    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
-                             ids=["FC", "TACC", "PC"])
-    def test_contention_collectives_bit_equal_both_cores(self, factory):
-        """Arbitrated DP rings: lean lanes must match the scalar core
-        and (through it) the reference interpreter."""
-
-        cfg = PipelineConfig(scheme="hanayo", num_devices=P,
-                             num_microbatches=B, data_parallel=2)
-        sched = build_schedule(cfg)
-        cells = []
-        for size in (8, 16):
-            cluster = factory(size)
-            costs = stage_costs(tiny_model(num_layers=16),
-                                sched.num_stages, cluster.device, 2)
-            program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ClusterCosts(costs, cluster)
-            cells.append((program, oracle,
-                          ExecutablePlan.lower(program).retime(oracle)))
-        run = RunConfig(contention=True)
-        plans = [plan for _, _, plan in cells]
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for k, (program, oracle, plan) in enumerate(cells):
-            want = execute_plan(plan, run)
-            assert want.collectives  # the rings really are in the plan
-            assert_lane_equal(batch, k, want)
-            got = batch.lane(k)
-            ref = execute_program_reference(program, oracle, run)
-            assert got.timeline.spans == ref.timeline.spans
-            assert got.recv_wait == ref.recv_wait
-            assert got.collectives == ref.collectives
-            assert got.device_end == ref.device_end
-
-    def test_contention_lanes_actually_batch(self):
-        """The fig11/contention grids must not silently de-batch."""
-        from repro import profiling
-
-        stats = profiling.batching_stats()
-        plans = lanes_for(lowered("dapple", {}))
-        run = RunConfig(contention=True)
-        batches = stats.batches
-        out = execute_batch(PlanBatch.from_plans(plans), run)
-        assert stats.batches == batches + 1
-        assert all(err is None for err in out.errors)
-
-
-class TestContentionDriver:
-    """The contention driver: lanes whose wire grants leave structural
-    order, or disagree with each other, batch bit-identically to the
-    scalar time-ordered driver."""
-
-    @pytest.mark.parametrize("prefetch", [True, False],
-                             ids=["pf", "nopf"])
-    @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
-    def test_full_detail_contention_bit_equals_scalar(self, param,
-                                                      prefetch):
-        """Every lane straight through the driver: fold rows, and lane
-        views (the scalar core re-run) on all fields."""
-        scheme, kw = param
-        plans = lanes_for(lowered(scheme, kw, prefetch=prefetch))
-        run = RunConfig(prefetch=prefetch, contention=True)
-        batch = contended(plans, run)
-        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
-
-    @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
-                             ids=["FC", "TACC", "PC"])
-    def test_divergent_waves_recovered_both_cores(self, factory):
-        """hanayo-w2 on shared-link concrete clusters — the
-        known-divergent wave interleaving whose wire grants reorder
-        against structural order — stays in-batch (zero scalar
-        fallbacks) and matches both event cores."""
-        from repro import profiling
-
-        stats = profiling.batching_stats()
-        cfg = PipelineConfig(scheme="hanayo", num_devices=P,
-                             num_microbatches=B, num_waves=2,
-                             data_parallel=2)
-        sched = build_schedule(cfg)
-        cells = []
-        for size in (8, 16):
-            cluster = factory(size)
-            costs = stage_costs(tiny_model(num_layers=16),
-                                sched.num_stages, cluster.device, 2)
-            program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ClusterCosts(costs, cluster)
-            cells.append((program, oracle,
-                          ExecutablePlan.lower(program).retime(oracle)))
-        run = RunConfig(contention=True)
-        plans = [plan for _, _, plan in cells]
-        scalar_before = stats.scalar_cells
-        recovered_before = stats.recovered_lanes
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for k, (program, oracle, plan) in enumerate(cells):
-            assert_lane_equal(batch, k, execute_plan(plan, run))
-            got = batch.lane(k)
-            ref = execute_program_reference(program, oracle, run)
-            assert got.timeline.spans == ref.timeline.spans
-            assert got.recv_wait == ref.recv_wait
-            assert got.collectives == ref.collectives
-            assert got.device_end == ref.device_end
-        assert stats.scalar_cells == scalar_before  # no lane left
-        assert stats.recovered_lanes > recovered_before
-
-    def test_mixed_recovered_and_fallback_lanes(self):
-        """One execute_many with a recovered contention group and a
-        lone contention lane (a ``narrow`` group of width 1): outcomes
-        stay item-ordered and each path's accounting is attributed
-        correctly."""
-        from repro import profiling
-
-        stats = profiling.batching_stats()
-        group = lanes_for(lowered("hanayo", {"num_waves": 2}), n=8)
-        solo = lanes_for(lowered("gems", {}), n=1)
-        items = [(group[0], None), (solo[0], None)] + \
-            [(plan, None) for plan in group[1:]]
-        run = RunConfig(contention=True)
-        narrow_before = stats.fallback_reasons.get("narrow", 0)
-        recovered_before = stats.recovered_lanes
-        out = execute_many(items, run)
-        assert stats.fallback_reasons.get("narrow", 0) == narrow_before + 1
-        assert stats.recovered_lanes == recovered_before + len(group)
-        plans = [plan for plan, _ in items]
-        assert assert_batch_equal(out, plans, run) == (len(items), 0)
-
-    @pytest.mark.parametrize("path", ["batch", "direct"])
-    def test_mid_run_oom_under_contention(self, path):
-        """A lane that aborts mid-run under contention stays in the
-        driver, and its abort device/peak is the scalar pop order's —
-        whether it comes through ``execute_batch`` or directly."""
-        from repro import profiling
-
-        stats = profiling.batching_stats()
-        before = stats.scalar_cells
-        scheme, kw = "hanayo", {"num_waves": 2}
-        stages = build_schedule(make_config(scheme, P, B, **kw)) \
-            .num_stages
-        res = StageResources(weight_bytes=(100.0,) * stages,
-                             activation_bytes=(10.0,) * stages)
-        plans = lanes_for(lowered(scheme, kw, resources=res))
-        run = RunConfig(contention=True)
-        peaks = [max(execute_plan(p, RunConfig()).mem_peak.values())
-                 for p in plans]
-        # lane 0: statically rejected; lane 1: aborts mid-run; the
-        # rest clear (one uncapped, one just-fitting)
-        caps = [1, int(peaks[1]) - 1, None, int(peaks[3]) + 1]
-        if path == "batch":
-            batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
-        else:
-            batch = contended(plans, run, caps)
-        assert assert_batch_equal(batch, plans, run, caps) == (2, 2)
-        assert stats.scalar_cells == before
-
-class TestContentionDriverEdges:
-    """Inputs chosen to hit the driver's tie and fallback rules."""
-
-    @pytest.mark.parametrize("prefetch", [True, False], ids=["pf", "nopf"])
-    @pytest.mark.parametrize("param", ALL_SCHEMES, ids=scheme_id)
-    def test_seeded_costs_with_ties_bit_equal_scalar(self, param, prefetch):
-        """Eight lanes of seeded costs, every other one on round
-        numbers so grants tie across devices: each fold row equals the
-        scalar time-ordered driver's."""
-        import random
-
-        scheme, kw = param
-        base = lowered(scheme, kw, prefetch=prefetch)
-        stages = base.program.num_stages
-        rng = random.Random(sum(map(ord, scheme)) * 2 + int(prefetch))
-        plans = []
-        for k in range(8):
-            if k % 2:
-                cfg = CostConfig(t_f=rng.uniform(0.5, 2.0),
-                                 t_b=rng.uniform(1.0, 3.0),
-                                 t_c=rng.uniform(0.05, 1.5))
-            else:
-                cfg = CostConfig(t_f=1.0, t_b=rng.choice([1.0, 2.0]),
-                                 t_c=rng.choice([0.25, 0.5, 1.0]))
-            plans.append(base.retime(AbstractCosts(cfg, P, stages)))
-        run = RunConfig(prefetch=prefetch, contention=True)
-        batch = contended(plans, run)
-        for k, plan in enumerate(plans):
-            assert batch.fold.row(k) == reference_fold(
-                execute_plan(plan, run))
-
-    def test_zero_time_transfers_run_scalar(self):
-        """A lane whose transfers partly take zero time while others
-        contend for wires leaves the driver (reason ``zero-time``); the
-        other lanes stay batched, and every outcome is the scalar one."""
-        from repro import profiling
-
-        class HalfFree(AbstractCosts):
-            def transfer_time(self, src, dst, stage):
-                if stage % 2:
-                    return 0.0
-                return super().transfer_time(src, dst, stage)
-
-        base = lowered("hanayo", {"num_waves": 2})
-        stages = base.program.num_stages
-        plans = lanes_for(base)
-        plans[1] = base.retime(HalfFree(LANE_COSTS[1], P, stages))
-        stats = profiling.batching_stats()
-        before = stats.fallback_reasons.get("zero-time", 0)
-        run = RunConfig(contention=True)
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert stats.fallback_reasons.get("zero-time", 0) == before + 1
-        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
-
-
-class TestCongruentGroups:
-    """Lanes of *different programs* with equal congruence keys batch
-    as one group with per-lane structural state (recompute on/off)."""
-
-    def _recompute_pair(self):
-        cfg = make_config("dapple", P, B)
-        stages = build_schedule(cfg).num_stages
-        res = StageResources(weight_bytes=(100.0,) * stages,
-                             activation_bytes=(10.0,) * stages)
-        plain = lowered("dapple", {}, resources=res)
-        rec_prog = plain.program.with_resources(
-            plain.program.resources.with_recompute_from(0))
-        return plain, ExecutablePlan.lower(rec_prog)
-
-    def test_recompute_toggle_lanes_batch_and_match(self):
-        plain, rec = self._recompute_pair()
-        assert plain.congruence_key == rec.congruence_key
-        stages = plain.program.num_stages
-        plans = [plain.retime(AbstractCosts(LANE_COSTS[0], P, stages)),
-                 rec.retime(AbstractCosts(LANE_COSTS[1], P, stages)),
-                 plain.retime(AbstractCosts(LANE_COSTS[2], P, stages)),
-                 rec.retime(AbstractCosts(LANE_COSTS[3], P, stages))]
-        run = RunConfig()
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        assert assert_batch_equal(batch, plans, run) == (len(plans), 0)
-
-    def test_congruent_mem_verdicts_are_per_lane(self):
-        """Capacity verdicts must come from each lane's *own* memory
-        trace — the recompute lane's watermarks differ from the head's."""
-        plain, rec = self._recompute_pair()
-        stages = plain.program.num_stages
-        plans = [plain.retime(AbstractCosts(LANE_COSTS[0], P, stages)),
-                 rec.retime(AbstractCosts(LANE_COSTS[1], P, stages))]
-        run = RunConfig()
-        peaks = [max(execute_plan(p, run).mem_peak.values())
-                 for p in plans]
-        caps = [int(peaks[0]) + 1, int(peaks[1]) - 1]
-        batch = execute_batch(PlanBatch.from_plans(plans, caps), run)
-        assert batch.errors[0] is None
-        assert isinstance(batch.errors[1], OutOfMemoryError)
-        with pytest.raises(OutOfMemoryError) as exc_info:
-            execute_plan(plans[1], run, capacity_bytes=caps[1])
-        assert str(batch.errors[1]) == str(exc_info.value)
-        assert_lane_equal(batch, 0, execute_plan(plans[0], run,
-                                                 capacity_bytes=caps[0]))
-
-
-class TestHybridTPParity:
-    """Hybrid TP∈{2,4} × DP∈{1,2} lanes through the batched stepper,
-    pinned against both event cores."""
-
-    @pytest.mark.parametrize("tp", [2, 4], ids=["tp2", "tp4"])
-    @pytest.mark.parametrize("d", [1, 2], ids=["dp1", "dp2"])
-    def test_hybrid_lanes_bit_equal_both_cores(self, tp, d):
-        from repro.analysis import (
-            HybridLayout,
-            build_hybrid_simulation,
-            plan_cache,
-        )
-
-        plan_cache().clear()
-        layout = HybridLayout(tp=tp, p=2, d=d)
-        run = RunConfig()
-        cells = [
-            build_hybrid_simulation("dapple", make_fc(size),
-                                    tiny_model(num_layers=16), layout,
-                                    B, run=run)
-            for size in (layout.devices, 2 * layout.devices)
-        ]
-        plans = [cell.plan for cell in cells]
-        # cost-only lanes share the compiled structure...
-        assert plans[0].program is plans[1].program
-        batch = execute_batch(PlanBatch.from_plans(plans), run)
-        for k, cell in enumerate(cells):
-            want = execute_plan(cell.plan, run)
-            assert want.collectives  # TP boundary all-reduces compiled in
-            assert_lane_equal(batch, k, want)
-            got = batch.lane(k)
-            ref = execute_program_reference(cell.program, cell.oracle,
-                                            run)
-            assert got.timeline.spans == ref.timeline.spans
-            assert got.recv_wait == ref.recv_wait
-            assert got.collectives == ref.collectives
-            assert got.device_end == ref.device_end
-
-    @pytest.mark.parametrize("d", [1, 2], ids=["dp1", "dp2"])
-    def test_hybrid_batch_of_one(self, d):
-        from repro.analysis import HybridLayout, build_hybrid_simulation
-
-        layout = HybridLayout(tp=2, p=2, d=d)
-        run = RunConfig()
-        cell = build_hybrid_simulation("dapple", make_fc(layout.devices),
-                                       tiny_model(num_layers=16), layout,
-                                       B, run=run)
-        assert assert_alone_equal(cell.plan, run) == (1, 0)
+        assert_lanes_agree(out, [execute_plan(p, run) for p in lanes])
 
 
 class TestFallbackReasons:
@@ -846,7 +308,7 @@ class TestContentionGrids:
         wants = [execute_plan(plan, run) for plan in plans]
         for k, want in enumerate(wants):
             assert out.errors[k] is None
-            assert out.fold.row(k) == reference_fold(want)
+            assert out.fold.row(k) == fold_of(want)
         return delta, wants
 
     def test_grant_stable_grid_stays_one_batch(self):
@@ -910,8 +372,8 @@ class TestFromPlansValidation:
     def test_structure_mismatch_rejected(self):
         a = lanes_for(lowered("gpipe", {}), n=1)[0]
         b = lanes_for(lowered("dapple", {}), n=1)[0]
-        with pytest.raises(SchedulingError,
-                           match="congruence_key mismatch"):
+        with pytest.raises(SchedulingError, match=f"{b.name} does not share "
+                           f"{a.name}'s .*congruence_key mismatch"):
             PlanBatch.from_plans([a, b])
 
     def test_capacity_arity_rejected(self):
@@ -1006,8 +468,9 @@ class TestStructuralVerdicts:
             with pytest.raises(SchedulingError, match="deadlock") as many:
                 execute_many([(p, None) for p in plans], run)
             assert str(many.value) == str(scalar.value)
-            assert_same_deadlock(scalar.value, plan.program, plans[0].costs,
-                                 run)
+            with pytest.raises(SchedulingError, match="deadlock") as ref:
+                execute_program_reference(plan.program, plans[0].costs, run)
+            assert str(scalar.value).startswith(f"{ref.value}; wait cycle: ")
             texts.append(str(scalar.value))
         assert texts[0] == texts[1]
         assert "wait cycle" in texts[0]
@@ -1029,15 +492,14 @@ class TestStructuralVerdicts:
             program, deps={**program.deps, key: forged}))
         plans = lanes_for(bad, n=2)
         kind, mb, st = key
+        on = rf"{kind.value}\(m{mb},s{st}\) on d{program.ops[key].device} "
         with pytest.raises(SchedulingError,
-                           match=rf"{kind.value}\(m{mb},s{st}\) on d\d+ "
-                                 "has a local dependency on"):
+                           match=on + "has a local dependency on"):
             execute_plan(plans[0], RunConfig())
-        with pytest.raises(SchedulingError, match="local dependency"):
+        with pytest.raises(SchedulingError, match=on + "has a local"):
             execute_batch(PlanBatch.from_plans(plans), RunConfig())
         with pytest.raises(SchedulingError,
-                           match=rf"{kind.value}\(m{mb},s{st}\) on d\d+ "
-                                 "has a local dependency on"):
+                           match=on + "has a local dependency on"):
             execute_plan(plans[0], RunConfig(contention=True))
 
 
@@ -1082,7 +544,7 @@ class TestOneStructurePerClass:
         run = RunConfig()
         out = execute_many([(p, None) for p in plans], run)
         assert len(builds) == 1
-        assert assert_batch_equal(out, plans, run) == (4, 0)
+        assert_lanes_agree(out, [execute_plan(p, run) for p in plans])
         assert len(builds) == 1
         # the traces are the programs' own: four distinct peaks
         assert len({tuple(batched.memory_trace(p).mem_peak)
@@ -1110,7 +572,14 @@ class TestOneStructurePerClass:
     def test_collective_kind_enters_the_key(self):
         import dataclasses
 
-        plan = TestCollectiveParity()._plans(make_tacc)[0]
+        sched = build_schedule(PipelineConfig(
+            scheme="hanayo", num_devices=P, num_microbatches=B,
+            data_parallel=2))
+        cluster = make_tacc(8)
+        costs = stage_costs(tiny_model(num_layers=16), sched.num_stages,
+                            cluster.device, 2)
+        plan = ExecutablePlan.lower(compile_cluster_program(
+            sched, cluster, costs, d=2)).retime(ClusterCosts(costs, cluster))
         flipped = dataclasses.replace(
             plan,
             coll_ops=type(plan.coll_ops)(

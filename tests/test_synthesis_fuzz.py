@@ -5,11 +5,10 @@ operators (plus adversarial random transpositions) to the program's own
 ordering and, for each candidate:
 
 * **legal** (no violations) — the rebuilt program must replay to
-  completion on BOTH event cores with bit-identical results across all
-  eight ``EventResult`` fields (spans, recv_wait, comm, order,
-  mem_peak, mem_events, collectives, device_end);
+  completion, capacity armed (that the replay is right is the executor
+  oracle's job: ``tests/test_executor_oracle.py``);
 * **deadlock-classified** (``dep-inversion`` / ``cross-device-cycle``)
-  — both cores must raise :class:`SchedulingError`, never hang;
+  — the replay must raise :class:`SchedulingError`, never hang;
 * **capacity-classified** (no deadlock kinds) — the capacity-armed
   replay must raise :class:`OutOfMemoryError`;
 * **semantic-only** (``collective-order``) — the replay still completes
@@ -38,7 +37,6 @@ graph and score ``==`` the full check's.
 
 from __future__ import annotations
 
-import os
 from random import Random
 
 import pytest
@@ -64,34 +62,11 @@ from repro.actions.reorder import reorder_program
 from repro.actions.ops import CollectiveOp
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
-from support.events_ref import execute_program_reference
+from support.oracle import N, random_transposition
 
-N = int(os.environ.get("REPRO_SYNTH_FUZZ_N", "30"))
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
 #: durations no binary fraction represents: scores must still be ``==``
 INEXACT = CostConfig(t_f=1.1, t_b=2.3, t_c=0.37)
-
-
-def assert_bit_identical(new, ref):
-    assert new.timeline.spans == ref.timeline.spans
-    assert new.recv_wait == ref.recv_wait
-    assert new.comm == ref.comm
-    assert new.order == ref.order
-    assert new.mem_peak == ref.mem_peak
-    assert new.mem_events == ref.mem_events
-    assert new.collectives == ref.collectives
-    assert new.device_end == ref.device_end
-
-
-def random_transposition(rng: Random,
-                         ordering: ScheduleOrdering) -> ScheduleOrdering:
-    """Swap two random slots of a random device — usually illegal."""
-    device = ordering.devices[rng.randrange(len(ordering.devices))]
-    entries = list(ordering.entries(device))
-    i = rng.randrange(len(entries))
-    j = rng.randrange(len(entries))
-    entries[i], entries[j] = entries[j], entries[i]
-    return ordering.replace_entries(device, entries)
 
 
 def assert_replay_scores(replay, order, rebuilt, oracle, lower_bound):
@@ -146,7 +121,7 @@ def check_both(checker, replay, candidate, walk):
 
 
 def run_walk(schedule, program, oracle, seed, steps, run=None,
-             capacity_bytes=None, contention_every=5, frontier=None):
+             capacity_bytes=None, frontier=None):
     """The shared fuzz loop; returns counts of legal, deadlocked, OOM,
     semantic-only and frontier-moving candidates."""
     run = run or RunConfig()
@@ -194,23 +169,10 @@ def run_walk(schedule, program, oracle, seed, steps, run=None,
             with pytest.raises(expected):
                 execute_program(rebuilt, oracle, run,
                                 capacity_bytes=capacity_bytes)
-            with pytest.raises(expected):
-                execute_program_reference(rebuilt, oracle, run,
-                                          capacity_bytes=capacity_bytes)
             continue
-        # legal or semantic-only: must replay to completion on both
-        # cores, bit-identically
-        if contention_every and counts["legal"] % contention_every == 0:
-            active = RunConfig(prefetch=run.prefetch,
-                               batch_cross_comm=run.batch_cross_comm,
-                               contention=True)
-        else:
-            active = run
-        new = execute_program(rebuilt, oracle, active,
-                              capacity_bytes=capacity_bytes)
-        ref = execute_program_reference(rebuilt, oracle, active,
-                                        capacity_bytes=capacity_bytes)
-        assert_bit_identical(new, ref)
+        # legal or semantic-only: must replay to completion
+        execute_program(rebuilt, oracle, run,
+                        capacity_bytes=capacity_bytes)
         assert_replay_scores(replay, order, rebuilt, oracle, lower_bound)
         if kinds:
             assert kinds <= {"collective-order"}
@@ -328,7 +290,7 @@ class TestFuzzWithCollectives:
 
 
 def test_total_budget_note():
-    """The default budget keeps the issue's floor: ≥200 mutated
+    """The default budget keeps a floor of ≥200 mutated
     schedules across the family matrix (9 families x 2 prefetch modes
     x N/2 plus the capacity and collective walks)."""
     assert 9 * 2 * max(N // 2, 5) + 3 * N + N >= 200
