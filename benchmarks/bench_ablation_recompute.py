@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from repro.actions import StageResources
 from repro.analysis import format_table
-from repro.cluster import CommModel, make_tacc
+from repro.cluster import make_tacc
 from repro.config import PipelineConfig
 from repro.models import bert_64, stage_costs
-from repro.runtime import ConcreteCosts, simulate
+from repro.runtime import ClusterCosts, simulate
 from repro.schedules import build_schedule
 
 from _helpers import gap, write_result
@@ -39,7 +39,7 @@ def run(scheme: str, w: int, recompute: bool):
         stage_costs(bert_64(), sched.num_stages, cluster.device, MB))
     if recompute:
         resources = resources.with_recompute()
-    res = simulate(sched, ConcreteCosts(costs, CommModel.from_cluster(cluster)),
+    res = simulate(sched, ClusterCosts(costs, cluster),
                    resources=resources)
     mem = res.memory
     seq_per_s = B * MB / res.makespan

@@ -11,7 +11,6 @@ the library's default and the per-figure calibration note.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.cluster import CommModel
 from repro.config import PipelineConfig
 from repro.models import A100_40G, bert_64, stage_costs
 from repro.runtime import ConcreteCosts, bubble_stats, simulate
@@ -27,7 +26,7 @@ def bubble(scheme: str, w: int, balanced: bool) -> float:
     sched = build_schedule(cfg)
     costs = stage_costs(bert_64(), sched.num_stages, A100_40G,
                         balanced=balanced)
-    res = simulate(sched, ConcreteCosts(costs, CommModel.uniform(0.0)))
+    res = simulate(sched, ConcreteCosts(costs))
     return bubble_stats(res.timeline).bubble_ratio
 
 

@@ -20,9 +20,9 @@ parallel arrays —
   cell, pre-resolved compute costs, and the alloc/free **resource
   deltas** each compute applies;
 * a send table with interned transfer slots (the old ``(device, tag)``
-  dict keys) and each send's distinct ``(src, dst, stage)`` edge, from
-  which its transfer seconds, link latency and interned wire id (the
-  old ``frozenset`` keys of the contention model) are fanned out;
+  dict keys) and each send's distinct ``(src, dst)`` edge, from which
+  its transfer seconds, link latency and interned wire id (the old
+  ``frozenset`` keys of the contention model) are fanned out;
 * batched-exchange and collective tables mirroring the grouped
   semantics (exchange ids replace the waiver's tag ``frozenset``,
   per-collective ring-step times and NIC/wire ids are precomputed).
@@ -42,12 +42,12 @@ seconds*, see :mod:`repro.analysis.plans`):
   independently lowered one are interchangeable iff their keys are
   equal (the safety property the plan-cache tests pin across models,
   clusters and capacities);
-* the **cost binding** (:meth:`ExecutablePlan.retime`) resolves cost
-  oracles (:class:`~repro.runtime.costs.CostOracle`) into flat cost
-  arrays, per distinct stage, edge and ring, not per compute or send,
-  for all lanes of a size binding in one call.  Cost-only sweep axes (a
-  different cluster timing the same program) re-bind a cached plan
-  instead of recompiling the schedule.
+* the **cost binding** (:meth:`ExecutablePlan.retime`) gathers cost
+  oracles' tables (:class:`~repro.runtime.costs.CostOracle`) into flat
+  cost arrays — stage tables per compute, one link per distinct edge,
+  one ring step per distinct ring — for all lanes of a size binding in
+  one call.  Cost-only sweep axes (a different cluster timing the same
+  program) re-bind a cached plan instead of recompiling the schedule.
 
 The plan also **decodes back**: :meth:`ExecutablePlan.decode_actions`
 rebuilds the action objects from the arrays alone, and the round-trip
@@ -63,7 +63,7 @@ import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from ..errors import SchedulingError, ValidationError
+from ..errors import ConfigError, SchedulingError, ValidationError
 from ..types import OpKind, ScheduleOp
 from .collectives import ring_pairs, ring_step_count
 from .ops import (
@@ -131,8 +131,6 @@ class ExecutablePlan:
     #: ``2 * stage + (0 forward | 1 backward)``: the compute's cell of
     #: the interleaved per-stage duration tables
     comp_cell: list[int]
-    #: stages the computes span (``1 + max stage``)
-    n_stages: int
     #: CSR dependency edges, preserving the program's dep order
     dep_ptr: list[int]
     dep_remote: list[int]      # 1 = remote (dep_idx is a slot), 0 = local
@@ -149,8 +147,8 @@ class ExecutablePlan:
     send_slot: list[int]
     send_edge: list[int]       # index into ``edges``
     send_nbytes: list[float]
-    #: distinct ``(src, dst, stage)`` send links, in first-send order
-    edges: tuple[tuple[int, int, int], ...]
+    #: distinct ``(src, dst)`` send links, in first-send order
+    edges: tuple[tuple[int, int], ...]
 
     # -- transfer slots: interned (dst device index, tag) pairs -----------
     n_slots: int
@@ -263,20 +261,16 @@ class ExecutablePlan:
         clusters.
 
         Every duration is bound here, so no execution of the plan ever
-        consults the oracle.  An oracle whose durations depend only on
-        the op's stage and pass hands over per-stage tables
-        (:meth:`~repro.runtime.costs.CostOracle.stage_durations`) and
-        the duration column is one gather over them; any other oracle —
-        or tables too short for the plan's stages — is asked
-        ``duration(op)`` per compute.  A program sends along few
-        distinct ``(src, dst, stage)`` edges but many times per edge,
-        and its collectives over few distinct rings, so transfers and
-        latencies are asked once per edge, ring steps once per distinct
-        ``(ring pairs, chunk)``, wires once per rank map, and gathered.
+        consults the oracle, and each is a gather over the oracle's
+        tables (:mod:`repro.runtime.costs`): the duration column over
+        its per-stage tables (a stage past their end raises
+        :class:`~repro.errors.ConfigError`), transfers and latencies
+        over one :meth:`~repro.runtime.costs.CostOracle.link` per
+        distinct ``(src, dst)`` edge (a self edge is ``(0, 0)``), ring
+        steps over one answer per distinct ``(ring pairs, chunk)``, and
+        wires over one interning per rank map.
         """
         one = hasattr(costs, "global_rank")  # an oracle, not a sequence
-        devices = self.devices
-        links = [(devices[s], devices[d], st) for s, d, st in self.edges]
         comp_of = _gather(self.comp_cell)
         send_of = _gather(self.send_edge)
         # inactive collectives take the trailing 0.0 cell
@@ -287,31 +281,38 @@ class ExecutablePlan:
                                             self.coll_active)])
         bound, wires = [], {}
         for oracle in [costs] if one else costs:
-            granks = tuple(map(oracle.global_rank, devices))
+            granks = tuple(map(oracle.global_rank, self.devices))
             if granks not in wires:
                 wires[granks] = self._wires(granks)
-            tables = oracle.stage_durations()
-            cells = [] if tables is None else \
-                [t for pair in zip(*tables) for t in pair]
-            if len(cells) >= 2 * self.n_stages:
+            cells = [t for pair in zip(*oracle.stage_durations())
+                     for t in pair]
+            try:
                 comp_cost = comp_of(cells)
-            else:
-                comp_cost = [oracle.duration(op) for op in self.comp_ops]
+            except IndexError:
+                raise self._outside(len(cells) // 2) from None
+            links = [(0.0, 0.0) if a == b else oracle.link(a, b)
+                     for a, b in ((granks[s], granks[d])
+                                  for s, d in self.edges)]
             steps = [max(oracle.collective_link_time(a, b, chunk)
                          for a, b in pairs) for pairs, chunk in rings]
             bound.append(dataclasses.replace(
                 self,
                 costs=oracle,
                 comp_cost=comp_cost,
-                send_time=send_of([oracle.transfer_time(*link)
-                                   for link in links]),
-                send_lat=send_of([oracle.link_latency(s, d)
-                                  for s, d, _ in links]),
+                send_time=send_of([t for t, _ in links]),
+                send_lat=send_of([lat for _, lat in links]),
                 coll_step_time=ring_of(steps + [0.0]),
                 global_ranks=granks,
                 **wires[granks],
             ))
         return bound[0] if one else bound
+
+    def _outside(self, stages: int) -> ConfigError:
+        """The error of a cost table of ``stages`` stages too short for
+        this plan, naming its first compute past the end."""
+        op = next(op for op in self.comp_ops if op.stage >= stages)
+        return ConfigError(
+            f"op stage {op.stage} outside cost table of {stages}")
 
     def _wires(self, granks: tuple[int, ...]) -> dict:
         """The wire columns under the rank map ``granks``, interned in
@@ -322,7 +323,7 @@ class ExecutablePlan:
             return wire_ids.setdefault(frozenset((a, b)), len(wire_ids))
 
         send_wire = _gather(self.send_edge)(
-            [wire(granks[s], granks[d]) for s, d, _ in self.edges])
+            [wire(granks[s], granks[d]) for s, d in self.edges])
         coll_wires = tuple(tuple(wire(a, b) for a, b in ring)
                            for ring in self.coll_pairs)
         return dict(send_wire=send_wire, coll_wires=coll_wires,
@@ -509,13 +510,18 @@ def _size_columns(program: Program, colls, shape) -> dict:
                    for act, pairs in zip(colls, shape["coll_pairs"])]
     # a forward pins its stage's activation at start, a backward frees
     # it at end: interleaved per-stage tables, gathered by comp_cell
-    act = (program.resources.activation_bytes if program.tracks_memory
-           else (0.0,) * shape["n_stages"])
+    if program.tracks_memory:
+        act = program.resources.activation_bytes
+        by_cell = _gather(shape["comp_cell"])
+        comp_alloc = by_cell([v for a in act for v in (a, 0.0)])
+        comp_free = by_cell([v for a in act for v in (0.0, a)])
+    else:
+        comp_alloc = [0.0] * len(shape["comp_cell"])
+        comp_free = comp_alloc[:]
     nbytes = program.tensor_bytes
-    by_cell = _gather(shape["comp_cell"])
     return dict(
-        comp_alloc=by_cell([v for a in act for v in (a, 0.0)]),
-        comp_free=by_cell([v for a in act for v in (0.0, a)]),
+        comp_alloc=comp_alloc,
+        comp_free=comp_free,
         send_nbytes=_gather(shape["send_tag"])(
             [nbytes.get(tag, 0.0) for tag in shape["tags"]]),
         coll_ops=tuple(colls),
@@ -588,7 +594,7 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
     send_stage: list[int] = []
     send_slot: list[int] = []
     send_edge: list[int] = []
-    edge_ids: dict[tuple[int, int, int], int] = {}
+    edge_ids: dict[tuple[int, int], int] = {}
 
     def intern_send(di: int, send: Send) -> int:
         sid = len(send_src)
@@ -603,8 +609,7 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         send_tag.append(tid)
         send_stage.append(stage)
         send_slot.append(intern_slot(dst, tid))
-        send_edge.append(edge_ids.setdefault((di, dst, stage),
-                                             len(edge_ids)))
+        send_edge.append(edge_ids.setdefault((di, dst), len(edge_ids)))
         return sid
 
     recv_peer: list[int] = []
@@ -702,7 +707,6 @@ def _lower_shape(program: Program) -> tuple[dict, list[CollectiveOp]]:
         comp_keys=tuple(comp_keys),
         comp_device=comp_device,
         comp_cell=comp_cell,
-        n_stages=max(comp_cell, default=-2) // 2 + 1,
         dep_ptr=dep_ptr,
         dep_remote=dep_remote,
         dep_idx=dep_idx,

@@ -29,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "split_batch",
     ),
     "throughput": (
-        "ANALYTIC_DP_OVERLAP", "ClusterCosts", "HybridCell", "HybridLayout",
+        "ANALYTIC_DP_OVERLAP", "HybridCell", "HybridLayout",
         "HybridRequest", "ThroughputRequest", "apply_tensor_parallel",
         "build_hybrid_simulation",
         "compile_cluster_program", "dp_allreduce_seconds", "dp_rank_groups",

@@ -104,7 +104,7 @@ class PlanEntry:
         ``oracle_factories[j]`` builds ``keys[j]``'s oracle only on a
         miss; a key must capture every input its oracle's answers
         depend on (the measurement layer uses ``(cluster, stage costs,
-        TP)`` — see :class:`repro.analysis.throughput.ClusterCosts`).
+        TP)`` — see :class:`repro.runtime.costs.ClusterCosts`).
         Deterministic oracles make the reuse exact: binding the same
         structure under an equal oracle yields identical columns.
         """

@@ -37,7 +37,6 @@ from ..actions.lowering import ExecutablePlan
 from ..actions.program import Program, compile_program
 from ..actions.resources import StageResources
 from .. import profiling
-from ..cluster.comm_model import CommModel
 from ..cluster.presets import Cluster
 from ..cluster.topology import ring_transfer_chain
 from ..config import PipelineConfig, RunConfig
@@ -45,7 +44,7 @@ from ..errors import ConfigError, OutOfMemoryError
 from ..models.costs import StageCosts, stage_costs
 from ..models.spec import ModelSpec
 from ..runtime.batched import execute_many
-from ..runtime.costs import ConcreteCosts
+from ..runtime.costs import ClusterCosts
 from ..runtime.memory import static_memory
 from ..runtime.metrics import LaneFold
 from ..schedules.base import Schedule
@@ -257,42 +256,6 @@ def apply_tensor_parallel(
         weight_bytes=tuple(w / tp for w in costs.weight_bytes),
         activation_bytes=tuple(a / tp for a in costs.activation_bytes),
     )
-
-
-class ClusterCosts(ConcreteCosts):
-    """Cost oracle of one pipeline placed on a cluster.
-
-    Pipeline peers sit ``tp`` ranks apart in the cluster topology
-    (rank = tp_rank + tp * pp_rank), so both pipeline transfers and the
-    program-local → global rank mapping space by the TP degree — which
-    is what routes DP/TP collective rings and link contention onto the
-    *physical* ranks.  ``tp = 1`` is the flat layout: pipeline 0 on
-    ranks ``0..P-1``.
-    """
-
-    def __init__(self, stage_costs: StageCosts, cluster: Cluster,
-                 tp: int = 1) -> None:
-        super().__init__(stage_costs,
-                         CommModel(topology=cluster.topology))
-        self._tp = tp
-
-    def global_rank(self, device: int) -> int:
-        return device * self._tp
-
-    def transfer_time(self, src: int, dst: int, stage: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.comm.topology.transfer_time(
-            self.global_rank(src), self.global_rank(dst),
-            self.stage_costs.boundary_bytes,
-        )
-
-    def link_latency(self, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.comm.topology.effective_link(
-            self.global_rank(src), self.global_rank(dst)
-        ).latency
 
 
 def compile_cluster_program(
@@ -614,7 +577,7 @@ class HybridCell:
     schedule: Schedule
     costs: StageCosts
     program: Program
-    oracle: ConcreteCosts
+    oracle: ClusterCosts
     plan: ExecutablePlan
 
 

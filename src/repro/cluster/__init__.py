@@ -1,6 +1,5 @@
-"""Cluster topologies, presets, and the communication cost model."""
+"""Cluster topologies and presets."""
 
-from .comm_model import CommModel, Transfer
 from .presets import (
     Cluster,
     all_clusters,
@@ -28,10 +27,8 @@ __all__ = [
     "NVLINK3",
     "PCIE4",
     "Cluster",
-    "CommModel",
     "LinkClass",
     "Topology",
-    "Transfer",
     "all_clusters",
     "get_cluster",
     "make_fc",

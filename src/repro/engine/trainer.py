@@ -43,11 +43,6 @@ class StepResult:
     grads: dict[str, np.ndarray]
     messages_sent: int
 
-    def grad_norm(self) -> float:
-        return float(np.sqrt(sum(
-            float((g**2).sum()) for g in self.grads.values()
-        )))
-
 
 class PipelineTrainer:
     """Owns the model chunks, the network, and the worker programs."""

@@ -103,11 +103,6 @@ class ModelSpec:
     def flops_per_seq_forward(self) -> float:
         return self.seq_len * sum(l.flops_per_token() for l in self.layers)
 
-    def activation_bytes_per_seq(self) -> float:
-        return self.seq_len * sum(
-            l.activation_bytes_per_token(self.bytes_per_el) for l in self.layers
-        )
-
     def boundary_bytes(self, microbatch_size: int) -> float:
         """Bytes of one activation tensor crossing a stage boundary."""
         return microbatch_size * self.seq_len * self.hidden * self.bytes_per_el

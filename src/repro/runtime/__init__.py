@@ -4,7 +4,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "batched": ("BatchResult", "PlanBatch", "execute_batch", "execute_many"),
-    "costs": ("AbstractCosts", "ConcreteCosts", "CostOracle"),
+    "costs": (
+        "AbstractCosts", "ClusterCosts", "ConcreteCosts", "CostOracle",
+    ),
     "events": (
         "CollectiveEvent", "CommEvent", "EventResult", "MemoryEvent",
         "execute_plan", "execute_program",
@@ -15,7 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "metrics": (
         "BubbleStats", "bubble_stats", "compute_time_lower_bound", "kind_time",
-        "steady_state_bubble_ratio", "throughput_seq_per_s",
+        "steady_state_bubble_ratio",
     ),
     "simulator": (
         "SimResult", "TrainingSimResult", "sim_result_from_events", "simulate",

@@ -501,7 +501,9 @@ class _Columns:
     CS: np.ndarray | list  # compute start / end, [computes, N]
     CE: np.ndarray | list
     clock: object         # per-device end clocks, [devices, N]
-    recv_wait: object     # [devices, N]
+    #: [devices, N]; ``None`` from the contention driver, whose lane
+    #: views re-execute (:meth:`lane` serves uncontended passes only)
+    recv_wait: object
     TS: object            # transfer start / end per slot, [slots, N]
     TE: object
     #: ``(lid, di, post, start, end, ring steps)`` of every collective
@@ -684,7 +686,6 @@ def _execute_contended(ls: LockstepSchedule, plans, traces, caps,
     # -- group-global timing state, [*, N] -------------------------------
     CLK = np.zeros((num_devices, n))
     CF = np.zeros((num_devices, n))     # per-device NIC cursors
-    RW = np.zeros((num_devices, n))
     TS = np.zeros((head.n_slots, n))
     TE = np.zeros((head.n_slots, n))
     CS = np.zeros((head.n_computes, n))
@@ -707,17 +708,9 @@ def _execute_contended(ls: LockstepSchedule, plans, traces, caps,
     def compute(a, di, rs, X):
         ready = CLK[di, X]
         if rs:
-            r = rs[0]
-            arrival = TE[r, X]
-            in_flight = arrival - TS[r, X]
+            arrival = TE[rs[0], X]
             for r in rs[1:]:
-                te = TE[r, X]
-                arrival = maximum(arrival, te)
-                in_flight = in_flight + (te - TS[r, X])
-            # the lockstep formula (see events.replay): the scalar
-            # stall-vs-in-flight select in one ufunc, exact
-            RW[di, X] = RW[di, X] + maximum(
-                minimum(arrival - ready, in_flight), 0.0)
+                arrival = maximum(arrival, TE[r, X])
             start = maximum(ready, arrival)
         else:
             start = ready
@@ -731,7 +724,6 @@ def _execute_contended(ls: LockstepSchedule, plans, traces, caps,
         duration = TE[slot, X] - s
         cl = CLK[di, X]
         CLK[di, X] = where(cl >= s, cl, s) + duration
-        RW[di, X] = RW[di, X] + duration
 
     def transfer(sid, post, X, exch):
         """Post send ``sid`` at ``post``: the scalar wire arbitration,
@@ -1014,7 +1006,7 @@ def _execute_contended(ls: LockstepSchedule, plans, traces, caps,
     # every lane that ran ran every collective, so the records are
     # complete whenever any fold row will be read
     cols = _Columns(
-        ls, plans, traces, CS, CE, CLK, RW, TS, TE,
+        ls, plans, traces, CS, CE, CLK, None, TS, TE,
         [(ev[1], *coll_recs[ev[1]]) for ev in ls.events
          if ev[0] == _COLL and ev[1] in coll_recs])
     out = BatchResult(errors, cols.fold(),

@@ -98,7 +98,7 @@ Optional fidelity knobs (:class:`~repro.config.RunConfig`):
   device pair — one wire per pair, NCCL-style.
 * Under contention, opposing transfers posted as one batched group
   share the wire back-to-back and the follower skips the link launch
-  latency (:meth:`CostOracle.link_latency`) — the batched-P2P saving.
+  latency (:meth:`CostOracle.link`'s second half): the batched saving.
 
 Memory model
 ------------

@@ -1,8 +1,7 @@
 """Metrics extracted from simulated timelines.
 
 The paper's headline metric is the **bubble ratio** — the fraction of
-device-time spent idle inside the pipeline's active window — plus
-throughput in sequences per second for the evaluation figures.
+device-time spent idle inside the pipeline's active window.
 """
 
 from __future__ import annotations
@@ -143,20 +142,6 @@ def steady_state_bubble_ratio(timeline: Timeline, trim: float = 0.25) -> float:
             busy += max(0.0, min(span.end, hi) - max(span.start, lo))
         ratios.append(1.0 - busy / window)
     return sum(ratios) / len(ratios) if ratios else 0.0
-
-
-def throughput_seq_per_s(
-    makespan_s: float,
-    num_microbatches: int,
-    microbatch_size: int,
-    data_parallel: int = 1,
-    overhead_s: float = 0.0,
-) -> float:
-    """Sequences per second for one iteration of the full job."""
-    if makespan_s <= 0:
-        raise ValueError("makespan must be positive")
-    total = num_microbatches * microbatch_size * data_parallel
-    return total / (makespan_s + overhead_s)
 
 
 def compute_time_lower_bound(schedule: Schedule, duration_of) -> float:

@@ -74,10 +74,6 @@ class SingleFlight:
             flight.done.set()
         return flight.value, False
 
-    def inflight(self) -> int:
-        with self._lock:
-            return len(self._inflight)
-
     def waiting(self, key: str) -> int:
         """Followers currently parked on ``key``'s flight (0 if none)."""
         with self._lock:

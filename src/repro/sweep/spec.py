@@ -489,13 +489,6 @@ class SweepSpec:
             contention=request["contention"],
         )
 
-    @property
-    def grid_size(self) -> int:
-        """Upper bound on the cell count before feasibility filtering."""
-        return (len(self.schemes) * len(self.clusters) * len(self.models)
-                * len(self.layouts) * len(self.total_batches)
-                * len(self.tensor_parallel) * max(len(self.waves), 1))
-
     def expand(self) -> list[SweepPoint]:
         """Lower the grid to feasible :class:`SweepPoint` s, in a
         deterministic order (clusters, models, schemes, batches,

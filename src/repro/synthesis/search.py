@@ -34,7 +34,7 @@ same best ordering, same provenance) is pinned by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Mapping
 
@@ -46,7 +46,6 @@ from ..config import RunConfig
 from ..errors import SynthesisError
 from ..runtime.costs import CostOracle
 from ..schedules.base import Schedule
-from ..types import OpKind, ScheduleOp
 from .legality import LegalityChecker, Walk
 from .mutations import Mutation, default_operators, propose_mutation
 from .ordering import ScheduleOrdering, gpipe_like_ordering
@@ -123,49 +122,15 @@ class SearchResult:
                 f"{len(self.best.provenance)} mutations")
 
 
-class _RecomputeCosts:
-    """Charge re-run forwards to backwards of checkpointed stages.
-
-    Stages at or past the frontier keep only their boundary tensor, so
-    their backward re-executes the stage forward first.  Everything
-    except :meth:`duration` and :meth:`stage_durations` delegates to
-    the wrapped oracle — transfer times, ring steps and rank mapping
-    are recompute-blind.  Both are defined here, so the delegation can
-    never hand a plan the wrapped oracle's uncharged tables.
-    """
-
-    def __init__(self, inner: CostOracle, frontier: int) -> None:
-        self._inner = inner
-        self._frontier = frontier
-
-    def duration(self, op: ScheduleOp) -> float:
-        d = self._inner.duration(op)
-        if op.kind is OpKind.BACKWARD and op.stage >= self._frontier:
-            d += self._inner.duration(replace(op, kind=OpKind.FORWARD))
-        return d
-
-    def stage_durations(self):
-        tables = self._inner.stage_durations()
-        if tables is None:
-            return None
-        forward, backward = tables
-        return forward, [b + f if stage >= self._frontier else b
-                         for stage, (f, b) in enumerate(zip(forward,
-                                                            backward))]
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
 class SynthesisContext:
     """Shared state of one search: base program, per-frontier timing.
 
     Compiles the schedule exactly like :func:`repro.runtime.simulate`
     (byte-accurate boundary tensors from the oracle), then memoizes,
     per recompute frontier, one :class:`TimedReplay`: the
-    resource-adjusted program's plan bound to the frontier's (wrapped)
-    oracle, whose compute-cost column every candidate of that frontier
-    shares.  The replay times uncontended runs only, so a contended
+    resource-adjusted program's plan bound to the frontier's
+    recompute-charged oracle, whose compute-cost column every candidate
+    of that frontier shares.  The replay times uncontended runs only, so a contended
     ``run`` is rejected rather than silently scored without contention.
     """
 
@@ -220,7 +185,7 @@ class SynthesisContext:
                 program.resources.with_recompute_from(frontier))
             plan = self.replay_for(None).plan.with_sizes(program)
             if frontier < program.num_stages:
-                costs = _RecomputeCosts(costs, frontier)
+                costs = costs.with_recompute_from(frontier)
         return self._replays.setdefault(frontier,
                                         TimedReplay(plan.retime(costs)))
 

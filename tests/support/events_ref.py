@@ -10,9 +10,10 @@ executor must match it on all eight ``EventResult`` fields, the OOM
 triple and the deadlock text, over the generated corpus of
 ``tests/test_executor_oracle.py``.
 
-Semantics documentation lives with the production core in
-:mod:`repro.runtime.events`; the two must only ever differ in
-representation.
+It asks the oracle one op and one send at a time (``support.binding``),
+where the plan gathers.  Semantics documentation lives with the
+production core in :mod:`repro.runtime.events`; the two must only ever
+differ in representation.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from repro.runtime.events import (
     MemoryEvent,
 )
 from repro.types import TimedOp, Timeline
+
+from support.binding import op_seconds, send_seconds
 
 
 class _Wire:
@@ -71,6 +74,7 @@ def execute_program_reference(
         program.check_static_memory(capacity_bytes)
     prefetch = program.prefetch
     contention = run.contention
+    duration_of = op_seconds(costs)
 
     cursors = {d: 0 for d in program.actions}
     clock = {d: 0.0 for d in program.actions}
@@ -115,7 +119,7 @@ def execute_program_reference(
     def post_send(device: int, send: Send,
                   exchange: frozenset | None) -> None:
         tag, dst = send.tag, send.peer
-        t_comm = costs.transfer_time(device, dst, tag.stage)
+        t_comm, latency = send_seconds(costs, device, dst)
         post = start = clock[device]
         duration = t_comm
         if contention and t_comm > 0.0:
@@ -125,8 +129,7 @@ def execute_program_reference(
             if post < wire.free:
                 start = wire.free
                 if exchange is not None and wire.last_exchange == exchange:
-                    duration = max(0.0, t_comm
-                                   - costs.link_latency(device, dst))
+                    duration = max(0.0, t_comm - latency)
             wire.free = start + duration
             wire.last_exchange = exchange
         event = CommEvent(
@@ -211,7 +214,7 @@ def execute_program_reference(
             recv_wait[device] += min(arrival - ready, in_flight)
             start = arrival
         op = program.ops[key]
-        end = start + costs.duration(op)
+        end = start + duration_of(op)
         timeline.add(TimedOp(op=op, start=start, end=end))
         clock[device] = end
         produced[key] = end

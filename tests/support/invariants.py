@@ -19,6 +19,8 @@ from repro.actions.collectives import ring_pairs
 from repro.actions.ops import CollectiveKind
 from repro.runtime.metrics import bubble_stats
 
+from support.binding import send_seconds
+
 
 def fold_of(result) -> tuple[float, ...]:
     """The six fold numbers of one result by the scalar accounting."""
@@ -61,7 +63,7 @@ def check_result(result, plan, run, lower_bound: float,
     for ev in result.comm:
         assert 0.0 <= ev.post <= ev.start <= ev.end, ev
         arrival[ev.dst, ev.tag] = ev.end
-        t = costs.transfer_time(ev.src, ev.dst, ev.tag.stage)
+        t, _ = send_seconds(costs, ev.src, ev.dst)
         if not run.contention:
             assert (ev.start, ev.end) == (ev.post, ev.post + t), ev
         elif t > 0.0:

@@ -46,7 +46,7 @@ from repro.synthesis import (DEADLOCK_KINDS, LegalityChecker, ScheduleOrdering,
 from repro.synthesis.timing import TimedReplay
 
 from conftest import ALL_SCHEMES, make_config
-from support.binding import RandomCosts
+from support.binding import RandomCosts, op_seconds
 from support.events_ref import execute_program_reference
 from support.invariants import check_result, fold_of
 
@@ -248,8 +248,8 @@ def build(case: Case, run: RunConfig):
                                            layout, case.b, case.w, mb,
                                            run=run)
             plans.append(cell.plan)
-            bounds.append(compute_time_lower_bound(cell.schedule,
-                                                   cell.oracle.duration))
+            bounds.append(compute_time_lower_bound(
+                cell.schedule, op_seconds(cell.oracle)))
             requests.append(HybridRequest(case.scheme, cluster, model,
                                           layout, case.b, case.w, mb))
         return plans, [None] * len(plans), bounds, requests
@@ -294,8 +294,9 @@ def build(case: Case, run: RunConfig):
         oracle = RandomCosts(args[0], case.p, stages, case.b, args[1]) \
             if kind == "random" \
             else AbstractCosts(CostConfig(*args), case.p, stages)
-        plans.append(structures[lane.recompute].retime(oracle))
-        bounds.append(compute_time_lower_bound(sched, oracle.duration))
+        plan = structures[lane.recompute].retime(oracle)
+        plans.append(oracle.bind(plan) if kind == "random" else plan)
+        bounds.append(compute_time_lower_bound(sched, op_seconds(oracle)))
     caps = [capacity(plan, lane.cap)
             for plan, lane in zip(plans, case.lanes)]
     return plans, caps, bounds, None

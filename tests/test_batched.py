@@ -20,7 +20,7 @@ from repro.actions import (
     compile_program,
 )
 from repro.actions.ops import CollectiveKind
-from repro.analysis import ClusterCosts, compile_cluster_program
+from repro.analysis import compile_cluster_program
 from repro.cluster import make_fc, make_pc, make_tacc
 from repro.config import CostConfig, PipelineConfig, RunConfig
 from repro.errors import ConfigError, OutOfMemoryError, SchedulingError
@@ -28,6 +28,7 @@ from repro.models import tiny_model
 from repro.models.costs import stage_costs
 from repro.runtime import (
     AbstractCosts,
+    ClusterCosts,
     PlanBatch,
     execute_batch,
     execute_many,

@@ -1,10 +1,10 @@
 """Cost binding (``ExecutablePlan.retime``) and the split plan keys.
 
-``retime`` gathers per-stage duration tables and fans per-edge transfer
-answers out across the sends, for one oracle or for a sequence of
-lanes in one call; the per-op / per-send loop it replaced is kept in
-``support.binding`` as the reference, and every oracle kind is compared
-against it field by field.  The congruence key is one shape digest per
+``retime`` gathers per-stage duration tables and fans one link per
+distinct ``(src, dst)`` pair out across the sends, for one oracle or for
+a sequence of lanes in one call; the per-op / per-send loop it replaced
+is kept in ``support.binding`` as the reference, and every oracle kind
+is compared against it field by field.  The congruence key is one shape digest per
 lowering plus the collective columns a size binding sets.
 """
 
@@ -27,15 +27,14 @@ from repro.analysis import (
     plan_cache,
     tp_rank_groups,
 )
-from repro.analysis.throughput import ClusterCosts, HybridRequest
+from repro.analysis.throughput import HybridRequest
 from repro.cluster import make_fc, make_pc, make_tacc, make_tc
 from repro.config import CostConfig, RunConfig
 from repro.errors import ConfigError
 from repro.models import bert_64, gpt_128, stage_costs
-from repro.runtime import AbstractCosts
+from repro.runtime import AbstractCosts, ClusterCosts
 from repro.schedules import build_schedule
 from repro.sweep import SweepSpec, run_sweep
-from repro.synthesis.search import _RecomputeCosts
 from repro.types import OpKind
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
@@ -90,9 +89,9 @@ def test_every_oracle_binds_like_the_per_op_loop(param, layout, prefetch,
           for tp in (1, 2)),
         AbstractCosts(CostConfig(t_c=0.5), p, stages),
         RandomCosts(7, p, stages, B),
-        _RecomputeCosts(RandomCosts(7, p, stages, B), 1),
-        *(_RecomputeCosts(ClusterCosts(costs, cluster, layout[0]), frontier)
-          for frontier in range(stages + 1)),
+        RandomCosts(7, p, stages, B).with_recompute_from(1),
+        *(ClusterCosts(costs, cluster, layout[0]).with_recompute_from(
+            frontier) for frontier in range(stages + 1)),
     ]
     lanes = plan.retime(oracles)
     assert len(lanes) == len(oracles)
@@ -175,26 +174,28 @@ def test_a_group_binds_only_its_missing_lanes():
     assert list(entry.bindings) == ["fc", "tc", "pc"]
 
 
-def test_recompute_tables_are_never_forwarded():
-    """``_RecomputeCosts`` forwards unknown attributes to the oracle it
-    wraps.  Its stage tables are defined on the class, so the forwarder
-    is never asked for them: a gather binds the recompute charge, not
-    the wrapped oracle's plain backward times."""
+def test_recompute_is_a_table_transform():
+    """``with_recompute_from`` charges each backward at or past the
+    frontier its stage's forward (``b + f``) and leaves every other
+    column of the binding as the plain oracle's."""
     program, cluster, costs = cluster_program("hanayo", {"num_waves": 2},
                                               (1, 4, 1), True, True)
     plan = ExecutablePlan.lower(program)
     inner = ClusterCosts(costs, cluster)
     frontier = 3
-    wrapped = _RecomputeCosts(inner, frontier)
-    assert "stage_durations" in vars(_RecomputeCosts)
     forward, backward = inner.stage_durations()
-    assert wrapped.stage_durations() == (forward, [
-        b + f if stage >= frontier else b
-        for stage, (f, b) in enumerate(zip(forward, backward))])
-    plain = plan.retime(inner).comp_cost
-    charged = plan.retime(wrapped).comp_cost
+    assert inner.with_recompute_from(frontier).stage_durations() == (
+        forward, tuple(b + f if stage >= frontier else b
+                       for stage, (f, b) in enumerate(zip(forward,
+                                                          backward))))
+    plain, charged = plan.retime(
+        [inner, inner.with_recompute_from(frontier)])
+    assert inner.stage_durations() == (forward, backward)
+    for column in BOUND[1:]:
+        assert getattr(charged, column) == getattr(plain, column), column
     recomputed = 0
-    for op, before, after in zip(plan.comp_ops, plain, charged):
+    for op, before, after in zip(plan.comp_ops, plain.comp_cost,
+                                 charged.comp_cost):
         if op.kind is OpKind.BACKWARD and op.stage >= frontier:
             assert after == before + forward[op.stage]
             recomputed += 1
@@ -203,9 +204,9 @@ def test_recompute_tables_are_never_forwarded():
     assert recomputed > 0
 
 
-def test_short_tables_fall_back_to_the_oracles_own_check():
-    """A stage past the end of the oracle's tables is asked of
-    ``duration``: ``ConcreteCosts`` keeps its out-of-table error."""
+def test_short_tables_raise_from_the_gather():
+    """A stage past the end of the oracle's tables is refused by the
+    gather, naming the first compute it cannot time."""
     program, cluster, _ = cluster_program("dapple", {}, (1, 4, 1), True,
                                           True)
     short = stage_costs(bert_64(), 3, cluster.device)   # one stage short

@@ -1,4 +1,4 @@
-"""Topology graphs, cluster presets, and the communication model."""
+"""Topology graphs and cluster presets."""
 
 import random
 
@@ -8,10 +8,8 @@ from repro.cluster import (
     INTER_NODE,
     NVLINK3,
     PCIE4,
-    CommModel,
     LinkClass,
     Topology,
-    Transfer,
     all_clusters,
     get_cluster,
     make_fc,
@@ -282,47 +280,6 @@ class TestPresets:
         assert [c.name for c in all_clusters(8)] == list(KNOWN_CLUSTERS)
         for name in KNOWN_CLUSTERS:
             assert get_cluster(name.lower(), 4).name == name
-
-
-class TestCommModel:
-    def test_uniform_mode(self):
-        cm = CommModel.uniform(0.5)
-        assert cm.transfer_time(Transfer(0, 5, 123456)) == 0.5
-        assert cm.transfer_time(Transfer(2, 2, 99)) == 0.0
-
-    def test_uniform_negative(self):
-        with pytest.raises(ConfigError):
-            CommModel.uniform(-0.1)
-
-    def test_needs_some_model(self):
-        with pytest.raises(ConfigError):
-            CommModel()
-
-    def test_topology_mode(self):
-        cm = CommModel.from_cluster(make_fc(4))
-        t = cm.transfer_time(Transfer(0, 1, 1e9))
-        assert t == pytest.approx(NVLINK3.transfer_time(1e9))
-
-    def test_batched_shares_latency(self):
-        cm = CommModel.from_cluster(make_fc(4))
-        single = cm.transfer_time(Transfer(0, 1, 1e8))
-        batched = cm.batched_time([
-            Transfer(0, 1, 1e8), Transfer(1, 0, 1e8),
-        ])
-        # Serialized on the wire but one latency: strictly less than 2x.
-        assert single < batched < 2 * single
-
-    def test_batched_parallel_pairs(self):
-        cm = CommModel.from_cluster(make_fc(8))
-        lone = cm.batched_time([Transfer(0, 1, 1e8)])
-        two_pairs = cm.batched_time([
-            Transfer(0, 1, 1e8), Transfer(2, 3, 1e8),
-        ])
-        assert two_pairs == pytest.approx(lone)
-
-    def test_batched_empty(self):
-        cm = CommModel.uniform(1.0)
-        assert cm.batched_time([]) == 0.0
 
 
 class TestRingTransfer:

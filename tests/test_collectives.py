@@ -38,7 +38,7 @@ from repro.analysis import (
     tp_allreduce_seconds,
     tp_rank_groups,
 )
-from repro.cluster import CommModel, get_cluster, make_fc, make_tacc
+from repro.cluster import get_cluster, make_fc, make_tacc
 from repro.cluster.presets import Cluster
 from repro.cluster.topology import NVLINK3, Topology, ring_transfer_chain
 from repro.config import PipelineConfig, RunConfig
@@ -50,7 +50,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigError, ValidationError
 from repro.models import bert_64, stage_costs, tiny_model
-from repro.runtime import ConcreteCosts, execute_program, simulate_program
+from repro.runtime import ClusterCosts, execute_program, simulate_program
 from repro.schedules import build_schedule
 from repro.types import OpKind
 from repro.viz.trace import sim_to_chrome_trace
@@ -75,7 +75,7 @@ def dp_program(cluster, scheme="dapple", p=4, b=4, d=2, run=None):
     grad_bytes = {s: w / 16.0 * 4.0
                   for s, w in enumerate(costs.weight_bytes)}
     annotated = with_gradient_sync(program, groups, grad_bytes)
-    oracle = ConcreteCosts(costs, CommModel.from_cluster(cluster))
+    oracle = ClusterCosts(costs, cluster)
     return sched, annotated, oracle
 
 

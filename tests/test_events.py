@@ -3,11 +3,12 @@
 import pytest
 
 from repro.actions import compile_program
-from repro.cluster import CommModel
+from repro.cluster import make_fc
 from repro.config import CostConfig, PipelineConfig, RunConfig
 from repro.models import A100_40G, bert_64, stage_costs
 from repro.runtime import (
     AbstractCosts,
+    ClusterCosts,
     ConcreteCosts,
     execute_program,
     simulate,
@@ -46,7 +47,7 @@ class TestCommLog:
 
     def test_tensor_sizes_attached(self):
         sc = stage_costs(bert_64(), 4, A100_40G)
-        oracle = ConcreteCosts(sc, CommModel.uniform(1e-4))
+        oracle = ConcreteCosts(sc, 1e-4)
         sched = build_schedule(make_config("dapple", 4, 4))
         res = simulate(sched, oracle)
         assert all(e.nbytes == sc.boundary_bytes for e in res.comm)
@@ -76,8 +77,7 @@ class TestContention:
         posted as one batched group pay the launch latency once."""
         sched = build_schedule(make_config("hanayo", 4, 4))
         sc = stage_costs(bert_64(), sched.num_stages, A100_40G)
-        from repro.cluster import make_fc
-        oracle = ConcreteCosts(sc, CommModel.from_cluster(make_fc(4)))
+        oracle = ClusterCosts(sc, make_fc(4))
         batched = simulate(sched, oracle, RunConfig(contention=True,
                                                     batch_cross_comm=True))
         unbatched = simulate(sched, oracle, RunConfig(contention=True,

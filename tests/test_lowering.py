@@ -25,15 +25,14 @@ from repro.models import tiny_model
 from repro.models.costs import stage_costs
 from repro.runtime import (
     AbstractCosts,
-    ConcreteCosts,
     execute_many,
     execute_plan,
     execute_program,
 )
-from repro.runtime.costs import CostOracle
 from repro.types import OpKind
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.binding import reference_binding
 
 P = B = 4
 
@@ -192,44 +191,37 @@ class TestBindingAndRetime:
 
 
 class TestEagerDurations:
-    def test_retime_consults_the_oracle_once_per_compute(self):
-        """Costs bind at retime: one call per compute there for an
-        oracle without stage tables, and none from any execution —
-        completed, repeated or aborted."""
+    def test_retime_asks_each_table_once_and_each_link_once(self):
+        """Costs bind at retime: per lane, one ``stage_durations()`` and
+        one ``link`` per distinct ``(src, dst)`` pair, in first-send
+        order, and no question from any execution — completed,
+        repeated or aborted."""
         calls = []
 
         class Counting(AbstractCosts):
-            stage_durations = CostOracle.stage_durations
-
-            def duration(self, op):
-                calls.append(op)
-                return super().duration(op)
-
-        program, plan = self._bind(Counting)
-        assert calls == list(plan.comp_ops)
-        self._execute_all(plan)
-        assert len(calls) == program.compute_count()
-
-    def test_retime_gathers_stage_tables_once(self):
-        """An oracle with stage tables hands them over once per retime
-        and is never asked for a single duration."""
-        calls = []
-
-        class Counting(AbstractCosts):
-            def duration(self, op):
-                calls.append(op)
-                return super().duration(op)
-
             def stage_durations(self):
                 calls.append("tables")
                 return super().stage_durations()
 
+            def link(self, a, b):
+                calls.append((a, b))
+                return super().link(a, b)
+
         _, plan = self._bind(Counting)
-        assert calls == ["tables"]
-        assert plan.comp_cost == [
-            AbstractCosts.duration(plan.costs, op) for op in plan.comp_ops]
+        devices = plan.devices
+        pairs = list(dict.fromkeys(
+            (devices[s], devices[d])
+            for s, d in zip(plan.send_src, plan.send_dst)))
+        assert len(pairs) < len(plan.send_src)
+        assert calls == ["tables", *pairs]
+        assert plan.comp_cost == reference_binding(plan, plan.costs)[
+            "comp_cost"]
+        calls.clear()
+        plan.retime([plan.costs, plan.costs])
+        assert calls == 2 * ["tables", *pairs]
+        calls.clear()
         self._execute_all(plan)
-        assert calls == ["tables"]
+        assert calls == []
 
     @staticmethod
     def _bind(oracle_type):

@@ -43,15 +43,11 @@ def annotated(scheme, p=4, b=4, run=None, capacity=None, balanced=True,
 
 
 class CountingCosts(AbstractCosts):
-    """Counts event-loop compute timings — the 'did we simulate' probe."""
+    """Counts cost bindings — the 'did we simulate' probe."""
 
     def __post_init__(self):
         super().__post_init__()
         self.calls = 0
-
-    def duration(self, op):
-        self.calls += 1
-        return super().duration(op)
 
     def stage_durations(self):
         self.calls += 1

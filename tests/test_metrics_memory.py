@@ -12,7 +12,6 @@ from repro.runtime import (
     simulate,
     static_memory,
     steady_state_bubble_ratio,
-    throughput_seq_per_s,
 )
 from repro.schedules import build_schedule
 
@@ -50,20 +49,6 @@ class TestBubbleStats:
         steady = steady_state_bubble_ratio(res.timeline)
         assert steady < full
         assert steady < 0.05  # async steady state is bubble-free
-
-
-class TestThroughput:
-    def test_throughput_formula(self):
-        assert throughput_seq_per_s(2.0, 8, 2, data_parallel=2) == 16.0
-
-    def test_overhead_reduces(self):
-        base = throughput_seq_per_s(2.0, 8, 1)
-        slower = throughput_seq_per_s(2.0, 8, 1, overhead_s=1.0)
-        assert slower < base
-
-    def test_zero_makespan_rejected(self):
-        with pytest.raises(ValueError):
-            throughput_seq_per_s(0.0, 8, 1)
 
 
 class TestMemoryTracker:

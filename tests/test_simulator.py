@@ -134,11 +134,10 @@ class TestSimulatorDeadlock:
 
 class TestConcreteCosts:
     def test_duration_lookup(self):
-        from repro.cluster import CommModel
         from repro.models import A100_40G, bert_64, stage_costs
 
         sc = stage_costs(bert_64(), 4, A100_40G)
-        oracle = ConcreteCosts(sc, CommModel.uniform(0.0))
+        oracle = ConcreteCosts(sc)
         cfg = make_config("gpipe", 4, 2)
         sched = build_schedule(cfg)
         res = simulate(sched, oracle)
@@ -146,16 +145,38 @@ class TestConcreteCosts:
         assert total_fwd == pytest.approx(2 * sum(sc.forward))
 
     def test_stage_out_of_range(self):
-        from repro.cluster import CommModel
         from repro.models import A100_40G, bert_64, stage_costs
         from repro.errors import ConfigError
-        from repro.types import ScheduleOp
+
+        sc = stage_costs(bert_64(), 2, A100_40G)
+        sched = build_schedule(make_config("gpipe", 4, 2))
+        with pytest.raises(ConfigError, match="op stage 2 outside cost "
+                                              "table of 2"):
+            simulate(sched, ConcreteCosts(sc))
+
+    def test_links(self):
+        """One boundary tensor's ``(seconds, latency)``: ``t_c`` and no
+        latency on the flat base, the effective link between global
+        ranks (spaced by TP) on a cluster."""
+        from repro.cluster import make_tacc
+        from repro.models import A100_40G, bert_64, stage_costs
+        from repro.runtime import ClusterCosts
 
         sc = stage_costs(bert_64(), 4, A100_40G)
-        oracle = ConcreteCosts(sc, CommModel.uniform(0.0))
-        bad = ScheduleOp(device=0, kind=OpKind.FORWARD, microbatch=0, stage=9)
-        with pytest.raises(ConfigError):
-            oracle.duration(bad)
+        assert ConcreteCosts(sc, 0.5).link(0, 3) == (0.5, 0.0)
+        tacc = ClusterCosts(sc, make_tacc(8), tp=2)
+        route = tacc.topology.effective_link(2, 4)
+        assert tacc.global_rank(1) == 2
+        assert tacc.link(2, 4) == (route.transfer_time(sc.boundary_bytes),
+                                   route.latency)
+
+    def test_negative_message_cost_rejected(self):
+        from repro.models import A100_40G, bert_64, stage_costs
+        from repro.errors import ConfigError
+
+        sc = stage_costs(bert_64(), 4, A100_40G)
+        with pytest.raises(ConfigError, match="t_c must be >= 0"):
+            ConcreteCosts(sc, -0.1)
 
 
 class TestBubbleRatiosMatchPaperShape:

@@ -277,7 +277,6 @@ class TestCache:
             # the lockstep stepper measures real sweep cells — its
             # arithmetic is execution semantics like the scalar core
             "runtime/batched.py",
-            "cluster/comm_model.py",
             # both measurement harnesses and the plan-sharing layer
             "analysis/throughput.py",
             "analysis/hybrid.py",
@@ -1068,3 +1067,30 @@ class TestCLI:
                        "-n", "4", "--batch", "8", "--layouts", "8x1"])
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
+
+
+def test_dump_diff_finds_exactly_the_edited_record(tmp_path):
+    """``tools/dump_diff.py``: a grid's dump diffs clean against itself,
+    and one edited record is one mismatch, named by its cell."""
+    tool = os.path.join(os.path.dirname(__file__), "../tools/dump_diff.py")
+
+    def run(*args):
+        return subprocess.run([sys.executable, tool, *map(str, args)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=""))
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    run("dump", a, "--grid", "small")
+    clean = run("diff", a, a)
+    assert (clean.returncode, clean.stdout) == (0, "0 mismatching records\n")
+    lines = a.read_text().splitlines()
+    record = json.loads(lines[3])
+    lines[3] = json.dumps(dict(record, seq_per_s=2 * record["seq_per_s"]))
+    b.write_text("\n".join(lines) + "\n")
+    edited = run("diff", a, b)
+    assert edited.returncode == 1
+    [found, count] = edited.stdout.splitlines()
+    assert found.startswith(f"line 4: scheme={record['scheme']} ")
+    assert found.endswith(f": seq_per_s {record['seq_per_s']!r} != "
+                          f"{2 * record['seq_per_s']!r}")
+    assert count == "1 mismatching records"

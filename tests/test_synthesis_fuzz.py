@@ -62,6 +62,7 @@ from repro.actions.reorder import reorder_program
 from repro.actions.ops import CollectiveOp
 
 from conftest import ALL_SCHEMES, make_config, scheme_id
+from support.binding import op_seconds
 from support.oracle import N, random_transposition
 
 COMM = CostConfig(t_f=1.0, t_b=2.0, t_c=0.25)
@@ -128,7 +129,7 @@ def run_walk(schedule, program, oracle, seed, steps, run=None,
     rng = Random(seed)
     checker = LegalityChecker(program, capacity_bytes)
     replay = TimedReplay(ExecutablePlan.lower(program, oracle))
-    lower_bound = compute_time_lower_bound(schedule, oracle.duration)
+    lower_bound = compute_time_lower_bound(schedule, op_seconds(oracle))
     ordering = ScheduleOrdering.from_program(program, frontier)
     checker.check(ordering)
     walk = checker.walk
