@@ -204,6 +204,23 @@ def test_recompute_is_a_table_transform():
     assert recomputed > 0
 
 
+def test_recompute_frontier_bounds():
+    """Frontier 0 charges every backward its forward; a frontier past
+    the last stage changes nothing.  Links and ranks never move, and
+    the source oracle keeps its tables."""
+    _, cluster, costs = cluster_program("dapple", {}, (2, 4, 1), True, True)
+    inner = ClusterCosts(costs, cluster, tp=2)
+    forward, backward = inner.stage_durations()
+    everything = inner.with_recompute_from(0)
+    assert everything.stage_durations() == (
+        forward, tuple(b + f for f, b in zip(forward, backward)))
+    assert inner.with_recompute_from(len(forward)).stage_durations() == (
+        forward, tuple(backward))
+    assert inner.stage_durations() == (forward, backward)
+    assert everything.link(0, 2) == inner.link(0, 2)
+    assert everything.global_rank(3) == inner.global_rank(3) == 6
+
+
 def test_short_tables_raise_from_the_gather():
     """A stage past the end of the oracle's tables is refused by the
     gather, naming the first compute it cannot time."""

@@ -1,4 +1,4 @@
-"""Topology graphs and cluster presets."""
+"""Topology graphs, cluster presets, and the cluster cost oracle."""
 
 import random
 
@@ -20,6 +20,8 @@ from repro.cluster import (
 )
 from repro.cluster.topology import NVLINK2
 from repro.errors import ConfigError
+from repro.models import A100_40G, bert_64, stage_costs
+from repro.runtime import ClusterCosts
 
 
 class TestLinkClass:
@@ -280,6 +282,44 @@ class TestPresets:
         assert [c.name for c in all_clusters(8)] == list(KNOWN_CLUSTERS)
         for name in KNOWN_CLUSTERS:
             assert get_cluster(name.lower(), 4).name == name
+
+
+class TestClusterCosts:
+    """The one cluster oracle: the model's stage seconds, and links,
+    rings and ranks routed on the cluster's topology."""
+
+    SC = stage_costs(bert_64(), 4, A100_40G)
+
+    def test_link_is_the_topology_route(self):
+        oracle = ClusterCosts(self.SC, make_pc(4))
+        for (a, b), link in {(0, 1): NVLINK3, (0, 2): PCIE4}.items():
+            assert oracle.link(a, b) == (
+                link.transfer_time(self.SC.boundary_bytes), link.latency)
+
+    def test_cross_node_link_is_slower(self):
+        oracle = ClusterCosts(self.SC, make_tacc(6))
+        in_node, across = oracle.link(0, 1), oracle.link(0, 3)
+        assert in_node[0] < across[0]
+        assert across[1] == INTER_NODE.latency
+
+    def test_rank_map_spaces_by_tp(self):
+        for tp in (1, 2):
+            oracle = ClusterCosts(self.SC, make_fc(8), tp=tp)
+            assert [oracle.global_rank(d) for d in range(4)] == [
+                0, tp, 2 * tp, 3 * tp]
+
+    def test_stage_tables_are_the_models_seconds(self):
+        oracle = ClusterCosts(self.SC, make_fc(4))
+        assert oracle.stage_durations() == (self.SC.forward,
+                                            self.SC.backward)
+        assert oracle.tensor_nbytes(3) == self.SC.boundary_bytes
+
+    def test_collective_link_time_routes_the_topology(self):
+        cluster = make_tacc(6)
+        oracle = ClusterCosts(self.SC, cluster)
+        assert oracle.collective_link_time(0, 4, 1e6) == (
+            cluster.topology.transfer_time(0, 4, 1e6))
+        assert oracle.collective_link_time(2, 2, 1e6) == 0.0
 
 
 class TestRingTransfer:

@@ -12,8 +12,9 @@ from repro.engine import (
     sequential_step_on,
 )
 from repro.errors import ConfigError, EngineError
-from repro.models import tiny_model
-from repro.runtime import AbstractCosts, kind_time, simulate
+from repro.models import A100_40G, bert_64, stage_costs, tiny_model
+from repro.runtime import AbstractCosts, ConcreteCosts, kind_time, simulate
+from repro.runtime.costs import CostOracle
 from repro.schedules import build_schedule, gems_schedule
 from repro.types import OpKind
 
@@ -73,6 +74,37 @@ class TestGemsStructure:
         assert activation_units("gems", 8, 8) < activation_units(
             "dapple", 8, 8
         ) / 4
+
+
+class TestFlatCostsEdges:
+    """Per-message oracles: every boundary tensor costs ``t_c``, with no
+    latency split, whichever pair it crosses."""
+
+    FLAT = ConcreteCosts(stage_costs(bert_64(), 4, A100_40G), 0.5)
+
+    def test_flat_links_ignore_the_pair(self):
+        oracle = self.FLAT
+        assert {oracle.link(a, b) for a, b in [(0, 1), (1, 0), (0, 3),
+                                               (7, 2)]} == {(0.5, 0.0)}
+
+    def test_flat_collective_self_step_is_free(self):
+        oracle = self.FLAT
+        assert oracle.collective_link_time(2, 2, 99) == 0.0
+        assert oracle.collective_link_time(0, 1, 99) == 0.5
+
+    def test_abstract_links_are_t_c(self):
+        oracle = AbstractCosts(CostConfig(t_c=0.25), 4, 8)
+        assert oracle.link(0, 1) == (0.25, 0.0)
+        assert oracle.collective_link_time(3, 3, 1.0) == 0.0
+        assert oracle.collective_link_time(3, 0, 1.0) == 0.25
+
+    def test_oracle_without_a_route_cannot_time_collectives(self):
+        class Tables(CostOracle):
+            _tables = ((1.0,), (2.0,))
+
+        with pytest.raises(ConfigError, match="Tables cannot time "
+                                              "collectives"):
+            Tables().collective_link_time(0, 1, 1.0)
 
 
 class TestKindTimeAccounting:

@@ -223,6 +223,41 @@ class TestEagerDurations:
         self._execute_all(plan)
         assert calls == []
 
+    def test_self_pairs_bind_free_without_a_link(self):
+        """A send whose ends map to one global rank is ``(0, 0)``,
+        answered by ``retime`` itself: the oracle's ``link`` is never
+        asked for it."""
+
+        class OneRank(AbstractCosts):
+            def global_rank(self, device):
+                return 0
+
+            def link(self, a, b):
+                raise AssertionError(f"link asked for ({a}, {b})")
+
+        _, plan = self._bind(OneRank)
+        assert plan.send_time and set(plan.send_time) == {0.0}
+        assert set(plan.send_lat) == {0.0}
+
+    def test_links_are_asked_between_global_ranks(self):
+        """``link`` is asked over the oracle's rank map, not the
+        program's local devices."""
+        calls = []
+
+        class Spaced(AbstractCosts):
+            def global_rank(self, device):
+                return 2 * device
+
+            def link(self, a, b):
+                calls.append((a, b))
+                return super().link(a, b)
+
+        _, plan = self._bind(Spaced)
+        devices = plan.devices
+        assert calls == list(dict.fromkeys(
+            (2 * devices[s], 2 * devices[d])
+            for s, d in zip(plan.send_src, plan.send_dst)))
+
     @staticmethod
     def _bind(oracle_type):
         from repro.schedules import build_schedule
